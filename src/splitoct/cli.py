@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,52 +22,49 @@ from .report import VerificationReport
 
 SUITES = ("moufang", "malcev", "clifford", "associators", "correspondence",
           "triality", "all")
+OVERFLOW = "the result overflows float64"
 
 
 @dataclass
 class RunConfig:
-    format: str = "json"
-    seed: int = tr.DEFAULT_SEED
-    tolerance: float = 1e-12
-    samples: int = 1000
-    mode: str = "exact"
+    """What `verify` reads beyond the suite name."""
+
+    seed: int
+    tolerance: float
+    samples: int
 
     def __post_init__(self):
-        if self.tolerance <= 0:
+        if not self.tolerance > 0:
             raise ValueError("tolerance must be positive")
         if self.samples < 1:
             raise ValueError("samples must be at least 1")
 
 
-def _common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=("json", "csv", "pretty"), default="json")
-    p.add_argument("--seed", type=int, default=tr.DEFAULT_SEED)
-    p.add_argument("--tolerance", type=float, default=1e-12)
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--mode", choices=("exact", "float"), default=None)
-
-
-def _config(args, default_mode: str) -> RunConfig:
-    return RunConfig(format=args.format, seed=args.seed, tolerance=args.tolerance,
-                     samples=args.samples, mode=args.mode or default_mode)
-
-
 def _emit_json(obj) -> None:
-    sys.stdout.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    sys.stdout.write(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 class UsageError(Exception):
     pass
 
 
-def _parse_components(text: str, want: int):
+def _parse_components(text: str, want: int, exact: bool = False):
+    """Finite floats, or Python ints of any size when ``exact``."""
     try:
-        vals = [float(v) for v in text.split(",")]
+        vals = [(int if exact else float)(v) for v in text.split(",")]
     except ValueError:
-        raise UsageError("components must be a comma-separated number list")
+        raise UsageError("exact mode needs integer components" if exact
+                         else "components must be a comma-separated number list")
     if len(vals) != want:
         raise UsageError(f"expected {want} components, got {len(vals)}")
+    _require_finite("components must be finite", vals)
     return vals
+
+
+def _require_finite(message: str, values) -> None:
+    """Refuse a non-finite float: it has no JSON form and no meaning here."""
+    if any(isinstance(v, float) and not math.isfinite(v) for v in values):
+        raise UsageError(message)
 
 
 def _usage_error(msg: str) -> int:
@@ -90,7 +88,6 @@ def _num(v):
 # ---------------------------------------------------------------------------
 
 def cmd_table(args) -> int:
-    cfg = _config(args, "exact")
     sc = oc.StructureConstants.standard()
     products = []
     for a in range(8):
@@ -108,9 +105,9 @@ def cmd_table(args) -> int:
                         "x": oc.UNIT_NAMES[a], "y": oc.UNIT_NAMES[b], "z": oc.UNIT_NAMES[c],
                         "value": {oc.UNIT_NAMES[k]: _num(v)
                                   for k, v in enumerate(val.c) if v != 0}})
-    if cfg.format == "json":
+    if args.format == "json":
         _emit_json({"products": products, "nonvanishing_associators": families})
-    elif cfg.format == "csv":
+    elif args.format == "csv":
         print("left,right,result_unit,sign")
         for p in products:
             print(f"{p['left']},{p['right']},{p['result_unit']},{p['sign']}")
@@ -170,7 +167,7 @@ def _generation_report():
 
 
 def cmd_verify(args) -> int:
-    cfg = _config(args, "exact")
+    cfg = RunConfig(seed=args.seed, tolerance=args.tolerance, samples=args.samples)
     if args.suite not in SUITES:
         return _usage_error(f"unknown suite '{args.suite}'; choose from {', '.join(SUITES)}")
     reports = []
@@ -185,9 +182,9 @@ def cmd_verify(args) -> int:
     all_pass = all(r.passed for r in reports)
     payload = {"suite": args.suite, "passed": all_pass,
                "reports": [r.to_json() for r in reports]}
-    if cfg.format == "json":
+    if args.format == "json":
         _emit_json(payload)
-    elif cfg.format == "csv":
+    elif args.format == "csv":
         print("name,cases,failures,max_residual,exact,passed")
         for r in reports:
             print(f"{r.name},{r.cases},{r.failures},{r.max_residual},{r.exact},{r.passed}")
@@ -207,7 +204,7 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_rotate(args) -> int:
-    cfg = _config(args, "float")
+    _require_finite("theta must be finite", [args.theta])
     try:
         mu_s, nu_s = args.plane.split(",")
         mu, nu = int(mu_s), int(nu_s)
@@ -228,14 +225,15 @@ def cmd_rotate(args) -> int:
         before = cl.spinor_invariant(comps)
         out = cl.rotate_spinor(np.asarray(comps), r)
         after = cl.spinor_invariant(out)
+    _require_finite(OVERFLOW, [*out, before, after])
     payload = {"target": args.target, "plane": [mu, nu],
                "compact": r.compact, "theta": args.theta,
                "input": [float(v) for v in comps],
                "output": [float(v) for v in out],
                "invariant_before": _num(before), "invariant_after": _num(after)}
-    if cfg.format == "json":
+    if args.format == "json":
         _emit_json(payload)
-    elif cfg.format == "csv":
+    elif args.format == "csv":
         print("component,input,output")
         for k, (i, o) in enumerate(zip(comps, out)):
             print(f"{k},{i},{o}")
@@ -253,17 +251,11 @@ def cmd_rotate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_trilinear(args) -> int:
-    cfg = _config(args, "float")
-    phi = _parse_components(args.phi, 8)
-    x = _parse_components(args.x, 8)
-    psi = _parse_components(args.psi, 8)
-    if cfg.mode == "exact":
-        if not all(float(v).is_integer() for v in phi + x + psi):
-            return _usage_error("exact mode needs integer components")
-        phi = [int(v) for v in phi]
-        x = [int(v) for v in x]
-        psi = [int(v) for v in psi]
-    payload = {"representation": args.representation, "mode": cfg.mode}
+    exact = args.mode == "exact"
+    phi = _parse_components(args.phi, 8, exact)
+    x = _parse_components(args.x, 8, exact)
+    psi = _parse_components(args.psi, 8, exact)
+    payload = {"representation": args.representation, "mode": args.mode}
     if args.representation in ("matrix", "both"):
         payload["matrix"] = _num(cl.trilinear_matrix(phi, x, psi))
     if args.representation in ("octonion", "both"):
@@ -276,13 +268,15 @@ def cmd_trilinear(args) -> int:
         except tr.OracleError as exc:
             print(f"error: trilinear dictionary unavailable: {exc}", file=sys.stderr)
             return 1
-        residual = abs(float(mat_val) - float(oct_mapped))
+        residual = (abs(mat_val - oct_mapped) if exact
+                    else abs(float(mat_val) - float(oct_mapped)))
         payload["octonion_mapped"] = _num(oct_mapped)
         payload["residual"] = _num(residual)
         payload["dictionary"] = tr.equivalence_map().to_json()
-    if cfg.format == "json":
+    _require_finite(OVERFLOW, payload.values())
+    if args.format == "json":
         _emit_json(payload)
-    elif cfg.format == "csv":
+    elif args.format == "csv":
         keys = [k for k in ("matrix", "octonion", "octonion_mapped", "residual")
                 if k in payload]
         print(",".join(keys))
@@ -299,8 +293,7 @@ def cmd_trilinear(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_matrices(args) -> int:
-    cfg = _config(args, "exact")
-    exact = cfg.mode == "exact"
+    exact = args.mode == "exact"
     which = args.which
     out = {}
     if which == "alpha":
@@ -322,9 +315,9 @@ def cmd_matrices(args) -> int:
         out["note"] = "matrix is scaled by 1/sqrt(2) when applied"
     else:
         return _usage_error(f"unknown matrix selector '{which}'")
-    if cfg.format == "json":
+    if args.format == "json":
         _emit_json(out)
-    elif cfg.format == "csv":
+    elif args.format == "csv":
         for name, mat in out.items():
             if name == "note":
                 continue
@@ -360,39 +353,43 @@ def build_parser() -> argparse.ArgumentParser:
         prog="sot",
         description="Split-octonion and Cl(4,4) computational kernel")
     sub = ap.add_subparsers(dest="command", required=True)
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("json", "csv", "pretty"), default="json")
 
-    p = sub.add_parser("table", help="unit multiplication table and associator families")
-    _common_flags(p)
+    p = sub.add_parser("table", parents=[fmt],
+                       help="unit multiplication table and associator families")
     p.set_defaults(fn=cmd_table)
 
-    p = sub.add_parser("verify", help="run an identity-verification suite")
+    p = sub.add_parser("verify", parents=[fmt], help="run an identity-verification suite")
     p.add_argument("suite", help=f"one of: {', '.join(SUITES)}")
-    _common_flags(p)
+    p.add_argument("--seed", type=int, default=tr.DEFAULT_SEED)
+    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--tolerance", type=float, default=1e-12)
     p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("rotate", help="apply a rotor to a vector or spinor")
+    p = sub.add_parser("rotate", parents=[fmt], help="apply a rotor to a vector or spinor")
     p.add_argument("--plane", required=True, help="mu,nu plane indices")
     p.add_argument("--theta", type=float, required=True,
                    help="angle (compact plane) or rapidity (boost plane), radians")
     p.add_argument("--target", choices=("vector", "spinor"), required=True)
     p.add_argument("--components", required=True,
                    help="comma-separated components (8 for vector, 16 for spinor)")
-    _common_flags(p)
     p.set_defaults(fn=cmd_rotate)
 
-    p = sub.add_parser("trilinear", help="evaluate the invariant trilinear form")
+    p = sub.add_parser("trilinear", parents=[fmt],
+                       help="evaluate the invariant trilinear form")
     p.add_argument("--phi", required=True, help="8 comma-separated components")
     p.add_argument("--x", required=True, help="8 comma-separated components")
     p.add_argument("--psi", required=True, help="8 comma-separated components")
     p.add_argument("--representation", choices=("matrix", "octonion", "both"),
                    default="both")
-    _common_flags(p)
+    p.add_argument("--mode", choices=("exact", "float"), default="float")
     p.set_defaults(fn=cmd_trilinear)
 
-    p = sub.add_parser("matrices", help="emit alpha/gamma/B/xi matrices")
+    p = sub.add_parser("matrices", parents=[fmt], help="emit alpha/gamma/B/xi matrices")
     p.add_argument("--which", choices=("alpha", "gamma", "B", "xi"), required=True)
     p.add_argument("--index", type=int, default=None, help="single mu for alpha/gamma")
-    _common_flags(p)
+    p.add_argument("--mode", choices=("exact", "float"), default="exact")
     p.set_defaults(fn=cmd_matrices)
     return ap
 
@@ -400,9 +397,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        # float64 overflow is refused where a command emits its values
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.fn(args)
     except (cl.ChiralityError, UsageError, ValueError) as exc:
         return _usage_error(str(exc))
+    except OverflowError:
+        return _usage_error(OVERFLOW)
 
 
 if __name__ == "__main__":

@@ -146,10 +146,8 @@ def _freeze(m: GMat) -> GMat:
 _GAMMA = [_freeze(_big_a(mu) if mu < 4 else _big_a(mu).times_i()) for mu in range(8)]
 _B = _freeze(-(_GAMMA[1] @ _GAMMA[3] @ _GAMMA[5] @ _GAMMA[7]))
 _GAMMA_C = [g.to_complex() for g in _GAMMA]
-_B_C = _B.to_complex()
 for _m in _GAMMA_C:
     _m.flags.writeable = False
-_B_C.flags.writeable = False
 
 
 def alpha(mu: int) -> GMat:
@@ -164,16 +162,8 @@ def gamma(mu: int) -> GMat:
     return _GAMMA[mu]
 
 
-def gamma_complex(mu: int) -> np.ndarray:
-    return np.array(_GAMMA_C[mu])
-
-
 def b_matrix() -> GMat:
     return _B
-
-
-def b_matrix_complex() -> np.ndarray:
-    return np.array(_B_C)
 
 
 def verify_clifford() -> VerificationReport:
@@ -246,6 +236,9 @@ _Q_SPINOR_2 = XI_M.T @ _B @ XI_M     # = 2 * quadratic-form matrix, exact
 if not _Q_SPINOR_2.is_real():
     raise AssertionError("spinor quadratic form is not real")
 _Q_SPINOR = _Q_SPINOR_2.re / 2.0      # float copy for float-mode inputs
+# (i, j, 2Q_ij) over the nonzero entries, as ints for exact integer input
+_Q_SPINOR_TERMS = tuple((int(i), int(j), int(_Q_SPINOR_2.re[i, j]))
+                        for i, j in np.argwhere(_Q_SPINOR_2.re))
 
 
 def _real_bivector_rep(mu: int, nu: int) -> np.ndarray:
@@ -413,8 +406,14 @@ def embed_psi(psi) -> np.ndarray:
     return out
 
 
-def _is_integral(seq) -> bool:
-    return all(float(v).is_integer() for v in seq)
+def _as_ints(values):
+    """The components as Python ints when every one is integral, else None;
+    integers of any size stay exact (nothing passes through float64)."""
+    try:
+        ints = [int(v) for v in values]
+    except (OverflowError, ValueError):       # inf or nan
+        return None
+    return ints if ints == list(values) else None
 
 
 def spinor_invariant(eta):
@@ -423,33 +422,32 @@ def spinor_invariant(eta):
     The two chiral contributions are computed independently and summed,
     which is also how the invariance splits.
     """
-    eta = np.asarray(eta, dtype=np.float64)
-    if eta.shape != (16,):
+    if np.shape(eta) != (16,):
         raise ValueError("spinor needs 16 components")
-    if _is_integral(eta):
-        e = eta.astype(np.int64)
-        phi_part = e[0:8] @ _Q_SPINOR_2.re[0:8, 0:8] @ e[0:8]
-        psi_part = e[8:16] @ _Q_SPINOR_2.re[8:16, 8:16] @ e[8:16]
-        total = int(phi_part + psi_part)
+    e = _as_ints(eta)
+    if e is not None:
+        total = sum(q * e[i] * e[j] for i, j, q in _Q_SPINOR_TERMS)
         if total % 2:
             raise AssertionError("spinor form lost exactness")
         return total // 2
+    eta = np.asarray(eta, dtype=np.float64)
     phi_part = eta[0:8] @ _Q_SPINOR[0:8, 0:8] @ eta[0:8]
     psi_part = eta[8:16] @ _Q_SPINOR[8:16, 8:16] @ eta[8:16]
     return float(phi_part + psi_part)
 
 
 def _chiral_8(arg, block: str):
-    a = np.asarray(arg, dtype=np.float64)
-    if a.shape == (16,):
+    """The 8 components of one chiral block, as given (no dtype conversion)."""
+    shape = np.shape(arg)
+    if shape == (16,):
         lo, hi = (0, 8) if block == "phi" else (8, 16)
-        wrong = a[8:16] if block == "phi" else a[0:8]
-        if wrong.any():
+        wrong = arg[8:16] if block == "phi" else arg[0:8]
+        if any(wrong):
             raise ChiralityError(f"nonzero {('psi' if block == 'phi' else 'phi')}-block "
                                  f"components in a pure-{block} argument")
-        return a[lo:hi]
-    if a.shape == (8,):
-        return a
+        return arg[lo:hi]
+    if shape == (8,):
+        return arg
     raise ValueError("spinor argument needs 8 or 16 components")
 
 
@@ -469,25 +467,30 @@ def _trilinear_slices():
 
 
 _TRI_SLICES = _trilinear_slices()
+# per slice b, (i, j, K_b[i,j]) over its nonzero entries, as ints
+_TRI_TERMS = tuple(tuple((int(i), int(j), int(k[i, j])) for i, j in np.argwhere(k))
+                   for k in _TRI_SLICES)
 
 
 def trilinear_matrix(phi, x, psi):
     """F(phi, X, psi) = phi^T B X psi in the pinned spinor evaluation.
 
-    Trilinear, real-valued; exact (int/Fraction-free int) when every
-    component is an integer.  phi must be pure left-chirality and psi pure
-    right-chirality (8 components, or 16 with the wrong block zero).
+    Trilinear, real-valued; exact (a Python int) when every component is
+    an integer, whatever its size.  phi must be pure left-chirality and
+    psi pure right-chirality (8 components, or 16 with the wrong block
+    zero).
     """
     p = _chiral_8(phi, "phi")
     s = _chiral_8(psi, "psi")
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (8,):
+    if np.shape(x) != (8,):
         raise ValueError("vector needs 8 components")
-    if _is_integral(p) and _is_integral(s) and _is_integral(x):
-        pi = p.astype(np.int64)
-        si = s.astype(np.int64)
-        return int(sum(int(x[b]) * (pi @ _TRI_SLICES[b] @ si)
-                       for b in range(8) if x[b]))
+    pi, si, xi = _as_ints(p), _as_ints(s), _as_ints(x)
+    if None not in (pi, si, xi):
+        return sum(xb * sum(k * pi[i] * si[j] for i, j, k in _TRI_TERMS[b])
+                   for b, xb in enumerate(xi) if xb)
+    p = np.asarray(p, dtype=np.float64)
+    s = np.asarray(s, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
     return float(sum(x[b] * (p @ _TRI_SLICES[b].astype(np.float64) @ s)
                      for b in range(8) if x[b]))
 

@@ -12,6 +12,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .report import VerificationReport
 
 UNIT_NAMES = ("1", "j1", "j2", "j3", "I", "J1", "J2", "J3")
@@ -32,10 +34,6 @@ def epsilon(m: int, n: int, k: int) -> int:
     if {m, n, k} != {1, 2, 3}:
         return 0
     return 1 if (m, n, k) in ((1, 2, 3), (2, 3, 1), (3, 1, 2)) else -1
-
-
-def delta(m: int, n: int) -> int:
-    return 1 if m == n else 0
 
 
 def _build_table():
@@ -68,6 +66,19 @@ def _build_table():
 
 
 _TABLE = _build_table()
+
+
+def _structure_tensor(table) -> np.ndarray:
+    """C[a,b,k] with e_a e_b = sum_k C[a,b,k] e_k, read off a unit table."""
+    c = np.zeros((8, 8, 8), dtype=np.int64)
+    for a, row in enumerate(table):
+        for b, (k, sign) in enumerate(row):
+            c[a, b, k] = sign
+    c.flags.writeable = False
+    return c
+
+
+_C = _structure_tensor(_TABLE)
 
 
 class SplitOctonion:
@@ -150,9 +161,6 @@ class SplitOctonion:
         return (c[0] * c[0] + c[1] * c[1] + c[2] * c[2] + c[3] * c[3]
                 - c[4] * c[4] - c[5] * c[5] - c[6] * c[6] - c[7] * c[7])
 
-    def scalar_part(self):
-        return self.c[0]
-
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.c)
 
@@ -219,12 +227,6 @@ def malcev_jacobiator(x: SplitOctonion, y: SplitOctonion, z: SplitOctonion) -> S
     return _THIRD * (commutator(commutator(x, y), z)
                      + commutator(commutator(y, z), x)
                      + commutator(commutator(z, x), y))
-
-
-def malcev_derivation(x: SplitOctonion, y: SplitOctonion, t: SplitOctonion) -> SplitOctonion:
-    """D_{x,y}(t) = 2[[x,y],t] - 3 J(x,y,t): a derivation of the Malcev algebra."""
-    two = commutator(commutator(x, y), t)
-    return 2 * two - 3 * malcev_jacobiator(x, y, t)
 
 
 def is_timelike_vector_part(s: SplitOctonion) -> bool:
@@ -415,6 +417,15 @@ def verify_moufang() -> VerificationReport:
     return rep
 
 
+def _malcev_tensors():
+    """The commutator algebra on units as integer tensors over the last axis:
+    2[e_a,e_b], 4[[e_a,e_b],e_c], 12 J(e_a,e_b,e_c) and 4 D_{e_a,e_b}(e_c)."""
+    b2 = _C - _C.transpose(1, 0, 2)
+    bb = np.einsum("abm,mck->abck", b2, b2)
+    j12 = bb + np.einsum("bcak->abck", bb) + np.einsum("cabk->abck", bb)
+    return b2, bb, j12, 2 * bb - j12
+
+
 def verify_malcev() -> VerificationReport:
     """Malcev relation plus the 4- and 5-element Jacobiator identities
     of the commutator algebra, exactly.
@@ -429,77 +440,53 @@ def verify_malcev() -> VerificationReport:
         J(x,y,[z,w]) = [J(x,y,z),w] + [z,J(x,y,w)] - 2 J([x,y],z,w)
         D(J(z,u,v)) = J(Dz,u,v) + J(z,Du,v) + J(z,u,Dv),
             D = D_{x,y} = 2 ad_[x,y] - 3 J(x,y,.)
+
+    Every identity is a contraction of the integer tensors 2[,], 12 J and
+    4 D, with both sides scaled by one common denominator (8 for the
+    Malcev relation, 24 for the Jacobiator identities, 48 for the
+    derivation), so the comparison is exact in int64.
     """
     rep = VerificationReport("malcev")
-    units = [SplitOctonion.unit(k) for k in range(8)]
+    b2, bb, j12, d4 = _malcev_tensors()
+    n = UNIT_NAMES[1:]
 
-    for a, b, c in itertools.product(HYPER, repeat=3):
-        x, y, z = units[a], units[b], units[c]
-        name = f"({UNIT_NAMES[a]},{UNIT_NAMES[b]},{UNIT_NAMES[c]})"
-        lhs = commutator(commutator(x, y), commutator(x, z))
-        rhs = (commutator(commutator(commutator(x, y), z), x)
-               + commutator(commutator(commutator(y, z), x), x)
-               + commutator(commutator(commutator(z, x), x), y))
-        rep.record_case(lhs == rhs, f"malcev {name}")
-        lhs = malcev_jacobiator(x, y, commutator(x, z))
-        rhs = commutator(malcev_jacobiator(x, y, z), x)
-        rep.record_case(lhs == rhs, f"J(x,y,xz)=J(x,y,z)x {name}")
+    def same(lhs, rhs):
+        """Per-case equality over the coefficient axis, on unit tuples only."""
+        units = (slice(1, None),) * (lhs.ndim - 1)
+        return (lhs[units] == rhs[units]).all(axis=-1)
 
-    # precomputed tables keep the 7^4 and 7^5 sweeps linear-time per case
-    ctab = {(a, b): commutator(units[a], units[b])
-            for a in HYPER for b in HYPER}
-    jtab = {(a, b, c): malcev_jacobiator(units[a], units[b], units[c])
-            for a in HYPER for b in HYPER for c in HYPER}
+    # x8: [[x,y],[x,z]] = [[[x,y],z],x] + [[[y,z],x],x] + [[[z,x],x],y]
+    malcev = same(np.einsum("abm,acn,mnk->abck", b2, b2, b2),
+                  np.einsum("abcn,nak->abck", bb, b2)
+                  + np.einsum("bcan,nak->abck", bb, b2)
+                  + np.einsum("caan,nbk->abck", bb, b2))
+    # x24: J(x,y,[x,z]) = [J(x,y,z),x]
+    jxz = same(np.einsum("abmk,acm->abck", j12, b2),
+               np.einsum("abcm,mak->abck", j12, b2))
+    rep.record_mask(np.stack([malcev, jxz], axis=-1), lambda a, b, c, i: (
+        ("malcev", "J(x,y,xz)=J(x,y,z)x")[i] + f" ({n[a]},{n[b]},{n[c]})"))
 
-    def j_lin(pos, i1, i2, w):
-        out = SplitOctonion.zero()
-        for k in HYPER:
-            wk = w.c[k]
-            if not wk:
-                continue
-            key = (k, i1, i2) if pos == 0 else (i1, k, i2) if pos == 1 else (i1, i2, k)
-            out = out + wk * jtab[key]
-        return out
+    # x24: both 4-element identities
+    j_of_b = np.einsum("abm,mcdk->abcdk", b2, j12)     # J([x,y],z,w)
+    b_of_j = np.einsum("abcm,mdk->abcdk", j12, b2)     # [J(x,y,z),w]
+    cyclic = same(j_of_b + np.einsum("bcm,madk->abcdk", b2, j12)
+                  + np.einsum("cam,mbdk->abcdk", b2, j12),
+                  2 * b_of_j)
+    leibniz = same(np.einsum("abmk,cdm->abcdk", j12, b2),
+                   b_of_j + np.einsum("cmk,abdm->abcdk", b2, j12) - 2 * j_of_b)
+    rep.record_mask(np.stack([cyclic, leibniz], axis=-1), lambda a, b, c, d, i: (
+        ("4-elem cyclic", "4-elem leibniz")[i] + f" ({n[a]},{n[b]},{n[c]},{n[d]})"))
 
-    for a, b, c, d in itertools.product(HYPER, repeat=4):
-        name = f"({UNIT_NAMES[a]},{UNIT_NAMES[b]},{UNIT_NAMES[c]},{UNIT_NAMES[d]})"
-        lhs = (j_lin(0, c, d, ctab[(a, b)])
-               + j_lin(0, a, d, ctab[(b, c)])
-               + j_lin(0, b, d, ctab[(c, a)]))
-        rhs = 2 * commutator(jtab[(a, b, c)], units[d])
-        rep.record_case(lhs == rhs, f"4-elem cyclic {name}")
-        lhs = j_lin(2, a, b, ctab[(c, d)])
-        rhs = (commutator(jtab[(a, b, c)], units[d])
-               + commutator(units[c], jtab[(a, b, d)])
-               - 2 * j_lin(0, c, d, ctab[(a, b)]))
-        rep.record_case(lhs == rhs, f"4-elem leibniz {name}")
-
-    def dop(a, b, t):
-        out = -3 * j_lin(2, a, b, t)
-        ab = ctab[(a, b)]
-        for k in HYPER:
-            ak = ab.c[k]
-            if not ak:
-                continue
-            for m in HYPER:
-                tm = t.c[m]
-                if tm:
-                    out = out + (2 * ak * tm) * ctab[(k, m)]
-        return out
-
-    dtab = {(a, b, z): dop(a, b, units[z])
-            for a in HYPER for b in HYPER for z in HYPER}
-
-    for a, b in itertools.product(HYPER, repeat=2):
-        for z, u, v in itertools.product(HYPER, repeat=3):
-            lhs = dop(a, b, jtab[(z, u, v)])
-            rhs = (j_lin(0, u, v, dtab[(a, b, z)])
-                   + j_lin(1, z, v, dtab[(a, b, u)])
-                   + j_lin(2, z, u, dtab[(a, b, v)]))
-            rep.record_case(
-                lhs == rhs,
-                f"5-elem ({UNIT_NAMES[a]},{UNIT_NAMES[b]},{UNIT_NAMES[z]},"
-                f"{UNIT_NAMES[u]},{UNIT_NAMES[v]})")
+    # x48: D(J(z,u,v)) = J(Dz,u,v) + J(z,Du,v) + J(z,u,Dv), one x at a time:
+    # all 7^5 tuples at once would hold several MB of intermediates
+    derivation = np.stack([
+        same(np.einsum("bmk,zuvm->bzuvk", d, j12),
+             np.einsum("muvk,bzm->bzuvk", j12, d)
+             + np.einsum("zmvk,bum->bzuvk", j12, d)
+             + np.einsum("zumk,bvm->bzuvk", j12, d))
+        for d in d4[1:]])
+    rep.record_mask(derivation, lambda a, b, z, u, v: (
+        f"5-elem ({n[a]},{n[b]},{n[z]},{n[u]},{n[v]})"))
     return rep
 
 

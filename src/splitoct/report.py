@@ -3,6 +3,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 MAX_DETAILS = 10
 
 
@@ -36,6 +38,15 @@ class VerificationReport:
             self.failures += 1
             if len(self.failure_details) < MAX_DETAILS:
                 self.failure_details.append(detail)
+
+    def record_mask(self, ok: np.ndarray, label) -> None:
+        """Record one case per entry of the boolean array ``ok``, in C order;
+        ``label(*index)`` names a failing entry."""
+        bad = np.argwhere(~ok)
+        self.cases += ok.size
+        self.failures += len(bad)
+        room = MAX_DETAILS - len(self.failure_details)
+        self.failure_details.extend(label(*idx) for idx in bad[:room])
 
     def merge(self, other: "VerificationReport") -> None:
         self.cases += other.cases

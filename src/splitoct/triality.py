@@ -45,7 +45,6 @@ class XiConvention:
 
     pairing: str          # "transpose" or "dagger"
     b_form: str           # "original" or "conjugated"
-    form_matrix: tuple    # the resulting 16x16 integer quadratic form
 
     @property
     def label(self) -> str:
@@ -82,8 +81,7 @@ def pin_xi_convention() -> XiConvention:
         if sym_im.any():
             continue
         if np.array_equal(sym_re, 2 * scale * _SPLIT_DIAG):
-            hits.append(XiConvention(pairing, b_form,
-                                     tuple(map(tuple, (sym_re // (2 * scale)).tolist()))))
+            hits.append(XiConvention(pairing, b_form))
     if len(hits) != 1:
         raise RuntimeError(f"expected exactly one diagonalizing convention, got {len(hits)}")
     return hits[0]
@@ -111,23 +109,6 @@ def oct_from_components(c) -> oc.SplitOctonion:
     if len(c) != 8:
         raise ValueError("need 8 components")
     return oc.SplitOctonion(c)
-
-
-@dataclass(frozen=True)
-class OctTriple:
-    """Vector and both chiral spinors in octonionic form."""
-
-    X: oc.SplitOctonion
-    Phi: oc.SplitOctonion
-    Psi: oc.SplitOctonion
-
-    @classmethod
-    def from_components(cls, x, phi, psi) -> "OctTriple":
-        return cls(oct_from_components(x), oct_from_components(phi),
-                   oct_from_components(psi))
-
-    def trilinear(self):
-        return trilinear_oct(self.Phi, self.X, self.Psi)
 
 
 def trilinear_oct(phi_o: oc.SplitOctonion, x_o: oc.SplitOctonion,

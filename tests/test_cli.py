@@ -173,3 +173,66 @@ def test_matrices_float_mode(capsys):
     payload = json.loads(out)
     jsonschema.validate(payload, load_schema("matrices.schema.json"))
     assert isinstance(payload["B"][0][7]["re"], float)
+
+
+def test_trilinear_exact_past_int64(capsys):
+    e0 = "1,0,0,0,0,0,0,0"
+    big = 12345678901234567891
+    code, out, _ = run(capsys, ["trilinear", "--phi", f"{big},0,0,0,0,0,0,0", "--x", e0,
+                                "--psi", e0, "--mode", "exact"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["matrix"] == payload["octonion_mapped"] == -big
+    assert payload["residual"] == 0
+
+
+def test_trilinear_exact_refuses_non_integers(capsys):
+    e0 = "1,0,0,0,0,0,0,0"
+    code, out, err = run(capsys, ["trilinear", "--phi", "1.5,0,0,0,0,0,0,0", "--x", e0,
+                                  "--psi", e0, "--mode", "exact"])
+    assert (code, out) == (2, "")
+    assert "integer" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["rotate", "--plane", "0,4", "--theta", "800", "--target", "vector",
+     "--components", "1,0,0,0,0,0,0,0"],
+    ["rotate", "--plane", "0,4", "--theta", "1e6", "--target", "spinor",
+     "--components", ",".join(["1"] + ["0"] * 15)],
+    ["rotate", "--plane", "0,4", "--theta", "nan", "--target", "vector",
+     "--components", "1,0,0,0,0,0,0,0"],
+    ["rotate", "--plane", "0,4", "--theta", "1", "--target", "vector",
+     "--components", "inf,0,0,0,0,0,0,0"],
+    ["trilinear", "--phi", "nan,0,0,0,0,0,0,0", "--x", "1,0,0,0,0,0,0,0",
+     "--psi", "1,0,0,0,0,0,0,0"],
+    ["trilinear", "--phi", "1e200,0,0,0,0,0,0,0.5", "--x", "1e200,0,0,0,0,0,0,0",
+     "--psi", "1e200,0,0,0,0,0,0,0"],
+])
+def test_non_finite_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "--mode", "exact"],
+    ["table", "--seed", "1"],
+    ["rotate", "--plane", "0,1", "--theta", "1", "--target", "vector",
+     "--components", "1,0,0,0,0,0,0,0", "--samples", "5"],
+    ["matrices", "--which", "B", "--tolerance", "1e-9"],
+    ["trilinear", "--phi", "1,0,0,0,0,0,0,0", "--x", "1,0,0,0,0,0,0,0",
+     "--psi", "1,0,0,0,0,0,0,0", "--seed", "3"],
+    ["verify", "moufang", "--mode", "exact"],
+])
+def test_unread_flags_are_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("flags", [["--tolerance", "0"], ["--tolerance", "nan"],
+                                   ["--samples", "0"]])
+def test_verify_rejects_bad_settings(capsys, flags):
+    code, out, _ = run(capsys, ["verify", "correspondence", *flags])
+    assert (code, out) == (2, "")

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from splitoct import clifford as cl
 from splitoct import octonion as oc
@@ -204,3 +205,23 @@ def test_trilinear_invariance_sample():
     rep = tr.trilinear_invariance_check(50, seed=3)
     assert rep.passed
     assert rep.max_residual <= 1e-12
+
+
+# exact kernels at and past the int64 boundary, against the octonion side
+WIDE_INT = (st.integers(-9, 9) | st.integers(-(2 ** 66), 2 ** 66)
+            | st.sampled_from((2 ** 31, 3 * 10 ** 9, 2 ** 63 - 1, 2 ** 63, -(2 ** 63) - 1)))
+WIDE_8 = st.lists(WIDE_INT, min_size=8, max_size=8)
+
+
+@given(WIDE_8)
+def test_spinor_invariant_exact_past_int64(v):
+    want = oc.norm_sq(oc.SplitOctonion(v))
+    assert cl.spinor_invariant(v + [0] * 8) == want
+    assert cl.spinor_invariant([0] * 8 + v) == want
+
+
+@given(WIDE_8, WIDE_8, WIDE_8)
+def test_trilinear_matrix_exact_past_int64(phi, x, psi):
+    mat_val, oct_val = tr.trilinear_both(phi, x, psi)
+    assert mat_val == oct_val
+    assert cl.trilinear_matrix(phi, x, psi) == mat_val
