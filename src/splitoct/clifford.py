@@ -3,9 +3,11 @@
 The eight 8x8 alpha matrices are data (entries in {0, +-1, +-i}); the
 16x16 generators are Gamma_mu = A_mu for mu<4 and i*A_mu for mu>=4, with
 A_mu = [[0, alpha], [alpha^dagger, 0]].  Exact work runs on Gaussian
-integers held as paired int64 arrays; continuous-angle work runs on
-complex128.  The module also owns the grade-4 element B = -G1 G3 G5 G7,
-the spinor basis-change matrix and everything built on them (rotors,
+integers held as paired int64 arrays; rotors act on real float64
+components (vectors in closed form, spinors through integer bivector
+matrices), and the complex128 conjugation L X L^{-1} is kept as their
+oracle.  The module also owns the grade-4 element B = -G1 G3 G5 G7, the
+spinor basis-change matrix and everything built on them (rotors,
 invariants, the trilinear form).
 """
 from __future__ import annotations
@@ -322,8 +324,11 @@ def matrix_to_vector(X, tol: float = 1e-10):
 
 
 def quadratic_form(x) -> float:
+    """The split form, summed as (x_k - x_k+4)(x_k + x_k+4): a null pair
+    contributes an exact 0 instead of the difference of two large squares,
+    which keeps it finite on strong boosts."""
     x = np.asarray(x, dtype=np.float64)
-    return float(np.sum(x[:4] ** 2) - np.sum(x[4:] ** 2))
+    return float((x[:4] - x[4:]) @ (x[:4] + x[4:]))
 
 
 # ---------------------------------------------------------------------------
@@ -368,12 +373,38 @@ def rotor(mu: int, nu: int, theta: float) -> Rotor:
     return Rotor(mu, nu, float(theta))
 
 
+_G = np.array(METRIC, dtype=np.float64)
+
+
+def turn_pair(xm, xn, mu, nu, c, s):
+    """The vector action of the rotor of plane (mu, nu), with half-angle
+    pair (c, s), on the components (x_mu, x_nu); it fixes all others.
+
+    The Clifford relation gives [G_mu G_nu, G_sig] = 2 g_nusig G_mu -
+    2 g_musig G_nu, so X' = L X L^{-1} is generated by the integer matrix
+    with A[mu,nu] = -g_nunu and A[nu,mu] = +g_mumu.  A^2 = -g_mumu g_nunu
+    on the pair, so exp(theta A) is C + S A there, with (C, S) = (cos, sin)
+    theta on compact planes and (cosh, sinh) theta on boosts, formed here
+    from the half angle.  Elementwise, so stacks of components, planes and
+    coefficients take the same rounding as single calls.
+    """
+    gm, gn = _G[mu], _G[nu]
+    big_c, big_s = c * c - gm * gn * s * s, 2 * c * s
+    return big_c * xm - big_s * gn * xn, big_c * xn + big_s * gm * xm
+
+
 def rotate_vector(x, r: Rotor) -> np.ndarray:
-    """x' from X' = L X L^{-1}; preserves the quadratic form."""
-    X = vector_to_matrix(x)
-    L = r.matrix()
-    Linv = r.inverse().matrix()
-    return matrix_to_vector(L @ X @ Linv, tol=1e-8)
+    """x' with X' = L X L^{-1}, in closed form; preserves the quadratic form.
+
+    The matrix route (vector_to_matrix, Rotor.matrix, matrix_to_vector) is
+    the independent oracle this is tested against.
+    """
+    x = np.array(x, dtype=np.float64)
+    if x.shape != (8,):
+        raise ValueError("vector needs 8 components")
+    mu, nu = r.mu, r.nu
+    x[mu], x[nu] = turn_pair(x[mu], x[nu], mu, nu, *r.half_coeffs())
+    return x
 
 
 def rotate_spinor(eta, r: Rotor) -> np.ndarray:

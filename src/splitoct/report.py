@@ -39,14 +39,19 @@ class VerificationReport:
             if len(self.failure_details) < MAX_DETAILS:
                 self.failure_details.append(detail)
 
-    def record_mask(self, ok: np.ndarray, label) -> None:
+    def record_mask(self, ok: np.ndarray, label, residual=None) -> None:
         """Record one case per entry of the boolean array ``ok``, in C order;
-        ``label(*index)`` names a failing entry."""
+        ``label(*index)`` names a failing entry.  ``residual``, of the same
+        shape, raises max_residual as record_case does (NaN never does)."""
         bad = np.argwhere(~ok)
         self.cases += ok.size
         self.failures += len(bad)
         room = MAX_DETAILS - len(self.failure_details)
         self.failure_details.extend(label(*idx) for idx in bad[:room])
+        if residual is not None and residual.size:
+            top = float(np.fmax.reduce(residual, axis=None))
+            if top > self.max_residual:
+                self.max_residual = top
 
     def merge(self, other: "VerificationReport") -> None:
         self.cases += other.cases

@@ -117,39 +117,57 @@ def trilinear_oct(phi_o: oc.SplitOctonion, x_o: oc.SplitOctonion,
     return -oc.inner(phi_o.conj(), oc.mul(x_o, psi_o))
 
 
+BLOCK = 64          # samples per stacked evaluation in the batched suites
+
+# conj(v) componentwise: the scalar slot is kept, the seven others negated
+_CONJ_SIGNS = np.array([1, -1, -1, -1, -1, -1, -1, -1], dtype=np.int64)
+
+
+def _blocks(n: int):
+    """(start, size) of the consecutive blocks of at most BLOCK samples."""
+    return ((start, min(BLOCK, n - start)) for start in range(0, n, BLOCK))
+
+
 def correspondence_check(n_samples: int = 1000, seed: int = DEFAULT_SEED) -> VerificationReport:
     """conj(X)X == X^2 scalar, conj(Phi)Phi == phi^T B phi, conj(Psi)Psi ==
-    psi^T B psi on matched integer components, exactly."""
+    psi^T B psi on matched integer components, exactly.
+
+    Runs as stacked int64 products, one block of samples at a time: conj(v)v
+    through the octonion structure tensor, X^2 on the Gamma stack and the
+    spinor forms through the exact 2x quadratic-form matrix.
+    """
     if n_samples < 1:
         raise ValueError("need at least one sample")
     rep = VerificationReport("correspondence",
                              meta={"seed": seed, "samples": n_samples,
                                    "convention": PINNED_CONVENTION.label})
     rng = np.random.default_rng(seed)
-    for i in range(n_samples):
-        x = rng.integers(-9, 10, size=8)
-        xo = oct_from_components([int(v) for v in x])
-        oct_side = oc.mul(xo.conj(), xo)
-        hyper_zero = all(v == 0 for v in oct_side.c[1:])
-        Xm = cl.vector_to_matrix_exact(x)
-        sq = Xm @ Xm
-        q = int(sum(cl.METRIC[m] * int(x[m]) ** 2 for m in range(8)))
-        mat_ok = (sq == cl.GMat.eye(16).scale(q)) if not sq.im.any() else False
-        rep.record_case(hyper_zero and oct_side.c[0] == q and mat_ok,
-                        f"vector sample {i}")
-
-        phi = rng.integers(-9, 10, size=8)
-        psi = rng.integers(-9, 10, size=8)
-        inv_phi = cl.spinor_invariant(cl.embed_phi(phi))
-        inv_psi = cl.spinor_invariant(cl.embed_psi(psi))
-        po = oct_from_components([int(v) for v in phi])
-        so = oct_from_components([int(v) for v in psi])
-        phi_prod = oc.mul(po.conj(), po)
-        psi_prod = oc.mul(so.conj(), so)
-        ok = (phi_prod.c[0] == inv_phi and psi_prod.c[0] == inv_psi
-              and all(v == 0 for v in phi_prod.c[1:])
-              and all(v == 0 for v in psi_prod.c[1:]))
-        rep.record_case(ok, f"spinor sample {i}")
+    g_re = np.array([cl.gamma(mu).re for mu in range(8)])
+    g_im = np.array([cl.gamma(mu).im for mu in range(8)])
+    metric = np.array(cl.METRIC, dtype=np.int64)
+    q2 = cl._Q_SPINOR_2.re
+    eye = np.eye(16, dtype=np.int64)
+    for start, n in _blocks(n_samples):
+        v = np.empty((n, 3, 8), dtype=np.int64)      # x, phi, psi per sample
+        for k in range(n):
+            for slot in range(3):
+                v[k, slot] = rng.integers(-9, 10, size=8)
+        x, phi, psi = v[:, 0], v[:, 1], v[:, 2]
+        prod = np.einsum("ksa,ksb,abc->ksc", v * _CONJ_SIGNS, v, oc._C)
+        scalar_only = ~prod[..., 1:].any(axis=2)
+        q = np.einsum("ka,a,ka->k", x, metric, x)
+        x_re = np.einsum("ka,aij->kij", x, g_re)
+        x_im = np.einsum("ka,aij->kij", x, g_im)
+        sq_re = x_re @ x_re - x_im @ x_im
+        sq_im = x_re @ x_im + x_im @ x_re
+        mat_ok = ~sq_im.any(axis=(1, 2)) & (sq_re == q[:, None, None] * eye).all(axis=(1, 2))
+        vec_ok = scalar_only[:, 0] & (prod[:, 0, 0] == q) & mat_ok
+        inv2_phi = np.einsum("ki,ij,kj->k", phi, q2[0:8, 0:8], phi)
+        inv2_psi = np.einsum("ki,ij,kj->k", psi, q2[8:16, 8:16], psi)
+        spin_ok = (scalar_only[:, 1] & scalar_only[:, 2]
+                   & (inv2_phi == 2 * prod[:, 1, 0]) & (inv2_psi == 2 * prod[:, 2, 0]))
+        rep.record_mask(np.stack([vec_ok, spin_ok], axis=1),
+                        lambda k, j, start=start: f"{('vector', 'spinor')[j]} sample {start + k}")
     return rep
 
 
@@ -578,59 +596,151 @@ def role_swap_check() -> VerificationReport:
 # composite verification suites used by the CLI
 # ---------------------------------------------------------------------------
 
+def _random_plane(rng):
+    mu = int(rng.integers(0, 8))
+    nu = int(rng.integers(0, 8))
+    while nu == mu:
+        nu = int(rng.integers(0, 8))
+    return mu, nu
+
+
+def _spinor_generators() -> np.ndarray:
+    """real_bivector_rep(mu, nu) of every plane, stacked at index 8 mu + nu."""
+    out = np.zeros((64, 16, 16))
+    for mu, nu in itertools.permutations(range(8), 2):
+        out[8 * mu + nu] = cl.real_bivector_rep(mu, nu)
+    return out
+
+
+def _turn_vectors(x, rows, mu, nu, c, s) -> None:
+    """Row rows[k] of the vector stack x by the rotor of plane (mu[k], nu[k])
+    with half-angle pair (c[k], s[k]), in place; as cl.rotate_vector."""
+    x[rows, mu], x[rows, nu] = cl.turn_pair(x[rows, mu], x[rows, nu], mu, nu, c, s)
+
+
+def _turn_spinors(eta, rows, gens, mu, nu, c, s) -> None:
+    """The same rotors on the spinor stack eta (samples, spinors, 16), in
+    place; as cl.rotate_spinor."""
+    e = eta[rows]
+    moved = np.einsum("kij,kaj->kai", gens[8 * mu + nu], e)
+    eta[rows] = c[:, None, None] * e - s[:, None, None] * moved
+
+
+def _sumsq(v) -> np.ndarray:
+    """Squared Euclidean norm of each row."""
+    return np.einsum("ki,ki->k", v, v)
+
+
+def _drift(before, after, size_before, size_after) -> np.ndarray:
+    """|before - after| relative to the Euclidean size of the data (at least 1)."""
+    return np.abs(before - after) / np.maximum(np.maximum(size_before, size_after), 1.0)
+
+
+def _vector_forms(x) -> np.ndarray:
+    """cl.quadratic_form of each row."""
+    return np.einsum("ki,ki->k", x[:, :4] - x[:, 4:], x[:, :4] + x[:, 4:])
+
+
+def _spinor_forms(eta) -> np.ndarray:
+    """The float evaluation of cl.spinor_invariant on each row."""
+    return (np.einsum("ki,ij,kj->k", eta[:, 0:8], cl._Q_SPINOR[0:8, 0:8], eta[:, 0:8])
+            + np.einsum("ki,ij,kj->k", eta[:, 8:16], cl._Q_SPINOR[8:16, 8:16], eta[:, 8:16]))
+
+
 def rotor_invariance_check(n_rotors: int = 1000, seed: int = DEFAULT_SEED,
                            tol: float = 1e-12) -> VerificationReport:
     """Vector quadratic form and spinor invariant preserved under random
-    rotors with |theta| <= 3 on compact and boost planes."""
+    rotors with |theta| <= 3 on compact and boost planes.
+
+    The residual of a sample is the change of its invariant over the
+    squared Euclidean norm of the data, before or after, at least 1.
+    Samples are drawn one by one and acted on in stacks of BLOCK.
+    """
     rep = VerificationReport("rotor-invariance", exact=False,
                              meta={"seed": seed, "samples": n_rotors, "tolerance": tol})
     rng = np.random.default_rng(seed)
-    for i in range(n_rotors):
-        mu = int(rng.integers(0, 8))
-        nu = int(rng.integers(0, 8))
-        while nu == mu:
-            nu = int(rng.integers(0, 8))
-        theta = float(rng.uniform(-3, 3))
-        r = cl.rotor(mu, nu, theta)
-        x = rng.integers(-9, 10, size=8).astype(np.float64)
-        q0 = cl.quadratic_form(x)
-        q1 = cl.quadratic_form(cl.rotate_vector(x, r))
-        resid = abs(q0 - q1) / max(1.0, abs(q0))
-        rep.record_case(resid <= tol, f"vector rotor {i} plane ({mu},{nu})", residual=resid)
-        eta = rng.integers(-9, 10, size=16).astype(np.float64)
-        s0 = cl.spinor_invariant(eta)
-        s1 = cl.spinor_invariant(cl.rotate_spinor(eta, r))
-        resid = abs(float(s0) - float(s1)) / max(1.0, abs(float(s0)))
-        rep.record_case(resid <= tol, f"spinor rotor {i} plane ({mu},{nu})", residual=resid)
+    gens = _spinor_generators()
+    for start, n in _blocks(n_rotors):
+        planes = np.empty((n, 2), dtype=np.intp)
+        half = np.empty((n, 2))
+        x = np.empty((n, 8))
+        eta = np.empty((n, 1, 16))
+        for k in range(n):
+            mu, nu = _random_plane(rng)
+            theta = float(rng.uniform(-3, 3))
+            planes[k] = mu, nu
+            half[k] = cl.rotor(mu, nu, theta).half_coeffs()
+            x[k] = rng.integers(-9, 10, size=8)
+            eta[k, 0] = rng.integers(-9, 10, size=16)
+        rows = np.arange(n)
+        x1 = x.copy()
+        _turn_vectors(x1, rows, *planes.T, *half.T)
+        eta1 = eta.copy()
+        _turn_spinors(eta1, rows, gens, *planes.T, *half.T)
+        eta, eta1 = eta[:, 0], eta1[:, 0]
+        resid = np.stack([
+            _drift(_vector_forms(x), _vector_forms(x1), _sumsq(x), _sumsq(x1)),
+            _drift(_spinor_forms(eta), _spinor_forms(eta1), _sumsq(eta), _sumsq(eta1)),
+        ], axis=1)
+
+        def label(k, j, start=start, planes=planes):
+            mu, nu = planes[k]
+            return f"{('vector', 'spinor')[j]} rotor {start + k} plane ({mu},{nu})"
+        rep.record_mask(resid <= tol, label, residual=resid)
     return rep
+
+
+def _trilinear_forms(phi, x, psi) -> np.ndarray:
+    """cl.trilinear_matrix of each row triple, in float."""
+    slices = np.array([cl.trilinear_slice(b) for b in range(8)], dtype=np.float64)
+    return np.einsum("kb,ki,bij,kj->k", x, phi, slices, psi)
 
 
 def trilinear_invariance_check(n_samples: int = 200, seed: int = DEFAULT_SEED,
                                tol: float = 1e-12) -> VerificationReport:
     """The matrix trilinear form under simultaneous rotor words on
-    (phi, x, psi)."""
+    (phi, x, psi).
+
+    The residual of a sample is the change of the form over the product of
+    the three Euclidean norms, before or after, at least 1.  Words act
+    right to left, as RotorWord does, on stacks of BLOCK samples.
+    """
     rep = VerificationReport("trilinear-invariance", exact=False,
                              meta={"seed": seed, "samples": n_samples, "tolerance": tol})
     rng = np.random.default_rng(seed)
-    for i in range(n_samples):
-        word_len = int(rng.integers(1, 9))
-        rotors = []
-        for _ in range(word_len):
-            mu = int(rng.integers(0, 8))
-            nu = int(rng.integers(0, 8))
-            while nu == mu:
-                nu = int(rng.integers(0, 8))
-            rotors.append(cl.rotor(mu, nu, float(rng.uniform(-2, 2))))
-        word = RotorWord(tuple(rotors))
-        phi = rng.integers(-9, 10, size=8).astype(np.float64)
-        x = rng.integers(-9, 10, size=8).astype(np.float64)
-        psi = rng.integers(-9, 10, size=8).astype(np.float64)
-        f0 = cl.trilinear_matrix(phi, x, psi)
-        f1 = cl.trilinear_matrix(word.act_spinor(cl.embed_phi(phi))[0:8],
-                                 word.act_vector(x),
-                                 word.act_spinor(cl.embed_psi(psi))[8:16])
-        resid = abs(float(f0) - float(f1)) / max(1.0, abs(float(f0)))
-        rep.record_case(resid <= tol, f"word {i} length {word_len}", residual=resid)
+    gens = _spinor_generators()
+    for start, n in _blocks(n_samples):
+        lengths = np.empty(n, dtype=np.intp)
+        planes = np.zeros((n, 8, 2), dtype=np.intp)
+        half = np.zeros((n, 8, 2))
+        v = np.empty((n, 3, 8))                     # phi, x, psi per sample
+        for k in range(n):
+            lengths[k] = int(rng.integers(1, 9))
+            for j in range(lengths[k]):
+                mu, nu = _random_plane(rng)
+                planes[k, j] = mu, nu
+                half[k, j] = cl.rotor(mu, nu, float(rng.uniform(-2, 2))).half_coeffs()
+            for slot in range(3):
+                v[k, slot] = rng.integers(-9, 10, size=8)
+        phi, x, psi = v[:, 0], v[:, 1], v[:, 2]
+        x1 = x.copy()
+        eta = np.zeros((n, 2, 16))
+        eta[:, 0, 0:8] = phi
+        eta[:, 1, 8:16] = psi
+        for step in range(8):
+            rows = np.flatnonzero(lengths > step)
+            j = lengths[rows] - 1 - step
+            word = (*planes[rows, j].T, *half[rows, j].T)
+            _turn_vectors(x1, rows, *word)
+            _turn_spinors(eta, rows, gens, *word)
+        phi1, psi1 = eta[:, 0, 0:8], eta[:, 1, 8:16]
+        size = np.sqrt(_sumsq(phi) * _sumsq(x) * _sumsq(psi))
+        size1 = np.sqrt(_sumsq(phi1) * _sumsq(x1) * _sumsq(psi1))
+        resid = _drift(_trilinear_forms(phi, x, psi), _trilinear_forms(phi1, x1, psi1),
+                       size, size1)
+        def label(k, start=start, lengths=lengths):
+            return f"word {start + k} length {lengths[k]}"
+        rep.record_mask(resid <= tol, label, residual=resid)
     return rep
 
 
@@ -665,8 +775,9 @@ def double_cover_check(tol: float = 1e-12) -> VerificationReport:
         rs = float(np.max(np.abs(cl.rotate_spinor(eta, r2) + eta)))
         rv4 = float(np.max(np.abs(cl.rotate_vector(x, r4) - x)))
         rs4 = float(np.max(np.abs(cl.rotate_spinor(eta, r4) - eta)))
-        for tag, resid in (("vector 2pi", rv), ("spinor 2pi", rs),
-                           ("vector 4pi", rv4), ("spinor 4pi", rs4)):
-            rep.record_case(resid <= tol * max(1.0, float(np.max(np.abs(eta)))),
-                            f"plane ({mu},{nu}) {tag}", residual=resid)
+        size_x = max(1.0, float(np.max(np.abs(x))))
+        size_eta = max(1.0, float(np.max(np.abs(eta))))
+        for tag, resid, size in (("vector 2pi", rv, size_x), ("spinor 2pi", rs, size_eta),
+                                 ("vector 4pi", rv4, size_x), ("spinor 4pi", rs4, size_eta)):
+            rep.record_case(resid <= tol * size, f"plane ({mu},{nu}) {tag}", residual=resid)
     return rep

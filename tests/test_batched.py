@@ -1,0 +1,141 @@
+"""The batched float and exact suites against per-sample reference loops.
+
+The references draw from the generator in the same order and apply the
+public single-call kernels one sample at a time.
+"""
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from splitoct import clifford as cl
+from splitoct import triality as tr
+from splitoct.report import VerificationReport
+
+
+def _plane(rng):
+    mu = int(rng.integers(0, 8))
+    nu = int(rng.integers(0, 8))
+    while nu == mu:
+        nu = int(rng.integers(0, 8))
+    return mu, nu
+
+
+def _sumsq(v):
+    return float(np.dot(v, v))
+
+
+def reference_rotor_invariance(n, seed, tol=1e-12):
+    rep = VerificationReport("rotor-invariance", exact=False)
+    rng = np.random.default_rng(seed)
+    for i in range(n):
+        mu, nu = _plane(rng)
+        r = cl.rotor(mu, nu, float(rng.uniform(-3, 3)))
+        x = rng.integers(-9, 10, size=8).astype(np.float64)
+        x1 = cl.rotate_vector(x, r)
+        resid = (abs(cl.quadratic_form(x) - cl.quadratic_form(x1))
+                 / max(_sumsq(x), _sumsq(x1), 1.0))
+        rep.record_case(resid <= tol, f"vector rotor {i} plane ({mu},{nu})", residual=resid)
+        eta = rng.integers(-9, 10, size=16).astype(np.float64)
+        eta1 = cl.rotate_spinor(eta, r)
+        resid = (abs(float(cl.spinor_invariant(eta)) - float(cl.spinor_invariant(eta1)))
+                 / max(_sumsq(eta), _sumsq(eta1), 1.0))
+        rep.record_case(resid <= tol, f"spinor rotor {i} plane ({mu},{nu})", residual=resid)
+    return rep
+
+
+def reference_trilinear_invariance(n, seed, tol=1e-12):
+    rep = VerificationReport("trilinear-invariance", exact=False)
+    rng = np.random.default_rng(seed)
+    for i in range(n):
+        length = int(rng.integers(1, 9))
+        rotors = []
+        for _ in range(length):
+            mu, nu = _plane(rng)
+            rotors.append(cl.rotor(mu, nu, float(rng.uniform(-2, 2))))
+        word = tr.RotorWord(tuple(rotors))
+        phi, x, psi = (rng.integers(-9, 10, size=8).astype(np.float64) for _ in range(3))
+        phi1 = word.act_spinor(cl.embed_phi(phi))[0:8]
+        x1 = word.act_vector(x)
+        psi1 = word.act_spinor(cl.embed_psi(psi))[8:16]
+        size = np.sqrt(max(_sumsq(phi) * _sumsq(x) * _sumsq(psi),
+                           _sumsq(phi1) * _sumsq(x1) * _sumsq(psi1)))
+        resid = (abs(float(cl.trilinear_matrix(phi, x, psi))
+                     - cl.trilinear_matrix(phi1, x1, psi1)) / max(size, 1.0))
+        rep.record_case(resid <= tol, f"word {i} length {length}", residual=resid)
+    return rep
+
+
+def assert_same_outcome(batched, reference):
+    assert batched.cases == reference.cases
+    assert batched.failures == reference.failures
+    assert batched.failure_details == reference.failure_details
+    assert batched.max_residual == pytest.approx(reference.max_residual, rel=1e-6, abs=1e-15)
+
+
+# one plane's spinor generator negated (a rotor by -theta on spinors only:
+# the spinor invariant survives, the trilinear form does not) or doubled
+# (neither survives)
+@pytest.mark.parametrize("plane,factor", [((0, 4), -1), ((2, 5), -1), ((0, 4), 2),
+                                          ((6, 7), 2)])
+def test_corrupted_generator_parity(monkeypatch, plane, factor):
+    monkeypatch.setitem(cl._BIV_REP, plane, factor * cl.real_bivector_rep(*plane))
+    rot = tr.rotor_invariance_check(1000)
+    assert_same_outcome(rot, reference_rotor_invariance(1000, tr.DEFAULT_SEED))
+    tri = tr.trilinear_invariance_check(200)
+    assert_same_outcome(tri, reference_trilinear_invariance(200, tr.DEFAULT_SEED))
+    assert tri.failures > 0
+    assert (rot.failures > 0) == (factor != -1)
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_uncorrupted_parity(seed):
+    assert_same_outcome(tr.rotor_invariance_check(300, seed),
+                        reference_rotor_invariance(300, seed))
+    assert_same_outcome(tr.trilinear_invariance_check(100, seed),
+                        reference_trilinear_invariance(100, seed))
+
+
+def test_batches_split_anywhere():
+    # two whole blocks of 64 and a partial one, and fewer samples than a block
+    for n in (131, 5):
+        assert_same_outcome(tr.rotor_invariance_check(n, 7), reference_rotor_invariance(n, 7))
+        assert_same_outcome(tr.trilinear_invariance_check(n, 7),
+                            reference_trilinear_invariance(n, 7))
+
+
+def test_correspondence_witnesses(monkeypatch):
+    # Gamma_3 replaced by Gamma_2 breaks X^2 = Q(x) exactly on the samples
+    # with x_2 x_3 != 0; the witnesses follow sample order
+    gammas = list(cl._GAMMA)
+    gammas[3] = gammas[2]
+    monkeypatch.setattr(cl, "_GAMMA", gammas)
+    rep = tr.correspondence_check(200, seed=5)
+    rng = np.random.default_rng(5)
+    want = []
+    for i in range(200):
+        x = rng.integers(-9, 10, size=8)
+        rng.integers(-9, 10, size=8)
+        rng.integers(-9, 10, size=8)
+        X = cl.vector_to_matrix_exact(x)
+        q = int(sum(cl.METRIC[m] * int(x[m]) ** 2 for m in range(8)))
+        if not X @ X == cl.GMat.eye(16).scale(q):
+            want.append(f"vector sample {i}")
+    assert rep.cases == 400
+    assert rep.failures == len(want) > 0
+    assert rep.failure_details == want[:10]
+
+
+@pytest.mark.parametrize("suite", [tr.correspondence_check, tr.rotor_invariance_check])
+def test_stacks_stay_small(suite):
+    # the stacks are processed in blocks; a whole-sweep stack would peak at
+    # about 10 MB (correspondence) and 2.7 MB (rotor invariance)
+    bound = {tr.correspondence_check: 3.0, tr.rotor_invariance_check: 1.0}[suite]
+    suite(10)
+    tracemalloc.start()
+    try:
+        suite(1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / 2 ** 20 < bound

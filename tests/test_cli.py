@@ -236,3 +236,32 @@ def test_unread_flags_are_rejected(capsys, argv):
 def test_verify_rejects_bad_settings(capsys, flags):
     code, out, _ = run(capsys, ["verify", "correspondence", *flags])
     assert (code, out) == (2, "")
+
+
+E0 = "1,0,0,0,0,0,0,0"
+
+
+@pytest.mark.parametrize("theta", ["800", "1500", "-800"])
+def test_vector_boost_overflow_is_a_usage_error(capsys, theta):
+    code, out, err = run(capsys, ["rotate", "--plane", "0,4", "--theta", theta,
+                                  "--target", "vector", "--components", E0])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
+def test_strong_vector_boost_is_finite(capsys):
+    code, out, _ = run(capsys, ["rotate", "--plane", "0,4", "--theta", "700",
+                                "--target", "vector", "--components", E0])
+    assert code == 0
+    payload = json.loads(out)
+    jsonschema.validate(payload, load_schema("rotate.schema.json"))
+    assert all(math.isfinite(v) for v in payload["output"])
+    assert payload["output"][0] == payload["output"][4] > 1e303
+    assert math.isfinite(payload["invariant_after"])
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_verify_all_passes_for_seed(capsys, seed):
+    code, out, _ = run(capsys, ["verify", "all", "--seed", str(seed)])
+    assert code == 0, [(r["name"], r["failure_details"])
+                       for r in json.loads(out)["reports"] if not r["passed"]]

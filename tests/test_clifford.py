@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from splitoct import clifford as cl
+from splitoct import triality as tr
 
 
 def test_alpha_index_range():
@@ -263,3 +264,74 @@ class TestTrilinearMatrix:
         v = cl.trilinear_matrix(rng.normal(size=8), rng.normal(size=8),
                                 rng.normal(size=8))
         assert isinstance(v, float)
+
+
+def _closed_form_generator(mu, nu):
+    """A[mu,nu] = -g_nunu, A[nu,mu] = +g_mumu: the vector generator of plane (mu,nu)."""
+    a = np.zeros((8, 8), dtype=np.int64)
+    a[mu, nu] = -cl.METRIC[nu]
+    a[nu, mu] = cl.METRIC[mu]
+    return a
+
+
+PLANES = [(mu, nu) for mu in range(8) for nu in range(8) if mu != nu]
+
+
+class TestVectorOracle:
+    """The closed-form vector action against the paper's X' = L X L^{-1}."""
+
+    def test_commutator_identity_exact(self):
+        # [G_mu G_nu, G_sig] = 2 g_nusig G_mu - 2 g_musig G_nu, in Gaussian integers
+        g, zero = cl.gamma, cl.GMat.zeros((16, 16))
+        for mu, nu in PLANES:
+            biv = g(mu) @ g(nu)
+            for sig in range(8):
+                want = zero
+                if sig == nu:
+                    want = want + g(mu).scale(2 * cl.METRIC[nu])
+                if sig == mu:
+                    want = want - g(nu).scale(2 * cl.METRIC[mu])
+                assert biv @ g(sig) - g(sig) @ biv == want, (mu, nu, sig)
+
+    def test_generator_from_commutator(self):
+        # d/dtheta X' at 0 is -[G_mu G_nu, X]/2; read it back by the exact trace pairing
+        for mu, nu in PLANES:
+            biv = cl.gamma(mu) @ cl.gamma(nu)
+            twice = np.array([cl.matrix_to_vector(cl.gamma(sig) @ biv - biv @ cl.gamma(sig))
+                              for sig in range(8)], dtype=object).T
+            assert (twice == 2 * _closed_form_generator(mu, nu)).all(), (mu, nu)
+
+    def test_generator_matches_tables(self):
+        assert np.array_equal(_closed_form_generator(0, 1), tr.L01_X)
+        assert np.array_equal(_closed_form_generator(0, 4), tr.L04_X)
+
+    @pytest.mark.parametrize("mu,nu", PLANES)
+    def test_matches_conjugation(self, mu, nu):
+        compact = cl.METRIC[mu] * cl.METRIC[nu] > 0
+        angles = (0.3, -0.3, 2.9, -2.9) + ((2 * math.pi,) if compact else (3.0, -3.0))
+        rng = np.random.default_rng(8 * mu + nu)
+        vectors = [np.eye(8)[k] for k in range(8)] + [rng.integers(-9, 10, size=8).astype(float)
+                                                      for _ in range(4)]
+        for theta in angles:
+            r = cl.rotor(mu, nu, theta)
+            L, Linv = r.matrix(), r.inverse().matrix()
+            for x in vectors:
+                want = cl.matrix_to_vector(L @ cl.vector_to_matrix(x) @ Linv, tol=1e-8)
+                got = cl.rotate_vector(x, r)
+                assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+    def test_wrong_shape_is_refused(self):
+        with pytest.raises(ValueError):
+            cl.rotate_vector(np.zeros(7), cl.rotor(0, 1, 0.5))
+        with pytest.raises(ValueError):
+            cl.rotate_vector(np.zeros((2, 8)), cl.rotor(0, 1, 0.5))
+
+    def test_input_is_not_modified(self):
+        x = np.arange(8.0)
+        cl.rotate_vector(x, cl.rotor(0, 4, 0.5))
+        assert np.array_equal(x, np.arange(8.0))
+
+    def test_strong_boost_stays_finite(self):
+        out = cl.rotate_vector([1, 0, 0, 0, 0, 0, 0, 0], cl.rotor(0, 4, 700.0))
+        assert np.all(np.isfinite(out)) and out[0] == out[4] > 1e303
+        assert cl.quadratic_form(out) == 0.0
