@@ -23,6 +23,7 @@ from .report import VerificationReport
 SUITES = ("moufang", "malcev", "clifford", "associators", "correspondence",
           "triality", "all")
 OVERFLOW = "the result overflows float64"
+DRIFT_LIMIT = 1e-8      # largest invariant change, relative to |input|^2
 
 
 @dataclass
@@ -226,6 +227,11 @@ def cmd_rotate(args) -> int:
         out = cl.rotate_spinor(np.asarray(comps), r)
         after = cl.spinor_invariant(out)
     _require_finite(OVERFLOW, [*out, before, after])
+    # a compact rotation keeps |x|, so only a boost strong enough to lose
+    # the invariant to rounding can trip this
+    if abs(after - before) > DRIFT_LIMIT * max(1.0, sum(v * v for v in comps)):
+        return _usage_error(f"the invariant moved from {before} to {after}: "
+                            "the boost is too strong for float64")
     payload = {"target": args.target, "plane": [mu, nu],
                "compact": r.compact, "theta": args.theta,
                "input": [float(v) for v in comps],

@@ -277,10 +277,6 @@ class StructureConstants:
 # expected associator table (the six non-vanishing families)
 # ---------------------------------------------------------------------------
 
-def _kron(a, b):
-    return 1 if a == b else 0
-
-
 def _family_value(kinds, idx):
     """Associator of a canonically ordered triple (j's, then J's, then I)."""
     U = SplitOctonion.unit
@@ -290,9 +286,9 @@ def _family_value(kinds, idx):
         out = Z
         if epsilon(n, m, k):
             out = out - epsilon(n, m, k) * U(IDX_I)
-        if _kron(n, k):
+        if n == k:
             out = out - U(4 + m)
-        if _kron(m, k):
+        if m == k:
             out = out + U(4 + n)
         return out
     if kinds == ("j", "j", "I"):
@@ -306,9 +302,9 @@ def _family_value(kinds, idx):
     if kinds == ("j", "J", "J"):
         n, m, k = idx
         out = Z
-        if _kron(n, m):
+        if n == m:
             out = out + U(k)
-        if _kron(n, k):
+        if n == k:
             out = out - U(m)
         return out
     if kinds == ("j", "J", "I"):
@@ -394,26 +390,47 @@ def verify_table() -> VerificationReport:
     return rep
 
 
+def _same(lhs, rhs):
+    """Per-case equality over the coefficient axis, on hyper-complex unit
+    tuples only."""
+    units = (slice(1, None),) * (lhs.ndim - 1)
+    return (lhs[units] == rhs[units]).all(axis=-1)
+
+
+def _triple_products():
+    """(e_a e_b) e_c and e_a (e_b e_c) over the last axis."""
+    return np.einsum("abm,mck->abck", _C, _C), np.einsum("bcm,amk->abck", _C, _C)
+
+
 def verify_moufang() -> VerificationReport:
     """Flexible Moufang identities on all 343 unit triples and the mild
-    associative laws on all 49 pairs, exactly."""
+    associative laws on all 49 pairs, exactly.
+
+    With x, y, z = e_a, e_b, e_c, every side is one contraction of the two
+    bracketings (xy)z and x(yz) with the structure tensor, or a diagonal
+    of one of them.
+    """
     rep = VerificationReport("moufang")
-    units = [SplitOctonion.unit(k) for k in range(8)]
-    for a, b, c in itertools.product(HYPER, repeat=3):
-        x, y, z = units[a], units[b], units[c]
-        name = f"({UNIT_NAMES[a]},{UNIT_NAMES[b]},{UNIT_NAMES[c]})"
-        rep.record_case(mul(mul(x, y), mul(z, x)) == mul(mul(x, mul(y, z)), x),
-                        f"(xy)(zx)=x(yz)x {name}")
-        rep.record_case(mul(mul(mul(z, y), z), x) == mul(z, mul(y, mul(z, x))),
-                        f"(zyz)x=z(y(zx)) {name}")
-        rep.record_case(mul(x, mul(mul(y, z), y)) == mul(mul(mul(x, y), z), y),
-                        f"x(yzy)=((xy)z)y {name}")
-    for a, b in itertools.product(HYPER, repeat=2):
-        x, y = units[a], units[b]
-        name = f"({UNIT_NAMES[a]},{UNIT_NAMES[b]})"
-        rep.record_case(mul(mul(x, y), y) == mul(x, mul(y, y)), f"(xy)y=xy^2 {name}")
-        rep.record_case(mul(x, mul(x, y)) == mul(mul(x, x), y), f"x(xy)=x^2y {name}")
-        rep.record_case(mul(mul(x, y), x) == mul(x, mul(y, x)), f"(xy)x=x(yx) {name}")
+    p, q = _triple_products()
+    n = UNIT_NAMES[1:]
+    triples = np.stack([
+        _same(np.einsum("abnk,can->abck", p, _C),      # (xy)(zx)
+              np.einsum("abcn,nak->abck", q, _C)),     # (x(yz))x
+        _same(np.einsum("cbcn,nak->abck", p, _C),      # ((zy)z)x
+              np.einsum("bcan,cnk->abck", q, _C)),     # z(y(zx))
+        _same(np.einsum("bcbn,ank->abck", p, _C),      # x((yz)y)
+              np.einsum("abcn,nbk->abck", p, _C)),     # ((xy)z)y
+    ], axis=-1)
+    rep.record_mask(triples, lambda x, y, z, i: (
+        ("(xy)(zx)=x(yz)x", "(zyz)x=z(y(zx))", "x(yzy)=((xy)z)y")[i]
+        + f" ({n[x]},{n[y]},{n[z]})"))
+    pairs = np.stack([
+        _same(np.einsum("abbk->abk", p), np.einsum("abbk->abk", q)),   # (xy)y, x(yy)
+        _same(np.einsum("aabk->abk", q), np.einsum("aabk->abk", p)),   # x(xy), (xx)y
+        _same(np.einsum("abak->abk", p), np.einsum("abak->abk", q)),   # (xy)x, x(yx)
+    ], axis=-1)
+    rep.record_mask(pairs, lambda x, y, i: (
+        ("(xy)y=xy^2", "x(xy)=x^2y", "(xy)x=x(yx)")[i] + f" ({n[x]},{n[y]})"))
     return rep
 
 
@@ -449,86 +466,87 @@ def verify_malcev() -> VerificationReport:
     rep = VerificationReport("malcev")
     b2, bb, j12, d4 = _malcev_tensors()
     n = UNIT_NAMES[1:]
-
-    def same(lhs, rhs):
-        """Per-case equality over the coefficient axis, on unit tuples only."""
-        units = (slice(1, None),) * (lhs.ndim - 1)
-        return (lhs[units] == rhs[units]).all(axis=-1)
-
     # x8: [[x,y],[x,z]] = [[[x,y],z],x] + [[[y,z],x],x] + [[[z,x],x],y]
-    malcev = same(np.einsum("abm,acn,mnk->abck", b2, b2, b2),
-                  np.einsum("abcn,nak->abck", bb, b2)
-                  + np.einsum("bcan,nak->abck", bb, b2)
-                  + np.einsum("caan,nbk->abck", bb, b2))
+    malcev = _same(np.einsum("abm,acn,mnk->abck", b2, b2, b2),
+                   np.einsum("abcn,nak->abck", bb, b2)
+                   + np.einsum("bcan,nak->abck", bb, b2)
+                   + np.einsum("caan,nbk->abck", bb, b2))
     # x24: J(x,y,[x,z]) = [J(x,y,z),x]
-    jxz = same(np.einsum("abmk,acm->abck", j12, b2),
-               np.einsum("abcm,mak->abck", j12, b2))
+    jxz = _same(np.einsum("abmk,acm->abck", j12, b2),
+                np.einsum("abcm,mak->abck", j12, b2))
     rep.record_mask(np.stack([malcev, jxz], axis=-1), lambda a, b, c, i: (
         ("malcev", "J(x,y,xz)=J(x,y,z)x")[i] + f" ({n[a]},{n[b]},{n[c]})"))
 
     # x24: both 4-element identities
     j_of_b = np.einsum("abm,mcdk->abcdk", b2, j12)     # J([x,y],z,w)
     b_of_j = np.einsum("abcm,mdk->abcdk", j12, b2)     # [J(x,y,z),w]
-    cyclic = same(j_of_b + np.einsum("bcm,madk->abcdk", b2, j12)
-                  + np.einsum("cam,mbdk->abcdk", b2, j12),
-                  2 * b_of_j)
-    leibniz = same(np.einsum("abmk,cdm->abcdk", j12, b2),
-                   b_of_j + np.einsum("cmk,abdm->abcdk", b2, j12) - 2 * j_of_b)
+    cyclic = _same(j_of_b + np.einsum("bcm,madk->abcdk", b2, j12)
+                   + np.einsum("cam,mbdk->abcdk", b2, j12),
+                   2 * b_of_j)
+    leibniz = _same(np.einsum("abmk,cdm->abcdk", j12, b2),
+                    b_of_j + np.einsum("cmk,abdm->abcdk", b2, j12) - 2 * j_of_b)
     rep.record_mask(np.stack([cyclic, leibniz], axis=-1), lambda a, b, c, d, i: (
         ("4-elem cyclic", "4-elem leibniz")[i] + f" ({n[a]},{n[b]},{n[c]},{n[d]})"))
 
     # x48: D(J(z,u,v)) = J(Dz,u,v) + J(z,Du,v) + J(z,u,Dv), one x at a time:
     # all 7^5 tuples at once would hold several MB of intermediates
     derivation = np.stack([
-        same(np.einsum("bmk,zuvm->bzuvk", d, j12),
-             np.einsum("muvk,bzm->bzuvk", j12, d)
-             + np.einsum("zmvk,bum->bzuvk", j12, d)
-             + np.einsum("zumk,bvm->bzuvk", j12, d))
+        _same(np.einsum("bmk,zuvm->bzuvk", d, j12),
+              np.einsum("muvk,bzm->bzuvk", j12, d)
+              + np.einsum("zmvk,bum->bzuvk", j12, d)
+              + np.einsum("zumk,bvm->bzuvk", j12, d))
         for d in d4[1:]])
     rep.record_mask(derivation, lambda a, b, z, u, v: (
         f"5-elem ({n[a]},{n[b]},{n[z]},{n[u]},{n[v]})"))
     return rep
 
 
+# the first two arguments of the associator families
+_FAMILY_KINDS = (("j", "j"), ("j", "J"), ("J", "J"))
+
+
 def verify_associators() -> VerificationReport:
     """The six non-vanishing associator families, total antisymmetry, the
     full 343-triple closure against the family-predicted table, and the
-    associator-commutator bridge."""
+    associator-commutator bridge.
+
+    The computed side is the contraction 2A of the structure tensor; the
+    expected side comes from _family_value and expected_associator, which
+    do not read the table.  The bridge compares 6 * 2A with 12 J.
+    """
     rep = VerificationReport("associators")
-    units = [SplitOctonion.unit(k) for k in range(8)]
+    p, q = _triple_products()
+    a2 = p - q                       # 2 A(e_a, e_b, e_c)
 
-    for n, m in itertools.product((1, 2, 3), repeat=2):
-        jn, jm = units[n], units[m]
-        Jn, Jm = units[4 + n], units[4 + m]
-        I = units[IDX_I]
-        rep.record_case(associator(jn, jm, I) == _family_value(("j", "j", "I"), (n, m)),
-                        f"A(j{n},j{m},I)")
-        rep.record_case(associator(jn, Jm, I) == _family_value(("j", "J", "I"), (n, m)),
-                        f"A(j{n},J{m},I)")
-        rep.record_case(associator(Jn, Jm, I) == _family_value(("J", "J", "I"), (n, m)),
-                        f"A(J{n},J{m},I)")
-        for k in (1, 2, 3):
-            rep.record_case(
-                associator(jn, jm, units[4 + k]) == _family_value(("j", "j", "J"), (n, m, k)),
-                f"A(j{n},j{m},J{k})")
-            rep.record_case(
-                associator(jn, Jm, units[4 + k]) == _family_value(("j", "J", "J"), (n, m, k)),
-                f"A(j{n},J{m},J{k})")
-            rep.record_case(
-                associator(Jn, Jm, units[4 + k]) == _family_value(("J", "J", "J"), (n, m, k)),
-                f"A(J{n},J{m},J{k})")
+    # families at [n, m, slot, family]: the third argument is I at slot 0
+    # and J_k at slot k
+    got = np.empty((3, 3, 4, 3, 8), dtype=np.int64)
+    want = np.empty_like(got)
+    for n, m, slot, f in itertools.product((1, 2, 3), (1, 2, 3), range(4), range(3)):
+        x, y = _FAMILY_KINDS[f]
+        a = n if x == "j" else 4 + n
+        b = m if y == "j" else 4 + m
+        got[n - 1, m - 1, slot, f] = a2[a, b, IDX_I + slot]
+        val = (_family_value((x, y, "J"), (n, m, slot)) if slot
+               else _family_value((x, y, "I"), (n, m)))
+        want[n - 1, m - 1, slot, f] = val.c
+    rep.record_mask((got == 2 * want).all(axis=-1), lambda n, m, slot, f: (
+        f"A({_FAMILY_KINDS[f][0]}{n + 1},{_FAMILY_KINDS[f][1]}{m + 1},"
+        f"{f'J{slot}' if slot else 'I'})"))
 
-    for a, b, c in itertools.product(HYPER, repeat=3):
-        x, y, z = units[a], units[b], units[c]
-        got = associator(x, y, z)
-        name = f"({UNIT_NAMES[a]},{UNIT_NAMES[b]},{UNIT_NAMES[c]})"
-        rep.record_case(got == -associator(y, x, z) and got == -associator(x, z, y),
-                        f"antisymmetry {name}")
-        rep.record_case(got == expected_associator(a, b, c), f"table closure {name}")
-        bridge = _THIRD * (commutator(commutator(x, y), z)
-                           + commutator(commutator(y, z), x)
-                           + commutator(commutator(z, x), y))
-        rep.record_case(got == bridge, f"commutator bridge {name}")
+    h = a2[1:, 1:, 1:]
+    table = np.array([[[expected_associator(a, b, c).c for c in HYPER] for b in HYPER]
+                      for a in HYPER], dtype=np.int64)
+    j12 = _malcev_tensors()[2][1:, 1:, 1:]
+    triples = np.stack([
+        ((h == -h.transpose(1, 0, 2, 3)) & (h == -h.transpose(0, 2, 1, 3))).all(axis=-1),
+        (h == 2 * table).all(axis=-1),
+        (6 * h == j12).all(axis=-1),
+    ], axis=-1)
+    names = UNIT_NAMES[1:]
+    rep.record_mask(triples, lambda a, b, c, i: (
+        ("antisymmetry", "table closure", "commutator bridge")[i]
+        + f" ({names[a]},{names[b]},{names[c]})"))
     return rep
 
 

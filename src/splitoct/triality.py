@@ -148,10 +148,7 @@ def correspondence_check(n_samples: int = 1000, seed: int = DEFAULT_SEED) -> Ver
     q2 = cl._Q_SPINOR_2.re
     eye = np.eye(16, dtype=np.int64)
     for start, n in _blocks(n_samples):
-        v = np.empty((n, 3, 8), dtype=np.int64)      # x, phi, psi per sample
-        for k in range(n):
-            for slot in range(3):
-                v[k, slot] = rng.integers(-9, 10, size=8)
+        v = rng.integers(-9, 10, size=(n, 3, 8))     # x, phi, psi per sample
         x, phi, psi = v[:, 0], v[:, 1], v[:, 2]
         prod = np.einsum("ksa,ksb,abc->ksc", v * _CONJ_SIGNS, v, oc._C)
         scalar_only = ~prod[..., 1:].any(axis=2)
@@ -213,16 +210,15 @@ def matrix_trilinear_tensor() -> np.ndarray:
     return t
 
 
+def _conj_inner2() -> np.ndarray:
+    """M[a,j] = 2 inner(conj(e_a), e_j) = (e_a e_j)_0 + (conj(e_j) conj(e_a))_0."""
+    c0 = oc._C[:, :, 0]
+    return c0 + np.outer(_CONJ_SIGNS, _CONJ_SIGNS) * c0.T
+
+
 def oct_trilinear_tensor() -> np.ndarray:
     """T2[a,b,c] = -conj(e_a) . (e_b e_c), exact integers."""
-    t = np.zeros((8, 8, 8), dtype=np.int64)
-    units = [oc.SplitOctonion.unit(k) for k in range(8)]
-    for a in range(8):
-        for b in range(8):
-            for c in range(8):
-                v = trilinear_oct(units[a], units[b], units[c])
-                t[a, b, c] = int(v)
-    return t
+    return -np.einsum("aj,bcj->abc", _conj_inner2(), oc._C) // 2
 
 
 def _slice_maps(t: np.ndarray):
@@ -746,17 +742,32 @@ def trilinear_invariance_check(n_samples: int = 200, seed: int = DEFAULT_SEED,
 
 def dictionary_random_check(n_samples: int = 1000, seed: int = DEFAULT_SEED) -> VerificationReport:
     """Oracle dictionary applied to random integer triples: residual must be
-    exactly zero in rational arithmetic."""
+    exactly zero in rational arithmetic.
+
+    Runs on int64 stacks, one block of samples at a time, as trilinear_both
+    does per sample: the matrix form through the trilinear slices, the
+    dictionary as index and sign arrays, and -inner(conj(Phi), X Psi)
+    through the octonion structure tensor.  With scale = p/q the two sides
+    agree when 2 q F_matrix == p (2 F_oct).
+    """
     rep = VerificationReport("trilinear-dictionary",
                              meta={"seed": seed, "samples": n_samples})
+    d = equivalence_map()
+    maps = [np.array(m, dtype=np.int64).T for m in (d.phi_map, d.x_map, d.psi_map)]
+    slices = np.array(cl._TRI_SLICES)
+    inner2 = _conj_inner2()
     rng = np.random.default_rng(seed)
-    for i in range(n_samples):
-        phi = [int(v) for v in rng.integers(-9, 10, size=8)]
-        x = [int(v) for v in rng.integers(-9, 10, size=8)]
-        psi = [int(v) for v in rng.integers(-9, 10, size=8)]
-        mat_val, oct_val = trilinear_both(phi, x, psi)
-        rep.record_case(Fraction(mat_val) == oct_val, f"triple {i}")
-    rep.meta["dictionary"] = equivalence_map().to_json()
+    for start, n in _blocks(n_samples):
+        v = rng.integers(-9, 10, size=(n, 3, 8))     # phi, x, psi per sample
+        mat = np.einsum("kb,ki,bij,kj->k", v[:, 1], v[:, 0], slices, v[:, 2])
+        o = np.zeros_like(v)
+        for slot, (index, sign) in enumerate(maps):
+            o[:, slot, index] = sign * v[:, slot]
+        xpsi = np.einsum("ka,kb,abc->kc", o[:, 1], o[:, 2], oc._C)
+        oct2 = -np.einsum("ka,kj,aj->k", o[:, 0], xpsi, inner2)     # 2 F_oct
+        ok = 2 * d.scale.denominator * mat == d.scale.numerator * oct2
+        rep.record_mask(ok, lambda k, start=start: f"triple {start + k}")
+    rep.meta["dictionary"] = d.to_json()
     return rep
 
 

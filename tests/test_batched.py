@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from splitoct import clifford as cl
+from splitoct import octonion as oc
 from splitoct import triality as tr
 from splitoct.report import VerificationReport
 
@@ -126,16 +127,30 @@ def test_correspondence_witnesses(monkeypatch):
     assert rep.failure_details == want[:10]
 
 
+def peak_mb(call):
+    """tracemalloc peak of call(), after one untraced call for lazy set-up."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("suite", [tr.correspondence_check, tr.rotor_invariance_check])
 def test_stacks_stay_small(suite):
     # the stacks are processed in blocks; a whole-sweep stack would peak at
     # about 10 MB (correspondence) and 2.7 MB (rotor invariance)
     bound = {tr.correspondence_check: 3.0, tr.rotor_invariance_check: 1.0}[suite]
-    suite(10)
-    tracemalloc.start()
-    try:
-        suite(1000)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak / 2 ** 20 < bound
+    assert peak_mb(lambda: suite(1000)) < bound
+
+
+@pytest.mark.parametrize("sweep", [oc.verify_associators, oc.verify_moufang,
+                                   lambda: tr.dictionary_random_check(1000)],
+                         ids=["associators", "moufang", "dictionary"])
+def test_contracted_sweeps_stay_small(sweep):
+    # the contractions hold a few (8, 8, 8, 8) tensors at a time, and the
+    # dictionary check works in blocks: one (1000, 8, 8, 8) int64 stack
+    # would hold 4 MB
+    assert peak_mb(sweep) < 2.0

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -250,14 +251,44 @@ def test_vector_boost_overflow_is_a_usage_error(capsys, theta):
 
 
 def test_strong_vector_boost_is_finite(capsys):
-    code, out, _ = run(capsys, ["rotate", "--plane", "0,4", "--theta", "700",
-                                "--target", "vector", "--components", E0])
+    # the output is finite, but cosh 700 == sinh 700 in float64, so the
+    # invariant of the moved pair reads 0 instead of 1: refused
+    code, out, err = run(capsys, ["rotate", "--plane", "0,4", "--theta", "700",
+                                  "--target", "vector", "--components", E0])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("target,theta,code", [("vector", "20", 2), ("spinor", "40", 2),
+                                               ("vector", "5", 0), ("spinor", "5", 0)])
+def test_rotate_refuses_a_lost_invariant(capsys, target, theta, code):
+    comps = ",".join(["1"] + ["0"] * (7 if target == "vector" else 15))
+    got, out, err = run(capsys, ["rotate", "--plane", "0,4", "--theta", theta,
+                                 "--target", target, "--components", comps])
+    assert got == code
+    if code:
+        assert out == "" and err.startswith("error: ")
+    else:
+        payload = json.loads(out)
+        assert abs(payload["invariant_after"] - payload["invariant_before"]) < 1e-8
+
+
+GOLDEN = Path(__file__).resolve().parent / "data"
+
+
+def normalized(payload):
+    """The verify payload without the max_residual of float reports, which
+    depends on the platform's rounding."""
+    reports = [{k: v for k, v in r.items() if r["exact"] or k != "max_residual"}
+               for r in payload["reports"]]
+    return {**payload, "reports": reports}
+
+
+def test_verify_all_matches_golden(capsys):
+    code, out, _ = run(capsys, ["verify", "all"])
     assert code == 0
-    payload = json.loads(out)
-    jsonschema.validate(payload, load_schema("rotate.schema.json"))
-    assert all(math.isfinite(v) for v in payload["output"])
-    assert payload["output"][0] == payload["output"][4] > 1e303
-    assert math.isfinite(payload["invariant_after"])
+    want = json.loads((GOLDEN / "verify_all_12345.json").read_text())
+    assert normalized(json.loads(out)) == normalized(want)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -265,3 +296,6 @@ def test_verify_all_passes_for_seed(capsys, seed):
     code, out, _ = run(capsys, ["verify", "all", "--seed", str(seed)])
     assert code == 0, [(r["name"], r["failure_details"])
                        for r in json.loads(out)["reports"] if not r["passed"]]
+    digest = hashlib.sha256(
+        json.dumps(normalized(json.loads(out)), sort_keys=True).encode()).hexdigest()
+    assert digest == json.loads((GOLDEN / "verify_all_sha256.json").read_text())[str(seed)]

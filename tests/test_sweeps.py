@@ -1,11 +1,86 @@
+import dataclasses
 import itertools
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from splitoct import octonion as oc
+from splitoct import report
+from splitoct import triality as tr
 from splitoct.octonion import SplitOctonion as O
+from splitoct.report import VerificationReport
+
+UNITS = [O.unit(k) for k in range(8)]
+N = oc.UNIT_NAMES
+
+
+# Per-case reference sweeps over SplitOctonion products, in the case order
+# and detail strings of the contracted sweeps they check.
+
+def reference_moufang():
+    rep = VerificationReport("moufang")
+    mul = oc.mul
+    for a, b, c in itertools.product(oc.HYPER, repeat=3):
+        x, y, z = UNITS[a], UNITS[b], UNITS[c]
+        name = f"({N[a]},{N[b]},{N[c]})"
+        rep.record_case(mul(mul(x, y), mul(z, x)) == mul(mul(x, mul(y, z)), x),
+                        f"(xy)(zx)=x(yz)x {name}")
+        rep.record_case(mul(mul(mul(z, y), z), x) == mul(z, mul(y, mul(z, x))),
+                        f"(zyz)x=z(y(zx)) {name}")
+        rep.record_case(mul(x, mul(mul(y, z), y)) == mul(mul(mul(x, y), z), y),
+                        f"x(yzy)=((xy)z)y {name}")
+    for a, b in itertools.product(oc.HYPER, repeat=2):
+        x, y = UNITS[a], UNITS[b]
+        name = f"({N[a]},{N[b]})"
+        rep.record_case(mul(mul(x, y), y) == mul(x, mul(y, y)), f"(xy)y=xy^2 {name}")
+        rep.record_case(mul(x, mul(x, y)) == mul(mul(x, x), y), f"x(xy)=x^2y {name}")
+        rep.record_case(mul(mul(x, y), x) == mul(x, mul(y, x)), f"(xy)x=x(yx) {name}")
+    return rep
+
+
+def reference_associators():
+    rep = VerificationReport("associators")
+    A = oc.associator
+    for n, m in itertools.product((1, 2, 3), repeat=2):
+        jn, jm, Jn, Jm, I = UNITS[n], UNITS[m], UNITS[4 + n], UNITS[4 + m], UNITS[4]
+        rep.record_case(A(jn, jm, I) == oc._family_value(("j", "j", "I"), (n, m)),
+                        f"A(j{n},j{m},I)")
+        rep.record_case(A(jn, Jm, I) == oc._family_value(("j", "J", "I"), (n, m)),
+                        f"A(j{n},J{m},I)")
+        rep.record_case(A(Jn, Jm, I) == oc._family_value(("J", "J", "I"), (n, m)),
+                        f"A(J{n},J{m},I)")
+        for k in (1, 2, 3):
+            Jk = UNITS[4 + k]
+            rep.record_case(A(jn, jm, Jk) == oc._family_value(("j", "j", "J"), (n, m, k)),
+                            f"A(j{n},j{m},J{k})")
+            rep.record_case(A(jn, Jm, Jk) == oc._family_value(("j", "J", "J"), (n, m, k)),
+                            f"A(j{n},J{m},J{k})")
+            rep.record_case(A(Jn, Jm, Jk) == oc._family_value(("J", "J", "J"), (n, m, k)),
+                            f"A(J{n},J{m},J{k})")
+    for a, b, c in itertools.product(oc.HYPER, repeat=3):
+        x, y, z = UNITS[a], UNITS[b], UNITS[c]
+        got = A(x, y, z)
+        name = f"({N[a]},{N[b]},{N[c]})"
+        rep.record_case(got == -A(y, x, z) and got == -A(x, z, y), f"antisymmetry {name}")
+        rep.record_case(got == oc.expected_associator(a, b, c), f"table closure {name}")
+        rep.record_case(got == oc.malcev_jacobiator(x, y, z), f"commutator bridge {name}")
+    return rep
+
+
+def reference_dictionary(n, seed):
+    rep = VerificationReport("trilinear-dictionary")
+    rng = np.random.default_rng(seed)
+    for i in range(n):
+        phi, x, psi = ([int(v) for v in rng.integers(-9, 10, size=8)] for _ in range(3))
+        mat_val, oct_val = tr.trilinear_both(phi, x, psi)
+        rep.record_case(Fraction(mat_val) == oct_val, f"triple {i}")
+    return rep
+
+
+def outcome(rep):
+    return rep.cases, rep.failures, rep.failure_details
 
 
 def test_table_sweep_exact():
@@ -51,6 +126,22 @@ def test_malcev_tensors_match_scalar_api():
                                             - 3 * oc.malcev_jacobiator(x, y, z))
 
 
+# sign flips of unit products: both orders of an anticommuting pair, or one
+# entry alone
+FLIPS = [(("J1", "J2"), ("J2", "J1")), (("j1", "I"), ("I", "j1")), (("I", "I"),),
+         (("j2", "J3"),)]
+
+
+def flipped_table(monkeypatch, entries):
+    table = [list(row) for row in oc._TABLE]
+    for left, right in entries:
+        a, b = N.index(left), N.index(right)
+        k, sign = table[a][b]
+        table[a][b] = (k, -sign)
+    monkeypatch.setattr(oc, "_TABLE", table)
+    monkeypatch.setattr(oc, "_C", oc._structure_tensor(table))
+
+
 # failure counts and witnesses of the Malcev sweep on tables with one
 # anticommuting pair's sign flipped, as the per-tuple sweep over
 # SplitOctonion products reported them
@@ -78,15 +169,49 @@ CORRUPTED_MALCEV = [
 
 @pytest.mark.parametrize("left,right,failures,details", CORRUPTED_MALCEV)
 def test_malcev_corrupted_table_parity(monkeypatch, left, right, failures, details):
-    table = [list(row) for row in oc._TABLE]
-    a, b = oc.UNIT_NAMES.index(left), oc.UNIT_NAMES.index(right)
-    for p, q in ((a, b), (b, a)):
-        k, sign = table[p][q]
-        table[p][q] = (k, -sign)
-    monkeypatch.setattr(oc, "_TABLE", table)
-    monkeypatch.setattr(oc, "_C", oc._structure_tensor(table))
+    flipped_table(monkeypatch, ((left, right), (right, left)))
     rep = oc.verify_malcev()
     assert (rep.cases, rep.failures, rep.failure_details) == (22295, failures, details)
+
+
+@pytest.mark.parametrize("entries", FLIPS)
+def test_moufang_and_associators_match_reference_on_flipped_tables(monkeypatch, entries):
+    flipped_table(monkeypatch, entries)
+    monkeypatch.setattr(report, "MAX_DETAILS", 2000)      # compare every witness
+    for sweep, reference in ((oc.verify_moufang, reference_moufang),
+                             (oc.verify_associators, reference_associators)):
+        rep = sweep()
+        assert outcome(rep) == outcome(reference())
+        assert rep.failures > 0
+
+
+def test_moufang_and_associators_match_reference():
+    assert outcome(oc.verify_moufang()) == outcome(reference_moufang())
+    assert outcome(oc.verify_associators()) == outcome(reference_associators())
+
+
+@pytest.mark.parametrize("b", [0, 5])
+def test_dictionary_check_matches_reference_with_flipped_sign(monkeypatch, b):
+    d = tr.equivalence_map()
+    x_map = list(d.x_map)
+    x_map[b] = (x_map[b][0], -x_map[b][1])
+    monkeypatch.setattr(tr, "_ORACLE_CACHE", dataclasses.replace(d, x_map=tuple(x_map)))
+    monkeypatch.setattr(report, "MAX_DETAILS", 2000)      # witnesses past the first block
+    rep = tr.dictionary_random_check(200, seed=5)
+    assert outcome(rep) == outcome(reference_dictionary(200, 5))
+    assert 0 < rep.failures < rep.cases
+
+
+def test_dictionary_check_matches_reference():
+    # two whole blocks of 64 and a partial one
+    rep = tr.dictionary_random_check(131, seed=7)
+    assert outcome(rep) == outcome(reference_dictionary(131, 7)) == (131, 0, [])
+
+
+def test_oct_trilinear_tensor_matches_trilinear_oct():
+    t = tr.oct_trilinear_tensor()
+    for a, b, c in itertools.product(range(8), repeat=3):
+        assert t[a, b, c] == tr.trilinear_oct(UNITS[a], UNITS[b], UNITS[c])
 
 
 def test_malcev_single_triple():
