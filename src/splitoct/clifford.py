@@ -18,9 +18,11 @@ from fractions import Fraction
 
 import numpy as np
 
+from .exact import exact_float64, magnitude
 from .report import VerificationReport
 
 METRIC = (1, 1, 1, 1, -1, -1, -1, -1)
+_INT64_MAX = 2 ** 63 - 1
 
 
 class ChiralityError(ValueError):
@@ -49,6 +51,11 @@ class GMat:
         return cls(np.zeros(shape, dtype=np.int64))
 
     def __matmul__(self, other):
+        # every partial sum of the real part is at most n (|re||re'| + |im||im'|),
+        # of the imaginary part n (|re||im'| + |im||re'|), |.| the largest entry
+        ar, ai, br, bi = (magnitude(m) for m in (self.re, self.im, other.re, other.im))
+        if self.re.shape[-1] * max(ar * br + ai * bi, ar * bi + ai * br) > _INT64_MAX:
+            raise OverflowError("the Gaussian-integer product may exceed int64")
         return GMat(self.re @ other.re - self.im @ other.im,
                     self.re @ other.im + self.im @ other.re)
 
@@ -168,20 +175,31 @@ def b_matrix() -> GMat:
     return _B
 
 
+def _pair_products(mats, terms: int):
+    """(A_mu A_nu)_ik at [mu, i, nu, k] for the eight 16x16 GMats A_mu, as
+    real and imaginary float64 parts: four float64 products over j, exact
+    by exact_float64 for sums of at most ``terms`` products."""
+    re, im = exact_float64(np.array([m.re for m in mats]), np.array([m.im for m in mats]),
+                           degree=2, terms=terms)
+    pair = lambda a, b: (a.reshape(128, 16) @ b.transpose(1, 0, 2).reshape(16, 128)
+                         ).reshape(8, 16, 8, 16)
+    return pair(re, re) - pair(im, im), pair(re, im) + pair(im, re)
+
+
 def verify_clifford() -> VerificationReport:
-    """Gamma_mu Gamma_nu + Gamma_nu Gamma_mu == 2 g_munu Id, all 64 pairs, exact."""
+    """Gamma_mu Gamma_nu + Gamma_nu Gamma_mu == 2 g_munu Id, all 64 pairs, exact.
+
+    All 64 products are one stacked float64 contraction of the Gamma
+    stack, exact by exact_float64; a failing pair names its first wrong
+    entry.
+    """
     rep = VerificationReport("clifford")
-    ident = GMat.eye(16)
-    for mu in range(8):
-        for nu in range(8):
-            anti = _GAMMA[mu] @ _GAMMA[nu] + _GAMMA[nu] @ _GAMMA[mu]
-            want = ident.scale(2 * METRIC[mu]) if mu == nu else GMat.zeros((16, 16))
-            ok = anti == want
-            if not ok:
-                bad = np.argwhere((anti.re != want.re) | (anti.im != want.im))[0]
-                rep.record_case(False, f"pair ({mu},{nu}) entry {tuple(bad)}")
-            else:
-                rep.record_case(True)
+    p_re, p_im = _pair_products(_GAMMA, terms=2 * 16 * 2)
+    want = 2 * np.einsum("mn,ik->mink", np.diag(METRIC), np.eye(16))
+    bad = ((p_re + p_re.transpose(2, 1, 0, 3) != want)
+           | (p_im + p_im.transpose(2, 1, 0, 3) != 0)).transpose(0, 2, 1, 3)
+    rep.record_mask(~bad.any(axis=(2, 3)), lambda mu, nu: (
+        f"pair ({mu},{nu}) entry {tuple(int(i) for i in np.argwhere(bad[mu, nu])[0])}"))
     return rep
 
 
@@ -243,12 +261,17 @@ _Q_SPINOR_TERMS = tuple((int(i), int(j), int(_Q_SPINOR_2.re[i, j]))
                         for i, j in np.argwhere(_Q_SPINOR_2.re))
 
 
-def _real_bivector_rep(mu: int, nu: int) -> np.ndarray:
-    """Action of Gamma_mu Gamma_nu on real spinor components: M^dag G G M / 2."""
-    prod = XI_M.conj_t() @ (_GAMMA[mu] @ _GAMMA[nu]) @ XI_M
-    if not prod.is_real() or (prod.re % 2).any():
+def _real_bivector_reps() -> dict:
+    """Action of Gamma_mu Gamma_nu on real spinor components, M^dag G_mu G_nu
+    M / 2, for every (mu, nu).  M M^dag = 2, so with H_mu = M^dag G_mu M it
+    is H_mu H_nu / 4: sixteen GMat products and one stacked contraction."""
+    h = [XI_M.conj_t() @ g @ XI_M for g in _GAMMA]
+    p_re, p_im = _pair_products(h, terms=2 * 16)
+    bad = np.argwhere(p_im.any(axis=(1, 3)) | (p_re % 4).any(axis=(1, 3)))
+    if len(bad):
+        mu, nu = (int(i) for i in bad[0])
         raise AssertionError(f"bivector ({mu},{nu}) is not real-integral in the spinor basis")
-    return (prod.re // 2).astype(np.float64)
+    return {(mu, nu): p_re[mu, :, nu] / 4 for mu in range(8) for nu in range(8)}
 
 
 _BIV_REP = {}
@@ -256,7 +279,8 @@ _BIV_REP = {}
 
 def real_bivector_rep(mu: int, nu: int) -> np.ndarray:
     if (mu, nu) not in _BIV_REP:
-        _BIV_REP[(mu, nu)] = _real_bivector_rep(mu, nu)
+        for plane, rep in _real_bivector_reps().items():
+            _BIV_REP.setdefault(plane, rep)
     return np.array(_BIV_REP[(mu, nu)])
 
 
@@ -335,6 +359,15 @@ def quadratic_form(x) -> float:
 # rotors
 # ---------------------------------------------------------------------------
 
+def half_angle(compact: bool, theta: float):
+    """(c, s) with L = c - s Gamma_mu Gamma_nu: cos and sin of theta/2 on a
+    compact plane, cosh and sinh of theta/2 on a boost plane."""
+    h = theta / 2.0
+    if compact:
+        return math.cos(h), math.sin(h)
+    return math.cosh(h), math.sinh(h)
+
+
 @dataclass(frozen=True)
 class Rotor:
     """L_mu_nu(theta) = exp(-theta/2 Gamma_mu Gamma_nu) in closed form.
@@ -352,10 +385,7 @@ class Rotor:
         object.__setattr__(self, "compact", METRIC[self.mu] * METRIC[self.nu] > 0)
 
     def half_coeffs(self):
-        h = self.theta / 2.0
-        if self.compact:
-            return math.cos(h), math.sin(h)
-        return math.cosh(h), math.sinh(h)
+        return half_angle(self.compact, self.theta)
 
     def matrix(self) -> np.ndarray:
         c, s = self.half_coeffs()

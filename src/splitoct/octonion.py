@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .exact import exact_float64
 from .report import VerificationReport
 
 UNIT_NAMES = ("1", "j1", "j2", "j3", "I", "J1", "J2", "J3")
@@ -461,41 +462,54 @@ def verify_malcev() -> VerificationReport:
     Every identity is a contraction of the integer tensors 2[,], 12 J and
     4 D, with both sides scaled by one common denominator (8 for the
     Malcev relation, 24 for the Jacobiator identities, 48 for the
-    derivation), so the comparison is exact in int64.
+    derivation).  Each contraction is one two-operand float64 product;
+    every side sums at most 32 products of two entries, so exact_float64
+    certifies that float64 gives the integer result.
     """
     rep = VerificationReport("malcev")
-    b2, bb, j12, d4 = _malcev_tensors()
+    b2, bb, j12, d4 = exact_float64(*_malcev_tensors(), degree=2, terms=32)
     n = UNIT_NAMES[1:]
+    b2_a = b2.transpose(1, 0, 2)[:, None]           # [a, 1, n, k] = b2[n, a, k]
     # x8: [[x,y],[x,z]] = [[[x,y],z],x] + [[[y,z],x],x] + [[[z,x],x],y]
-    malcev = _same(np.einsum("abm,acn,mnk->abck", b2, b2, b2),
-                   np.einsum("abcn,nak->abck", bb, b2)
-                   + np.einsum("bcan,nak->abck", bb, b2)
-                   + np.einsum("caan,nbk->abck", bb, b2))
+    # (the left side contracts [[x,y],n] with [x,z]_n)
+    malcev = _same(b2[:, None] @ bb,
+                   (bb + bb.transpose(2, 0, 1, 3)) @ b2_a
+                   + np.tensordot(np.einsum("caan->can", bb), b2, 1).transpose(1, 2, 0, 3))
     # x24: J(x,y,[x,z]) = [J(x,y,z),x]
-    jxz = _same(np.einsum("abmk,acm->abck", j12, b2),
-                np.einsum("abcm,mak->abck", j12, b2))
+    jxz = _same(b2[:, None] @ j12, j12 @ b2_a)
     rep.record_mask(np.stack([malcev, jxz], axis=-1), lambda a, b, c, i: (
         ("malcev", "J(x,y,xz)=J(x,y,z)x")[i] + f" ({n[a]},{n[b]},{n[c]})"))
 
     # x24: both 4-element identities
-    j_of_b = np.einsum("abm,mcdk->abcdk", b2, j12)     # J([x,y],z,w)
-    b_of_j = np.einsum("abcm,mdk->abcdk", j12, b2)     # [J(x,y,z),w]
-    cyclic = _same(j_of_b + np.einsum("bcm,madk->abcdk", b2, j12)
-                   + np.einsum("cam,mbdk->abcdk", b2, j12),
+    j_of_b = np.tensordot(b2, j12, 1)                # J([x,y],z,w)
+    b_of_j = np.tensordot(j12, b2, 1)                # [J(x,y,z),w]
+    cyclic = _same(j_of_b + j_of_b.transpose(2, 0, 1, 3, 4) + j_of_b.transpose(1, 2, 0, 3, 4),
                    2 * b_of_j)
-    leibniz = _same(np.einsum("abmk,cdm->abcdk", j12, b2),
-                    b_of_j + np.einsum("cmk,abdm->abcdk", b2, j12) - 2 * j_of_b)
+    leibniz = _same(np.tensordot(j12, b2, ([2], [2])).transpose(0, 1, 3, 4, 2),
+                    b_of_j + np.tensordot(j12, b2, ([3], [1])).transpose(0, 1, 3, 2, 4)
+                    - 2 * j_of_b)
     rep.record_mask(np.stack([cyclic, leibniz], axis=-1), lambda a, b, c, d, i: (
         ("4-elem cyclic", "4-elem leibniz")[i] + f" ({n[a]},{n[b]},{n[c]},{n[d]})"))
 
     # x48: D(J(z,u,v)) = J(Dz,u,v) + J(z,Du,v) + J(z,u,Dv), one x at a time:
-    # all 7^5 tuples at once would hold several MB of intermediates
-    derivation = np.stack([
-        _same(np.einsum("bmk,zuvm->bzuvk", d, j12),
-              np.einsum("muvk,bzm->bzuvk", j12, d)
-              + np.einsum("zmvk,bum->bzuvk", j12, d)
-              + np.einsum("zumk,bvm->bzuvk", j12, d))
-        for d in d4[1:]])
+    # all 7^5 tuples at once would hold several MB of intermediates.  With
+    # y, z, u, v over the units, each term is one product over the
+    # component m of the inner value.
+    u = slice(1, None)
+    j_m = j12[u, u, u].reshape(343, 8)                            # J(z,u,v)_m
+    j_z = j12[:, u, u].reshape(8, 392)                            # J(e_m,u,v)
+    j_u = j12[u, :, u].transpose(1, 0, 2, 3).reshape(8, 392)      # J(z,e_m,v)
+    j_v = j12[u, u, :].transpose(2, 0, 1, 3).reshape(8, 392)      # J(z,u,e_m)
+    shape = (7, 7, 7, 7, 8)
+    derivation = []
+    for d in d4[u, u]:                          # D_{x,y}(e_m) at [y, m, k]
+        dz = d[:, u].reshape(49, 8)             # D_{x,y}(e_z)_m at [(y, z), m]
+        lhs = (j_m @ d.transpose(1, 0, 2).reshape(8, 56)).reshape(shape)     # [z,u,v,y,k]
+        rhs = ((dz @ j_z).reshape(shape)
+               + (dz @ j_u).reshape(shape).transpose(0, 2, 1, 3, 4)
+               + (dz @ j_v).reshape(shape).transpose(0, 2, 3, 1, 4))
+        derivation.append((lhs.transpose(3, 0, 1, 2, 4) == rhs).all(axis=-1))
+    derivation = np.stack(derivation)
     rep.record_mask(derivation, lambda a, b, z, u, v: (
         f"5-elem ({n[a]},{n[b]},{n[z]},{n[u]},{n[v]})"))
     return rep
@@ -582,6 +596,14 @@ class _Zorn:
         return _Zorn(c * self.a, tuple(c * p for p in self.v),
                      tuple(c * p for p in self.w), c * self.b)
 
+    def halved(self):
+        """This element over 2; raises unless every entry is even."""
+        entries = (self.a, *self.v, *self.w, self.b)
+        if any(p % 2 for p in entries):
+            raise ConstructionError("an element expected to be twice a unit is not even")
+        return _Zorn(self.a // 2, tuple(p // 2 for p in self.v),
+                     tuple(p // 2 for p in self.w), self.b // 2)
+
     def __mul__(self, other):
         dot = lambda p, q: sum(x * y for x, y in zip(p, q))
         cross = lambda p, q: (p[1] * q[2] - p[2] * q[1],
@@ -602,7 +624,9 @@ def generate_basis_from_J() -> StructureConstants:
     The J_n are modelled as independent anticommuting square-one elements;
     j_n is built as (1/2) eps_nmk J^m J^k, I as J_1 j_1, and the table is
     closed by breadth-first products canonicalized to +/- a known unit.
-    The result must match the hard-coded constants byte for byte.
+    The model stays integral: 2 j_n is formed and halved only when even,
+    and I is compared with the Jacobiator as -3 I.  The result must match
+    the hard-coded constants byte for byte.
     """
     e3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     Jg = {n: _Zorn(0, e3[n - 1], e3[n - 1], 0) for n in (1, 2, 3)}
@@ -617,18 +641,18 @@ def generate_basis_from_J() -> StructureConstants:
 
     jg = {}
     for n in (1, 2, 3):
-        acc = _Zorn(0, (0, 0, 0), (0, 0, 0), 0)
+        acc = _Zorn(0, (0, 0, 0), (0, 0, 0), 0)       # 2 j_n
         for m in (1, 2, 3):
             for k in (1, 2, 3):
                 e = epsilon(n, m, k)
                 if e:
-                    acc = acc + (Jg[m] * Jg[k]).scale(Fraction(e, 2))
-        jg[n] = acc
+                    acc = acc + (Jg[m] * Jg[k]).scale(e)
+        jg[n] = acc.halved()
     Ig = Jg[1] * jg[1]
 
-    # I must coincide with -J(J1,J2,J3) built from plain products
+    # I must coincide with -J(J1,J2,J3) built from plain products, J = jac / 3
     jac = (Jg[1] * Jg[2]) * Jg[3] + (Jg[2] * Jg[3]) * Jg[1] + (Jg[3] * Jg[1]) * Jg[2]
-    if Ig != jac.scale(Fraction(-1, 3)):
+    if Ig.scale(-3) != jac:
         raise ConstructionError("I != -J(J1,J2,J3) in the generator model")
     for n in (2, 3):
         if Jg[n] * jg[n] != Ig:

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import clifford as cl
 from . import octonion as oc
+from .exact import SAMPLE_RANGE, exact_float64
 from .report import VerificationReport
 
 DEFAULT_SEED = 12345
@@ -128,13 +129,20 @@ def _blocks(n: int):
     return ((start, min(BLOCK, n - start)) for start in range(0, n, BLOCK))
 
 
+def _draw(rng, size):
+    """Integer components from [-SAMPLE_RANGE, SAMPLE_RANGE], the range that
+    exact_float64(..., sampled=True) certifies."""
+    return rng.integers(-SAMPLE_RANGE, SAMPLE_RANGE + 1, size=size)
+
+
 def correspondence_check(n_samples: int = 1000, seed: int = DEFAULT_SEED) -> VerificationReport:
     """conj(X)X == X^2 scalar, conj(Phi)Phi == phi^T B phi, conj(Psi)Psi ==
     psi^T B psi on matched integer components, exactly.
 
-    Runs as stacked int64 products, one block of samples at a time: conj(v)v
-    through the octonion structure tensor, X^2 on the Gamma stack and the
-    spinor forms through the exact 2x quadratic-form matrix.
+    Runs as stacked float64 products, exact by exact_float64, one block of
+    samples at a time: conj(v)v through the octonion structure tensor, X^2
+    on the Gamma stack and the spinor forms through the exact 2x
+    quadratic-form matrix.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
@@ -142,25 +150,27 @@ def correspondence_check(n_samples: int = 1000, seed: int = DEFAULT_SEED) -> Ver
                              meta={"seed": seed, "samples": n_samples,
                                    "convention": PINNED_CONVENTION.label})
     rng = np.random.default_rng(seed)
-    g_re = np.array([cl.gamma(mu).re for mu in range(8)])
-    g_im = np.array([cl.gamma(mu).im for mu in range(8)])
-    metric = np.array(cl.METRIC, dtype=np.int64)
-    q2 = cl._Q_SPINOR_2.re
-    eye = np.eye(16, dtype=np.int64)
+    # the largest sum is X^2: 2 x 16 x 8 x 8 products x_a G_a x_b G_b
+    c, g_re, g_im, q2, metric = exact_float64(
+        oc._C.reshape(8, 64), np.array([cl.gamma(mu).re for mu in range(8)]).reshape(8, 256),
+        np.array([cl.gamma(mu).im for mu in range(8)]).reshape(8, 256),
+        cl._Q_SPINOR_2.re, cl.METRIC, degree=4, terms=2 * 16 * 8 * 8, sampled=True)
+    eye = np.eye(16)
     for start, n in _blocks(n_samples):
-        v = rng.integers(-9, 10, size=(n, 3, 8))     # x, phi, psi per sample
+        v = _draw(rng, (n, 3, 8)).astype(np.float64)     # x, phi, psi per sample
         x, phi, psi = v[:, 0], v[:, 1], v[:, 2]
-        prod = np.einsum("ksa,ksb,abc->ksc", v * _CONJ_SIGNS, v, oc._C)
+        # (conj(v) v)_c = sum_b v_b (sum_a conj(v)_a C[a,b,c])
+        prod = (v[..., None, :] @ ((v * _CONJ_SIGNS) @ c).reshape(n, 3, 8, 8))[..., 0, :]
         scalar_only = ~prod[..., 1:].any(axis=2)
-        q = np.einsum("ka,a,ka->k", x, metric, x)
-        x_re = np.einsum("ka,aij->kij", x, g_re)
-        x_im = np.einsum("ka,aij->kij", x, g_im)
+        q = (x * x) @ metric
+        x_re = (x @ g_re).reshape(n, 16, 16)
+        x_im = (x @ g_im).reshape(n, 16, 16)
         sq_re = x_re @ x_re - x_im @ x_im
         sq_im = x_re @ x_im + x_im @ x_re
         mat_ok = ~sq_im.any(axis=(1, 2)) & (sq_re == q[:, None, None] * eye).all(axis=(1, 2))
         vec_ok = scalar_only[:, 0] & (prod[:, 0, 0] == q) & mat_ok
-        inv2_phi = np.einsum("ki,ij,kj->k", phi, q2[0:8, 0:8], phi)
-        inv2_psi = np.einsum("ki,ij,kj->k", psi, q2[8:16, 8:16], psi)
+        inv2_phi = ((phi @ q2[0:8, 0:8]) * phi).sum(axis=1)
+        inv2_psi = ((psi @ q2[8:16, 8:16]) * psi).sum(axis=1)
         spin_ok = (scalar_only[:, 1] & scalar_only[:, 2]
                    & (inv2_phi == 2 * prod[:, 1, 0]) & (inv2_psi == 2 * prod[:, 2, 0]))
         rep.record_mask(np.stack([vec_ok, spin_ok], axis=1),
@@ -395,16 +405,16 @@ def find_dictionary(t1: np.ndarray, t2: np.ndarray) -> CorrespondenceMap:
 
 
 def _verify_dictionary(t1, t2, d: CorrespondenceMap):
-    for a in range(8):
-        for b in range(8):
-            for c in range(8):
-                a2, s1 = d.phi_map[a]
-                b2, s2 = d.x_map[b]
-                c2, s3 = d.psi_map[c]
-                lhs = Fraction(int(t1[a, b, c]))
-                rhs = d.scale * s1 * s2 * s3 * int(t2[a2, b2, c2])
-                if lhs != rhs:
-                    raise OracleError(f"dictionary fails at basis triple ({a},{b},{c})")
+    """t1[a,b,c] == scale s1(a) s2(b) s3(c) t2[perm a, perm b, perm c] on all
+    512 basis triples, compared as q t1 == p (signed t2) for scale p/q in
+    Python ints; raises naming the first failing triple in C order."""
+    index, sign = zip(*(np.array(m).T for m in (d.phi_map, d.x_map, d.psi_map)))
+    mapped = np.einsum("a,b,c->abc", *sign) * np.asarray(t2, dtype=object)[np.ix_(*index)]
+    bad = np.argwhere(d.scale.denominator * np.asarray(t1, dtype=object)
+                      != d.scale.numerator * mapped)
+    if len(bad):
+        a, b, c = (int(i) for i in bad[0])
+        raise OracleError(f"dictionary fails at basis triple ({a},{b},{c})")
 
 
 _ORACLE_CACHE = None
@@ -600,6 +610,11 @@ def _random_plane(rng):
     return mu, nu
 
 
+def _half_angle(mu: int, nu: int, theta: float):
+    """cl.rotor(mu, nu, theta).half_coeffs(), without the Rotor."""
+    return cl.half_angle(cl.METRIC[mu] * cl.METRIC[nu] > 0, theta)
+
+
 def _spinor_generators() -> np.ndarray:
     """real_bivector_rep(mu, nu) of every plane, stacked at index 8 mu + nu."""
     out = np.zeros((64, 16, 16))
@@ -650,24 +665,23 @@ def rotor_invariance_check(n_rotors: int = 1000, seed: int = DEFAULT_SEED,
 
     The residual of a sample is the change of its invariant over the
     squared Euclidean norm of the data, before or after, at least 1.
-    Samples are drawn one by one and acted on in stacks of BLOCK.
+    Each sample draws its plane, its angle and then its 24 components in
+    one call; samples are acted on in stacks of BLOCK.
     """
     rep = VerificationReport("rotor-invariance", exact=False,
                              meta={"seed": seed, "samples": n_rotors, "tolerance": tol})
     rng = np.random.default_rng(seed)
     gens = _spinor_generators()
     for start, n in _blocks(n_rotors):
-        planes = np.empty((n, 2), dtype=np.intp)
-        half = np.empty((n, 2))
-        x = np.empty((n, 8))
-        eta = np.empty((n, 1, 16))
-        for k in range(n):
+        planes, half, samples = [], [], []
+        for _ in range(n):
             mu, nu = _random_plane(rng)
-            theta = float(rng.uniform(-3, 3))
-            planes[k] = mu, nu
-            half[k] = cl.rotor(mu, nu, theta).half_coeffs()
-            x[k] = rng.integers(-9, 10, size=8)
-            eta[k, 0] = rng.integers(-9, 10, size=16)
+            planes.append((mu, nu))
+            half.append(_half_angle(mu, nu, float(rng.uniform(-3, 3))))
+            samples.append(_draw(rng, 24))               # x, then eta
+        planes, half = np.array(planes, dtype=np.intp), np.array(half)
+        v = np.array(samples, dtype=np.float64)
+        x, eta = v[:, :8], v[:, None, 8:]
         rows = np.arange(n)
         x1 = x.copy()
         _turn_vectors(x1, rows, *planes.T, *half.T)
@@ -706,18 +720,21 @@ def trilinear_invariance_check(n_samples: int = 200, seed: int = DEFAULT_SEED,
     rng = np.random.default_rng(seed)
     gens = _spinor_generators()
     for start, n in _blocks(n_samples):
-        lengths = np.empty(n, dtype=np.intp)
-        planes = np.zeros((n, 8, 2), dtype=np.intp)
-        half = np.zeros((n, 8, 2))
-        v = np.empty((n, 3, 8))                     # phi, x, psi per sample
-        for k in range(n):
-            lengths[k] = int(rng.integers(1, 9))
-            for j in range(lengths[k]):
+        lengths, planes, half, samples = [], [], [], []
+        for _ in range(n):
+            length = int(rng.integers(1, 9))
+            lengths.append(length)
+            for _ in range(length):
                 mu, nu = _random_plane(rng)
-                planes[k, j] = mu, nu
-                half[k, j] = cl.rotor(mu, nu, float(rng.uniform(-2, 2))).half_coeffs()
-            for slot in range(3):
-                v[k, slot] = rng.integers(-9, 10, size=8)
+                planes.append((mu, nu))
+                half.append(_half_angle(mu, nu, float(rng.uniform(-2, 2))))
+            planes.extend([(0, 0)] * (8 - length))      # unused word slots
+            half.extend([(0.0, 0.0)] * (8 - length))
+            samples.append(_draw(rng, 24))               # phi, x, psi
+        lengths = np.array(lengths, dtype=np.intp)
+        planes = np.array(planes, dtype=np.intp).reshape(n, 8, 2)
+        half = np.array(half).reshape(n, 8, 2)
+        v = np.array(samples, dtype=np.float64).reshape(n, 3, 8)
         phi, x, psi = v[:, 0], v[:, 1], v[:, 2]
         x1 = x.copy()
         eta = np.zeros((n, 2, 16))
@@ -744,28 +761,35 @@ def dictionary_random_check(n_samples: int = 1000, seed: int = DEFAULT_SEED) -> 
     """Oracle dictionary applied to random integer triples: residual must be
     exactly zero in rational arithmetic.
 
-    Runs on int64 stacks, one block of samples at a time, as trilinear_both
-    does per sample: the matrix form through the trilinear slices, the
-    dictionary as index and sign arrays, and -inner(conj(Phi), X Psi)
-    through the octonion structure tensor.  With scale = p/q the two sides
-    agree when 2 q F_matrix == p (2 F_oct).
+    Runs on float64 stacks, exact by exact_float64, one block of samples at
+    a time, as trilinear_both does per sample: the matrix form through the
+    trilinear slices, the dictionary as index and sign arrays, and
+    -inner(conj(Phi), X Psi) through the octonion structure tensor.  With
+    scale = p/q the two sides agree when 2 q F_matrix == p (2 F_oct).
     """
     rep = VerificationReport("trilinear-dictionary",
                              meta={"seed": seed, "samples": n_samples})
     d = equivalence_map()
     maps = [np.array(m, dtype=np.int64).T for m in (d.phi_map, d.x_map, d.psi_map)]
-    slices = np.array(cl._TRI_SLICES)
-    inner2 = _conj_inner2()
+    p, q = d.scale.numerator, d.scale.denominator
+    # the largest sum is p (2 F_oct): p x 8^4 products phi_a M[a,j] x_b psi_c C[b,c,j]
+    slices, c, inner2 = exact_float64(
+        np.array(cl._TRI_SLICES).transpose(1, 0, 2).reshape(8, 64), oc._C.reshape(8, 64),
+        _conj_inner2(), degree=5, terms=2 * max(abs(p), q) * 8 ** 4, sampled=True)
     rng = np.random.default_rng(seed)
     for start, n in _blocks(n_samples):
-        v = rng.integers(-9, 10, size=(n, 3, 8))     # phi, x, psi per sample
-        mat = np.einsum("kb,ki,bij,kj->k", v[:, 1], v[:, 0], slices, v[:, 2])
+        v = _draw(rng, (n, 3, 8)).astype(np.float64)     # phi, x, psi per sample
+        phi, x, psi = v[:, 0], v[:, 1], v[:, 2]
+        # F_matrix = sum_b x_b (phi K_b psi), with K_b[i, j] at [i, (b, j)]
+        mat = ((phi @ slices).reshape(n, 8, 8) @ psi[:, :, None])[:, :, 0]
+        mat = (mat * x).sum(axis=1)
         o = np.zeros_like(v)
         for slot, (index, sign) in enumerate(maps):
             o[:, slot, index] = sign * v[:, slot]
-        xpsi = np.einsum("ka,kb,abc->kc", o[:, 1], o[:, 2], oc._C)
-        oct2 = -np.einsum("ka,kj,aj->k", o[:, 0], xpsi, inner2)     # 2 F_oct
-        ok = 2 * d.scale.denominator * mat == d.scale.numerator * oct2
+        # (X Psi)_c = sum_b psi_b (sum_a x_a C[a,b,c])
+        xpsi = (o[:, 2, None, :] @ (o[:, 1] @ c).reshape(n, 8, 8))[:, 0]
+        oct2 = -((o[:, 0] @ inner2) * xpsi).sum(axis=1)        # 2 F_oct
+        ok = 2 * q * mat == p * oct2
         rep.record_mask(ok, lambda k, start=start: f"triple {start + k}")
     rep.meta["dictionary"] = d.to_json()
     return rep
@@ -778,8 +802,8 @@ def double_cover_check(tol: float = 1e-12) -> VerificationReport:
     compact_planes = [(mu, nu) for mu in range(8) for nu in range(8)
                       if mu != nu and cl.METRIC[mu] * cl.METRIC[nu] > 0]
     for mu, nu in compact_planes:
-        x = rng.integers(-9, 10, size=8).astype(np.float64)
-        eta = rng.integers(-9, 10, size=16).astype(np.float64)
+        x = _draw(rng, 8).astype(np.float64)
+        eta = _draw(rng, 16).astype(np.float64)
         r2 = cl.rotor(mu, nu, 2 * math.pi)
         r4 = cl.rotor(mu, nu, 4 * math.pi)
         rv = float(np.max(np.abs(cl.rotate_vector(x, r2) - x)))

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from splitoct import clifford as cl
+from splitoct import exact
 from splitoct import octonion as oc
 from splitoct import triality as tr
 from splitoct.report import VerificationReport
@@ -154,3 +155,54 @@ def test_contracted_sweeps_stay_small(sweep):
     # dictionary check works in blocks: one (1000, 8, 8, 8) int64 stack
     # would hold 4 MB
     assert peak_mb(sweep) < 2.0
+
+
+def test_malcev_and_clifford_stay_small():
+    # the derivation runs one first index at a time (about 1.4 MB); all
+    # seven at once would hold several MB
+    assert peak_mb(oc.verify_malcev) < 3.0
+    assert peak_mb(cl.verify_clifford) < 1.5
+
+
+class TestExactFloat64:
+    """The guard in front of every float64 product on integer operands."""
+
+    def test_casts_within_bound(self):
+        a = np.array([[3, -4], [0, 2]])
+        (f,) = exact.exact_float64(a, degree=2, terms=8)
+        assert f.dtype == np.float64 and np.array_equal(f, a)
+
+    def test_bound_is_terms_times_power(self):
+        # 2^26 squared is 2^52: two such products reach 2^53 and are refused
+        a = np.array([2 ** 26, -(2 ** 26)])
+        exact.exact_float64(a, degree=2, terms=1)
+        with pytest.raises(OverflowError):
+            exact.exact_float64(a, degree=2, terms=2)
+        with pytest.raises(OverflowError):
+            exact.exact_float64(np.array([1]), a, degree=3, terms=1)
+
+    def test_largest_entry_of_any_factor_counts(self):
+        small, big = np.ones((4, 4), dtype=np.int64), np.array([-(2 ** 40)])
+        with pytest.raises(OverflowError):
+            exact.exact_float64(small, big, degree=2, terms=1)
+
+    def test_int64_extremes(self):
+        assert exact.magnitude(np.array([np.iinfo(np.int64).min, 5])) == 2 ** 63
+        with pytest.raises(OverflowError):
+            exact.exact_float64(np.array([np.iinfo(np.int64).min]), degree=1, terms=1)
+
+    def test_sampled_range_counts(self, monkeypatch):
+        # sampled components enter the bound through SAMPLE_RANGE
+        one = np.array([1])
+        exact.exact_float64(one, degree=16, terms=1)
+        with pytest.raises(OverflowError):
+            exact.exact_float64(one, degree=17, terms=1, sampled=True)    # 9^17 > 2^53
+        monkeypatch.setattr(exact, "SAMPLE_RANGE", 2 ** 14)
+        with pytest.raises(OverflowError):
+            exact.exact_float64(oc._C, degree=4, terms=2048, sampled=True)
+
+    @pytest.mark.parametrize("suite", [tr.correspondence_check, tr.dictionary_random_check])
+    def test_sampled_suites_refuse_a_wider_range(self, monkeypatch, suite):
+        monkeypatch.setattr(exact, "SAMPLE_RANGE", 2 ** 14)
+        with pytest.raises(OverflowError):
+            suite(10)

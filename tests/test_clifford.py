@@ -5,6 +5,7 @@ import pytest
 
 from splitoct import clifford as cl
 from splitoct import triality as tr
+from splitoct.report import VerificationReport
 
 
 def test_alpha_index_range():
@@ -55,6 +56,89 @@ def test_clifford_sweep():
     rep = cl.verify_clifford()
     assert rep.passed
     assert rep.cases == 64
+
+
+def reference_clifford():
+    """The per-pair GMat sweep that the stacked contraction replaced."""
+    rep = VerificationReport("clifford")
+    ident = cl.GMat.eye(16)
+    for mu in range(8):
+        for nu in range(8):
+            anti = cl._GAMMA[mu] @ cl._GAMMA[nu] + cl._GAMMA[nu] @ cl._GAMMA[mu]
+            want = ident.scale(2 * cl.METRIC[mu]) if mu == nu else cl.GMat.zeros((16, 16))
+            bad = np.argwhere((anti.re != want.re) | (anti.im != want.im))
+            rep.record_case(not len(bad), f"pair ({mu},{nu}) entry {tuple(int(i) for i in bad[0])}"
+                            if len(bad) else "")
+    return rep
+
+
+def _gamma_with(mu, g):
+    gammas = list(cl._GAMMA)
+    gammas[mu] = g
+    return gammas
+
+
+def _first_entry_negated(g):
+    re, im = g.re.copy(), g.im.copy()
+    r, c = np.argwhere(re | im)[0]
+    re[r, c], im[r, c] = -re[r, c], -im[r, c]
+    return cl.GMat(re, im)
+
+
+# Gamma_3 replaced by Gamma_2; one entry of Gamma_5 negated; Gamma_6 doubled
+CORRUPT_GAMMAS = [
+    (3, lambda: cl._GAMMA[2]),
+    (5, lambda: _first_entry_negated(cl._GAMMA[5])),
+    (6, lambda: cl._GAMMA[6].scale(2)),
+]
+
+
+@pytest.mark.parametrize("mu,make", CORRUPT_GAMMAS)
+def test_clifford_witnesses_match_pair_loop(monkeypatch, mu, make):
+    monkeypatch.setattr(cl, "_GAMMA", _gamma_with(mu, make()))
+    rep = cl.verify_clifford()
+    want = reference_clifford()
+    assert (rep.cases, rep.failures, rep.failure_details) == (
+        want.cases, want.failures, want.failure_details)
+    assert rep.failures > 0
+    assert all("np." not in d for d in rep.failure_details)
+
+
+def test_clifford_witness_names_plain_ints(monkeypatch):
+    monkeypatch.setattr(cl, "_GAMMA", _gamma_with(3, cl._GAMMA[2]))
+    assert cl.verify_clifford().failure_details[0] == "pair (2,3) entry (0, 0)"
+
+
+class TestGMatCeiling:
+    """GMat products refuse operands whose product may leave int64."""
+
+    def test_wide_square_is_refused(self):
+        x = cl.vector_to_matrix_exact([4 * 10 ** 9, 0, 0, 0, 0, 0, 0, 0])
+        with pytest.raises(OverflowError):
+            x @ x
+
+    @pytest.mark.parametrize("mu", [0, 5])
+    def test_boundary(self, mu):
+        # X = k Gamma_mu has one entry k (or ik) per row, so every partial sum
+        # of X X is at most 16 k^2: the largest k with 16 k^2 < 2^63 passes
+        k = math.isqrt((2 ** 63 - 1) // 16)
+        e = [0] * 8
+        e[mu] = k
+        x = cl.vector_to_matrix_exact(e)
+        assert x @ x == cl.GMat.eye(16).scale(cl.METRIC[mu] * k * k)
+        e[mu] = k + 1
+        x = cl.vector_to_matrix_exact(e)
+        with pytest.raises(OverflowError):
+            x @ x
+
+    def test_mixed_parts_count_both(self):
+        # the real part of a product takes re re' and im im' alike
+        k = math.isqrt((2 ** 63 - 1) // 32)
+        a = cl.GMat(np.eye(16, dtype=np.int64) * k, np.eye(16, dtype=np.int64) * k)
+        assert (a @ a).im[0, 0] == 2 * k * k
+        b = cl.GMat(np.eye(16, dtype=np.int64) * (k + 1), np.eye(16, dtype=np.int64) * (k + 1))
+        with pytest.raises(OverflowError):
+            b @ b
 
 
 def test_b_matrix_properties():

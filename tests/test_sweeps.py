@@ -252,3 +252,54 @@ def test_generated_j1_is_J2J3():
 def test_generated_I_squares_to_one():
     table = oc.generate_basis_from_J()
     assert table.product(4, 4) == (0, 1)
+
+
+def reference_verify_dictionary(t1, t2, d):
+    """The per-triple Fraction loop that the vectorised comparison replaced:
+    the first failing basis triple in C order, or None."""
+    for a, b, c in itertools.product(range(8), repeat=3):
+        a2, s1 = d.phi_map[a]
+        b2, s2 = d.x_map[b]
+        c2, s3 = d.psi_map[c]
+        if Fraction(int(t1[a, b, c])) != d.scale * s1 * s2 * s3 * int(t2[a2, b2, c2]):
+            return f"dictionary fails at basis triple ({a},{b},{c})"
+    return None
+
+
+def _sign_flipped(d, slot, k):
+    m = list(getattr(d, slot))
+    m[k] = (m[k][0], -m[k][1])
+    return dataclasses.replace(d, **{slot: tuple(m)})
+
+
+@pytest.mark.parametrize("slot,k", [("phi_map", 0), ("phi_map", 6), ("x_map", 3),
+                                    ("psi_map", 7)])
+def test_verify_dictionary_names_first_failing_triple(slot, k):
+    t1, t2 = tr.matrix_trilinear_tensor(), tr.oct_trilinear_tensor()
+    d = _sign_flipped(tr.equivalence_map(), slot, k)
+    want = reference_verify_dictionary(t1, t2, d)
+    assert want is not None
+    with pytest.raises(tr.OracleError) as err:
+        tr._verify_dictionary(t1, t2, d)
+    assert str(err.value) == want
+
+
+def test_verify_dictionary_scale_and_pass():
+    t1, t2 = tr.matrix_trilinear_tensor(), tr.oct_trilinear_tensor()
+    d = tr.equivalence_map()
+    assert reference_verify_dictionary(t1, t2, d) is None
+    tr._verify_dictionary(t1, t2, d)
+    for scale in (-d.scale, d.scale / 2, 3 * d.scale):
+        wrong = dataclasses.replace(d, scale=scale)
+        with pytest.raises(tr.OracleError) as err:
+            tr._verify_dictionary(t1, t2, wrong)
+        assert str(err.value) == reference_verify_dictionary(t1, t2, wrong)
+    # doubling one tensor is matched exactly by doubling the scale
+    tr._verify_dictionary(2 * t1, t2, dataclasses.replace(d, scale=2 * d.scale))
+
+
+def test_zorn_halving_needs_even_entries():
+    z = oc._Zorn(2, (0, 4, -2), (6, 0, 0), -8)
+    assert z.halved() == oc._Zorn(1, (0, 2, -1), (3, 0, 0), -4)
+    with pytest.raises(oc.ConstructionError):
+        oc._Zorn(2, (0, 3, 0), (0, 0, 0), 0).halved()
