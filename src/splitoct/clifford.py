@@ -265,7 +265,8 @@ def _real_bivector_reps() -> dict:
     """Action of Gamma_mu Gamma_nu on real spinor components, M^dag G_mu G_nu
     M / 2, for every (mu, nu).  M M^dag = 2, so with H_mu = M^dag G_mu M it
     is H_mu H_nu / 4: sixteen GMat products and one stacked contraction."""
-    h = [XI_M.conj_t() @ g @ XI_M for g in _GAMMA]
+    m_dag = XI_M.conj_t()
+    h = [m_dag @ g @ XI_M for g in _GAMMA]
     p_re, p_im = _pair_products(h, terms=2 * 16)
     bad = np.argwhere(p_im.any(axis=(1, 3)) | (p_re % 4).any(axis=(1, 3)))
     if len(bad):
@@ -433,7 +434,7 @@ def rotate_vector(x, r: Rotor) -> np.ndarray:
     if x.shape != (8,):
         raise ValueError("vector needs 8 components")
     mu, nu = r.mu, r.nu
-    x[mu], x[nu] = turn_pair(x[mu], x[nu], mu, nu, *r.half_coeffs())
+    x[mu], x[nu] = turn_pair(x[mu], x[nu], mu, nu, *half_angle(r.compact, r.theta))
     return x
 
 
@@ -447,7 +448,7 @@ def rotate_spinor(eta, r: Rotor) -> np.ndarray:
     eta = np.asarray(eta, dtype=np.float64)
     if eta.shape != (16,):
         raise ValueError("spinor needs 16 components")
-    c, s = r.half_coeffs()
+    c, s = half_angle(r.compact, r.theta)
     return c * eta - s * (real_bivector_rep(r.mu, r.nu) @ eta)
 
 

@@ -16,6 +16,12 @@ SAMPLE_RANGE = 9
 FLOAT64_EXACT = 2 ** 53
 
 
+def sample_integers(rng, size):
+    """Integer components from [-SAMPLE_RANGE, SAMPLE_RANGE], the range that
+    exact_float64(..., sampled=True) counts."""
+    return rng.integers(-SAMPLE_RANGE, SAMPLE_RANGE + 1, size=size)
+
+
 def magnitude(a) -> int:
     """The largest |entry| of an integer array, as a Python int (0 if empty)."""
     a = np.asarray(a)

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import clifford as cl
 from . import octonion as oc
-from .exact import SAMPLE_RANGE, exact_float64
+from .exact import exact_float64, sample_integers
 from .report import VerificationReport
 
 DEFAULT_SEED = 12345
@@ -129,12 +129,6 @@ def _blocks(n: int):
     return ((start, min(BLOCK, n - start)) for start in range(0, n, BLOCK))
 
 
-def _draw(rng, size):
-    """Integer components from [-SAMPLE_RANGE, SAMPLE_RANGE], the range that
-    exact_float64(..., sampled=True) certifies."""
-    return rng.integers(-SAMPLE_RANGE, SAMPLE_RANGE + 1, size=size)
-
-
 def correspondence_check(n_samples: int = 1000, seed: int = DEFAULT_SEED) -> VerificationReport:
     """conj(X)X == X^2 scalar, conj(Phi)Phi == phi^T B phi, conj(Psi)Psi ==
     psi^T B psi on matched integer components, exactly.
@@ -157,7 +151,7 @@ def correspondence_check(n_samples: int = 1000, seed: int = DEFAULT_SEED) -> Ver
         cl._Q_SPINOR_2.re, cl.METRIC, degree=4, terms=2 * 16 * 8 * 8, sampled=True)
     eye = np.eye(16)
     for start, n in _blocks(n_samples):
-        v = _draw(rng, (n, 3, 8)).astype(np.float64)     # x, phi, psi per sample
+        v = sample_integers(rng, (n, 3, 8)).astype(np.float64)      # x, phi, psi
         x, phi, psi = v[:, 0], v[:, 1], v[:, 2]
         # (conj(v) v)_c = sum_b v_b (sum_a conj(v)_a C[a,b,c])
         prod = (v[..., None, :] @ ((v * _CONJ_SIGNS) @ c).reshape(n, 3, 8, 8))[..., 0, :]
@@ -678,7 +672,7 @@ def rotor_invariance_check(n_rotors: int = 1000, seed: int = DEFAULT_SEED,
             mu, nu = _random_plane(rng)
             planes.append((mu, nu))
             half.append(_half_angle(mu, nu, float(rng.uniform(-3, 3))))
-            samples.append(_draw(rng, 24))               # x, then eta
+            samples.append(sample_integers(rng, 24))     # x, then eta
         planes, half = np.array(planes, dtype=np.intp), np.array(half)
         v = np.array(samples, dtype=np.float64)
         x, eta = v[:, :8], v[:, None, 8:]
@@ -730,7 +724,7 @@ def trilinear_invariance_check(n_samples: int = 200, seed: int = DEFAULT_SEED,
                 half.append(_half_angle(mu, nu, float(rng.uniform(-2, 2))))
             planes.extend([(0, 0)] * (8 - length))      # unused word slots
             half.extend([(0.0, 0.0)] * (8 - length))
-            samples.append(_draw(rng, 24))               # phi, x, psi
+            samples.append(sample_integers(rng, 24))     # phi, x, psi
         lengths = np.array(lengths, dtype=np.intp)
         planes = np.array(planes, dtype=np.intp).reshape(n, 8, 2)
         half = np.array(half).reshape(n, 8, 2)
@@ -778,7 +772,7 @@ def dictionary_random_check(n_samples: int = 1000, seed: int = DEFAULT_SEED) -> 
         _conj_inner2(), degree=5, terms=2 * max(abs(p), q) * 8 ** 4, sampled=True)
     rng = np.random.default_rng(seed)
     for start, n in _blocks(n_samples):
-        v = _draw(rng, (n, 3, 8)).astype(np.float64)     # phi, x, psi per sample
+        v = sample_integers(rng, (n, 3, 8)).astype(np.float64)      # phi, x, psi
         phi, x, psi = v[:, 0], v[:, 1], v[:, 2]
         # F_matrix = sum_b x_b (phi K_b psi), with K_b[i, j] at [i, (b, j)]
         mat = ((phi @ slices).reshape(n, 8, 8) @ psi[:, :, None])[:, :, 0]
@@ -802,8 +796,8 @@ def double_cover_check(tol: float = 1e-12) -> VerificationReport:
     compact_planes = [(mu, nu) for mu in range(8) for nu in range(8)
                       if mu != nu and cl.METRIC[mu] * cl.METRIC[nu] > 0]
     for mu, nu in compact_planes:
-        x = _draw(rng, 8).astype(np.float64)
-        eta = _draw(rng, 16).astype(np.float64)
+        x = sample_integers(rng, 8).astype(np.float64)
+        eta = sample_integers(rng, 16).astype(np.float64)
         r2 = cl.rotor(mu, nu, 2 * math.pi)
         r4 = cl.rotor(mu, nu, 4 * math.pi)
         rv = float(np.max(np.abs(cl.rotate_vector(x, r2) - x)))

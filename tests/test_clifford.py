@@ -67,8 +67,10 @@ def reference_clifford():
             anti = cl._GAMMA[mu] @ cl._GAMMA[nu] + cl._GAMMA[nu] @ cl._GAMMA[mu]
             want = ident.scale(2 * cl.METRIC[mu]) if mu == nu else cl.GMat.zeros((16, 16))
             bad = np.argwhere((anti.re != want.re) | (anti.im != want.im))
-            rep.record_case(not len(bad), f"pair ({mu},{nu}) entry {tuple(int(i) for i in bad[0])}"
-                            if len(bad) else "")
+            if len(bad):
+                rep.record_case(False, f"pair ({mu},{nu}) entry {tuple(int(i) for i in bad[0])}")
+            else:
+                rep.record_case(True)
     return rep
 
 
