@@ -520,13 +520,10 @@ def _spinor_blocks(apply16):
 
 
 def _check_generator(rep, name, got, want, tol=FD_TOL):
-    resid = float(np.max(np.abs(got - want)))
-    for i in range(got.shape[0]):
-        for j in range(got.shape[1]):
-            rep.record_case(abs(got[i, j] - want[i, j]) <= tol,
-                            f"{name}[{i},{j}] got {got[i, j]:.3e} want {want[i, j]}",
-                            residual=abs(got[i, j] - want[i, j]))
-    return resid
+    """One case per entry, in C order; a failing entry names its values."""
+    resid = np.abs(got - want)
+    rep.record_mask(resid <= tol, lambda i, j: (
+        f"{name}[{i},{j}] got {got[i, j]:.3e} want {want[i, j]}"), residual=resid)
 
 
 def infinitesimal_table_check(plane: str = "01") -> VerificationReport:

@@ -3,6 +3,7 @@
 The references draw from the generator in the same order and apply the
 public single-call kernels one sample at a time.
 """
+import json
 import tracemalloc
 
 import numpy as np
@@ -206,3 +207,33 @@ class TestExactFloat64:
         monkeypatch.setattr(exact, "SAMPLE_RANGE", 2 ** 14)
         with pytest.raises(OverflowError):
             suite(10)
+
+
+def reference_check_generator(rep, name, got, want, tol=tr.FD_TOL):
+    """The per-entry loop that the masked check replaced."""
+    for i in range(got.shape[0]):
+        for j in range(got.shape[1]):
+            rep.record_case(abs(got[i, j] - want[i, j]) <= tol,
+                            f"{name}[{i},{j}] got {got[i, j]:.3e} want {want[i, j]}",
+                            residual=abs(got[i, j] - want[i, j]))
+
+
+@pytest.mark.parametrize("table,suite", [
+    ("L01_X", lambda: tr.infinitesimal_table_check("01")),
+    ("L04_PSI", tr.boost_table_check),
+    ("COMPOSITE_PHI", tr.role_swap_check),
+])
+@pytest.mark.parametrize("corrupt", [None, "sign", "nudge"])
+def test_generator_tables_match_entry_loop(monkeypatch, table, suite, corrupt):
+    bad = getattr(tr, table).copy()
+    if corrupt == "sign":
+        bad[np.nonzero(bad)[0][0], np.nonzero(bad)[1][0]] *= -1
+    elif corrupt == "nudge":
+        bad[3, 3] += 1e-3
+        bad[5, 2] += 2e-9                  # inside the tolerance: passes, raises the residual
+    monkeypatch.setattr(tr, table, bad)
+    rep = suite()
+    monkeypatch.setattr(tr, "_check_generator", reference_check_generator)
+    want = suite()
+    assert json.dumps(rep.to_json(), sort_keys=True) == json.dumps(want.to_json(), sort_keys=True)
+    assert rep.passed == (corrupt is None)
