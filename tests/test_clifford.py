@@ -121,8 +121,8 @@ class TestGMatCeiling:
 
     @pytest.mark.parametrize("mu", [0, 5])
     def test_boundary(self, mu):
-        # X = k Gamma_mu has one entry k (or ik) per row, so every partial sum
-        # of X X is at most 16 k^2: the largest k with 16 k^2 < 2^63 passes
+        # X = k Gamma_mu has entries 0 and +-k (or +-ik), so the bound the
+        # product checks is 16 k^2: the largest k with 16 k^2 < 2^63 passes
         k = math.isqrt((2 ** 63 - 1) // 16)
         e = [0] * 8
         e[mu] = k
