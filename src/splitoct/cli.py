@@ -2,7 +2,8 @@
 trilinear evaluations with machine-readable output.
 
 Structured output goes to stdout, diagnostics to stderr.  Exit codes:
-0 success / all suites pass, 1 verification failure, 2 usage error.
+0 success / all suites pass, 1 verification failure, 2 usage error.  Only
+`verify` imports numpy; the other subcommands run on the standard library.
 """
 from __future__ import annotations
 
@@ -10,10 +11,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from . import clifford as cl
 from . import octonion as oc
@@ -26,15 +24,11 @@ OVERFLOW = "the result overflows float64"
 DRIFT_LIMIT = 1e-8      # largest invariant change, relative to |input|^2
 
 
-@dataclass
 class RunConfig:
     """What `verify` reads beyond the suite name."""
 
-    seed: int
-    tolerance: float
-    samples: int
-
-    def __post_init__(self):
+    def __init__(self, seed: int, tolerance: float, samples: int):
+        self.seed, self.tolerance, self.samples = seed, tolerance, samples
         if not self.tolerance > 0:
             raise ValueError("tolerance must be positive")
         if self.samples < 1:
@@ -77,11 +71,16 @@ def _num(v):
     """JSON-safe scalar: exact ints stay ints, Fractions become strings."""
     if isinstance(v, Fraction):
         return int(v) if v.denominator == 1 else str(v)
-    if isinstance(v, (np.integer,)):
-        return int(v)
-    if isinstance(v, (np.floating,)):
-        return float(v)
     return v
+
+
+def _round12(v: float) -> float:
+    """v rounded to 12 decimals as numpy.round does it: scale by 1e12, round
+    half to even, scale back; the sign of a zero is kept."""
+    y = v * 1e12
+    if not math.isfinite(y):
+        return y / 1e12
+    return math.copysign(float(round(y)), y) / 1e12
 
 
 # ---------------------------------------------------------------------------
@@ -220,11 +219,11 @@ def cmd_rotate(args) -> int:
     r = cl.rotor(mu, nu, args.theta)
     if args.target == "vector":
         before = cl.quadratic_form(comps)
-        out = cl.rotate_vector(np.asarray(comps), r)
+        out = cl.rotate_vector_list(comps, r)
         after = cl.quadratic_form(out)
     else:
         before = cl.spinor_invariant(comps)
-        out = cl.rotate_spinor(np.asarray(comps), r)
+        out = cl.rotate_spinor_list(comps, r)
         after = cl.spinor_invariant(out)
     _require_finite(OVERFLOW, [*out, before, after])
     # a compact rotation keeps |x|, so only a boost strong enough to lose
@@ -234,8 +233,7 @@ def cmd_rotate(args) -> int:
                             "the boost is too strong for float64")
     payload = {"target": args.target, "plane": [mu, nu],
                "compact": r.compact, "theta": args.theta,
-               "input": [float(v) for v in comps],
-               "output": [float(v) for v in out],
+               "input": comps, "output": out,
                "invariant_before": _num(before), "invariant_after": _num(after)}
     if args.format == "json":
         _emit_json(payload)
@@ -246,8 +244,8 @@ def cmd_rotate(args) -> int:
     else:
         kind = "compact rotation" if r.compact else "hyperbolic boost"
         print(f"{kind} in plane ({mu},{nu}), theta={args.theta}")
-        print("input :", np.round(comps, 12).tolist())
-        print("output:", np.round(out, 12).tolist())
+        print("input :", [_round12(v) for v in comps])
+        print("output:", [_round12(v) for v in out])
         print(f"invariant: {before} -> {after}")
     return 0
 
@@ -301,6 +299,8 @@ def cmd_trilinear(args) -> int:
 def cmd_matrices(args) -> int:
     exact = args.mode == "exact"
     which = args.which
+    if args.index is not None and which not in ("alpha", "gamma"):
+        return _usage_error(f"--index selects one alpha or gamma matrix; '{which}' has none")
     out = {}
     if which == "alpha":
         sel = range(8) if args.index is None else [args.index]
@@ -403,9 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        # float64 overflow is refused where a command emits its values
-        with np.errstate(over="ignore", invalid="ignore"):
-            return args.fn(args)
+        return args.fn(args)
     except (cl.ChiralityError, UsageError, ValueError) as exc:
         return _usage_error(str(exc))
     except OverflowError:

@@ -2,27 +2,27 @@
 
 The eight 8x8 alpha matrices are data (entries in {0, +-1, +-i}); the
 16x16 generators are Gamma_mu = A_mu for mu<4 and i*A_mu for mu>=4, with
-A_mu = [[0, alpha], [alpha^dagger, 0]].  Exact work runs on Gaussian
-integers held as paired int64 arrays; rotors act on real float64
-components (vectors in closed form, spinors through integer bivector
-matrices), and the complex128 conjugation L X L^{-1} is kept as their
-oracle.  The module also owns the grade-4 element B = -G1 G3 G5 G7, the
-spinor basis-change matrix and everything built on them (rotors,
-invariants, the trilinear form).
+A_mu = [[0, alpha], [alpha^dagger, 0]].  Every exact object is held as
+sparse rows of Gaussian integers in Python ints (``GMat``), and the checks
+run at import (the Clifford relations, the basis change, the spinor form,
+the trilinear slices) are exact sparse compositions.  Rotors act on real
+float components: vectors in closed form, spinors through the signed
+permutation of each bivector.  Float sums of several terms (the invariants,
+the float trilinear form) are correctly rounded (``math.fsum``), so they do
+not depend on the machine.  numpy is imported only by the dense views and
+the complex128 conjugation L X L^{-1} kept as the rotors' oracle.  The
+module also owns the grade-4 element B = -G1 G3 G5 G7, the spinor
+basis-change matrix and everything built on them (rotors, invariants, the
+trilinear form).
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
-from .exact import exact_float64, magnitude
 from .report import VerificationReport
 
 METRIC = (1, 1, 1, 1, -1, -1, -1, -1)
-_INT64_MAX = 2 ** 63 - 1
 
 
 class ChiralityError(ValueError):
@@ -34,71 +34,173 @@ class NotGrade1Error(ValueError):
 
 
 class GMat:
-    """Dense matrix of Gaussian integers (exact), as paired int64 arrays."""
+    """Matrix of Gaussian integers, held as sparse rows of Python ints.
 
-    __slots__ = ("re", "im")
+    Row r is a tuple of (column, re, im) triples, one per nonzero entry, by
+    increasing column.  Every matrix of the representation has one or two
+    entries per row, and Python ints keep every product exact whatever the
+    size of its entries.  The dense int64 views ``re``, ``im`` and
+    ``to_complex()`` (numpy) are built on first use.
+    """
 
-    def __init__(self, re, im=None):
-        self.re = np.asarray(re, dtype=np.int64)
-        self.im = np.zeros_like(self.re) if im is None else np.asarray(im, dtype=np.int64)
+    __slots__ = ("rows", "ncols", "_dense")
+
+    def __init__(self, rows, ncols=None):
+        self.rows = tuple(rows)
+        self.ncols = len(self.rows) if ncols is None else ncols
+        self._dense = None
+
+    @classmethod
+    def from_entries(cls, n: int, entries):
+        """The n x n matrix with the given (row, column, re, im) entries."""
+        acc = [{} for _ in range(n)]
+        for r, c, vr, vi in entries:
+            acc[r][c] = (vr, vi)
+        return cls(_row(a) for a in acc)
 
     @classmethod
     def eye(cls, n):
-        return cls(np.eye(n, dtype=np.int64))
+        return cls(((i, 1, 0),) for i in range(n))
 
     @classmethod
     def zeros(cls, shape):
-        return cls(np.zeros(shape, dtype=np.int64))
+        n, m = (shape, shape) if isinstance(shape, int) else shape
+        return cls(((),) * n, m)
+
+    def entries(self):
+        """(row, column, re, im) of every nonzero entry, in C order."""
+        return ((r, c, vr, vi) for r, row in enumerate(self.rows) for c, vr, vi in row)
 
     def __matmul__(self, other):
-        # every partial sum of the real part is at most n (|re||re'| + |im||im'|),
-        # of the imaginary part n (|re||im'| + |im||re'|), |.| the largest entry
-        ar, ai, br, bi = (magnitude(m) for m in (self.re, self.im, other.re, other.im))
-        if self.re.shape[-1] * max(ar * br + ai * bi, ar * bi + ai * br) > _INT64_MAX:
-            raise OverflowError("the Gaussian-integer product may exceed int64")
-        return GMat(self.re @ other.re - self.im @ other.im,
-                    self.re @ other.im + self.im @ other.re)
+        rows = []
+        for row in self.rows:
+            if len(row) == 1:
+                # one entry scales one row of other: Gaussian integers have
+                # no zero divisors, so nothing cancels
+                (j, ar, ai), = row
+                rows.append(tuple([(k, ar * br - ai * bi, ar * bi + ai * br)
+                                   for k, br, bi in other.rows[j]]))
+                continue
+            acc = {}
+            for j, ar, ai in row:
+                for k, br, bi in other.rows[j]:
+                    vr, vi = acc.get(k, (0, 0))
+                    acc[k] = (vr + ar * br - ai * bi, vi + ar * bi + ai * br)
+            rows.append(_row(acc))
+        return GMat(rows, other.ncols)
+
+    def _plus(self, other, sign):
+        rows = []
+        for mine, theirs in zip(self.rows, other.rows):
+            if not theirs:
+                rows.append(mine)
+                continue
+            acc = {c: (vr, vi) for c, vr, vi in mine}
+            for c, vr, vi in theirs:
+                ar, ai = acc.get(c, (0, 0))
+                acc[c] = (ar + sign * vr, ai + sign * vi)
+            rows.append(_row(acc))
+        return GMat(rows, self.ncols)
 
     def __add__(self, other):
-        return GMat(self.re + other.re, self.im + other.im)
+        return self._plus(other, 1)
 
     def __sub__(self, other):
-        return GMat(self.re - other.re, self.im - other.im)
+        return self._plus(other, -1)
 
     def __neg__(self):
-        return GMat(-self.re, -self.im)
+        return self.scale(-1)
 
     def scale(self, k: int):
-        return GMat(k * self.re, k * self.im)
+        if not k:
+            return GMat.zeros((len(self.rows), self.ncols))
+        return GMat((tuple((c, k * vr, k * vi) for c, vr, vi in row) for row in self.rows),
+                    self.ncols)
 
     def times_i(self):
-        return GMat(-self.im, self.re)
+        return GMat((tuple((c, -vi, vr) for c, vr, vi in row) for row in self.rows), self.ncols)
+
+    def _transpose(self, im_sign):
+        cols = [[] for _ in range(self.ncols)]
+        for r, c, vr, vi in self.entries():
+            cols[c].append((r, vr, im_sign * vi))
+        return GMat((tuple(col) for col in cols), len(self.rows))
 
     @property
     def T(self):
-        return GMat(self.re.T, self.im.T)
+        return self._transpose(1)
 
     def conj_t(self):
-        return GMat(self.re.T, -self.im.T)
+        return self._transpose(-1)
+
+    def block(self, r0, r1, c0, c1):
+        """The sub-matrix of rows r0..r1-1 and columns c0..c1-1."""
+        return GMat((tuple((c - c0, vr, vi) for c, vr, vi in row if c0 <= c < c1)
+                     for row in self.rows[r0:r1]), c1 - c0)
+
+    def trace(self):
+        """(re, im) of the trace."""
+        diag = [(vr, vi) for r, c, vr, vi in self.entries() if r == c]
+        return sum(vr for vr, _ in diag), sum(vi for _, vi in diag)
+
+    def first_difference(self, other):
+        """(row, column) of the first entry in C order where this matrix and
+        ``other`` differ, or None."""
+        for r, (mine, theirs) in enumerate(zip(self.rows, other.rows)):
+            if mine != theirs:
+                a = {c: (vr, vi) for c, vr, vi in mine}
+                b = {c: (vr, vi) for c, vr, vi in theirs}
+                return r, min(c for c in a.keys() | b.keys() if a.get(c) != b.get(c))
+        return None
 
     def __eq__(self, other):
-        return np.array_equal(self.re, other.re) and np.array_equal(self.im, other.im)
+        return (isinstance(other, GMat) and self.ncols == other.ncols
+                and self.rows == other.rows)
 
     def is_zero(self) -> bool:
-        return not (self.re.any() or self.im.any())
+        return not any(self.rows)
 
     def is_real(self) -> bool:
-        return not self.im.any()
+        return not any(vi for _, _, _, vi in self.entries())
 
-    def to_complex(self) -> np.ndarray:
-        return self.re.astype(np.complex128) + 1j * self.im.astype(np.complex128)
+    def _arrays(self):
+        if self._dense is None:
+            import numpy as np
+            re = np.zeros((len(self.rows), self.ncols), dtype=np.int64)
+            im = np.zeros_like(re)
+            for r, c, vr, vi in self.entries():
+                re[r, c], im[r, c] = vr, vi
+            re.flags.writeable = im.flags.writeable = False
+            self._dense = (re, im)
+        return self._dense
+
+    @property
+    def re(self):
+        return self._arrays()[0]
+
+    @property
+    def im(self):
+        return self._arrays()[1]
+
+    def to_complex(self):
+        import numpy as np
+        re, im = self._arrays()
+        return re.astype(np.complex128) + 1j * im.astype(np.complex128)
 
     def to_json(self, exact: bool = True) -> list:
-        if exact:
-            return [[{"re": str(int(self.re[r, c])), "im": str(int(self.im[r, c]))}
-                     for c in range(self.re.shape[1])] for r in range(self.re.shape[0])]
-        return [[{"re": float(self.re[r, c]), "im": float(self.im[r, c])}
-                 for c in range(self.re.shape[1])] for r in range(self.re.shape[0])]
+        num = str if exact else float
+        out = []
+        for row in self.rows:
+            cells = [{"re": num(0), "im": num(0)} for _ in range(self.ncols)]
+            for c, vr, vi in row:
+                cells[c] = {"re": num(vr), "im": num(vi)}
+            out.append(cells)
+        return out
+
+
+def _row(acc: dict) -> tuple:
+    """A sparse row from {column: (re, im)}: nonzero entries by column."""
+    return tuple([(c, vr, vi) for c, (vr, vi) in sorted(acc.items()) if vr or vi])
 
 
 def _alpha_tables():
@@ -119,44 +221,20 @@ def _alpha_tables():
         [(0, 3, 0, -1), (1, 5, 0, -1), (2, 6, 0, -1), (3, 0, 0, 1),
          (4, 7, 0, -1), (5, 1, 0, 1), (6, 2, 0, 1), (7, 4, 0, 1)],
     ]
-    out = []
-    for entries in data:
-        re = np.zeros((8, 8), dtype=np.int64)
-        im = np.zeros((8, 8), dtype=np.int64)
-        for r, c, vr, vi in entries:
-            re[r, c] = vr
-            im[r, c] = vi
-        re.flags.writeable = False
-        im.flags.writeable = False
-        out.append(GMat(re, im))
-    return out
+    return [GMat.from_entries(8, entries) for entries in data]
 
 
 _ALPHA = _alpha_tables()
 
 
-def _big_a(mu: int) -> GMat:
-    out = GMat.zeros((16, 16))
-    a = _ALPHA[mu]
-    out.re[0:8, 8:16] = a.re
-    out.im[0:8, 8:16] = a.im
-    adag = a.conj_t()
-    out.re[8:16, 0:8] = adag.re
-    out.im[8:16, 0:8] = adag.im
-    return out
+def _big_a(a: GMat) -> GMat:
+    """[[0, a], [a^dagger, 0]] for an 8x8 a."""
+    upper = (tuple((c + 8, vr, vi) for c, vr, vi in row) for row in a.rows)
+    return GMat((*upper, *a.conj_t().rows))
 
 
-def _freeze(m: GMat) -> GMat:
-    m.re.flags.writeable = False
-    m.im.flags.writeable = False
-    return m
-
-
-_GAMMA = [_freeze(_big_a(mu) if mu < 4 else _big_a(mu).times_i()) for mu in range(8)]
-_B = _freeze(-(_GAMMA[1] @ _GAMMA[3] @ _GAMMA[5] @ _GAMMA[7]))
-_GAMMA_C = [g.to_complex() for g in _GAMMA]
-for _m in _GAMMA_C:
-    _m.flags.writeable = False
+_GAMMA = [_big_a(a) if mu < 4 else _big_a(a).times_i() for mu, a in enumerate(_ALPHA)]
+_B = -(_GAMMA[1] @ _GAMMA[3] @ _GAMMA[5] @ _GAMMA[7])
 
 
 def alpha(mu: int) -> GMat:
@@ -175,31 +253,19 @@ def b_matrix() -> GMat:
     return _B
 
 
-def _pair_products(mats, terms: int):
-    """(A_mu A_nu)_ik at [mu, i, nu, k] for the eight 16x16 GMats A_mu, as
-    real and imaginary float64 parts: four float64 products over j, exact
-    by exact_float64 for sums of at most ``terms`` products."""
-    re, im = exact_float64(np.array([m.re for m in mats]), np.array([m.im for m in mats]),
-                           degree=2, terms=terms)
-    pair = lambda a, b: (a.reshape(128, 16) @ b.transpose(1, 0, 2).reshape(16, 128)
-                         ).reshape(8, 16, 8, 16)
-    return pair(re, re) - pair(im, im), pair(re, im) + pair(im, re)
-
-
 def verify_clifford() -> VerificationReport:
     """Gamma_mu Gamma_nu + Gamma_nu Gamma_mu == 2 g_munu Id, all 64 pairs, exact.
 
-    All 64 products are one stacked float64 contraction of the Gamma
-    stack, exact by exact_float64; a failing pair names its first wrong
-    entry.
+    Each of the 64 products is a sparse composition of Gaussian integers;
+    a failing pair names its first wrong entry in C order.
     """
     rep = VerificationReport("clifford")
-    p_re, p_im = _pair_products(_GAMMA, terms=2 * 16 * 2)
-    want = 2 * np.einsum("mn,ik->mink", np.diag(METRIC), np.eye(16))
-    bad = ((p_re + p_re.transpose(2, 1, 0, 3) != want)
-           | (p_im + p_im.transpose(2, 1, 0, 3) != 0)).transpose(0, 2, 1, 3)
-    rep.record_mask(~bad.any(axis=(2, 3)), lambda mu, nu: (
-        f"pair ({mu},{nu}) entry {tuple(int(i) for i in np.argwhere(bad[mu, nu])[0])}"))
+    products = [[a @ b for b in _GAMMA] for a in _GAMMA]
+    for mu in range(8):
+        for nu in range(8):
+            want = GMat.eye(16).scale(2 * METRIC[mu]) if mu == nu else GMat.zeros(16)
+            entry = (products[mu][nu] + products[nu][mu]).first_difference(want)
+            rep.record_case(entry is None, f"pair ({mu},{nu}) entry {entry}")
     return rep
 
 
@@ -232,22 +298,16 @@ def _xi_matrix() -> GMat:
         (14, ((8, -1, 0), (9, 0, 1))),
         (15, ((10, -1, 0), (11, 0, -1))),
     ]
-    re = np.zeros((16, 16), dtype=np.int64)
-    im = np.zeros((16, 16), dtype=np.int64)
-    for r, entries in rows:
-        for c, vr, vi in entries:
-            re[r, c] = vr
-            im[r, c] = vi
-    return GMat(re, im)
+    return GMat.from_entries(16, ((r, c, vr, vi) for r, entries in rows
+                                  for c, vr, vi in entries))
 
 
 # xi = (1/sqrt2) XI_M @ eta; the sqrt2 is tracked symbolically, so every
 # exactness statement below is about XI_M itself.
-XI_M = _freeze(_xi_matrix())
-_XI_BLOCK_PHI = GMat(XI_M.re[0:8, 0:8], XI_M.im[0:8, 0:8])
-_XI_BLOCK_PSI = GMat(XI_M.re[8:16, 8:16], XI_M.im[8:16, 8:16])
+XI_M = _xi_matrix()
+_XI_DAG = XI_M.conj_t()
 
-if not (XI_M @ XI_M.conj_t() == GMat.eye(16).scale(2)):
+if not (XI_M @ _XI_DAG == GMat.eye(16).scale(2)):
     raise AssertionError("xi basis-change matrix is not sqrt2-unitary")
 
 # quadratic form of the spinor invariant in real components:
@@ -255,55 +315,71 @@ if not (XI_M @ XI_M.conj_t() == GMat.eye(16).scale(2)):
 _Q_SPINOR_2 = XI_M.T @ _B @ XI_M     # = 2 * quadratic-form matrix, exact
 if not _Q_SPINOR_2.is_real():
     raise AssertionError("spinor quadratic form is not real")
-_Q_SPINOR = _Q_SPINOR_2.re / 2.0      # float copy for float-mode inputs
-# (i, j, 2Q_ij) over the nonzero entries, as ints for exact integer input
-_Q_SPINOR_TERMS = tuple((int(i), int(j), int(_Q_SPINOR_2.re[i, j]))
-                        for i, j in np.argwhere(_Q_SPINOR_2.re))
+# (i, j, 2Q_ij) over the nonzero entries, as ints
+_Q_SPINOR_TERMS = tuple((i, j, q) for i, j, q, _ in _Q_SPINOR_2.entries())
 
-
-def _real_bivector_reps() -> dict:
-    """Action of Gamma_mu Gamma_nu on real spinor components, M^dag G_mu G_nu
-    M / 2, for every (mu, nu).  M M^dag = 2, so with H_mu = M^dag G_mu M it
-    is H_mu H_nu / 4: sixteen GMat products and one stacked contraction."""
-    m_dag = XI_M.conj_t()
-    h = [m_dag @ g @ XI_M for g in _GAMMA]
-    p_re, p_im = _pair_products(h, terms=2 * 16)
-    bad = np.argwhere(p_im.any(axis=(1, 3)) | (p_re % 4).any(axis=(1, 3)))
-    if len(bad):
-        mu, nu = (int(i) for i in bad[0])
-        raise AssertionError(f"bivector ({mu},{nu}) is not real-integral in the spinor basis")
-    return {(mu, nu): p_re[mu, :, nu] / 4 for mu in range(8) for nu in range(8)}
-
-
+# plane (mu, nu) -> the action of Gamma_mu Gamma_nu on real spinor
+# components, as (column, sign) per row; filled on first use
 _BIV_REP = {}
 
 
-def real_bivector_rep(mu: int, nu: int) -> np.ndarray:
-    if (mu, nu) not in _BIV_REP:
-        for plane, rep in _real_bivector_reps().items():
-            _BIV_REP.setdefault(plane, rep)
-    return np.array(_BIV_REP[(mu, nu)])
+def _bivector_action(mu: int, nu: int) -> tuple:
+    """Gamma_mu Gamma_nu on real spinor components, M^dag G_mu G_nu M / 2
+    (M M^dag = 2): row i of the result is sign * e_column.  The composition
+    is exact; it must be real, even and one entry per row."""
+    action = _BIV_REP.get((mu, nu))
+    if action is None:
+        k = _XI_DAG @ (_GAMMA[mu] @ _GAMMA[nu]) @ XI_M
+        if not k.is_real() or any(vr % 2 for _, _, vr, _ in k.entries()):
+            raise AssertionError(f"bivector ({mu},{nu}) is not real-integral in the spinor basis")
+        if any(len(row) != 1 for row in k.rows):
+            raise AssertionError(f"bivector ({mu},{nu}) is not a signed permutation")
+        action = _BIV_REP[(mu, nu)] = tuple((c, vr // 2) for (c, vr, _), in k.rows)
+    return action
+
+
+def real_bivector_rep(mu: int, nu: int):
+    """The action of Gamma_mu Gamma_nu on real spinor components as a dense
+    16x16 float64 matrix."""
+    import numpy as np
+    out = np.zeros((16, 16))
+    for i, (j, g) in enumerate(_bivector_action(mu, nu)):
+        out[i, j] = g
+    return out
 
 
 # ---------------------------------------------------------------------------
 # vectors
 # ---------------------------------------------------------------------------
 
-def vector_to_matrix(x) -> np.ndarray:
+_GAMMA_C = []       # the Gamma_mu as complex128, built on first use
+
+
+def _gamma_c() -> list:
+    if not _GAMMA_C:
+        for g in _GAMMA:
+            m = g.to_complex()
+            m.flags.writeable = False
+            _GAMMA_C.append(m)
+    return _GAMMA_C
+
+
+def vector_to_matrix(x):
     """X = sum_mu x_mu Gamma_mu as complex128."""
+    import numpy as np
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (8,):
         raise ValueError("vector needs 8 components")
     out = np.zeros((16, 16), dtype=np.complex128)
-    for mu in range(8):
+    for mu, g in enumerate(_gamma_c()):
         if x[mu]:
-            out += x[mu] * _GAMMA_C[mu]
+            out += x[mu] * g
     return out
 
 
 def vector_to_matrix_exact(x) -> GMat:
     """Same linear combination on integer components, exact."""
-    out = GMat.zeros((16, 16))
+    out = GMat.zeros(16)
     for mu in range(8):
         k = int(x[mu])
         if k != x[mu]:
@@ -322,11 +398,11 @@ def matrix_to_vector(X, tol: float = 1e-10):
     if isinstance(X, GMat):
         coeffs = []
         for mu in range(8):
-            prod = _GAMMA[mu] @ X
-            if int(np.trace(prod.im)) != 0:
+            tr_re, tr_im = (_GAMMA[mu] @ X).trace()
+            if tr_im:
                 raise NotGrade1Error("trace pairing is not real")
-            coeffs.append(Fraction(METRIC[mu] * int(np.trace(prod.re)), 16))
-        recon = GMat.zeros((16, 16))
+            coeffs.append(Fraction(METRIC[mu] * tr_re, 16))
+        recon = GMat.zeros(16)
         scaled = [c * 16 for c in coeffs]
         if any(s.denominator != 1 for s in scaled):
             raise NotGrade1Error("non-integral trace pairing")
@@ -335,10 +411,11 @@ def matrix_to_vector(X, tol: float = 1e-10):
         if not (X.scale(16) - recon).is_zero():
             raise NotGrade1Error("matrix has components outside grade 1")
         return tuple(coeffs)
+    import numpy as np
     Xc = np.asarray(X, dtype=np.complex128)
     x = np.empty(8)
-    for mu in range(8):
-        c = METRIC[mu] * np.trace(_GAMMA_C[mu] @ Xc) / 16
+    for mu, g in enumerate(_gamma_c()):
+        c = METRIC[mu] * np.trace(g @ Xc) / 16
         if abs(c.imag) > tol:
             raise NotGrade1Error("trace pairing is not real")
         x[mu] = c.real
@@ -348,12 +425,34 @@ def matrix_to_vector(X, tol: float = 1e-10):
     return x
 
 
+def _fsum(terms) -> float:
+    """math.fsum, the correctly rounded sum; NaN where it has +inf and -inf."""
+    try:
+        return math.fsum(terms)
+    except ValueError:
+        return math.nan
+
+
+def _flat(values, sizes, message: str) -> list:
+    """The components of a flat sequence as a list (an ndarray's through
+    tolist, as Python numbers); ValueError(message) unless there are one of
+    ``sizes`` of them."""
+    if hasattr(values, "tolist"):
+        values = values.tolist() if values.ndim == 1 else []
+    else:
+        values = list(values)
+    if len(values) not in sizes:
+        raise ValueError(message)
+    return values
+
+
 def quadratic_form(x) -> float:
     """The split form, summed as (x_k - x_k+4)(x_k + x_k+4): a null pair
     contributes an exact 0 instead of the difference of two large squares,
-    which keeps it finite on strong boosts."""
-    x = np.asarray(x, dtype=np.float64)
-    return float((x[:4] - x[4:]) @ (x[:4] + x[4:]))
+    which keeps it finite on strong boosts.  The four products are summed
+    correctly rounded."""
+    x = [float(v) for v in _flat(x, (8,), "vector needs 8 components")]
+    return _fsum((x[k] - x[k + 4]) * (x[k] + x[k + 4]) for k in range(4))
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +468,6 @@ def half_angle(compact: bool, theta: float):
     return math.cosh(h), math.sinh(h)
 
 
-@dataclass(frozen=True)
 class Rotor:
     """L_mu_nu(theta) = exp(-theta/2 Gamma_mu Gamma_nu) in closed form.
 
@@ -377,20 +475,20 @@ class Rotor:
     through cos/sin and mixed-signature planes through cosh/sinh.
     """
 
-    mu: int
-    nu: int
-    theta: float
-    compact: bool = field(init=False)
+    __slots__ = ("mu", "nu", "theta", "compact")
 
-    def __post_init__(self):
-        object.__setattr__(self, "compact", METRIC[self.mu] * METRIC[self.nu] > 0)
+    def __init__(self, mu: int, nu: int, theta: float):
+        self.mu, self.nu, self.theta = mu, nu, theta
+        self.compact = METRIC[mu] * METRIC[nu] > 0
 
     def half_coeffs(self):
         return half_angle(self.compact, self.theta)
 
-    def matrix(self) -> np.ndarray:
+    def matrix(self):
+        import numpy as np
         c, s = self.half_coeffs()
-        return c * np.eye(16, dtype=np.complex128) - s * (_GAMMA_C[self.mu] @ _GAMMA_C[self.nu])
+        g = _gamma_c()
+        return c * np.eye(16, dtype=np.complex128) - s * (g[self.mu] @ g[self.nu])
 
     def inverse(self) -> "Rotor":
         return Rotor(self.nu, self.mu, self.theta)
@@ -404,12 +502,10 @@ def rotor(mu: int, nu: int, theta: float) -> Rotor:
     return Rotor(mu, nu, float(theta))
 
 
-_G = np.array(METRIC, dtype=np.float64)
-
-
-def turn_pair(xm, xn, mu, nu, c, s):
-    """The vector action of the rotor of plane (mu, nu), with half-angle
-    pair (c, s), on the components (x_mu, x_nu); it fixes all others.
+def turn_pair(xm, xn, gm, gn, c, s):
+    """The vector action of the rotor of plane (mu, nu), with metric signs
+    gm = g_mumu, gn = g_nunu and half-angle pair (c, s), on the components
+    (x_mu, x_nu); it fixes all others.
 
     The Clifford relation gives [G_mu G_nu, G_sig] = 2 g_nusig G_mu -
     2 g_musig G_nu, so X' = L X L^{-1} is generated by the integer matrix
@@ -419,50 +515,71 @@ def turn_pair(xm, xn, mu, nu, c, s):
     from the half angle.  Elementwise, so stacks of components, planes and
     coefficients take the same rounding as single calls.
     """
-    gm, gn = _G[mu], _G[nu]
     big_c, big_s = c * c - gm * gn * s * s, 2 * c * s
     return big_c * xm - big_s * gn * xn, big_c * xn + big_s * gm * xm
 
 
-def rotate_vector(x, r: Rotor) -> np.ndarray:
-    """x' with X' = L X L^{-1}, in closed form; preserves the quadratic form.
+def rotate_vector_list(x: list, r: Rotor) -> list:
+    """rotate_vector on a list of 8 floats, as a new list."""
+    x = list(x)
+    mu, nu = r.mu, r.nu
+    x[mu], x[nu] = turn_pair(x[mu], x[nu], METRIC[mu], METRIC[nu],
+                             *half_angle(r.compact, r.theta))
+    return x
+
+
+def rotate_spinor_list(eta: list, r: Rotor) -> list:
+    """rotate_spinor on a list of 16 floats, as a new list: component i
+    becomes c eta_i - s sign_i eta_j, with (j, sign_i) row i of the
+    bivector's signed permutation.  The moved term takes + 0.0, as a dense
+    product summed from +0.0 does, so a zero comes out as +0.0."""
+    c, s = half_angle(r.compact, r.theta)
+    return [c * e - s * (g * eta[j] + 0.0)
+            for e, (j, g) in zip(eta, _bivector_action(r.mu, r.nu))]
+
+
+def rotate_vector(x, r: Rotor):
+    """x' with X' = L X L^{-1}, in closed form, as a float64 ndarray;
+    preserves the quadratic form.
 
     The matrix route (vector_to_matrix, Rotor.matrix, matrix_to_vector) is
     the independent oracle this is tested against.
     """
-    x = np.array(x, dtype=np.float64)
+    import numpy as np
+    x = np.asarray(x, dtype=np.float64)
     if x.shape != (8,):
         raise ValueError("vector needs 8 components")
-    mu, nu = r.mu, r.nu
-    x[mu], x[nu] = turn_pair(x[mu], x[nu], mu, nu, *half_angle(r.compact, r.theta))
-    return x
+    return np.array(rotate_vector_list(x.tolist(), r))
 
 
-def rotate_spinor(eta, r: Rotor) -> np.ndarray:
-    """eta' = L eta on real spinor components; chiral blocks never mix.
+def rotate_spinor(eta, r: Rotor):
+    """eta' = L eta on real spinor components, as a float64 ndarray; chiral
+    blocks never mix.
 
-    The bivector representation is block-diagonal with exactly integral
-    entries, so the wrong-chirality block of the output is exactly zero
-    whenever it is zero on input.
+    The bivector action is block-diagonal with exactly integral entries, so
+    the wrong-chirality block of the output is exactly zero whenever it is
+    zero on input.
     """
+    import numpy as np
     eta = np.asarray(eta, dtype=np.float64)
     if eta.shape != (16,):
         raise ValueError("spinor needs 16 components")
-    c, s = half_angle(r.compact, r.theta)
-    return c * eta - s * (real_bivector_rep(r.mu, r.nu) @ eta)
+    return np.array(rotate_spinor_list(eta.tolist(), r))
 
 
 # ---------------------------------------------------------------------------
 # spinors, invariant, trilinear form
 # ---------------------------------------------------------------------------
 
-def embed_phi(phi) -> np.ndarray:
+def embed_phi(phi):
+    import numpy as np
     out = np.zeros(16)
     out[0:8] = phi
     return out
 
 
-def embed_psi(psi) -> np.ndarray:
+def embed_psi(psi):
+    import numpy as np
     out = np.zeros(16)
     out[8:16] = psi
     return out
@@ -479,84 +596,76 @@ def _as_ints(values):
 
 
 def spinor_invariant(eta):
-    """eta^T B eta under the pinned transpose evaluation; exact on integers.
-
-    The two chiral contributions are computed independently and summed,
-    which is also how the invariance splits.
-    """
-    if np.shape(eta) != (16,):
-        raise ValueError("spinor needs 16 components")
+    """eta^T B eta under the pinned transpose evaluation: exact on integers
+    (a Python int, whatever their size), else the correctly rounded sum of
+    its terms."""
+    eta = _flat(eta, (16,), "spinor needs 16 components")
     e = _as_ints(eta)
     if e is not None:
         total = sum(q * e[i] * e[j] for i, j, q in _Q_SPINOR_TERMS)
         if total % 2:
             raise AssertionError("spinor form lost exactness")
         return total // 2
-    eta = np.asarray(eta, dtype=np.float64)
-    phi_part = eta[0:8] @ _Q_SPINOR[0:8, 0:8] @ eta[0:8]
-    psi_part = eta[8:16] @ _Q_SPINOR[8:16, 8:16] @ eta[8:16]
-    return float(phi_part + psi_part)
+    e = [float(v) for v in eta]
+    return _fsum(q / 2 * e[i] * e[j] for i, j, q in _Q_SPINOR_TERMS)
 
 
-def _chiral_8(arg, block: str):
-    """The 8 components of one chiral block, as given (no dtype conversion)."""
-    shape = np.shape(arg)
-    if shape == (16,):
+def _chiral_8(arg, block: str) -> list:
+    """The 8 components of one chiral block, as a list of the values given."""
+    arg = _flat(arg, (8, 16), "spinor argument needs 8 or 16 components")
+    if len(arg) == 16:
         lo, hi = (0, 8) if block == "phi" else (8, 16)
         wrong = arg[8:16] if block == "phi" else arg[0:8]
         if any(wrong):
             raise ChiralityError(f"nonzero {('psi' if block == 'phi' else 'phi')}-block "
                                  f"components in a pure-{block} argument")
         return arg[lo:hi]
-    if shape == (8,):
-        return arg
-    raise ValueError("spinor argument needs 8 or 16 components")
+    return arg
 
 
-def _trilinear_slices():
-    """K_b = (M_phi)^T B_11 (Gamma_b)_12 M_psi, entries verified real-even."""
-    b11 = GMat(_B.re[0:8, 0:8], _B.im[0:8, 0:8])
-    slices = []
-    for b in range(8):
-        g12 = GMat(_GAMMA[b].re[0:8, 8:16], _GAMMA[b].im[0:8, 8:16])
-        k = _XI_BLOCK_PHI.T @ b11 @ g12 @ _XI_BLOCK_PSI
-        if not k.is_real() or (k.re % 2).any():
+def _trilinear_terms() -> tuple:
+    """Per slice b, (i, j, K_b[i,j]) over the nonzero entries of
+    K_b = (M_phi)^T B_11 (Gamma_b)_12 M_psi / 2, verified real-even."""
+    left = XI_M.block(0, 8, 0, 8).T @ _B.block(0, 8, 0, 8)
+    right = XI_M.block(8, 16, 8, 16)
+    out = []
+    for b, g in enumerate(_GAMMA):
+        k = left @ g.block(0, 8, 8, 16) @ right
+        if not k.is_real() or any(vr % 2 for _, _, vr, _ in k.entries()):
             raise AssertionError(f"trilinear slice {b} is not real-even")
-        half = (k.re // 2).copy()
-        half.flags.writeable = False
-        slices.append(half)
-    return slices
+        out.append(tuple((i, j, vr // 2) for i, j, vr, _ in k.entries()))
+    return tuple(out)
 
 
-_TRI_SLICES = _trilinear_slices()
-# per slice b, (i, j, K_b[i,j]) over its nonzero entries, as ints
-_TRI_TERMS = tuple(tuple((int(i), int(j), int(k[i, j])) for i, j in np.argwhere(k))
-                   for k in _TRI_SLICES)
+_TRI_TERMS = _trilinear_terms()
 
 
 def trilinear_matrix(phi, x, psi):
     """F(phi, X, psi) = phi^T B X psi in the pinned spinor evaluation.
 
     Trilinear, real-valued; exact (a Python int) when every component is
-    an integer, whatever its size.  phi must be pure left-chirality and
+    an integer, whatever its size, else the correctly rounded sum of the
+    terms x_b (K_b[i,j] phi_i psi_j).  phi must be pure left-chirality and
     psi pure right-chirality (8 components, or 16 with the wrong block
     zero).
     """
     p = _chiral_8(phi, "phi")
     s = _chiral_8(psi, "psi")
-    if np.shape(x) != (8,):
-        raise ValueError("vector needs 8 components")
+    x = _flat(x, (8,), "vector needs 8 components")
     pi, si, xi = _as_ints(p), _as_ints(s), _as_ints(x)
     if None not in (pi, si, xi):
         return sum(xb * sum(k * pi[i] * si[j] for i, j, k in _TRI_TERMS[b])
                    for b, xb in enumerate(xi) if xb)
-    p = np.asarray(p, dtype=np.float64)
-    s = np.asarray(s, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    return float(sum(x[b] * (p @ _TRI_SLICES[b].astype(np.float64) @ s)
-                     for b in range(8) if x[b]))
+    p, s, x = ([float(v) for v in vals] for vals in (p, s, x))
+    return _fsum(xb * (k * p[i] * s[j])
+                 for b, xb in enumerate(x) if xb for i, j, k in _TRI_TERMS[b])
 
 
-def trilinear_slice(b: int) -> np.ndarray:
-    """Integer matrix K_b with F(phi, e_b, psi) = phi^T K_b psi."""
-    return np.array(_TRI_SLICES[b])
+def trilinear_slice(b: int):
+    """Integer matrix K_b with F(phi, e_b, psi) = phi^T K_b psi, as a dense
+    int64 array."""
+    import numpy as np
+    out = np.zeros((8, 8), dtype=np.int64)
+    for i, j, k in _TRI_TERMS[b]:
+        out[i, j] = k
+    return out

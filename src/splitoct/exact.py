@@ -9,8 +9,6 @@ it casts.
 """
 from __future__ import annotations
 
-import numpy as np
-
 # the sampled suites draw integer components from [-SAMPLE_RANGE, SAMPLE_RANGE]
 SAMPLE_RANGE = 9
 FLOAT64_EXACT = 2 ** 53
@@ -24,6 +22,7 @@ def sample_integers(rng, size):
 
 def magnitude(a) -> int:
     """The largest |entry| of an integer array, as a Python int (0 if empty)."""
+    import numpy as np
     a = np.asarray(a)
     if not a.size:
         return 0
@@ -42,6 +41,7 @@ def exact_float64(*factors, degree: int, terms: int, sampled: bool = False):
     size, m the largest |entry| (at least 1).  Raises OverflowError unless
     that is below 2**53, where each is exact.
     """
+    import numpy as np
     m = max(1, SAMPLE_RANGE if sampled else 0, *(magnitude(f) for f in factors))
     if terms * m ** degree >= FLOAT64_EXACT:
         raise OverflowError(f"{terms} products of {degree} integers up to {m} "

@@ -4,15 +4,14 @@ Unit squares are J_n^2 = +1, j_n^2 = -1, I^2 = +1; all seven hyper-complex
 units anticommute pairwise.  Coefficients may be int, Fraction (identity
 sweeps run exactly) or float.  The coefficient order matches the component
 order of the 8-dimensional vectors and chiral spinors, so coefficient k of
-an octonion corresponds to component x_k.
+an octonion corresponds to component x_k.  Products read the unit table;
+the identity sweeps contract the dense structure tensor built from it
+(numpy, imported by the sweeps only).
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .exact import exact_float64
 from .report import VerificationReport
@@ -69,8 +68,10 @@ def _build_table():
 _TABLE = _build_table()
 
 
-def _structure_tensor(table) -> np.ndarray:
-    """C[a,b,k] with e_a e_b = sum_k C[a,b,k] e_k, read off a unit table."""
+def _structure_tensor(table):
+    """C[a,b,k] with e_a e_b = sum_k C[a,b,k] e_k, read off a unit table,
+    as an int64 array."""
+    import numpy as np
     c = np.zeros((8, 8, 8), dtype=np.int64)
     for a, row in enumerate(table):
         for b, (k, sign) in enumerate(row):
@@ -79,7 +80,14 @@ def _structure_tensor(table) -> np.ndarray:
     return c
 
 
-_C = _structure_tensor(_TABLE)
+_C = None      # the structure tensor of _TABLE, built on first use by _c()
+
+
+def _c():
+    global _C
+    if _C is None:
+        _C = _structure_tensor(_TABLE)
+    return _C
 
 
 class SplitOctonion:
@@ -241,13 +249,11 @@ def is_timelike_vector_part(s: SplitOctonion) -> bool:
 # structure constants
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class StructureConstants:
-    """The 8x8 unit product table e_a e_b = sign * e_index."""
+    """The 8x8 unit product table e_a e_b = sign * e_index, validated."""
 
-    table: tuple
-
-    def __post_init__(self):
+    def __init__(self, table: tuple):
+        self.table = table
         for b in range(8):
             if self.table[0][b] != (b, 1) or self.table[b][0] != (b, 1):
                 raise ConstructionError("scalar unit is not a two-sided identity")
@@ -400,7 +406,9 @@ def _same(lhs, rhs):
 
 def _triple_products():
     """(e_a e_b) e_c and e_a (e_b e_c) over the last axis."""
-    return np.einsum("abm,mck->abck", _C, _C), np.einsum("bcm,amk->abck", _C, _C)
+    import numpy as np
+    c = _c()
+    return np.einsum("abm,mck->abck", c, c), np.einsum("bcm,amk->abck", c, c)
 
 
 def verify_moufang() -> VerificationReport:
@@ -411,16 +419,18 @@ def verify_moufang() -> VerificationReport:
     bracketings (xy)z and x(yz) with the structure tensor, or a diagonal
     of one of them.
     """
+    import numpy as np
     rep = VerificationReport("moufang")
+    c = _c()
     p, q = _triple_products()
     n = UNIT_NAMES[1:]
     triples = np.stack([
-        _same(np.einsum("abnk,can->abck", p, _C),      # (xy)(zx)
-              np.einsum("abcn,nak->abck", q, _C)),     # (x(yz))x
-        _same(np.einsum("cbcn,nak->abck", p, _C),      # ((zy)z)x
-              np.einsum("bcan,cnk->abck", q, _C)),     # z(y(zx))
-        _same(np.einsum("bcbn,ank->abck", p, _C),      # x((yz)y)
-              np.einsum("abcn,nbk->abck", p, _C)),     # ((xy)z)y
+        _same(np.einsum("abnk,can->abck", p, c),      # (xy)(zx)
+              np.einsum("abcn,nak->abck", q, c)),     # (x(yz))x
+        _same(np.einsum("cbcn,nak->abck", p, c),      # ((zy)z)x
+              np.einsum("bcan,cnk->abck", q, c)),     # z(y(zx))
+        _same(np.einsum("bcbn,ank->abck", p, c),      # x((yz)y)
+              np.einsum("abcn,nbk->abck", p, c)),     # ((xy)z)y
     ], axis=-1)
     rep.record_mask(triples, lambda x, y, z, i: (
         ("(xy)(zx)=x(yz)x", "(zyz)x=z(y(zx))", "x(yzy)=((xy)z)y")[i]
@@ -438,7 +448,9 @@ def verify_moufang() -> VerificationReport:
 def _malcev_tensors():
     """The commutator algebra on units as integer tensors over the last axis:
     2[e_a,e_b], 4[[e_a,e_b],e_c], 12 J(e_a,e_b,e_c) and 4 D_{e_a,e_b}(e_c)."""
-    b2 = _C - _C.transpose(1, 0, 2)
+    import numpy as np
+    c = _c()
+    b2 = c - c.transpose(1, 0, 2)
     bb = np.einsum("abm,mck->abck", b2, b2)
     j12 = bb + np.einsum("bcak->abck", bb) + np.einsum("cabk->abck", bb)
     return b2, bb, j12, 2 * bb - j12
@@ -466,6 +478,7 @@ def verify_malcev() -> VerificationReport:
     every side sums at most 32 products of two entries, so exact_float64
     certifies that float64 gives the integer result.
     """
+    import numpy as np
     rep = VerificationReport("malcev")
     b2, bb, j12, d4 = exact_float64(*_malcev_tensors(), degree=2, terms=32)
     n = UNIT_NAMES[1:]
@@ -528,6 +541,7 @@ def verify_associators() -> VerificationReport:
     expected side comes from _family_value and expected_associator, which
     do not read the table.  The bridge compares 6 * 2A with 12 J.
     """
+    import numpy as np
     rep = VerificationReport("associators")
     p, q = _triple_products()
     a2 = p - q                       # 2 A(e_a, e_b, e_c)

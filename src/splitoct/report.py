@@ -1,14 +1,9 @@
 """Structured pass/fail records for identity sweeps."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
-
 MAX_DETAILS = 10
 
 
-@dataclass
 class VerificationReport:
     """Outcome of one identity sweep.
 
@@ -18,13 +13,14 @@ class VerificationReport:
     exactly 0.0 or a count-free residual has no meaning) from float sweeps.
     """
 
-    name: str
-    cases: int = 0
-    failures: int = 0
-    failure_details: list = field(default_factory=list)
-    max_residual: float = 0.0
-    exact: bool = True
-    meta: dict = field(default_factory=dict)
+    def __init__(self, name: str, exact: bool = True, meta: dict | None = None):
+        self.name = name
+        self.cases = 0
+        self.failures = 0
+        self.failure_details = []
+        self.max_residual = 0.0
+        self.exact = exact
+        self.meta = {} if meta is None else meta
 
     @property
     def passed(self) -> bool:
@@ -39,10 +35,11 @@ class VerificationReport:
             if len(self.failure_details) < MAX_DETAILS:
                 self.failure_details.append(detail)
 
-    def record_mask(self, ok: np.ndarray, label, residual=None) -> None:
+    def record_mask(self, ok, label, residual=None) -> None:
         """Record one case per entry of the boolean array ``ok``, in C order;
         ``label(*index)`` names a failing entry.  ``residual``, of the same
         shape, raises max_residual as record_case does (NaN never does)."""
+        import numpy as np
         bad = np.argwhere(~ok)
         self.cases += ok.size
         self.failures += len(bad)

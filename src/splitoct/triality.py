@@ -5,16 +5,16 @@ correspondence and the two trilinear forms.
 Conventions that admit more than one a-priori reasonable choice are pinned
 here by small exact oracles rather than asserted: which quadratic-form
 evaluation diagonalizes the spinor invariant, and which component
-dictionary makes the two trilinear forms agree.
+dictionary makes the two trilinear forms agree.  Both oracles run on the
+sparse exact data of ``clifford`` and the unit table of ``octonion``; numpy
+is imported only by the sampled sweeps and the dense tensor views.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-
-import numpy as np
 
 from . import clifford as cl
 from . import octonion as oc
@@ -28,31 +28,28 @@ DEFAULT_SEED = 12345
 # spinor basis change
 # ---------------------------------------------------------------------------
 
-def xi_basis_change(eta) -> np.ndarray:
+def xi_basis_change(eta):
     """Map real spinor components to the 16 complex basis-change components.
 
     Returns (1/sqrt2) M eta as complex128; the exact Gaussian-integer M is
     cl.XI_M.
     """
+    import numpy as np
     eta = np.asarray(eta, dtype=np.float64)
     if eta.shape != (16,):
         raise ValueError("spinor needs 16 components")
     return (cl.XI_M.to_complex() @ eta) / math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class XiConvention:
-    """Which evaluation of the spinor invariant diagonalizes it."""
+class XiConvention(namedtuple("XiConvention", "pairing b_form")):
+    """Which evaluation of the spinor invariant diagonalizes it: pairing
+    "transpose" or "dagger", b_form "original" or "conjugated"."""
 
-    pairing: str          # "transpose" or "dagger"
-    b_form: str           # "original" or "conjugated"
+    __slots__ = ()
 
     @property
     def label(self) -> str:
         return f"xi^{'T' if self.pairing == 'transpose' else 'dagger'} B[{self.b_form}] xi"
-
-
-_SPLIT_DIAG = np.diag([1, 1, 1, 1, -1, -1, -1, -1] * 2).astype(np.int64)
 
 
 def _candidate_forms():
@@ -74,14 +71,11 @@ def pin_xi_convention() -> XiConvention:
     """Try the four candidate conventions; return the one whose quadratic
     form is exactly the split diagonal form.  Raises if none (or more than
     one) matches."""
+    split = cl.GMat.from_entries(16, ((k, k, cl.METRIC[k % 8], 0) for k in range(16)))
     hits = []
     for (pairing, b_form), mat in _candidate_forms().items():
         scale = 2 if b_form == "original" else 4
-        sym_re = mat.re + mat.re.T
-        sym_im = mat.im + mat.im.T
-        if sym_im.any():
-            continue
-        if np.array_equal(sym_re, 2 * scale * _SPLIT_DIAG):
+        if mat + mat.T == split.scale(2 * scale):
             hits.append(XiConvention(pairing, b_form))
     if len(hits) != 1:
         raise RuntimeError(f"expected exactly one diagonalizing convention, got {len(hits)}")
@@ -93,6 +87,7 @@ PINNED_CONVENTION = pin_xi_convention()
 
 def spinor_quadratic_split(phi, psi):
     """The diagonal split forms the pinned convention produces."""
+    import numpy as np
     phi = np.asarray(phi, dtype=np.float64)
     psi = np.asarray(psi, dtype=np.float64)
     f = float(np.sum(phi[:4] ** 2) - np.sum(phi[4:] ** 2))
@@ -121,7 +116,7 @@ def trilinear_oct(phi_o: oc.SplitOctonion, x_o: oc.SplitOctonion,
 BLOCK = 64          # samples per stacked evaluation in the batched suites
 
 # conj(v) componentwise: the scalar slot is kept, the seven others negated
-_CONJ_SIGNS = np.array([1, -1, -1, -1, -1, -1, -1, -1], dtype=np.int64)
+_CONJ_SIGNS = (1, -1, -1, -1, -1, -1, -1, -1)
 
 
 def _blocks(n: int):
@@ -138,6 +133,7 @@ def correspondence_check(n_samples: int = 1000, seed: int = DEFAULT_SEED) -> Ver
     on the Gamma stack and the spinor forms through the exact 2x
     quadratic-form matrix.
     """
+    import numpy as np
     if n_samples < 1:
         raise ValueError("need at least one sample")
     rep = VerificationReport("correspondence",
@@ -146,7 +142,7 @@ def correspondence_check(n_samples: int = 1000, seed: int = DEFAULT_SEED) -> Ver
     rng = np.random.default_rng(seed)
     # the largest sum is X^2: 2 x 16 x 8 x 8 products x_a G_a x_b G_b
     c, g_re, g_im, q2, metric = exact_float64(
-        oc._C.reshape(8, 64), np.array([cl.gamma(mu).re for mu in range(8)]).reshape(8, 256),
+        oc._c().reshape(8, 64), np.array([cl.gamma(mu).re for mu in range(8)]).reshape(8, 256),
         np.array([cl.gamma(mu).im for mu in range(8)]).reshape(8, 256),
         cl._Q_SPINOR_2.re, cl.METRIC, degree=4, terms=2 * 16 * 8 * 8, sampled=True)
     eye = np.eye(16)
@@ -180,19 +176,17 @@ class OracleError(RuntimeError):
     """No signed-permutation dictionary matches the two trilinear forms."""
 
 
-@dataclass(frozen=True)
-class CorrespondenceMap:
+class CorrespondenceMap(namedtuple("CorrespondenceMap",
+                                   "phi_map x_map psi_map scale max_residual",
+                                   defaults=(0,))):
     """Component dictionary under which the two trilinear forms agree:
 
     F_matrix(phi, x, psi) = scale * s1(a) s2(b) s3(c) F_oct on basis triples
-    with slot maps a -> perm[a].
+    with slot maps a -> perm[a] (each map 8 pairs (index, sign)), scale a
+    Fraction.
     """
 
-    phi_map: tuple     # 8 pairs (index, sign)
-    x_map: tuple
-    psi_map: tuple
-    scale: Fraction
-    max_residual: int = 0
+    __slots__ = ()
 
     def is_identity(self) -> bool:
         ident = tuple((k, 1) for k in range(8))
@@ -206,41 +200,79 @@ class CorrespondenceMap:
                 "scale": str(self.scale), "max_residual": self.max_residual}
 
 
-def matrix_trilinear_tensor() -> np.ndarray:
-    """T1[a,b,c] = F_matrix(e_a, e_b, e_c), exact integers."""
-    t = np.zeros((8, 8, 8), dtype=np.int64)
-    for b in range(8):
-        t[:, b, :] = cl.trilinear_slice(b)
+class _Tensor(dict):
+    """A sparse 8x8x8 integer tensor: t[a, b, c] is 0 where nothing is set."""
+
+    def __missing__(self, key):
+        return 0
+
+
+def _matrix_trilinear_entries() -> _Tensor:
+    """F_matrix(e_a, e_b, e_c) = K_b[a, c], read off the trilinear slices."""
+    return _Tensor({(i, b, j): k for b, terms in enumerate(cl._TRI_TERMS) for i, j, k in terms})
+
+
+def _conj_inner2() -> list:
+    """M[a][j] = 2 inner(conj(e_a), e_j) = (e_a e_j)_0 + (conj(e_j) conj(e_a))_0."""
+    def scalar(a, b):
+        k, sign = oc._TABLE[a][b]
+        return sign if k == 0 else 0
+    return [[scalar(a, j) + _CONJ_SIGNS[a] * _CONJ_SIGNS[j] * scalar(j, a) for j in range(8)]
+            for a in range(8)]
+
+
+def _oct_trilinear_entries() -> _Tensor:
+    """-conj(e_a) . (e_b e_c): with e_b e_c = sign e_k, -sign M[a][k] / 2."""
+    m = _conj_inner2()
+    t = _Tensor()
+    for b, row in enumerate(oc._TABLE):
+        for c, (k, sign) in enumerate(row):
+            for a in range(8):
+                if m[a][k]:
+                    t[a, b, c] = -sign * m[a][k] // 2
     return t
 
 
-def _conj_inner2() -> np.ndarray:
-    """M[a,j] = 2 inner(conj(e_a), e_j) = (e_a e_j)_0 + (conj(e_j) conj(e_a))_0."""
-    c0 = oc._C[:, :, 0]
-    return c0 + np.outer(_CONJ_SIGNS, _CONJ_SIGNS) * c0.T
+def _dense(t: _Tensor):
+    import numpy as np
+    out = np.zeros((8, 8, 8), dtype=np.int64)
+    for index, v in t.items():
+        out[index] = v
+    return out
 
 
-def oct_trilinear_tensor() -> np.ndarray:
-    """T2[a,b,c] = -conj(e_a) . (e_b e_c), exact integers."""
-    return -np.einsum("aj,bcj->abc", _conj_inner2(), oc._C) // 2
+def matrix_trilinear_tensor():
+    """T1[a,b,c] = F_matrix(e_a, e_b, e_c), exact integers (int64 array)."""
+    return _dense(_matrix_trilinear_entries())
 
 
-def _slice_maps(t: np.ndarray):
-    """Per a-slice of a generalized-permutation tensor: bijection b->c and
-    sign map b->sign."""
+def oct_trilinear_tensor():
+    """T2[a,b,c] = -conj(e_a) . (e_b e_c), exact integers (int64 array)."""
+    return _dense(_oct_trilinear_entries())
+
+
+def _nonzero(t) -> dict:
+    """{(a, b, c): value} over the nonzero entries of an 8x8x8 tensor
+    (anything indexed as t[a, b, c]), as Python ints."""
+    return {abc: int(t[abc]) for abc in itertools.product(range(8), repeat=3) if t[abc]}
+
+
+def _slice_maps(entries: dict):
+    """Per a-slice of a generalized-permutation tensor, given by its nonzero
+    entries: bijection b->c and sign map b->sign."""
+    beta = [[[] for _ in range(8)] for _ in range(8)]
+    sig = [[0] * 8 for _ in range(8)]
+    for (a, b, c), v in entries.items():
+        beta[a][b].append(c)
+        sig[a][b] = 1 if v > 0 else -1
     maps = []
     for a in range(8):
-        beta = [None] * 8
-        sig = [0] * 8
-        for b in range(8):
-            nz = np.nonzero(t[a, b])[0]
-            if len(nz) != 1:
-                return None
-            beta[b] = int(nz[0])
-            sig[b] = 1 if t[a, b, nz[0]] > 0 else -1
-        if len(set(beta)) != 8:
+        if any(len(cs) != 1 for cs in beta[a]):
             return None
-        maps.append((tuple(beta), tuple(sig)))
+        image = tuple(cs[0] for cs in beta[a])
+        if len(set(image)) != 8:
+            return None
+        maps.append((image, tuple(sig[a])))
     return maps
 
 
@@ -311,18 +343,20 @@ def trilinear_equivalence_oracle() -> CorrespondenceMap:
     the matrix and octonionic trilinear forms agree on all 512 basis
     triples; the result is verified against the full tensors before it is
     returned.  Fails loudly with the best candidate otherwise."""
-    return find_dictionary(matrix_trilinear_tensor(), oct_trilinear_tensor())
+    return find_dictionary(_matrix_trilinear_entries(), _oct_trilinear_entries())
 
 
-def find_dictionary(t1: np.ndarray, t2: np.ndarray) -> CorrespondenceMap:
-    """Signed-permutation/scale dictionary between two trilinear tensors."""
-    m1 = _slice_maps(t1)
-    m2 = _slice_maps(t2)
+def find_dictionary(t1, t2) -> CorrespondenceMap:
+    """Signed-permutation/scale dictionary between two trilinear tensors,
+    each indexed as t[a, b, c] (an array or a sparse _Tensor)."""
+    e1, e2 = _nonzero(t1), _nonzero(t2)
+    m1 = _slice_maps(e1)
+    m2 = _slice_maps(e2)
     if m1 is None or m2 is None:
         raise OracleError("trilinear tensor is not slice-wise generalized-permutation")
 
-    mags1 = sorted({abs(int(v)) for v in t1.flatten() if v})
-    mags2 = sorted({abs(int(v)) for v in t2.flatten() if v})
+    mags1 = sorted({abs(v) for v in e1.values()})
+    mags2 = sorted({abs(v) for v in e2.values()})
     if len(mags1) != 1 or len(mags2) != 1:
         raise OracleError(f"no single scale: magnitudes {mags1} vs {mags2}")
     scale_abs = Fraction(mags1[0], mags2[0])
@@ -402,13 +436,12 @@ def _verify_dictionary(t1, t2, d: CorrespondenceMap):
     """t1[a,b,c] == scale s1(a) s2(b) s3(c) t2[perm a, perm b, perm c] on all
     512 basis triples, compared as q t1 == p (signed t2) for scale p/q in
     Python ints; raises naming the first failing triple in C order."""
-    index, sign = zip(*(np.array(m).T for m in (d.phi_map, d.x_map, d.psi_map)))
-    mapped = np.einsum("a,b,c->abc", *sign) * np.asarray(t2, dtype=object)[np.ix_(*index)]
-    bad = np.argwhere(d.scale.denominator * np.asarray(t1, dtype=object)
-                      != d.scale.numerator * mapped)
-    if len(bad):
-        a, b, c = (int(i) for i in bad[0])
-        raise OracleError(f"dictionary fails at basis triple ({a},{b},{c})")
+    p, q = d.scale.numerator, d.scale.denominator
+    for a, (a2, s1) in enumerate(d.phi_map):
+        for b, (b2, s2) in enumerate(d.x_map):
+            for c, (c2, s3) in enumerate(d.psi_map):
+                if q * int(t1[a, b, c]) != p * s1 * s2 * s3 * int(t2[a2, b2, c2]):
+                    raise OracleError(f"dictionary fails at basis triple ({a},{b},{c})")
 
 
 _ORACLE_CACHE = None
@@ -442,45 +475,48 @@ def trilinear_both(phi, x, psi):
 
 # ---------------------------------------------------------------------------
 # generator tables: the expected first-order coefficients of the L_01
-# rotation, the L_04 boost, and the composite role-swap rotor
+# rotation, the L_04 boost, and the composite role-swap rotor, as
+# (output, input, coefficient) entries
 # ---------------------------------------------------------------------------
 
-def _gen_matrix(pairs):
+def gen_matrix(entries):
+    """The dense 8x8 float64 matrix of a generator table; repeated entries add."""
+    import numpy as np
     m = np.zeros((8, 8))
-    for out_i, in_j, coeff in pairs:
-        m[out_i, in_j] = coeff
+    for out_i, in_j, coeff in entries:
+        m[out_i, in_j] += coeff
     return m
 
 
 # d/dtheta at 0 of the L_01 action
-L01_X = _gen_matrix([(0, 1, -1.0), (1, 0, 1.0)])
-L01_PHI = _gen_matrix([(0, 1, 0.5), (1, 0, -0.5), (2, 3, -0.5), (3, 2, 0.5),
-                       (4, 5, -0.5), (5, 4, 0.5), (6, 7, 0.5), (7, 6, -0.5)])
-L01_PSI = _gen_matrix([(0, 1, 0.5), (1, 0, -0.5), (2, 3, 0.5), (3, 2, -0.5),
-                       (4, 5, 0.5), (5, 4, -0.5), (6, 7, -0.5), (7, 6, 0.5)])
+L01_X = ((0, 1, -1.0), (1, 0, 1.0))
+L01_PHI = ((0, 1, 0.5), (1, 0, -0.5), (2, 3, -0.5), (3, 2, 0.5),
+           (4, 5, -0.5), (5, 4, 0.5), (6, 7, 0.5), (7, 6, -0.5))
+L01_PSI = ((0, 1, 0.5), (1, 0, -0.5), (2, 3, 0.5), (3, 2, -0.5),
+           (4, 5, 0.5), (5, 4, -0.5), (6, 7, -0.5), (7, 6, 0.5))
 
 # d/dtheta at 0 of the L_04 action
-L04_X = _gen_matrix([(0, 4, 1.0), (4, 0, 1.0)])
-L04_PHI = _gen_matrix([(k, (k + 4) % 8, -0.5) for k in range(8)])
-L04_PSI = _gen_matrix([(0, 4, -0.5), (1, 5, 0.5), (2, 6, 0.5), (3, 7, 0.5),
-                       (4, 0, -0.5), (5, 1, 0.5), (6, 2, 0.5), (7, 3, 0.5)])
+L04_X = ((0, 4, 1.0), (4, 0, 1.0))
+L04_PHI = tuple((k, (k + 4) % 8, -0.5) for k in range(8))
+L04_PSI = ((0, 4, -0.5), (1, 5, 0.5), (2, 6, 0.5), (3, 7, 0.5),
+           (4, 0, -0.5), (5, 1, 0.5), (6, 2, 0.5), (7, 3, 0.5))
 
 # composite role-swap rotor L10 L23 L54 L67 at half angle
-COMPOSITE_X = _gen_matrix([(0, 1, 0.5), (1, 0, -0.5), (2, 3, -0.5), (3, 2, 0.5),
-                           (4, 5, -0.5), (5, 4, 0.5), (6, 7, 0.5), (7, 6, -0.5)])
-COMPOSITE_PHI = _gen_matrix([(0, 1, 0.5), (1, 0, -0.5), (2, 3, 0.5), (3, 2, -0.5),
-                             (4, 5, 0.5), (5, 4, -0.5), (6, 7, -0.5), (7, 6, 0.5)])
-COMPOSITE_PSI = _gen_matrix([(0, 1, -1.0), (1, 0, 1.0)])
+COMPOSITE_X = ((0, 1, 0.5), (1, 0, -0.5), (2, 3, -0.5), (3, 2, 0.5),
+               (4, 5, -0.5), (5, 4, 0.5), (6, 7, 0.5), (7, 6, -0.5))
+COMPOSITE_PHI = ((0, 1, 0.5), (1, 0, -0.5), (2, 3, 0.5), (3, 2, -0.5),
+                 (4, 5, 0.5), (5, 4, -0.5), (6, 7, -0.5), (7, 6, 0.5))
+COMPOSITE_PSI = ((0, 1, -1.0), (1, 0, 1.0))
 
 FD_STEP = 1e-6
 FD_TOL = 1e-8
 
 
-@dataclass
 class RotorWord:
     """An ordered product of rotors acting on vectors and spinors."""
 
-    rotors: tuple
+    def __init__(self, rotors: tuple):
+        self.rotors = rotors
 
     def act_vector(self, x):
         for r in reversed(self.rotors):
@@ -501,8 +537,9 @@ def triality_rotor(theta: float) -> RotorWord:
                       cl.rotor(5, 4, h), cl.rotor(6, 7, h)))
 
 
-def _fd_generator(apply_fn, dim: int, step: float = FD_STEP) -> np.ndarray:
+def _fd_generator(apply_fn, dim: int, step: float = FD_STEP):
     """Central finite-difference generator d/dtheta|_0 of a one-parameter action."""
+    import numpy as np
     gen = np.zeros((dim, dim))
     for j in range(dim):
         e = np.zeros(dim)
@@ -521,7 +558,7 @@ def _spinor_blocks(apply16):
 
 def _check_generator(rep, name, got, want, tol=FD_TOL):
     """One case per entry, in C order; a failing entry names its values."""
-    resid = np.abs(got - want)
+    resid = abs(got - want)
     rep.record_mask(resid <= tol, lambda i, j: (
         f"{name}[{i},{j}] got {got[i, j]:.3e} want {want[i, j]}"), residual=resid)
 
@@ -542,15 +579,16 @@ def infinitesimal_table_check(plane: str = "01") -> VerificationReport:
     vec_fn = lambda v, t: cl.rotate_vector(v, cl.rotor(mu, nu, t))
     spin16 = lambda e, t: cl.rotate_spinor(e, cl.rotor(mu, nu, t))
     phi_fn, psi_fn = _spinor_blocks(spin16)
-    _check_generator(rep, "x", _fd_generator(vec_fn, 8), tables[0])
-    _check_generator(rep, "phi", _fd_generator(phi_fn, 8), tables[1])
-    _check_generator(rep, "psi", _fd_generator(psi_fn, 8), tables[2])
+    _check_generator(rep, "x", _fd_generator(vec_fn, 8), gen_matrix(tables[0]))
+    _check_generator(rep, "phi", _fd_generator(phi_fn, 8), gen_matrix(tables[1]))
+    _check_generator(rep, "psi", _fd_generator(psi_fn, 8), gen_matrix(tables[2]))
     return rep
 
 
 def boost_table_check(theta: float = 0.5) -> VerificationReport:
     """The L_04 hyperbolic table plus identification of the isotropic planes
     the spinor halves actually move in."""
+    import numpy as np
     rep = infinitesimal_table_check("04")
     rep.name = "boost-table"
     # finite-angle hyperbolic check on the x side
@@ -583,9 +621,9 @@ def role_swap_check() -> VerificationReport:
     vec_fn = lambda v, t: triality_rotor(t).act_vector(v)
     spin16 = lambda e, t: triality_rotor(t).act_spinor(e)
     phi_fn, psi_fn = _spinor_blocks(spin16)
-    _check_generator(rep, "x", _fd_generator(vec_fn, 8), COMPOSITE_X)
-    _check_generator(rep, "phi", _fd_generator(phi_fn, 8), COMPOSITE_PHI)
-    _check_generator(rep, "psi", _fd_generator(psi_fn, 8), COMPOSITE_PSI)
+    _check_generator(rep, "x", _fd_generator(vec_fn, 8), gen_matrix(COMPOSITE_X))
+    _check_generator(rep, "phi", _fd_generator(phi_fn, 8), gen_matrix(COMPOSITE_PHI))
+    _check_generator(rep, "psi", _fd_generator(psi_fn, 8), gen_matrix(COMPOSITE_PSI))
     return rep
 
 
@@ -606,8 +644,9 @@ def _half_angle(mu: int, nu: int, theta: float):
     return cl.half_angle(cl.METRIC[mu] * cl.METRIC[nu] > 0, theta)
 
 
-def _spinor_generators() -> np.ndarray:
+def _spinor_generators():
     """real_bivector_rep(mu, nu) of every plane, stacked at index 8 mu + nu."""
+    import numpy as np
     out = np.zeros((64, 16, 16))
     for mu, nu in itertools.permutations(range(8), 2):
         out[8 * mu + nu] = cl.real_bivector_rep(mu, nu)
@@ -617,36 +656,44 @@ def _spinor_generators() -> np.ndarray:
 def _turn_vectors(x, rows, mu, nu, c, s) -> None:
     """Row rows[k] of the vector stack x by the rotor of plane (mu[k], nu[k])
     with half-angle pair (c[k], s[k]), in place; as cl.rotate_vector."""
-    x[rows, mu], x[rows, nu] = cl.turn_pair(x[rows, mu], x[rows, nu], mu, nu, c, s)
+    import numpy as np
+    g = np.array(cl.METRIC, dtype=np.float64)
+    x[rows, mu], x[rows, nu] = cl.turn_pair(x[rows, mu], x[rows, nu], g[mu], g[nu], c, s)
 
 
 def _turn_spinors(eta, rows, gens, mu, nu, c, s) -> None:
     """The same rotors on the spinor stack eta (samples, spinors, 16), in
     place; as cl.rotate_spinor."""
+    import numpy as np
     e = eta[rows]
     moved = np.einsum("kij,kaj->kai", gens[8 * mu + nu], e)
     eta[rows] = c[:, None, None] * e - s[:, None, None] * moved
 
 
-def _sumsq(v) -> np.ndarray:
+def _sumsq(v):
     """Squared Euclidean norm of each row."""
+    import numpy as np
     return np.einsum("ki,ki->k", v, v)
 
 
-def _drift(before, after, size_before, size_after) -> np.ndarray:
+def _drift(before, after, size_before, size_after):
     """|before - after| relative to the Euclidean size of the data (at least 1)."""
+    import numpy as np
     return np.abs(before - after) / np.maximum(np.maximum(size_before, size_after), 1.0)
 
 
-def _vector_forms(x) -> np.ndarray:
+def _vector_forms(x):
     """cl.quadratic_form of each row."""
+    import numpy as np
     return np.einsum("ki,ki->k", x[:, :4] - x[:, 4:], x[:, :4] + x[:, 4:])
 
 
-def _spinor_forms(eta) -> np.ndarray:
+def _spinor_forms(eta):
     """The float evaluation of cl.spinor_invariant on each row."""
-    return (np.einsum("ki,ij,kj->k", eta[:, 0:8], cl._Q_SPINOR[0:8, 0:8], eta[:, 0:8])
-            + np.einsum("ki,ij,kj->k", eta[:, 8:16], cl._Q_SPINOR[8:16, 8:16], eta[:, 8:16]))
+    import numpy as np
+    q = cl._Q_SPINOR_2.re / 2.0
+    return (np.einsum("ki,ij,kj->k", eta[:, 0:8], q[0:8, 0:8], eta[:, 0:8])
+            + np.einsum("ki,ij,kj->k", eta[:, 8:16], q[8:16, 8:16], eta[:, 8:16]))
 
 
 def rotor_invariance_check(n_rotors: int = 1000, seed: int = DEFAULT_SEED,
@@ -659,6 +706,7 @@ def rotor_invariance_check(n_rotors: int = 1000, seed: int = DEFAULT_SEED,
     Each sample draws its plane, its angle and then its 24 components in
     one call; samples are acted on in stacks of BLOCK.
     """
+    import numpy as np
     rep = VerificationReport("rotor-invariance", exact=False,
                              meta={"seed": seed, "samples": n_rotors, "tolerance": tol})
     rng = np.random.default_rng(seed)
@@ -691,8 +739,9 @@ def rotor_invariance_check(n_rotors: int = 1000, seed: int = DEFAULT_SEED,
     return rep
 
 
-def _trilinear_forms(phi, x, psi) -> np.ndarray:
+def _trilinear_forms(phi, x, psi):
     """cl.trilinear_matrix of each row triple, in float."""
+    import numpy as np
     slices = np.array([cl.trilinear_slice(b) for b in range(8)], dtype=np.float64)
     return np.einsum("kb,ki,bij,kj->k", x, phi, slices, psi)
 
@@ -706,6 +755,7 @@ def trilinear_invariance_check(n_samples: int = 200, seed: int = DEFAULT_SEED,
     the three Euclidean norms, before or after, at least 1.  Words act
     right to left, as RotorWord does, on stacks of BLOCK samples.
     """
+    import numpy as np
     rep = VerificationReport("trilinear-invariance", exact=False,
                              meta={"seed": seed, "samples": n_samples, "tolerance": tol})
     rng = np.random.default_rng(seed)
@@ -758,6 +808,7 @@ def dictionary_random_check(n_samples: int = 1000, seed: int = DEFAULT_SEED) -> 
     -inner(conj(Phi), X Psi) through the octonion structure tensor.  With
     scale = p/q the two sides agree when 2 q F_matrix == p (2 F_oct).
     """
+    import numpy as np
     rep = VerificationReport("trilinear-dictionary",
                              meta={"seed": seed, "samples": n_samples})
     d = equivalence_map()
@@ -765,7 +816,8 @@ def dictionary_random_check(n_samples: int = 1000, seed: int = DEFAULT_SEED) -> 
     p, q = d.scale.numerator, d.scale.denominator
     # the largest sum is p (2 F_oct): p x 8^4 products phi_a M[a,j] x_b psi_c C[b,c,j]
     slices, c, inner2 = exact_float64(
-        np.array(cl._TRI_SLICES).transpose(1, 0, 2).reshape(8, 64), oc._C.reshape(8, 64),
+        np.array([cl.trilinear_slice(b) for b in range(8)]).transpose(1, 0, 2).reshape(8, 64),
+        oc._c().reshape(8, 64),
         _conj_inner2(), degree=5, terms=2 * max(abs(p), q) * 8 ** 4, sampled=True)
     rng = np.random.default_rng(seed)
     for start, n in _blocks(n_samples):
@@ -788,6 +840,7 @@ def dictionary_random_check(n_samples: int = 1000, seed: int = DEFAULT_SEED) -> 
 
 def double_cover_check(tol: float = 1e-12) -> VerificationReport:
     """Compact rotors at 2pi negate spinors and fix vectors; 4pi fixes both."""
+    import numpy as np
     rep = VerificationReport("double-cover", exact=False, meta={"tolerance": tol})
     rng = np.random.default_rng(DEFAULT_SEED)
     compact_planes = [(mu, nu) for mu in range(8) for nu in range(8)

@@ -106,8 +106,8 @@ def test_c11_role_swap():
     rep = tr.role_swap_check()
     ok = rep.passed and rep.max_residual <= 1e-8
     # x must imitate the L01 phi pattern; psi is a full-angle (0,1) rotation
-    ok &= np.array_equal(tr.COMPOSITE_X, tr.L01_PHI)
-    ok &= np.array_equal(tr.COMPOSITE_PSI[2:], np.zeros((6, 8)))
+    ok &= np.array_equal(tr.gen_matrix(tr.COMPOSITE_X), tr.gen_matrix(tr.L01_PHI))
+    ok &= np.array_equal(tr.gen_matrix(tr.COMPOSITE_PSI)[2:], np.zeros((6, 8)))
     _report(11, f"composite rotor generators match the role-swap pattern, "
                 f"max residual {rep.max_residual:.2e} <= 1e-8", ok)
 

@@ -82,7 +82,8 @@ def assert_same_outcome(batched, reference):
 @pytest.mark.parametrize("plane,factor", [((0, 4), -1), ((2, 5), -1), ((0, 4), 2),
                                           ((6, 7), 2)])
 def test_corrupted_generator_parity(monkeypatch, plane, factor):
-    monkeypatch.setitem(cl._BIV_REP, plane, factor * cl.real_bivector_rep(*plane))
+    monkeypatch.setitem(cl._BIV_REP, plane,
+                        tuple((j, factor * g) for j, g in cl._bivector_action(*plane)))
     rot = tr.rotor_invariance_check(1000)
     assert_same_outcome(rot, reference_rotor_invariance(1000, tr.DEFAULT_SEED))
     tri = tr.trilinear_invariance_check(200)
@@ -200,7 +201,7 @@ class TestExactFloat64:
             exact.exact_float64(one, degree=17, terms=1, sampled=True)    # 9^17 > 2^53
         monkeypatch.setattr(exact, "SAMPLE_RANGE", 2 ** 14)
         with pytest.raises(OverflowError):
-            exact.exact_float64(oc._C, degree=4, terms=2048, sampled=True)
+            exact.exact_float64(oc._c(), degree=4, terms=2048, sampled=True)
 
     @pytest.mark.parametrize("suite", [tr.correspondence_check, tr.dictionary_random_check])
     def test_sampled_suites_refuse_a_wider_range(self, monkeypatch, suite):
@@ -225,13 +226,13 @@ def reference_check_generator(rep, name, got, want, tol=tr.FD_TOL):
 ])
 @pytest.mark.parametrize("corrupt", [None, "sign", "nudge"])
 def test_generator_tables_match_entry_loop(monkeypatch, table, suite, corrupt):
-    bad = getattr(tr, table).copy()
+    bad = tr.gen_matrix(getattr(tr, table))
     if corrupt == "sign":
         bad[np.nonzero(bad)[0][0], np.nonzero(bad)[1][0]] *= -1
     elif corrupt == "nudge":
         bad[3, 3] += 1e-3
         bad[5, 2] += 2e-9                  # inside the tolerance: passes, raises the residual
-    monkeypatch.setattr(tr, table, bad)
+    monkeypatch.setattr(tr, table, tuple((i, j, bad[i, j]) for i, j in zip(*np.nonzero(bad))))
     rep = suite()
     monkeypatch.setattr(tr, "_check_generator", reference_check_generator)
     want = suite()

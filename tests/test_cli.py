@@ -1,6 +1,9 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -168,6 +171,13 @@ def test_matrices_gamma_off_diagonal_blocks(capsys):
             assert mat[r + 8][c + 8] == {"re": "0", "im": "0"}
 
 
+@pytest.mark.parametrize("which,index", [("B", "3"), ("xi", "9"), ("xi", "0")])
+def test_matrices_index_needs_alpha_or_gamma(capsys, which, index):
+    code, out, err = run(capsys, ["matrices", "--which", which, "--index", index])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "--index" in err
+
+
 def test_matrices_float_mode(capsys):
     code, out, _ = run(capsys, ["matrices", "--which", "B", "--mode", "float"])
     assert code == 0
@@ -299,3 +309,38 @@ def test_verify_all_passes_for_seed(capsys, seed):
     digest = hashlib.sha256(
         json.dumps(normalized(json.loads(out)), sort_keys=True).encode()).hexdigest()
     assert digest == json.loads((GOLDEN / "verify_all_sha256.json").read_text())[str(seed)]
+
+
+# every one-shot command, and what `import splitoct` sets up, on the standard
+# library alone; a dense sweep imports numpy
+NUMPY_GUARD = """
+import contextlib, io, sys
+import splitoct
+splitoct.equivalence_map()
+assert "numpy" not in sys.modules, "import splitoct"
+from splitoct import cli
+e = ",".join(["1"] + ["0"] * 7)
+for argv in (
+        ["rotate", "--plane=0,4", "--theta=1", "--target=vector", "--components=" + e],
+        ["rotate", "--plane=2,3", "--theta=4", "--target=spinor",
+         "--components=" + ",".join(["-0.5"] * 8 + ["0"] * 8)],
+        ["trilinear", "--phi=" + e, "--x=1,2,3,4,5,6,7,8", "--psi=" + e, "--mode=exact"],
+        ["trilinear", "--phi=0.5,1,2,3,4,5,6,7", "--x=" + e, "--psi=" + e, "--mode=float"],
+        ["matrices", "--which=alpha"], ["matrices", "--which=gamma", "--index=5"],
+        ["matrices", "--which=B", "--mode=float"], ["matrices", "--which=xi"],
+        ["table"], ["table", "--format=pretty"], ["verify", "clifford"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+    assert "numpy" not in sys.modules, argv
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["verify", "moufang"]) == 0
+assert "numpy" in sys.modules
+"""
+
+
+def test_oneshot_commands_leave_numpy_unloaded():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", NUMPY_GUARD], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -81,10 +81,10 @@ def _gamma_with(mu, g):
 
 
 def _first_entry_negated(g):
-    re, im = g.re.copy(), g.im.copy()
-    r, c = np.argwhere(re | im)[0]
-    re[r, c], im[r, c] = -re[r, c], -im[r, c]
-    return cl.GMat(re, im)
+    entries = list(g.entries())
+    r, c, re, im = entries[0]
+    entries[0] = (r, c, -re, -im)
+    return cl.GMat.from_entries(16, entries)
 
 
 # Gamma_3 replaced by Gamma_2; one entry of Gamma_5 negated; Gamma_6 doubled
@@ -112,35 +112,35 @@ def test_clifford_witness_names_plain_ints(monkeypatch):
 
 
 class TestGMatCeiling:
-    """GMat products refuse operands whose product may leave int64."""
+    """GMat holds Python ints: products past the int64 ceiling are exact."""
 
-    def test_wide_square_is_refused(self):
-        x = cl.vector_to_matrix_exact([4 * 10 ** 9, 0, 0, 0, 0, 0, 0, 0])
-        with pytest.raises(OverflowError):
-            x @ x
+    # the largest k with 16 k^2 < 2^63 (the old int64 bound), the first k
+    # past it, and 2^70
+    K = math.isqrt((2 ** 63 - 1) // 16)
+    WIDE = (K, K + 1, 2 ** 70)
+
+    def test_wide_square_is_exact(self):
+        x = [4 * 10 ** 9, -3, 0, 2 ** 70, 5, 0, -(2 ** 66), 1]
+        X = cl.vector_to_matrix_exact(x)
+        q = sum(g * v * v for g, v in zip(cl.METRIC, x))
+        assert X @ X == cl.GMat.eye(16).scale(q)
 
     @pytest.mark.parametrize("mu", [0, 5])
     def test_boundary(self, mu):
-        # X = k Gamma_mu has entries 0 and +-k (or +-ik), so the bound the
-        # product checks is 16 k^2: the largest k with 16 k^2 < 2^63 passes
-        k = math.isqrt((2 ** 63 - 1) // 16)
-        e = [0] * 8
-        e[mu] = k
-        x = cl.vector_to_matrix_exact(e)
-        assert x @ x == cl.GMat.eye(16).scale(cl.METRIC[mu] * k * k)
-        e[mu] = k + 1
-        x = cl.vector_to_matrix_exact(e)
-        with pytest.raises(OverflowError):
-            x @ x
+        # X = k Gamma_mu has entries 0 and +-k (or +-ik), and X^2 = g k^2 Id
+        for k in self.WIDE:
+            e = [0] * 8
+            e[mu] = k
+            x = cl.vector_to_matrix_exact(e)
+            assert x @ x == cl.GMat.eye(16).scale(cl.METRIC[mu] * k * k)
 
     def test_mixed_parts_count_both(self):
-        # the real part of a product takes re re' and im im' alike
-        k = math.isqrt((2 ** 63 - 1) // 32)
-        a = cl.GMat(np.eye(16, dtype=np.int64) * k, np.eye(16, dtype=np.int64) * k)
-        assert (a @ a).im[0, 0] == 2 * k * k
-        b = cl.GMat(np.eye(16, dtype=np.int64) * (k + 1), np.eye(16, dtype=np.int64) * (k + 1))
-        with pytest.raises(OverflowError):
-            b @ b
+        # the real part of a product takes re re' and im im' alike:
+        # ((1 + i) k)^2 = 2i k^2
+        for k in self.WIDE:
+            a = cl.GMat.eye(16).scale(k)
+            a = a + a.times_i()
+            assert a @ a == cl.GMat.eye(16).scale(2 * k * k).times_i()
 
 
 def test_b_matrix_properties():
@@ -388,8 +388,8 @@ class TestVectorOracle:
             assert (twice == 2 * _closed_form_generator(mu, nu)).all(), (mu, nu)
 
     def test_generator_matches_tables(self):
-        assert np.array_equal(_closed_form_generator(0, 1), tr.L01_X)
-        assert np.array_equal(_closed_form_generator(0, 4), tr.L04_X)
+        assert np.array_equal(_closed_form_generator(0, 1), tr.gen_matrix(tr.L01_X))
+        assert np.array_equal(_closed_form_generator(0, 4), tr.gen_matrix(tr.L04_X))
 
     @pytest.mark.parametrize("mu,nu", PLANES)
     def test_matches_conjugation(self, mu, nu):

@@ -60,10 +60,8 @@ def _corpus():
     # compact planes and boosts, with angles past pi (negative cosine)
     turns = [("0,1", "0.7"), ("4,5", "-2.5"), ("2,3", "4.0"), ("6,7", "-3.5"),
              ("5,2", "7.0"), ("0,4", "1.0"), ("1,6", "-0.3"), ("7,2", "2.5"),
-             ("3,3", "1.0"), ("0,1", "0"), ("2,3", "6.283185307179586")]
+             ("0,1", "0"), ("2,3", "6.283185307179586")]
     for k, (plane, theta) in enumerate(turns):
-        if plane == "3,3":
-            continue
         add("rotate", f"--plane={plane}", f"--theta={theta}", "--target=vector",
             f"--components={vectors[k % len(vectors)]}")
         add("rotate", f"--plane={plane}", f"--theta={theta}", "--target=spinor",

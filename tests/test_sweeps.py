@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 from fractions import Fraction
@@ -195,7 +194,7 @@ def test_dictionary_check_matches_reference_with_flipped_sign(monkeypatch, b):
     d = tr.equivalence_map()
     x_map = list(d.x_map)
     x_map[b] = (x_map[b][0], -x_map[b][1])
-    monkeypatch.setattr(tr, "_ORACLE_CACHE", dataclasses.replace(d, x_map=tuple(x_map)))
+    monkeypatch.setattr(tr, "_ORACLE_CACHE", d._replace(x_map=tuple(x_map)))
     monkeypatch.setattr(report, "MAX_DETAILS", 2000)      # witnesses past the first block
     rep = tr.dictionary_random_check(200, seed=5)
     assert outcome(rep) == outcome(reference_dictionary(200, 5))
@@ -269,7 +268,7 @@ def reference_verify_dictionary(t1, t2, d):
 def _sign_flipped(d, slot, k):
     m = list(getattr(d, slot))
     m[k] = (m[k][0], -m[k][1])
-    return dataclasses.replace(d, **{slot: tuple(m)})
+    return d._replace(**{slot: tuple(m)})
 
 
 @pytest.mark.parametrize("slot,k", [("phi_map", 0), ("phi_map", 6), ("x_map", 3),
@@ -290,12 +289,12 @@ def test_verify_dictionary_scale_and_pass():
     assert reference_verify_dictionary(t1, t2, d) is None
     tr._verify_dictionary(t1, t2, d)
     for scale in (-d.scale, d.scale / 2, 3 * d.scale):
-        wrong = dataclasses.replace(d, scale=scale)
+        wrong = d._replace(scale=scale)
         with pytest.raises(tr.OracleError) as err:
             tr._verify_dictionary(t1, t2, wrong)
         assert str(err.value) == reference_verify_dictionary(t1, t2, wrong)
     # doubling one tensor is matched exactly by doubling the scale
-    tr._verify_dictionary(2 * t1, t2, dataclasses.replace(d, scale=2 * d.scale))
+    tr._verify_dictionary(2 * t1, t2, d._replace(scale=2 * d.scale))
 
 
 def test_zorn_halving_needs_even_entries():
