@@ -29,8 +29,8 @@ class RunConfig:
 
     def __init__(self, seed: int, tolerance: float, samples: int):
         self.seed, self.tolerance, self.samples = seed, tolerance, samples
-        if not self.tolerance > 0:
-            raise ValueError("tolerance must be positive")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise ValueError("tolerance must be finite and positive")
         if self.samples < 1:
             raise ValueError("samples must be at least 1")
 

@@ -50,15 +50,6 @@ class VerificationReport:
             if top > self.max_residual:
                 self.max_residual = top
 
-    def merge(self, other: "VerificationReport") -> None:
-        self.cases += other.cases
-        self.failures += other.failures
-        for d in other.failure_details:
-            if len(self.failure_details) < MAX_DETAILS:
-                self.failure_details.append(f"{other.name}: {d}")
-        self.max_residual = max(self.max_residual, other.max_residual)
-        self.exact = self.exact and other.exact
-
     def to_json(self) -> dict:
         return {
             "name": self.name,

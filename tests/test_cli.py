@@ -243,7 +243,7 @@ def test_unread_flags_are_rejected(capsys, argv):
 
 
 @pytest.mark.parametrize("flags", [["--tolerance", "0"], ["--tolerance", "nan"],
-                                   ["--samples", "0"]])
+                                   ["--tolerance", "inf"], ["--samples", "0"]])
 def test_verify_rejects_bad_settings(capsys, flags):
     code, out, _ = run(capsys, ["verify", "correspondence", *flags])
     assert (code, out) == (2, "")

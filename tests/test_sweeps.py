@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from splitoct import cli
 from splitoct import octonion as oc
 from splitoct import report
 from splitoct import triality as tr
@@ -302,3 +303,29 @@ def test_zorn_halving_needs_even_entries():
     assert z.halved() == oc._Zorn(1, (0, 2, -1), (3, 0, 0), -4)
     with pytest.raises(oc.ConstructionError):
         oc._Zorn(2, (0, 3, 0), (0, 0, 0), 0).halved()
+
+
+def test_oracle_names_first_failing_triple_on_flipped_table(monkeypatch):
+    # with e_J1 e_J2 negated the identity dictionary no longer carries the
+    # octonion form onto the matrix form: the oracle fails at once, naming
+    # the first basis triple where the two differ
+    flipped_table(monkeypatch, (("J1", "J2"),))
+    monkeypatch.setattr(tr, "_ORACLE_CACHE", None)
+    with pytest.raises(tr.OracleError) as err:
+        tr.equivalence_map()
+    assert str(err.value) == "dictionary fails at basis triple (3,5,6)"
+    identity = tr.CorrespondenceMap(*[tuple((k, 1) for k in range(8))] * 3, Fraction(1))
+    assert str(err.value) == reference_verify_dictionary(
+        tr.matrix_trilinear_tensor(), tr.oct_trilinear_tensor(), identity)
+
+
+def test_trilinear_both_exits_1_on_flipped_table(monkeypatch, capsys):
+    flipped_table(monkeypatch, (("J1", "J2"),))
+    monkeypatch.setattr(tr, "_ORACLE_CACHE", None)
+    e0 = "1,0,0,0,0,0,0,0"
+    code = cli.main(["trilinear", "--phi", e0, "--x", e0, "--psi", e0,
+                     "--representation", "both"])
+    out = capsys.readouterr()
+    assert (code, out.out) == (1, "")
+    assert out.err == ("error: trilinear dictionary unavailable: "
+                       "dictionary fails at basis triple (3,5,6)\n")
