@@ -260,18 +260,21 @@ def cmd_trilinear(args) -> int:
     x = _parse_components(args.x, 8, exact)
     psi = _parse_components(args.psi, 8, exact)
     payload = {"representation": args.representation, "mode": args.mode}
-    if args.representation in ("matrix", "both"):
-        payload["matrix"] = _num(cl.trilinear_matrix(phi, x, psi))
-    if args.representation in ("octonion", "both"):
-        v = tr.trilinear_oct(tr.oct_from_components(phi), tr.oct_from_components(x),
-                             tr.oct_from_components(psi))
-        payload["octonion"] = _num(v)
     if args.representation == "both":
         try:
             mat_val, oct_mapped = tr.trilinear_both(phi, x, psi)
         except tr.OracleError as exc:
             print(f"error: trilinear dictionary unavailable: {exc}", file=sys.stderr)
             return 1
+    elif args.representation == "matrix":
+        mat_val = cl.trilinear_matrix(phi, x, psi)
+    if args.representation in ("matrix", "both"):
+        payload["matrix"] = _num(mat_val)
+    if args.representation in ("octonion", "both"):
+        v = tr.trilinear_oct(tr.oct_from_components(phi), tr.oct_from_components(x),
+                             tr.oct_from_components(psi))
+        payload["octonion"] = _num(v)
+    if args.representation == "both":
         residual = (abs(mat_val - oct_mapped) if exact
                     else abs(float(mat_val) - float(oct_mapped)))
         payload["octonion_mapped"] = _num(oct_mapped)

@@ -7,13 +7,14 @@ sparse rows of Gaussian integers in Python ints (``GMat``), and the checks
 run at import (the Clifford relations, the basis change, the spinor form,
 the trilinear slices) are exact sparse compositions.  Rotors act on real
 float components: vectors in closed form, spinors through the signed
-permutation of each bivector.  Float sums of several terms (the invariants,
-the float trilinear form) are correctly rounded (``math.fsum``), so they do
-not depend on the machine.  numpy is imported only by the dense views and
-the complex128 conjugation L X L^{-1} kept as the rotors' oracle.  The
-module also owns the grade-4 element B = -G1 G3 G5 G7, the spinor
-basis-change matrix and everything built on them (rotors, invariants, the
-trilinear form).
+permutation of each bivector.  The eight trilinear slices are held as one
+flat table of (b, i, j, K_b[i,j]) terms.  Float sums of several terms (the
+invariants, the float trilinear form) are correctly rounded
+(``math.fsum``), so they do not depend on the machine.  numpy is imported
+only by the dense views and the complex128 conjugation L X L^{-1} kept as
+the rotors' oracle.  The module also owns the grade-4 element
+B = -G1 G3 G5 G7, the spinor basis-change matrix and everything built on
+them (rotors, invariants, the trilinear form).
 """
 from __future__ import annotations
 
@@ -587,7 +588,10 @@ def embed_psi(psi):
 
 def _as_ints(values):
     """The components as Python ints when every one is integral, else None;
-    integers of any size stay exact (nothing passes through float64)."""
+    integers of any size stay exact (nothing passes through float64).
+    Values that are all Python ints already come back as they are."""
+    if set(map(type, values)) == {int}:
+        return values
     try:
         ints = [int(v) for v in values]
     except (OverflowError, ValueError):       # inf or nan
@@ -624,8 +628,9 @@ def _chiral_8(arg, block: str) -> list:
 
 
 def _trilinear_terms() -> tuple:
-    """Per slice b, (i, j, K_b[i,j]) over the nonzero entries of
-    K_b = (M_phi)^T B_11 (Gamma_b)_12 M_psi / 2, verified real-even."""
+    """(b, i, j, K_b[i,j]) over the nonzero entries of every slice
+    K_b = (M_phi)^T B_11 (Gamma_b)_12 M_psi / 2, by slice, each verified
+    real-even."""
     left = XI_M.block(0, 8, 0, 8).T @ _B.block(0, 8, 0, 8)
     right = XI_M.block(8, 16, 8, 16)
     out = []
@@ -633,11 +638,11 @@ def _trilinear_terms() -> tuple:
         k = left @ g.block(0, 8, 8, 16) @ right
         if not k.is_real() or any(vr % 2 for _, _, vr, _ in k.entries()):
             raise AssertionError(f"trilinear slice {b} is not real-even")
-        out.append(tuple((i, j, vr // 2) for i, j, vr, _ in k.entries()))
+        out.extend((b, i, j, vr // 2) for i, j, vr, _ in k.entries())
     return tuple(out)
 
 
-_TRI_TERMS = _trilinear_terms()
+_TRILINEAR_TERMS = _trilinear_terms()
 
 
 def trilinear_matrix(phi, x, psi):
@@ -645,20 +650,18 @@ def trilinear_matrix(phi, x, psi):
 
     Trilinear, real-valued; exact (a Python int) when every component is
     an integer, whatever its size, else the correctly rounded sum of the
-    terms x_b (K_b[i,j] phi_i psi_j).  phi must be pure left-chirality and
-    psi pure right-chirality (8 components, or 16 with the wrong block
-    zero).
+    terms x_b (K_b[i,j] phi_i psi_j) over the flat slice table, skipping
+    x_b = 0.  phi must be pure left-chirality and psi pure right-chirality
+    (8 components, or 16 with the wrong block zero).
     """
     p = _chiral_8(phi, "phi")
     s = _chiral_8(psi, "psi")
     x = _flat(x, (8,), "vector needs 8 components")
     pi, si, xi = _as_ints(p), _as_ints(s), _as_ints(x)
     if None not in (pi, si, xi):
-        return sum(xb * sum(k * pi[i] * si[j] for i, j, k in _TRI_TERMS[b])
-                   for b, xb in enumerate(xi) if xb)
+        return sum(k * xi[b] * pi[i] * si[j] for b, i, j, k in _TRILINEAR_TERMS)
     p, s, x = ([float(v) for v in vals] for vals in (p, s, x))
-    return _fsum(xb * (k * p[i] * s[j])
-                 for b, xb in enumerate(x) if xb for i, j, k in _TRI_TERMS[b])
+    return _fsum(x[b] * (k * p[i] * s[j]) for b, i, j, k in _TRILINEAR_TERMS if x[b])
 
 
 def trilinear_slice(b: int):
@@ -666,6 +669,7 @@ def trilinear_slice(b: int):
     int64 array."""
     import numpy as np
     out = np.zeros((8, 8), dtype=np.int64)
-    for i, j, k in _TRI_TERMS[b]:
-        out[i, j] = k
+    for slice_b, i, j, k in _TRILINEAR_TERMS:
+        if slice_b == b:
+            out[i, j] = k
     return out

@@ -4,13 +4,15 @@ Unit squares are J_n^2 = +1, j_n^2 = -1, I^2 = +1; all seven hyper-complex
 units anticommute pairwise.  Coefficients may be int, Fraction (identity
 sweeps run exactly) or float.  The coefficient order matches the component
 order of the 8-dimensional vectors and chiral spinors, so coefficient k of
-an octonion corresponds to component x_k.  Products read the unit table;
-the identity sweeps contract the dense structure tensor built from it
-(numpy, imported by the sweeps only).
+an octonion corresponds to component x_k.  Products read the unit table,
+and the inner product only its eight scalar entries (e_a e_b = +-1); the
+identity sweeps contract the dense structure tensor built from it (numpy,
+imported by the sweeps only).
 """
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from .exact import exact_float64
@@ -66,6 +68,19 @@ def _build_table():
 
 
 _TABLE = _build_table()
+
+# conj(e_a) = _CONJ_SIGNS[a] e_a
+_CONJ_SIGNS = (1, -1, -1, -1, -1, -1, -1, -1)
+
+
+def _scalar_terms(table):
+    """(a, b, sign) over the entries of a unit table whose product is a
+    scalar, by increasing (a, b), with conj(e_a) e_b = sign."""
+    return tuple((a, b, _CONJ_SIGNS[a] * sign) for a, row in enumerate(table)
+                 for b, (k, sign) in enumerate(row) if k == SCALAR)
+
+
+_SCALAR_TERMS = _scalar_terms(_TABLE)
 
 
 def _structure_tensor(table):
@@ -206,10 +221,28 @@ def norm_sq(s: SplitOctonion):
 
 
 def inner(a: SplitOctonion, b: SplitOctonion):
-    """(conj(a)b + conj(b)a)/2, a pure scalar; inner(s,s) == norm_sq(s)."""
-    p = mul(a.conj(), b)
-    q = mul(b.conj(), a)
-    return _HALF * (p.c[0] + q.c[0])
+    """(conj(a)b + conj(b)a)/2, a pure scalar; inner(s,s) == norm_sq(s).
+
+    Only the scalar coefficients p and q of the two products are formed,
+    from the table's scalar entries (_SCALAR_TERMS), in the term order and
+    with the zero skipping of mul, so they are the values mul gives, bit
+    for bit (a NaN's sign aside).  Where the float p + q overflows but p
+    and q do not, the halves are added instead, which keeps a finite value
+    finite.
+    """
+    ac, bc = a.c, b.c
+    p = q = 0
+    for i, j, sign in _SCALAR_TERMS:
+        ai, bj = ac[i], bc[j]
+        if ai and bj:
+            p += ai * bj if sign > 0 else -(ai * bj)
+        bi, aj = bc[i], ac[j]
+        if bi and aj:
+            q += bi * aj if sign > 0 else -(bi * aj)
+    total = p + q
+    if isinstance(total, float) and math.isinf(total) and math.isfinite(p) and math.isfinite(q):
+        return 0.5 * p + 0.5 * q
+    return _HALF * total
 
 
 def commutator(x: SplitOctonion, y: SplitOctonion) -> SplitOctonion:

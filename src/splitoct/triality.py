@@ -117,10 +117,6 @@ def trilinear_oct(phi_o: oc.SplitOctonion, x_o: oc.SplitOctonion,
 
 BLOCK = 64          # samples per stacked evaluation in the batched suites
 
-# conj(v) componentwise: the scalar slot is kept, the seven others negated
-_CONJ_SIGNS = (1, -1, -1, -1, -1, -1, -1, -1)
-
-
 def _blocks(n: int):
     """(start, size) of the consecutive blocks of at most BLOCK samples."""
     return ((start, min(BLOCK, n - start)) for start in range(0, n, BLOCK))
@@ -152,7 +148,7 @@ def correspondence_check(n_samples: int = 1000, seed: int = DEFAULT_SEED) -> Ver
         v = sample_integers(rng, (n, 3, 8)).astype(np.float64)      # x, phi, psi
         x, phi, psi = v[:, 0], v[:, 1], v[:, 2]
         # (conj(v) v)_c = sum_b v_b (sum_a conj(v)_a C[a,b,c])
-        prod = (v[..., None, :] @ ((v * _CONJ_SIGNS) @ c).reshape(n, 3, 8, 8))[..., 0, :]
+        prod = (v[..., None, :] @ ((v * oc._CONJ_SIGNS) @ c).reshape(n, 3, 8, 8))[..., 0, :]
         scalar_only = ~prod[..., 1:].any(axis=2)
         q = (x * x) @ metric
         x_re = (x @ g_re).reshape(n, 16, 16)
@@ -213,7 +209,7 @@ class _Tensor(dict):
 
 def _matrix_trilinear_entries() -> _Tensor:
     """F_matrix(e_a, e_b, e_c) = K_b[a, c], read off the trilinear slices."""
-    return _Tensor({(i, b, j): k for b, terms in enumerate(cl._TRI_TERMS) for i, j, k in terms})
+    return _Tensor({(i, b, j): k for b, i, j, k in cl._TRILINEAR_TERMS})
 
 
 def _conj_inner2() -> list:
@@ -221,7 +217,8 @@ def _conj_inner2() -> list:
     def scalar(a, b):
         k, sign = oc._TABLE[a][b]
         return sign if k == 0 else 0
-    return [[scalar(a, j) + _CONJ_SIGNS[a] * _CONJ_SIGNS[j] * scalar(j, a) for j in range(8)]
+    signs = oc._CONJ_SIGNS
+    return [[scalar(a, j) + signs[a] * signs[j] * scalar(j, a) for j in range(8)]
             for a in range(8)]
 
 

@@ -283,6 +283,26 @@ def test_rotate_refuses_a_lost_invariant(capsys, target, theta, code):
         assert abs(payload["invariant_after"] - payload["invariant_before"]) < 1e-8
 
 
+@pytest.mark.parametrize("representation", ["octonion", "matrix", "both"])
+def test_trilinear_near_float_max_is_finite_on_both_sides(capsys, representation):
+    # the two scalar parts of the octonion inner product are each -1.44e308;
+    # their sum overflows, their half-sum does not
+    big = "1.2e154,0,0,0,0,0,0,0"
+    code, out, err = run(capsys, ["trilinear", f"--phi={big}", f"--x={E0}", f"--psi={big}",
+                                  f"--representation={representation}"])
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    jsonschema.validate(payload, load_schema("trilinear.schema.json"))
+    want = -(1.2e154 * 1.2e154)
+    # integral floats take the exact path of the matrix form: its value is
+    # the exact integer, which rounds to the float product
+    values = [float(payload[k]) for k in ("matrix", "octonion", "octonion_mapped")
+              if k in payload]
+    assert values == [want] * len(values)
+    if representation == "both":
+        assert payload["residual"] == 0.0 and isinstance(payload["residual"], float)
+
+
 GOLDEN = Path(__file__).resolve().parent / "data"
 
 

@@ -1,11 +1,15 @@
 import itertools
 import json
+import math
+import struct
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from splitoct import cli
+from splitoct import clifford as cl
 from splitoct import octonion as oc
 from splitoct import report
 from splitoct import triality as tr
@@ -140,6 +144,7 @@ def flipped_table(monkeypatch, entries):
         table[a][b] = (k, -sign)
     monkeypatch.setattr(oc, "_TABLE", table)
     monkeypatch.setattr(oc, "_C", oc._structure_tensor(table))
+    monkeypatch.setattr(oc, "_SCALAR_TERMS", oc._scalar_terms(table))
 
 
 # failure counts and witnesses of the Malcev sweep on tables with one
@@ -329,3 +334,191 @@ def test_trilinear_both_exits_1_on_flipped_table(monkeypatch, capsys):
     assert (code, out.out) == (1, "")
     assert out.err == ("error: trilinear dictionary unavailable: "
                        "dictionary fails at basis triple (3,5,6)\n")
+
+
+# The single-call kernels as they were before they were cut down to the terms
+# their answer needs, kept as oracles: inner from two full products, the
+# matrix trilinear form summed slice by slice, and the integer check that
+# converts every component.
+
+def reference_inner(a, b):
+    p = oc.mul(a.conj(), b)
+    q = oc.mul(b.conj(), a)
+    return oc._HALF * (p.c[0] + q.c[0])
+
+
+def reference_as_ints(values):
+    try:
+        ints = [int(v) for v in values]
+    except (OverflowError, ValueError):
+        return None
+    return ints if ints == list(values) else None
+
+
+def dense_slices():
+    """Per slice b, (i, j, K_b[i,j]) over the nonzero entries in C order, with
+    K_b = (M_phi)^T B_11 (Gamma_b)_12 M_psi / 2 composed as dense complex
+    matrices, apart from the sparse slice table."""
+    xi, b_mat = cl.XI_M.to_complex(), cl.b_matrix().to_complex()
+    left, right = xi[:8, :8].T @ b_mat[:8, :8], xi[8:, 8:]
+    out = []
+    for b in range(8):
+        k = left @ cl.gamma(b).to_complex()[:8, 8:] @ right / 2
+        assert not k.imag.any() and (k.real == np.round(k.real)).all()
+        out.append(tuple((int(i), int(j), int(k.real[i, j])) for i, j in zip(*np.nonzero(k.real))))
+    return tuple(out)
+
+
+SLICES = dense_slices()
+
+
+def reference_trilinear_matrix(phi, x, psi):
+    pi, si, xi = reference_as_ints(phi), reference_as_ints(psi), reference_as_ints(x)
+    if None not in (pi, si, xi):
+        return sum(xb * sum(k * pi[i] * si[j] for i, j, k in SLICES[b])
+                   for b, xb in enumerate(xi) if xb)
+    p, s, x = ([float(v) for v in vals] for vals in (phi, psi, x))
+    return cl._fsum(xb * (k * p[i] * s[j])
+                    for b, xb in enumerate(x) if xb for i, j, k in SLICES[b])
+
+
+def result_of(f, *args):
+    """The type and value of f(*args), a float as its bits (signed zeros
+    included), or the type of the error it raises.  A NaN is only a NaN:
+    the sign of nan + (-nan) changes once the interpreter specialises the
+    addition, so no version of a kernel fixes it."""
+    try:
+        v = f(*args)
+    except (OverflowError, ValueError) as exc:
+        return "raises", type(exc)
+    if isinstance(v, float):
+        return type(v), "nan" if math.isnan(v) else struct.pack("<d", v)
+    return type(v), v
+
+
+def inner_oracle(a, b):
+    """reference_inner, except where its float p + q overflows although p and
+    q are finite: there the finite half-sum 0.5 p + 0.5 q."""
+    want = reference_inner(a, b)
+    if isinstance(want, float) and math.isinf(want):
+        p, q = oc.mul(a.conj(), b).c[0], oc.mul(b.conj(), a).c[0]
+        if math.isfinite(p) and math.isfinite(q):
+            want = 0.5 * p + 0.5 * q
+            assert math.isfinite(want)
+    return want
+
+
+# subnormals, signed zeros and the edge of float64 squares
+EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 1.1e-308, -3.3e-320, 1e154, -1e154, 1.2e154,
+               1.3e154, -1.3e154, 1e-154)
+NUMBERS = {
+    "small int": st.integers(-9, 9),
+    "wide int": st.integers(-2 ** 80, 2 ** 80),
+    "fraction": st.fractions(-1000, 1000, max_denominator=1000),
+    "float": st.floats(allow_nan=False, allow_infinity=False),
+    "edge float": st.sampled_from(EDGE_FLOATS),
+}
+# one kind for all eight components, or any mix of kinds
+COMPONENTS = st.one_of(*(st.lists(v, min_size=8, max_size=8) for v in NUMBERS.values()),
+                       st.lists(st.one_of(*NUMBERS.values()), min_size=8, max_size=8))
+
+
+@given(COMPONENTS, COMPONENTS, COMPONENTS)
+def check_octonion_kernels(phi, x, psi):
+    a, b, c = O(phi), O(x), O(psi)
+    assert result_of(oc.inner, a, b) == result_of(inner_oracle, a, b)
+    assert result_of(oc.inner, a, a) == result_of(inner_oracle, a, a)
+    assert (result_of(tr.trilinear_oct, a, b, c)
+            == result_of(lambda: -inner_oracle(a.conj(), oc.mul(b, c))))
+
+
+@pytest.mark.parametrize("entries", [()] + FLIPS)
+def test_octonion_kernels_match_two_product_oracle(monkeypatch, entries):
+    flipped_table(monkeypatch, entries)
+    check_octonion_kernels()
+
+
+# the matrix form reads the trilinear slices, not the unit table, so a
+# flipped table leaves it as it is
+@given(COMPONENTS, COMPONENTS, COMPONENTS)
+def test_trilinear_matrix_matches_per_slice_oracle(phi, x, psi):
+    assert (result_of(cl.trilinear_matrix, phi, x, psi)
+            == result_of(reference_trilinear_matrix, phi, x, psi))
+
+
+def test_flat_trilinear_table_matches_dense_slices():
+    assert [tuple(t[1:]) for t in cl._TRILINEAR_TERMS] == [t for s in SLICES for t in s]
+    assert [t[0] for t in cl._TRILINEAR_TERMS] == [b for b, s in enumerate(SLICES) for _ in s]
+    for b, terms in enumerate(SLICES):
+        want = np.zeros((8, 8), dtype=np.int64)
+        for i, j, k in terms:
+            want[i, j] = k
+        assert (cl.trilinear_slice(b) == want).all()
+
+
+@pytest.mark.parametrize("value", [0.0, -0.0, 5e-324, 1e154, -1e154, 1.2e154])
+def test_octonion_kernels_match_oracle_on_edge_floats(value):
+    a = O([value, -value, 0, 1.5, value, 2.0, -value, 0.25])
+    b = O([value] * 8)
+    for x, y in ((a, b), (b, a), (a, a), (b, b)):
+        assert result_of(oc.inner, x, y) == result_of(inner_oracle, x, y)
+    assert (result_of(tr.trilinear_oct, a, b, a)
+            == result_of(lambda: -inner_oracle(a.conj(), oc.mul(b, a))))
+
+
+AS_INTS_VALUES = st.one_of(
+    st.integers(-2 ** 70, 2 ** 70), st.booleans(),
+    st.integers(-2 ** 62, 2 ** 62).map(np.int64),
+    st.integers(-2 ** 60, 2 ** 60).map(float),
+    st.floats(), st.fractions(-100, 100, max_denominator=4))
+
+
+@given(st.lists(AS_INTS_VALUES, max_size=16))
+def test_as_ints_matches_reference(values):
+    got, want = cl._as_ints(values), reference_as_ints(values)
+    assert got == want
+    if want is not None:
+        assert all(type(v) is int for v in got)
+
+
+@pytest.mark.parametrize("values", [
+    [True, False, 1, 0], [np.int64(3), np.int64(-2 ** 62), 7], [2.0, -0.0, 1e18, 3],
+    [Fraction(4, 2), 1], [1.5, 2], [math.inf, 1], [math.nan, 1], [np.float64(2.0), 1]])
+def test_as_ints_edge_cases_match_reference(values):
+    got, want = cl._as_ints(values), reference_as_ints(values)
+    assert got == want
+    assert [type(v) for v in got or []] == [type(v) for v in want or []]
+
+
+def test_as_ints_keeps_python_ints_as_they_are():
+    values = [2 ** 70, -3, 0, 5]
+    assert cl._as_ints(values) is values
+
+
+def test_spinor_invariant_matches_reference_as_ints(monkeypatch):
+    rng = np.random.default_rng(11)
+    draws = ([int(v) for v in rng.integers(-9, 10, 16)], [2 ** 65 + k for k in range(16)],
+             [True] * 3 + [0] * 13, list(rng.integers(-9, 10, 16)),
+             [float(v) for v in rng.integers(-9, 10, 16)], list(rng.normal(size=16)),
+             [1e154] * 16, [5e-324, -0.0] * 8)
+    new = [result_of(cl.spinor_invariant, eta) for eta in draws]
+    monkeypatch.setattr(cl, "_as_ints", reference_as_ints)
+    assert new == [result_of(cl.spinor_invariant, eta) for eta in draws]
+
+
+def test_single_call_kernels_form_only_the_products_they_need(monkeypatch):
+    calls = []
+    product = oc.mul
+
+    def counted(a, b):
+        calls.append((a, b))
+        return product(a, b)
+
+    monkeypatch.setattr(oc, "mul", counted)
+    a, b, c = O(range(8)), O(range(3, 11)), O([Fraction(1, 3)] * 8)
+    oc.inner(a, b)
+    assert len(calls) == 0
+    tr.trilinear_oct(a, b, c)
+    assert len(calls) == 1
+    tr.trilinear_both(list(range(8)), list(range(3, 11)), [1] * 8)
+    assert len(calls) == 2
