@@ -269,14 +269,16 @@ def cmd_trilinear(args) -> int:
     elif args.representation == "matrix":
         mat_val = cl.trilinear_matrix(phi, x, psi)
     if args.representation in ("matrix", "both"):
+        if not exact:
+            # integral floats take the exact path; float mode emits its float
+            mat_val = float(mat_val)
         payload["matrix"] = _num(mat_val)
     if args.representation in ("octonion", "both"):
         v = tr.trilinear_oct(tr.oct_from_components(phi), tr.oct_from_components(x),
                              tr.oct_from_components(psi))
         payload["octonion"] = _num(v)
     if args.representation == "both":
-        residual = (abs(mat_val - oct_mapped) if exact
-                    else abs(float(mat_val) - float(oct_mapped)))
+        residual = abs(mat_val - oct_mapped)
         payload["octonion_mapped"] = _num(oct_mapped)
         payload["residual"] = _num(residual)
         payload["dictionary"] = tr.equivalence_map().to_json()

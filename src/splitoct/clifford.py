@@ -7,7 +7,8 @@ sparse rows of Gaussian integers in Python ints (``GMat``), and the checks
 run at import (the Clifford relations, the basis change, the spinor form,
 the trilinear slices) are exact sparse compositions.  Rotors act on real
 float components: vectors in closed form, spinors through the signed
-permutation of each bivector.  The eight trilinear slices are held as one
+permutation of each bivector; ``plane_generator`` gives a plane's exact
+first-order action on both.  The eight trilinear slices are held as one
 flat table of (b, i, j, K_b[i,j]) terms.  Float sums of several terms (the
 invariants, the float trilinear form) are correctly rounded
 (``math.fsum``), so they do not depend on the machine.  numpy is imported
@@ -339,14 +340,21 @@ def _bivector_action(mu: int, nu: int) -> tuple:
     return action
 
 
-def real_bivector_rep(mu: int, nu: int):
-    """The action of Gamma_mu Gamma_nu on real spinor components as a dense
-    16x16 float64 matrix."""
-    import numpy as np
-    out = np.zeros((16, 16))
+def plane_generator(mu: int, nu: int) -> tuple:
+    """d/dtheta at theta = 0 of the rotor of plane (mu, nu), exactly: the
+    generators on x, phi and psi as 8x8 row lists of Fractions.
+
+    The vector part is the integer matrix A of turn_pair, A[mu,nu] =
+    -g_nunu and A[nu,mu] = +g_mumu.  L = c - s Gamma_mu Gamma_nu with
+    (c, s) of the half angle, so the spinor part is -1/2 the bivector's
+    signed permutation; its chiral blocks are the phi and psi parts.
+    """
+    x = [[Fraction(0)] * 8 for _ in range(8)]
+    x[mu][nu], x[nu][mu] = Fraction(-METRIC[nu]), Fraction(METRIC[mu])
+    spin = [[Fraction(0)] * 16 for _ in range(16)]
     for i, (j, g) in enumerate(_bivector_action(mu, nu)):
-        out[i, j] = g
-    return out
+        spin[i][j] = Fraction(-g, 2)
+    return x, [row[:8] for row in spin[:8]], [row[8:] for row in spin[8:]]
 
 
 # ---------------------------------------------------------------------------

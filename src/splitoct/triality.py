@@ -8,8 +8,11 @@ between the two trilinear forms is the identity of the component order
 (octonion coefficient k <-> component k, scale 1); it is not searched for
 but verified exactly on all 512 basis triples, and on random integer
 triples by dictionary_random_check.  Both checks run on the sparse exact
-data of ``clifford`` and the unit table of ``octonion``; numpy is imported
-only by the sampled sweeps and the dense tensor views.
+data of ``clifford`` and the unit table of ``octonion``.  The first-order
+tables of the L_01 and L_04 actions and of the role-swap rotor are
+compared, entry by entry and with ==, against the exact generators of
+``cl.plane_generator``.  numpy is imported only by the sampled sweeps and
+the dense views.
 """
 from __future__ import annotations
 
@@ -304,9 +307,10 @@ def trilinear_both(phi, x, psi):
 
 
 # ---------------------------------------------------------------------------
-# generator tables: the expected first-order coefficients of the L_01
-# rotation, the L_04 boost, and the composite role-swap rotor, as
-# (output, input, coefficient) entries
+# generator tables: the first-order coefficients of the L_01 rotation, the
+# L_04 boost and the composite role-swap rotor on (x, phi, psi), as
+# (output, input, coefficient) entries, checked entry by entry with == against
+# the exact generators of cl.plane_generator
 # ---------------------------------------------------------------------------
 
 def gen_matrix(entries):
@@ -338,8 +342,7 @@ COMPOSITE_PHI = ((0, 1, 0.5), (1, 0, -0.5), (2, 3, 0.5), (3, 2, -0.5),
                  (4, 5, 0.5), (5, 4, -0.5), (6, 7, -0.5), (7, 6, 0.5))
 COMPOSITE_PSI = ((0, 1, -1.0), (1, 0, 1.0))
 
-FD_STEP = 1e-6
-FD_TOL = 1e-8
+ROLE_SWAP_PLANES = ((1, 0), (2, 3), (5, 4), (6, 7))
 
 
 class RotorWord:
@@ -363,39 +366,23 @@ def triality_rotor(theta: float) -> RotorWord:
     """L_10(t/2) L_23(t/2) L_54(t/2) L_67(t/2): swaps the roles of the
     vector and the right-chirality spinor."""
     h = theta / 2.0
-    return RotorWord((cl.rotor(1, 0, h), cl.rotor(2, 3, h),
-                      cl.rotor(5, 4, h), cl.rotor(6, 7, h)))
+    return RotorWord(tuple(cl.rotor(mu, nu, h) for mu, nu in ROLE_SWAP_PLANES))
 
 
-def _fd_generator(apply_fn, dim: int, step: float = FD_STEP):
-    """Central finite-difference generator d/dtheta|_0 of a one-parameter action."""
-    import numpy as np
-    gen = np.zeros((dim, dim))
-    for j in range(dim):
-        e = np.zeros(dim)
-        e[j] = 1.0
-        plus = apply_fn(e, step)
-        minus = apply_fn(e, -step)
-        gen[:, j] = (plus - minus) / (2 * step)
-    return gen
-
-
-def _spinor_blocks(apply16):
-    phi_fn = lambda v, t: apply16(cl.embed_phi(v), t)[0:8]
-    psi_fn = lambda v, t: apply16(cl.embed_psi(v), t)[8:16]
-    return phi_fn, psi_fn
-
-
-def _check_generator(rep, name, got, want, tol=FD_TOL):
-    """One case per entry, in C order; a failing entry names its values."""
-    resid = abs(got - want)
-    rep.record_mask(resid <= tol, lambda i, j: (
-        f"{name}[{i},{j}] got {got[i, j]:.3e} want {want[i, j]}"), residual=resid)
+def _check_generators(rep, tables, generators) -> None:
+    """The x, phi and psi tables against the exact generators, one case per
+    entry of each dense table, in C order, compared with ==; a failing
+    entry names its position and both values."""
+    for name, entries, gen in zip(("x", "phi", "psi"), tables, generators):
+        table = gen_matrix(entries)
+        for i, j in itertools.product(range(8), repeat=2):
+            t, g = float(table[i, j]), gen[i][j]
+            rep.record_case(t == g, f"{name}[{i},{j}] table {t} generator {g}")
 
 
 def infinitesimal_table_check(plane: str = "01") -> VerificationReport:
-    """Finite-difference generators of L_01 or L_04 on (x, phi, psi) against
-    the tabulated coefficients."""
+    """The L_01 or L_04 tables on (x, phi, psi) against the exact generator
+    of the plane."""
     if plane == "01":
         mu, nu = 0, 1
         tables = (L01_X, L01_PHI, L01_PSI)
@@ -404,23 +391,18 @@ def infinitesimal_table_check(plane: str = "01") -> VerificationReport:
         tables = (L04_X, L04_PHI, L04_PSI)
     else:
         raise ValueError("plane must be '01' or '04'")
-    rep = VerificationReport(f"infinitesimal-L{mu}{nu}", exact=False,
-                             meta={"step": FD_STEP, "tolerance": FD_TOL})
-    vec_fn = lambda v, t: cl.rotate_vector(v, cl.rotor(mu, nu, t))
-    spin16 = lambda e, t: cl.rotate_spinor(e, cl.rotor(mu, nu, t))
-    phi_fn, psi_fn = _spinor_blocks(spin16)
-    _check_generator(rep, "x", _fd_generator(vec_fn, 8), gen_matrix(tables[0]))
-    _check_generator(rep, "phi", _fd_generator(phi_fn, 8), gen_matrix(tables[1]))
-    _check_generator(rep, "psi", _fd_generator(psi_fn, 8), gen_matrix(tables[2]))
+    rep = VerificationReport(f"infinitesimal-L{mu}{nu}")
+    _check_generators(rep, tables, cl.plane_generator(mu, nu))
     return rep
 
 
 def boost_table_check(theta: float = 0.5) -> VerificationReport:
-    """The L_04 hyperbolic table plus identification of the isotropic planes
-    the spinor halves actually move in."""
+    """The L_04 hyperbolic table, a finite-angle boost of x, and the
+    isotropic planes the spinor halves move in."""
     import numpy as np
     rep = infinitesimal_table_check("04")
     rep.name = "boost-table"
+    rep.exact = False
     # finite-angle hyperbolic check on the x side
     x = np.zeros(8)
     x[0] = 1.0
@@ -430,30 +412,24 @@ def boost_table_check(theta: float = 0.5) -> VerificationReport:
     want[4] = math.sinh(theta)
     resid = float(np.max(np.abs(moved - want)))
     rep.record_case(resid <= 1e-12, f"x0 boost at theta={theta}", residual=resid)
-    rep.exact = False
-    # planes touched by the spinor generator
-    gen = _fd_generator(lambda v, t: cl.rotate_spinor(cl.embed_phi(v),
-                                                      cl.rotor(0, 4, t))[0:8], 8)
-    planes = sorted({(min(i, j), max(i, j))
-                     for i in range(8) for j in range(8)
-                     if abs(gen[i, j]) > FD_TOL})
+    # planes touched by the phi generator
+    phi = cl.plane_generator(0, 4)[1]
+    planes = sorted({(min(i, j), max(i, j)) for i in range(8) for j in range(8) if phi[i][j]})
     rep.meta["spinor_isotropic_planes"] = [f"Gamma{p[0]}Gamma{p[1]}" for p in planes]
     rep.meta["spinor_component_pairs"] = [list(p) for p in planes]
     return rep
 
 
 def role_swap_check() -> VerificationReport:
-    """Generator of the composite rotor on (x, phi, psi) against the
-    expected role-swap pattern: x and phi move at half angle, psi performs
-    a plain full-angle rotation in the (0,1) plane."""
-    rep = VerificationReport("role-swap", exact=False,
-                             meta={"step": FD_STEP, "tolerance": FD_TOL})
-    vec_fn = lambda v, t: triality_rotor(t).act_vector(v)
-    spin16 = lambda e, t: triality_rotor(t).act_spinor(e)
-    phi_fn, psi_fn = _spinor_blocks(spin16)
-    _check_generator(rep, "x", _fd_generator(vec_fn, 8), gen_matrix(COMPOSITE_X))
-    _check_generator(rep, "phi", _fd_generator(phi_fn, 8), gen_matrix(COMPOSITE_PHI))
-    _check_generator(rep, "psi", _fd_generator(psi_fn, 8), gen_matrix(COMPOSITE_PSI))
+    """The composite rotor's tables on (x, phi, psi) against its exact
+    generator, 1/2 the sum of the generators of its four planes: x and phi
+    move at half angle, psi performs a plain full-angle rotation in the
+    (0,1) plane."""
+    gens = [cl.plane_generator(mu, nu) for mu, nu in ROLE_SWAP_PLANES]
+    half_sum = [[[sum(g[part][i][j] for g in gens) / 2 for j in range(8)] for i in range(8)]
+                for part in range(3)]
+    rep = VerificationReport("role-swap")
+    _check_generators(rep, (COMPOSITE_X, COMPOSITE_PHI, COMPOSITE_PSI), half_sum)
     return rep
 
 
@@ -475,11 +451,13 @@ def _half_angle(mu: int, nu: int, theta: float):
 
 
 def _spinor_generators():
-    """real_bivector_rep(mu, nu) of every plane, stacked at index 8 mu + nu."""
+    """The bivector action of every plane on real spinor components as a
+    dense 16x16 matrix, stacked at index 8 mu + nu."""
     import numpy as np
     out = np.zeros((64, 16, 16))
     for mu, nu in itertools.permutations(range(8), 2):
-        out[8 * mu + nu] = cl.real_bivector_rep(mu, nu)
+        cols, signs = zip(*cl._bivector_action(mu, nu))
+        out[8 * mu + nu, range(16), cols] = signs
     return out
 
 

@@ -95,21 +95,18 @@ def test_c09_rotor_invariance():
 def test_c10_infinitesimal_tables():
     r1 = tr.infinitesimal_table_check("01")
     r2 = tr.infinitesimal_table_check("04")
-    ok = r1.passed and r2.passed
-    resid = max(r1.max_residual, r2.max_residual)
-    _report(10, f"L01 and L04 finite-difference generators match every "
-                f"table coefficient, max residual {resid:.2e} <= 1e-8",
-            ok and resid <= 1e-8)
+    ok = r1.passed and r2.passed and r1.exact and r2.exact
+    _report(10, "every L01 and L04 table coefficient equals the exact plane generator", ok)
 
 
 def test_c11_role_swap():
     rep = tr.role_swap_check()
-    ok = rep.passed and rep.max_residual <= 1e-8
+    ok = rep.passed and rep.exact
     # x must imitate the L01 phi pattern; psi is a full-angle (0,1) rotation
     ok &= np.array_equal(tr.gen_matrix(tr.COMPOSITE_X), tr.gen_matrix(tr.L01_PHI))
     ok &= np.array_equal(tr.gen_matrix(tr.COMPOSITE_PSI)[2:], np.zeros((6, 8)))
-    _report(11, f"composite rotor generators match the role-swap pattern, "
-                f"max residual {rep.max_residual:.2e} <= 1e-8", ok)
+    _report(11, "composite rotor tables equal its exact generator, half the sum of its "
+                "four plane generators, and match the role-swap pattern", ok)
 
 
 def test_c12_double_cover():

@@ -5,6 +5,7 @@ public single-call kernels one sample at a time.
 """
 import json
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -210,13 +211,15 @@ class TestExactFloat64:
             suite(10)
 
 
-def reference_check_generator(rep, name, got, want, tol=tr.FD_TOL):
-    """The per-entry loop that the masked check replaced."""
-    for i in range(got.shape[0]):
-        for j in range(got.shape[1]):
-            rep.record_case(abs(got[i, j] - want[i, j]) <= tol,
-                            f"{name}[{i},{j}] got {got[i, j]:.3e} want {want[i, j]}",
-                            residual=abs(got[i, j] - want[i, j]))
+def reference_check_generators(rep, tables, generators):
+    """The exact per-entry comparison, with each table entry summed as a
+    Fraction from its (output, input, coefficient) terms."""
+    for name, entries, gen in zip(("x", "phi", "psi"), tables, generators):
+        for i in range(8):
+            for j in range(8):
+                t = sum(Fraction(c) for a, b, c in entries if (a, b) == (i, j))
+                rep.record_case(t == gen[i][j],
+                                f"{name}[{i},{j}] table {float(t)} generator {gen[i][j]}")
 
 
 @pytest.mark.parametrize("table,suite", [
@@ -231,10 +234,10 @@ def test_generator_tables_match_entry_loop(monkeypatch, table, suite, corrupt):
         bad[np.nonzero(bad)[0][0], np.nonzero(bad)[1][0]] *= -1
     elif corrupt == "nudge":
         bad[3, 3] += 1e-3
-        bad[5, 2] += 2e-9                  # inside the tolerance: passes, raises the residual
+        bad[5, 2] += 2e-9
     monkeypatch.setattr(tr, table, tuple((i, j, bad[i, j]) for i, j in zip(*np.nonzero(bad))))
     rep = suite()
-    monkeypatch.setattr(tr, "_check_generator", reference_check_generator)
+    monkeypatch.setattr(tr, "_check_generators", reference_check_generators)
     want = suite()
     assert json.dumps(rep.to_json(), sort_keys=True) == json.dumps(want.to_json(), sort_keys=True)
     assert rep.passed == (corrupt is None)

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -294,8 +296,8 @@ def test_trilinear_near_float_max_is_finite_on_both_sides(capsys, representation
     payload = json.loads(out)
     jsonschema.validate(payload, load_schema("trilinear.schema.json"))
     want = -(1.2e154 * 1.2e154)
-    # integral floats take the exact path of the matrix form: its value is
-    # the exact integer, which rounds to the float product
+    # integral floats take the exact path of the matrix form; float mode
+    # emits that exact integer rounded to float64, the float product
     values = [float(payload[k]) for k in ("matrix", "octonion", "octonion_mapped")
               if k in payload]
     assert values == [want] * len(values)
@@ -303,6 +305,22 @@ def test_trilinear_near_float_max_is_finite_on_both_sides(capsys, representation
         assert payload["residual"] == 0.0 and isinstance(payload["residual"], float)
 
 
+@pytest.mark.parametrize("representation", ["octonion", "matrix", "both"])
+def test_trilinear_past_float_max_overflows_on_every_representation(capsys, representation):
+    # integral floats take the exact path of the matrix form, whose -1e600
+    # has no float64 value
+    big = "1e300,0,0,0,0,0,0,0"
+    code, out, err = run(capsys, ["trilinear", f"--phi={big}", f"--x={E0}", f"--psi={big}",
+                                  f"--representation={representation}"])
+    assert (code, out, err) == (2, "", f"error: {cli.OVERFLOW}\n")
+
+
+# tests/data pins `verify all`: the default seed's stdout in full, and the
+# sha256 of the normalized payload of seeds 0-9.
+#
+#     PYTHONPATH=src python tests/test_cli.py --write
+#
+# rewrites both files from the current code.
 GOLDEN = Path(__file__).resolve().parent / "data"
 
 
@@ -312,6 +330,12 @@ def normalized(payload):
     reports = [{k: v for k, v in r.items() if r["exact"] or k != "max_residual"}
                for r in payload["reports"]]
     return {**payload, "reports": reports}
+
+
+def digest(out):
+    """The sha256 of the normalized payload of a `verify` stdout."""
+    return hashlib.sha256(
+        json.dumps(normalized(json.loads(out)), sort_keys=True).encode()).hexdigest()
 
 
 def test_verify_all_matches_golden(capsys):
@@ -326,9 +350,22 @@ def test_verify_all_passes_for_seed(capsys, seed):
     code, out, _ = run(capsys, ["verify", "all", "--seed", str(seed)])
     assert code == 0, [(r["name"], r["failure_details"])
                        for r in json.loads(out)["reports"] if not r["passed"]]
-    digest = hashlib.sha256(
-        json.dumps(normalized(json.loads(out)), sort_keys=True).encode()).hexdigest()
-    assert digest == json.loads((GOLDEN / "verify_all_sha256.json").read_text())[str(seed)]
+    assert digest(out) == json.loads((GOLDEN / "verify_all_sha256.json").read_text())[str(seed)]
+
+
+def write_verify_golden():
+    """Rewrite both verify_all_* files; every run must pass."""
+    outputs = {}
+    for seed in (None, *range(10)):
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = cli.main(["verify", "all"] + ([] if seed is None else ["--seed", str(seed)]))
+        if code != 0:
+            sys.exit(f"verify all --seed {seed} fails; nothing written")
+        outputs[seed] = stdout.getvalue()
+    (GOLDEN / "verify_all_12345.json").write_text(outputs[None])
+    digests = {str(seed): digest(outputs[seed]) for seed in range(10)}
+    (GOLDEN / "verify_all_sha256.json").write_text(json.dumps(digests, indent=2) + "\n")
 
 
 # every one-shot command, and what `import splitoct` sets up, on the standard
@@ -364,3 +401,9 @@ def test_oneshot_commands_leave_numpy_unloaded():
     proc = subprocess.run([sys.executable, "-c", NUMPY_GUARD], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: PYTHONPATH=src python tests/test_cli.py --write")
+    write_verify_golden()

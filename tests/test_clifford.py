@@ -391,6 +391,20 @@ class TestVectorOracle:
         assert np.array_equal(_closed_form_generator(0, 1), tr.gen_matrix(tr.L01_X))
         assert np.array_equal(_closed_form_generator(0, 4), tr.gen_matrix(tr.L04_X))
 
+    @pytest.mark.parametrize("h", [1e-6, -1e-6])
+    def test_kernels_follow_plane_generator(self, h):
+        # the rotors at a small angle are identity + h G to second order in h
+        for mu, nu in PLANES:
+            gx, gphi, gpsi = (np.array(g, dtype=np.float64) for g in cl.plane_generator(mu, nu))
+            gspin = np.zeros((16, 16))
+            gspin[:8, :8], gspin[8:, 8:] = gphi, gpsi
+            assert np.array_equal(gx, _closed_form_generator(mu, nu)), (mu, nu)
+            r = cl.rotor(mu, nu, h)
+            moved_x = np.array([cl.rotate_vector(e, r) for e in np.eye(8)]).T
+            moved_eta = np.array([cl.rotate_spinor(e, r) for e in np.eye(16)]).T
+            assert np.max(np.abs(moved_x - (np.eye(8) + h * gx))) <= h * h, (mu, nu)
+            assert np.max(np.abs(moved_eta - (np.eye(16) + h * gspin))) <= h * h, (mu, nu)
+
     @pytest.mark.parametrize("mu,nu", PLANES)
     def test_matches_conjugation(self, mu, nu):
         compact = cl.METRIC[mu] * cl.METRIC[nu] > 0

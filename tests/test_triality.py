@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -122,6 +123,25 @@ class TestGeneratorTables:
     def test_unknown_plane(self):
         with pytest.raises(ValueError):
             tr.infinitesimal_table_check("23")
+
+    @pytest.mark.parametrize("table", [f"{owner}_{part}" for owner in ("L01", "L04", "COMPOSITE")
+                                       for part in ("X", "PHI", "PSI")])
+    def test_any_wrong_entry_fails_and_is_named(self, monkeypatch, table):
+        # every entry negated, or nudged by 2e-9, fails the owning report
+        owner, part = table.split("_")
+        suite = {"L01": lambda: tr.infinitesimal_table_check("01"),
+                 "L04": tr.boost_table_check, "COMPOSITE": tr.role_swap_check}[owner]
+        good = tr.gen_matrix(getattr(tr, table))
+        for i, j in itertools.product(range(8), repeat=2):
+            for value in ([-good[i, j]] if good[i, j] else []) + [good[i, j] + 2e-9]:
+                bad = good.copy()
+                bad[i, j] = value
+                monkeypatch.setattr(tr, table, tuple((a, b, bad[a, b])
+                                                     for a, b in zip(*np.nonzero(bad))))
+                rep = suite()
+                assert rep.failures == 1, (table, i, j, value)
+                assert rep.failure_details[0].startswith(
+                    f"{part.lower()}[{i},{j}] table {float(value)} generator "), rep.failure_details
 
     def test_boost_planes_reported(self):
         rep = tr.boost_table_check()
