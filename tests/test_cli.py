@@ -1,6 +1,4 @@
-import contextlib
 import hashlib
-import io
 import json
 import math
 import os
@@ -12,6 +10,7 @@ import jsonschema
 import pytest
 
 from splitoct import cli
+from test_oneshot_golden import run_cli
 
 SCHEMAS = Path(__file__).resolve().parent.parent / "schemas"
 
@@ -357,12 +356,10 @@ def write_verify_golden():
     """Rewrite both verify_all_* files; every run must pass."""
     outputs = {}
     for seed in (None, *range(10)):
-        stdout = io.StringIO()
-        with contextlib.redirect_stdout(stdout):
-            code = cli.main(["verify", "all"] + ([] if seed is None else ["--seed", str(seed)]))
+        argv = ["verify", "all"] + ([] if seed is None else ["--seed", str(seed)])
+        code, outputs[seed] = run_cli(argv)
         if code != 0:
             sys.exit(f"verify all --seed {seed} fails; nothing written")
-        outputs[seed] = stdout.getvalue()
     (GOLDEN / "verify_all_12345.json").write_text(outputs[None])
     digests = {str(seed): digest(outputs[seed]) for seed in range(10)}
     (GOLDEN / "verify_all_sha256.json").write_text(json.dumps(digests, indent=2) + "\n")

@@ -405,6 +405,21 @@ class TestVectorOracle:
             assert np.max(np.abs(moved_x - (np.eye(8) + h * gx))) <= h * h, (mu, nu)
             assert np.max(np.abs(moved_eta - (np.eye(16) + h * gspin))) <= h * h, (mu, nu)
 
+    @pytest.mark.parametrize("h", [1e-6, -1e-6])
+    def test_triality_rotor_follows_half_sum_of_generators(self, h):
+        # triality_rotor(h) turns each of its four planes by h/2, so to second
+        # order in h it is identity + h G with G half the sum of their generators
+        gens = [cl.plane_generator(mu, nu) for mu, nu in tr.ROLE_SWAP_PLANES]
+        gx, gphi, gpsi = (sum(np.array(g[part], dtype=np.float64) for g in gens) / 2
+                          for part in range(3))
+        gspin = np.zeros((16, 16))
+        gspin[:8, :8], gspin[8:, 8:] = gphi, gpsi
+        word = tr.triality_rotor(h)
+        moved_x = np.array([word.act_vector(e) for e in np.eye(8)]).T
+        moved_eta = np.array([word.act_spinor(e) for e in np.eye(16)]).T
+        assert np.max(np.abs(moved_x - (np.eye(8) + h * gx))) <= h * h
+        assert np.max(np.abs(moved_eta - (np.eye(16) + h * gspin))) <= h * h
+
     @pytest.mark.parametrize("mu,nu", PLANES)
     def test_matches_conjugation(self, mu, nu):
         compact = cl.METRIC[mu] * cl.METRIC[nu] > 0
