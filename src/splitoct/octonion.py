@@ -4,8 +4,9 @@ Unit squares are J_n^2 = +1, j_n^2 = -1, I^2 = +1; all seven hyper-complex
 units anticommute pairwise.  Coefficients may be int, Fraction (identity
 sweeps run exactly) or float.  The coefficient order matches the component
 order of the 8-dimensional vectors and chiral spinors, so coefficient k of
-an octonion corresponds to component x_k.  Products read the unit table,
-and the inner product only its eight scalar entries (e_a e_b = +-1); the
+an octonion corresponds to component x_k.  The product is one straight-line
+function compiled from the unit table at import (_PRODUCT), the inner
+product reads only the table's eight scalar entries (e_a e_b = +-1), and the
 identity sweeps contract the dense structure tensor built from it (numpy,
 imported by the sweeps only).
 """
@@ -81,6 +82,33 @@ def _scalar_terms(table):
 
 
 _SCALAR_TERMS = _scalar_terms(_TABLE)
+
+
+def _product(table):
+    """The product of two coefficient tuples under a unit table, as one
+    straight-line function compiled from it.
+
+    Coefficient k is 0 +- (a_i * b_j if a_i and b_j else 0) +- ... over the
+    entries e_i e_j = +-e_k by increasing (i, j): the term order, int start
+    and zero skipping of a loop over the table, so the same result in value,
+    type and float bits.  A running sum that starts at the int 0 is never
+    -0.0, so adding the 0 of a skipped term leaves it as it is, and x - y is
+    x + (-y).
+    """
+    terms = [[] for _ in range(8)]
+    for i, row in enumerate(table):
+        for j, (k, sign) in enumerate(row):
+            terms[k].append(f"{'+' if sign > 0 else '-'} (a{i} * b{j} if a{i} and b{j} else 0)")
+    a = ", ".join(f"a{i}" for i in range(8))
+    b = ", ".join(f"b{j}" for j in range(8))
+    coeffs = ",\n        ".join(" ".join(["0"] + t) for t in terms)
+    source = f"def product(a, b):\n    {a} = a\n    {b} = b\n    return ({coeffs})\n"
+    namespace = {}
+    exec(compile(source, "<unit table product>", "exec"), namespace)
+    return namespace["product"]
+
+
+_PRODUCT = _product(_TABLE)
 
 
 def _structure_tensor(table):
@@ -199,17 +227,7 @@ class SplitOctonion:
 
 def mul(a: SplitOctonion, b: SplitOctonion) -> SplitOctonion:
     """Bilinear extension of the unit multiplication table."""
-    out = [0] * 8
-    for i, ai in enumerate(a.c):
-        if not ai:
-            continue
-        row = _TABLE[i]
-        for j, bj in enumerate(b.c):
-            if not bj:
-                continue
-            k, s = row[j]
-            out[k] += ai * bj if s > 0 else -(ai * bj)
-    return SplitOctonion(out)
+    return SplitOctonion(_PRODUCT(a.c, b.c))
 
 
 def conj(s: SplitOctonion) -> SplitOctonion:

@@ -288,8 +288,15 @@ def equivalence_map() -> CorrespondenceMap:
 
 
 def trilinear_both(phi, x, psi):
-    """Evaluate the matrix form and the dictionary-mapped octonion form."""
+    """Evaluate the matrix form and the dictionary-mapped octonion form.
+
+    phi and psi are read as trilinear_matrix reads them (8 components, or 16
+    with the wrong-chirality block zero), and both forms get the same eight
+    values of phi, x and psi.
+    """
     d = equivalence_map()
+    phi, psi = cl._chiral_8(phi, "phi"), cl._chiral_8(psi, "psi")
+    x = cl._flat(x, (8,), "vector needs 8 components")
     mat_val = cl.trilinear_matrix(phi, x, psi)
 
     def mapped(values, slot_map):
@@ -299,9 +306,9 @@ def trilinear_both(phi, x, psi):
             out[idx] = sign * v
         return out
 
-    po = oct_from_components(mapped(list(phi), d.phi_map))
-    xo = oct_from_components(mapped(list(x), d.x_map))
-    so = oct_from_components(mapped(list(psi), d.psi_map))
+    po = oct_from_components(mapped(phi, d.phi_map))
+    xo = oct_from_components(mapped(x, d.x_map))
+    so = oct_from_components(mapped(psi, d.psi_map))
     oct_val = d.scale * trilinear_oct(po, xo, so)
     return mat_val, oct_val
 

@@ -145,6 +145,7 @@ def flipped_table(monkeypatch, entries):
     monkeypatch.setattr(oc, "_TABLE", table)
     monkeypatch.setattr(oc, "_C", oc._structure_tensor(table))
     monkeypatch.setattr(oc, "_SCALAR_TERMS", oc._scalar_terms(table))
+    monkeypatch.setattr(oc, "_PRODUCT", oc._product(table))
 
 
 # failure counts and witnesses of the Malcev sweep on tables with one
@@ -337,13 +338,27 @@ def test_trilinear_both_exits_1_on_flipped_table(monkeypatch, capsys):
 
 
 # The single-call kernels as they were before they were cut down to the terms
-# their answer needs, kept as oracles: inner from two full products, the
-# matrix trilinear form summed slice by slice, and the integer check that
-# converts every component.
+# their answer needs, kept as oracles: the product as a loop over the unit
+# table, inner from two full products, the matrix trilinear form summed slice
+# by slice, and the integer check that converts every component.
+
+def reference_mul(a, b):
+    out = [0] * 8
+    for i, ai in enumerate(a.c):
+        if not ai:
+            continue
+        row = oc._TABLE[i]
+        for j, bj in enumerate(b.c):
+            if not bj:
+                continue
+            k, s = row[j]
+            out[k] += ai * bj if s > 0 else -(ai * bj)
+    return O(out)
+
 
 def reference_inner(a, b):
-    p = oc.mul(a.conj(), b)
-    q = oc.mul(b.conj(), a)
+    p = reference_mul(a.conj(), b)
+    q = reference_mul(b.conj(), a)
     return oc._HALF * (p.c[0] + q.c[0])
 
 
@@ -401,7 +416,7 @@ def inner_oracle(a, b):
     q are finite: there the finite half-sum 0.5 p + 0.5 q."""
     want = reference_inner(a, b)
     if isinstance(want, float) and math.isinf(want):
-        p, q = oc.mul(a.conj(), b).c[0], oc.mul(b.conj(), a).c[0]
+        p, q = reference_mul(a.conj(), b).c[0], reference_mul(b.conj(), a).c[0]
         if math.isfinite(p) and math.isfinite(q):
             want = 0.5 * p + 0.5 * q
             assert math.isfinite(want)
@@ -429,13 +444,59 @@ def check_octonion_kernels(phi, x, psi):
     assert result_of(oc.inner, a, b) == result_of(inner_oracle, a, b)
     assert result_of(oc.inner, a, a) == result_of(inner_oracle, a, a)
     assert (result_of(tr.trilinear_oct, a, b, c)
-            == result_of(lambda: -inner_oracle(a.conj(), oc.mul(b, c))))
+            == result_of(lambda: -inner_oracle(a.conj(), reference_mul(b, c))))
 
 
 @pytest.mark.parametrize("entries", [()] + FLIPS)
 def test_octonion_kernels_match_two_product_oracle(monkeypatch, entries):
     flipped_table(monkeypatch, entries)
     check_octonion_kernels()
+
+
+def coefficients_of(f, a, b):
+    """result_of for each coefficient of the octonion f(a, b), or the type of
+    the error it raises."""
+    try:
+        coeffs = f(a, b).c
+    except (OverflowError, ValueError) as exc:
+        return "raises", type(exc)
+    return [result_of(lambda: v) for v in coeffs]
+
+
+# the numbers of COMPONENTS, and bools, numpy scalars and non-finite floats
+MUL_EXTRAS = st.one_of(st.booleans(), st.sampled_from((math.inf, -math.inf, math.nan)),
+                       st.integers(-2 ** 20, 2 ** 20).map(np.int64), st.floats().map(np.float64))
+MUL_COMPONENTS = st.one_of(COMPONENTS, st.lists(MUL_EXTRAS, min_size=8, max_size=8),
+                           st.lists(st.one_of(*NUMBERS.values(), MUL_EXTRAS),
+                                    min_size=8, max_size=8))
+
+
+@given(MUL_COMPONENTS, MUL_COMPONENTS)
+def check_mul(x, y):
+    a, b = O(x), O(y)
+    with np.errstate(all="ignore"):      # numpy scalars overflow alike on both sides
+        assert coefficients_of(oc.mul, a, b) == coefficients_of(reference_mul, a, b)
+        assert coefficients_of(oc.mul, b, a) == coefficients_of(reference_mul, b, a)
+
+
+@pytest.mark.parametrize("entries", [()] + FLIPS)
+def test_mul_matches_table_loop_oracle(monkeypatch, entries):
+    flipped_table(monkeypatch, entries)
+    check_mul()
+
+
+def test_mul_sums_negative_zero_terms_to_positive_zero():
+    # every term of coefficient k is an underflowing product that adds -0.0;
+    # from the int start 0 their sum is +0.0
+    a = O([5e-324] * 8)
+    for k in range(8):
+        b = [0.0] * 8
+        for row in oc._TABLE:
+            j = next(j for j, (kk, _) in enumerate(row) if kk == k)
+            b[j] = -row[j][1] * 5e-324
+        got = coefficients_of(oc.mul, a, O(b))
+        assert got == coefficients_of(reference_mul, a, O(b))
+        assert got[k] == (float, struct.pack("<d", 0.0))
 
 
 # the matrix form reads the trilinear slices, not the unit table, so a
@@ -463,7 +524,7 @@ def test_octonion_kernels_match_oracle_on_edge_floats(value):
     for x, y in ((a, b), (b, a), (a, a), (b, b)):
         assert result_of(oc.inner, x, y) == result_of(inner_oracle, x, y)
     assert (result_of(tr.trilinear_oct, a, b, a)
-            == result_of(lambda: -inner_oracle(a.conj(), oc.mul(b, a))))
+            == result_of(lambda: -inner_oracle(a.conj(), reference_mul(b, a))))
 
 
 AS_INTS_VALUES = st.one_of(

@@ -110,6 +110,22 @@ def test_trilinear_both_all_ones():
     assert Fraction(m) == o
 
 
+def test_trilinear_both_reads_16_component_chiral_spinors():
+    phi, x, psi = list(range(1, 9)), [1, -2, 0, 3, 1, 1, -1, 2], [2, 0, -1, 1, 3, 0, 1, -2]
+    want = tr.trilinear_both(phi, x, psi)
+    assert want[0] == want[1] == cl.trilinear_matrix(phi, x, psi)
+    assert tr.trilinear_both(phi + [0] * 8, x, [0] * 8 + psi) == want
+    assert tr.trilinear_both(phi, x, [0] * 8 + psi) == want
+    assert tr.trilinear_both(phi + [0] * 8, x, psi) == want
+
+
+@pytest.mark.parametrize("phi,psi", [(list(range(1, 9)) + [0] * 7 + [1], [1] * 8),
+                                     ([1] * 8, [0] * 7 + [1] + [1] * 8)])
+def test_trilinear_both_refuses_wrong_chirality_block(phi, psi):
+    with pytest.raises(cl.ChiralityError):
+        tr.trilinear_both(phi, [1] * 8, psi)
+
+
 class TestGeneratorTables:
     def test_L01(self):
         rep = tr.infinitesimal_table_check("01")
