@@ -28,20 +28,15 @@ from .clifford import (
     gamma,
     b_matrix,
     verify_clifford,
-    vector_to_matrix,
-    matrix_to_vector,
     quadratic_form,
     rotor,
     Rotor,
     rotate_vector,
     rotate_spinor,
-    embed_phi,
-    embed_psi,
     spinor_invariant,
     trilinear_matrix,
 )
 from .triality import (
-    xi_basis_change,
     PINNED_CONVENTION,
     oct_from_components,
     trilinear_oct,
@@ -50,7 +45,6 @@ from .triality import (
     CorrespondenceMap,
     OracleError,
     correspondence_check,
-    triality_rotor,
     boost_table_check,
     infinitesimal_table_check,
     role_swap_check,

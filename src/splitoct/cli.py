@@ -1,9 +1,12 @@
 """Command-line front end: tables, verification suites, transformations and
 trilinear evaluations with machine-readable output.
 
-Structured output goes to stdout, diagnostics to stderr.  Exit codes:
-0 success / all suites pass, 1 verification failure, 2 usage error.  Only
-`verify` imports numpy; the other subcommands run on the standard library.
+Each subcommand builds one payload, the object that ``--format json``
+emits; ``main`` chooses the format in one place, and the csv and pretty
+renderers of a subcommand read nothing but its payload.  Structured output
+goes to stdout, diagnostics to stderr.  Exit codes: 0 success / all suites
+pass, 1 verification failure, 2 usage error.  Only `verify` imports numpy;
+the other subcommands run on the standard library.
 """
 from __future__ import annotations
 
@@ -18,21 +21,8 @@ from . import octonion as oc
 from . import triality as tr
 from .report import VerificationReport
 
-SUITES = ("moufang", "malcev", "clifford", "associators", "correspondence",
-          "triality", "all")
 OVERFLOW = "the result overflows float64"
 DRIFT_LIMIT = 1e-8      # largest invariant change, relative to |input|^2
-
-
-class RunConfig:
-    """What `verify` reads beyond the suite name."""
-
-    def __init__(self, seed: int, tolerance: float, samples: int):
-        self.seed, self.tolerance, self.samples = seed, tolerance, samples
-        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
-            raise ValueError("tolerance must be finite and positive")
-        if self.samples < 1:
-            raise ValueError("samples must be at least 1")
 
 
 def _emit_json(obj) -> None:
@@ -62,11 +52,6 @@ def _require_finite(message: str, values) -> None:
         raise UsageError(message)
 
 
-def _usage_error(msg: str) -> int:
-    print(f"error: {msg}", file=sys.stderr)
-    return 2
-
-
 def _num(v):
     """JSON-safe scalar: exact ints stay ints, Fractions become strings."""
     if isinstance(v, Fraction):
@@ -87,7 +72,7 @@ def _round12(v: float) -> float:
 # table
 # ---------------------------------------------------------------------------
 
-def cmd_table(args) -> int:
+def cmd_table(args) -> dict:
     sc = oc.StructureConstants.standard()
     products = []
     for a in range(8):
@@ -105,118 +90,118 @@ def cmd_table(args) -> int:
                         "x": oc.UNIT_NAMES[a], "y": oc.UNIT_NAMES[b], "z": oc.UNIT_NAMES[c],
                         "value": {oc.UNIT_NAMES[k]: _num(v)
                                   for k, v in enumerate(val.c) if v != 0}})
-    if args.format == "json":
-        _emit_json({"products": products, "nonvanishing_associators": families})
-    elif args.format == "csv":
-        print("left,right,result_unit,sign")
-        for p in products:
-            print(f"{p['left']},{p['right']},{p['result_unit']},{p['sign']}")
-    else:
-        print("unit product table (row * column):")
-        hdr = "      " + "".join(f"{n:>6}" for n in oc.UNIT_NAMES)
-        print(hdr)
-        for a in range(8):
-            cells = []
-            for b in range(8):
-                idx, sign = sc.product(a, b)
-                cells.append(f"{'-' if sign < 0 else '+'}{oc.UNIT_NAMES[idx]}")
-            print(f"{oc.UNIT_NAMES[a]:>6}" + "".join(f"{c:>6}" for c in cells))
-        print(f"\n{len(families)} non-vanishing associator triples")
-    return 0
+    return {"products": products, "nonvanishing_associators": families}
+
+
+def _table_csv(payload):
+    yield "left,right,result_unit,sign"
+    for p in payload["products"]:
+        yield f"{p['left']},{p['right']},{p['result_unit']},{p['sign']}"
+
+
+def _table_pretty(payload):
+    products = payload["products"]          # row-major, 8 per row
+    yield "unit product table (row * column):"
+    yield "      " + "".join(f"{p['right']:>6}" for p in products[:8])
+    for start in range(0, 64, 8):
+        row = products[start:start + 8]
+        cells = [f"{'-' if p['sign'] < 0 else '+'}{p['result_unit']}" for p in row]
+        yield f"{row[0]['left']:>6}" + "".join(f"{c:>6}" for c in cells)
+    yield ""
+    yield f"{len(payload['nonvanishing_associators'])} non-vanishing associator triples"
 
 
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
 
-def _run_suite(name: str, cfg: RunConfig):
-    if name == "moufang":
-        return [oc.verify_moufang()]
-    if name == "malcev":
-        return [oc.verify_malcev()]
-    if name == "clifford":
-        return [cl.verify_clifford()]
-    if name == "associators":
-        return [oc.verify_associators()]
-    if name == "correspondence":
-        return [tr.correspondence_check(cfg.samples, cfg.seed)]
-    if name == "triality":
-        return [
-            tr.infinitesimal_table_check("01"),
-            tr.boost_table_check(),
-            tr.role_swap_check(),
-            tr.double_cover_check(tol=cfg.tolerance),
-            tr.dictionary_random_check(cfg.samples, cfg.seed),
-            tr.trilinear_invariance_check(max(1, cfg.samples // 5), cfg.seed,
-                                          tol=cfg.tolerance),
-            tr.rotor_invariance_check(cfg.samples, cfg.seed, tol=cfg.tolerance),
-        ]
-    raise ValueError(name)
+# what a suite reads beyond its name, where no flag sets it
+SETTINGS = {"seed": tr.DEFAULT_SEED, "samples": 1000, "tolerance": 1e-12}
+
+# suite -> (the settings it reads, its reports from them); `all` runs the
+# basis generation and the table check, then every suite in this order
+RUNS = {
+    "moufang": ((), lambda s: [oc.verify_moufang()]),
+    "malcev": ((), lambda s: [oc.verify_malcev()]),
+    "clifford": ((), lambda s: [cl.verify_clifford()]),
+    "associators": ((), lambda s: [oc.verify_associators()]),
+    "correspondence": (("seed", "samples"), lambda s: [
+        tr.correspondence_check(s["samples"], s["seed"])]),
+    "triality": (("seed", "samples", "tolerance"), lambda s: [
+        tr.infinitesimal_table_check("01"),
+        tr.boost_table_check(),
+        tr.role_swap_check(),
+        tr.double_cover_check(tol=s["tolerance"]),
+        tr.dictionary_random_check(s["samples"], s["seed"]),
+        tr.trilinear_invariance_check(max(1, s["samples"] // 5), s["seed"],
+                                      tol=s["tolerance"]),
+        tr.rotor_invariance_check(s["samples"], s["seed"], tol=s["tolerance"]),
+    ]),
+}
+SUITES = (*RUNS, "all")
 
 
 def _generation_report():
     rep = VerificationReport("basis-generation")
     try:
         generated = oc.generate_basis_from_J()
-        standard = oc.StructureConstants.standard()
-        same = json.dumps(generated.to_json()) == json.dumps(standard.to_json())
+        same = generated.table == oc.StructureConstants.standard().table
         rep.record_case(same, "generated table differs from the hard-coded one")
     except oc.ConstructionError as exc:
         rep.record_case(False, f"construction failed: {exc}")
     return rep
 
 
-def cmd_verify(args) -> int:
-    cfg = RunConfig(seed=args.seed, tolerance=args.tolerance, samples=args.samples)
+def cmd_verify(args) -> dict:
     if args.suite not in SUITES:
-        return _usage_error(f"unknown suite '{args.suite}'; choose from {', '.join(SUITES)}")
-    reports = []
-    if args.suite == "all":
-        reports.append(_generation_report())
-        reports.append(oc.verify_table())
-        for s in ("moufang", "malcev", "clifford", "associators", "correspondence",
-                  "triality"):
-            reports.extend(_run_suite(s, cfg))
-    else:
-        reports = _run_suite(args.suite, cfg)
-    all_pass = all(r.passed for r in reports)
-    payload = {"suite": args.suite, "passed": all_pass,
-               "reports": [r.to_json() for r in reports]}
-    if args.format == "json":
-        _emit_json(payload)
-    elif args.format == "csv":
-        print("name,cases,failures,max_residual,exact,passed")
-        for r in reports:
-            print(f"{r.name},{r.cases},{r.failures},{r.max_residual},{r.exact},{r.passed}")
-    else:
-        for r in reports:
-            state = "PASS" if r.passed else "FAIL"
-            print(f"{state} {r.name}: {r.cases} cases, {r.failures} failures, "
-                  f"max residual {r.max_residual:.3e}")
-            for d in r.failure_details:
-                print(f"     {d}")
-        print("ALL PASS" if all_pass else "FAILURES PRESENT")
-    return 0 if all_pass else 1
+        raise UsageError(f"unknown suite '{args.suite}'; choose from {', '.join(SUITES)}")
+    names = list(RUNS) if args.suite == "all" else [args.suite]
+    given = {k: getattr(args, k) for k in SETTINGS if getattr(args, k) is not None}
+    unread = sorted(given.keys() - {k for name in names for k in RUNS[name][0]})
+    if unread:
+        raise UsageError(f"suite '{args.suite}' does not read --{', --'.join(unread)}")
+    settings = {**SETTINGS, **given}
+    if not (math.isfinite(settings["tolerance"]) and settings["tolerance"] > 0):
+        raise UsageError("tolerance must be finite and positive")
+    if settings["samples"] < 1:
+        raise UsageError("samples must be at least 1")
+    reports = [_generation_report(), oc.verify_table()] if args.suite == "all" else []
+    for name in names:
+        reports += RUNS[name][1](settings)
+    return {"suite": args.suite, "passed": all(r.passed for r in reports),
+            "reports": [r.to_json() for r in reports]}
+
+
+def _verify_csv(payload):
+    yield "name,cases,failures,max_residual,exact,passed"
+    for r in payload["reports"]:
+        yield (f"{r['name']},{r['cases']},{r['failures']},{r['max_residual']},"
+               f"{r['exact']},{r['passed']}")
+
+
+def _verify_pretty(payload):
+    for r in payload["reports"]:
+        yield (f"{'PASS' if r['passed'] else 'FAIL'} {r['name']}: {r['cases']} cases, "
+               f"{r['failures']} failures, max residual {r['max_residual']:.3e}")
+        for d in r["failure_details"]:
+            yield f"     {d}"
+    yield "ALL PASS" if payload["passed"] else "FAILURES PRESENT"
 
 
 # ---------------------------------------------------------------------------
 # rotate
 # ---------------------------------------------------------------------------
 
-def cmd_rotate(args) -> int:
+def cmd_rotate(args) -> dict:
     _require_finite("theta must be finite", [args.theta])
     try:
         mu_s, nu_s = args.plane.split(",")
         mu, nu = int(mu_s), int(nu_s)
     except ValueError:
-        return _usage_error("plane must be 'mu,nu' with integer indices")
-    if not (0 <= mu <= 7 and 0 <= nu <= 7):
-        return _usage_error("plane indices must be in 0..7")
-    if mu == nu:
-        return _usage_error("plane indices must differ")
+        raise UsageError("plane must be 'mu,nu' with integer indices")
+    r = cl.rotor(mu, nu, args.theta)       # ValueError for mu == nu or past 0..7
     want = 8 if args.target == "vector" else 16
     comps = _parse_components(args.components, want)
-    r = cl.rotor(mu, nu, args.theta)
     if args.target == "vector":
         before = cl.quadratic_form(comps)
         out = cl.rotate_vector_list(comps, r)
@@ -229,43 +214,45 @@ def cmd_rotate(args) -> int:
     # a compact rotation keeps |x|, so only a boost strong enough to lose
     # the invariant to rounding can trip this
     if abs(after - before) > DRIFT_LIMIT * max(1.0, sum(v * v for v in comps)):
-        return _usage_error(f"the invariant moved from {before} to {after}: "
-                            "the boost is too strong for float64")
-    payload = {"target": args.target, "plane": [mu, nu],
-               "compact": r.compact, "theta": args.theta,
-               "input": comps, "output": out,
-               "invariant_before": _num(before), "invariant_after": _num(after)}
-    if args.format == "json":
-        _emit_json(payload)
-    elif args.format == "csv":
-        print("component,input,output")
-        for k, (i, o) in enumerate(zip(comps, out)):
-            print(f"{k},{i},{o}")
-    else:
-        kind = "compact rotation" if r.compact else "hyperbolic boost"
-        print(f"{kind} in plane ({mu},{nu}), theta={args.theta}")
-        print("input :", [_round12(v) for v in comps])
-        print("output:", [_round12(v) for v in out])
-        print(f"invariant: {before} -> {after}")
-    return 0
+        raise UsageError(f"the invariant moved from {before} to {after}: "
+                         "the boost is too strong for float64")
+    return {"target": args.target, "plane": [mu, nu],
+            "compact": r.compact, "theta": args.theta,
+            "input": comps, "output": out,
+            "invariant_before": _num(before), "invariant_after": _num(after)}
+
+
+def _rotate_csv(payload):
+    yield "component,input,output"
+    for k, (i, o) in enumerate(zip(payload["input"], payload["output"])):
+        yield f"{k},{i},{o}"
+
+
+def _rotate_pretty(payload):
+    kind = "compact rotation" if payload["compact"] else "hyperbolic boost"
+    mu, nu = payload["plane"]
+    yield f"{kind} in plane ({mu},{nu}), theta={payload['theta']}"
+    yield f"input : {[_round12(v) for v in payload['input']]}"
+    yield f"output: {[_round12(v) for v in payload['output']]}"
+    yield f"invariant: {payload['invariant_before']} -> {payload['invariant_after']}"
 
 
 # ---------------------------------------------------------------------------
 # trilinear
 # ---------------------------------------------------------------------------
 
-def cmd_trilinear(args) -> int:
+TRILINEAR_VALUES = ("matrix", "octonion", "octonion_mapped", "residual")
+
+
+def cmd_trilinear(args) -> dict:
+    """Raises tr.OracleError when the dictionary fails its check."""
     exact = args.mode == "exact"
     phi = _parse_components(args.phi, 8, exact)
     x = _parse_components(args.x, 8, exact)
     psi = _parse_components(args.psi, 8, exact)
     payload = {"representation": args.representation, "mode": args.mode}
     if args.representation == "both":
-        try:
-            mat_val, oct_mapped = tr.trilinear_both(phi, x, psi)
-        except tr.OracleError as exc:
-            print(f"error: trilinear dictionary unavailable: {exc}", file=sys.stderr)
-            return 1
+        mat_val, oct_mapped = tr.trilinear_both(phi, x, psi)
     elif args.representation == "matrix":
         mat_val = cl.trilinear_matrix(phi, x, psi)
     if args.representation in ("matrix", "both"):
@@ -283,76 +270,64 @@ def cmd_trilinear(args) -> int:
         payload["residual"] = _num(residual)
         payload["dictionary"] = tr.equivalence_map().to_json()
     _require_finite(OVERFLOW, payload.values())
-    if args.format == "json":
-        _emit_json(payload)
-    elif args.format == "csv":
-        keys = [k for k in ("matrix", "octonion", "octonion_mapped", "residual")
-                if k in payload]
-        print(",".join(keys))
-        print(",".join(str(payload[k]) for k in keys))
-    else:
-        for k in ("matrix", "octonion", "octonion_mapped", "residual"):
-            if k in payload:
-                print(f"{k}: {payload[k]}")
-    return 0
+    return payload
+
+
+def _trilinear_csv(payload):
+    keys = [k for k in TRILINEAR_VALUES if k in payload]
+    yield ",".join(keys)
+    yield ",".join(str(payload[k]) for k in keys)
+
+
+def _trilinear_pretty(payload):
+    for k in TRILINEAR_VALUES:
+        if k in payload:
+            yield f"{k}: {payload[k]}"
 
 
 # ---------------------------------------------------------------------------
 # matrices
 # ---------------------------------------------------------------------------
 
-def cmd_matrices(args) -> int:
+def cmd_matrices(args) -> dict:
     exact = args.mode == "exact"
     which = args.which
-    if args.index is not None and which not in ("alpha", "gamma"):
-        return _usage_error(f"--index selects one alpha or gamma matrix; '{which}' has none")
-    out = {}
-    if which == "alpha":
+    if which in ("alpha", "gamma"):
         sel = range(8) if args.index is None else [args.index]
-        for mu in sel:
-            if not 0 <= mu <= 7:
-                return _usage_error("index must be in 0..7")
-            out[f"alpha{mu}"] = cl.alpha(mu).to_json(exact)
-    elif which == "gamma":
-        sel = range(8) if args.index is None else [args.index]
-        for mu in sel:
-            if not 0 <= mu <= 7:
-                return _usage_error("index must be in 0..7")
-            out[f"gamma{mu}"] = cl.gamma(mu).to_json(exact)
-    elif which == "B":
-        out["B"] = cl.b_matrix().to_json(exact)
-    elif which == "xi":
-        out["xi"] = cl.XI_M.to_json(exact)
-        out["note"] = "matrix is scaled by 1/sqrt(2) when applied"
-    else:
-        return _usage_error(f"unknown matrix selector '{which}'")
-    if args.format == "json":
-        _emit_json(out)
-    elif args.format == "csv":
-        for name, mat in out.items():
-            if name == "note":
-                continue
+        get = cl.alpha if which == "alpha" else cl.gamma       # ValueError past 0..7
+        return {f"{which}{mu}": get(mu).to_json(exact) for mu in sel}
+    if args.index is not None:
+        raise UsageError(f"--index selects one alpha or gamma matrix; '{which}' has none")
+    if which == "B":
+        return {"B": cl.b_matrix().to_json(exact)}
+    return {"xi": cl.XI_M.to_json(exact), "note": "matrix is scaled by 1/sqrt(2) when applied"}
+
+
+def _matrices_csv(payload):
+    for name, mat in payload.items():
+        if name != "note":
             for r, row in enumerate(mat):
                 for c, e in enumerate(row):
-                    print(f"{name},{r},{c},{e['re']},{e['im']}")
-    else:
-        for name, mat in out.items():
-            if name == "note":
-                print(out["note"])
-                continue
-            print(f"{name}:")
-            for row in mat:
-                cells = []
-                for e in row:
-                    re, im = str(e["re"]), str(e["im"])
-                    if im in ("0", "0.0"):
-                        cells.append(f"{re:>3}")
-                    elif re in ("0", "0.0"):
-                        cells.append(f"{im:>2}i")
-                    else:
-                        cells.append(f"{re}+{im}i")
-                print(" ".join(cells))
-    return 0
+                    yield f"{name},{r},{c},{e['re']},{e['im']}"
+
+
+def _matrices_pretty(payload):
+    for name, mat in payload.items():
+        if name == "note":
+            yield mat
+            continue
+        yield f"{name}:"
+        for row in mat:
+            cells = []
+            for e in row:
+                re, im = str(e["re"]), str(e["im"])
+                if im in ("0", "0.0"):
+                    cells.append(f"{re:>3}")
+                elif re in ("0", "0.0"):
+                    cells.append(f"{im:>2}i")
+                else:
+                    cells.append(f"{re}+{im}i")
+            yield " ".join(cells)
 
 
 # ---------------------------------------------------------------------------
@@ -369,14 +344,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", parents=[fmt],
                        help="unit multiplication table and associator families")
-    p.set_defaults(fn=cmd_table)
+    p.set_defaults(fn=cmd_table, render={"csv": _table_csv, "pretty": _table_pretty})
 
     p = sub.add_parser("verify", parents=[fmt], help="run an identity-verification suite")
     p.add_argument("suite", help=f"one of: {', '.join(SUITES)}")
-    p.add_argument("--seed", type=int, default=tr.DEFAULT_SEED)
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--tolerance", type=float, default=1e-12)
-    p.set_defaults(fn=cmd_verify)
+    for name, default in SETTINGS.items():
+        readers = [suite for suite, (reads, _) in RUNS.items() if name in reads]
+        p.add_argument(f"--{name}", type=type(default),
+                       help=f"read by {', '.join(readers)} and all (default {default})")
+    p.set_defaults(fn=cmd_verify, render={"csv": _verify_csv, "pretty": _verify_pretty})
 
     p = sub.add_parser("rotate", parents=[fmt], help="apply a rotor to a vector or spinor")
     p.add_argument("--plane", required=True, help="mu,nu plane indices")
@@ -385,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", choices=("vector", "spinor"), required=True)
     p.add_argument("--components", required=True,
                    help="comma-separated components (8 for vector, 16 for spinor)")
-    p.set_defaults(fn=cmd_rotate)
+    p.set_defaults(fn=cmd_rotate, render={"csv": _rotate_csv, "pretty": _rotate_pretty})
 
     p = sub.add_parser("trilinear", parents=[fmt],
                        help="evaluate the invariant trilinear form")
@@ -395,24 +371,37 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--representation", choices=("matrix", "octonion", "both"),
                    default="both")
     p.add_argument("--mode", choices=("exact", "float"), default="float")
-    p.set_defaults(fn=cmd_trilinear)
+    p.set_defaults(fn=cmd_trilinear,
+                   render={"csv": _trilinear_csv, "pretty": _trilinear_pretty})
 
     p = sub.add_parser("matrices", parents=[fmt], help="emit alpha/gamma/B/xi matrices")
     p.add_argument("--which", choices=("alpha", "gamma", "B", "xi"), required=True)
     p.add_argument("--index", type=int, default=None, help="single mu for alpha/gamma")
     p.add_argument("--mode", choices=("exact", "float"), default="exact")
-    p.set_defaults(fn=cmd_matrices)
+    p.set_defaults(fn=cmd_matrices,
+                   render={"csv": _matrices_csv, "pretty": _matrices_pretty})
     return ap
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        payload = args.fn(args)
+        if args.format == "json":
+            _emit_json(payload)
+        else:
+            sys.stdout.write("".join(f"{line}\n" for line in args.render[args.format](payload)))
+    except tr.OracleError as exc:
+        print(f"error: trilinear dictionary unavailable: {exc}", file=sys.stderr)
+        return 1
     except (cl.ChiralityError, UsageError, ValueError) as exc:
-        return _usage_error(str(exc))
+        message = str(exc)
     except OverflowError:
-        return _usage_error(OVERFLOW)
+        message = OVERFLOW
+    else:
+        return 0 if payload.get("passed", True) else 1
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -12,10 +12,9 @@ first-order action on both.  The eight trilinear slices are held as one
 flat table of (b, i, j, K_b[i,j]) terms.  Float sums of several terms (the
 invariants, the float trilinear form) are correctly rounded
 (``math.fsum``), so they do not depend on the machine.  numpy is imported
-only by the dense views and the complex128 conjugation L X L^{-1} kept as
-the rotors' oracle.  The module also owns the grade-4 element
-B = -G1 G3 G5 G7, the spinor basis-change matrix and everything built on
-them (rotors, invariants, the trilinear form).
+only by the dense views and the ndarray rotor actions.  The module also
+owns the grade-4 element B = -G1 G3 G5 G7, the spinor basis-change matrix
+and everything built on them (rotors, invariants, the trilinear form).
 """
 from __future__ import annotations
 
@@ -41,8 +40,8 @@ class GMat:
     Row r is a tuple of (column, re, im) triples, one per nonzero entry, by
     increasing column.  Every matrix of the representation has one or two
     entries per row, and Python ints keep every product exact whatever the
-    size of its entries.  The dense int64 views ``re``, ``im`` and
-    ``to_complex()`` (numpy) are built on first use.
+    size of its entries.  The dense int64 views ``re`` and ``im`` (numpy)
+    are built on first use.
     """
 
     __slots__ = ("rows", "ncols", "_dense")
@@ -183,11 +182,6 @@ class GMat:
     @property
     def im(self):
         return self._arrays()[1]
-
-    def to_complex(self):
-        import numpy as np
-        re, im = self._arrays()
-        return re.astype(np.complex128) + 1j * im.astype(np.complex128)
 
     def to_json(self, exact: bool = True) -> list:
         num = str if exact else float
@@ -361,79 +355,6 @@ def plane_generator(mu: int, nu: int) -> tuple:
 # vectors
 # ---------------------------------------------------------------------------
 
-_GAMMA_C = []       # the Gamma_mu as complex128, built on first use
-
-
-def _gamma_c() -> list:
-    if not _GAMMA_C:
-        for g in _GAMMA:
-            m = g.to_complex()
-            m.flags.writeable = False
-            _GAMMA_C.append(m)
-    return _GAMMA_C
-
-
-def vector_to_matrix(x):
-    """X = sum_mu x_mu Gamma_mu as complex128."""
-    import numpy as np
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (8,):
-        raise ValueError("vector needs 8 components")
-    out = np.zeros((16, 16), dtype=np.complex128)
-    for mu, g in enumerate(_gamma_c()):
-        if x[mu]:
-            out += x[mu] * g
-    return out
-
-
-def vector_to_matrix_exact(x) -> GMat:
-    """Same linear combination on integer components, exact."""
-    out = GMat.zeros(16)
-    for mu in range(8):
-        k = int(x[mu])
-        if k != x[mu]:
-            raise ValueError("exact mode needs integer components")
-        if k:
-            out = out + _GAMMA[mu].scale(k)
-    return out
-
-
-def matrix_to_vector(X, tol: float = 1e-10):
-    """Recover x_mu by the trace pairing x_mu = g_mumu tr(Gamma_mu X)/16.
-
-    Raises NotGrade1Error when the residual X - sum x_mu Gamma_mu exceeds
-    the tolerance (exactly nonzero, for exact input).
-    """
-    if isinstance(X, GMat):
-        coeffs = []
-        for mu in range(8):
-            tr_re, tr_im = (_GAMMA[mu] @ X).trace()
-            if tr_im:
-                raise NotGrade1Error("trace pairing is not real")
-            coeffs.append(Fraction(METRIC[mu] * tr_re, 16))
-        recon = GMat.zeros(16)
-        scaled = [c * 16 for c in coeffs]
-        if any(s.denominator != 1 for s in scaled):
-            raise NotGrade1Error("non-integral trace pairing")
-        for mu in range(8):
-            recon = recon + _GAMMA[mu].scale(int(scaled[mu]))
-        if not (X.scale(16) - recon).is_zero():
-            raise NotGrade1Error("matrix has components outside grade 1")
-        return tuple(coeffs)
-    import numpy as np
-    Xc = np.asarray(X, dtype=np.complex128)
-    x = np.empty(8)
-    for mu, g in enumerate(_gamma_c()):
-        c = METRIC[mu] * np.trace(g @ Xc) / 16
-        if abs(c.imag) > tol:
-            raise NotGrade1Error("trace pairing is not real")
-        x[mu] = c.real
-    resid = Xc - vector_to_matrix(x)
-    if np.max(np.abs(resid)) > tol:
-        raise NotGrade1Error(f"grade-1 residual {np.max(np.abs(resid)):.3e} exceeds {tol}")
-    return x
-
-
 def _fsum(terms) -> float:
     """math.fsum, the correctly rounded sum; NaN where it has +inf and -inf."""
     try:
@@ -490,18 +411,6 @@ class Rotor:
         self.mu, self.nu, self.theta = mu, nu, theta
         self.compact = METRIC[mu] * METRIC[nu] > 0
 
-    def half_coeffs(self):
-        return half_angle(self.compact, self.theta)
-
-    def matrix(self):
-        import numpy as np
-        c, s = self.half_coeffs()
-        g = _gamma_c()
-        return c * np.eye(16, dtype=np.complex128) - s * (g[self.mu] @ g[self.nu])
-
-    def inverse(self) -> "Rotor":
-        return Rotor(self.nu, self.mu, self.theta)
-
 
 def rotor(mu: int, nu: int, theta: float) -> Rotor:
     if not (0 <= mu <= 7 and 0 <= nu <= 7):
@@ -551,8 +460,8 @@ def rotate_vector(x, r: Rotor):
     """x' with X' = L X L^{-1}, in closed form, as a float64 ndarray;
     preserves the quadratic form.
 
-    The matrix route (vector_to_matrix, Rotor.matrix, matrix_to_vector) is
-    the independent oracle this is tested against.
+    The 16x16 conjugation of ``tests/oracles.py`` is the independent
+    oracle this is checked against.
     """
     import numpy as np
     x = np.asarray(x, dtype=np.float64)
@@ -579,20 +488,6 @@ def rotate_spinor(eta, r: Rotor):
 # ---------------------------------------------------------------------------
 # spinors, invariant, trilinear form
 # ---------------------------------------------------------------------------
-
-def embed_phi(phi):
-    import numpy as np
-    out = np.zeros(16)
-    out[0:8] = phi
-    return out
-
-
-def embed_psi(psi):
-    import numpy as np
-    out = np.zeros(16)
-    out[8:16] = psi
-    return out
-
 
 def _as_ints(values):
     """The components as Python ints when every one is integral, else None;

@@ -687,8 +687,8 @@ def generate_basis_from_J() -> StructureConstants:
     """Recover the full table from the three J_n alone.
 
     The J_n are modelled as independent anticommuting square-one elements;
-    j_n is built as (1/2) eps_nmk J^m J^k, I as J_1 j_1, and the table is
-    closed by breadth-first products canonicalized to +/- a known unit.
+    j_n is built as (1/2) eps_nmk J^m J^k, I as J_1 j_1, and each of the 64
+    unit products is looked up as +/- one of the eight units.
     The model stays integral: 2 j_n is formed and halved only when even,
     and I is compared with the Jacobiator as -3 I.  The result must match
     the hard-coded constants byte for byte.
@@ -727,25 +727,14 @@ def generate_basis_from_J() -> StructureConstants:
     if len(set(basis)) != 8:
         raise ConstructionError("closure produced fewer than 8 distinct units")
 
-    frontier = list(range(8))
-    table = [[None] * 8 for _ in range(8)]
-    while frontier:
-        a = frontier.pop()
+    # +-unit -> (index, sign); the lowest index wins, as a scan of the basis would
+    units = {}
+    for idx, u in enumerate(basis):
+        units.setdefault(u, (idx, 1))
+        units.setdefault(-u, (idx, -1))
+    table = tuple(tuple(units.get(x * y) for y in basis) for x in basis)
+    for a in range(8):
         for b in range(8):
-            for lhs, rhs, slot in ((a, b, (a, b)), (b, a, (b, a))):
-                if table[slot[0]][slot[1]] is not None:
-                    continue
-                prod = basis[lhs] * basis[rhs]
-                match = None
-                for idx, u in enumerate(basis):
-                    if prod == u:
-                        match = (idx, 1)
-                        break
-                    if prod == -u:
-                        match = (idx, -1)
-                        break
-                if match is None:
-                    raise ConstructionError(
-                        f"product of units {lhs},{rhs} is not +/- a basis unit")
-                table[slot[0]][slot[1]] = match
-    return StructureConstants(tuple(tuple(row) for row in table))
+            if table[a][b] is None:
+                raise ConstructionError(f"product of units {a},{b} is not +/- a basis unit")
+    return StructureConstants(table)

@@ -33,19 +33,6 @@ DEFAULT_SEED = 12345
 # spinor basis change
 # ---------------------------------------------------------------------------
 
-def xi_basis_change(eta):
-    """Map real spinor components to the 16 complex basis-change components.
-
-    Returns (1/sqrt2) M eta as complex128; the exact Gaussian-integer M is
-    cl.XI_M.
-    """
-    import numpy as np
-    eta = np.asarray(eta, dtype=np.float64)
-    if eta.shape != (16,):
-        raise ValueError("spinor needs 16 components")
-    return (cl.XI_M.to_complex() @ eta) / math.sqrt(2.0)
-
-
 class XiConvention(namedtuple("XiConvention", "pairing b_form")):
     """Which evaluation of the spinor invariant diagonalizes it: pairing
     "transpose" or "dagger", b_form "original" or "conjugated"."""
@@ -88,16 +75,6 @@ def pin_xi_convention() -> XiConvention:
 
 
 PINNED_CONVENTION = pin_xi_convention()
-
-
-def spinor_quadratic_split(phi, psi):
-    """The diagonal split forms the pinned convention produces."""
-    import numpy as np
-    phi = np.asarray(phi, dtype=np.float64)
-    psi = np.asarray(psi, dtype=np.float64)
-    f = float(np.sum(phi[:4] ** 2) - np.sum(phi[4:] ** 2))
-    g = float(np.sum(psi[:4] ** 2) - np.sum(psi[4:] ** 2))
-    return f, g
 
 
 # ---------------------------------------------------------------------------
@@ -237,24 +214,6 @@ def _oct_trilinear_entries() -> _Tensor:
     return t
 
 
-def _dense(t: _Tensor):
-    import numpy as np
-    out = np.zeros((8, 8, 8), dtype=np.int64)
-    for index, v in t.items():
-        out[index] = v
-    return out
-
-
-def matrix_trilinear_tensor():
-    """T1[a,b,c] = F_matrix(e_a, e_b, e_c), exact integers (int64 array)."""
-    return _dense(_matrix_trilinear_entries())
-
-
-def oct_trilinear_tensor():
-    """T2[a,b,c] = -conj(e_a) . (e_b e_c), exact integers (int64 array)."""
-    return _dense(_oct_trilinear_entries())
-
-
 def trilinear_equivalence_oracle() -> CorrespondenceMap:
     """The dictionary of the pinned component order: octonion coefficient k
     <-> component k in every slot, scale 1.  Verified exactly on all 512
@@ -352,30 +311,6 @@ COMPOSITE_PSI = ((0, 1, -1.0), (1, 0, 1.0))
 ROLE_SWAP_PLANES = ((1, 0), (2, 3), (5, 4), (6, 7))
 
 
-class RotorWord:
-    """An ordered product of rotors acting on vectors and spinors."""
-
-    def __init__(self, rotors: tuple):
-        self.rotors = rotors
-
-    def act_vector(self, x):
-        for r in reversed(self.rotors):
-            x = cl.rotate_vector(x, r)
-        return x
-
-    def act_spinor(self, eta):
-        for r in reversed(self.rotors):
-            eta = cl.rotate_spinor(eta, r)
-        return eta
-
-
-def triality_rotor(theta: float) -> RotorWord:
-    """L_10(t/2) L_23(t/2) L_54(t/2) L_67(t/2): swaps the roles of the
-    vector and the right-chirality spinor."""
-    h = theta / 2.0
-    return RotorWord(tuple(cl.rotor(mu, nu, h) for mu, nu in ROLE_SWAP_PLANES))
-
-
 def _check_generators(rep, tables, generators) -> None:
     """The x, phi and psi tables against the exact generators, one case per
     entry of each dense table, in C order, compared with ==; a failing
@@ -452,11 +387,6 @@ def _random_plane(rng):
     return mu, nu
 
 
-def _half_angle(mu: int, nu: int, theta: float):
-    """cl.rotor(mu, nu, theta).half_coeffs(), without the Rotor."""
-    return cl.half_angle(cl.METRIC[mu] * cl.METRIC[nu] > 0, theta)
-
-
 def _spinor_generators():
     """The bivector action of every plane on real spinor components as a
     dense 16x16 matrix, stacked at index 8 mu + nu."""
@@ -531,7 +461,8 @@ def rotor_invariance_check(n_rotors: int = 1000, seed: int = DEFAULT_SEED,
         for _ in range(n):
             mu, nu = _random_plane(rng)
             planes.append((mu, nu))
-            half.append(_half_angle(mu, nu, float(rng.uniform(-3, 3))))
+            half.append(cl.half_angle(cl.METRIC[mu] * cl.METRIC[nu] > 0,
+                                      float(rng.uniform(-3, 3))))
             samples.append(sample_integers(rng, 24))     # x, then eta
         planes, half = np.array(planes, dtype=np.intp), np.array(half)
         v = np.array(samples, dtype=np.float64)
@@ -568,7 +499,7 @@ def trilinear_invariance_check(n_samples: int = 200, seed: int = DEFAULT_SEED,
 
     The residual of a sample is the change of the form over the product of
     the three Euclidean norms, before or after, at least 1.  Words act
-    right to left, as RotorWord does, on stacks of BLOCK samples.
+    right to left, the last rotor first, on stacks of BLOCK samples.
     """
     import numpy as np
     rep = VerificationReport("trilinear-invariance", exact=False,
@@ -583,7 +514,8 @@ def trilinear_invariance_check(n_samples: int = 200, seed: int = DEFAULT_SEED,
             for _ in range(length):
                 mu, nu = _random_plane(rng)
                 planes.append((mu, nu))
-                half.append(_half_angle(mu, nu, float(rng.uniform(-2, 2))))
+                half.append(cl.half_angle(cl.METRIC[mu] * cl.METRIC[nu] > 0,
+                                          float(rng.uniform(-2, 2))))
             planes.extend([(0, 0)] * (8 - length))      # unused word slots
             half.extend([(0.0, 0.0)] * (8 - length))
             samples.append(sample_integers(rng, 24))     # phi, x, psi

