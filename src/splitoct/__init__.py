@@ -23,7 +23,6 @@ from .octonion import (
 from .clifford import (
     METRIC,
     ChiralityError,
-    NotGrade1Error,
     alpha,
     gamma,
     b_matrix,

@@ -253,6 +253,9 @@ def cmd_trilinear(args) -> dict:
     payload = {"representation": args.representation, "mode": args.mode}
     if args.representation == "both":
         mat_val, oct_mapped = tr.trilinear_both(phi, x, psi)
+        if not exact:
+            # a form whose every term is skipped is the exact 0
+            oct_mapped = float(oct_mapped)
     elif args.representation == "matrix":
         mat_val = cl.trilinear_matrix(phi, x, psi)
     if args.representation in ("matrix", "both"):
@@ -263,7 +266,7 @@ def cmd_trilinear(args) -> dict:
     if args.representation in ("octonion", "both"):
         v = tr.trilinear_oct(tr.oct_from_components(phi), tr.oct_from_components(x),
                              tr.oct_from_components(psi))
-        payload["octonion"] = _num(v)
+        payload["octonion"] = _num(v if exact else float(v))
     if args.representation == "both":
         residual = abs(mat_val - oct_mapped)
         payload["octonion_mapped"] = _num(oct_mapped)

@@ -9,10 +9,13 @@ the trilinear slices) are exact sparse compositions.  Rotors act on real
 float components: vectors in closed form, spinors through the signed
 permutation of each bivector; ``plane_generator`` gives a plane's exact
 first-order action on both.  The eight trilinear slices are held as one
-flat table of (b, i, j, K_b[i,j]) terms.  Float sums of several terms (the
-invariants, the float trilinear form) are correctly rounded
-(``math.fsum``), so they do not depend on the machine.  numpy is imported
-only by the dense views and the ndarray rotor actions.  The module also
+flat table of (b, i, j, K_b[i,j]) terms and the spinor invariant as one of
+(i, j, 2Q_ij) terms; on integers each form is one straight-line function
+compiled from its table at import (``exact.compiled``, the helper the
+octonion product is compiled with).  Float sums of several terms (the
+invariants, the float trilinear form over the same tables) are correctly
+rounded (``math.fsum``), so they do not depend on the machine.  numpy is
+imported only by the dense views and the ndarray rotor actions.  The module also
 owns the grade-4 element B = -G1 G3 G5 G7, the spinor basis-change matrix
 and everything built on them (rotors, invariants, the trilinear form).
 """
@@ -21,6 +24,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .exact import compiled, signed_sum
 from .report import VerificationReport
 
 METRIC = (1, 1, 1, 1, -1, -1, -1, -1)
@@ -28,10 +32,6 @@ METRIC = (1, 1, 1, 1, -1, -1, -1, -1)
 
 class ChiralityError(ValueError):
     """Spinor argument has nonzero components in the wrong chiral block."""
-
-
-class NotGrade1Error(ValueError):
-    """Matrix is not in the span of the grade-1 generators."""
 
 
 class GMat:
@@ -138,11 +138,6 @@ class GMat:
         """The sub-matrix of rows r0..r1-1 and columns c0..c1-1."""
         return GMat((tuple((c - c0, vr, vi) for c, vr, vi in row if c0 <= c < c1)
                      for row in self.rows[r0:r1]), c1 - c0)
-
-    def trace(self):
-        """(re, im) of the trace."""
-        diag = [(vr, vi) for r, c, vr, vi in self.entries() if r == c]
-        return sum(vr for vr, _ in diag), sum(vi for _, vi in diag)
 
     def first_difference(self, other):
         """(row, column) of the first entry in C order where this matrix and
@@ -313,6 +308,20 @@ if not _Q_SPINOR_2.is_real():
     raise AssertionError("spinor quadratic form is not real")
 # (i, j, 2Q_ij) over the nonzero entries, as ints
 _Q_SPINOR_TERMS = tuple((i, j, q) for i, j, q, _ in _Q_SPINOR_2.entries())
+# every 2Q_ij even: then the form is an integer on every integer spinor
+if any(q % 2 for _, _, q in _Q_SPINOR_TERMS):
+    raise AssertionError("spinor quadratic form is not integral")
+
+
+def _spinor_form(terms):
+    """eta^T Q eta on 16 Python ints, one straight-line function compiled
+    from the (i, j, 2Q_ij) terms: the sum of (Q_ij) e_i e_j."""
+    names = ", ".join(f"e{i}" for i in range(16))
+    body = signed_sum((q // 2, f"e{i} * e{j}") for i, j, q in terms)
+    return compiled("spinor_form", f"def spinor_form(e):\n    {names} = e\n    return {body}\n")
+
+
+_SPINOR_FORM = _spinor_form(_Q_SPINOR_TERMS)
 
 # plane (mu, nu) -> the action of Gamma_mu Gamma_nu on real spinor
 # components, as (column, sign) per row; filled on first use
@@ -464,10 +473,13 @@ def rotate_vector(x, r: Rotor):
     oracle this is checked against.
     """
     import numpy as np
-    x = np.asarray(x, dtype=np.float64)
+    x = np.array(x, dtype=np.float64)
     if x.shape != (8,):
         raise ValueError("vector needs 8 components")
-    return np.array(rotate_vector_list(x.tolist(), r))
+    mu, nu = r.mu, r.nu
+    x[mu], x[nu] = turn_pair(x.item(mu), x.item(nu), METRIC[mu], METRIC[nu],
+                             *half_angle(r.compact, r.theta))
+    return x
 
 
 def rotate_spinor(eta, r: Rotor):
@@ -493,7 +505,10 @@ def _as_ints(values):
     """The components as Python ints when every one is integral, else None;
     integers of any size stay exact (nothing passes through float64).
     Values that are all Python ints already come back as they are."""
-    if set(map(type, values)) == {int}:
+    for v in values:
+        if type(v) is not int:
+            break
+    else:
         return values
     try:
         ints = [int(v) for v in values]
@@ -509,10 +524,7 @@ def spinor_invariant(eta):
     eta = _flat(eta, (16,), "spinor needs 16 components")
     e = _as_ints(eta)
     if e is not None:
-        total = sum(q * e[i] * e[j] for i, j, q in _Q_SPINOR_TERMS)
-        if total % 2:
-            raise AssertionError("spinor form lost exactness")
-        return total // 2
+        return _SPINOR_FORM(e)
     e = [float(v) for v in eta]
     return _fsum(q / 2 * e[i] * e[j] for i, j, q in _Q_SPINOR_TERMS)
 
@@ -548,6 +560,21 @@ def _trilinear_terms() -> tuple:
 _TRILINEAR_TERMS = _trilinear_terms()
 
 
+def _trilinear_form(terms):
+    """F(phi, X, psi) on three lists of 8 Python ints, one straight-line
+    function compiled from the (b, i, j, K_b[i,j]) terms: the sum over the
+    slices of x_b * (sum K_b[i,j] p_i s_j)."""
+    slices = [[] for _ in range(8)]
+    for b, i, j, k in terms:
+        slices[b].append((k, f"p{i} * s{j}"))
+    body = " + ".join(f"x{b} * ({signed_sum(t)})" for b, t in enumerate(slices))
+    unpack = "".join(f"    {', '.join(f'{v}{n}' for n in range(8))} = {v}\n" for v in "pxs")
+    return compiled("trilinear", f"def trilinear(p, x, s):\n{unpack}    return {body}\n")
+
+
+_TRILINEAR = _trilinear_form(_TRILINEAR_TERMS)
+
+
 def trilinear_matrix(phi, x, psi):
     """F(phi, X, psi) = phi^T B X psi in the pinned spinor evaluation.
 
@@ -559,10 +586,14 @@ def trilinear_matrix(phi, x, psi):
     """
     p = _chiral_8(phi, "phi")
     s = _chiral_8(psi, "psi")
-    x = _flat(x, (8,), "vector needs 8 components")
+    return _trilinear(p, _flat(x, (8,), "vector needs 8 components"), s)
+
+
+def _trilinear(p, x, s):
+    """trilinear_matrix on the lists of 8 components it has read."""
     pi, si, xi = _as_ints(p), _as_ints(s), _as_ints(x)
     if None not in (pi, si, xi):
-        return sum(k * xi[b] * pi[i] * si[j] for b, i, j, k in _TRILINEAR_TERMS)
+        return _TRILINEAR(pi, xi, si)
     p, s, x = ([float(v) for v in vals] for vals in (p, s, x))
     return _fsum(x[b] * (k * p[i] * s[j]) for b, i, j, k in _TRILINEAR_TERMS if x[b])
 

@@ -6,6 +6,11 @@ So a contraction of integer arrays run through float64 BLAS products, in
 any summation order, gives the integer result when every product and
 partial sum stays below 2**53.  ``exact_float64`` checks that bound before
 it casts.
+
+The integer tables of the single-call kernels (the unit product, the
+trilinear form, the spinor invariant) are written out as straight-line
+source and compiled once by ``compiled``; ``signed_sum`` writes the integer
+combinations in that source.
 """
 from __future__ import annotations
 
@@ -47,3 +52,22 @@ def exact_float64(*factors, degree: int, terms: int, sampled: bool = False):
         raise OverflowError(f"{terms} products of {degree} integers up to {m} "
                             f"may reach 2**53; float64 would round them")
     return tuple(np.asarray(f, dtype=np.float64) for f in factors)
+
+
+def signed_sum(terms) -> str:
+    """Source of sum k * expr over (k, expr) pairs with nonzero integer k,
+    as +-expr for k = +-1 and +-|k| * expr otherwise; "0" if there are none.
+    Meant for Python ints, whose sums do not depend on the order."""
+    out = []
+    for k, expr in terms:
+        term = expr if abs(k) == 1 else f"{abs(k)} * {expr}"
+        out.append(f"- {term}" if k < 0 else f"+ {term}")
+    return " ".join(out).removeprefix("+ ") or "0"
+
+
+def compiled(name: str, source: str):
+    """The function ``name`` that ``source`` defines, compiled once; its
+    code objects are labelled ``<name>``."""
+    namespace = {}
+    exec(compile(source, f"<{name}>", "exec"), namespace)
+    return namespace[name]

@@ -5,7 +5,8 @@ units anticommute pairwise.  Coefficients may be int, Fraction (identity
 sweeps run exactly) or float.  The coefficient order matches the component
 order of the 8-dimensional vectors and chiral spinors, so coefficient k of
 an octonion corresponds to component x_k.  The product is one straight-line
-function compiled from the unit table at import (_PRODUCT), the inner
+function compiled from the unit table at import (_PRODUCT, through the
+compile helper ``exact.compiled`` that the clifford forms share), the inner
 product reads only the table's eight scalar entries (e_a e_b = +-1), and the
 identity sweeps contract the dense structure tensor built from it (numpy,
 imported by the sweeps only).
@@ -16,7 +17,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .exact import exact_float64
+from .exact import compiled, exact_float64
 from .report import VerificationReport
 
 UNIT_NAMES = ("1", "j1", "j2", "j3", "I", "J1", "J2", "J3")
@@ -102,10 +103,8 @@ def _product(table):
     a = ", ".join(f"a{i}" for i in range(8))
     b = ", ".join(f"b{j}" for j in range(8))
     coeffs = ",\n        ".join(" ".join(["0"] + t) for t in terms)
-    source = f"def product(a, b):\n    {a} = a\n    {b} = b\n    return ({coeffs})\n"
-    namespace = {}
-    exec(compile(source, "<unit table product>", "exec"), namespace)
-    return namespace["product"]
+    return compiled("product", f"def product(a, b):\n    {a} = a\n    {b} = b\n"
+                               f"    return ({coeffs})\n")
 
 
 _PRODUCT = _product(_TABLE)

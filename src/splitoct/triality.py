@@ -246,30 +246,31 @@ def equivalence_map() -> CorrespondenceMap:
     return _ORACLE_CACHE
 
 
+def _mapped(values, slot_map) -> oc.SplitOctonion:
+    """The octonion with coefficient idx = sign * values[k] for each
+    slot_map[k] = (idx, sign); the values as they are under the identity."""
+    if slot_map == _IDENTITY:
+        return oc.SplitOctonion(values)
+    out = [0] * 8
+    for v, (idx, sign) in zip(values, slot_map):
+        out[idx] = sign * v
+    return oc.SplitOctonion(out)
+
+
 def trilinear_both(phi, x, psi):
     """Evaluate the matrix form and the dictionary-mapped octonion form.
 
     phi and psi are read as trilinear_matrix reads them (8 components, or 16
-    with the wrong-chirality block zero), and both forms get the same eight
-    values of phi, x and psi.
+    with the wrong-chirality block zero), once, and both forms get the same
+    eight values of phi, x and psi.
     """
     d = equivalence_map()
     phi, psi = cl._chiral_8(phi, "phi"), cl._chiral_8(psi, "psi")
     x = cl._flat(x, (8,), "vector needs 8 components")
-    mat_val = cl.trilinear_matrix(phi, x, psi)
-
-    def mapped(values, slot_map):
-        out = [0] * 8
-        for k, v in enumerate(values):
-            idx, sign = slot_map[k]
-            out[idx] = sign * v
-        return out
-
-    po = oct_from_components(mapped(phi, d.phi_map))
-    xo = oct_from_components(mapped(x, d.x_map))
-    so = oct_from_components(mapped(psi, d.psi_map))
-    oct_val = d.scale * trilinear_oct(po, xo, so)
-    return mat_val, oct_val
+    mat_val = cl._trilinear(phi, x, psi)
+    oct_val = trilinear_oct(_mapped(phi, d.phi_map), _mapped(x, d.x_map),
+                            _mapped(psi, d.psi_map))
+    return mat_val, oct_val if d.scale == 1 else d.scale * oct_val
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,16 @@ def gamma_c() -> list:
     return [to_complex(g) for g in cl._GAMMA]
 
 
+class NotGrade1Error(ValueError):
+    """Matrix is not in the span of the grade-1 generators."""
+
+
+def trace(g: cl.GMat):
+    """(re, im) of the trace of a GMat."""
+    diag = [(vr, vi) for r, c, vr, vi in g.entries() if r == c]
+    return sum(vr for vr, _ in diag), sum(vi for _, vi in diag)
+
+
 # ---------------------------------------------------------------------------
 # the 16x16 route
 # ---------------------------------------------------------------------------
@@ -65,29 +75,29 @@ def matrix_to_vector(X, tol: float = 1e-10):
     if isinstance(X, cl.GMat):
         coeffs = []
         for mu in range(8):
-            tr_re, tr_im = (cl._GAMMA[mu] @ X).trace()
+            tr_re, tr_im = trace(cl._GAMMA[mu] @ X)
             if tr_im:
-                raise cl.NotGrade1Error("trace pairing is not real")
+                raise NotGrade1Error("trace pairing is not real")
             coeffs.append(Fraction(cl.METRIC[mu] * tr_re, 16))
         recon = cl.GMat.zeros(16)
         scaled = [c * 16 for c in coeffs]
         if any(s.denominator != 1 for s in scaled):
-            raise cl.NotGrade1Error("non-integral trace pairing")
+            raise NotGrade1Error("non-integral trace pairing")
         for mu in range(8):
             recon = recon + cl._GAMMA[mu].scale(int(scaled[mu]))
         if not (X.scale(16) - recon).is_zero():
-            raise cl.NotGrade1Error("matrix has components outside grade 1")
+            raise NotGrade1Error("matrix has components outside grade 1")
         return tuple(coeffs)
     Xc = np.asarray(X, dtype=np.complex128)
     x = np.empty(8)
     for mu, g in enumerate(gamma_c()):
         c = cl.METRIC[mu] * np.trace(g @ Xc) / 16
         if abs(c.imag) > tol:
-            raise cl.NotGrade1Error("trace pairing is not real")
+            raise NotGrade1Error("trace pairing is not real")
         x[mu] = c.real
     resid = Xc - vector_to_matrix(x)
     if np.max(np.abs(resid)) > tol:
-        raise cl.NotGrade1Error(f"grade-1 residual {np.max(np.abs(resid)):.3e} exceeds {tol}")
+        raise NotGrade1Error(f"grade-1 residual {np.max(np.abs(resid)):.3e} exceeds {tol}")
     return x
 
 

@@ -7,8 +7,9 @@ from splitoct import clifford as cl
 from splitoct import triality as tr
 from splitoct.report import VerificationReport
 
-from oracles import (embed_phi, embed_psi, matrix_to_vector, rotor_inverse, rotor_matrix,
-                     to_complex, triality_rotor, vector_to_matrix, vector_to_matrix_exact)
+from oracles import (NotGrade1Error, embed_phi, embed_psi, matrix_to_vector, rotor_inverse,
+                     rotor_matrix, to_complex, triality_rotor, vector_to_matrix,
+                     vector_to_matrix_exact)
 
 
 def test_alpha_index_range():
@@ -187,7 +188,7 @@ class TestVectorMatrix:
             [1, 0, 0, 0, 0, 0, 0, 2])
 
     def test_identity_is_not_grade1(self):
-        with pytest.raises(cl.NotGrade1Error):
+        with pytest.raises(NotGrade1Error):
             matrix_to_vector(np.eye(16, dtype=np.complex128))
 
 

@@ -102,6 +102,9 @@ def _corpus():
                   "--psi=1e200,0,0,0,0,0,0,0"],
                  ["--phi=1,2", f"--x={ints[0][1]}", f"--psi={ints[0][2]}"]):
         add("trilinear", *argv, formats=("json",))
+    # every term of the octonion form is skipped: float mode still emits floats
+    add("trilinear", "--phi=0.5,0,0,0,0,0,0,0", "--x=1.5,0,0,0,0,0,0,0",
+        "--psi=0,1.5,0,0,0,0,0,0", "--representation=both", "--mode=float")
 
     add("verify", "clifford")
     return cases

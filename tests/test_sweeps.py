@@ -462,6 +462,14 @@ NUMBERS = {
 # one kind for all eight components, or any mix of kinds
 COMPONENTS = st.one_of(*(st.lists(v, min_size=8, max_size=8) for v in NUMBERS.values()),
                        st.lists(st.one_of(*NUMBERS.values()), min_size=8, max_size=8))
+# integers past 2^64, bools, numpy ints, integral floats and Fractions, alone
+# or mixed, for the exact paths; a non-integral Fraction sends the call down
+# the float path
+EXACT_LIKE = st.one_of(st.integers(-2 ** 100, 2 ** 100), st.booleans(),
+                       st.integers(-2 ** 62, 2 ** 62).map(np.int64),
+                       st.integers(-2 ** 60, 2 ** 60).map(float),
+                       st.fractions(-100, 100, max_denominator=3))
+TRILINEAR_ARGS = st.one_of(COMPONENTS, st.lists(EXACT_LIKE, min_size=8, max_size=8))
 
 
 @given(COMPONENTS, COMPONENTS, COMPONENTS)
@@ -527,7 +535,7 @@ def test_mul_sums_negative_zero_terms_to_positive_zero():
 
 # the matrix form reads the trilinear slices, not the unit table, so a
 # flipped table leaves it as it is
-@given(COMPONENTS, COMPONENTS, COMPONENTS)
+@given(TRILINEAR_ARGS, TRILINEAR_ARGS, TRILINEAR_ARGS)
 def test_trilinear_matrix_matches_per_slice_oracle(phi, x, psi):
     assert (result_of(cl.trilinear_matrix, phi, x, psi)
             == result_of(reference_trilinear_matrix, phi, x, psi))
@@ -591,6 +599,143 @@ def test_spinor_invariant_matches_reference_as_ints(monkeypatch):
     new = [result_of(cl.spinor_invariant, eta) for eta in draws]
     monkeypatch.setattr(cl, "_as_ints", reference_as_ints)
     assert new == [result_of(cl.spinor_invariant, eta) for eta in draws]
+
+
+# The clifford forms as they were summed before they were compiled from their
+# tables: the spinor invariant as a loop over its terms with the parity check,
+# and trilinear_both with its per-call slot maps and scale.
+
+def reference_spinor_invariant(eta):
+    e = reference_as_ints(eta)
+    if e is not None:
+        total = sum(q * e[i] * e[j] for i, j, q in cl._Q_SPINOR_TERMS)
+        assert total % 2 == 0, "spinor form lost exactness"
+        return total // 2
+    e = [float(v) for v in eta]
+    return cl._fsum(q / 2 * e[i] * e[j] for i, j, q in cl._Q_SPINOR_TERMS)
+
+
+def reference_trilinear_both(phi, x, psi):
+    d = tr.equivalence_map()
+    phi, psi = cl._chiral_8(phi, "phi"), cl._chiral_8(psi, "psi")
+    x = cl._flat(x, (8,), "vector needs 8 components")
+
+    def mapped(values, slot_map):
+        out = [0] * 8
+        for k, v in enumerate(values):
+            idx, sign = slot_map[k]
+            out[idx] = sign * v
+        return O(out)
+
+    return (reference_trilinear_matrix(phi, x, psi),
+            d.scale * tr.trilinear_oct(mapped(phi, d.phi_map), mapped(x, d.x_map),
+                                       mapped(psi, d.psi_map)))
+
+
+def both_result_of(phi, x, psi, both=None):
+    """result_of for each side of trilinear_both, or the error it raises."""
+    try:
+        mat_val, oct_val = (both or tr.trilinear_both)(phi, x, psi)
+    except (OverflowError, ValueError) as exc:
+        return "raises", type(exc)
+    return result_of(lambda: mat_val), result_of(lambda: oct_val)
+
+
+@given(TRILINEAR_ARGS, TRILINEAR_ARGS, TRILINEAR_ARGS)
+def test_trilinear_both_matches_reference(phi, x, psi):
+    # numpy ints reach the octonion side as they are, and overflow alike on
+    # both sides
+    with np.errstate(all="ignore"):
+        assert (both_result_of(phi, x, psi)
+                == both_result_of(phi, x, psi, reference_trilinear_both))
+
+
+@given(st.one_of(*(st.lists(v, min_size=16, max_size=16) for v in (*NUMBERS.values(), EXACT_LIKE))))
+def test_compiled_spinor_invariant_matches_term_loop(eta):
+    assert result_of(cl.spinor_invariant, eta) == result_of(reference_spinor_invariant, eta)
+
+
+def basis(k, n=8):
+    return [int(i == k) for i in range(n)]
+
+
+def test_compiled_trilinear_reads_every_table_entry():
+    table = {(b, i, j): k for b, i, j, k in cl._TRILINEAR_TERMS}
+    for b, i, j in itertools.product(range(8), repeat=3):
+        assert cl._TRILINEAR(basis(i), basis(b), basis(j)) == table.get((b, i, j), 0)
+
+
+@pytest.mark.parametrize("n", range(0, 64, 7))
+def test_trilinear_form_is_compiled_from_its_table(n):
+    terms = list(cl._TRILINEAR_TERMS)
+    b, i, j, k = terms[n]
+    terms[n] = (b, i, j, -k)
+    negated = cl._trilinear_form(terms)
+    triple = basis(i), basis(b), basis(j)
+    assert cl._TRILINEAR(*triple) == k
+    assert negated(*triple) == -k
+    for m, (b2, i2, j2, k2) in enumerate(cl._TRILINEAR_TERMS):
+        if m != n:
+            assert negated(basis(i2), basis(b2), basis(j2)) == k2
+
+
+@pytest.mark.parametrize("n", [0, 5, 12])
+def test_spinor_form_is_compiled_from_its_table(n):
+    terms = list(cl._Q_SPINOR_TERMS)
+    i, j, q = terms[n]
+    terms[n] = (i, j, -q)
+    negated = cl._spinor_form(terms)
+    assert cl._SPINOR_FORM(basis(i, 16)) == q // 2
+    assert negated(basis(i, 16)) == -q // 2
+    assert [negated(basis(m, 16)) for m in range(16) if m != i] == [
+        cl._SPINOR_FORM(basis(m, 16)) for m in range(16) if m != i]
+
+
+def golden_float_inputs():
+    """The float components of the one-shot golden corpus: (phi, x, psi) of
+    its float-mode trilinear calls and the spinors it rotates."""
+    from test_oneshot_golden import CORPUS, _flags
+    triples, spinors = set(), set()
+    for argv in CORPUS:
+        flags = _flags(argv)
+        values = {k: tuple(float(v) for v in flags[k].split(","))
+                  for k in ("phi", "x", "psi", "components") if k in flags}
+        if (argv[0] == "trilinear" and flags.get("mode", "float") == "float"
+                and all(len(values[k]) == 8 for k in ("phi", "x", "psi"))):
+            triples.add((values["phi"], values["x"], values["psi"]))
+        if flags.get("target") == "spinor" and len(values["components"]) == 16:
+            spinors.add(values["components"])
+    return sorted(triples), sorted(spinors)
+
+
+GOLDEN_TRIPLES, GOLDEN_SPINORS = golden_float_inputs()
+
+
+def test_float_forms_match_the_term_loops_bit_for_bit():
+    assert len(GOLDEN_TRIPLES) >= 5 and len(GOLDEN_SPINORS) >= 5
+    with np.errstate(all="ignore"):
+        for phi, x, psi in GOLDEN_TRIPLES:
+            assert (result_of(cl.trilinear_matrix, phi, x, psi)
+                    == result_of(reference_trilinear_matrix, phi, x, psi))
+            assert (both_result_of(phi, x, psi)
+                    == both_result_of(phi, x, psi, reference_trilinear_both))
+        for eta in GOLDEN_SPINORS:
+            assert result_of(cl.spinor_invariant, eta) == result_of(reference_spinor_invariant,
+                                                                   eta)
+
+
+@pytest.mark.parametrize("b", [0, 5])
+def test_trilinear_both_sides_differ_with_flipped_sign(monkeypatch, b):
+    d = tr.equivalence_map()
+    x_map = list(d.x_map)
+    x_map[b] = (x_map[b][0], -x_map[b][1])
+    monkeypatch.setattr(tr, "_ORACLE_CACHE", d._replace(x_map=tuple(x_map)))
+    _, i, j, k = next(t for t in cl._TRILINEAR_TERMS if t[0] == b)
+    phi, x, psi = basis(i), basis(b), basis(j)
+    assert tr.trilinear_both(phi, x, psi) == (k, -k)
+    assert both_result_of(phi, x, psi) == both_result_of(phi, x, psi, reference_trilinear_both)
+    monkeypatch.setattr(tr, "_ORACLE_CACHE", d._replace(scale=Fraction(3)))
+    assert tr.trilinear_both(phi, x, psi) == (k, 3 * k)
 
 
 def test_single_call_kernels_form_only_the_products_they_need(monkeypatch):
