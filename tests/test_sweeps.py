@@ -650,7 +650,8 @@ def test_trilinear_both_matches_reference(phi, x, psi):
                 == both_result_of(phi, x, psi, reference_trilinear_both))
 
 
-@given(st.one_of(*(st.lists(v, min_size=16, max_size=16) for v in (*NUMBERS.values(), EXACT_LIKE))))
+@given(st.one_of(*(st.lists(v, min_size=16, max_size=16)
+                   for v in (*NUMBERS.values(), EXACT_LIKE))))
 def test_compiled_spinor_invariant_matches_term_loop(eta):
     assert result_of(cl.spinor_invariant, eta) == result_of(reference_spinor_invariant, eta)
 
