@@ -446,12 +446,16 @@ def turn_pair(xm, xn, gm, gn, c, s):
     return big_c * xm - big_s * gn * xn, big_c * xn + big_s * gm * xm
 
 
+def _turned(xm, xn, r: Rotor):
+    """turn_pair of r's plane on the components (x_mu, x_nu)."""
+    return turn_pair(xm, xn, METRIC[r.mu], METRIC[r.nu],
+                     *half_angle(r.compact, r.theta))
+
+
 def rotate_vector_list(x: list, r: Rotor) -> list:
     """rotate_vector on a list of 8 floats, as a new list."""
     x = list(x)
-    mu, nu = r.mu, r.nu
-    x[mu], x[nu] = turn_pair(x[mu], x[nu], METRIC[mu], METRIC[nu],
-                             *half_angle(r.compact, r.theta))
+    x[r.mu], x[r.nu] = _turned(x[r.mu], x[r.nu], r)
     return x
 
 
@@ -476,9 +480,7 @@ def rotate_vector(x, r: Rotor):
     x = np.array(x, dtype=np.float64)
     if x.shape != (8,):
         raise ValueError("vector needs 8 components")
-    mu, nu = r.mu, r.nu
-    x[mu], x[nu] = turn_pair(x.item(mu), x.item(nu), METRIC[mu], METRIC[nu],
-                             *half_angle(r.compact, r.theta))
+    x[r.mu], x[r.nu] = _turned(x.item(r.mu), x.item(r.nu), r)
     return x
 
 

@@ -248,9 +248,7 @@ def equivalence_map() -> CorrespondenceMap:
 
 def _mapped(values, slot_map) -> oc.SplitOctonion:
     """The octonion with coefficient idx = sign * values[k] for each
-    slot_map[k] = (idx, sign); the values as they are under the identity."""
-    if slot_map == _IDENTITY:
-        return oc.SplitOctonion(values)
+    slot_map[k] = (idx, sign)."""
     out = [0] * 8
     for v, (idx, sign) in zip(values, slot_map):
         out[idx] = sign * v
