@@ -331,7 +331,11 @@ _BIV_REP = {}
 def _bivector_action(mu: int, nu: int) -> tuple:
     """Gamma_mu Gamma_nu on real spinor components, M^dag G_mu G_nu M / 2
     (M M^dag = 2): row i of the result is sign * e_column.  The composition
-    is exact; it must be real, even and one entry per row."""
+    is exact; it must be real, even and one entry per row.
+
+    It is composed once per unordered plane: for mu != nu, G_nu G_mu =
+    -G_mu G_nu (verify_clifford checks it at import), so the negated
+    action is stored under (nu, mu) beside it."""
     action = _BIV_REP.get((mu, nu))
     if action is None:
         k = _XI_DAG @ (_GAMMA[mu] @ _GAMMA[nu]) @ XI_M
@@ -340,6 +344,8 @@ def _bivector_action(mu: int, nu: int) -> tuple:
         if any(len(row) != 1 for row in k.rows):
             raise AssertionError(f"bivector ({mu},{nu}) is not a signed permutation")
         action = _BIV_REP[(mu, nu)] = tuple((c, vr // 2) for (c, vr, _), in k.rows)
+        if mu != nu:
+            _BIV_REP[(nu, mu)] = tuple((c, -g) for c, g in action)
     return action
 
 

@@ -260,11 +260,16 @@ def trilinear_both(phi, x, psi):
 
     phi and psi are read as trilinear_matrix reads them (8 components, or 16
     with the wrong-chirality block zero), once, and both forms get the same
-    eight values of phi, x and psi.
+    eight values of phi, x and psi: as Python ints when every component of
+    the three is integral (so numpy integers cannot wrap on the octonion
+    side), else as given.
     """
     d = equivalence_map()
     phi, psi = cl._chiral_8(phi, "phi"), cl._chiral_8(psi, "psi")
     x = cl._flat(x, (8,), "vector needs 8 components")
+    ints = cl._as_ints(phi), cl._as_ints(x), cl._as_ints(psi)
+    if None not in ints:
+        phi, x, psi = ints
     mat_val = cl._trilinear(phi, x, psi)
     oct_val = trilinear_oct(_mapped(phi, d.phi_map), _mapped(x, d.x_map),
                             _mapped(psi, d.psi_map))
@@ -378,12 +383,23 @@ def role_swap_check() -> VerificationReport:
 # composite verification suites used by the CLI
 # ---------------------------------------------------------------------------
 
-def _random_plane(rng):
-    mu = int(rng.integers(0, 8))
-    nu = int(rng.integers(0, 8))
-    while nu == mu:
-        nu = int(rng.integers(0, 8))
-    return mu, nu
+def _draw_rotors(rng, shape, bound: float):
+    """Planes and angles of a block of rotors, one generator call each: mu
+    uniform on 0..7, nu uniform on the seven others (mu plus an offset of 1
+    to 7, mod 8) and theta uniform on [-bound, bound), as arrays of
+    ``shape``."""
+    mu = rng.integers(0, 8, shape)
+    nu = (mu + 1 + rng.integers(0, 7, shape)) % 8
+    return mu, nu, rng.uniform(-bound, bound, shape)
+
+
+def _half_angles(mu, nu, theta):
+    """cl.half_angle of each rotor of the flat arrays mu, nu, theta, called
+    on Python floats, as a (rotors, 2) array."""
+    import numpy as np
+    g = cl.METRIC
+    return np.array([cl.half_angle(g[m] * g[n] > 0, t)
+                     for m, n, t in zip(mu.tolist(), nu.tolist(), theta.tolist())])
 
 
 def _spinor_generators():
@@ -447,8 +463,9 @@ def rotor_invariance_check(n_rotors: int = 1000, seed: int = DEFAULT_SEED,
 
     The residual of a sample is the change of its invariant over the
     squared Euclidean norm of the data, before or after, at least 1.
-    Each sample draws its plane, its angle and then its 24 components in
-    one call; samples are acted on in stacks of BLOCK.
+    Samples are drawn and acted on in blocks of BLOCK: each block draws its
+    planes, then its angles, then all its components, one generator call
+    each (_draw_rotors, then an (n, 24) integer draw).
     """
     import numpy as np
     rep = VerificationReport("rotor-invariance", exact=False,
@@ -456,30 +473,23 @@ def rotor_invariance_check(n_rotors: int = 1000, seed: int = DEFAULT_SEED,
     rng = np.random.default_rng(seed)
     gens = _spinor_generators()
     for start, n in _blocks(n_rotors):
-        planes, half, samples = [], [], []
-        for _ in range(n):
-            mu, nu = _random_plane(rng)
-            planes.append((mu, nu))
-            half.append(cl.half_angle(cl.METRIC[mu] * cl.METRIC[nu] > 0,
-                                      float(rng.uniform(-3, 3))))
-            samples.append(sample_integers(rng, 24))     # x, then eta
-        planes, half = np.array(planes, dtype=np.intp), np.array(half)
-        v = np.array(samples, dtype=np.float64)
+        mu, nu, theta = _draw_rotors(rng, n, 3)
+        v = sample_integers(rng, (n, 24)).astype(np.float64)     # x, then eta
+        half = _half_angles(mu, nu, theta)
         x, eta = v[:, :8], v[:, None, 8:]
         rows = np.arange(n)
         x1 = x.copy()
-        _turn_vectors(x1, rows, *planes.T, *half.T)
+        _turn_vectors(x1, rows, mu, nu, *half.T)
         eta1 = eta.copy()
-        _turn_spinors(eta1, rows, gens, *planes.T, *half.T)
+        _turn_spinors(eta1, rows, gens, mu, nu, *half.T)
         eta, eta1 = eta[:, 0], eta1[:, 0]
         resid = np.stack([
             _drift(_vector_forms(x), _vector_forms(x1), _sumsq(x), _sumsq(x1)),
             _drift(_spinor_forms(eta), _spinor_forms(eta1), _sumsq(eta), _sumsq(eta1)),
         ], axis=1)
 
-        def label(k, j, start=start, planes=planes):
-            mu, nu = planes[k]
-            return f"{('vector', 'spinor')[j]} rotor {start + k} plane ({mu},{nu})"
+        def label(k, j, start=start, mu=mu, nu=nu):
+            return f"{('vector', 'spinor')[j]} rotor {start + k} plane ({mu[k]},{nu[k]})"
         rep.record_mask(resid <= tol, label, residual=resid)
     return rep
 
@@ -498,7 +508,10 @@ def trilinear_invariance_check(n_samples: int = 200, seed: int = DEFAULT_SEED,
 
     The residual of a sample is the change of the form over the product of
     the three Euclidean norms, before or after, at least 1.  Words act
-    right to left, the last rotor first, on stacks of BLOCK samples.
+    right to left, the last rotor first, on stacks of BLOCK samples.  Each
+    block draws its word lengths, then the planes and angles of all 8 word
+    slots of every sample (_draw_rotors), then all its components, one
+    generator call each; half angles are formed for the used slots only.
     """
     import numpy as np
     rep = VerificationReport("trilinear-invariance", exact=False,
@@ -506,22 +519,12 @@ def trilinear_invariance_check(n_samples: int = 200, seed: int = DEFAULT_SEED,
     rng = np.random.default_rng(seed)
     gens = _spinor_generators()
     for start, n in _blocks(n_samples):
-        lengths, planes, half, samples = [], [], [], []
-        for _ in range(n):
-            length = int(rng.integers(1, 9))
-            lengths.append(length)
-            for _ in range(length):
-                mu, nu = _random_plane(rng)
-                planes.append((mu, nu))
-                half.append(cl.half_angle(cl.METRIC[mu] * cl.METRIC[nu] > 0,
-                                          float(rng.uniform(-2, 2))))
-            planes.extend([(0, 0)] * (8 - length))      # unused word slots
-            half.extend([(0.0, 0.0)] * (8 - length))
-            samples.append(sample_integers(rng, 24))     # phi, x, psi
-        lengths = np.array(lengths, dtype=np.intp)
-        planes = np.array(planes, dtype=np.intp).reshape(n, 8, 2)
-        half = np.array(half).reshape(n, 8, 2)
-        v = np.array(samples, dtype=np.float64).reshape(n, 3, 8)
+        lengths = rng.integers(1, 9, n)
+        mu, nu, theta = _draw_rotors(rng, (n, 8), 2)
+        v = sample_integers(rng, (n, 3, 8)).astype(np.float64)   # phi, x, psi
+        used = np.arange(8) < lengths[:, None]
+        half = np.zeros((n, 8, 2))
+        half[used] = _half_angles(mu[used], nu[used], theta[used])
         phi, x, psi = v[:, 0], v[:, 1], v[:, 2]
         x1 = x.copy()
         eta = np.zeros((n, 2, 16))
@@ -530,7 +533,7 @@ def trilinear_invariance_check(n_samples: int = 200, seed: int = DEFAULT_SEED,
         for step in range(8):
             rows = np.flatnonzero(lengths > step)
             j = lengths[rows] - 1 - step
-            word = (*planes[rows, j].T, *half[rows, j].T)
+            word = (mu[rows, j], nu[rows, j], *half[rows, j].T)
             _turn_vectors(x1, rows, *word)
             _turn_spinors(eta, rows, gens, *word)
         phi1, psi1 = eta[:, 0, 0:8], eta[:, 1, 8:16]

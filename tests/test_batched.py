@@ -3,6 +3,7 @@
 The references draw from the generator in the same order and apply the
 public single-call kernels one sample at a time.
 """
+import itertools
 import json
 import tracemalloc
 from fractions import Fraction
@@ -18,13 +19,21 @@ from splitoct.report import VerificationReport
 
 from oracles import RotorWord, embed_phi, embed_psi, vector_to_matrix_exact
 
+# the float suites draw their samples one block of 64 at a time
+DRAW_BLOCK = 64
 
-def _plane(rng):
-    mu = int(rng.integers(0, 8))
-    nu = int(rng.integers(0, 8))
-    while nu == mu:
-        nu = int(rng.integers(0, 8))
-    return mu, nu
+
+def _blocks(n):
+    for start in range(0, n, DRAW_BLOCK):
+        yield start, min(DRAW_BLOCK, n - start)
+
+
+def _rotors(rng, shape, bound):
+    """A block of planes and angles: mu, then an offset of 1 to 7 that
+    gives nu, then theta, one call each."""
+    mu = rng.integers(0, 8, shape)
+    nu = (mu + 1 + rng.integers(0, 7, shape)) % 8
+    return mu.tolist(), nu.tolist(), rng.uniform(-bound, bound, shape).tolist()
 
 
 def _sumsq(v):
@@ -34,41 +43,47 @@ def _sumsq(v):
 def reference_rotor_invariance(n, seed, tol=1e-12):
     rep = VerificationReport("rotor-invariance", exact=False)
     rng = np.random.default_rng(seed)
-    for i in range(n):
-        mu, nu = _plane(rng)
-        r = cl.rotor(mu, nu, float(rng.uniform(-3, 3)))
-        x = rng.integers(-9, 10, size=8).astype(np.float64)
-        x1 = cl.rotate_vector(x, r)
-        resid = (abs(cl.quadratic_form(x) - cl.quadratic_form(x1))
-                 / max(_sumsq(x), _sumsq(x1), 1.0))
-        rep.record_case(resid <= tol, f"vector rotor {i} plane ({mu},{nu})", residual=resid)
-        eta = rng.integers(-9, 10, size=16).astype(np.float64)
-        eta1 = cl.rotate_spinor(eta, r)
-        resid = (abs(float(cl.spinor_invariant(eta)) - float(cl.spinor_invariant(eta1)))
-                 / max(_sumsq(eta), _sumsq(eta1), 1.0))
-        rep.record_case(resid <= tol, f"spinor rotor {i} plane ({mu},{nu})", residual=resid)
+    for start, size in _blocks(n):
+        mus, nus, thetas = _rotors(rng, size, 3)
+        v = rng.integers(-9, 10, size=(size, 24)).astype(np.float64)
+        for k, (mu, nu, theta) in enumerate(zip(mus, nus, thetas)):
+            i = start + k
+            r = cl.rotor(mu, nu, theta)
+            x = v[k, :8]
+            x1 = cl.rotate_vector(x, r)
+            resid = (abs(cl.quadratic_form(x) - cl.quadratic_form(x1))
+                     / max(_sumsq(x), _sumsq(x1), 1.0))
+            rep.record_case(resid <= tol, f"vector rotor {i} plane ({mu},{nu})",
+                            residual=resid)
+            eta = v[k, 8:]
+            eta1 = cl.rotate_spinor(eta, r)
+            resid = (abs(float(cl.spinor_invariant(eta)) - float(cl.spinor_invariant(eta1)))
+                     / max(_sumsq(eta), _sumsq(eta1), 1.0))
+            rep.record_case(resid <= tol, f"spinor rotor {i} plane ({mu},{nu})",
+                            residual=resid)
     return rep
 
 
 def reference_trilinear_invariance(n, seed, tol=1e-12):
     rep = VerificationReport("trilinear-invariance", exact=False)
     rng = np.random.default_rng(seed)
-    for i in range(n):
-        length = int(rng.integers(1, 9))
-        rotors = []
-        for _ in range(length):
-            mu, nu = _plane(rng)
-            rotors.append(cl.rotor(mu, nu, float(rng.uniform(-2, 2))))
-        word = RotorWord(tuple(rotors))
-        phi, x, psi = (rng.integers(-9, 10, size=8).astype(np.float64) for _ in range(3))
-        phi1 = word.act_spinor(embed_phi(phi))[0:8]
-        x1 = word.act_vector(x)
-        psi1 = word.act_spinor(embed_psi(psi))[8:16]
-        size = np.sqrt(max(_sumsq(phi) * _sumsq(x) * _sumsq(psi),
-                           _sumsq(phi1) * _sumsq(x1) * _sumsq(psi1)))
-        resid = (abs(float(cl.trilinear_matrix(phi, x, psi))
-                     - cl.trilinear_matrix(phi1, x1, psi1)) / max(size, 1.0))
-        rep.record_case(resid <= tol, f"word {i} length {length}", residual=resid)
+    for start, size in _blocks(n):
+        lengths = rng.integers(1, 9, size).tolist()
+        mus, nus, thetas = _rotors(rng, (size, 8), 2)
+        v = rng.integers(-9, 10, size=(size, 3, 8)).astype(np.float64)
+        for k, length in enumerate(lengths):
+            i = start + k
+            word = RotorWord(tuple(cl.rotor(mus[k][j], nus[k][j], thetas[k][j])
+                                   for j in range(length)))
+            phi, x, psi = v[k]
+            phi1 = word.act_spinor(embed_phi(phi))[0:8]
+            x1 = word.act_vector(x)
+            psi1 = word.act_spinor(embed_psi(psi))[8:16]
+            size3 = np.sqrt(max(_sumsq(phi) * _sumsq(x) * _sumsq(psi),
+                                _sumsq(phi1) * _sumsq(x1) * _sumsq(psi1)))
+            resid = (abs(float(cl.trilinear_matrix(phi, x, psi))
+                         - cl.trilinear_matrix(phi1, x1, psi1)) / max(size3, 1.0))
+            rep.record_case(resid <= tol, f"word {i} length {length}", residual=resid)
     return rep
 
 
@@ -109,6 +124,20 @@ def test_batches_split_anywhere():
         assert_same_outcome(tr.rotor_invariance_check(n, 7), reference_rotor_invariance(n, 7))
         assert_same_outcome(tr.trilinear_invariance_check(n, 7),
                             reference_trilinear_invariance(n, 7))
+
+
+def test_drawn_planes_reach_every_plane_and_never_repeat_an_index():
+    rng = np.random.default_rng(tr.DEFAULT_SEED)
+    seen = set()
+    for _ in range(3):
+        mu, nu, theta = tr._draw_rotors(rng, (DRAW_BLOCK, 8), 2)
+        assert mu.shape == nu.shape == theta.shape == (DRAW_BLOCK, 8)
+        assert (mu != nu).all()
+        assert ((-2 <= theta) & (theta < 2)).all()
+        seen.update(zip(mu.ravel().tolist(), nu.ravel().tolist()))
+    assert seen == set(itertools.permutations(range(8), 2))
+    compact = {(m, n) for m, n in seen if cl.METRIC[m] * cl.METRIC[n] > 0}
+    assert len(compact) == 24 and len(seen - compact) == 32
 
 
 def test_correspondence_witnesses(monkeypatch):

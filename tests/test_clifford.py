@@ -1,4 +1,6 @@
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -288,6 +290,20 @@ class TestRotateSpinor:
         r4 = cl.rotor(1, 2, 4 * math.pi)
         assert np.allclose(cl.rotate_spinor(eta, r2), -eta, atol=1e-12)
         assert np.allclose(cl.rotate_spinor(eta, r4), eta, atol=1e-12)
+
+
+def test_reversed_plane_actions_are_the_negated_compositions(monkeypatch):
+    # each plane composed independently, M^dag G_mu G_nu M / 2; the module
+    # composes one orientation of a plane and negates it for the other,
+    # whichever orientation is asked for first
+    monkeypatch.setattr(cl, "_BIV_REP", {})
+    for mu, nu in itertools.combinations(range(8), 2):
+        cl._bivector_action(*((nu, mu) if (mu + nu) % 2 else (mu, nu)))
+    assert len(cl._BIV_REP) == 56
+    for mu, nu in itertools.permutations(range(8), 2):
+        k = cl._XI_DAG @ (cl.gamma(mu) @ cl.gamma(nu)) @ cl.XI_M
+        assert k.is_real() and all(len(row) == 1 for row in k.rows)
+        assert cl._BIV_REP[mu, nu] == tuple((c, Fraction(vr, 2)) for (c, vr, _), in k.rows)
 
 
 class TestSpinorInvariant:

@@ -7,7 +7,8 @@ the float invariants of ``rotate`` and the float-mode ``matrix`` and
 ``residual`` of ``trilinear``: those are correctly rounded sums of their
 terms (``math.fsum``), and may differ in the last digits from a capture
 made with another summation.  They must agree with it to 1e-12 of the
-size of their terms.
+size of their terms, and keep their printed type: a float has a '.' or
+an exponent, an int neither.
 
     PYTHONPATH=src python tests/test_oneshot_golden.py --write
 
@@ -191,6 +192,12 @@ def split_declared(argv, text):
     return f"{header}\n{','.join(cells)}\n", values
 
 
+def is_float_token(token):
+    """Whether a printed number is a float: it has a '.' or an exponent,
+    where an int has neither."""
+    return any(ch in token for ch in ".eE")
+
+
 def term_size(argv, text):
     """The size the declared values are compared at: the Euclidean size of
     the components for rotate (input or output, whichever is larger), the
@@ -250,6 +257,7 @@ def test_oneshot_matches_golden(k):
     size = term_size(argv, stdout)
     for g, w in zip(got, want):
         assert abs(float(g) - float(w)) <= REL_TOL * size, (g, w)
+        assert is_float_token(g) == is_float_token(w), (g, w)
 
 
 if __name__ == "__main__":

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from splitoct import cli
 from splitoct import clifford as cl
@@ -619,6 +619,9 @@ def reference_trilinear_both(phi, x, psi):
     d = tr.equivalence_map()
     phi, psi = cl._chiral_8(phi, "phi"), cl._chiral_8(psi, "psi")
     x = cl._flat(x, (8,), "vector needs 8 components")
+    ints = [reference_as_ints(v) for v in (phi, x, psi)]
+    if None not in ints:
+        phi, x, psi = ints
 
     def mapped(values, slot_map):
         out = [0] * 8
@@ -642,12 +645,19 @@ def both_result_of(phi, x, psi, both=None):
 
 
 @given(TRILINEAR_ARGS, TRILINEAR_ARGS, TRILINEAR_ARGS)
+@example(*[[np.int64(2 ** 40)] + [0] * 7] * 3)
+@example([np.int64(3 ** 39), Fraction(4, 2)] + [0] * 6, [True, 2.0 ** 60] + [0] * 6,
+         [np.int64(-(2 ** 62))] * 8)
 def test_trilinear_both_matches_reference(phi, x, psi):
-    # numpy ints reach the octonion side as they are, and overflow alike on
-    # both sides
+    # on all-integral input both forms are exact and equal; elsewhere numpy
+    # ints reach the octonion side as they are, and overflow alike in both
+    # calls
     with np.errstate(all="ignore"):
-        assert (both_result_of(phi, x, psi)
-                == both_result_of(phi, x, psi, reference_trilinear_both))
+        got = both_result_of(phi, x, psi)
+        assert got == both_result_of(phi, x, psi, reference_trilinear_both)
+    if all(reference_as_ints(v) is not None for v in (phi, x, psi)):
+        mat_val, oct_val = tr.trilinear_both(phi, x, psi)
+        assert type(mat_val) is int and Fraction(mat_val) == oct_val
 
 
 @given(st.one_of(*(st.lists(v, min_size=16, max_size=16)
