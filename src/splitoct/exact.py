@@ -8,9 +8,9 @@ partial sum stays below 2**53.  ``exact_float64`` checks that bound before
 it casts.
 
 The integer tables of the single-call kernels (the unit product, the
-trilinear form, the spinor invariant) are written out as straight-line
-source and compiled once by ``compiled``; ``signed_sum`` writes the integer
-combinations in that source.
+matrix and octonionic trilinear forms, the spinor invariant) are written
+out as straight-line source and compiled once by ``compiled``;
+``signed_sum`` writes the integer combinations in that source.
 """
 from __future__ import annotations
 
@@ -65,9 +65,9 @@ def signed_sum(terms) -> str:
     return " ".join(out).removeprefix("+ ") or "0"
 
 
-def compiled(name: str, source: str):
-    """The function ``name`` that ``source`` defines, compiled once; its
-    code objects are labelled ``<name>``."""
-    namespace = {}
+def compiled(name: str, source: str, **names):
+    """The function ``name`` that ``source`` defines, compiled once, with
+    ``names`` as its globals; its code objects are labelled ``<name>``."""
+    namespace = dict(names)
     exec(compile(source, f"<{name}>", "exec"), namespace)
     return namespace[name]

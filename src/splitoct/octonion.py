@@ -4,12 +4,17 @@ Unit squares are J_n^2 = +1, j_n^2 = -1, I^2 = +1; all seven hyper-complex
 units anticommute pairwise.  Coefficients may be int, Fraction (identity
 sweeps run exactly) or float.  The coefficient order matches the component
 order of the 8-dimensional vectors and chiral spinors, so coefficient k of
-an octonion corresponds to component x_k.  The product is one straight-line
-function compiled from the unit table at import (_PRODUCT, through the
-compile helper ``exact.compiled`` that the clifford forms share), the inner
-product reads only the table's eight scalar entries (e_a e_b = +-1), and the
-identity sweeps contract the dense structure tensor built from it (numpy,
-imported by the sweeps only).
+an octonion corresponds to component x_k.
+
+One builder, _forms, makes every form that reads the unit table, at import:
+the product as one straight-line function (_PRODUCT, compiled through
+``exact.compiled``, which the clifford forms share) and a second one without
+the zero-skip guards for Python ints (_INT_PRODUCT), which mul takes when
+every coefficient is a Python int; the octonionic trilinear form
+-conj(Phi).(X Psi) compiled around each of them (_TRILINEAR, _INT_TRILINEAR);
+and the table's eight scalar entries (e_a e_b = +-1), which inner reads.  The
+identity sweeps contract the dense structure tensor built from the same
+table on first use (numpy, imported by the sweeps only).
 """
 from __future__ import annotations
 
@@ -17,7 +22,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .exact import compiled, exact_float64
+from .exact import compiled, exact_float64, signed_sum
 from .report import VerificationReport
 
 UNIT_NAMES = ("1", "j1", "j2", "j3", "I", "J1", "J2", "J3")
@@ -69,8 +74,6 @@ def _build_table():
     return tuple(tuple(row) for row in tab)
 
 
-_TABLE = _build_table()
-
 # conj(e_a) = _CONJ_SIGNS[a] e_a
 _CONJ_SIGNS = (1, -1, -1, -1, -1, -1, -1, -1)
 
@@ -82,32 +85,81 @@ def _scalar_terms(table):
                  for b, (k, sign) in enumerate(row) if k == SCALAR)
 
 
-_SCALAR_TERMS = _scalar_terms(_TABLE)
+def _unpack(name: str) -> str:
+    """Source that unpacks the sequence ``name`` into name0, ..., name7."""
+    return f"    {', '.join(f'{name}{k}' for k in range(8))} = {name}\n"
 
 
-def _product(table):
-    """The product of two coefficient tuples under a unit table, as one
-    straight-line function compiled from it.
+def _guarded_sum(terms) -> str:
+    """Source of 0 +- (x * y if x and y else 0) +- ... over (sign, x, y): the
+    sum of a loop that starts at the int 0 and skips a term with a zero
+    factor, in value, type and float bits.  A running sum that starts at
+    the int 0 is never -0.0, so adding the 0 of a skipped term leaves it as
+    it is, and x - y is x + (-y)."""
+    return " ".join(["0"] + [f"{'+' if s > 0 else '-'} ({x} * {y} if {x} and {y} else 0)"
+                             for s, x, y in terms])
 
-    Coefficient k is 0 +- (a_i * b_j if a_i and b_j else 0) +- ... over the
-    entries e_i e_j = +-e_k by increasing (i, j): the term order, int start
-    and zero skipping of a loop over the table, so the same result in value,
-    type and float bits.  A running sum that starts at the int 0 is never
-    -0.0, so adding the 0 of a skipped term leaves it as it is, and x - y is
-    x + (-y).
+
+def _product(table, guarded: bool = True):
+    """The product of two coefficient sequences under a unit table, as one
+    straight-line function compiled from it: coefficient k sums +-a_i b_j
+    over the entries e_i e_j = +-e_k by increasing (i, j).
+
+    Guarded, it is the loop over the table's entries in value, type and
+    float bits.  The int product drops the zero-skip guards, which matter
+    only for floats (signed zeros, inf * 0) and for result types; it
+    returns None unless all sixteen coefficients are Python ints.
     """
     terms = [[] for _ in range(8)]
     for i, row in enumerate(table):
         for j, (k, sign) in enumerate(row):
-            terms[k].append(f"{'+' if sign > 0 else '-'} (a{i} * b{j} if a{i} and b{j} else 0)")
-    a = ", ".join(f"a{i}" for i in range(8))
-    b = ", ".join(f"b{j}" for j in range(8))
-    coeffs = ",\n        ".join(" ".join(["0"] + t) for t in terms)
-    return compiled("product", f"def product(a, b):\n    {a} = a\n    {b} = b\n"
-                               f"    return ({coeffs})\n")
+            terms[k].append((sign, f"a{i}", f"b{j}"))
+    name = "product" if guarded else "int_product"
+    head = f"def {name}(a, b):\n{_unpack('a')}{_unpack('b')}"
+    if guarded:
+        body = ",\n        ".join(_guarded_sum(t) for t in terms)
+        return compiled(name, f"{head}    return ({body})\n")
+    body = ",\n        ".join(signed_sum((s, f"{x} * {y}") for s, x, y in t) for t in terms)
+    ints = " and ".join(f"type({v}{k}) is int" for v in "ab" for k in range(8))
+    return compiled(name, f"{head}    if {ints}:\n        return ({body})\n")
 
 
-_PRODUCT = _product(_TABLE)
+def _trilinear(table, product, guarded: bool = True):
+    """-conj(Phi) . (X Psi) on three coefficient sequences, as one function
+    compiled from a unit table around ``product``, the table's product.
+
+    Guarded, with the guarded product, it makes the operations of
+    -inner(conj(Phi), mul(X, Psi)) in their order, so it gives the same
+    value, type and float bits (a NaN's sign aside): conj by _CONJ_SIGNS,
+    the product, inner's scalar parts p and q over the table's scalar
+    entries with mul's guards, inner's overflow fallback, and the negated
+    half of p + q as one multiplication by -1/2.  The int form, for Python
+    ints and the int product, folds the signs of conj and the two scalar
+    parts into one integer sum and halves it as a Fraction, the type inner
+    gives.
+    """
+    scalar = _scalar_terms(table)
+    m = ", ".join(f"m{k}" for k in range(8))
+    lines = ["def trilinear(p, x, s):\n", _unpack("p"), f"    {m} = product(x, s)\n"]
+    if guarded:
+        conj = ", ".join(f"p{k}" if sign > 0 else f"-p{k}" for k, sign in enumerate(_CONJ_SIGNS))
+        lines += [f"    {m.replace('m', 'c')} = {conj}\n",
+                  f"    sp = {_guarded_sum((s, f'c{i}', f'm{j}') for i, j, s in scalar)}\n",
+                  f"    sq = {_guarded_sum((s, f'm{i}', f'c{j}') for i, j, s in scalar)}\n",
+                  "    t = sp + sq\n",
+                  "    if isinstance(t, float) and isinf(t) and isfinite(sp) and isfinite(sq):\n",
+                  "        return -(0.5 * sp + 0.5 * sq)\n",
+                  "    return NEG_HALF * t\n"]
+    else:
+        # p + q = sum of sign (c_i m_j + m_i c_j), with c_a = _CONJ_SIGNS[a] p_a
+        coeff = {}
+        for i, j, sign in scalar:
+            coeff[i, j] = coeff.get((i, j), 0) + _CONJ_SIGNS[i] * sign
+            coeff[j, i] = coeff.get((j, i), 0) + _CONJ_SIGNS[j] * sign
+        total = signed_sum((-k, f"p{a} * m{b}") for (a, b), k in sorted(coeff.items()) if k)
+        lines.append(f"    return Fraction({total}, 2)\n")
+    return compiled("trilinear", "".join(lines), product=product, isinf=math.isinf,
+                    isfinite=math.isfinite, NEG_HALF=-_HALF, Fraction=Fraction)
 
 
 def _structure_tensor(table):
@@ -122,10 +174,27 @@ def _structure_tensor(table):
     return c
 
 
-_C = None      # the structure tensor of _TABLE, built on first use by _c()
+def _forms(table) -> dict:
+    """A unit table and every form built from it, by the module name each is
+    kept under: its scalar entries, the guarded and int products, the
+    guarded and int octonionic trilinear forms, and _C = None, so that _c()
+    builds the structure tensor from the table on first use.  The module
+    installs the forms of _build_table() at import; code that swaps the
+    table installs all of them together."""
+    product, int_product = _product(table), _product(table, guarded=False)
+    return {"_TABLE": table, "_SCALAR_TERMS": _scalar_terms(table),
+            "_PRODUCT": product, "_INT_PRODUCT": int_product,
+            "_TRILINEAR": _trilinear(table, product),
+            "_INT_TRILINEAR": _trilinear(table, int_product, guarded=False),
+            "_C": None}
+
+
+# _TABLE, _SCALAR_TERMS, _PRODUCT, _INT_PRODUCT, _TRILINEAR, _INT_TRILINEAR, _C
+globals().update(_forms(_build_table()))
 
 
 def _c():
+    """The structure tensor of _TABLE, built on first use."""
     global _C
     if _C is None:
         _C = _structure_tensor(_TABLE)
@@ -225,8 +294,11 @@ class SplitOctonion:
 
 
 def mul(a: SplitOctonion, b: SplitOctonion) -> SplitOctonion:
-    """Bilinear extension of the unit multiplication table."""
-    return SplitOctonion(_PRODUCT(a.c, b.c))
+    """Bilinear extension of the unit multiplication table: the int product
+    when every coefficient is a Python int, else the guarded one."""
+    ac, bc = a.c, b.c
+    c = _INT_PRODUCT(ac, bc)
+    return SplitOctonion(_PRODUCT(ac, bc) if c is None else c)
 
 
 def conj(s: SplitOctonion) -> SplitOctonion:

@@ -5,12 +5,15 @@ correspondence and the two trilinear forms.
 Which quadratic-form evaluation diagonalizes the spinor invariant is
 pinned by a small exact oracle over the four candidates.  The dictionary
 between the two trilinear forms is the identity of the component order
-(octonion coefficient k <-> component k, scale 1); it is not searched for
-but verified exactly on all 512 basis triples, and on random integer
-triples by dictionary_random_check.  Both checks run on the sparse exact
-data of ``clifford`` and the unit table of ``octonion``.  The first-order
-tables of the L_01 and L_04 actions and of the role-swap rotor are
-compared, entry by entry and with ==, against the exact generators of
+(octonion coefficient k <-> component k, scale 1) by construction: both
+forms take the same components, and the dictionary is not applied but
+verified, exactly, on all 512 basis triples before first use and on random
+integer triples by dictionary_random_check.  Both checks run on the sparse
+exact data of ``clifford`` and the unit table of ``octonion``.  The
+octonionic form is a function compiled from the unit table
+(``octonion._TRILINEAR``, and ``_INT_TRILINEAR`` on Python ints).  The
+first-order tables of the L_01 and L_04 actions and of the role-swap rotor
+are compared, entry by entry and with ==, against the exact generators of
 ``cl.plane_generator``.  numpy is imported only by the sampled sweeps and
 the dense views.
 """
@@ -20,6 +23,7 @@ import itertools
 import math
 from collections import namedtuple
 from fractions import Fraction
+from numbers import Integral
 
 from . import clifford as cl
 from . import octonion as oc
@@ -91,8 +95,10 @@ def oct_from_components(c) -> oc.SplitOctonion:
 
 def trilinear_oct(phi_o: oc.SplitOctonion, x_o: oc.SplitOctonion,
                   psi_o: oc.SplitOctonion):
-    """-conj(Phi) . (X Psi) with the octonion inner product."""
-    return -oc.inner(phi_o.conj(), oc.mul(x_o, psi_o))
+    """-conj(Phi) . (X Psi) with the octonion inner product, through the
+    form compiled from the unit table: the value, type and float bits of
+    -oc.inner(phi_o.conj(), oc.mul(x_o, psi_o))."""
+    return oc._TRILINEAR(phi_o.c, x_o.c, psi_o.c)
 
 
 BLOCK = 64          # samples per stacked evaluation in the batched suites
@@ -160,11 +166,10 @@ _IDENTITY = tuple((k, 1) for k in range(8))
 class CorrespondenceMap(namedtuple("CorrespondenceMap",
                                    "phi_map x_map psi_map scale max_residual",
                                    defaults=(0,))):
-    """Component dictionary under which the two trilinear forms agree:
-
-    F_matrix(phi, x, psi) = scale * s1(a) s2(b) s3(c) F_oct on basis triples
-    with slot maps a -> perm[a] (each map 8 pairs (index, sign)), scale a
-    Fraction.
+    """The record of the component dictionary between the two trilinear
+    forms, as ``--format json`` emits it: per slot, 8 pairs (index, sign)
+    taking component k to octonion coefficient index, and a Fraction scale.
+    The oracle builds it as the identity with scale 1.
     """
 
     __slots__ = ()
@@ -219,21 +224,17 @@ def trilinear_equivalence_oracle() -> CorrespondenceMap:
     <-> component k in every slot, scale 1.  Verified exactly on all 512
     basis triples before it is returned; raises OracleError naming the
     first failing triple otherwise."""
-    d = CorrespondenceMap(_IDENTITY, _IDENTITY, _IDENTITY, Fraction(1))
-    _verify_dictionary(_matrix_trilinear_entries(), _oct_trilinear_entries(), d)
-    return d
+    _verify_dictionary(_matrix_trilinear_entries(), _oct_trilinear_entries())
+    return CorrespondenceMap(_IDENTITY, _IDENTITY, _IDENTITY, Fraction(1))
 
 
-def _verify_dictionary(t1, t2, d: CorrespondenceMap):
-    """t1[a,b,c] == scale s1(a) s2(b) s3(c) t2[perm a, perm b, perm c] on all
-    512 basis triples, compared as q t1 == p (signed t2) for scale p/q in
-    Python ints; raises naming the first failing triple in C order."""
-    p, q = d.scale.numerator, d.scale.denominator
-    for a, (a2, s1) in enumerate(d.phi_map):
-        for b, (b2, s2) in enumerate(d.x_map):
-            for c, (c2, s3) in enumerate(d.psi_map):
-                if q * int(t1[a, b, c]) != p * s1 * s2 * s3 * int(t2[a2, b2, c2]):
-                    raise OracleError(f"dictionary fails at basis triple ({a},{b},{c})")
+def _verify_dictionary(t1, t2):
+    """t1[a,b,c] == t2[a,b,c] on all 512 basis triples, the identity
+    dictionary with scale 1; raises naming the first failing triple in C
+    order."""
+    for a, b, c in itertools.product(range(8), repeat=3):
+        if t1[a, b, c] != t2[a, b, c]:
+            raise OracleError(f"dictionary fails at basis triple ({a},{b},{c})")
 
 
 _ORACLE_CACHE = None
@@ -246,34 +247,32 @@ def equivalence_map() -> CorrespondenceMap:
     return _ORACLE_CACHE
 
 
-def _mapped(values, slot_map) -> oc.SplitOctonion:
-    """The octonion with coefficient idx = sign * values[k] for each
-    slot_map[k] = (idx, sign)."""
-    out = [0] * 8
-    for v, (idx, sign) in zip(values, slot_map):
-        out[idx] = sign * v
-    return oc.SplitOctonion(out)
+def _python_ints(values) -> list:
+    """The values with every integer scalar that is not a Python int (a
+    numpy integer) as a Python int, and the rest as they are."""
+    return [int(v) if isinstance(v, Integral) and not isinstance(v, int) else v
+            for v in values]
 
 
 def trilinear_both(phi, x, psi):
-    """Evaluate the matrix form and the dictionary-mapped octonion form.
+    """Evaluate the matrix form and the octonion form under the identity
+    dictionary, which equivalence_map() verifies before first use.
 
     phi and psi are read as trilinear_matrix reads them (8 components, or 16
     with the wrong-chirality block zero), once, and both forms get the same
-    eight values of phi, x and psi: as Python ints when every component of
-    the three is integral (so numpy integers cannot wrap on the octonion
-    side), else as given.
+    eight values of phi, x and psi.  When every component of the three is
+    integral, they are Python ints and both forms run their int versions;
+    else numpy integers become Python ints, so that they cannot wrap in
+    int64 on the octonion side, and the rest are passed as given.
     """
-    d = equivalence_map()
+    equivalence_map()
     phi, psi = cl._chiral_8(phi, "phi"), cl._chiral_8(psi, "psi")
     x = cl._flat(x, (8,), "vector needs 8 components")
     ints = cl._as_ints(phi), cl._as_ints(x), cl._as_ints(psi)
     if None not in ints:
-        phi, x, psi = ints
-    mat_val = cl._trilinear(phi, x, psi)
-    oct_val = trilinear_oct(_mapped(phi, d.phi_map), _mapped(x, d.x_map),
-                            _mapped(psi, d.psi_map))
-    return mat_val, oct_val if d.scale == 1 else d.scale * oct_val
+        return cl._TRILINEAR(*ints), oc._INT_TRILINEAR(*ints)
+    phi, x, psi = _python_ints(phi), _python_ints(x), _python_ints(psi)
+    return cl._trilinear(phi, x, psi), oc._TRILINEAR(phi, x, psi)
 
 
 # ---------------------------------------------------------------------------
@@ -548,26 +547,24 @@ def trilinear_invariance_check(n_samples: int = 200, seed: int = DEFAULT_SEED,
 
 
 def dictionary_random_check(n_samples: int = 1000, seed: int = DEFAULT_SEED) -> VerificationReport:
-    """Oracle dictionary applied to random integer triples: residual must be
-    exactly zero in rational arithmetic.
+    """The identity dictionary on random integer triples: the two forms of
+    the same components must agree exactly.
 
     Runs on float64 stacks, exact by exact_float64, one block of samples at
     a time, as trilinear_both does per sample: the matrix form through the
-    trilinear slices, the dictionary as index and sign arrays, and
-    -inner(conj(Phi), X Psi) through the octonion structure tensor.  With
-    scale = p/q the two sides agree when 2 q F_matrix == p (2 F_oct).
+    trilinear slices and -inner(conj(Phi), X Psi) through the octonion
+    structure tensor, compared as 2 F_matrix == 2 F_oct.
     """
     import numpy as np
     rep = VerificationReport("trilinear-dictionary",
                              meta={"seed": seed, "samples": n_samples})
     d = equivalence_map()
-    maps = [np.array(m, dtype=np.int64).T for m in (d.phi_map, d.x_map, d.psi_map)]
-    p, q = d.scale.numerator, d.scale.denominator
-    # the largest sum is p (2 F_oct): p x 8^4 products phi_a M[a,j] x_b psi_c C[b,c,j]
+    # the largest sum is 2 F_oct: 8^4 products phi_a M[a,j] x_b psi_c C[b,c,j],
+    # |M[a,j]| at most 2
     slices, c, inner2 = exact_float64(
         np.array([cl.trilinear_slice(b) for b in range(8)]).transpose(1, 0, 2).reshape(8, 64),
         oc._c().reshape(8, 64),
-        _conj_inner2(), degree=5, terms=2 * max(abs(p), q) * 8 ** 4, sampled=True)
+        _conj_inner2(), degree=5, terms=2 * 8 ** 4, sampled=True)
     rng = np.random.default_rng(seed)
     for start, n in _blocks(n_samples):
         v = sample_integers(rng, (n, 3, 8)).astype(np.float64)      # phi, x, psi
@@ -575,13 +572,10 @@ def dictionary_random_check(n_samples: int = 1000, seed: int = DEFAULT_SEED) -> 
         # F_matrix = sum_b x_b (phi K_b psi), with K_b[i, j] at [i, (b, j)]
         mat = ((phi @ slices).reshape(n, 8, 8) @ psi[:, :, None])[:, :, 0]
         mat = (mat * x).sum(axis=1)
-        o = np.zeros_like(v)
-        for slot, (index, sign) in enumerate(maps):
-            o[:, slot, index] = sign * v[:, slot]
         # (X Psi)_c = sum_b psi_b (sum_a x_a C[a,b,c])
-        xpsi = (o[:, 2, None, :] @ (o[:, 1] @ c).reshape(n, 8, 8))[:, 0]
-        oct2 = -((o[:, 0] @ inner2) * xpsi).sum(axis=1)        # 2 F_oct
-        ok = 2 * q * mat == p * oct2
+        xpsi = (psi[:, None, :] @ (x @ c).reshape(n, 8, 8))[:, 0]
+        oct2 = -((phi @ inner2) * xpsi).sum(axis=1)        # 2 F_oct
+        ok = 2 * mat == oct2
         rep.record_mask(ok, lambda k, start=start: f"triple {start + k}")
     rep.meta["dictionary"] = d.to_json()
     return rep

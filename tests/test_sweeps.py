@@ -2,11 +2,12 @@ import itertools
 import json
 import math
 import struct
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from splitoct import cli
 from splitoct import clifford as cl
@@ -138,16 +139,20 @@ FLIPS = [(("J1", "J2"), ("J2", "J1")), (("j1", "I"), ("I", "j1")), (("I", "I"),)
          (("j2", "J3"),)]
 
 
-def flipped_table(monkeypatch, entries):
+def flipped(entries):
+    """The unit table with the sign of each named entry flipped."""
     table = [list(row) for row in oc._TABLE]
     for left, right in entries:
         a, b = N.index(left), N.index(right)
         k, sign = table[a][b]
         table[a][b] = (k, -sign)
-    monkeypatch.setattr(oc, "_TABLE", table)
-    monkeypatch.setattr(oc, "_C", oc._structure_tensor(table))
-    monkeypatch.setattr(oc, "_SCALAR_TERMS", oc._scalar_terms(table))
-    monkeypatch.setattr(oc, "_PRODUCT", oc._product(table))
+    return table
+
+
+def flipped_table(monkeypatch, entries):
+    """Install a flipped table with every form the builder makes from it."""
+    for name, value in oc._forms(flipped(entries)).items():
+        monkeypatch.setattr(oc, name, value)
 
 
 # failure counts and witnesses of the Malcev sweep on tables with one
@@ -198,12 +203,30 @@ def test_moufang_and_associators_match_reference():
     assert outcome(oc.verify_associators()) == outcome(reference_associators())
 
 
-@pytest.mark.parametrize("b", [0, 5])
-def test_dictionary_check_matches_reference_with_flipped_sign(monkeypatch, b):
-    d = tr.equivalence_map()
-    x_map = list(d.x_map)
-    x_map[b] = (x_map[b][0], -x_map[b][1])
-    monkeypatch.setattr(tr, "_ORACLE_CACHE", d._replace(x_map=tuple(x_map)))
+def negated_matrix_term(monkeypatch, n):
+    """Negate term n of the matrix form's table and recompile the form from it."""
+    terms = list(cl._TRILINEAR_TERMS)
+    b, i, j, k = terms[n]
+    terms[n] = (b, i, j, -k)
+    monkeypatch.setattr(cl, "_TRILINEAR_TERMS", tuple(terms))
+    monkeypatch.setattr(cl, "_TRILINEAR", cl._trilinear_form(terms))
+
+
+# corruptions that the batched check and trilinear_both both read: a unit
+# table entry (the structure tensor and the compiled octonion forms) or a
+# term of the matrix form (the trilinear slices and the compiled matrix form)
+CORRUPTIONS = {
+    "table j2*J3": lambda mp: flipped_table(mp, (("j2", "J3"),)),
+    "table J1*J2": lambda mp: flipped_table(mp, (("J1", "J2"),)),
+    "matrix term 0": lambda mp: negated_matrix_term(mp, 0),
+    "matrix term 45": lambda mp: negated_matrix_term(mp, 45),
+}
+
+
+@pytest.mark.parametrize("corrupt", CORRUPTIONS.values(), ids=CORRUPTIONS.keys())
+def test_dictionary_check_matches_reference_on_corrupted_forms(monkeypatch, corrupt):
+    tr.equivalence_map()                  # verified on the sound forms
+    corrupt(monkeypatch)
     monkeypatch.setattr(report, "MAX_DETAILS", 2000)      # witnesses past the first block
     rep = tr.dictionary_random_check(200, seed=5)
     assert outcome(rep) == outcome(reference_dictionary(200, 5))
@@ -262,48 +285,40 @@ def test_generated_I_squares_to_one():
     assert table.product(4, 4) == (0, 1)
 
 
-def reference_verify_dictionary(t1, t2, d):
-    """The per-triple Fraction loop that the vectorised comparison replaced:
-    the first failing basis triple in C order, or None."""
+def reference_verify_dictionary(t1, t2):
+    """The per-triple loop in Python ints: the first basis triple in C order
+    where the two tensors differ, or None."""
     for a, b, c in itertools.product(range(8), repeat=3):
-        a2, s1 = d.phi_map[a]
-        b2, s2 = d.x_map[b]
-        c2, s3 = d.psi_map[c]
-        if Fraction(int(t1[a, b, c])) != d.scale * s1 * s2 * s3 * int(t2[a2, b2, c2]):
+        if int(t1[a, b, c]) != int(t2[a, b, c]):
             return f"dictionary fails at basis triple ({a},{b},{c})"
     return None
 
 
-def _sign_flipped(d, slot, k):
-    m = list(getattr(d, slot))
-    m[k] = (m[k][0], -m[k][1])
-    return d._replace(**{slot: tuple(m)})
-
-
-@pytest.mark.parametrize("slot,k", [("phi_map", 0), ("phi_map", 6), ("x_map", 3),
-                                    ("psi_map", 7)])
-def test_verify_dictionary_names_first_failing_triple(slot, k):
-    t1, t2 = matrix_trilinear_tensor(), oct_trilinear_tensor()
-    d = _sign_flipped(tr.equivalence_map(), slot, k)
-    want = reference_verify_dictionary(t1, t2, d)
-    assert want is not None
+# one or two entries of the matrix (0) or octonion (1) tensor changed
+@pytest.mark.parametrize("side,entries", [(0, [(0, 0, 0)]), (1, [(7, 7, 7)]),
+                                          (1, [(3, 5, 6), (0, 2, 1)]),
+                                          (0, [(6, 1, 2), (5, 4, 3)])])
+def test_verify_dictionary_names_first_corrupted_triple(side, entries):
+    tensors = [matrix_trilinear_tensor(), oct_trilinear_tensor()]
+    for index in entries:
+        tensors[side][index] += 1
+    want = reference_verify_dictionary(*tensors)
+    assert want == "dictionary fails at basis triple ({},{},{})".format(*min(entries))
     with pytest.raises(tr.OracleError) as err:
-        tr._verify_dictionary(t1, t2, d)
+        tr._verify_dictionary(*tensors)
     assert str(err.value) == want
 
 
-def test_verify_dictionary_scale_and_pass():
+def test_verify_dictionary_passes_on_the_sound_tensors():
     t1, t2 = matrix_trilinear_tensor(), oct_trilinear_tensor()
-    d = tr.equivalence_map()
-    assert reference_verify_dictionary(t1, t2, d) is None
-    tr._verify_dictionary(t1, t2, d)
-    for scale in (-d.scale, d.scale / 2, 3 * d.scale):
-        wrong = d._replace(scale=scale)
+    assert reference_verify_dictionary(t1, t2) is None
+    tr._verify_dictionary(t1, t2)
+    tr._verify_dictionary(tr._matrix_trilinear_entries(), tr._oct_trilinear_entries())
+    # a scaled or negated tensor fails at the first nonzero entry
+    for wrong in (2 * t1, -t1):
         with pytest.raises(tr.OracleError) as err:
-            tr._verify_dictionary(t1, t2, wrong)
-        assert str(err.value) == reference_verify_dictionary(t1, t2, wrong)
-    # doubling one tensor is matched exactly by doubling the scale
-    tr._verify_dictionary(2 * t1, t2, d._replace(scale=2 * d.scale))
+            tr._verify_dictionary(wrong, t2)
+        assert str(err.value) == "dictionary fails at basis triple (0,0,0)"
 
 
 def test_zorn_halving_needs_even_entries():
@@ -322,9 +337,18 @@ def test_oracle_names_first_failing_triple_on_flipped_table(monkeypatch):
     with pytest.raises(tr.OracleError) as err:
         tr.equivalence_map()
     assert str(err.value) == "dictionary fails at basis triple (3,5,6)"
-    identity = tr.CorrespondenceMap(*[tuple((k, 1) for k in range(8))] * 3, Fraction(1))
-    assert str(err.value) == reference_verify_dictionary(
-        matrix_trilinear_tensor(), oct_trilinear_tensor(), identity)
+    assert str(err.value) == reference_verify_dictionary(matrix_trilinear_tensor(),
+                                                         oct_trilinear_tensor())
+
+
+@pytest.mark.parametrize("n", [0, 45])
+def test_oracle_names_first_failing_triple_on_a_negated_matrix_term(monkeypatch, n):
+    b, i, j, _ = cl._TRILINEAR_TERMS[n]
+    negated_matrix_term(monkeypatch, n)
+    monkeypatch.setattr(tr, "_ORACLE_CACHE", None)
+    with pytest.raises(tr.OracleError) as err:
+        tr.equivalence_map()
+    assert str(err.value) == f"dictionary fails at basis triple ({i},{b},{j})"
 
 
 def test_trilinear_both_exits_1_on_flipped_table(monkeypatch, capsys):
@@ -472,21 +496,6 @@ EXACT_LIKE = st.one_of(st.integers(-2 ** 100, 2 ** 100), st.booleans(),
 TRILINEAR_ARGS = st.one_of(COMPONENTS, st.lists(EXACT_LIKE, min_size=8, max_size=8))
 
 
-@given(COMPONENTS, COMPONENTS, COMPONENTS)
-def check_octonion_kernels(phi, x, psi):
-    a, b, c = O(phi), O(x), O(psi)
-    assert result_of(oc.inner, a, b) == result_of(inner_oracle, a, b)
-    assert result_of(oc.inner, a, a) == result_of(inner_oracle, a, a)
-    assert (result_of(tr.trilinear_oct, a, b, c)
-            == result_of(lambda: -inner_oracle(a.conj(), reference_mul(b, c))))
-
-
-@pytest.mark.parametrize("entries", [()] + FLIPS)
-def test_octonion_kernels_match_two_product_oracle(monkeypatch, entries):
-    flipped_table(monkeypatch, entries)
-    check_octonion_kernels()
-
-
 def coefficients_of(f, a, b):
     """result_of for each coefficient of the octonion f(a, b), or the type of
     the error it raises."""
@@ -500,17 +509,71 @@ def coefficients_of(f, a, b):
 # the numbers of COMPONENTS, and bools, numpy scalars and non-finite floats
 MUL_EXTRAS = st.one_of(st.booleans(), st.sampled_from((math.inf, -math.inf, math.nan)),
                        st.integers(-2 ** 20, 2 ** 20).map(np.int64), st.floats().map(np.float64))
+# Python ints at and past the int64 range, for the int forms
+WIDE_INTS = (2 ** 40, -2 ** 40, 2 ** 70, -2 ** 70)
 MUL_COMPONENTS = st.one_of(COMPONENTS, st.lists(MUL_EXTRAS, min_size=8, max_size=8),
                            st.lists(st.one_of(*NUMBERS.values(), MUL_EXTRAS),
+                                    min_size=8, max_size=8),
+                           st.lists(st.one_of(st.integers(-9, 9), st.sampled_from(WIDE_INTS)),
                                     min_size=8, max_size=8))
+INT_EXAMPLE = [2 ** 40, -2 ** 40, 2 ** 70, 0, 1, -1, -2 ** 70, 7]
+# a bool, signed zeros, inf, NaN, a Fraction and a numpy int: the guarded path
+GUARDED_EXAMPLE = [True, -0.0, math.inf, math.nan, Fraction(1, 3), np.int64(-7), 0.0, False]
+
+
+def python_ints(*values):
+    return all(type(v) is int for vals in values for v in vals)
+
+
+def numpy_meets_wide_ints(*values):
+    """Whether numpy ints meet Python ints of 2^20 or more.  The oracle's
+    two full products then form terms that inner and the trilinear form
+    never form, and such a term can leave int64 and raise."""
+    flat = [v for vals in values for v in vals]
+    return (any(isinstance(v, np.integer) for v in flat)
+            and any(type(v) is int and abs(v) >= 2 ** 20 for v in flat))
+
+
+# numpy scalars overflow alike on both sides, so their warnings are ignored
+@given(MUL_COMPONENTS, MUL_COMPONENTS, MUL_COMPONENTS)
+@example(INT_EXAMPLE, INT_EXAMPLE[::-1], INT_EXAMPLE)
+@example(GUARDED_EXAMPLE, GUARDED_EXAMPLE[::-1], GUARDED_EXAMPLE)
+@example(INT_EXAMPLE, [0.0] * 8, [-0.0] * 8)
+def check_octonion_kernels(phi, x, psi):
+    assume(not numpy_meets_wide_ints(phi, x, psi))
+    a, b, c = O(phi), O(x), O(psi)
+    with np.errstate(all="ignore"):
+        assert result_of(oc.inner, a, b) == result_of(inner_oracle, a, b)
+        assert result_of(oc.inner, a, a) == result_of(inner_oracle, a, a)
+        want = result_of(lambda: -inner_oracle(a.conj(), reference_mul(b, c)))
+        assert result_of(tr.trilinear_oct, a, b, c) == want
+    # the int form takes Python ints only
+    if python_ints(phi, x, psi):
+        assert result_of(oc._INT_TRILINEAR, phi, x, psi) == want
+
+
+@pytest.mark.parametrize("entries", [()] + FLIPS)
+def test_octonion_kernels_match_two_product_oracle(monkeypatch, entries):
+    flipped_table(monkeypatch, entries)
+    check_octonion_kernels()
 
 
 @given(MUL_COMPONENTS, MUL_COMPONENTS)
+@example(INT_EXAMPLE, INT_EXAMPLE[::-1])
+@example(GUARDED_EXAMPLE, GUARDED_EXAMPLE[::-1])
+@example(GUARDED_EXAMPLE, INT_EXAMPLE)
 def check_mul(x, y):
     a, b = O(x), O(y)
-    with np.errstate(all="ignore"):      # numpy scalars overflow alike on both sides
+    with np.errstate(all="ignore"):
         assert coefficients_of(oc.mul, a, b) == coefficients_of(reference_mul, a, b)
         assert coefficients_of(oc.mul, b, a) == coefficients_of(reference_mul, b, a)
+    # the int product gives the loop's ints on Python ints, and None on
+    # anything else, where mul takes the guarded product
+    got = oc._INT_PRODUCT(a.c, b.c)
+    if python_ints(x, y):
+        assert [result_of(lambda: v) for v in got] == coefficients_of(reference_mul, a, b)
+    else:
+        assert got is None
 
 
 @pytest.mark.parametrize("entries", [()] + FLIPS)
@@ -601,9 +664,10 @@ def test_spinor_invariant_matches_reference_as_ints(monkeypatch):
     assert new == [result_of(cl.spinor_invariant, eta) for eta in draws]
 
 
-# The clifford forms as they were summed before they were compiled from their
-# tables: the spinor invariant as a loop over its terms with the parity check,
-# and trilinear_both with its per-call slot maps and scale.
+# The forms as they were summed before they were compiled from their tables:
+# the spinor invariant as a loop over its terms with the parity check, and
+# trilinear_both as the matrix form's slice loop beside -inner(conj(Phi), X Psi)
+# from two full products of the unit-table loop.
 
 def reference_spinor_invariant(eta):
     e = reference_as_ints(eta)
@@ -616,23 +680,16 @@ def reference_spinor_invariant(eta):
 
 
 def reference_trilinear_both(phi, x, psi):
-    d = tr.equivalence_map()
     phi, psi = cl._chiral_8(phi, "phi"), cl._chiral_8(psi, "psi")
     x = cl._flat(x, (8,), "vector needs 8 components")
     ints = [reference_as_ints(v) for v in (phi, x, psi)]
-    if None not in ints:
+    if None in ints:
+        phi, x, psi = ([int(v) if isinstance(v, np.integer) else v for v in vals]
+                       for vals in (phi, x, psi))
+    else:
         phi, x, psi = ints
-
-    def mapped(values, slot_map):
-        out = [0] * 8
-        for k, v in enumerate(values):
-            idx, sign = slot_map[k]
-            out[idx] = sign * v
-        return O(out)
-
     return (reference_trilinear_matrix(phi, x, psi),
-            d.scale * tr.trilinear_oct(mapped(phi, d.phi_map), mapped(x, d.x_map),
-                                       mapped(psi, d.psi_map)))
+            -inner_oracle(O(phi).conj(), reference_mul(O(x), O(psi))))
 
 
 def both_result_of(phi, x, psi, both=None):
@@ -644,20 +701,30 @@ def both_result_of(phi, x, psi, both=None):
     return result_of(lambda: mat_val), result_of(lambda: oct_val)
 
 
+WIDE_INT64 = [np.int64(2 ** 40)] + [0] * 7
+
+
 @given(TRILINEAR_ARGS, TRILINEAR_ARGS, TRILINEAR_ARGS)
-@example(*[[np.int64(2 ** 40)] + [0] * 7] * 3)
+@example(WIDE_INT64, WIDE_INT64, WIDE_INT64)
+@example([0.5] + [0] * 7, WIDE_INT64, WIDE_INT64)
 @example([np.int64(3 ** 39), Fraction(4, 2)] + [0] * 6, [True, 2.0 ** 60] + [0] * 6,
          [np.int64(-(2 ** 62))] * 8)
 def test_trilinear_both_matches_reference(phi, x, psi):
     # on all-integral input both forms are exact and equal; elsewhere numpy
-    # ints reach the octonion side as they are, and overflow alike in both
-    # calls
-    with np.errstate(all="ignore"):
-        got = both_result_of(phi, x, psi)
-        assert got == both_result_of(phi, x, psi, reference_trilinear_both)
+    # ints become Python ints before either form multiplies them, so no
+    # numpy arithmetic overflows (a warning would fail the test)
+    got = both_result_of(phi, x, psi)
+    assert got == both_result_of(phi, x, psi, reference_trilinear_both)
     if all(reference_as_ints(v) is not None for v in (phi, x, psi)):
         mat_val, oct_val = tr.trilinear_both(phi, x, psi)
         assert type(mat_val) is int and Fraction(mat_val) == oct_val
+
+
+def test_trilinear_both_does_not_wrap_numpy_ints_on_the_float_path():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mat_val, oct_val = tr.trilinear_both([0.5] + [0] * 7, WIDE_INT64, WIDE_INT64)
+    assert type(mat_val) is float and mat_val == float(oct_val) == -0.5 * 2.0 ** 80
 
 
 @given(st.one_of(*(st.lists(v, min_size=16, max_size=16)
@@ -735,33 +802,60 @@ def test_float_forms_match_the_term_loops_bit_for_bit():
                                                                    eta)
 
 
-@pytest.mark.parametrize("b", [0, 5])
-def test_trilinear_both_sides_differ_with_flipped_sign(monkeypatch, b):
-    d = tr.equivalence_map()
-    x_map = list(d.x_map)
-    x_map[b] = (x_map[b][0], -x_map[b][1])
-    monkeypatch.setattr(tr, "_ORACLE_CACHE", d._replace(x_map=tuple(x_map)))
-    _, i, j, k = next(t for t in cl._TRILINEAR_TERMS if t[0] == b)
+# terms of the matrix table whose octonion product e_b e_j is not a scalar,
+# so that flipping it leaves inner's scalar entries as they are
+@pytest.mark.parametrize("n", [1, 45])
+def test_trilinear_both_sides_are_independent_evaluations(monkeypatch, n):
+    # each side moves only with its own compiled form, on the int path and,
+    # for the octonion side, on the float path too
+    tr.equivalence_map()                  # verified on the sound forms
+    b, i, j, k = cl._TRILINEAR_TERMS[n]
+    assert b != j
     phi, x, psi = basis(i), basis(b), basis(j)
+    halves = [v / 2 for v in phi], x, [2 * v for v in psi]
+    assert tr.trilinear_both(phi, x, psi) == (k, k)
+    with monkeypatch.context() as mp:
+        negated_matrix_term(mp, n)
+        assert tr.trilinear_both(phi, x, psi) == (-k, k)
+        assert tr.trilinear_both(*halves) == (-k, k)
+    # e_b e_j negated: -conj(e_i) . (e_b e_j) changes sign
+    forms = oc._forms(flipped([(N[b], N[j])]))
+    monkeypatch.setattr(oc, "_INT_TRILINEAR", forms["_INT_TRILINEAR"])
     assert tr.trilinear_both(phi, x, psi) == (k, -k)
-    assert both_result_of(phi, x, psi) == both_result_of(phi, x, psi, reference_trilinear_both)
-    monkeypatch.setattr(tr, "_ORACLE_CACHE", d._replace(scale=Fraction(3)))
-    assert tr.trilinear_both(phi, x, psi) == (k, 3 * k)
+    monkeypatch.setattr(oc, "_TRILINEAR", forms["_TRILINEAR"])
+    assert both_result_of(*halves) == (result_of(lambda: float(k)), result_of(lambda: -float(k)))
 
 
 def test_single_call_kernels_form_only_the_products_they_need(monkeypatch):
+    # the builder compiles one guarded and one int product, and the trilinear
+    # forms call the ones built with them; counted here, each call that forms
+    # a product is logged as "guarded" or "int"
     calls = []
-    product = oc.mul
+    build = oc._product
 
-    def counted(a, b):
-        calls.append((a, b))
-        return product(a, b)
+    def counted_product(table, guarded=True):
+        product = build(table, guarded)
 
-    monkeypatch.setattr(oc, "mul", counted)
+        def counted(a, b):
+            out = product(a, b)
+            if out is not None:
+                calls.append("guarded" if guarded else "int")
+            return out
+        return counted
+
+    monkeypatch.setattr(oc, "_product", counted_product)
+    for name, value in oc._forms(oc._TABLE).items():
+        monkeypatch.setattr(oc, name, value)
+
+    def made(f, *args):
+        calls.clear()
+        f(*args)
+        return calls
+
     a, b, c = O(range(8)), O(range(3, 11)), O([Fraction(1, 3)] * 8)
-    oc.inner(a, b)
-    assert len(calls) == 0
-    tr.trilinear_oct(a, b, c)
-    assert len(calls) == 1
-    tr.trilinear_both(list(range(8)), list(range(3, 11)), [1] * 8)
-    assert len(calls) == 2
+    assert made(oc.inner, a, b) == []
+    assert made(oc.mul, a, b) == ["int"]
+    assert made(oc.mul, a, c) == ["guarded"]
+    assert made(tr.trilinear_oct, a, b, c) == ["guarded"]
+    assert made(tr.trilinear_both, list(range(8)), list(range(3, 11)), [1] * 8) == ["int"]
+    assert made(tr.trilinear_both, list(range(8)), list(range(3, 11)), c.c) == ["guarded"]
