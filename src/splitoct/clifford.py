@@ -6,25 +6,30 @@ A_mu = [[0, alpha], [alpha^dagger, 0]].  Every exact object is held as
 sparse rows of Gaussian integers in Python ints (``GMat``), and the checks
 run at import (the Clifford relations, the basis change, the spinor form,
 the trilinear slices) are exact sparse compositions.  Rotors act on real
-float components: vectors in closed form, spinors through the signed
-permutation of each bivector; ``plane_generator`` gives a plane's exact
-first-order action on both.  The eight trilinear slices are held as one
-flat table of (b, i, j, K_b[i,j]) terms and the spinor invariant as one of
-(i, j, 2Q_ij) terms; on integers each form is one straight-line function
-compiled from its table at import (``exact.compiled``, the helper the
-octonion product is compiled with).  Float sums of several terms (the
-invariants, the float trilinear form over the same tables) are correctly
-rounded (``math.fsum``), so they do not depend on the machine.  numpy is
-imported only by the dense views and the ndarray rotor actions.  The module also
-owns the grade-4 element B = -G1 G3 G5 G7, the spinor basis-change matrix
-and everything built on them (rotors, invariants, the trilinear form).
+float components: vectors in closed form, spinors by one turn compiled at
+import over the signed permutation of each bivector, which the turn takes
+as an argument, so one function serves every plane; ``plane_generator``
+gives a plane's exact first-order action on both.  The eight trilinear
+slices are held as one flat table of (b, i, j, K_b[i,j]) terms and the
+spinor invariant as one of (i, j, 2Q_ij) terms; on integers each form is
+one straight-line function compiled from its table at import
+(``exact.compiled``, the helper the octonion product is compiled with).
+Each integer form checks its own input and returns None unless every
+component is a Python int, so a list of Python ints goes to it as given
+and any other argument is read component by component first.  Float sums
+of several terms (the invariants, the float trilinear form over the same
+tables) are correctly rounded (``math.fsum``), so they do not depend on
+the machine.  numpy is imported only by the dense views and the ndarray
+rotor actions.  The module also owns the grade-4 element B = -G1 G3 G5 G7,
+the spinor basis-change matrix and everything built on them (rotors,
+invariants, the trilinear form).
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
 
-from .exact import compiled, signed_sum
+from .exact import all_python_ints, compiled, signed_sum
 from .report import VerificationReport
 
 METRIC = (1, 1, 1, 1, -1, -1, -1, -1)
@@ -315,10 +320,12 @@ if any(q % 2 for _, _, q in _Q_SPINOR_TERMS):
 
 def _spinor_form(terms):
     """eta^T Q eta on 16 Python ints, one straight-line function compiled
-    from the (i, j, 2Q_ij) terms: the sum of (Q_ij) e_i e_j."""
-    names = ", ".join(f"e{i}" for i in range(16))
+    from the (i, j, 2Q_ij) terms: the sum of (Q_ij) e_i e_j; None unless
+    every component is a Python int."""
+    names = [f"e{i}" for i in range(16)]
     body = signed_sum((q // 2, f"e{i} * e{j}") for i, j, q in terms)
-    return compiled("spinor_form", f"def spinor_form(e):\n    {names} = e\n    return {body}\n")
+    return compiled("spinor_form", f"def spinor_form(e):\n    {', '.join(names)} = e\n"
+                                   f"    if {all_python_ints(names)}:\n        return {body}\n")
 
 
 _SPINOR_FORM = _spinor_form(_Q_SPINOR_TERMS)
@@ -465,14 +472,31 @@ def rotate_vector_list(x: list, r: Rotor) -> list:
     return x
 
 
+def _turn():
+    """The spinor action of a rotor with half-angle pair (c, s), as one
+    straight-line function of the 16 components e and the plane's signed
+    permutation ``action`` (16 (j, g) pairs, as _bivector_action gives
+    them): component i becomes c e_i - s (g_i e_j_i + 0.0).  One function
+    serves every plane: the action is an argument, read from _BIV_REP, so
+    nothing is compiled per plane."""
+    pairs = ", ".join(f"(j{i}, g{i})" for i in range(16))
+    names = ", ".join(f"e{i}" for i in range(16))
+    body = ",\n            ".join(f"c * e{i} - s * (g{i} * e[j{i}] + 0.0)" for i in range(16))
+    return compiled("turn", f"def turn(e, c, s, action):\n    {pairs} = action\n"
+                            f"    {names} = e\n    return [{body}]\n")
+
+
+_TURN = _turn()
+
+
 def rotate_spinor_list(eta: list, r: Rotor) -> list:
     """rotate_spinor on a list of 16 floats, as a new list: component i
     becomes c eta_i - s sign_i eta_j, with (j, sign_i) row i of the
-    bivector's signed permutation.  The moved term takes + 0.0, as a dense
-    product summed from +0.0 does, so a zero comes out as +0.0."""
+    bivector's signed permutation, in one call of the compiled turn.  The
+    moved term takes + 0.0, as a dense product summed from +0.0 does, so a
+    zero comes out as +0.0."""
     c, s = half_angle(r.compact, r.theta)
-    return [c * e - s * (g * eta[j] + 0.0)
-            for e, (j, g) in zip(eta, _bivector_action(r.mu, r.nu))]
+    return _TURN(eta, c, s, _bivector_action(r.mu, r.nu))
 
 
 def rotate_vector(x, r: Rotor):
@@ -511,13 +535,7 @@ def rotate_spinor(eta, r: Rotor):
 
 def _as_ints(values):
     """The components as Python ints when every one is integral, else None;
-    integers of any size stay exact (nothing passes through float64).
-    Values that are all Python ints already come back as they are."""
-    for v in values:
-        if type(v) is not int:
-            break
-    else:
-        return values
+    integers of any size stay exact (nothing passes through float64)."""
     try:
         ints = [int(v) for v in values]
     except (OverflowError, ValueError):       # inf or nan
@@ -528,7 +546,12 @@ def _as_ints(values):
 def spinor_invariant(eta):
     """eta^T B eta under the pinned transpose evaluation: exact on integers
     (a Python int, whatever their size), else the correctly rounded sum of
-    its terms."""
+    its terms.  A list of 16 Python ints goes straight to the int form,
+    which checks its own input."""
+    if type(eta) is list and len(eta) == 16:
+        value = _SPINOR_FORM(eta)
+        if value is not None:
+            return value
     eta = _flat(eta, (16,), "spinor needs 16 components")
     e = _as_ints(eta)
     if e is not None:
@@ -571,13 +594,16 @@ _TRILINEAR_TERMS = _trilinear_terms()
 def _trilinear_form(terms):
     """F(phi, X, psi) on three lists of 8 Python ints, one straight-line
     function compiled from the (b, i, j, K_b[i,j]) terms: the sum over the
-    slices of x_b * (sum K_b[i,j] p_i s_j)."""
+    slices of x_b * (sum K_b[i,j] p_i s_j); None unless all 24 components
+    are Python ints."""
     slices = [[] for _ in range(8)]
     for b, i, j, k in terms:
         slices[b].append((k, f"p{i} * s{j}"))
     body = " + ".join(f"x{b} * ({signed_sum(t)})" for b, t in enumerate(slices))
     unpack = "".join(f"    {', '.join(f'{v}{n}' for n in range(8))} = {v}\n" for v in "pxs")
-    return compiled("trilinear", f"def trilinear(p, x, s):\n{unpack}    return {body}\n")
+    ints = all_python_ints(f"{v}{n}" for v in "pxs" for n in range(8))
+    return compiled("trilinear", f"def trilinear(p, x, s):\n{unpack}"
+                                 f"    if {ints}:\n        return {body}\n")
 
 
 _TRILINEAR = _trilinear_form(_TRILINEAR_TERMS)
@@ -590,8 +616,14 @@ def trilinear_matrix(phi, x, psi):
     an integer, whatever its size, else the correctly rounded sum of the
     terms x_b (K_b[i,j] phi_i psi_j) over the flat slice table, skipping
     x_b = 0.  phi must be pure left-chirality and psi pure right-chirality
-    (8 components, or 16 with the wrong block zero).
+    (8 components, or 16 with the wrong block zero).  Three lists of 8
+    Python ints go straight to the int form, which checks its own input.
     """
+    if (type(phi) is list and type(x) is list and type(psi) is list
+            and len(phi) == len(x) == len(psi) == 8):
+        value = _TRILINEAR(phi, x, psi)
+        if value is not None:
+            return value
     p = _chiral_8(phi, "phi")
     s = _chiral_8(psi, "psi")
     return _trilinear(p, _flat(x, (8,), "vector needs 8 components"), s)

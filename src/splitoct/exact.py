@@ -8,9 +8,11 @@ partial sum stays below 2**53.  ``exact_float64`` checks that bound before
 it casts.
 
 The integer tables of the single-call kernels (the unit product, the
-matrix and octonionic trilinear forms, the spinor invariant) are written
-out as straight-line source and compiled once by ``compiled``;
-``signed_sum`` writes the integer combinations in that source.
+matrix and octonionic trilinear forms, the spinor invariant) and the
+spinor rotor's turn are written out as straight-line source and compiled
+once by ``compiled``; ``signed_sum`` writes the integer combinations in
+that source, and ``all_python_ints`` the test with which each integer form
+checks its own input.
 """
 from __future__ import annotations
 
@@ -63,6 +65,13 @@ def signed_sum(terms) -> str:
         term = expr if abs(k) == 1 else f"{abs(k)} * {expr}"
         out.append(f"- {term}" if k < 0 else f"+ {term}")
     return " ".join(out).removeprefix("+ ") or "0"
+
+
+def all_python_ints(names) -> str:
+    """Source of the test that every one of ``names`` is a Python int (not a
+    bool, a numpy integer, a float or a Fraction), as one chained comparison
+    type(a) is type(b) is ... is int, which stops at the first other type."""
+    return " is ".join([*(f"type({v})" for v in names), "int"])
 
 
 def compiled(name: str, source: str, **names):

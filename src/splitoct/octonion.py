@@ -9,20 +9,24 @@ an octonion corresponds to component x_k.
 One builder, _forms, makes every form that reads the unit table, at import:
 the product as one straight-line function (_PRODUCT, compiled through
 ``exact.compiled``, which the clifford forms share) and a second one without
-the zero-skip guards for Python ints (_INT_PRODUCT), which mul takes when
-every coefficient is a Python int; the octonionic trilinear form
--conj(Phi).(X Psi) compiled around each of them (_TRILINEAR, _INT_TRILINEAR);
-and the table's eight scalar entries (e_a e_b = +-1), which inner reads.  The
-identity sweeps contract the dense structure tensor built from the same
-table on first use (numpy, imported by the sweeps only).
+the zero-skip guards for Python ints (_INT_PRODUCT); the octonionic
+trilinear form -conj(Phi).(X Psi) compiled around each of them (_TRILINEAR,
+_INT_TRILINEAR); and the table's eight scalar entries (e_a e_b = +-1),
+which inner reads.  Each int form checks its own input and returns None
+unless every coefficient is a Python int; mul and the trilinear form then
+take the guarded form, with numpy integers turned into Python ints first
+so that their products cannot wrap in int64.  The identity sweeps contract
+the dense structure tensor built from the same table on first use (numpy,
+imported by the sweeps only).
 """
 from __future__ import annotations
 
 import itertools
 import math
 from fractions import Fraction
+from numbers import Integral
 
-from .exact import compiled, exact_float64, signed_sum
+from .exact import all_python_ints, compiled, exact_float64, signed_sum
 from .report import VerificationReport
 
 UNIT_NAMES = ("1", "j1", "j2", "j3", "I", "J1", "J2", "J3")
@@ -120,7 +124,7 @@ def _product(table, guarded: bool = True):
         body = ",\n        ".join(_guarded_sum(t) for t in terms)
         return compiled(name, f"{head}    return ({body})\n")
     body = ",\n        ".join(signed_sum((s, f"{x} * {y}") for s, x, y in t) for t in terms)
-    ints = " and ".join(f"type({v}{k}) is int" for v in "ab" for k in range(8))
+    ints = all_python_ints(f"{v}{k}" for v in "ab" for k in range(8))
     return compiled(name, f"{head}    if {ints}:\n        return ({body})\n")
 
 
@@ -133,15 +137,16 @@ def _trilinear(table, product, guarded: bool = True):
     value, type and float bits (a NaN's sign aside): conj by _CONJ_SIGNS,
     the product, inner's scalar parts p and q over the table's scalar
     entries with mul's guards, inner's overflow fallback, and the negated
-    half of p + q as one multiplication by -1/2.  The int form, for Python
-    ints and the int product, folds the signs of conj and the two scalar
-    parts into one integer sum and halves it as a Fraction, the type inner
-    gives.
+    half of p + q as one multiplication by -1/2.  The int form, around the
+    int product, folds the signs of conj and the two scalar parts into one
+    integer sum and halves it as a Fraction, the type inner gives; like the
+    int product, it returns None unless all 24 coefficients are Python ints.
     """
     scalar = _scalar_terms(table)
     m = ", ".join(f"m{k}" for k in range(8))
-    lines = ["def trilinear(p, x, s):\n", _unpack("p"), f"    {m} = product(x, s)\n"]
+    lines = ["def trilinear(p, x, s):\n", _unpack("p")]
     if guarded:
+        lines.append(f"    {m} = product(x, s)\n")
         conj = ", ".join(f"p{k}" if sign > 0 else f"-p{k}" for k, sign in enumerate(_CONJ_SIGNS))
         lines += [f"    {m.replace('m', 'c')} = {conj}\n",
                   f"    sp = {_guarded_sum((s, f'c{i}', f'm{j}') for i, j, s in scalar)}\n",
@@ -157,7 +162,11 @@ def _trilinear(table, product, guarded: bool = True):
             coeff[i, j] = coeff.get((i, j), 0) + _CONJ_SIGNS[i] * sign
             coeff[j, i] = coeff.get((j, i), 0) + _CONJ_SIGNS[j] * sign
         total = signed_sum((-k, f"p{a} * m{b}") for (a, b), k in sorted(coeff.items()) if k)
-        lines.append(f"    return Fraction({total}, 2)\n")
+        lines += [f"    if {all_python_ints(f'p{k}' for k in range(8))}:\n",
+                  "        m = product(x, s)\n",
+                  "        if m is not None:\n",
+                  f"            {m} = m\n",
+                  f"            return Fraction({total}, 2)\n"]
     return compiled("trilinear", "".join(lines), product=product, isinf=math.isinf,
                     isfinite=math.isfinite, NEG_HALF=-_HALF, Fraction=Fraction)
 
@@ -293,12 +302,30 @@ class SplitOctonion:
         return " + ".join(terms) if terms else "0"
 
 
+# coefficient types whose products never wrap
+_NO_WRAP = frozenset({int, bool, float, Fraction})
+
+
+def _python_ints(values):
+    """The values with every integer scalar that is not a Python int (a
+    numpy integer, whose products wrap in int64) as a Python int, as a
+    list; values all of a type in _NO_WRAP come back as they are."""
+    for v in values:
+        if type(v) not in _NO_WRAP:
+            return [int(v) if isinstance(v, Integral) and not isinstance(v, int) else v
+                    for v in values]
+    return values
+
+
 def mul(a: SplitOctonion, b: SplitOctonion) -> SplitOctonion:
     """Bilinear extension of the unit multiplication table: the int product
-    when every coefficient is a Python int, else the guarded one."""
+    when every coefficient is a Python int, else the guarded one, on numpy
+    integers turned into Python ints (so that they cannot wrap)."""
     ac, bc = a.c, b.c
     c = _INT_PRODUCT(ac, bc)
-    return SplitOctonion(_PRODUCT(ac, bc) if c is None else c)
+    if c is None:
+        c = _PRODUCT(_python_ints(ac), _python_ints(bc))
+    return SplitOctonion(c)
 
 
 def conj(s: SplitOctonion) -> SplitOctonion:

@@ -23,7 +23,6 @@ import itertools
 import math
 from collections import namedtuple
 from fractions import Fraction
-from numbers import Integral
 
 from . import clifford as cl
 from . import octonion as oc
@@ -96,9 +95,15 @@ def oct_from_components(c) -> oc.SplitOctonion:
 def trilinear_oct(phi_o: oc.SplitOctonion, x_o: oc.SplitOctonion,
                   psi_o: oc.SplitOctonion):
     """-conj(Phi) . (X Psi) with the octonion inner product, through the
-    form compiled from the unit table: the value, type and float bits of
-    -oc.inner(phi_o.conj(), oc.mul(x_o, psi_o))."""
-    return oc._TRILINEAR(phi_o.c, x_o.c, psi_o.c)
+    forms compiled from the unit table: the value, type and float bits of
+    -oc.inner(phi_o.conj(), oc.mul(x_o, psi_o)), the int form when every
+    coefficient is a Python int, else the guarded form on numpy integers
+    turned into Python ints (so that they cannot wrap)."""
+    p, x, s = phi_o.c, x_o.c, psi_o.c
+    value = oc._INT_TRILINEAR(p, x, s)
+    if value is None:
+        value = oc._TRILINEAR(oc._python_ints(p), oc._python_ints(x), oc._python_ints(s))
+    return value
 
 
 BLOCK = 64          # samples per stacked evaluation in the batched suites
@@ -247,31 +252,31 @@ def equivalence_map() -> CorrespondenceMap:
     return _ORACLE_CACHE
 
 
-def _python_ints(values) -> list:
-    """The values with every integer scalar that is not a Python int (a
-    numpy integer) as a Python int, and the rest as they are."""
-    return [int(v) if isinstance(v, Integral) and not isinstance(v, int) else v
-            for v in values]
-
-
 def trilinear_both(phi, x, psi):
     """Evaluate the matrix form and the octonion form under the identity
     dictionary, which equivalence_map() verifies before first use.
 
-    phi and psi are read as trilinear_matrix reads them (8 components, or 16
-    with the wrong-chirality block zero), once, and both forms get the same
-    eight values of phi, x and psi.  When every component of the three is
-    integral, they are Python ints and both forms run their int versions;
-    else numpy integers become Python ints, so that they cannot wrap in
-    int64 on the octonion side, and the rest are passed as given.
+    Three lists of 8 Python ints go straight to the int forms, which check
+    their own input.  Otherwise phi and psi are read as trilinear_matrix
+    reads them (8 components, or 16 with the wrong-chirality block zero),
+    once, and both forms get the same eight values of phi, x and psi.  When
+    every component of the three is integral, they are Python ints and both
+    forms run their int versions; else numpy integers become Python ints,
+    so that they cannot wrap in int64 on the octonion side, and the rest
+    are passed as given.
     """
     equivalence_map()
+    if (type(phi) is list and type(x) is list and type(psi) is list
+            and len(phi) == len(x) == len(psi) == 8):
+        mat_val = cl._TRILINEAR(phi, x, psi)
+        if mat_val is not None:
+            return mat_val, oc._INT_TRILINEAR(phi, x, psi)
     phi, psi = cl._chiral_8(phi, "phi"), cl._chiral_8(psi, "psi")
     x = cl._flat(x, (8,), "vector needs 8 components")
     ints = cl._as_ints(phi), cl._as_ints(x), cl._as_ints(psi)
     if None not in ints:
         return cl._TRILINEAR(*ints), oc._INT_TRILINEAR(*ints)
-    phi, x, psi = _python_ints(phi), _python_ints(x), _python_ints(psi)
+    phi, x, psi = oc._python_ints(phi), oc._python_ints(x), oc._python_ints(psi)
     return cl._trilinear(phi, x, psi), oc._TRILINEAR(phi, x, psi)
 
 

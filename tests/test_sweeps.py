@@ -449,16 +449,21 @@ def reference_trilinear_matrix(phi, x, psi):
 
 def result_of(f, *args):
     """The type and value of f(*args), a float as its bits (signed zeros
-    included), or the type of the error it raises.  A NaN is only a NaN:
-    the sign of nan + (-nan) changes once the interpreter specialises the
-    addition, so no version of a kernel fixes it."""
+    included), or the type and message of the error it raises.  A NaN is
+    only a NaN: the sign of nan + (-nan) changes once the interpreter
+    specialises the addition, so no version of a kernel fixes it."""
     try:
         v = f(*args)
     except (OverflowError, ValueError) as exc:
-        return "raises", type(exc)
+        return "raises", type(exc), str(exc)
     if isinstance(v, float):
         return type(v), "nan" if math.isnan(v) else struct.pack("<d", v)
     return type(v), v
+
+
+def numpy_ints_as_python(values):
+    """The values with every numpy integer as a Python int, the rest as they are."""
+    return [int(v) if isinstance(v, np.integer) else v for v in values]
 
 
 def inner_oracle(a, b):
@@ -494,15 +499,52 @@ EXACT_LIKE = st.one_of(st.integers(-2 ** 100, 2 ** 100), st.booleans(),
                        st.integers(-2 ** 60, 2 ** 60).map(float),
                        st.fractions(-100, 100, max_denominator=3))
 TRILINEAR_ARGS = st.one_of(COMPONENTS, st.lists(EXACT_LIKE, min_size=8, max_size=8))
+SPINOR_ARGS = st.one_of(*(st.lists(v, min_size=16, max_size=16)
+                          for v in (*NUMBERS.values(), EXACT_LIKE)))
+
+# how a kernel argument arrives: a list, a tuple, an ndarray of the dtype
+# numpy picks for the values, or an object ndarray that keeps each as it is
+CONTAINERS = {"list": list, "tuple": tuple, "array": np.array,
+              "object array": lambda v: np.array(v, dtype=object)}
+
+
+def arranged(values, layout, block=None):
+    """The component list ``values`` in a layout a kernel reads or refuses:
+    as given ("n"), one short or one long, as the one row of a 2-D
+    argument, or in 16 components with the other chiral block zero ("16")
+    or not ("16 mixed"); phi's values fill the first block, the rest the
+    last."""
+    if layout == "short":
+        return values[:-1]
+    if layout == "long":
+        return values + [0]
+    if layout == "2-D":
+        return [values]
+    if layout.startswith("16"):
+        other = [int(layout == "16 mixed")] + [0] * 7
+        return values + other if block == "phi" else other + values
+    return values
+
+
+@st.composite
+def kernel_args(draw, values, layouts, block=None):
+    """One argument: drawn values in a drawn layout and container."""
+    arg = arranged(draw(values), draw(st.sampled_from(layouts)), block)
+    return CONTAINERS[draw(st.sampled_from(sorted(CONTAINERS)))](arg)
+
+
+# mostly readable arguments, and every way of refusing one
+TRILINEAR_LAYOUTS = ("n", "n", "n", "16", "16 mixed", "short", "long", "2-D")
+SPINOR_LAYOUTS = ("n", "n", "n", "short", "long", "2-D")
 
 
 def coefficients_of(f, a, b):
-    """result_of for each coefficient of the octonion f(a, b), or the type of
-    the error it raises."""
+    """result_of for each coefficient of the octonion f(a, b), or the type and
+    message of the error it raises."""
     try:
         coeffs = f(a, b).c
     except (OverflowError, ValueError) as exc:
-        return "raises", type(exc)
+        return "raises", type(exc), str(exc)
     return [result_of(lambda: v) for v in coeffs]
 
 
@@ -517,6 +559,8 @@ MUL_COMPONENTS = st.one_of(COMPONENTS, st.lists(MUL_EXTRAS, min_size=8, max_size
                            st.lists(st.one_of(st.integers(-9, 9), st.sampled_from(WIDE_INTS)),
                                     min_size=8, max_size=8))
 INT_EXAMPLE = [2 ** 40, -2 ** 40, 2 ** 70, 0, 1, -1, -2 ** 70, 7]
+# a numpy integer whose square leaves int64
+WIDE_INT64 = [np.int64(2 ** 40)] + [0] * 7
 # a bool, signed zeros, inf, NaN, a Fraction and a numpy int: the guarded path
 GUARDED_EXAMPLE = [True, -0.0, math.inf, math.nan, Fraction(1, 3), np.int64(-7), 0.0, False]
 
@@ -534,22 +578,27 @@ def numpy_meets_wide_ints(*values):
             and any(type(v) is int and abs(v) >= 2 ** 20 for v in flat))
 
 
-# numpy scalars overflow alike on both sides, so their warnings are ignored
+# numpy scalars overflow alike on both sides of inner, so their warnings are
+# ignored; the trilinear form turns numpy integers into Python ints first
 @given(MUL_COMPONENTS, MUL_COMPONENTS, MUL_COMPONENTS)
 @example(INT_EXAMPLE, INT_EXAMPLE[::-1], INT_EXAMPLE)
 @example(GUARDED_EXAMPLE, GUARDED_EXAMPLE[::-1], GUARDED_EXAMPLE)
 @example(INT_EXAMPLE, [0.0] * 8, [-0.0] * 8)
+@example(WIDE_INT64, WIDE_INT64, [np.int64(-2 ** 40), 0.5] + [0] * 6)
 def check_octonion_kernels(phi, x, psi):
     assume(not numpy_meets_wide_ints(phi, x, psi))
     a, b, c = O(phi), O(x), O(psi)
+    pa, pb, pc = (O(numpy_ints_as_python(v)) for v in (phi, x, psi))
     with np.errstate(all="ignore"):
         assert result_of(oc.inner, a, b) == result_of(inner_oracle, a, b)
         assert result_of(oc.inner, a, a) == result_of(inner_oracle, a, a)
-        want = result_of(lambda: -inner_oracle(a.conj(), reference_mul(b, c)))
+        want = result_of(lambda: -inner_oracle(pa.conj(), reference_mul(pb, pc)))
         assert result_of(tr.trilinear_oct, a, b, c) == want
-    # the int form takes Python ints only
+    # the int form takes Python ints only, and returns None on anything else
     if python_ints(phi, x, psi):
         assert result_of(oc._INT_TRILINEAR, phi, x, psi) == want
+    else:
+        assert oc._INT_TRILINEAR(phi, x, psi) is None
 
 
 @pytest.mark.parametrize("entries", [()] + FLIPS)
@@ -558,15 +607,19 @@ def test_octonion_kernels_match_two_product_oracle(monkeypatch, entries):
     check_octonion_kernels()
 
 
+# mul turns numpy integers into Python ints before it multiplies, so the loop
+# is run on the same values; numpy floats overflow alike on both sides
 @given(MUL_COMPONENTS, MUL_COMPONENTS)
 @example(INT_EXAMPLE, INT_EXAMPLE[::-1])
 @example(GUARDED_EXAMPLE, GUARDED_EXAMPLE[::-1])
 @example(GUARDED_EXAMPLE, INT_EXAMPLE)
+@example(WIDE_INT64, [np.int64(-2 ** 40), 2 ** 70, 0.5] + [0] * 5)
 def check_mul(x, y):
     a, b = O(x), O(y)
+    pa, pb = O(numpy_ints_as_python(x)), O(numpy_ints_as_python(y))
     with np.errstate(all="ignore"):
-        assert coefficients_of(oc.mul, a, b) == coefficients_of(reference_mul, a, b)
-        assert coefficients_of(oc.mul, b, a) == coefficients_of(reference_mul, b, a)
+        assert coefficients_of(oc.mul, a, b) == coefficients_of(reference_mul, pa, pb)
+        assert coefficients_of(oc.mul, b, a) == coefficients_of(reference_mul, pb, pa)
     # the int product gives the loop's ints on Python ints, and None on
     # anything else, where mul takes the guarded product
     got = oc._INT_PRODUCT(a.c, b.c)
@@ -598,10 +651,17 @@ def test_mul_sums_negative_zero_terms_to_positive_zero():
 
 # the matrix form reads the trilinear slices, not the unit table, so a
 # flipped table leaves it as it is
-@given(TRILINEAR_ARGS, TRILINEAR_ARGS, TRILINEAR_ARGS)
+@given(kernel_args(TRILINEAR_ARGS, TRILINEAR_LAYOUTS, "phi"),
+       kernel_args(TRILINEAR_ARGS, TRILINEAR_LAYOUTS),
+       kernel_args(TRILINEAR_ARGS, TRILINEAR_LAYOUTS, "psi"))
+@example(list(range(8)), list(range(8)), list(range(8)))
+@example(list(range(8)), list(range(8)) + [0] * 8, list(range(8)))
+@example(list(range(8)) + [1] + [0] * 7, list(range(7)), [0] * 8 + list(range(8)))
+@example(list(range(7)), list(range(7)), list(range(7)))
+@example(list(range(16)), list(range(16)), list(range(16)))
 def test_trilinear_matrix_matches_per_slice_oracle(phi, x, psi):
     assert (result_of(cl.trilinear_matrix, phi, x, psi)
-            == result_of(reference_trilinear_matrix, phi, x, psi))
+            == result_of(reference_read_trilinear_matrix, phi, x, psi))
 
 
 def test_flat_trilinear_table_matches_dense_slices():
@@ -648,20 +708,19 @@ def test_as_ints_edge_cases_match_reference(values):
     assert [type(v) for v in got or []] == [type(v) for v in want or []]
 
 
-def test_as_ints_keeps_python_ints_as_they_are():
-    values = [2 ** 70, -3, 0, 5]
-    assert cl._as_ints(values) is values
-
-
-def test_spinor_invariant_matches_reference_as_ints(monkeypatch):
+def test_spinor_invariant_matches_reference_as_ints():
     rng = np.random.default_rng(11)
     draws = ([int(v) for v in rng.integers(-9, 10, 16)], [2 ** 65 + k for k in range(16)],
              [True] * 3 + [0] * 13, list(rng.integers(-9, 10, 16)),
              [float(v) for v in rng.integers(-9, 10, 16)], list(rng.normal(size=16)),
-             [1e154] * 16, [5e-324, -0.0] * 8)
-    new = [result_of(cl.spinor_invariant, eta) for eta in draws]
-    monkeypatch.setattr(cl, "_as_ints", reference_as_ints)
-    assert new == [result_of(cl.spinor_invariant, eta) for eta in draws]
+             [1e154] * 16, [5e-324, -0.0] * 8, [Fraction(2, 1)] * 16,
+             list(range(15)), list(range(17)), [list(range(16))])
+    for name, container in CONTAINERS.items():
+        for eta in draws:
+            assert (result_of(cl.spinor_invariant, container(eta))
+                    == result_of(reference_read_spinor_invariant, container(eta))), (name, eta)
+    assert result_of(cl.spinor_invariant, list(range(15))) == (
+        "raises", ValueError, "spinor needs 16 components")
 
 
 # The forms as they were summed before they were compiled from their tables:
@@ -679,13 +738,25 @@ def reference_spinor_invariant(eta):
     return cl._fsum(q / 2 * e[i] * e[j] for i, j, q in cl._Q_SPINOR_TERMS)
 
 
+def reference_read_spinor_invariant(eta):
+    """spinor_invariant as it read its argument before the int form checked
+    its own input: the flat components, then the integer check of them all."""
+    return reference_spinor_invariant(cl._flat(eta, (16,), "spinor needs 16 components"))
+
+
+def reference_read_trilinear_matrix(phi, x, psi):
+    """trilinear_matrix as it read its arguments before the int form checked
+    its own input."""
+    phi, psi = cl._chiral_8(phi, "phi"), cl._chiral_8(psi, "psi")
+    return reference_trilinear_matrix(phi, cl._flat(x, (8,), "vector needs 8 components"), psi)
+
+
 def reference_trilinear_both(phi, x, psi):
     phi, psi = cl._chiral_8(phi, "phi"), cl._chiral_8(psi, "psi")
     x = cl._flat(x, (8,), "vector needs 8 components")
     ints = [reference_as_ints(v) for v in (phi, x, psi)]
     if None in ints:
-        phi, x, psi = ([int(v) if isinstance(v, np.integer) else v for v in vals]
-                       for vals in (phi, x, psi))
+        phi, x, psi = (numpy_ints_as_python(vals) for vals in (phi, x, psi))
     else:
         phi, x, psi = ints
     return (reference_trilinear_matrix(phi, x, psi),
@@ -693,29 +764,36 @@ def reference_trilinear_both(phi, x, psi):
 
 
 def both_result_of(phi, x, psi, both=None):
-    """result_of for each side of trilinear_both, or the error it raises."""
+    """result_of for each side of trilinear_both, or the type and message of
+    the error it raises."""
     try:
         mat_val, oct_val = (both or tr.trilinear_both)(phi, x, psi)
     except (OverflowError, ValueError) as exc:
-        return "raises", type(exc)
+        return "raises", type(exc), str(exc)
     return result_of(lambda: mat_val), result_of(lambda: oct_val)
 
 
-WIDE_INT64 = [np.int64(2 ** 40)] + [0] * 7
-
-
-@given(TRILINEAR_ARGS, TRILINEAR_ARGS, TRILINEAR_ARGS)
+@given(kernel_args(TRILINEAR_ARGS, TRILINEAR_LAYOUTS, "phi"),
+       kernel_args(TRILINEAR_ARGS, TRILINEAR_LAYOUTS),
+       kernel_args(TRILINEAR_ARGS, TRILINEAR_LAYOUTS, "psi"))
 @example(WIDE_INT64, WIDE_INT64, WIDE_INT64)
 @example([0.5] + [0] * 7, WIDE_INT64, WIDE_INT64)
 @example([np.int64(3 ** 39), Fraction(4, 2)] + [0] * 6, [True, 2.0 ** 60] + [0] * 6,
          [np.int64(-(2 ** 62))] * 8)
+@example(list(range(8)), list(range(8)), list(range(8)))
+@example(tuple(range(8)), np.arange(8), [0] * 8 + list(range(8)))
+@example(list(range(8)), list(range(9)), list(range(8)) + [0] * 8)
+@example(list(range(8)) + [1] + [0] * 7, list(range(8)), list(range(8)))
+@example(list(range(8)), list(range(8)), list(range(7)))
+@example(list(range(7)), list(range(7)), list(range(7)))
+@example(list(range(16)), list(range(16)), list(range(16)))
 def test_trilinear_both_matches_reference(phi, x, psi):
     # on all-integral input both forms are exact and equal; elsewhere numpy
     # ints become Python ints before either form multiplies them, so no
     # numpy arithmetic overflows (a warning would fail the test)
     got = both_result_of(phi, x, psi)
     assert got == both_result_of(phi, x, psi, reference_trilinear_both)
-    if all(reference_as_ints(v) is not None for v in (phi, x, psi)):
+    if got[0] != "raises" and all(reference_as_ints(v) is not None for v in (phi, x, psi)):
         mat_val, oct_val = tr.trilinear_both(phi, x, psi)
         assert type(mat_val) is int and Fraction(mat_val) == oct_val
 
@@ -727,10 +805,10 @@ def test_trilinear_both_does_not_wrap_numpy_ints_on_the_float_path():
     assert type(mat_val) is float and mat_val == float(oct_val) == -0.5 * 2.0 ** 80
 
 
-@given(st.one_of(*(st.lists(v, min_size=16, max_size=16)
-                   for v in (*NUMBERS.values(), EXACT_LIKE))))
+@given(kernel_args(SPINOR_ARGS, SPINOR_LAYOUTS))
 def test_compiled_spinor_invariant_matches_term_loop(eta):
-    assert result_of(cl.spinor_invariant, eta) == result_of(reference_spinor_invariant, eta)
+    assert (result_of(cl.spinor_invariant, eta)
+            == result_of(reference_read_spinor_invariant, eta))
 
 
 def basis(k, n=8):
@@ -767,6 +845,108 @@ def test_spinor_form_is_compiled_from_its_table(n):
     assert negated(basis(i, 16)) == -q // 2
     assert [negated(basis(m, 16)) for m in range(16) if m != i] == [
         cl._SPINOR_FORM(basis(m, 16)) for m in range(16) if m != i]
+
+
+# every integer form returns None unless each component is a Python int
+NOT_PYTHON_INTS = {"bool": True, "numpy int": np.int64(3), "float": 3.0,
+                   "Fraction": Fraction(3)}
+INT_FORMS = {"spinor form": (lambda: cl._SPINOR_FORM, (16,)),
+             "matrix trilinear": (lambda: cl._TRILINEAR, (8, 8, 8)),
+             "octonion trilinear": (lambda: oc._INT_TRILINEAR, (8, 8, 8)),
+             "int product": (lambda: oc._INT_PRODUCT, (8, 8))}
+
+
+@pytest.mark.parametrize("bad", NOT_PYTHON_INTS.values(), ids=NOT_PYTHON_INTS.keys())
+@pytest.mark.parametrize("form,sizes", INT_FORMS.values(), ids=INT_FORMS.keys())
+def test_int_forms_return_none_unless_every_component_is_a_python_int(form, sizes, bad):
+    args = [list(range(-3, n - 3)) for n in sizes]
+    assert form()(*args) is not None
+    for a, n in enumerate(sizes):
+        for k in range(n):
+            changed = [list(v) for v in args]
+            changed[a][k] = bad
+            assert form()(*changed) is None, (a, k)
+
+
+@pytest.mark.parametrize("v", [2 ** 40, -2 ** 40])
+def test_mul_and_trilinear_oct_do_not_wrap_numpy_ints(v):
+    # squares past int64: numpy would wrap them (with a RuntimeWarning, an
+    # error here); the kernels multiply them as Python ints
+    a = O([np.int64(v)] + [0] * 7)
+    b = O([np.int64(v), 0.5] + [0] * 6)            # the float path of the forms
+    square = oc.mul(a, a).c[0]
+    assert (type(square), square) == (int, 2 ** 80)
+    assert oc.mul(a, b).c[0] == 2 ** 80
+    value = tr.trilinear_oct(O.unit(0), a, a)
+    assert (type(value), value) == (Fraction, -2 ** 80)
+    assert tr.trilinear_oct(O.unit(0), a, b) == -2 ** 80
+    assert tr.trilinear_oct(O([0.5] + [0] * 7), a, a) == -2 ** 79
+
+
+# The spinor rotor as it was before its turn was compiled: one comprehension
+# over the plane's signed permutation.
+
+def reference_rotate_spinor_list(eta, r):
+    c, s = cl.half_angle(r.compact, r.theta)
+    return [c * e - s * (g * eta[j] + 0.0)
+            for e, (j, g) in zip(eta, cl._bivector_action(r.mu, r.nu))]
+
+
+def bits_of(values):
+    """result_of for each value: its type and float bits, a NaN as NaN."""
+    return [result_of(lambda v=v: v) for v in values]
+
+
+# signed zeros, subnormals, values near float max, non-finite values, ints
+TURN_SPINORS = (
+    [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 2.5e-308, -1.0,
+     3.0, -0.0, 1e300, -1e300, 0.0, 5e-324, 7.25, -2.0],
+    [math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, -math.nan, 2.0,
+     -math.inf, 1e300, -0.0, math.nan, 5e-324, math.inf, -1e300, 0.0],
+    [-0.0] * 16,
+    list(range(-8, 8)),
+    np.random.default_rng(3).normal(size=16).tolist(),
+)
+TURN_THETAS = (0.0, -0.0, 0.7, -2.9, 2 * math.pi, 30.0)
+
+
+@pytest.mark.parametrize("mu,nu", itertools.permutations(range(8), 2))
+def test_turn_matches_the_comprehension_bit_for_bit(mu, nu):
+    for theta in TURN_THETAS:
+        r = cl.rotor(mu, nu, theta)
+        for eta in TURN_SPINORS:
+            want = bits_of(reference_rotate_spinor_list(eta, r))
+            assert bits_of(cl.rotate_spinor_list(eta, r)) == want, (theta, eta)
+            floats = [float(v) for v in eta]
+            got = cl.rotate_spinor(np.array(floats), r)
+            assert got.dtype == np.float64 and got.shape == (16,)
+            assert bits_of(got.tolist()) == bits_of(reference_rotate_spinor_list(floats, r))
+
+
+@pytest.mark.parametrize("plane,row", [((0, 4), 0), ((2, 5), 7), ((6, 7), 12), ((3, 1), 15)])
+def test_one_flipped_action_sign_changes_that_row_of_the_turn(monkeypatch, plane, row):
+    eta = [float(k + 1) for k in range(16)]
+    r = cl.rotor(*plane, 0.9)
+    before = cl.rotate_spinor(eta, r)
+    action = list(cl._bivector_action(*plane))
+    j, g = action[row]
+    action[row] = (j, -g)
+    monkeypatch.setitem(cl._BIV_REP, plane, tuple(action))
+    after = cl.rotate_spinor(eta, r)
+    assert np.flatnonzero(after != before).tolist() == [row]
+    assert bits_of(after.tolist()) == bits_of(reference_rotate_spinor_list(eta, r))
+
+
+def test_the_turn_compiles_nothing_per_plane(monkeypatch):
+    # every plane's action is composed into _BIV_REP on first use and read
+    # from there by the one turn compiled at import
+    def refuse(*args, **kwargs):
+        raise AssertionError("compiled a form after import")
+    monkeypatch.setattr(cl, "compiled", refuse)
+    monkeypatch.setattr(cl, "_BIV_REP", {})
+    for mu, nu in itertools.permutations(range(8), 2):
+        cl.rotate_spinor_list([1.0] * 16, cl.rotor(mu, nu, 0.5))
+    assert len(cl._BIV_REP) == 56
 
 
 def golden_float_inputs():
@@ -857,5 +1037,6 @@ def test_single_call_kernels_form_only_the_products_they_need(monkeypatch):
     assert made(oc.mul, a, b) == ["int"]
     assert made(oc.mul, a, c) == ["guarded"]
     assert made(tr.trilinear_oct, a, b, c) == ["guarded"]
+    assert made(tr.trilinear_oct, a, b, a) == ["int"]
     assert made(tr.trilinear_both, list(range(8)), list(range(3, 11)), [1] * 8) == ["int"]
     assert made(tr.trilinear_both, list(range(8)), list(range(3, 11)), c.c) == ["guarded"]
