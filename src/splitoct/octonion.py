@@ -15,19 +15,21 @@ _INT_TRILINEAR); and the table's eight scalar entries (e_a e_b = +-1),
 which inner reads.  Each int form checks its own input and returns None
 unless every coefficient is a Python int; mul and the trilinear form then
 take the guarded form, with numpy integers turned into Python ints first
-so that their products cannot wrap in int64.  The identity sweeps contract
-the dense structure tensor built from the same table on first use (numpy,
-imported by the sweeps only).
+so that their products cannot wrap in int64; inner and norm_sq do the same.
+
+The identity sweeps (verify_table, verify_moufang, verify_malcev,
+verify_associators and generate_basis_from_J) live in ``sweeps``, which
+contracts the dense structure tensor built from the same table (numpy).
+Each name resolves here on first lookup, which imports that module: a
+process that runs no sweep compiles neither it nor numpy.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from numbers import Integral
 
-from .exact import all_python_ints, compiled, exact_float64, signed_sum
-from .report import VerificationReport
+from .exact import all_python_ints, compiled, signed_sum
 
 UNIT_NAMES = ("1", "j1", "j2", "j3", "I", "J1", "J2", "J3")
 SCALAR, J1, J2, J3 = 0, 5, 6, 7
@@ -171,25 +173,13 @@ def _trilinear(table, product, guarded: bool = True):
                     isfinite=math.isfinite, NEG_HALF=-_HALF, Fraction=Fraction)
 
 
-def _structure_tensor(table):
-    """C[a,b,k] with e_a e_b = sum_k C[a,b,k] e_k, read off a unit table,
-    as an int64 array."""
-    import numpy as np
-    c = np.zeros((8, 8, 8), dtype=np.int64)
-    for a, row in enumerate(table):
-        for b, (k, sign) in enumerate(row):
-            c[a, b, k] = sign
-    c.flags.writeable = False
-    return c
-
-
 def _forms(table) -> dict:
     """A unit table and every form built from it, by the module name each is
     kept under: its scalar entries, the guarded and int products, the
-    guarded and int octonionic trilinear forms, and _C = None, so that _c()
-    builds the structure tensor from the table on first use.  The module
-    installs the forms of _build_table() at import; code that swaps the
-    table installs all of them together."""
+    guarded and int octonionic trilinear forms, and _C = None, so that
+    sweeps._c() builds the structure tensor from the table on first use
+    and keeps it as _C.  The module installs the forms of _build_table()
+    at import; code that swaps the table installs all of them together."""
     product, int_product = _product(table), _product(table, guarded=False)
     return {"_TABLE": table, "_SCALAR_TERMS": _scalar_terms(table),
             "_PRODUCT": product, "_INT_PRODUCT": int_product,
@@ -200,14 +190,6 @@ def _forms(table) -> dict:
 
 # _TABLE, _SCALAR_TERMS, _PRODUCT, _INT_PRODUCT, _TRILINEAR, _INT_TRILINEAR, _C
 globals().update(_forms(_build_table()))
-
-
-def _c():
-    """The structure tensor of _TABLE, built on first use."""
-    global _C
-    if _C is None:
-        _C = _structure_tensor(_TABLE)
-    return _C
 
 
 class SplitOctonion:
@@ -285,8 +267,9 @@ class SplitOctonion:
         return SplitOctonion((self.c[0],) + tuple(-a for a in self.c[1:]))
 
     def norm_sq(self):
-        """omega^2 - lambda^2 + x^2 - t^2 (the split (4,4) interval)."""
-        c = self.c
+        """omega^2 - lambda^2 + x^2 - t^2 (the split (4,4) interval), with
+        numpy integers as Python ints (so that they cannot wrap)."""
+        c = _python_ints(self.c)
         return (c[0] * c[0] + c[1] * c[1] + c[2] * c[2] + c[3] * c[3]
                 - c[4] * c[4] - c[5] * c[5] - c[6] * c[6] - c[7] * c[7])
 
@@ -344,9 +327,9 @@ def inner(a: SplitOctonion, b: SplitOctonion):
     with the zero skipping of mul, so they are the values mul gives, bit
     for bit (a NaN's sign aside).  Where the float p + q overflows but p
     and q do not, the halves are added instead, which keeps a finite value
-    finite.
+    finite.  numpy integers are taken as Python ints, as mul takes them.
     """
-    ac, bc = a.c, b.c
+    ac, bc = _python_ints(a.c), _python_ints(b.c)
     p = q = 0
     for i, j, sign in _SCALAR_TERMS:
         ai, bj = ac[i], bc[j]
@@ -519,320 +502,14 @@ def expected_associator(a: int, b: int, c: int) -> SplitOctonion:
     return sign * val
 
 
-# ---------------------------------------------------------------------------
-# identity sweeps
-# ---------------------------------------------------------------------------
-
-def verify_table() -> VerificationReport:
-    """All 64 unit products against the hard-coded structure constants,
-    plus squares and anticommutativity."""
-    rep = VerificationReport("octonion-table")
-    sc = StructureConstants.standard()
-    for a in range(8):
-        for b in range(8):
-            idx, sign = sc.product(a, b)
-            got = mul(SplitOctonion.unit(a), SplitOctonion.unit(b))
-            want = sign * SplitOctonion.unit(idx)
-            rep.record_case(got == want, f"{UNIT_NAMES[a]}*{UNIT_NAMES[b]}")
-    for k, sq in ((5, 1), (6, 1), (7, 1), (1, -1), (2, -1), (3, -1), (4, 1)):
-        got = mul(SplitOctonion.unit(k), SplitOctonion.unit(k))
-        rep.record_case(got == SplitOctonion.scalar(sq), f"{UNIT_NAMES[k]}^2")
-    for a in HYPER:
-        for b in HYPER:
-            if a < b:
-                x, y = SplitOctonion.unit(a), SplitOctonion.unit(b)
-                rep.record_case(mul(x, y) == -mul(y, x),
-                                f"anticommute {UNIT_NAMES[a]},{UNIT_NAMES[b]}")
-    return rep
+# the identity sweeps, which ``sweeps`` holds
+_SWEEPS = frozenset({"verify_table", "verify_moufang", "verify_malcev",
+                     "verify_associators", "generate_basis_from_J"})
 
 
-def _same(lhs, rhs):
-    """Per-case equality over the coefficient axis, on hyper-complex unit
-    tuples only."""
-    units = (slice(1, None),) * (lhs.ndim - 1)
-    return (lhs[units] == rhs[units]).all(axis=-1)
-
-
-def _triple_products():
-    """(e_a e_b) e_c and e_a (e_b e_c) over the last axis."""
-    import numpy as np
-    c = _c()
-    return np.einsum("abm,mck->abck", c, c), np.einsum("bcm,amk->abck", c, c)
-
-
-def verify_moufang() -> VerificationReport:
-    """Flexible Moufang identities on all 343 unit triples and the mild
-    associative laws on all 49 pairs, exactly.
-
-    With x, y, z = e_a, e_b, e_c, every side is one contraction of the two
-    bracketings (xy)z and x(yz) with the structure tensor, or a diagonal
-    of one of them.
-    """
-    import numpy as np
-    rep = VerificationReport("moufang")
-    c = _c()
-    p, q = _triple_products()
-    n = UNIT_NAMES[1:]
-    triples = np.stack([
-        _same(np.einsum("abnk,can->abck", p, c),      # (xy)(zx)
-              np.einsum("abcn,nak->abck", q, c)),     # (x(yz))x
-        _same(np.einsum("cbcn,nak->abck", p, c),      # ((zy)z)x
-              np.einsum("bcan,cnk->abck", q, c)),     # z(y(zx))
-        _same(np.einsum("bcbn,ank->abck", p, c),      # x((yz)y)
-              np.einsum("abcn,nbk->abck", p, c)),     # ((xy)z)y
-    ], axis=-1)
-    rep.record_mask(triples, lambda x, y, z, i: (
-        ("(xy)(zx)=x(yz)x", "(zyz)x=z(y(zx))", "x(yzy)=((xy)z)y")[i]
-        + f" ({n[x]},{n[y]},{n[z]})"))
-    pairs = np.stack([
-        _same(np.einsum("abbk->abk", p), np.einsum("abbk->abk", q)),   # (xy)y, x(yy)
-        _same(np.einsum("aabk->abk", q), np.einsum("aabk->abk", p)),   # x(xy), (xx)y
-        _same(np.einsum("abak->abk", p), np.einsum("abak->abk", q)),   # (xy)x, x(yx)
-    ], axis=-1)
-    rep.record_mask(pairs, lambda x, y, i: (
-        ("(xy)y=xy^2", "x(xy)=x^2y", "(xy)x=x(yx)")[i] + f" ({n[x]},{n[y]})"))
-    return rep
-
-
-def _malcev_tensors():
-    """The commutator algebra on units as integer tensors over the last axis:
-    2[e_a,e_b], 4[[e_a,e_b],e_c], 12 J(e_a,e_b,e_c) and 4 D_{e_a,e_b}(e_c)."""
-    import numpy as np
-    c = _c()
-    b2 = c - c.transpose(1, 0, 2)
-    bb = np.einsum("abm,mck->abck", b2, b2)
-    j12 = bb + np.einsum("bcak->abck", bb) + np.einsum("cabk->abck", bb)
-    return b2, bb, j12, 2 * bb - j12
-
-
-def verify_malcev() -> VerificationReport:
-    """Malcev relation plus the 4- and 5-element Jacobiator identities
-    of the commutator algebra, exactly.
-
-    Products inside the sweep are Malcev products [x,y] = (xy-yx)/2; on
-    pairwise-anticommuting units these equal the plain products, but the
-    identities hold on ALL tuples (repeats included) only for the
-    commutator algebra.  The 4- and 5-element identities carry their
-    derivation-defect terms:
-
-        J([x,y],z,w) + J([y,z],x,w) + J([z,x],y,w) = 2[J(x,y,z),w]
-        J(x,y,[z,w]) = [J(x,y,z),w] + [z,J(x,y,w)] - 2 J([x,y],z,w)
-        D(J(z,u,v)) = J(Dz,u,v) + J(z,Du,v) + J(z,u,Dv),
-            D = D_{x,y} = 2 ad_[x,y] - 3 J(x,y,.)
-
-    Every identity is a contraction of the integer tensors 2[,], 12 J and
-    4 D, with both sides scaled by one common denominator (8 for the
-    Malcev relation, 24 for the Jacobiator identities, 48 for the
-    derivation).  Each contraction is one two-operand float64 product;
-    every side sums at most 32 products of two entries, so exact_float64
-    certifies that float64 gives the integer result.
-    """
-    import numpy as np
-    rep = VerificationReport("malcev")
-    b2, bb, j12, d4 = exact_float64(*_malcev_tensors(), degree=2, terms=32)
-    n = UNIT_NAMES[1:]
-    b2_a = b2.transpose(1, 0, 2)[:, None]           # [a, 1, n, k] = b2[n, a, k]
-    # x8: [[x,y],[x,z]] = [[[x,y],z],x] + [[[y,z],x],x] + [[[z,x],x],y]
-    # (the left side contracts [[x,y],n] with [x,z]_n)
-    malcev = _same(b2[:, None] @ bb,
-                   (bb + bb.transpose(2, 0, 1, 3)) @ b2_a
-                   + np.tensordot(np.einsum("caan->can", bb), b2, 1).transpose(1, 2, 0, 3))
-    # x24: J(x,y,[x,z]) = [J(x,y,z),x]
-    jxz = _same(b2[:, None] @ j12, j12 @ b2_a)
-    rep.record_mask(np.stack([malcev, jxz], axis=-1), lambda a, b, c, i: (
-        ("malcev", "J(x,y,xz)=J(x,y,z)x")[i] + f" ({n[a]},{n[b]},{n[c]})"))
-
-    # x24: both 4-element identities
-    j_of_b = np.tensordot(b2, j12, 1)                # J([x,y],z,w)
-    b_of_j = np.tensordot(j12, b2, 1)                # [J(x,y,z),w]
-    cyclic = _same(j_of_b + j_of_b.transpose(2, 0, 1, 3, 4) + j_of_b.transpose(1, 2, 0, 3, 4),
-                   2 * b_of_j)
-    leibniz = _same(np.tensordot(j12, b2, ([2], [2])).transpose(0, 1, 3, 4, 2),
-                    b_of_j + np.tensordot(j12, b2, ([3], [1])).transpose(0, 1, 3, 2, 4)
-                    - 2 * j_of_b)
-    rep.record_mask(np.stack([cyclic, leibniz], axis=-1), lambda a, b, c, d, i: (
-        ("4-elem cyclic", "4-elem leibniz")[i] + f" ({n[a]},{n[b]},{n[c]},{n[d]})"))
-
-    # x48: D(J(z,u,v)) = J(Dz,u,v) + J(z,Du,v) + J(z,u,Dv), one x at a time:
-    # all 7^5 tuples at once would hold several MB of intermediates.  With
-    # y, z, u, v over the units, each term is one product over the
-    # component m of the inner value.
-    u = slice(1, None)
-    j_m = j12[u, u, u].reshape(343, 8)                            # J(z,u,v)_m
-    j_z = j12[:, u, u].reshape(8, 392)                            # J(e_m,u,v)
-    j_u = j12[u, :, u].transpose(1, 0, 2, 3).reshape(8, 392)      # J(z,e_m,v)
-    j_v = j12[u, u, :].transpose(2, 0, 1, 3).reshape(8, 392)      # J(z,u,e_m)
-    shape = (7, 7, 7, 7, 8)
-    derivation = []
-    for d in d4[u, u]:                          # D_{x,y}(e_m) at [y, m, k]
-        dz = d[:, u].reshape(49, 8)             # D_{x,y}(e_z)_m at [(y, z), m]
-        lhs = (j_m @ d.transpose(1, 0, 2).reshape(8, 56)).reshape(shape)     # [z,u,v,y,k]
-        rhs = ((dz @ j_z).reshape(shape)
-               + (dz @ j_u).reshape(shape).transpose(0, 2, 1, 3, 4)
-               + (dz @ j_v).reshape(shape).transpose(0, 2, 3, 1, 4))
-        derivation.append((lhs.transpose(3, 0, 1, 2, 4) == rhs).all(axis=-1))
-    derivation = np.stack(derivation)
-    rep.record_mask(derivation, lambda a, b, z, u, v: (
-        f"5-elem ({n[a]},{n[b]},{n[z]},{n[u]},{n[v]})"))
-    return rep
-
-
-# the first two arguments of the associator families
-_FAMILY_KINDS = (("j", "j"), ("j", "J"), ("J", "J"))
-
-
-def verify_associators() -> VerificationReport:
-    """The six non-vanishing associator families, total antisymmetry, the
-    full 343-triple closure against the family-predicted table, and the
-    associator-commutator bridge.
-
-    The computed side is the contraction 2A of the structure tensor; the
-    expected side comes from _family_value and expected_associator, which
-    do not read the table.  The bridge compares 6 * 2A with 12 J.
-    """
-    import numpy as np
-    rep = VerificationReport("associators")
-    p, q = _triple_products()
-    a2 = p - q                       # 2 A(e_a, e_b, e_c)
-
-    # families at [n, m, slot, family]: the third argument is I at slot 0
-    # and J_k at slot k
-    got = np.empty((3, 3, 4, 3, 8), dtype=np.int64)
-    want = np.empty_like(got)
-    for n, m, slot, f in itertools.product((1, 2, 3), (1, 2, 3), range(4), range(3)):
-        x, y = _FAMILY_KINDS[f]
-        a = n if x == "j" else 4 + n
-        b = m if y == "j" else 4 + m
-        got[n - 1, m - 1, slot, f] = a2[a, b, IDX_I + slot]
-        val = (_family_value((x, y, "J"), (n, m, slot)) if slot
-               else _family_value((x, y, "I"), (n, m)))
-        want[n - 1, m - 1, slot, f] = val.c
-    rep.record_mask((got == 2 * want).all(axis=-1), lambda n, m, slot, f: (
-        f"A({_FAMILY_KINDS[f][0]}{n + 1},{_FAMILY_KINDS[f][1]}{m + 1},"
-        f"{f'J{slot}' if slot else 'I'})"))
-
-    h = a2[1:, 1:, 1:]
-    table = np.array([[[expected_associator(a, b, c).c for c in HYPER] for b in HYPER]
-                      for a in HYPER], dtype=np.int64)
-    j12 = _malcev_tensors()[2][1:, 1:, 1:]
-    triples = np.stack([
-        ((h == -h.transpose(1, 0, 2, 3)) & (h == -h.transpose(0, 2, 1, 3))).all(axis=-1),
-        (h == 2 * table).all(axis=-1),
-        (6 * h == j12).all(axis=-1),
-    ], axis=-1)
-    names = UNIT_NAMES[1:]
-    rep.record_mask(triples, lambda a, b, c, i: (
-        ("antisymmetry", "table closure", "commutator bridge")[i]
-        + f" ({names[a]},{names[b]},{names[c]})"))
-    return rep
-
-
-# ---------------------------------------------------------------------------
-# basis generation from the three J_n (independent Zorn-matrix model)
-# ---------------------------------------------------------------------------
-
-class _Zorn:
-    """Zorn vector matrix [[a, v], [w, b]]; an independent faithful model of
-    the split octonions used to certify the generated table."""
-
-    __slots__ = ("a", "v", "w", "b")
-
-    def __init__(self, a, v, w, b):
-        self.a, self.v, self.w, self.b = a, tuple(v), tuple(w), b
-
-    def __eq__(self, other):
-        return (self.a, self.v, self.w, self.b) == (other.a, other.v, other.w, other.b)
-
-    def __hash__(self):
-        return hash((self.a, self.v, self.w, self.b))
-
-    def __add__(self, other):
-        return _Zorn(self.a + other.a,
-                     tuple(p + q for p, q in zip(self.v, other.v)),
-                     tuple(p + q for p, q in zip(self.w, other.w)),
-                     self.b + other.b)
-
-    def __neg__(self):
-        return _Zorn(-self.a, tuple(-p for p in self.v), tuple(-p for p in self.w), -self.b)
-
-    def scale(self, c):
-        return _Zorn(c * self.a, tuple(c * p for p in self.v),
-                     tuple(c * p for p in self.w), c * self.b)
-
-    def halved(self):
-        """This element over 2; raises unless every entry is even."""
-        entries = (self.a, *self.v, *self.w, self.b)
-        if any(p % 2 for p in entries):
-            raise ConstructionError("an element expected to be twice a unit is not even")
-        return _Zorn(self.a // 2, tuple(p // 2 for p in self.v),
-                     tuple(p // 2 for p in self.w), self.b // 2)
-
-    def __mul__(self, other):
-        dot = lambda p, q: sum(x * y for x, y in zip(p, q))
-        cross = lambda p, q: (p[1] * q[2] - p[2] * q[1],
-                              p[2] * q[0] - p[0] * q[2],
-                              p[0] * q[1] - p[1] * q[0])
-        a = self.a * other.a + dot(self.v, other.w)
-        v = tuple(self.a * x + other.b * y - z
-                  for x, y, z in zip(other.v, self.v, cross(self.w, other.w)))
-        w = tuple(other.a * x + self.b * y + z
-                  for x, y, z in zip(self.w, other.w, cross(self.v, other.v)))
-        b = self.b * other.b + dot(self.w, other.v)
-        return _Zorn(a, v, w, b)
-
-
-def generate_basis_from_J() -> StructureConstants:
-    """Recover the full table from the three J_n alone.
-
-    The J_n are modelled as independent anticommuting square-one elements;
-    j_n is built as (1/2) eps_nmk J^m J^k, I as J_1 j_1, and each of the 64
-    unit products is looked up as +/- one of the eight units.
-    The model stays integral: 2 j_n is formed and halved only when even,
-    and I is compared with the Jacobiator as -3 I.  The result must match
-    the hard-coded constants byte for byte.
-    """
-    e3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    Jg = {n: _Zorn(0, e3[n - 1], e3[n - 1], 0) for n in (1, 2, 3)}
-
-    one = Jg[1] * Jg[1]
-    for n in (1, 2, 3):
-        if Jg[n] * Jg[n] != one:
-            raise ConstructionError("J_n^2 != 1 in the generator model")
-        for m in (1, 2, 3):
-            if m != n and Jg[m] * Jg[n] != -(Jg[n] * Jg[m]):
-                raise ConstructionError("J_m J_n != -J_n J_m in the generator model")
-
-    jg = {}
-    for n in (1, 2, 3):
-        acc = _Zorn(0, (0, 0, 0), (0, 0, 0), 0)       # 2 j_n
-        for m in (1, 2, 3):
-            for k in (1, 2, 3):
-                e = epsilon(n, m, k)
-                if e:
-                    acc = acc + (Jg[m] * Jg[k]).scale(e)
-        jg[n] = acc.halved()
-    Ig = Jg[1] * jg[1]
-
-    # I must coincide with -J(J1,J2,J3) built from plain products, J = jac / 3
-    jac = (Jg[1] * Jg[2]) * Jg[3] + (Jg[2] * Jg[3]) * Jg[1] + (Jg[3] * Jg[1]) * Jg[2]
-    if Ig.scale(-3) != jac:
-        raise ConstructionError("I != -J(J1,J2,J3) in the generator model")
-    for n in (2, 3):
-        if Jg[n] * jg[n] != Ig:
-            raise ConstructionError(f"J_{n} j_{n} != I in the generator model")
-
-    basis = [one, jg[1], jg[2], jg[3], Ig, Jg[1], Jg[2], Jg[3]]
-    if len(set(basis)) != 8:
-        raise ConstructionError("closure produced fewer than 8 distinct units")
-
-    # +-unit -> (index, sign); the lowest index wins, as a scan of the basis would
-    units = {}
-    for idx, u in enumerate(basis):
-        units.setdefault(u, (idx, 1))
-        units.setdefault(-u, (idx, -1))
-    table = tuple(tuple(units.get(x * y) for y in basis) for x in basis)
-    for a in range(8):
-        for b in range(8):
-            if table[a][b] is None:
-                raise ConstructionError(f"product of units {a},{b} is not +/- a basis unit")
-    return StructureConstants(table)
+def __getattr__(name):
+    """A sweep named in _SWEEPS, from ``sweeps``, imported on first lookup."""
+    if name in _SWEEPS:
+        from . import sweeps
+        return getattr(sweeps, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

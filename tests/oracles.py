@@ -15,6 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from splitoct import clifford as cl
+from splitoct import sweeps
 from splitoct import triality as tr
 
 
@@ -189,4 +190,4 @@ def triality_rotor(theta: float) -> RotorWord:
     """L_10(t/2) L_23(t/2) L_54(t/2) L_67(t/2): swaps the roles of the
     vector and the right-chirality spinor."""
     h = theta / 2.0
-    return RotorWord(tuple(cl.rotor(mu, nu, h) for mu, nu in tr.ROLE_SWAP_PLANES))
+    return RotorWord(tuple(cl.rotor(mu, nu, h) for mu, nu in sweeps.ROLE_SWAP_PLANES))

@@ -11,6 +11,7 @@ import numpy as np
 from splitoct import cli
 from splitoct import clifford as cl
 from splitoct import octonion as oc
+from splitoct import sweeps
 from splitoct import triality as tr
 
 from oracles import vector_to_matrix_exact
@@ -105,8 +106,8 @@ def test_c11_role_swap():
     rep = tr.role_swap_check()
     ok = rep.passed and rep.exact
     # x must imitate the L01 phi pattern; psi is a full-angle (0,1) rotation
-    ok &= np.array_equal(tr.gen_matrix(tr.COMPOSITE_X), tr.gen_matrix(tr.L01_PHI))
-    ok &= np.array_equal(tr.gen_matrix(tr.COMPOSITE_PSI)[2:], np.zeros((6, 8)))
+    ok &= np.array_equal(sweeps.gen_matrix(sweeps.COMPOSITE_X), sweeps.gen_matrix(sweeps.L01_PHI))
+    ok &= np.array_equal(sweeps.gen_matrix(sweeps.COMPOSITE_PSI)[2:], np.zeros((6, 8)))
     _report(11, "composite rotor tables equal its exact generator, half the sum of its "
                 "four plane generators, and match the role-swap pattern", ok)
 

@@ -14,6 +14,7 @@ import pytest
 from splitoct import clifford as cl
 from splitoct import exact
 from splitoct import octonion as oc
+from splitoct import sweeps
 from splitoct import triality as tr
 from splitoct.report import VerificationReport
 
@@ -130,7 +131,7 @@ def test_drawn_planes_reach_every_plane_and_never_repeat_an_index():
     rng = np.random.default_rng(tr.DEFAULT_SEED)
     seen = set()
     for _ in range(3):
-        mu, nu, theta = tr._draw_rotors(rng, (DRAW_BLOCK, 8), 2)
+        mu, nu, theta = sweeps._draw_rotors(rng, (DRAW_BLOCK, 8), 2)
         assert mu.shape == nu.shape == theta.shape == (DRAW_BLOCK, 8)
         assert (mu != nu).all()
         assert ((-2 <= theta) & (theta < 2)).all()
@@ -233,7 +234,7 @@ class TestExactFloat64:
             exact.exact_float64(one, degree=17, terms=1, sampled=True)    # 9^17 > 2^53
         monkeypatch.setattr(exact, "SAMPLE_RANGE", 2 ** 14)
         with pytest.raises(OverflowError):
-            exact.exact_float64(oc._c(), degree=4, terms=2048, sampled=True)
+            exact.exact_float64(sweeps._c(), degree=4, terms=2048, sampled=True)
 
     @pytest.mark.parametrize("suite", [tr.correspondence_check, tr.dictionary_random_check])
     def test_sampled_suites_refuse_a_wider_range(self, monkeypatch, suite):
@@ -260,15 +261,15 @@ def reference_check_generators(rep, tables, generators):
 ])
 @pytest.mark.parametrize("corrupt", [None, "sign", "nudge"])
 def test_generator_tables_match_entry_loop(monkeypatch, table, suite, corrupt):
-    bad = tr.gen_matrix(getattr(tr, table))
+    bad = sweeps.gen_matrix(getattr(sweeps, table))
     if corrupt == "sign":
         bad[np.nonzero(bad)[0][0], np.nonzero(bad)[1][0]] *= -1
     elif corrupt == "nudge":
         bad[3, 3] += 1e-3
         bad[5, 2] += 2e-9
-    monkeypatch.setattr(tr, table, tuple((i, j, bad[i, j]) for i, j in zip(*np.nonzero(bad))))
+    monkeypatch.setattr(sweeps, table, tuple((i, j, bad[i, j]) for i, j in zip(*np.nonzero(bad))))
     rep = suite()
-    monkeypatch.setattr(tr, "_check_generators", reference_check_generators)
+    monkeypatch.setattr(sweeps, "_check_generators", reference_check_generators)
     want = suite()
     assert json.dumps(rep.to_json(), sort_keys=True) == json.dumps(want.to_json(), sort_keys=True)
     assert rep.passed == (corrupt is None)

@@ -9,7 +9,12 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+import splitoct
 from splitoct import cli
+from splitoct import octonion as oc
+from splitoct import sweeps
+from splitoct import triality as tr
+from splitoct.report import VerificationReport
 from test_oneshot_golden import run_cli
 
 SCHEMAS = Path(__file__).resolve().parent.parent / "schemas"
@@ -378,12 +383,14 @@ def write_verify_golden():
 
 
 # every one-shot command in every format, and what `import splitoct` sets up,
-# on the standard library alone; a dense sweep imports numpy
+# on the standard library alone and without compiling the sweeps; a dense
+# sweep imports both
 NUMPY_GUARD = """
 import contextlib, io, sys
 import splitoct
 splitoct.equivalence_map()
 assert "numpy" not in sys.modules, "import splitoct"
+assert "splitoct.sweeps" not in sys.modules, "import splitoct"
 from splitoct import cli
 e = ",".join(["1"] + ["0"] * 7)
 for argv in (
@@ -392,6 +399,8 @@ for argv in (
          "--components=" + ",".join(["-0.5"] * 8 + ["0"] * 8)],
         ["trilinear", "--phi=" + e, "--x=1,2,3,4,5,6,7,8", "--psi=" + e, "--mode=exact"],
         ["trilinear", "--phi=0.5,1,2,3,4,5,6,7", "--x=" + e, "--psi=" + e, "--mode=float"],
+        ["trilinear", "--phi=" + e, "--x=" + e, "--psi=" + e, "--representation=matrix"],
+        ["trilinear", "--phi=" + e, "--x=" + e, "--psi=" + e, "--representation=octonion"],
         ["matrices", "--which=alpha"], ["matrices", "--which=gamma", "--index=5"],
         ["matrices", "--which=B", "--mode=float"], ["matrices", "--which=xi"],
         ["table"], ["verify", "clifford"]):
@@ -399,9 +408,11 @@ for argv in (
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main([*argv, "--format=" + fmt]) == 0, (argv, fmt)
         assert "numpy" not in sys.modules, (argv, fmt)
+        assert "splitoct.sweeps" not in sys.modules, (argv, fmt)
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["verify", "moufang"]) == 0
 assert "numpy" in sys.modules
+assert "splitoct.sweeps" in sys.modules
 """
 
 
@@ -411,6 +422,61 @@ def test_oneshot_commands_leave_numpy_unloaded():
     proc = subprocess.run([sys.executable, "-c", NUMPY_GUARD], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+
+# the suites that `sweeps` holds, by the module that names them
+SWEEP_NAMES = {
+    oc: ("verify_table", "verify_moufang", "verify_malcev", "verify_associators",
+         "generate_basis_from_J"),
+    tr: ("correspondence_check", "dictionary_random_check", "infinitesimal_table_check",
+         "boost_table_check", "role_swap_check", "rotor_invariance_check",
+         "trilinear_invariance_check", "double_cover_check"),
+}
+
+# splitoct.__all__ as it was while the suites were defined in octonion and
+# triality
+PACKAGE_ALL = [
+    "ChiralityError", "ConstructionError", "CorrespondenceMap", "METRIC", "OracleError",
+    "PINNED_CONVENTION", "Rotor", "SplitOctonion", "StructureConstants", "UNIT_NAMES",
+    "VerificationReport", "alpha", "associator", "b_matrix", "boost_table_check",
+    "clifford", "commutator", "conj", "correspondence_check", "dictionary_random_check",
+    "double_cover_check", "equivalence_map", "exact", "gamma", "generate_basis_from_J",
+    "infinitesimal_table_check", "inner", "is_timelike_vector_part", "jacobiator",
+    "malcev_jacobiator", "mul", "norm_sq", "oct_from_components", "octonion",
+    "quadratic_form", "report", "role_swap_check", "rotate_spinor", "rotate_vector", "rotor",
+    "rotor_invariance_check", "spinor_invariant", "triality", "trilinear_equivalence_oracle",
+    "trilinear_invariance_check", "trilinear_matrix", "trilinear_oct", "verify_associators",
+    "verify_clifford", "verify_malcev", "verify_moufang", "verify_table"]
+
+
+def test_each_suite_resolves_to_the_sweeps_object():
+    for module, names in SWEEP_NAMES.items():
+        for name in names:
+            suite = getattr(sweeps, name)
+            assert getattr(module, name) is suite, (module.__name__, name)
+            assert getattr(splitoct, name) is suite, name
+    assert splitoct.__all__ == PACKAGE_ALL
+    # the helpers stay in sweeps; only the suites resolve elsewhere
+    for module, name in ((oc, "_c"), (tr, "gen_matrix"), (splitoct, "_Zorn")):
+        with pytest.raises(AttributeError):
+            getattr(module, name)
+
+
+@pytest.mark.parametrize("module,name,suite", [
+    (oc, "verify_moufang", "moufang"),
+    (tr, "role_swap_check", "triality"),
+])
+def test_verify_calls_the_suite_the_module_holds(monkeypatch, capsys, module, name, suite):
+    def stub(*args, **kwargs):
+        rep = VerificationReport("stub")
+        rep.record_case(False, f"stub for {name}")
+        return rep
+    monkeypatch.setattr(module, name, stub)
+    code, out, _ = run(capsys, ["verify", suite])
+    reports = json.loads(out)["reports"]
+    assert code == 1
+    assert [r["failure_details"] for r in reports if r["name"] == "stub"] == [[f"stub for {name}"]]
 
 
 if __name__ == "__main__":

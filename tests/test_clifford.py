@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from splitoct import clifford as cl
-from splitoct import triality as tr
+from splitoct import sweeps
 from splitoct.report import VerificationReport
 
 from oracles import (NotGrade1Error, embed_phi, embed_psi, matrix_to_vector, rotor_inverse,
@@ -408,8 +408,8 @@ class TestVectorOracle:
             assert (twice == 2 * _closed_form_generator(mu, nu)).all(), (mu, nu)
 
     def test_generator_matches_tables(self):
-        assert np.array_equal(_closed_form_generator(0, 1), tr.gen_matrix(tr.L01_X))
-        assert np.array_equal(_closed_form_generator(0, 4), tr.gen_matrix(tr.L04_X))
+        assert np.array_equal(_closed_form_generator(0, 1), sweeps.gen_matrix(sweeps.L01_X))
+        assert np.array_equal(_closed_form_generator(0, 4), sweeps.gen_matrix(sweeps.L04_X))
 
     @pytest.mark.parametrize("h", [1e-6, -1e-6])
     def test_kernels_follow_plane_generator(self, h):
@@ -429,7 +429,7 @@ class TestVectorOracle:
     def test_triality_rotor_follows_half_sum_of_generators(self, h):
         # triality_rotor(h) turns each of its four planes by h/2, so to second
         # order in h it is identity + h G with G half the sum of their generators
-        gens = [cl.plane_generator(mu, nu) for mu, nu in tr.ROLE_SWAP_PLANES]
+        gens = [cl.plane_generator(mu, nu) for mu, nu in sweeps.ROLE_SWAP_PLANES]
         gx, gphi, gpsi = (sum(np.array(g[part], dtype=np.float64) for g in gens) / 2
                           for part in range(3))
         gspin = np.zeros((16, 16))

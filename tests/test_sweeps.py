@@ -13,6 +13,7 @@ from splitoct import cli
 from splitoct import clifford as cl
 from splitoct import octonion as oc
 from splitoct import report
+from splitoct import sweeps
 from splitoct import triality as tr
 from splitoct.octonion import SplitOctonion as O
 from splitoct.report import VerificationReport
@@ -119,7 +120,7 @@ def test_malcev_sweep():
 
 
 def test_malcev_tensors_match_scalar_api():
-    b2, _, j12, d4 = oc._malcev_tensors()
+    b2, _, j12, d4 = sweeps._malcev_tensors()
     units = [O.unit(k) for k in range(8)]
 
     def oct_over(coeffs, den):
@@ -322,10 +323,10 @@ def test_verify_dictionary_passes_on_the_sound_tensors():
 
 
 def test_zorn_halving_needs_even_entries():
-    z = oc._Zorn(2, (0, 4, -2), (6, 0, 0), -8)
-    assert z.halved() == oc._Zorn(1, (0, 2, -1), (3, 0, 0), -4)
+    z = sweeps._Zorn(2, (0, 4, -2), (6, 0, 0), -8)
+    assert z.halved() == sweeps._Zorn(1, (0, 2, -1), (3, 0, 0), -4)
     with pytest.raises(oc.ConstructionError):
-        oc._Zorn(2, (0, 3, 0), (0, 0, 0), 0).halved()
+        sweeps._Zorn(2, (0, 3, 0), (0, 0, 0), 0).halved()
 
 
 def test_oracle_names_first_failing_triple_on_flipped_table(monkeypatch):
@@ -578,8 +579,9 @@ def numpy_meets_wide_ints(*values):
             and any(type(v) is int and abs(v) >= 2 ** 20 for v in flat))
 
 
-# numpy scalars overflow alike on both sides of inner, so their warnings are
-# ignored; the trilinear form turns numpy integers into Python ints first
+# inner and the trilinear form turn numpy integers into Python ints first, so
+# the oracles run on the same values; numpy floats overflow alike on both
+# sides, so their warnings are ignored
 @given(MUL_COMPONENTS, MUL_COMPONENTS, MUL_COMPONENTS)
 @example(INT_EXAMPLE, INT_EXAMPLE[::-1], INT_EXAMPLE)
 @example(GUARDED_EXAMPLE, GUARDED_EXAMPLE[::-1], GUARDED_EXAMPLE)
@@ -590,8 +592,8 @@ def check_octonion_kernels(phi, x, psi):
     a, b, c = O(phi), O(x), O(psi)
     pa, pb, pc = (O(numpy_ints_as_python(v)) for v in (phi, x, psi))
     with np.errstate(all="ignore"):
-        assert result_of(oc.inner, a, b) == result_of(inner_oracle, a, b)
-        assert result_of(oc.inner, a, a) == result_of(inner_oracle, a, a)
+        assert result_of(oc.inner, a, b) == result_of(inner_oracle, pa, pb)
+        assert result_of(oc.inner, a, a) == result_of(inner_oracle, pa, pa)
         want = result_of(lambda: -inner_oracle(pa.conj(), reference_mul(pb, pc)))
         assert result_of(tr.trilinear_oct, a, b, c) == want
     # the int form takes Python ints only, and returns None on anything else
@@ -881,6 +883,17 @@ def test_mul_and_trilinear_oct_do_not_wrap_numpy_ints(v):
     assert (type(value), value) == (Fraction, -2 ** 80)
     assert tr.trilinear_oct(O.unit(0), a, b) == -2 ** 80
     assert tr.trilinear_oct(O([0.5] + [0] * 7), a, a) == -2 ** 79
+
+
+@pytest.mark.parametrize("v", [2 ** 40, -2 ** 40])
+def test_inner_and_norm_sq_do_not_wrap_numpy_ints(v):
+    # as in mul: squares past int64 are formed from Python ints
+    a = O([np.int64(v), 0, 0, 0, np.int64(3), np.int64(2 * v), 0, 0])
+    want = v * v - 9 - 4 * v * v
+    assert (type(a.norm_sq()), a.norm_sq()) == (int, want)
+    assert oc.norm_sq(a) == oc.inner(a, a) == want
+    assert oc.inner(a, O([np.int64(v), 0.5] + [0] * 6)) == v * v
+    assert oc.inner(O([1] + [0] * 7), a) == v
 
 
 # The spinor rotor as it was before its turn was compiled: one comprehension

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from splitoct import clifford as cl
 from splitoct import octonion as oc
+from splitoct import sweeps
 from splitoct import triality as tr
 
 from oracles import (embed_phi, embed_psi, matrix_trilinear_tensor, oct_trilinear_tensor,
@@ -150,12 +151,12 @@ class TestGeneratorTables:
         owner, part = table.split("_")
         suite = {"L01": lambda: tr.infinitesimal_table_check("01"),
                  "L04": tr.boost_table_check, "COMPOSITE": tr.role_swap_check}[owner]
-        good = tr.gen_matrix(getattr(tr, table))
+        good = sweeps.gen_matrix(getattr(sweeps, table))
         for i, j in itertools.product(range(8), repeat=2):
             for value in ([-good[i, j]] if good[i, j] else []) + [good[i, j] + 2e-9]:
                 bad = good.copy()
                 bad[i, j] = value
-                monkeypatch.setattr(tr, table, tuple((a, b, bad[a, b])
+                monkeypatch.setattr(sweeps, table, tuple((a, b, bad[a, b])
                                                      for a, b in zip(*np.nonzero(bad))))
                 rep = suite()
                 assert rep.failures == 1, (table, i, j, value)
@@ -182,7 +183,7 @@ class TestTrialityRotor:
 
     def test_x_generator_matches_phi_pattern_of_L01(self):
         # the composite moves x exactly the way L01 moves phi
-        assert np.array_equal(tr.COMPOSITE_X, tr.L01_PHI)
+        assert np.array_equal(sweeps.COMPOSITE_X, sweeps.L01_PHI)
 
     def test_psi_full_angle_rotation(self):
         theta = 1e-6
