@@ -424,7 +424,6 @@ def test_oneshot_commands_leave_numpy_unloaded():
     assert proc.returncode == 0, proc.stderr
 
 
-
 # the suites that `sweeps` holds, by the module that names them
 SWEEP_NAMES = {
     oc: ("verify_table", "verify_moufang", "verify_malcev", "verify_associators",

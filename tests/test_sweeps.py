@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from splitoct import cli
 from splitoct import clifford as cl
@@ -570,15 +570,6 @@ def python_ints(*values):
     return all(type(v) is int for vals in values for v in vals)
 
 
-def numpy_meets_wide_ints(*values):
-    """Whether numpy ints meet Python ints of 2^20 or more.  The oracle's
-    two full products then form terms that inner and the trilinear form
-    never form, and such a term can leave int64 and raise."""
-    flat = [v for vals in values for v in vals]
-    return (any(isinstance(v, np.integer) for v in flat)
-            and any(type(v) is int and abs(v) >= 2 ** 20 for v in flat))
-
-
 # inner and the trilinear form turn numpy integers into Python ints first, so
 # the oracles run on the same values; numpy floats overflow alike on both
 # sides, so their warnings are ignored
@@ -588,7 +579,6 @@ def numpy_meets_wide_ints(*values):
 @example(INT_EXAMPLE, [0.0] * 8, [-0.0] * 8)
 @example(WIDE_INT64, WIDE_INT64, [np.int64(-2 ** 40), 0.5] + [0] * 6)
 def check_octonion_kernels(phi, x, psi):
-    assume(not numpy_meets_wide_ints(phi, x, psi))
     a, b, c = O(phi), O(x), O(psi)
     pa, pb, pc = (O(numpy_ints_as_python(v)) for v in (phi, x, psi))
     with np.errstate(all="ignore"):
