@@ -14,6 +14,11 @@ from .octonion import (
     jacobiator,
     malcev_jacobiator,
     is_timelike_vector_part,
+    generate_basis_from_J,
+    verify_table,
+    verify_moufang,
+    verify_malcev,
+    verify_associators,
 )
 from .clifford import (
     METRIC,
@@ -38,19 +43,16 @@ from .triality import (
     equivalence_map,
     CorrespondenceMap,
     OracleError,
+    correspondence_check,
+    boost_table_check,
+    infinitesimal_table_check,
+    role_swap_check,
+    double_cover_check,
+    rotor_invariance_check,
+    trilinear_invariance_check,
+    dictionary_random_check,
 )
 from .report import VerificationReport
 
-# the verification suites, which ``sweeps`` holds and which resolve here, as
-# on ``octonion`` and ``triality``, on first lookup
-_SWEEPS = octonion._SWEEPS | triality._SWEEPS
-
-__all__ = sorted([name for name in dir() if not name.startswith("_")] + list(_SWEEPS))
+__all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"
-
-
-def __getattr__(name):
-    if name in _SWEEPS:
-        from . import sweeps
-        return getattr(sweeps, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -6,9 +6,9 @@ emits; ``main`` chooses the format in one place, and the csv and pretty
 renderers of a subcommand read nothing but its payload.  Structured output
 goes to stdout, diagnostics to stderr.  Exit codes: 0 success / all suites
 pass, 1 verification failure, 2 usage error.  Only `verify` imports
-``sweeps`` and with it numpy: RUNS looks each suite up on ``oc`` and ``tr``
-when it runs, which imports that module on first use (`verify clifford`
-needs neither).  The other subcommands run on the standard library and
+``sweeps`` and with it numpy: RUNS calls each suite through ``oc`` and
+``tr``, whose functions import that module when first called (`verify
+clifford` needs neither).  The other subcommands run on the standard library and
 never compile the sweeps.
 """
 from __future__ import annotations

@@ -2,10 +2,10 @@
 the table, sampled and double-cover suites of the triality, with the
 helpers and generator tables that only they use.
 
-Only ``sot verify`` and the tests import this module.  ``octonion``,
-``triality`` and the package resolve the thirteen suite names to it when
-one is first looked up (PEP 562 ``__getattr__``), so a one-shot process
-neither compiles this source nor imports numpy.  The sweeps reach every
+Only ``sot verify`` and the tests import this module.  ``octonion`` and
+``triality`` keep each of the thirteen suite names as a function that
+imports this module when it is called and runs the suite here, so a
+one-shot process neither compiles this source nor imports numpy.  The sweeps reach every
 object derived from the unit table, and every kernel, through its module
 at call time (``oc._TABLE``, ``oc.mul``, ``_c()``, ``tr.equivalence_map``,
 ``cl.rotate_vector``): code that installs another table with

@@ -14,9 +14,9 @@ octonionic form is a function compiled from the unit table
 
 The sampled and table suites (correspondence_check, dictionary_random_check,
 the generator-table checks, the rotor, trilinear and double-cover checks)
-live in ``sweeps``, with numpy.  Each name resolves here on first lookup,
-which imports that module: a process that runs no sweep compiles neither
-it nor numpy.
+live in ``sweeps``, with numpy.  Each name here is a function that imports
+that module when it is called and runs the suite there: a process that
+runs no sweep compiles neither it nor numpy.
 """
 from __future__ import annotations
 
@@ -227,16 +227,45 @@ def trilinear_both(phi, x, psi):
     return cl._trilinear(phi, x, psi), oc._TRILINEAR(phi, x, psi)
 
 
-# the table, sampled and double-cover suites, which ``sweeps`` holds
-_SWEEPS = frozenset({"correspondence_check", "dictionary_random_check",
-                     "infinitesimal_table_check", "boost_table_check", "role_swap_check",
-                     "rotor_invariance_check", "trilinear_invariance_check",
-                     "double_cover_check"})
+# The table, sampled and double-cover suites live in ``sweeps``, imported as in
+# ``octonion``: on the first call of one of them here.
 
 
-def __getattr__(name):
-    """A suite named in _SWEEPS, from ``sweeps``, imported on first lookup."""
-    if name in _SWEEPS:
-        from . import sweeps
-        return getattr(sweeps, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+def correspondence_check(*args, **kwargs):
+    from . import sweeps
+    return sweeps.correspondence_check(*args, **kwargs)
+
+
+def dictionary_random_check(*args, **kwargs):
+    from . import sweeps
+    return sweeps.dictionary_random_check(*args, **kwargs)
+
+
+def infinitesimal_table_check(*args, **kwargs):
+    from . import sweeps
+    return sweeps.infinitesimal_table_check(*args, **kwargs)
+
+
+def boost_table_check(*args, **kwargs):
+    from . import sweeps
+    return sweeps.boost_table_check(*args, **kwargs)
+
+
+def role_swap_check(*args, **kwargs):
+    from . import sweeps
+    return sweeps.role_swap_check(*args, **kwargs)
+
+
+def rotor_invariance_check(*args, **kwargs):
+    from . import sweeps
+    return sweeps.rotor_invariance_check(*args, **kwargs)
+
+
+def trilinear_invariance_check(*args, **kwargs):
+    from . import sweeps
+    return sweeps.trilinear_invariance_check(*args, **kwargs)
+
+
+def double_cover_check(*args, **kwargs):
+    from . import sweeps
+    return sweeps.double_cover_check(*args, **kwargs)

@@ -449,14 +449,16 @@ PACKAGE_ALL = [
     "verify_clifford", "verify_malcev", "verify_moufang", "verify_table"]
 
 
-def test_each_suite_resolves_to_the_sweeps_object():
+def test_each_suite_runs_the_sweeps_function(monkeypatch):
     for module, names in SWEEP_NAMES.items():
         for name in names:
-            suite = getattr(sweeps, name)
-            assert getattr(module, name) is suite, (module.__name__, name)
-            assert getattr(splitoct, name) is suite, name
+            calls = []
+            monkeypatch.setattr(sweeps, name, lambda *a, **k: calls.append((a, k)) or calls)
+            assert getattr(splitoct, name) is getattr(module, name), name
+            assert getattr(module, name)(7, seed=8) is calls, (module.__name__, name)
+            assert calls == [((7,), {"seed": 8})], (module.__name__, name)
     assert splitoct.__all__ == PACKAGE_ALL
-    # the helpers stay in sweeps; only the suites resolve elsewhere
+    # the helpers stay in sweeps; only the suites are named elsewhere
     for module, name in ((oc, "_c"), (tr, "gen_matrix"), (splitoct, "_Zorn")):
         with pytest.raises(AttributeError):
             getattr(module, name)
