@@ -12,7 +12,8 @@ matrix and octonionic trilinear forms, the spinor invariant) and the
 spinor rotor's turn are written out as straight-line source and compiled
 once by ``compiled``; ``signed_sum`` writes the integer combinations in
 that source, and ``all_python_ints`` the test with which each integer form
-checks its own input.
+checks its own input.  An integer form is the only form compiled from its
+table: any other input takes a plain loop over the same table.
 """
 from __future__ import annotations
 

@@ -7,15 +7,16 @@ order of the 8-dimensional vectors and chiral spinors, so coefficient k of
 an octonion corresponds to component x_k.
 
 One builder, _forms, makes every form that reads the unit table, at import:
-the product as one straight-line function (_PRODUCT, compiled through
-``exact.compiled``, which the clifford forms share) and a second one without
-the zero-skip guards for Python ints (_INT_PRODUCT); the octonionic
-trilinear form -conj(Phi).(X Psi) compiled around each of them (_TRILINEAR,
-_INT_TRILINEAR); and the table's eight scalar entries (e_a e_b = +-1),
+the product of Python ints as one straight-line function (_INT_PRODUCT,
+compiled through ``exact.compiled``, which the clifford forms share), the
+octonionic trilinear form -conj(Phi).(X Psi) compiled around it
+(_INT_TRILINEAR), and the table's eight scalar entries (e_a e_b = +-1),
 which inner reads.  Each int form checks its own input and returns None
-unless every coefficient is a Python int; mul and the trilinear form then
-take the guarded form, with numpy integers turned into Python ints first
-so that their products cannot wrap in int64; inner and norm_sq do the same.
+unless every coefficient is a Python int.  Everything else takes the plain
+definition over the same table: mul the loop over _TABLE's entries, and
+``triality.trilinear_oct`` -inner(conj(Phi), mul(X, Psi)), with numpy
+integers turned into Python ints first so that their products cannot wrap
+in int64; inner and norm_sq do the same.
 
 The identity sweeps (verify_table, verify_moufang, verify_malcev,
 verify_associators and generate_basis_from_J) live in ``sweeps``, which
@@ -97,99 +98,57 @@ def _unpack(name: str) -> str:
     return f"    {', '.join(f'{name}{k}' for k in range(8))} = {name}\n"
 
 
-def _guarded_sum(terms) -> str:
-    """Source of 0 +- (x * y if x and y else 0) +- ... over (sign, x, y): the
-    sum of a loop that starts at the int 0 and skips a term with a zero
-    factor, in value, type and float bits.  A running sum that starts at
-    the int 0 is never -0.0, so adding the 0 of a skipped term leaves it as
-    it is, and x - y is x + (-y)."""
-    return " ".join(["0"] + [f"{'+' if s > 0 else '-'} ({x} * {y} if {x} and {y} else 0)"
-                             for s, x, y in terms])
-
-
-def _product(table, guarded: bool = True):
-    """The product of two coefficient sequences under a unit table, as one
-    straight-line function compiled from it: coefficient k sums +-a_i b_j
-    over the entries e_i e_j = +-e_k by increasing (i, j).
-
-    Guarded, it is the loop over the table's entries in value, type and
-    float bits.  The int product drops the zero-skip guards, which matter
-    only for floats (signed zeros, inf * 0) and for result types; it
-    returns None unless all sixteen coefficients are Python ints.
-    """
+def _product(table):
+    """The product of two coefficient sequences of Python ints under a unit
+    table, as one straight-line function compiled from it: coefficient k
+    sums +-a_i b_j over the entries e_i e_j = +-e_k.  It returns None
+    unless all sixteen coefficients are Python ints; mul then runs the loop
+    over the table that defines the product."""
     terms = [[] for _ in range(8)]
     for i, row in enumerate(table):
         for j, (k, sign) in enumerate(row):
-            terms[k].append((sign, f"a{i}", f"b{j}"))
-    name = "product" if guarded else "int_product"
-    head = f"def {name}(a, b):\n{_unpack('a')}{_unpack('b')}"
-    if guarded:
-        body = ",\n        ".join(_guarded_sum(t) for t in terms)
-        return compiled(name, f"{head}    return ({body})\n")
-    body = ",\n        ".join(signed_sum((s, f"{x} * {y}") for s, x, y in t) for t in terms)
+            terms[k].append((sign, f"a{i} * b{j}"))
+    body = ",\n        ".join(signed_sum(t) for t in terms)
     ints = all_python_ints(f"{v}{k}" for v in "ab" for k in range(8))
-    return compiled(name, f"{head}    if {ints}:\n        return ({body})\n")
+    return compiled("int_product", f"def int_product(a, b):\n{_unpack('a')}{_unpack('b')}"
+                                   f"    if {ints}:\n        return ({body})\n")
 
 
-def _trilinear(table, product, guarded: bool = True):
-    """-conj(Phi) . (X Psi) on three coefficient sequences, as one function
-    compiled from a unit table around ``product``, the table's product.
-
-    Guarded, with the guarded product, it makes the operations of
-    -inner(conj(Phi), mul(X, Psi)) in their order, so it gives the same
-    value, type and float bits (a NaN's sign aside): conj by _CONJ_SIGNS,
-    the product, inner's scalar parts p and q over the table's scalar
-    entries with mul's guards, inner's overflow fallback, and the negated
-    half of p + q as one multiplication by -1/2.  The int form, around the
-    int product, folds the signs of conj and the two scalar parts into one
-    integer sum and halves it as a Fraction, the type inner gives; like the
-    int product, it returns None unless all 24 coefficients are Python ints.
+def _trilinear(table, product):
+    """-conj(Phi) . (X Psi) on three coefficient sequences of Python ints, as
+    one function compiled from a unit table around ``product``, the table's
+    int product.  It folds the signs of conj and of inner's two scalar parts
+    into one integer sum and halves it as a Fraction, the type inner gives;
+    like the int product, it returns None unless all 24 coefficients are
+    Python ints, and triality.trilinear_oct then takes the definition.
     """
-    scalar = _scalar_terms(table)
+    # p + q = sum of sign (c_i m_j + m_i c_j), with c_a = _CONJ_SIGNS[a] p_a
+    coeff = {}
+    for i, j, sign in _scalar_terms(table):
+        coeff[i, j] = coeff.get((i, j), 0) + _CONJ_SIGNS[i] * sign
+        coeff[j, i] = coeff.get((j, i), 0) + _CONJ_SIGNS[j] * sign
+    total = signed_sum((-k, f"p{a} * m{b}") for (a, b), k in sorted(coeff.items()) if k)
     m = ", ".join(f"m{k}" for k in range(8))
-    lines = ["def trilinear(p, x, s):\n", _unpack("p")]
-    if guarded:
-        lines.append(f"    {m} = product(x, s)\n")
-        conj = ", ".join(f"p{k}" if sign > 0 else f"-p{k}" for k, sign in enumerate(_CONJ_SIGNS))
-        lines += [f"    {m.replace('m', 'c')} = {conj}\n",
-                  f"    sp = {_guarded_sum((s, f'c{i}', f'm{j}') for i, j, s in scalar)}\n",
-                  f"    sq = {_guarded_sum((s, f'm{i}', f'c{j}') for i, j, s in scalar)}\n",
-                  "    t = sp + sq\n",
-                  "    if isinstance(t, float) and isinf(t) and isfinite(sp) and isfinite(sq):\n",
-                  "        return -(0.5 * sp + 0.5 * sq)\n",
-                  "    return NEG_HALF * t\n"]
-    else:
-        # p + q = sum of sign (c_i m_j + m_i c_j), with c_a = _CONJ_SIGNS[a] p_a
-        coeff = {}
-        for i, j, sign in scalar:
-            coeff[i, j] = coeff.get((i, j), 0) + _CONJ_SIGNS[i] * sign
-            coeff[j, i] = coeff.get((j, i), 0) + _CONJ_SIGNS[j] * sign
-        total = signed_sum((-k, f"p{a} * m{b}") for (a, b), k in sorted(coeff.items()) if k)
-        lines += [f"    if {all_python_ints(f'p{k}' for k in range(8))}:\n",
-                  "        m = product(x, s)\n",
-                  "        if m is not None:\n",
-                  f"            {m} = m\n",
-                  f"            return Fraction({total}, 2)\n"]
-    return compiled("trilinear", "".join(lines), product=product, isinf=math.isinf,
-                    isfinite=math.isfinite, NEG_HALF=-_HALF, Fraction=Fraction)
+    return compiled("trilinear", "".join([
+        "def trilinear(p, x, s):\n", _unpack("p"),
+        f"    if {all_python_ints(f'p{k}' for k in range(8))}:\n",
+        "        m = product(x, s)\n",
+        "        if m is not None:\n",
+        f"            {m} = m\n",
+        f"            return Fraction({total}, 2)\n"]), product=product, Fraction=Fraction)
 
 
 def _forms(table) -> dict:
     """A unit table and every form built from it, by the module name each is
-    kept under: its scalar entries, the guarded and int products, the
-    guarded and int octonionic trilinear forms, and _C = None, so that
-    sweeps._c() builds the structure tensor from the table on first use
-    and keeps it as _C.  The module installs the forms of _build_table()
-    at import; code that swaps the table installs all of them together."""
-    product, int_product = _product(table), _product(table, guarded=False)
+    kept under: its scalar entries, the int product and the int octonionic
+    trilinear form.  The module installs the forms of _build_table() at
+    import; code that swaps the table installs all of them together."""
+    product = _product(table)
     return {"_TABLE": table, "_SCALAR_TERMS": _scalar_terms(table),
-            "_PRODUCT": product, "_INT_PRODUCT": int_product,
-            "_TRILINEAR": _trilinear(table, product),
-            "_INT_TRILINEAR": _trilinear(table, int_product, guarded=False),
-            "_C": None}
+            "_INT_PRODUCT": product, "_INT_TRILINEAR": _trilinear(table, product)}
 
 
-# _TABLE, _SCALAR_TERMS, _PRODUCT, _INT_PRODUCT, _TRILINEAR, _INT_TRILINEAR, _C
+# _TABLE, _SCALAR_TERMS, _INT_PRODUCT, _INT_TRILINEAR
 globals().update(_forms(_build_table()))
 
 
@@ -303,12 +262,20 @@ def _python_ints(values):
 
 def mul(a: SplitOctonion, b: SplitOctonion) -> SplitOctonion:
     """Bilinear extension of the unit multiplication table: the int product
-    when every coefficient is a Python int, else the guarded one, on numpy
-    integers turned into Python ints (so that they cannot wrap)."""
+    when every coefficient is a Python int, else the loop that defines it,
+    over the entries of _TABLE by increasing (i, j), skipping a term with a
+    zero factor, on numpy integers turned into Python ints (so that they
+    cannot wrap)."""
     ac, bc = a.c, b.c
     c = _INT_PRODUCT(ac, bc)
     if c is None:
-        c = _PRODUCT(_python_ints(ac), _python_ints(bc))
+        ac, bc = _python_ints(ac), _python_ints(bc)
+        c = [0] * 8
+        for ai, row in zip(ac, _TABLE):
+            if ai:
+                for bj, (k, sign) in zip(bc, row):
+                    if bj:
+                        c[k] += ai * bj if sign > 0 else -(ai * bj)
     return SplitOctonion(c)
 
 
@@ -372,10 +339,12 @@ def malcev_jacobiator(x: SplitOctonion, y: SplitOctonion, z: SplitOctonion) -> S
 
 
 def is_timelike_vector_part(s: SplitOctonion) -> bool:
-    """t^2 + sum(lambda^2) > sum(x^2), strictly."""
-    lam2 = sum(a * a for a in s.lam)
-    x2 = sum(a * a for a in s.x)
-    return s.t * s.t + lam2 > x2
+    """t^2 + sum(lambda^2) > sum(x^2), strictly, with numpy integers as
+    Python ints (so that they cannot wrap)."""
+    c = _python_ints(s.c)
+    lam2 = sum(a * a for a in c[5:8])
+    x2 = sum(a * a for a in c[1:4])
+    return c[4] * c[4] + lam2 > x2
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,11 @@ at call time (``oc._TABLE``, ``oc.mul``, ``_c()``, ``tr.equivalence_map``,
 ``oc._forms`` or wraps a kernel is seen here too.
 
 The octonion suites contract the dense structure tensor C[a,b,k] (e_a e_b =
-sum_k C[a,b,k] e_k), built from ``oc._TABLE`` on first use and kept as
-``oc._C``; basis generation rebuilds the table in an independent Zorn
-vector-matrix model.  The first-order tables of the L_01 and L_04 actions
-and of the role-swap rotor are compared, entry by entry and with ==,
-against the exact generators of ``cl.plane_generator``.
+sum_k C[a,b,k] e_k), built from ``oc._TABLE`` on first use and kept here
+until another table is installed; basis generation rebuilds the table in
+an independent Zorn vector-matrix model.  The first-order tables of the
+L_01 and L_04 actions and of the role-swap rotor are compared, entry by
+entry and with ==, against the exact generators of ``cl.plane_generator``.
 """
 from __future__ import annotations
 
@@ -50,12 +50,16 @@ def _structure_tensor(table):
     return c
 
 
+_C = None, None      # a unit table and its structure tensor
+
+
 def _c():
-    """The structure tensor of oc._TABLE, built on first use and kept as
-    oc._C, which installing the forms of a table resets to None."""
-    if oc._C is None:
-        oc._C = _structure_tensor(oc._TABLE)
-    return oc._C
+    """The structure tensor of oc._TABLE, built on first use and again
+    whenever another table has been installed."""
+    global _C
+    if _C[0] is not oc._TABLE:
+        _C = oc._TABLE, _structure_tensor(oc._TABLE)
+    return _C[1]
 
 
 # ---------------------------------------------------------------------------
@@ -691,11 +695,16 @@ def dictionary_random_check(n_samples: int = 1000, seed: int = DEFAULT_SEED) -> 
     Runs on float64 stacks, exact by exact_float64, one block of samples at
     a time, as tr.trilinear_both does per sample: the matrix form through
     the trilinear slices and -inner(conj(Phi), X Psi) through the octonion
-    structure tensor, compared as 2 F_matrix == 2 F_oct.
+    structure tensor, compared as 2 F_matrix == 2 F_oct.  A dictionary
+    that fails its exact check on the basis triples is one more failed
+    case, named by the oracle's message, and is left out of meta.
     """
     rep = VerificationReport("trilinear-dictionary",
                              meta={"seed": seed, "samples": n_samples})
-    d = tr.equivalence_map()
+    try:
+        rep.meta["dictionary"] = tr.equivalence_map().to_json()
+    except tr.OracleError as exc:
+        rep.record_case(False, str(exc))
     # the largest sum is 2 F_oct: 8^4 products phi_a M[a,j] x_b psi_c C[b,c,j],
     # |M[a,j]| at most 2
     slices, c, inner2 = exact_float64(
@@ -714,7 +723,6 @@ def dictionary_random_check(n_samples: int = 1000, seed: int = DEFAULT_SEED) -> 
         oct2 = -((phi @ inner2) * xpsi).sum(axis=1)        # 2 F_oct
         ok = 2 * mat == oct2
         rep.record_mask(ok, lambda k, start=start: f"triple {start + k}")
-    rep.meta["dictionary"] = d.to_json()
     return rep
 
 

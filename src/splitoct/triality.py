@@ -9,8 +9,9 @@ between the two trilinear forms is the identity of the component order
 forms take the same components, and the dictionary is not applied but
 verified, exactly, on all 512 basis triples before first use, on the
 sparse exact data of ``clifford`` and the unit table of ``octonion``.  The
-octonionic form is a function compiled from the unit table
-(``octonion._TRILINEAR``, and ``_INT_TRILINEAR`` on Python ints).
+octonionic form is the function compiled from the unit table
+(``octonion._INT_TRILINEAR``) on Python ints, and its definition
+-inner(conj(Phi), mul(X, Psi)) on anything else.
 
 The sampled and table suites (correspondence_check, dictionary_random_check,
 the generator-table checks, the rotor, trilinear and double-cover checks)
@@ -92,15 +93,14 @@ def oct_from_components(c) -> oc.SplitOctonion:
 
 def trilinear_oct(phi_o: oc.SplitOctonion, x_o: oc.SplitOctonion,
                   psi_o: oc.SplitOctonion):
-    """-conj(Phi) . (X Psi) with the octonion inner product, through the
-    forms compiled from the unit table: the value, type and float bits of
-    -oc.inner(phi_o.conj(), oc.mul(x_o, psi_o)), the int form when every
-    coefficient is a Python int, else the guarded form on numpy integers
-    turned into Python ints (so that they cannot wrap)."""
-    p, x, s = phi_o.c, x_o.c, psi_o.c
-    value = oc._INT_TRILINEAR(p, x, s)
+    """-conj(Phi) . (X Psi) with the octonion inner product: the int form
+    compiled from the unit table when every coefficient is a Python int,
+    else the definition -oc.inner(conj(Phi), oc.mul(X, Psi)), with numpy
+    integers in Phi turned into Python ints before conj (so that negating
+    them cannot wrap; mul and inner turn the others)."""
+    value = oc._INT_TRILINEAR(phi_o.c, x_o.c, psi_o.c)
     if value is None:
-        value = oc._TRILINEAR(oc._python_ints(p), oc._python_ints(x), oc._python_ints(s))
+        value = -oc.inner(oc.SplitOctonion(oc._python_ints(phi_o.c)).conj(), oc.mul(x_o, psi_o))
     return value
 
 
@@ -209,8 +209,8 @@ def trilinear_both(phi, x, psi):
     once, and both forms get the same eight values of phi, x and psi.  When
     every component of the three is integral, they are Python ints and both
     forms run their int versions; else numpy integers become Python ints,
-    so that they cannot wrap in int64 on the octonion side, and the rest
-    are passed as given.
+    so that they cannot wrap in int64, the rest are passed as given, and
+    the octonion side is trilinear_oct.
     """
     equivalence_map()
     if (type(phi) is list and type(x) is list and type(psi) is list
@@ -224,7 +224,7 @@ def trilinear_both(phi, x, psi):
     if None not in ints:
         return cl._TRILINEAR(*ints), oc._INT_TRILINEAR(*ints)
     phi, x, psi = oc._python_ints(phi), oc._python_ints(x), oc._python_ints(psi)
-    return cl._trilinear(phi, x, psi), oc._TRILINEAR(phi, x, psi)
+    return cl._trilinear(phi, x, psi), trilinear_oct(*map(oc.SplitOctonion, (phi, x, psi)))
 
 
 # The table, sampled and double-cover suites live in ``sweeps``, imported as in

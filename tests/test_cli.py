@@ -424,6 +424,33 @@ def test_oneshot_commands_leave_numpy_unloaded():
     assert proc.returncode == 0, proc.stderr
 
 
+COMPILE_SPY = """
+import builtins
+labels = []
+compile_ = builtins.compile
+def spy(source, filename, *args, **kwargs):
+    if filename.startswith("<"):
+        labels.append(filename)
+    return compile_(source, filename, *args, **kwargs)
+builtins.compile = spy
+import splitoct
+print(" ".join(labels))
+"""
+
+
+def test_import_compiles_one_form_per_table():
+    # the int product and the int octonionic trilinear form, then clifford's
+    # spinor invariant, spinor turn and matrix trilinear form, in that order;
+    # source files compiled by the import system are left out
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", COMPILE_SPY], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["<int_product>", "<trilinear>", "<spinor_form>", "<turn>",
+                                   "<trilinear>"]
+
+
 # the suites that `sweeps` holds, by the module that names them
 SWEEP_NAMES = {
     oc: ("verify_table", "verify_moufang", "verify_malcev", "verify_associators",

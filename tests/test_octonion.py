@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -166,6 +167,11 @@ class TestTimelike:
 
     def test_strict_inequality_boundary(self):
         assert not oc.is_timelike_vector_part(J1 + j1)
+
+    def test_numpy_ints_do_not_wrap(self):
+        # (2**40)**2 leaves int64; as a Python int, t^2 = 2**80 > 0
+        s = O([0] * 4 + [np.int64(2 ** 40)] + [0] * 3)
+        assert oc.is_timelike_vector_part(s) is True
 
 
 class TestStructureConstants:

@@ -4,7 +4,9 @@ import math
 import struct
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
@@ -22,6 +24,7 @@ from oracles import matrix_trilinear_tensor, oct_trilinear_tensor, to_complex
 
 UNITS = [O.unit(k) for k in range(8)]
 N = oc.UNIT_NAMES
+SCHEMAS = Path(__file__).resolve().parent.parent / "schemas"
 
 
 # Per-case reference sweeps over SplitOctonion products, in the case order
@@ -364,6 +367,22 @@ def test_trilinear_both_exits_1_on_flipped_table(monkeypatch, capsys):
                        "dictionary fails at basis triple (3,5,6)\n")
 
 
+def test_verify_all_reports_a_failing_dictionary_as_a_verdict(monkeypatch, capsys):
+    # with e_J1 e_J2 and e_J2 e_J1 negated the dictionary fails its exact
+    # check: trilinear-dictionary records that as a failed case naming the
+    # triple, next to its samples, and every other report is still emitted
+    flipped_table(monkeypatch, (("J1", "J2"), ("J2", "J1")))
+    monkeypatch.setattr(tr, "_ORACLE_CACHE", None)
+    assert cli.main(["verify", "all"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    jsonschema.validate(payload, json.loads((SCHEMAS / "report.schema.json").read_text()))
+    assert len(payload["reports"]) == 14
+    rep, = (r for r in payload["reports"] if r["name"] == "trilinear-dictionary")
+    assert rep["cases"] == 1001 and rep["failures"] > 1
+    assert rep["failure_details"][0] == "dictionary fails at basis triple (3,5,6)"
+    assert rep["meta"] == {"seed": tr.DEFAULT_SEED, "samples": 1000}
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
 def test_failing_verify_renders_in_every_format(monkeypatch, capsys, fmt):
     # with e_J1 e_J2 negated the Moufang sweep fails; every format shows the
@@ -562,8 +581,10 @@ MUL_COMPONENTS = st.one_of(COMPONENTS, st.lists(MUL_EXTRAS, min_size=8, max_size
 INT_EXAMPLE = [2 ** 40, -2 ** 40, 2 ** 70, 0, 1, -1, -2 ** 70, 7]
 # a numpy integer whose square leaves int64
 WIDE_INT64 = [np.int64(2 ** 40)] + [0] * 7
-# a bool, signed zeros, inf, NaN, a Fraction and a numpy int: the guarded path
-GUARDED_EXAMPLE = [True, -0.0, math.inf, math.nan, Fraction(1, 3), np.int64(-7), 0.0, False]
+# a numpy integer whose negation (conj) leaves int64
+MIN_INT64 = [0, np.int64(-2 ** 63)] + [0] * 6
+# a bool, signed zeros, inf, NaN, a Fraction and a numpy int: the table loop
+LOOP_EXAMPLE = [True, -0.0, math.inf, math.nan, Fraction(1, 3), np.int64(-7), 0.0, False]
 
 
 def python_ints(*values):
@@ -575,9 +596,10 @@ def python_ints(*values):
 # sides, so their warnings are ignored
 @given(MUL_COMPONENTS, MUL_COMPONENTS, MUL_COMPONENTS)
 @example(INT_EXAMPLE, INT_EXAMPLE[::-1], INT_EXAMPLE)
-@example(GUARDED_EXAMPLE, GUARDED_EXAMPLE[::-1], GUARDED_EXAMPLE)
+@example(LOOP_EXAMPLE, LOOP_EXAMPLE[::-1], LOOP_EXAMPLE)
 @example(INT_EXAMPLE, [0.0] * 8, [-0.0] * 8)
 @example(WIDE_INT64, WIDE_INT64, [np.int64(-2 ** 40), 0.5] + [0] * 6)
+@example(MIN_INT64, INT_EXAMPLE, [1] * 8)
 def check_octonion_kernels(phi, x, psi):
     a, b, c = O(phi), O(x), O(psi)
     pa, pb, pc = (O(numpy_ints_as_python(v)) for v in (phi, x, psi))
@@ -603,8 +625,8 @@ def test_octonion_kernels_match_two_product_oracle(monkeypatch, entries):
 # is run on the same values; numpy floats overflow alike on both sides
 @given(MUL_COMPONENTS, MUL_COMPONENTS)
 @example(INT_EXAMPLE, INT_EXAMPLE[::-1])
-@example(GUARDED_EXAMPLE, GUARDED_EXAMPLE[::-1])
-@example(GUARDED_EXAMPLE, INT_EXAMPLE)
+@example(LOOP_EXAMPLE, LOOP_EXAMPLE[::-1])
+@example(LOOP_EXAMPLE, INT_EXAMPLE)
 @example(WIDE_INT64, [np.int64(-2 ** 40), 2 ** 70, 0.5] + [0] * 5)
 def check_mul(x, y):
     a, b = O(x), O(y)
@@ -613,7 +635,7 @@ def check_mul(x, y):
         assert coefficients_of(oc.mul, a, b) == coefficients_of(reference_mul, pa, pb)
         assert coefficients_of(oc.mul, b, a) == coefficients_of(reference_mul, pb, pa)
     # the int product gives the loop's ints on Python ints, and None on
-    # anything else, where mul takes the guarded product
+    # anything else, where mul runs the loop
     got = oc._INT_PRODUCT(a.c, b.c)
     if python_ints(x, y):
         assert [result_of(lambda: v) for v in got] == coefficients_of(reference_mul, a, b)
@@ -989,46 +1011,57 @@ def test_float_forms_match_the_term_loops_bit_for_bit():
 # so that flipping it leaves inner's scalar entries as they are
 @pytest.mark.parametrize("n", [1, 45])
 def test_trilinear_both_sides_are_independent_evaluations(monkeypatch, n):
-    # each side moves only with its own compiled form, on the int path and,
-    # for the octonion side, on the float path too
+    # each side moves only with what it reads: the matrix side with its
+    # compiled form on both paths, the octonion side with its int form on
+    # the int path and with the unit table on the float path
     tr.equivalence_map()                  # verified on the sound forms
     b, i, j, k = cl._TRILINEAR_TERMS[n]
     assert b != j
     phi, x, psi = basis(i), basis(b), basis(j)
-    halves = [v / 2 for v in phi], x, [2 * v for v in psi]
+    halves = [v / 2 for v in phi], x, [2.0 * v for v in psi]      # mul(x, psi) runs the loop
     assert tr.trilinear_both(phi, x, psi) == (k, k)
     with monkeypatch.context() as mp:
         negated_matrix_term(mp, n)
         assert tr.trilinear_both(phi, x, psi) == (-k, k)
         assert tr.trilinear_both(*halves) == (-k, k)
-    # e_b e_j negated: -conj(e_i) . (e_b e_j) changes sign
+    # e_b e_j negated: -conj(e_i) . (e_b e_j) changes sign, on the int path
+    # with the compiled form and on the float path with the table mul reads
     forms = oc._forms(flipped([(N[b], N[j])]))
     monkeypatch.setattr(oc, "_INT_TRILINEAR", forms["_INT_TRILINEAR"])
     assert tr.trilinear_both(phi, x, psi) == (k, -k)
-    monkeypatch.setattr(oc, "_TRILINEAR", forms["_TRILINEAR"])
+    assert tr.trilinear_both(*halves) == (k, k)
+    monkeypatch.setattr(oc, "_TABLE", forms["_TABLE"])
     assert both_result_of(*halves) == (result_of(lambda: float(k)), result_of(lambda: -float(k)))
 
 
 def test_single_call_kernels_form_only_the_products_they_need(monkeypatch):
-    # the builder compiles one guarded and one int product, and the trilinear
-    # forms call the ones built with them; counted here, each call that forms
-    # a product is logged as "guarded" or "int"
+    # _forms compiles one int product, which the int trilinear form
+    # calls; any other product is mul's loop over the table.  Counted here,
+    # each product the int form gives is logged as "int" and each pass of
+    # the loop over the table as "loop"
+    tr.equivalence_map()                  # the oracle reads the table too
     calls = []
     build = oc._product
 
-    def counted_product(table, guarded=True):
-        product = build(table, guarded)
+    def counted_product(table):
+        product = build(table)
 
         def counted(a, b):
             out = product(a, b)
             if out is not None:
-                calls.append("guarded" if guarded else "int")
+                calls.append("int")
             return out
         return counted
+
+    class CountedTable(tuple):
+        def __iter__(self):
+            calls.append("loop")
+            return super().__iter__()
 
     monkeypatch.setattr(oc, "_product", counted_product)
     for name, value in oc._forms(oc._TABLE).items():
         monkeypatch.setattr(oc, name, value)
+    monkeypatch.setattr(oc, "_TABLE", CountedTable(oc._TABLE))
 
     def made(f, *args):
         calls.clear()
@@ -1038,8 +1071,9 @@ def test_single_call_kernels_form_only_the_products_they_need(monkeypatch):
     a, b, c = O(range(8)), O(range(3, 11)), O([Fraction(1, 3)] * 8)
     assert made(oc.inner, a, b) == []
     assert made(oc.mul, a, b) == ["int"]
-    assert made(oc.mul, a, c) == ["guarded"]
-    assert made(tr.trilinear_oct, a, b, c) == ["guarded"]
+    assert made(oc.mul, a, c) == ["loop"]
+    assert made(tr.trilinear_oct, a, b, c) == ["loop"]
+    assert made(tr.trilinear_oct, c, b, a) == ["int"]
     assert made(tr.trilinear_oct, a, b, a) == ["int"]
     assert made(tr.trilinear_both, list(range(8)), list(range(3, 11)), [1] * 8) == ["int"]
-    assert made(tr.trilinear_both, list(range(8)), list(range(3, 11)), c.c) == ["guarded"]
+    assert made(tr.trilinear_both, list(range(8)), list(range(3, 11)), c.c) == ["loop"]
