@@ -1,6 +1,8 @@
 """The verification sweeps: the identity suites of the split octonions and
 the table, sampled and double-cover suites of the triality, with the
-helpers and generator tables that only they use.
+helpers and generator tables that only they use.  Each fact has one
+report: X^2 = q(x) Id is ``clifford``'s; the squares and signs of the unit
+table, read as they are, are ``octonion-table``'s.
 
 Only ``sot verify`` and the tests import this module.  ``octonion`` and
 ``triality`` keep each of the thirteen suite names as a function that
@@ -67,13 +69,12 @@ def _c():
 # ---------------------------------------------------------------------------
 
 def verify_table() -> VerificationReport:
-    """All 64 unit products against the hard-coded structure constants,
-    plus squares and anticommutativity."""
+    """All 64 unit products against oc._TABLE, plus squares and
+    anticommutativity; a wrong square or sign is a case naming its entry."""
     rep = VerificationReport("octonion-table")
-    sc = StructureConstants.standard()
     for a in range(8):
         for b in range(8):
-            idx, sign = sc.product(a, b)
+            idx, sign = oc._TABLE[a][b]
             got = oc.mul(SplitOctonion.unit(a), SplitOctonion.unit(b))
             want = sign * SplitOctonion.unit(idx)
             rep.record_case(got == want, f"{UNIT_NAMES[a]}*{UNIT_NAMES[b]}")
@@ -388,13 +389,13 @@ def _blocks(n: int):
 
 
 def correspondence_check(n_samples: int = 1000, seed: int = DEFAULT_SEED) -> VerificationReport:
-    """conj(X)X == X^2 scalar, conj(Phi)Phi == phi^T B phi, conj(Psi)Psi ==
+    """conj(X)X == q(x), conj(Phi)Phi == phi^T B phi, conj(Psi)Psi ==
     psi^T B psi on matched integer components, exactly.
 
     Runs as stacked float64 products, exact by exact_float64, one block of
-    samples at a time: conj(v)v through the octonion structure tensor, X^2
-    on the Gamma stack and the spinor forms through the exact 2x
-    quadratic-form matrix.
+    samples at a time: conj(v)v through the octonion structure tensor and
+    the spinor forms through the exact 2x quadratic-form matrix.  X^2 =
+    q(x) Id is the Clifford relation, which ``clifford`` checks.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
@@ -402,25 +403,16 @@ def correspondence_check(n_samples: int = 1000, seed: int = DEFAULT_SEED) -> Ver
                              meta={"seed": seed, "samples": n_samples,
                                    "convention": tr.PINNED_CONVENTION.label})
     rng = np.random.default_rng(seed)
-    # the largest sum is X^2: 2 x 16 x 8 x 8 products x_a G_a x_b G_b
-    c, g_re, g_im, q2, metric = exact_float64(
-        _c().reshape(8, 64), np.array([cl.gamma(mu).re for mu in range(8)]).reshape(8, 256),
-        np.array([cl.gamma(mu).im for mu in range(8)]).reshape(8, 256),
-        cl._Q_SPINOR_2.re, cl.METRIC, degree=4, terms=2 * 16 * 8 * 8, sampled=True)
-    eye = np.eye(16)
+    # the largest sum is 2 conj(v)v: 2 x 64 products v_a C[a,b,0] v_b
+    c, q2, metric = exact_float64(_c().reshape(8, 64), cl._Q_SPINOR_2.re, cl.METRIC,
+                                  degree=3, terms=2 * 64, sampled=True)
     for start, n in _blocks(n_samples):
         v = sample_integers(rng, (n, 3, 8)).astype(np.float64)      # x, phi, psi
         x, phi, psi = v[:, 0], v[:, 1], v[:, 2]
         # (conj(v) v)_c = sum_b v_b (sum_a conj(v)_a C[a,b,c])
         prod = (v[..., None, :] @ ((v * oc._CONJ_SIGNS) @ c).reshape(n, 3, 8, 8))[..., 0, :]
         scalar_only = ~prod[..., 1:].any(axis=2)
-        q = (x * x) @ metric
-        x_re = (x @ g_re).reshape(n, 16, 16)
-        x_im = (x @ g_im).reshape(n, 16, 16)
-        sq_re = x_re @ x_re - x_im @ x_im
-        sq_im = x_re @ x_im + x_im @ x_re
-        mat_ok = ~sq_im.any(axis=(1, 2)) & (sq_re == q[:, None, None] * eye).all(axis=(1, 2))
-        vec_ok = scalar_only[:, 0] & (prod[:, 0, 0] == q) & mat_ok
+        vec_ok = scalar_only[:, 0] & (prod[:, 0, 0] == (x * x) @ metric)
         inv2_phi = ((phi @ q2[0:8, 0:8]) * phi).sum(axis=1)
         inv2_psi = ((psi @ q2[8:16, 8:16]) * psi).sum(axis=1)
         spin_ok = (scalar_only[:, 1] & scalar_only[:, 2]
@@ -466,6 +458,7 @@ COMPOSITE_PHI = ((0, 1, 0.5), (1, 0, -0.5), (2, 3, 0.5), (3, 2, -0.5),
 COMPOSITE_PSI = ((0, 1, -1.0), (1, 0, 1.0))
 
 ROLE_SWAP_PLANES = ((1, 0), (2, 3), (5, 4), (6, 7))
+BOOST_THETA = 0.5    # the angle of boost_table_check's finite boost
 
 
 def _check_generators(rep, tables, generators) -> None:
@@ -495,21 +488,21 @@ def infinitesimal_table_check(plane: str = "01") -> VerificationReport:
     return rep
 
 
-def boost_table_check(theta: float = 0.5) -> VerificationReport:
-    """The L_04 hyperbolic table, a finite-angle boost of x, and the
-    isotropic planes the spinor halves move in."""
+def boost_table_check() -> VerificationReport:
+    """The L_04 hyperbolic table, a finite-angle boost of x by BOOST_THETA,
+    and the isotropic planes the spinor halves move in."""
     rep = infinitesimal_table_check("04")
     rep.name = "boost-table"
     rep.exact = False
     # finite-angle hyperbolic check on the x side
     x = np.zeros(8)
     x[0] = 1.0
-    moved = cl.rotate_vector(x, cl.rotor(0, 4, theta))
+    moved = cl.rotate_vector(x, cl.rotor(0, 4, BOOST_THETA))
     want = np.zeros(8)
-    want[0] = math.cosh(theta)
-    want[4] = math.sinh(theta)
+    want[0] = math.cosh(BOOST_THETA)
+    want[4] = math.sinh(BOOST_THETA)
     resid = float(np.max(np.abs(moved - want)))
-    rep.record_case(resid <= 1e-12, f"x0 boost at theta={theta}", residual=resid)
+    rep.record_case(resid <= 1e-12, f"x0 boost at theta={BOOST_THETA}", residual=resid)
     # planes touched by the phi generator
     phi = cl.plane_generator(0, 4)[1]
     planes = sorted({(min(i, j), max(i, j)) for i in range(8) for j in range(8) if phi[i][j]})
@@ -637,9 +630,13 @@ def rotor_invariance_check(n_rotors: int = 1000, seed: int = DEFAULT_SEED,
     return rep
 
 
-def _trilinear_forms(phi, x, psi):
-    """cl.trilinear_matrix of each row triple, in float."""
-    slices = np.array([cl.trilinear_slice(b) for b in range(8)], dtype=np.float64)
+def _trilinear_slices():
+    """The slices K_b of cl.trilinear_slice, stacked at [b, i, j] (int64)."""
+    return np.array([cl.trilinear_slice(b) for b in range(8)])
+
+
+def _trilinear_forms(slices, phi, x, psi):
+    """cl.trilinear_matrix of each row triple, on _trilinear_slices in float64."""
     return np.einsum("kb,ki,bij,kj->k", x, phi, slices, psi)
 
 
@@ -659,6 +656,7 @@ def trilinear_invariance_check(n_samples: int = 200, seed: int = DEFAULT_SEED,
                              meta={"seed": seed, "samples": n_samples, "tolerance": tol})
     rng = np.random.default_rng(seed)
     gens = _spinor_generators()
+    slices = _trilinear_slices().astype(np.float64)
     for start, n in _blocks(n_samples):
         lengths = rng.integers(1, 9, n)
         mu, nu, theta = _draw_rotors(rng, (n, 8), 2)
@@ -680,8 +678,8 @@ def trilinear_invariance_check(n_samples: int = 200, seed: int = DEFAULT_SEED,
         phi1, psi1 = eta[:, 0, 0:8], eta[:, 1, 8:16]
         size = np.sqrt(_sumsq(phi) * _sumsq(x) * _sumsq(psi))
         size1 = np.sqrt(_sumsq(phi1) * _sumsq(x1) * _sumsq(psi1))
-        resid = _drift(_trilinear_forms(phi, x, psi), _trilinear_forms(phi1, x1, psi1),
-                       size, size1)
+        resid = _drift(_trilinear_forms(slices, phi, x, psi),
+                       _trilinear_forms(slices, phi1, x1, psi1), size, size1)
         def label(k, start=start, lengths=lengths):
             return f"word {start + k} length {lengths[k]}"
         rep.record_mask(resid <= tol, label, residual=resid)
@@ -708,7 +706,7 @@ def dictionary_random_check(n_samples: int = 1000, seed: int = DEFAULT_SEED) -> 
     # the largest sum is 2 F_oct: 8^4 products phi_a M[a,j] x_b psi_c C[b,c,j],
     # |M[a,j]| at most 2
     slices, c, inner2 = exact_float64(
-        np.array([cl.trilinear_slice(b) for b in range(8)]).transpose(1, 0, 2).reshape(8, 64),
+        _trilinear_slices().transpose(1, 0, 2).reshape(8, 64),
         _c().reshape(8, 64),
         tr._conj_inner2(), degree=5, terms=2 * 8 ** 4, sampled=True)
     rng = np.random.default_rng(seed)

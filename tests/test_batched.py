@@ -18,7 +18,7 @@ from splitoct import sweeps
 from splitoct import triality as tr
 from splitoct.report import VerificationReport
 
-from oracles import RotorWord, embed_phi, embed_psi, vector_to_matrix_exact
+from oracles import RotorWord, embed_phi, embed_psi
 
 # the float suites draw their samples one block of 64 at a time
 DRAW_BLOCK = 64
@@ -142,25 +142,34 @@ def test_drawn_planes_reach_every_plane_and_never_repeat_an_index():
 
 
 def test_correspondence_witnesses(monkeypatch):
-    # Gamma_3 replaced by Gamma_2 breaks X^2 = Q(x) exactly on the samples
-    # with x_2 x_3 != 0; the witnesses follow sample order
-    gammas = list(cl._GAMMA)
-    gammas[3] = gammas[2]
-    monkeypatch.setattr(cl, "_GAMMA", gammas)
+    # with j1^2 = +1 conj(v)v loses 2 v_1^2: exactly the samples with a
+    # nonzero component 1 fail, the vector and spinor cases of each sample
+    # in turn; the reference takes conj(v)v one sample at a time through
+    # oc.mul and the invariants through the public kernels
+    table = [list(row) for row in oc._TABLE]
+    table[1][1] = (0, 1)
+    for name, value in oc._forms(table).items():
+        monkeypatch.setattr(oc, name, value)
     rep = tr.correspondence_check(200, seed=5)
     rng = np.random.default_rng(5)
     want = []
+
+    def norm(v):
+        o = oc.SplitOctonion(v)
+        return oc.mul(o.conj(), o)
+
     for i in range(200):
-        x = rng.integers(-9, 10, size=8)
-        rng.integers(-9, 10, size=8)
-        rng.integers(-9, 10, size=8)
-        X = vector_to_matrix_exact(x)
-        q = int(sum(cl.METRIC[m] * int(x[m]) ** 2 for m in range(8)))
-        if not X @ X == cl.GMat.eye(16).scale(q):
+        x, phi, psi = ([int(c) for c in rng.integers(-9, 10, size=8)] for _ in range(3))
+        q = sum(cl.METRIC[m] * x[m] ** 2 for m in range(8))
+        if norm(x) != oc.SplitOctonion.scalar(q):
             want.append(f"vector sample {i}")
+        if (norm(phi) != oc.SplitOctonion.scalar(cl.spinor_invariant(phi + [0] * 8))
+                or norm(psi) != oc.SplitOctonion.scalar(cl.spinor_invariant([0] * 8 + psi))):
+            want.append(f"spinor sample {i}")
     assert rep.cases == 400
     assert rep.failures == len(want) > 0
     assert rep.failure_details == want[:10]
+    assert {d.split()[0] for d in want[:10]} == {"vector", "spinor"}
 
 
 def peak_mb(call):
@@ -236,11 +245,21 @@ class TestExactFloat64:
         with pytest.raises(OverflowError):
             exact.exact_float64(sweeps._c(), degree=4, terms=2048, sampled=True)
 
-    @pytest.mark.parametrize("suite", [tr.correspondence_check, tr.dictionary_random_check])
-    def test_sampled_suites_refuse_a_wider_range(self, monkeypatch, suite):
-        monkeypatch.setattr(exact, "SAMPLE_RANGE", 2 ** 14)
+    # correspondence sums 2 x 64 products of three factors: 128 * 2^42 is
+    # below 2^53 and 128 * 2^48 is not; the dictionary's 2 x 8^4 products of
+    # five factors leave float64 at 2^14 already
+    @pytest.mark.parametrize("suite,refused", [(tr.correspondence_check, 2 ** 16),
+                                               (tr.dictionary_random_check, 2 ** 14)],
+                             ids=["correspondence_check", "dictionary_random_check"])
+    def test_sampled_suites_refuse_a_wider_range(self, monkeypatch, suite, refused):
+        monkeypatch.setattr(exact, "SAMPLE_RANGE", refused)
         with pytest.raises(OverflowError):
             suite(10)
+
+    def test_correspondence_certifies_range_2_to_14(self, monkeypatch):
+        monkeypatch.setattr(exact, "SAMPLE_RANGE", 2 ** 14)
+        rep = tr.correspondence_check(100)
+        assert (rep.cases, rep.failures) == (200, 0)
 
 
 def reference_check_generators(rep, tables, generators):

@@ -383,6 +383,36 @@ def test_verify_all_reports_a_failing_dictionary_as_a_verdict(monkeypatch, capsy
     assert rep["meta"] == {"seed": tr.DEFAULT_SEED, "samples": 1000}
 
 
+VERIFY_ALL_ORDER = ["basis-generation", "octonion-table", "moufang", "malcev", "clifford",
+                    "associators", "correspondence", "infinitesimal-L01", "boost-table",
+                    "role-swap", "double-cover", "trilinear-dictionary",
+                    "trilinear-invariance", "rotor-invariance"]
+# one entry e_a e_b with a <= b alone (the 7 squares and 21 products), and
+# both orders of each of the 21 anticommuting pairs
+TABLE_KILLS = ([((N[a], N[b]),) for a, b in itertools.combinations_with_replacement(oc.HYPER, 2)]
+               + [((N[a], N[b]), (N[b], N[a])) for a, b in itertools.combinations(oc.HYPER, 2)])
+
+
+@pytest.mark.parametrize("entries", TABLE_KILLS,
+                         ids=lambda e: "+".join(f"{a}{b}" for a, b in e))
+def test_verify_all_fails_as_a_verdict_on_every_table_flip(monkeypatch, capsys, entries):
+    # a broken table is a failed verdict with every report, never an error;
+    # basis generation catches every flip, and octonion-table names a
+    # single flipped entry
+    flipped_table(monkeypatch, entries)
+    monkeypatch.setattr(tr, "_ORACLE_CACHE", None)
+    assert cli.main(["verify", "all", "--samples", "64"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    jsonschema.validate(payload, json.loads((SCHEMAS / "report.schema.json").read_text()))
+    reports = {r["name"]: r for r in payload["reports"]}
+    assert [r["name"] for r in payload["reports"]] == VERIFY_ALL_ORDER
+    assert not reports["basis-generation"]["passed"]
+    if len(entries) == 1:
+        (a, b), = entries
+        name = f"{a}^2" if a == b else f"anticommute {a},{b}"
+        assert name in reports["octonion-table"]["failure_details"]
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
 def test_failing_verify_renders_in_every_format(monkeypatch, capsys, fmt):
     # with e_J1 e_J2 negated the Moufang sweep fails; every format shows the
@@ -468,15 +498,16 @@ def reference_trilinear_matrix(phi, x, psi):
 
 
 def result_of(f, *args):
-    """The type and value of f(*args), a float as its bits (signed zeros
-    included), or the type and message of the error it raises.  A NaN is
-    only a NaN: the sign of nan + (-nan) changes once the interpreter
-    specialises the addition, so no version of a kernel fixes it."""
+    """The type and value of f(*args), a float (a numpy float too) as its
+    bits, signed zeros included, or the type and message of the error it
+    raises.  A NaN is only a NaN: the sign of nan + (-nan) changes once the
+    interpreter specialises the addition, so no version of a kernel fixes
+    it."""
     try:
         v = f(*args)
     except (OverflowError, ValueError) as exc:
         return "raises", type(exc), str(exc)
-    if isinstance(v, float):
+    if isinstance(v, (float, np.floating)):
         return type(v), "nan" if math.isnan(v) else struct.pack("<d", v)
     return type(v), v
 
@@ -583,6 +614,8 @@ INT_EXAMPLE = [2 ** 40, -2 ** 40, 2 ** 70, 0, 1, -1, -2 ** 70, 7]
 WIDE_INT64 = [np.int64(2 ** 40)] + [0] * 7
 # a numpy integer whose negation (conj) leaves int64
 MIN_INT64 = [0, np.int64(-2 ** 63)] + [0] * 6
+# times [0, float32 1.5, 0, 0, 0, 0, -2^70, 0], coefficient 5 is float32 -0.0
+FLOAT32_ZERO = [0, 0, 0, 5e-324, 1e-200, 0, 0, 0]
 # a bool, signed zeros, inf, NaN, a Fraction and a numpy int: the table loop
 LOOP_EXAMPLE = [True, -0.0, math.inf, math.nan, Fraction(1, 3), np.int64(-7), 0.0, False]
 
@@ -628,6 +661,7 @@ def test_octonion_kernels_match_two_product_oracle(monkeypatch, entries):
 @example(LOOP_EXAMPLE, LOOP_EXAMPLE[::-1])
 @example(LOOP_EXAMPLE, INT_EXAMPLE)
 @example(WIDE_INT64, [np.int64(-2 ** 40), 2 ** 70, 0.5] + [0] * 5)
+@example(FLOAT32_ZERO, [0, np.float32(1.5), 0, 0, 0, 0, -2 ** 70, 0])
 def check_mul(x, y):
     a, b = O(x), O(y)
     pa, pb = O(numpy_ints_as_python(x)), O(numpy_ints_as_python(y))
