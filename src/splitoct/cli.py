@@ -76,11 +76,10 @@ def _round12(v: float) -> float:
 # ---------------------------------------------------------------------------
 
 def cmd_table(args) -> dict:
-    sc = oc.StructureConstants.standard()
     products = []
     for a in range(8):
         for b in range(8):
-            idx, sign = sc.product(a, b)
+            idx, sign = oc._TABLE[a][b]
             products.append({"left": oc.UNIT_NAMES[a], "right": oc.UNIT_NAMES[b],
                              "result_unit": oc.UNIT_NAMES[idx], "sign": sign})
     families = []

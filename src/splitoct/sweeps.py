@@ -17,13 +17,17 @@ The octonion suites contract the dense structure tensor C[a,b,k] (e_a e_b =
 sum_k C[a,b,k] e_k), built from ``oc._TABLE`` on first use and kept here
 until another table is installed; basis generation rebuilds the table in
 an independent Zorn vector-matrix model.  The first-order tables of the
-L_01 and L_04 actions and of the role-swap rotor are compared, entry by
-entry and with ==, against the exact generators of ``cl.plane_generator``.
+L_01 and L_04 actions and of the role-swap rotor are compared with ==
+against the exact generators of ``cl.plane_generator``, each table as one
+mask.  The float suites turn their vector and spinor stacks through
+``cl.turn_pair`` and each plane's signed permutation
+(``cl._bivector_action``), as ``sot rotate`` turns one vector or spinor.
 """
 from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -425,8 +429,8 @@ def correspondence_check(n_samples: int = 1000, seed: int = DEFAULT_SEED) -> Ver
 # ---------------------------------------------------------------------------
 # generator tables: the first-order coefficients of the L_01 rotation, the
 # L_04 boost and the composite role-swap rotor on (x, phi, psi), as
-# (output, input, coefficient) entries, checked entry by entry with == against
-# the exact generators of cl.plane_generator
+# (output, input, coefficient) entries, checked with == against the exact
+# generators of cl.plane_generator
 # ---------------------------------------------------------------------------
 
 def gen_matrix(entries):
@@ -462,14 +466,15 @@ BOOST_THETA = 0.5    # the angle of boost_table_check's finite boost
 
 
 def _check_generators(rep, tables, generators) -> None:
-    """The x, phi and psi tables against the exact generators, one case per
-    entry of each dense table, in C order, compared with ==; a failing
-    entry names its position and both values."""
-    for name, entries, gen in zip(("x", "phi", "psi"), tables, generators):
+    """The x, phi and psi tables against the exact generators, read as
+    float64 (exact: every entry is a quarter), one case per entry of each
+    dense table, in C order, compared with ==; a failing entry names its
+    position and both values."""
+    gens = np.asarray(generators, dtype=np.float64)
+    for name, entries, gen in zip(("x", "phi", "psi"), tables, gens):
         table = gen_matrix(entries)
-        for i, j in itertools.product(range(8), repeat=2):
-            t, g = float(table[i, j]), gen[i][j]
-            rep.record_case(t == g, f"{name}[{i},{j}] table {t} generator {g}")
+        rep.record_mask(table == gen, lambda i, j, name=name, table=table, gen=gen: (
+            f"{name}[{i},{j}] table {float(table[i, j])} generator {Fraction(gen[i, j])}"))
 
 
 def infinitesimal_table_check(plane: str = "01") -> VerificationReport:
@@ -516,11 +521,10 @@ def role_swap_check() -> VerificationReport:
     generator, 1/2 the sum of the generators of its four planes: x and phi
     move at half angle, psi performs a plain full-angle rotation in the
     (0,1) plane."""
-    gens = [cl.plane_generator(mu, nu) for mu, nu in ROLE_SWAP_PLANES]
-    half_sum = [[[sum(g[part][i][j] for g in gens) / 2 for j in range(8)] for i in range(8)]
-                for part in range(3)]
+    gens = np.array([cl.plane_generator(mu, nu) for mu, nu in ROLE_SWAP_PLANES],
+                    dtype=np.float64)
     rep = VerificationReport("role-swap")
-    _check_generators(rep, (COMPOSITE_X, COMPOSITE_PHI, COMPOSITE_PSI), half_sum)
+    _check_generators(rep, (COMPOSITE_X, COMPOSITE_PHI, COMPOSITE_PSI), gens.sum(axis=0) / 2)
     return rep
 
 
@@ -546,29 +550,28 @@ def _half_angles(mu, nu, theta):
                      for m, n, t in zip(mu.tolist(), nu.tolist(), theta.tolist())])
 
 
-def _spinor_generators():
-    """The bivector action of every plane on real spinor components as a
-    dense 16x16 matrix, stacked at index 8 mu + nu."""
-    out = np.zeros((64, 16, 16))
-    for mu, nu in itertools.permutations(range(8), 2):
-        cols, signs = zip(*cl._bivector_action(mu, nu))
-        out[8 * mu + nu, range(16), cols] = signs
-    return out
+def _actions():
+    """(columns, signs) of cl._bivector_action for every plane, as int64
+    arrays at [mu, nu, i]; the planes mu == nu hold zeros."""
+    zero = ((0, 0),) * 16
+    a = np.array([[cl._bivector_action(mu, nu) if mu != nu else zero for nu in range(8)]
+                  for mu in range(8)])
+    return a[..., 0], a[..., 1]
 
 
-def _turn_vectors(x, rows, mu, nu, c, s) -> None:
-    """Row rows[k] of the vector stack x by the rotor of plane (mu[k], nu[k])
-    with half-angle pair (c[k], s[k]), in place; as cl.rotate_vector."""
+def _turn(x, eta, rows, actions, mu, nu, c, s) -> None:
+    """Row rows[k] of the vector stack x (n, 8) and of the spinor stack eta
+    (n, 16) by the rotor of plane (mu[k], nu[k]) with half-angle pair (c[k],
+    s[k]), in place: x through cl.turn_pair, eta through the plane's signed
+    permutation as cl._TURN does it, component i becoming c e_i -
+    s (g_i e_j_i + 0.0).  Elementwise, so each row rounds as
+    rotate_vector_list and rotate_spinor_list round one list."""
     g = np.array(cl.METRIC, dtype=np.float64)
     x[rows, mu], x[rows, nu] = cl.turn_pair(x[rows, mu], x[rows, nu], g[mu], g[nu], c, s)
-
-
-def _turn_spinors(eta, rows, gens, mu, nu, c, s) -> None:
-    """The same rotors on the spinor stack eta (samples, spinors, 16), in
-    place; as cl.rotate_spinor."""
+    columns, signs = actions[0][mu, nu], actions[1][mu, nu]
     e = eta[rows]
-    moved = np.einsum("kij,kaj->kai", gens[8 * mu + nu], e)
-    eta[rows] = c[:, None, None] * e - s[:, None, None] * moved
+    c, s = c[:, None], s[:, None]
+    eta[rows] = c * e - s * (signs * np.take_along_axis(e, columns, axis=1) + 0.0)
 
 
 def _sumsq(v):
@@ -607,18 +610,14 @@ def rotor_invariance_check(n_rotors: int = 1000, seed: int = DEFAULT_SEED,
     rep = VerificationReport("rotor-invariance", exact=False,
                              meta={"seed": seed, "samples": n_rotors, "tolerance": tol})
     rng = np.random.default_rng(seed)
-    gens = _spinor_generators()
+    actions = _actions()
     for start, n in _blocks(n_rotors):
         mu, nu, theta = _draw_rotors(rng, n, 3)
         v = sample_integers(rng, (n, 24)).astype(np.float64)     # x, then eta
         half = _half_angles(mu, nu, theta)
-        x, eta = v[:, :8], v[:, None, 8:]
-        rows = np.arange(n)
-        x1 = x.copy()
-        _turn_vectors(x1, rows, mu, nu, *half.T)
-        eta1 = eta.copy()
-        _turn_spinors(eta1, rows, gens, mu, nu, *half.T)
-        eta, eta1 = eta[:, 0], eta1[:, 0]
+        x, eta = v[:, :8], v[:, 8:]
+        x1, eta1 = x.copy(), eta.copy()
+        _turn(x1, eta1, np.arange(n), actions, mu, nu, *half.T)
         resid = np.stack([
             _drift(_vector_forms(x), _vector_forms(x1), _sumsq(x), _sumsq(x1)),
             _drift(_spinor_forms(eta), _spinor_forms(eta1), _sumsq(eta), _sumsq(eta1)),
@@ -655,7 +654,7 @@ def trilinear_invariance_check(n_samples: int = 200, seed: int = DEFAULT_SEED,
     rep = VerificationReport("trilinear-invariance", exact=False,
                              meta={"seed": seed, "samples": n_samples, "tolerance": tol})
     rng = np.random.default_rng(seed)
-    gens = _spinor_generators()
+    actions = _actions()
     slices = _trilinear_slices().astype(np.float64)
     for start, n in _blocks(n_samples):
         lengths = rng.integers(1, 9, n)
@@ -665,17 +664,13 @@ def trilinear_invariance_check(n_samples: int = 200, seed: int = DEFAULT_SEED,
         half = np.zeros((n, 8, 2))
         half[used] = _half_angles(mu[used], nu[used], theta[used])
         phi, x, psi = v[:, 0], v[:, 1], v[:, 2]
-        x1 = x.copy()
-        eta = np.zeros((n, 2, 16))
-        eta[:, 0, 0:8] = phi
-        eta[:, 1, 8:16] = psi
+        # [phi | psi] as one spinor row: no plane mixes the chiral halves
+        x1, eta = x.copy(), np.concatenate([phi, psi], axis=1)
         for step in range(8):
             rows = np.flatnonzero(lengths > step)
             j = lengths[rows] - 1 - step
-            word = (mu[rows, j], nu[rows, j], *half[rows, j].T)
-            _turn_vectors(x1, rows, *word)
-            _turn_spinors(eta, rows, gens, *word)
-        phi1, psi1 = eta[:, 0, 0:8], eta[:, 1, 8:16]
+            _turn(x1, eta, rows, actions, mu[rows, j], nu[rows, j], *half[rows, j].T)
+        phi1, psi1 = eta[:, 0:8], eta[:, 8:16]
         size = np.sqrt(_sumsq(phi) * _sumsq(x) * _sumsq(psi))
         size1 = np.sqrt(_sumsq(phi1) * _sumsq(x1) * _sumsq(psi1))
         resid = _drift(_trilinear_forms(slices, phi, x, psi),

@@ -11,6 +11,7 @@ import pytest
 
 import splitoct
 from splitoct import cli
+from splitoct import clifford as cl
 from splitoct import octonion as oc
 from splitoct import sweeps
 from splitoct import triality as tr
@@ -491,20 +492,42 @@ def test_each_suite_runs_the_sweeps_function(monkeypatch):
             getattr(module, name)
 
 
-@pytest.mark.parametrize("module,name,suite", [
+# every suite, as the module attribute that `verify` calls at run time, and
+# the `verify` suite that calls it: the traced benchmark wraps each of these
+# attributes and reads its timings there, so a suite renamed, moved off its
+# module or called around the attribute stops that run
+SUITE_CALLS = [
+    (oc, "generate_basis_from_J", "all"),
+    (oc, "verify_table", "all"),
     (oc, "verify_moufang", "moufang"),
-    (tr, "role_swap_check", "triality"),
-])
+    (oc, "verify_malcev", "malcev"),
+    (oc, "verify_associators", "associators"),
+    (cl, "verify_clifford", "clifford"),
+    (tr, "correspondence_check", "correspondence"),
+    *((tr, name, "triality") for name in (
+        "infinitesimal_table_check", "boost_table_check", "role_swap_check",
+        "double_cover_check", "dictionary_random_check", "trilinear_invariance_check",
+        "rotor_invariance_check")),
+]
+
+
+@pytest.mark.parametrize("module,name,suite", SUITE_CALLS,
+                         ids=lambda v: getattr(v, "__name__", v))
 def test_verify_calls_the_suite_the_module_holds(monkeypatch, capsys, module, name, suite):
+    calls = []
+
     def stub(*args, **kwargs):
+        calls.append(name)
+        if name == "generate_basis_from_J":
+            raise oc.ConstructionError(f"stub for {name}")
         rep = VerificationReport("stub")
         rep.record_case(False, f"stub for {name}")
         return rep
     monkeypatch.setattr(module, name, stub)
     code, out, _ = run(capsys, ["verify", suite])
-    reports = json.loads(out)["reports"]
-    assert code == 1
-    assert [r["failure_details"] for r in reports if r["name"] == "stub"] == [[f"stub for {name}"]]
+    details = [d for r in json.loads(out)["reports"] for d in r["failure_details"]]
+    assert code == 1 and calls == [name]
+    assert len(details) == 1 and details[0].endswith(f"stub for {name}")
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -86,17 +87,18 @@ def _gamma_with(mu, g):
     return gammas
 
 
-def _first_entry_negated(g):
+def _entry_negated(g, k=0):
+    """The square GMat g with its k-th nonzero entry, in C order, negated."""
     entries = list(g.entries())
-    r, c, re, im = entries[0]
-    entries[0] = (r, c, -re, -im)
-    return cl.GMat.from_entries(16, entries)
+    r, c, vr, vi = entries[k]
+    entries[k] = (r, c, -vr, -vi)
+    return cl.GMat.from_entries(len(g.rows), entries)
 
 
 # Gamma_3 replaced by Gamma_2; one entry of Gamma_5 negated; Gamma_6 doubled
 CORRUPT_GAMMAS = [
     (3, lambda: cl._GAMMA[2]),
-    (5, lambda: _first_entry_negated(cl._GAMMA[5])),
+    (5, lambda: _entry_negated(cl._GAMMA[5])),
     (6, lambda: cl._GAMMA[6].scale(2)),
 ]
 
@@ -115,6 +117,37 @@ def test_clifford_witnesses_match_pair_loop(monkeypatch, mu, make):
 def test_clifford_witness_names_plain_ints(monkeypatch):
     monkeypatch.setattr(cl, "_GAMMA", _gamma_with(3, cl._GAMMA[2]))
     assert cl.verify_clifford().failure_details[0] == "pair (2,3) entry (0, 0)"
+
+
+def _gammas_from(alphas):
+    """Gamma_mu built from the alpha tables as clifford.py builds it."""
+    return [cl._big_a(a) if mu < 4 else cl._big_a(a).times_i() for mu, a in enumerate(alphas)]
+
+
+# Broken Clifford data is refused at import, never a verify verdict:
+# clifford.py raises AssertionError unless verify_clifford passes on the
+# Gamma built from _ALPHA and XI_M XI_M^dag == 2 Id.  Every sign of either
+# table must trip its check.
+
+@pytest.mark.parametrize("mu", range(8))
+def test_every_alpha_sign_flip_fails_the_clifford_relation(monkeypatch, mu):
+    assert _gammas_from(cl._ALPHA) == cl._GAMMA
+    for k in range(8):
+        alphas = list(cl._ALPHA)
+        alphas[mu] = _entry_negated(alphas[mu], k)
+        monkeypatch.setattr(cl, "_GAMMA", _gammas_from(alphas))
+        rep = cl.verify_clifford()
+        assert not rep.passed, k
+        pairs = [re.match(r"pair \((\d),(\d)\) ", d).groups() for d in rep.failure_details]
+        assert all(str(mu) in p for p in pairs), (k, rep.failure_details)
+
+
+def test_every_xi_sign_flip_fails_sqrt2_unitarity():
+    two = cl.GMat.eye(16).scale(2)
+    assert len(list(cl.XI_M.entries())) == 32 and cl.XI_M @ cl.XI_M.conj_t() == two
+    for k in range(32):
+        xi = _entry_negated(cl.XI_M, k)
+        assert not xi @ xi.conj_t() == two, k
 
 
 class TestGMatCeiling:
@@ -283,6 +316,13 @@ class TestRotateSpinor:
             psi_only = embed_psi(rng.normal(size=8))
             out = cl.rotate_spinor(psi_only, r)
             assert np.array_equal(out[0:8], np.zeros(8))
+
+    def test_every_plane_keeps_each_chiral_half(self):
+        # each row of every plane's signed permutation reads a column of its
+        # own half; the float suites turn [phi | psi] as one row on this
+        for mu, nu in itertools.permutations(range(8), 2):
+            columns = [j for j, _ in cl._bivector_action(mu, nu)]
+            assert [j < 8 for j in columns] == [i < 8 for i in range(16)], (mu, nu)
 
     def test_double_cover(self):
         eta = np.arange(1.0, 17.0)

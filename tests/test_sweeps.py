@@ -367,6 +367,23 @@ def test_trilinear_both_exits_1_on_flipped_table(monkeypatch, capsys):
                        "dictionary fails at basis triple (3,5,6)\n")
 
 
+def test_table_prints_a_flipped_table_as_it_stands(monkeypatch, capsys):
+    # sot table reads the unit table and does not validate it: with e_J1 e_J2
+    # alone negated it prints the flipped sign and exits 0; the flip is
+    # octonion-table's failed case
+    table = flipped((("J1", "J2"),))
+    flipped_table(monkeypatch, (("J1", "J2"),))
+    assert cli.main(["table"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    jsonschema.validate(payload, json.loads((SCHEMAS / "table.schema.json").read_text()))
+    entries = {(p["left"], p["right"]): (p["result_unit"], p["sign"])
+               for p in payload["products"]}
+    assert entries == {(N[a], N[b]): (N[k], sign)
+                       for a, row in enumerate(table)
+                       for b, (k, sign) in enumerate(row)}
+    assert entries[("J1", "J2")] == ("j3", -1) and entries[("J2", "J1")] == ("j3", -1)
+
+
 def test_verify_all_reports_a_failing_dictionary_as_a_verdict(monkeypatch, capsys):
     # with e_J1 e_J2 and e_J2 e_J1 negated the dictionary fails its exact
     # check: trilinear-dictionary records that as a failed case naming the
