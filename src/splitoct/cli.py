@@ -6,10 +6,10 @@ emits; ``main`` chooses the format in one place, and the csv and pretty
 renderers of a subcommand read nothing but its payload.  Structured output
 goes to stdout, diagnostics to stderr.  Exit codes: 0 success / all suites
 pass, 1 verification failure, 2 usage error.  Only `verify` imports
-``sweeps`` and with it numpy: RUNS calls each suite through ``oc`` and
-``tr``, whose functions import that module when first called (`verify
-clifford` needs neither).  The other subcommands run on the standard library and
-never compile the sweeps.
+``sweeps`` and with it numpy: RUNS calls each suite through its entry point
+on ``oc`` or ``tr`` (``octonion._sweep``; `verify clifford` needs neither).
+The other subcommands run on the standard library and never compile the
+sweeps.
 """
 from __future__ import annotations
 
@@ -167,6 +167,8 @@ def cmd_verify(args) -> dict:
         raise UsageError("tolerance must be finite and positive")
     if settings["samples"] < 1:
         raise UsageError("samples must be at least 1")
+    if settings["seed"] < 0:
+        raise UsageError("--seed must be non-negative")
     reports = [_generation_report(), oc.verify_table()] if args.suite == "all" else []
     for name in names:
         reports += RUNS[name][1](settings)

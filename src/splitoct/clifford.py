@@ -19,10 +19,10 @@ component is a Python int, so a list of Python ints goes to it as given
 and any other argument is read component by component first.  Float sums
 of several terms (the invariants, the float trilinear form over the same
 tables) are correctly rounded (``math.fsum``), so they do not depend on
-the machine.  numpy is imported only by the dense views and the ndarray
-rotor actions.  The module also owns the grade-4 element B = -G1 G3 G5 G7,
-the spinor basis-change matrix and everything built on them (rotors,
-invariants, the trilinear form).
+the machine.  numpy is imported only by the ndarray rotor actions.  The
+module also owns the grade-4 element B = -G1 G3 G5 G7, the spinor
+basis-change matrix and everything built on them (rotors, invariants, the
+trilinear form).
 """
 from __future__ import annotations
 
@@ -45,16 +45,14 @@ class GMat:
     Row r is a tuple of (column, re, im) triples, one per nonzero entry, by
     increasing column.  Every matrix of the representation has one or two
     entries per row, and Python ints keep every product exact whatever the
-    size of its entries.  The dense int64 views ``re`` and ``im`` (numpy)
-    are built on first use.
+    size of its entries.
     """
 
-    __slots__ = ("rows", "ncols", "_dense")
+    __slots__ = ("rows", "ncols")
 
     def __init__(self, rows, ncols=None):
         self.rows = tuple(rows)
         self.ncols = len(self.rows) if ncols is None else ncols
-        self._dense = None
 
     @classmethod
     def from_entries(cls, n: int, entries):
@@ -163,25 +161,6 @@ class GMat:
 
     def is_real(self) -> bool:
         return not any(vi for _, _, _, vi in self.entries())
-
-    def _arrays(self):
-        if self._dense is None:
-            import numpy as np
-            re = np.zeros((len(self.rows), self.ncols), dtype=np.int64)
-            im = np.zeros_like(re)
-            for r, c, vr, vi in self.entries():
-                re[r, c], im[r, c] = vr, vi
-            re.flags.writeable = im.flags.writeable = False
-            self._dense = (re, im)
-        return self._dense
-
-    @property
-    def re(self):
-        return self._arrays()[0]
-
-    @property
-    def im(self):
-        return self._arrays()[1]
 
     def to_json(self, exact: bool = True) -> list:
         num = str if exact else float
@@ -636,14 +615,3 @@ def _trilinear(p, x, s):
         return _TRILINEAR(pi, xi, si)
     p, s, x = ([float(v) for v in vals] for vals in (p, s, x))
     return _fsum(x[b] * (k * p[i] * s[j]) for b, i, j, k in _TRILINEAR_TERMS if x[b])
-
-
-def trilinear_slice(b: int):
-    """Integer matrix K_b with F(phi, e_b, psi) = phi^T K_b psi, as a dense
-    int64 array."""
-    import numpy as np
-    out = np.zeros((8, 8), dtype=np.int64)
-    for slice_b, i, j, k in _TRILINEAR_TERMS:
-        if slice_b == b:
-            out[i, j] = k
-    return out

@@ -19,11 +19,8 @@ integers turned into Python ints first so that their products cannot wrap
 in int64; inner and norm_sq do the same.
 
 The identity sweeps (verify_table, verify_moufang, verify_malcev,
-verify_associators and generate_basis_from_J) live in ``sweeps``, which
-contracts the dense structure tensor built from the same table (numpy).
-Each name here is a function that imports that module when it is called
-and runs the sweep there: a process that runs no sweep compiles neither
-it nor numpy.
+verify_associators and generate_basis_from_J) live in ``sweeps``; each
+name here is made by ``_sweep``.
 """
 from __future__ import annotations
 
@@ -472,31 +469,23 @@ def expected_associator(a: int, b: int, c: int) -> SplitOctonion:
     return sign * val
 
 
-# The identity sweeps live in ``sweeps``; each name here imports it when first
-# called, so a process that runs no sweep compiles neither it nor numpy.
-# Callers look the suites up here, where a wrapper or a monkeypatch set on
-# this module is what runs.
-
-def verify_table(*args, **kwargs):
-    from . import sweeps
-    return sweeps.verify_table(*args, **kwargs)
-
-
-def verify_moufang(*args, **kwargs):
-    from . import sweeps
-    return sweeps.verify_moufang(*args, **kwargs)
-
-
-def verify_malcev(*args, **kwargs):
-    from . import sweeps
-    return sweeps.verify_malcev(*args, **kwargs)
+def _sweep(name: str):
+    """The suite ``name`` of ``sweeps`` as an entry point named ``name``: a
+    function that imports ``sweeps`` when it is called and runs
+    ``sweeps.<name>`` there, looked up at that call.  So a process that runs
+    no suite compiles neither ``sweeps`` nor numpy, and a monkeypatch set on
+    ``sweeps`` or on the module that holds the entry point is what runs;
+    callers (``cli``) look the suites up on those modules.  ``triality``
+    makes its suites here too."""
+    def suite(*args, **kwargs):
+        from . import sweeps
+        return getattr(sweeps, name)(*args, **kwargs)
+    suite.__name__ = suite.__qualname__ = name
+    return suite
 
 
-def verify_associators(*args, **kwargs):
-    from . import sweeps
-    return sweeps.verify_associators(*args, **kwargs)
-
-
-def generate_basis_from_J(*args, **kwargs):
-    from . import sweeps
-    return sweeps.generate_basis_from_J(*args, **kwargs)
+verify_table = _sweep("verify_table")
+verify_moufang = _sweep("verify_moufang")
+verify_malcev = _sweep("verify_malcev")
+verify_associators = _sweep("verify_associators")
+generate_basis_from_J = _sweep("generate_basis_from_J")

@@ -4,24 +4,31 @@ helpers and generator tables that only they use.  Each fact has one
 report: X^2 = q(x) Id is ``clifford``'s; the squares and signs of the unit
 table, read as they are, are ``octonion-table``'s.
 
-Only ``sot verify`` and the tests import this module.  ``octonion`` and
-``triality`` keep each of the thirteen suite names as a function that
-imports this module when it is called and runs the suite here, so a
-one-shot process neither compiles this source nor imports numpy.  The sweeps reach every
-object derived from the unit table, and every kernel, through its module
-at call time (``oc._TABLE``, ``oc.mul``, ``_c()``, ``tr.equivalence_map``,
-``cl.rotate_vector``): code that installs another table with
-``oc._forms`` or wraps a kernel is seen here too.
+Only ``sot verify`` and the tests import this module: ``octonion`` and
+``triality`` hold each of the thirteen suites as an entry point made by
+``octonion._sweep``, so a one-shot process neither compiles this source
+nor imports numpy.  The sweeps reach every object derived from the unit
+table, and every kernel, through its module at call time (``oc._TABLE``,
+``oc.mul``, ``tr.equivalence_map``, ``cl.rotate_vector``): code that
+installs another table with ``oc._forms`` or wraps a kernel is seen here
+too.
 
 The octonion suites contract the dense structure tensor C[a,b,k] (e_a e_b =
-sum_k C[a,b,k] e_k), built from ``oc._TABLE`` on first use and kept here
-until another table is installed; basis generation rebuilds the table in
-an independent Zorn vector-matrix model.  The first-order tables of the
-L_01 and L_04 actions and of the role-swap rotor are compared with ==
-against the exact generators of ``cl.plane_generator``, each table as one
-mask.  The float suites turn their vector and spinor stacks through
-``cl.turn_pair`` and each plane's signed permutation
-(``cl._bivector_action``), as ``sot rotate`` turns one vector or spinor.
+sum_k C[a,b,k] e_k), built from ``oc._TABLE`` at each call of ``_c``;
+basis generation rebuilds the table in an independent Zorn vector-matrix
+model.  The first-order tables of the L_01 and L_04 actions and of the
+role-swap rotor are compared with == against the exact generators of
+``cl.plane_generator``, each table as one mask.  The float suites turn
+their vector and spinor stacks through ``cl.turn_pair`` and each plane's
+signed permutation (``cl._bivector_action``), as ``sot rotate`` turns one
+vector or spinor.
+
+A float64 holds every integer below 2**53 exactly, and the sum or product
+of two such integers is exact while the result stays below that bound.
+So a contraction of integer arrays run through float64 BLAS products, in
+any summation order, gives the integer result when every product and
+partial sum stays below 2**53.  ``exact_float64`` checks that bound before
+it casts.
 """
 from __future__ import annotations
 
@@ -34,7 +41,6 @@ import numpy as np
 from . import clifford as cl
 from . import octonion as oc
 from . import triality as tr
-from .exact import exact_float64, sample_integers
 from .octonion import (HYPER, IDX_I, UNIT_NAMES, ConstructionError, SplitOctonion,
                        StructureConstants, epsilon)
 from .report import VerificationReport
@@ -42,30 +48,71 @@ from .triality import DEFAULT_SEED
 
 
 # ---------------------------------------------------------------------------
-# structure tensor
+# exact integer data in float64
 # ---------------------------------------------------------------------------
 
-def _structure_tensor(table):
-    """C[a,b,k] with e_a e_b = sum_k C[a,b,k] e_k, read off a unit table,
-    as an int64 array."""
-    c = np.zeros((8, 8, 8), dtype=np.int64)
-    for a, row in enumerate(table):
-        for b, (k, sign) in enumerate(row):
-            c[a, b, k] = sign
-    c.flags.writeable = False
-    return c
+# the sampled suites draw integer components from [-SAMPLE_RANGE, SAMPLE_RANGE]
+SAMPLE_RANGE = 9
+FLOAT64_EXACT = 2 ** 53
 
 
-_C = None, None      # a unit table and its structure tensor
+def sample_integers(rng, size):
+    """Integer components from [-SAMPLE_RANGE, SAMPLE_RANGE], the range that
+    exact_float64(..., sampled=True) counts."""
+    return rng.integers(-SAMPLE_RANGE, SAMPLE_RANGE + 1, size=size)
+
+
+def magnitude(a) -> int:
+    """The largest |entry| of an integer array, as a Python int (0 if empty)."""
+    a = np.asarray(a)
+    if not a.size:
+        return 0
+    return max(int(a.max()), -int(a.min()))
+
+
+def exact_float64(*factors, degree: int, terms: int, sampled: bool = False):
+    """The integer arrays ``factors`` as float64, for contractions that sum
+    at most ``terms`` products of ``degree`` entries each, every entry taken
+    from one of the factors (a sum with integer coefficients counts
+    |coefficient| terms per product).  With ``sampled``, entries may also
+    come from sampled components in [-SAMPLE_RANGE, SAMPLE_RANGE], which the
+    caller draws and casts itself.
+
+    Every such product and partial sum is at most terms * m**degree in
+    size, m the largest |entry| (at least 1).  Raises OverflowError unless
+    that is below 2**53, where each is exact.
+    """
+    m = max(1, SAMPLE_RANGE if sampled else 0, *(magnitude(f) for f in factors))
+    if terms * m ** degree >= FLOAT64_EXACT:
+        raise OverflowError(f"{terms} products of {degree} integers up to {m} "
+                            f"may reach 2**53; float64 would round them")
+    return tuple(np.asarray(f, dtype=np.float64) for f in factors)
+
+
+def _dense(shape, entries):
+    """The int64 array of ``shape`` holding the (*index, value) entries,
+    zero elsewhere."""
+    out = np.zeros(shape, dtype=np.int64)
+    for *index, value in entries:
+        out[tuple(index)] = value
+    return out
 
 
 def _c():
-    """The structure tensor of oc._TABLE, built on first use and again
-    whenever another table has been installed."""
-    global _C
-    if _C[0] is not oc._TABLE:
-        _C = oc._TABLE, _structure_tensor(oc._TABLE)
-    return _C[1]
+    """C[a,b,k] with e_a e_b = sum_k C[a,b,k] e_k, read off oc._TABLE."""
+    return _dense((8, 8, 8), ((a, b, k, sign) for a, row in enumerate(oc._TABLE)
+                              for b, (k, sign) in enumerate(row)))
+
+
+def _trilinear_slices():
+    """The slices K_b of cl._TRILINEAR_TERMS, stacked at [b, i, j]."""
+    return _dense((8, 8, 8), cl._TRILINEAR_TERMS)
+
+
+def _q_spinor_2():
+    """The exact 2x quadratic-form matrix of the spinor invariant, from
+    cl._Q_SPINOR_TERMS."""
+    return _dense((16, 16), cl._Q_SPINOR_TERMS)
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +435,11 @@ def generate_basis_from_J() -> StructureConstants:
 BLOCK = 64          # samples per stacked evaluation in the batched suites
 
 def _blocks(n: int):
-    """(start, size) of the consecutive blocks of at most BLOCK samples."""
+    """(start, size) of the consecutive blocks of at most BLOCK samples;
+    ValueError unless there is at least one, as every sampled suite takes
+    its samples through here."""
+    if n < 1:
+        raise ValueError("need at least one sample")
     return ((start, min(BLOCK, n - start)) for start in range(0, n, BLOCK))
 
 
@@ -401,14 +452,12 @@ def correspondence_check(n_samples: int = 1000, seed: int = DEFAULT_SEED) -> Ver
     the spinor forms through the exact 2x quadratic-form matrix.  X^2 =
     q(x) Id is the Clifford relation, which ``clifford`` checks.
     """
-    if n_samples < 1:
-        raise ValueError("need at least one sample")
     rep = VerificationReport("correspondence",
                              meta={"seed": seed, "samples": n_samples,
                                    "convention": tr.PINNED_CONVENTION.label})
     rng = np.random.default_rng(seed)
     # the largest sum is 2 conj(v)v: 2 x 64 products v_a C[a,b,0] v_b
-    c, q2, metric = exact_float64(_c().reshape(8, 64), cl._Q_SPINOR_2.re, cl.METRIC,
+    c, q2, metric = exact_float64(_c().reshape(8, 64), _q_spinor_2(), cl.METRIC,
                                   degree=3, terms=2 * 64, sampled=True)
     for start, n in _blocks(n_samples):
         v = sample_integers(rng, (n, 3, 8)).astype(np.float64)      # x, phi, psi
@@ -589,9 +638,9 @@ def _vector_forms(x):
     return np.einsum("ki,ki->k", x[:, :4] - x[:, 4:], x[:, :4] + x[:, 4:])
 
 
-def _spinor_forms(eta):
-    """The float evaluation of cl.spinor_invariant on each row."""
-    q = cl._Q_SPINOR_2.re / 2.0
+def _spinor_forms(q, eta):
+    """The float evaluation of cl.spinor_invariant on each row, with q the
+    quadratic-form matrix in float64."""
     return (np.einsum("ki,ij,kj->k", eta[:, 0:8], q[0:8, 0:8], eta[:, 0:8])
             + np.einsum("ki,ij,kj->k", eta[:, 8:16], q[8:16, 8:16], eta[:, 8:16]))
 
@@ -611,6 +660,7 @@ def rotor_invariance_check(n_rotors: int = 1000, seed: int = DEFAULT_SEED,
                              meta={"seed": seed, "samples": n_rotors, "tolerance": tol})
     rng = np.random.default_rng(seed)
     actions = _actions()
+    q = _q_spinor_2() / 2.0
     for start, n in _blocks(n_rotors):
         mu, nu, theta = _draw_rotors(rng, n, 3)
         v = sample_integers(rng, (n, 24)).astype(np.float64)     # x, then eta
@@ -620,18 +670,13 @@ def rotor_invariance_check(n_rotors: int = 1000, seed: int = DEFAULT_SEED,
         _turn(x1, eta1, np.arange(n), actions, mu, nu, *half.T)
         resid = np.stack([
             _drift(_vector_forms(x), _vector_forms(x1), _sumsq(x), _sumsq(x1)),
-            _drift(_spinor_forms(eta), _spinor_forms(eta1), _sumsq(eta), _sumsq(eta1)),
+            _drift(_spinor_forms(q, eta), _spinor_forms(q, eta1), _sumsq(eta), _sumsq(eta1)),
         ], axis=1)
 
         def label(k, j, start=start, mu=mu, nu=nu):
             return f"{('vector', 'spinor')[j]} rotor {start + k} plane ({mu[k]},{nu[k]})"
         rep.record_mask(resid <= tol, label, residual=resid)
     return rep
-
-
-def _trilinear_slices():
-    """The slices K_b of cl.trilinear_slice, stacked at [b, i, j] (int64)."""
-    return np.array([cl.trilinear_slice(b) for b in range(8)])
 
 
 def _trilinear_forms(slices, phi, x, psi):

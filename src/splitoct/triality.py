@@ -15,9 +15,7 @@ octonionic form is the function compiled from the unit table
 
 The sampled and table suites (correspondence_check, dictionary_random_check,
 the generator-table checks, the rotor, trilinear and double-cover checks)
-live in ``sweeps``, with numpy.  Each name here is a function that imports
-that module when it is called and runs the suite there: a process that
-runs no sweep compiles neither it nor numpy.
+live in ``sweeps``; each name here is made by ``octonion._sweep``.
 """
 from __future__ import annotations
 
@@ -227,45 +225,11 @@ def trilinear_both(phi, x, psi):
     return cl._trilinear(phi, x, psi), trilinear_oct(*map(oc.SplitOctonion, (phi, x, psi)))
 
 
-# The table, sampled and double-cover suites live in ``sweeps``, imported as in
-# ``octonion``: on the first call of one of them here.
-
-
-def correspondence_check(*args, **kwargs):
-    from . import sweeps
-    return sweeps.correspondence_check(*args, **kwargs)
-
-
-def dictionary_random_check(*args, **kwargs):
-    from . import sweeps
-    return sweeps.dictionary_random_check(*args, **kwargs)
-
-
-def infinitesimal_table_check(*args, **kwargs):
-    from . import sweeps
-    return sweeps.infinitesimal_table_check(*args, **kwargs)
-
-
-def boost_table_check(*args, **kwargs):
-    from . import sweeps
-    return sweeps.boost_table_check(*args, **kwargs)
-
-
-def role_swap_check(*args, **kwargs):
-    from . import sweeps
-    return sweeps.role_swap_check(*args, **kwargs)
-
-
-def rotor_invariance_check(*args, **kwargs):
-    from . import sweeps
-    return sweeps.rotor_invariance_check(*args, **kwargs)
-
-
-def trilinear_invariance_check(*args, **kwargs):
-    from . import sweeps
-    return sweeps.trilinear_invariance_check(*args, **kwargs)
-
-
-def double_cover_check(*args, **kwargs):
-    from . import sweeps
-    return sweeps.double_cover_check(*args, **kwargs)
+correspondence_check = oc._sweep("correspondence_check")
+dictionary_random_check = oc._sweep("dictionary_random_check")
+infinitesimal_table_check = oc._sweep("infinitesimal_table_check")
+boost_table_check = oc._sweep("boost_table_check")
+role_swap_check = oc._sweep("role_swap_check")
+rotor_invariance_check = oc._sweep("rotor_invariance_check")
+trilinear_invariance_check = oc._sweep("trilinear_invariance_check")
+double_cover_check = oc._sweep("double_cover_check")

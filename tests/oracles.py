@@ -21,7 +21,10 @@ from splitoct import triality as tr
 
 def to_complex(g: cl.GMat):
     """A GMat as a dense complex128 array."""
-    return g.re.astype(np.complex128) + 1j * g.im.astype(np.complex128)
+    out = np.zeros((len(g.rows), g.ncols), dtype=np.complex128)
+    for r, c, vr, vi in g.entries():
+        out[r, c] = complex(vr, vi)
+    return out
 
 
 def gamma_c() -> list:

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from splitoct import clifford as cl
-from splitoct import exact
 from splitoct import octonion as oc
 from splitoct import sweeps
 from splitoct import triality as tr
@@ -234,37 +233,37 @@ class TestExactFloat64:
 
     def test_casts_within_bound(self):
         a = np.array([[3, -4], [0, 2]])
-        (f,) = exact.exact_float64(a, degree=2, terms=8)
+        (f,) = sweeps.exact_float64(a, degree=2, terms=8)
         assert f.dtype == np.float64 and np.array_equal(f, a)
 
     def test_bound_is_terms_times_power(self):
         # 2^26 squared is 2^52: two such products reach 2^53 and are refused
         a = np.array([2 ** 26, -(2 ** 26)])
-        exact.exact_float64(a, degree=2, terms=1)
+        sweeps.exact_float64(a, degree=2, terms=1)
         with pytest.raises(OverflowError):
-            exact.exact_float64(a, degree=2, terms=2)
+            sweeps.exact_float64(a, degree=2, terms=2)
         with pytest.raises(OverflowError):
-            exact.exact_float64(np.array([1]), a, degree=3, terms=1)
+            sweeps.exact_float64(np.array([1]), a, degree=3, terms=1)
 
     def test_largest_entry_of_any_factor_counts(self):
         small, big = np.ones((4, 4), dtype=np.int64), np.array([-(2 ** 40)])
         with pytest.raises(OverflowError):
-            exact.exact_float64(small, big, degree=2, terms=1)
+            sweeps.exact_float64(small, big, degree=2, terms=1)
 
     def test_int64_extremes(self):
-        assert exact.magnitude(np.array([np.iinfo(np.int64).min, 5])) == 2 ** 63
+        assert sweeps.magnitude(np.array([np.iinfo(np.int64).min, 5])) == 2 ** 63
         with pytest.raises(OverflowError):
-            exact.exact_float64(np.array([np.iinfo(np.int64).min]), degree=1, terms=1)
+            sweeps.exact_float64(np.array([np.iinfo(np.int64).min]), degree=1, terms=1)
 
     def test_sampled_range_counts(self, monkeypatch):
         # sampled components enter the bound through SAMPLE_RANGE
         one = np.array([1])
-        exact.exact_float64(one, degree=16, terms=1)
+        sweeps.exact_float64(one, degree=16, terms=1)
         with pytest.raises(OverflowError):
-            exact.exact_float64(one, degree=17, terms=1, sampled=True)    # 9^17 > 2^53
-        monkeypatch.setattr(exact, "SAMPLE_RANGE", 2 ** 14)
+            sweeps.exact_float64(one, degree=17, terms=1, sampled=True)    # 9^17 > 2^53
+        monkeypatch.setattr(sweeps, "SAMPLE_RANGE", 2 ** 14)
         with pytest.raises(OverflowError):
-            exact.exact_float64(sweeps._c(), degree=4, terms=2048, sampled=True)
+            sweeps.exact_float64(sweeps._c(), degree=4, terms=2048, sampled=True)
 
     # correspondence sums 2 x 64 products of three factors: 128 * 2^42 is
     # below 2^53 and 128 * 2^48 is not; the dictionary's 2 x 8^4 products of
@@ -273,12 +272,12 @@ class TestExactFloat64:
                                                (tr.dictionary_random_check, 2 ** 14)],
                              ids=["correspondence_check", "dictionary_random_check"])
     def test_sampled_suites_refuse_a_wider_range(self, monkeypatch, suite, refused):
-        monkeypatch.setattr(exact, "SAMPLE_RANGE", refused)
+        monkeypatch.setattr(sweeps, "SAMPLE_RANGE", refused)
         with pytest.raises(OverflowError):
             suite(10)
 
     def test_correspondence_certifies_range_2_to_14(self, monkeypatch):
-        monkeypatch.setattr(exact, "SAMPLE_RANGE", 2 ** 14)
+        monkeypatch.setattr(sweeps, "SAMPLE_RANGE", 2 ** 14)
         rep = tr.correspondence_check(100)
         assert (rep.cases, rep.failures) == (200, 0)
 

@@ -260,12 +260,17 @@ def test_unread_flags_are_rejected(capsys, argv):
 
 
 @pytest.mark.parametrize("flags", [["--tolerance", "0"], ["--tolerance", "nan"],
-                                   ["--tolerance", "inf"], ["--samples", "0"]])
-def test_verify_rejects_bad_settings(capsys, flags):
-    # triality reads all three settings, so each is refused for its value
-    code, out, err = run(capsys, ["verify", "triality", *flags])
-    assert (code, out) == (2, "")
-    assert err.startswith("error: ") and "must be" in err
+                                   ["--tolerance", "inf"], ["--samples", "0"],
+                                   ["--seed", "-1"]])
+def test_verify_rejects_bad_settings(monkeypatch, capsys, flags):
+    # all reads all three settings, so each is refused for its value, and
+    # before any suite runs
+    calls = []
+    for module, name, _ in SUITE_CALLS:
+        monkeypatch.setattr(module, name, lambda *a, name=name, **k: calls.append(name))
+    code, out, err = run(capsys, ["verify", "all", *flags])
+    assert (code, out, calls) == (2, "", [])
+    assert err.startswith("error: ") and f"{flags[0][2:]} must be" in err
 
 
 E0 = "1,0,0,0,0,0,0,0"
@@ -483,6 +488,8 @@ def test_each_suite_runs_the_sweeps_function(monkeypatch):
             calls = []
             monkeypatch.setattr(sweeps, name, lambda *a, **k: calls.append((a, k)) or calls)
             assert getattr(splitoct, name) is getattr(module, name), name
+            entry = getattr(module, name)
+            assert entry.__name__ == entry.__qualname__ == name, (module.__name__, name)
             assert getattr(module, name)(7, seed=8) is calls, (module.__name__, name)
             assert calls == [((7,), {"seed": 8})], (module.__name__, name)
     assert splitoct.__all__ == PACKAGE_ALL

@@ -243,6 +243,16 @@ def test_dictionary_check_matches_reference():
     assert outcome(rep) == outcome(reference_dictionary(131, 7)) == (131, 0, [])
 
 
+@pytest.mark.parametrize("n", [0, -3])
+@pytest.mark.parametrize("suite", [tr.correspondence_check, tr.dictionary_random_check,
+                                   tr.trilinear_invariance_check, tr.rotor_invariance_check],
+                         ids=lambda suite: suite.__name__)
+def test_sampled_suites_need_a_sample(suite, n):
+    # a sampled suite with no sample would pass on 0 cases
+    with pytest.raises(ValueError, match="need at least one sample"):
+        suite(n)
+
+
 def test_oct_trilinear_tensor_matches_trilinear_oct():
     t = oct_trilinear_tensor()
     for a, b, c in itertools.product(range(8), repeat=3):
@@ -736,7 +746,7 @@ def test_flat_trilinear_table_matches_dense_slices():
         want = np.zeros((8, 8), dtype=np.int64)
         for i, j, k in terms:
             want[i, j] = k
-        assert (cl.trilinear_slice(b) == want).all()
+        assert (sweeps._trilinear_slices()[b] == want).all()
 
 
 @pytest.mark.parametrize("value", [0.0, -0.0, 5e-324, 1e154, -1e154, 1.2e154])
