@@ -14,9 +14,9 @@ octonionic trilinear form -conj(Phi).(X Psi) compiled around it
 which inner reads.  Each int form checks its own input and returns None
 unless every coefficient is a Python int.  Everything else takes the plain
 definition over the same table: mul the loop over _TABLE's entries, and
-``triality.trilinear_oct`` -inner(conj(Phi), mul(X, Psi)), with numpy
-integers turned into Python ints first so that their products cannot wrap
-in int64; inner and norm_sq do the same.
+``triality.trilinear_oct`` -inner(conj(Phi), mul(X, Psi)).  No form turns
+numpy integers itself: a SplitOctonion holds them as Python ints from the
+start, so that their products cannot wrap in int64.
 
 The identity sweeps (verify_table, verify_moufang, verify_malcev,
 verify_associators and generate_basis_from_J) live in ``sweeps``; each
@@ -150,7 +150,14 @@ globals().update(_forms(_build_table()))
 
 
 class SplitOctonion:
-    """Immutable split octonion; supports +, -, * (octonion or scalar)."""
+    """Immutable split octonion; supports +, -, * (octonion or scalar).
+
+    numpy integers, whose arithmetic wraps in int64, are taken as Python
+    ints once: among the coefficients where an octonion is made, and as a
+    scalar factor of *.  So every coefficient an operation reads is of a
+    type that cannot wrap, and the operations make their results with
+    _of, unscanned.
+    """
 
     __slots__ = ("c",)
 
@@ -158,6 +165,10 @@ class SplitOctonion:
         c = tuple(coeffs)
         if len(c) != 8:
             raise ValueError("need 8 coefficients")
+        for v in c:
+            if type(v) not in _NO_WRAP:
+                c = tuple(map(_python_int, c))
+                break
         object.__setattr__(self, "c", c)
 
     def __setattr__(self, *a):
@@ -203,30 +214,31 @@ class SplitOctonion:
         return hash(self.c)
 
     def __add__(self, other):
-        return SplitOctonion(tuple(a + b for a, b in zip(self.c, other.c)))
+        return _of(tuple(a + b for a, b in zip(self.c, other.c)))
 
     def __sub__(self, other):
-        return SplitOctonion(tuple(a - b for a, b in zip(self.c, other.c)))
+        return _of(tuple(a - b for a, b in zip(self.c, other.c)))
 
     def __neg__(self):
-        return SplitOctonion(tuple(-a for a in self.c))
+        return _of(tuple(-a for a in self.c))
 
     def __mul__(self, other):
         if isinstance(other, SplitOctonion):
             return mul(self, other)
-        return SplitOctonion(tuple(a * other for a in self.c))
+        other = _python_int(other)
+        return _of(tuple(a * other for a in self.c))
 
     def __rmul__(self, other):
-        return SplitOctonion(tuple(other * a for a in self.c))
+        other = _python_int(other)
+        return _of(tuple(other * a for a in self.c))
 
     def conj(self) -> "SplitOctonion":
         """Negate the seven hyper-complex coefficients, fix the scalar."""
-        return SplitOctonion((self.c[0],) + tuple(-a for a in self.c[1:]))
+        return _of((self.c[0],) + tuple(-a for a in self.c[1:]))
 
     def norm_sq(self):
-        """omega^2 - lambda^2 + x^2 - t^2 (the split (4,4) interval), with
-        numpy integers as Python ints (so that they cannot wrap)."""
-        c = _python_ints(self.c)
+        """omega^2 - lambda^2 + x^2 - t^2 (the split (4,4) interval)."""
+        c = self.c
         return (c[0] * c[0] + c[1] * c[1] + c[2] * c[2] + c[3] * c[3]
                 - c[4] * c[4] - c[5] * c[5] - c[6] * c[6] - c[7] * c[7])
 
@@ -242,38 +254,45 @@ class SplitOctonion:
         return " + ".join(terms) if terms else "0"
 
 
-# coefficient types whose products never wrap
+_new = object.__new__
+_set_c = SplitOctonion.c.__set__
+
+
+def _of(c: tuple) -> SplitOctonion:
+    """The octonion of the 8-tuple c, taken as it is, without __init__'s
+    scan: the coefficients of arithmetic on octonions, which hold no numpy
+    integer."""
+    s = _new(SplitOctonion)
+    _set_c(s, c)
+    return s
+
+
+# coefficient types whose arithmetic never wraps
 _NO_WRAP = frozenset({int, bool, float, Fraction})
 
 
-def _python_ints(values):
-    """The values with every integer scalar that is not a Python int (a
-    numpy integer, whose products wrap in int64) as a Python int, as a
-    list; values all of a type in _NO_WRAP come back as they are."""
-    for v in values:
-        if type(v) not in _NO_WRAP:
-            return [int(v) if isinstance(v, Integral) and not isinstance(v, int) else v
-                    for v in values]
-    return values
+def _python_int(v):
+    """v as a Python int if it is an integer of another type (a numpy
+    integer, whose arithmetic wraps in int64), else v as it is."""
+    return int(v) if isinstance(v, Integral) and not isinstance(v, int) else v
 
 
 def mul(a: SplitOctonion, b: SplitOctonion) -> SplitOctonion:
     """Bilinear extension of the unit multiplication table: the int product
     when every coefficient is a Python int, else the loop that defines it,
     over the entries of _TABLE by increasing (i, j), skipping a term with a
-    zero factor, on numpy integers turned into Python ints (so that they
-    cannot wrap)."""
+    zero factor."""
     ac, bc = a.c, b.c
     c = _INT_PRODUCT(ac, bc)
     if c is None:
-        ac, bc = _python_ints(ac), _python_ints(bc)
         c = [0] * 8
         for ai, row in zip(ac, _TABLE):
             if ai:
                 for bj, (k, sign) in zip(bc, row):
                     if bj:
                         c[k] += ai * bj if sign > 0 else -(ai * bj)
-    return SplitOctonion(c)
+        c = tuple(c)
+    return _of(c)
 
 
 def conj(s: SplitOctonion) -> SplitOctonion:
@@ -292,9 +311,9 @@ def inner(a: SplitOctonion, b: SplitOctonion):
     with the zero skipping of mul, so they are the values mul gives, bit
     for bit (a NaN's sign aside).  Where the float p + q overflows but p
     and q do not, the halves are added instead, which keeps a finite value
-    finite.  numpy integers are taken as Python ints, as mul takes them.
+    finite.
     """
-    ac, bc = _python_ints(a.c), _python_ints(b.c)
+    ac, bc = a.c, b.c
     p = q = 0
     for i, j, sign in _SCALAR_TERMS:
         ai, bj = ac[i], bc[j]
@@ -336,9 +355,8 @@ def malcev_jacobiator(x: SplitOctonion, y: SplitOctonion, z: SplitOctonion) -> S
 
 
 def is_timelike_vector_part(s: SplitOctonion) -> bool:
-    """t^2 + sum(lambda^2) > sum(x^2), strictly, with numpy integers as
-    Python ints (so that they cannot wrap)."""
-    c = _python_ints(s.c)
+    """t^2 + sum(lambda^2) > sum(x^2), strictly."""
+    c = s.c
     lam2 = sum(a * a for a in c[5:8])
     x2 = sum(a * a for a in c[1:4])
     return c[4] * c[4] + lam2 > x2
@@ -370,9 +388,6 @@ class StructureConstants:
     @classmethod
     def standard(cls) -> "StructureConstants":
         return cls(_TABLE)
-
-    def product(self, a: int, b: int):
-        return self.table[a][b]
 
     def to_json(self) -> list:
         return [[{"unit": UNIT_NAMES[idx], "sign": sign} for idx, sign in row]

@@ -14,8 +14,12 @@ installs another table with ``oc._forms`` or wraps a kernel is seen here
 too.
 
 The octonion suites contract the dense structure tensor C[a,b,k] (e_a e_b =
-sum_k C[a,b,k] e_k), built from ``oc._TABLE`` at each call of ``_c``;
-basis generation rebuilds the table in an independent Zorn vector-matrix
+sum_k C[a,b,k] e_k), built from ``oc._TABLE`` at each call of ``_c``.  Each
+side of a Moufang, Malcev or associator identity is one ``np.einsum``
+whose subscripts name the identity's variables: x, y, z, w, u, v are its
+arguments, sliced to the hyper-complex units (``H``) at the operand; n
+and m run over all eight units inside a product; k is the coefficient.
+Basis generation rebuilds the table in an independent Zorn vector-matrix
 model.  The first-order tables of the L_01 and L_04 actions and of the
 role-swap rotor are compared with == against the exact generators of
 ``cl.plane_generator``, each table as one mask.  The float suites turn
@@ -141,46 +145,52 @@ def verify_table() -> VerificationReport:
     return rep
 
 
+# the hyper-complex units e_1..e_7 along an argument axis
+H = slice(1, None)
+
+
 def _same(lhs, rhs):
-    """Per-case equality over the coefficient axis, on hyper-complex unit
-    tuples only."""
-    units = (slice(1, None),) * (lhs.ndim - 1)
-    return (lhs[units] == rhs[units]).all(axis=-1)
+    """Per-case equality over the coefficient axis."""
+    return (lhs == rhs).all(axis=-1)
 
 
-def _triple_products():
-    """(e_a e_b) e_c and e_a (e_b e_c) over the last axis."""
+def _bracketings():
+    """P = (xy)z and Q = x(yz) on all unit triples, at [x, y, z, k]."""
     c = _c()
-    return np.einsum("abm,mck->abck", c, c), np.einsum("bcm,amk->abck", c, c)
+    return np.einsum("xyn,nzk->xyzk", c, c), np.einsum("yzn,xnk->xyzk", c, c)
 
 
 def verify_moufang() -> VerificationReport:
     """Flexible Moufang identities on all 343 unit triples and the mild
     associative laws on all 49 pairs, exactly.
 
-    With x, y, z = e_a, e_b, e_c, every side is one contraction of the two
-    bracketings (xy)z and x(yz) with the structure tensor, or a diagonal
-    of one of them.
+    Every side is one contraction of the bracketings P = (xy)z and Q =
+    x(yz) with the structure tensor C, or a diagonal of one of them, with
+    x, y, z over the hyper-complex units, n over all eight and k the
+    coefficient.
     """
     rep = VerificationReport("moufang")
     c = _c()
-    p, q = _triple_products()
+    p, q = _bracketings()
     n = UNIT_NAMES[1:]
     triples = np.stack([
-        _same(np.einsum("abnk,can->abck", p, c),      # (xy)(zx)
-              np.einsum("abcn,nak->abck", q, c)),     # (x(yz))x
-        _same(np.einsum("cbcn,nak->abck", p, c),      # ((zy)z)x
-              np.einsum("bcan,cnk->abck", q, c)),     # z(y(zx))
-        _same(np.einsum("bcbn,ank->abck", p, c),      # x((yz)y)
-              np.einsum("abcn,nbk->abck", p, c)),     # ((xy)z)y
+        _same(np.einsum("xynk,zxn->xyzk", p[H, H], c[H, H]),      # (xy)(zx)
+              np.einsum("xyzn,nxk->xyzk", q[H, H, H], c[:, H])),  # (x(yz))x
+        _same(np.einsum("zyzn,nxk->xyzk", p[H, H, H], c[:, H]),   # ((zy)z)x
+              np.einsum("yzxn,znk->xyzk", q[H, H, H], c[H])),     # z(y(zx))
+        _same(np.einsum("yzyn,xnk->xyzk", p[H, H, H], c[H]),      # x((yz)y)
+              np.einsum("xyzn,nyk->xyzk", p[H, H, H], c[:, H])),  # ((xy)z)y
     ], axis=-1)
     rep.record_mask(triples, lambda x, y, z, i: (
         ("(xy)(zx)=x(yz)x", "(zyz)x=z(y(zx))", "x(yzy)=((xy)z)y")[i]
         + f" ({n[x]},{n[y]},{n[z]})"))
     pairs = np.stack([
-        _same(np.einsum("abbk->abk", p), np.einsum("abbk->abk", q)),   # (xy)y, x(yy)
-        _same(np.einsum("aabk->abk", q), np.einsum("aabk->abk", p)),   # x(xy), (xx)y
-        _same(np.einsum("abak->abk", p), np.einsum("abak->abk", q)),   # (xy)x, x(yx)
+        _same(np.einsum("xyyk->xyk", p[H, H, H]),                 # (xy)y
+              np.einsum("xyyk->xyk", q[H, H, H])),                # x(yy)
+        _same(np.einsum("xxyk->xyk", q[H, H, H]),                 # x(xy)
+              np.einsum("xxyk->xyk", p[H, H, H])),                # (xx)y
+        _same(np.einsum("xyxk->xyk", p[H, H, H]),                 # (xy)x
+              np.einsum("xyxk->xyk", q[H, H, H])),                # x(yx)
     ], axis=-1)
     rep.record_mask(pairs, lambda x, y, i: (
         ("(xy)y=xy^2", "x(xy)=x^2y", "(xy)x=x(yx)")[i] + f" ({n[x]},{n[y]})"))
@@ -188,12 +198,12 @@ def verify_moufang() -> VerificationReport:
 
 
 def _malcev_tensors():
-    """The commutator algebra on units as integer tensors over the last axis:
-    2[e_a,e_b], 4[[e_a,e_b],e_c], 12 J(e_a,e_b,e_c) and 4 D_{e_a,e_b}(e_c)."""
+    """The commutator algebra on all units as integer tensors, the
+    coefficient last: 2[x,y], 4[[x,y],z], 12 J(x,y,z) and 4 D_{x,y}(z)."""
     c = _c()
-    b2 = c - c.transpose(1, 0, 2)
-    bb = np.einsum("abm,mck->abck", b2, b2)
-    j12 = bb + np.einsum("bcak->abck", bb) + np.einsum("cabk->abck", bb)
+    b2 = c - np.einsum("yxk->xyk", c)
+    bb = np.einsum("xyn,nzk->xyzk", b2, b2)
+    j12 = bb + np.einsum("yzxk->xyzk", bb) + np.einsum("zxyk->xyzk", bb)
     return b2, bb, j12, 2 * bb - j12
 
 
@@ -212,59 +222,52 @@ def verify_malcev() -> VerificationReport:
         D(J(z,u,v)) = J(Dz,u,v) + J(z,Du,v) + J(z,u,Dv),
             D = D_{x,y} = 2 ad_[x,y] - 3 J(x,y,.)
 
-    Every identity is a contraction of the integer tensors 2[,], 12 J and
-    4 D, with both sides scaled by one common denominator (8 for the
-    Malcev relation, 24 for the Jacobiator identities, 48 for the
-    derivation).  Each contraction is one two-operand float64 product;
-    every side sums at most 32 products of two entries, so exact_float64
-    certifies that float64 gives the integer result.
+    Every term is one contraction of two of the integer tensors 2[,],
+    4[[,],], 12 J and 4 D over the components n or m of an inner value,
+    with both sides scaled by one common denominator (8 for the Malcev
+    relation, 24 for the Jacobiator identities, 48 for the derivation).
+    Every side sums at most 32 products of two entries, so exact_float64
+    certifies that float64 gives the integer result, in any summation
+    order: each contraction runs with optimize=True, as one BLAS product,
+    several times faster than einsum's own loop on the 4- and 5-element
+    sides.
     """
     rep = VerificationReport("malcev")
     b2, bb, j12, d4 = exact_float64(*_malcev_tensors(), degree=2, terms=32)
     n = UNIT_NAMES[1:]
-    b2_a = b2.transpose(1, 0, 2)[:, None]           # [a, 1, n, k] = b2[n, a, k]
     # x8: [[x,y],[x,z]] = [[[x,y],z],x] + [[[y,z],x],x] + [[[z,x],x],y]
-    # (the left side contracts [[x,y],n] with [x,z]_n)
-    malcev = _same(b2[:, None] @ bb,
-                   (bb + bb.transpose(2, 0, 1, 3)) @ b2_a
-                   + np.tensordot(np.einsum("caan->can", bb), b2, 1).transpose(1, 2, 0, 3))
+    malcev = _same(np.einsum("xzn,xynk->xyzk", b2[H, H], bb[H, H], optimize=True),
+                   np.einsum("xyzn,nxk->xyzk", bb[H, H, H], b2[:, H], optimize=True)
+                   + np.einsum("yzxn,nxk->xyzk", bb[H, H, H], b2[:, H], optimize=True)
+                   + np.einsum("zxxn,nyk->xyzk", bb[H, H, H], b2[:, H], optimize=True))
     # x24: J(x,y,[x,z]) = [J(x,y,z),x]
-    jxz = _same(b2[:, None] @ j12, j12 @ b2_a)
-    rep.record_mask(np.stack([malcev, jxz], axis=-1), lambda a, b, c, i: (
-        ("malcev", "J(x,y,xz)=J(x,y,z)x")[i] + f" ({n[a]},{n[b]},{n[c]})"))
+    jxz = _same(np.einsum("xzn,xynk->xyzk", b2[H, H], j12[H, H], optimize=True),
+                np.einsum("xyzn,nxk->xyzk", j12[H, H, H], b2[:, H], optimize=True))
+    rep.record_mask(np.stack([malcev, jxz], axis=-1), lambda x, y, z, i: (
+        ("malcev", "J(x,y,xz)=J(x,y,z)x")[i] + f" ({n[x]},{n[y]},{n[z]})"))
 
-    # x24: both 4-element identities
-    j_of_b = np.tensordot(b2, j12, 1)                # J([x,y],z,w)
-    b_of_j = np.tensordot(j12, b2, 1)                # [J(x,y,z),w]
-    cyclic = _same(j_of_b + j_of_b.transpose(2, 0, 1, 3, 4) + j_of_b.transpose(1, 2, 0, 3, 4),
-                   2 * b_of_j)
-    leibniz = _same(np.tensordot(j12, b2, ([2], [2])).transpose(0, 1, 3, 4, 2),
-                    b_of_j + np.tensordot(j12, b2, ([3], [1])).transpose(0, 1, 3, 2, 4)
-                    - 2 * j_of_b)
-    rep.record_mask(np.stack([cyclic, leibniz], axis=-1), lambda a, b, c, d, i: (
-        ("4-elem cyclic", "4-elem leibniz")[i] + f" ({n[a]},{n[b]},{n[c]},{n[d]})"))
+    # x24: both 4-element identities, through J([x,y],z,w) and [J(x,y,z),w]
+    jb = np.einsum("xyn,nzwk->xyzwk", b2[H, H], j12[:, H, H], optimize=True)
+    bj = np.einsum("xyzn,nwk->xyzwk", j12[H, H, H], b2[:, H], optimize=True)
+    cyclic = _same(jb + np.einsum("yzxwk->xyzwk", jb) + np.einsum("zxywk->xyzwk", jb),
+                   2 * bj)
+    leibniz = _same(np.einsum("zwn,xynk->xyzwk", b2[H, H], j12[H, H], optimize=True),
+                    bj + np.einsum("xywn,znk->xyzwk", j12[H, H, H], b2[H], optimize=True)
+                    - 2 * jb)
+    rep.record_mask(np.stack([cyclic, leibniz], axis=-1), lambda x, y, z, w, i: (
+        ("4-elem cyclic", "4-elem leibniz")[i] + f" ({n[x]},{n[y]},{n[z]},{n[w]})"))
 
-    # x48: D(J(z,u,v)) = J(Dz,u,v) + J(z,Du,v) + J(z,u,Dv), one x at a time:
-    # all 7^5 tuples at once would hold several MB of intermediates.  With
-    # y, z, u, v over the units, each term is one product over the
-    # component m of the inner value.
-    u = slice(1, None)
-    j_m = j12[u, u, u].reshape(343, 8)                            # J(z,u,v)_m
-    j_z = j12[:, u, u].reshape(8, 392)                            # J(e_m,u,v)
-    j_u = j12[u, :, u].transpose(1, 0, 2, 3).reshape(8, 392)      # J(z,e_m,v)
-    j_v = j12[u, u, :].transpose(2, 0, 1, 3).reshape(8, 392)      # J(z,u,e_m)
-    shape = (7, 7, 7, 7, 8)
+    # x48: D(J(z,u,v)) = J(Dz,u,v) + J(z,Du,v) + J(z,u,Dv), one x at a
+    # time: all 7^5 tuples at once would hold several MB of intermediates
     derivation = []
-    for d in d4[u, u]:                          # D_{x,y}(e_m) at [y, m, k]
-        dz = d[:, u].reshape(49, 8)             # D_{x,y}(e_z)_m at [(y, z), m]
-        lhs = (j_m @ d.transpose(1, 0, 2).reshape(8, 56)).reshape(shape)     # [z,u,v,y,k]
-        rhs = ((dz @ j_z).reshape(shape)
-               + (dz @ j_u).reshape(shape).transpose(0, 2, 1, 3, 4)
-               + (dz @ j_v).reshape(shape).transpose(0, 2, 3, 1, 4))
-        derivation.append((lhs.transpose(3, 0, 1, 2, 4) == rhs).all(axis=-1))
-    derivation = np.stack(derivation)
-    rep.record_mask(derivation, lambda a, b, z, u, v: (
-        f"5-elem ({n[a]},{n[b]},{n[z]},{n[u]},{n[v]})"))
+    for d in d4[H, H]:                  # 4 D_{x,y}(e_m) at [y, m, k]
+        lhs = np.einsum("zuvm,ymk->yzuvk", j12[H, H, H], d, optimize=True)
+        rhs = (np.einsum("yzm,muvk->yzuvk", d[:, H], j12[:, H, H], optimize=True)
+               + np.einsum("yum,zmvk->yzuvk", d[:, H], j12[H, :, H], optimize=True)
+               + np.einsum("yvm,zumk->yzuvk", d[:, H], j12[H, H], optimize=True))
+        derivation.append(_same(lhs, rhs))
+    rep.record_mask(np.stack(derivation), lambda x, y, z, u, v: (
+        f"5-elem ({n[x]},{n[y]},{n[z]},{n[u]},{n[v]})"))
     return rep
 
 
@@ -277,13 +280,14 @@ def verify_associators() -> VerificationReport:
     full 343-triple closure against the family-predicted table, and the
     associator-commutator bridge.
 
-    The computed side is the contraction 2A of the structure tensor; the
-    expected side comes from oc._family_value and oc.expected_associator,
-    which do not read the table.  The bridge compares 6 * 2A with 12 J.
+    The computed side is 2A = P - Q, from the bracketings of the structure
+    tensor; the expected side comes from oc._family_value and
+    oc.expected_associator, which do not read the table.  The bridge
+    compares 6 * 2A with 12 J.
     """
     rep = VerificationReport("associators")
-    p, q = _triple_products()
-    a2 = p - q                       # 2 A(e_a, e_b, e_c)
+    p, q = _bracketings()
+    a2 = p - q                       # 2 A(x, y, z)
 
     # families at [n, m, slot, family]: the third argument is I at slot 0
     # and J_k at slot k
@@ -297,23 +301,22 @@ def verify_associators() -> VerificationReport:
         val = (oc._family_value((x, y, "J"), (n, m, slot)) if slot
                else oc._family_value((x, y, "I"), (n, m)))
         want[n - 1, m - 1, slot, f] = val.c
-    rep.record_mask((got == 2 * want).all(axis=-1), lambda n, m, slot, f: (
+    rep.record_mask(_same(got, 2 * want), lambda n, m, slot, f: (
         f"A({_FAMILY_KINDS[f][0]}{n + 1},{_FAMILY_KINDS[f][1]}{m + 1},"
         f"{f'J{slot}' if slot else 'I'})"))
 
-    h = a2[1:, 1:, 1:]
-    table = np.array([[[oc.expected_associator(a, b, c).c for c in HYPER] for b in HYPER]
-                      for a in HYPER], dtype=np.int64)
-    j12 = _malcev_tensors()[2][1:, 1:, 1:]
+    a2 = a2[H, H, H]
+    table = np.array([[[oc.expected_associator(x, y, z).c for z in HYPER] for y in HYPER]
+                      for x in HYPER], dtype=np.int64)
     triples = np.stack([
-        ((h == -h.transpose(1, 0, 2, 3)) & (h == -h.transpose(0, 2, 1, 3))).all(axis=-1),
-        (h == 2 * table).all(axis=-1),
-        (6 * h == j12).all(axis=-1),
+        _same(a2, -np.einsum("yxzk->xyzk", a2)) & _same(a2, -np.einsum("xzyk->xyzk", a2)),
+        _same(a2, 2 * table),
+        _same(6 * a2, _malcev_tensors()[2][H, H, H]),
     ], axis=-1)
-    names = UNIT_NAMES[1:]
-    rep.record_mask(triples, lambda a, b, c, i: (
+    n = UNIT_NAMES[1:]
+    rep.record_mask(triples, lambda x, y, z, i: (
         ("antisymmetry", "table closure", "commutator bridge")[i]
-        + f" ({names[a]},{names[b]},{names[c]})"))
+        + f" ({n[x]},{n[y]},{n[z]})"))
     return rep
 
 

@@ -93,12 +93,10 @@ def trilinear_oct(phi_o: oc.SplitOctonion, x_o: oc.SplitOctonion,
                   psi_o: oc.SplitOctonion):
     """-conj(Phi) . (X Psi) with the octonion inner product: the int form
     compiled from the unit table when every coefficient is a Python int,
-    else the definition -oc.inner(conj(Phi), oc.mul(X, Psi)), with numpy
-    integers in Phi turned into Python ints before conj (so that negating
-    them cannot wrap; mul and inner turn the others)."""
+    else the definition -oc.inner(conj(Phi), oc.mul(X, Psi))."""
     value = oc._INT_TRILINEAR(phi_o.c, x_o.c, psi_o.c)
     if value is None:
-        value = -oc.inner(oc.SplitOctonion(oc._python_ints(phi_o.c)).conj(), oc.mul(x_o, psi_o))
+        value = -oc.inner(phi_o.conj(), oc.mul(x_o, psi_o))
     return value
 
 
@@ -206,9 +204,9 @@ def trilinear_both(phi, x, psi):
     reads them (8 components, or 16 with the wrong-chirality block zero),
     once, and both forms get the same eight values of phi, x and psi.  When
     every component of the three is integral, they are Python ints and both
-    forms run their int versions; else numpy integers become Python ints,
-    so that they cannot wrap in int64, the rest are passed as given, and
-    the octonion side is trilinear_oct.
+    forms run their int versions; else the values go as given to the
+    matrix form's float evaluation and to trilinear_oct, whose octonions
+    hold numpy integers as Python ints.
     """
     equivalence_map()
     if (type(phi) is list and type(x) is list and type(psi) is list
@@ -221,7 +219,6 @@ def trilinear_both(phi, x, psi):
     ints = cl._as_ints(phi), cl._as_ints(x), cl._as_ints(psi)
     if None not in ints:
         return cl._TRILINEAR(*ints), oc._INT_TRILINEAR(*ints)
-    phi, x, psi = oc._python_ints(phi), oc._python_ints(x), oc._python_ints(psi)
     return cl._trilinear(phi, x, psi), trilinear_oct(*map(oc.SplitOctonion, (phi, x, psi)))
 
 

@@ -174,6 +174,34 @@ class TestTimelike:
         assert oc.is_timelike_vector_part(s) is True
 
 
+class TestNumpyInts:
+    # each result leaves int64, where numpy would wrap it (with a
+    # RuntimeWarning, an error under the test settings); an octonion holds
+    # numpy integers, and * a numpy factor, as Python ints
+    BIG = np.int64(2 ** 62)
+    MIN = np.int64(-2 ** 63)
+
+    def test_held_as_python_ints(self):
+        assert [type(v) for v in O([self.BIG, 1, True, 0.5] + [0] * 4).c] == [
+            int, int, bool, float] + [int] * 4
+
+    def test_add_and_sub(self):
+        a, m = O([self.BIG] + [0] * 7), O([self.MIN] + [0] * 7)
+        assert (a + a).c[0] == 2 ** 63
+        assert (m - a).c[0] == -2 ** 63 - 2 ** 62
+
+    @pytest.mark.parametrize("factor", [4, np.int64(4)])
+    def test_scalar_mul_on_either_side(self, factor):
+        a = O([self.BIG] + [0] * 7)
+        assert (a * factor).c[0] == (factor * a).c[0] == 2 ** 64
+        assert type((O.unit(0) * factor).c[0]) is int
+
+    def test_neg_and_conj(self):
+        m = O([self.MIN, self.MIN] + [0] * 6)
+        assert (-m).c[:2] == (2 ** 63, 2 ** 63)
+        assert m.conj().c[:2] == (-2 ** 63, 2 ** 63)
+
+
 class TestStructureConstants:
     def test_json_shape(self):
         data = oc.StructureConstants.standard().to_json()
