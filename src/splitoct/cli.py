@@ -216,8 +216,11 @@ def cmd_rotate(args) -> dict:
         after = cl.spinor_invariant(out)
     _require_finite(OVERFLOW, [*out, before, after])
     # a compact rotation keeps |x|, so only a boost strong enough to lose
-    # the invariant to rounding can trip this
-    if abs(after - before) > DRIFT_LIMIT * max(1.0, sum(v * v for v in comps)):
+    # the invariant to rounding can trip this; the finite floats are exact
+    # rationals, so the comparison is made exactly, where |input|^2 cannot
+    # overflow
+    drift = abs(Fraction(after) - Fraction(before))
+    if drift > Fraction(DRIFT_LIMIT) * max(1, sum(Fraction(v) ** 2 for v in comps)):
         raise UsageError(f"the invariant moved from {before} to {after}: "
                          "the boost is too strong for float64")
     return {"target": args.target, "plane": [mu, nu],

@@ -12,8 +12,8 @@ as an argument, so one function serves every plane; ``plane_generator``
 gives a plane's exact first-order action on both.  The eight trilinear
 slices are held as one flat table of (b, i, j, K_b[i,j]) terms and the
 spinor invariant as one of (i, j, 2Q_ij) terms; on integers each form is
-one straight-line function compiled from its table at import
-(``exact.compiled``, the helper the octonion product is compiled with).
+one straight-line function compiled from its table at import by
+``exact.int_form``, the generator of the octonion int forms too.
 Each integer form checks its own input and returns None unless every
 component is a Python int, so a list of Python ints goes to it as given
 and any other argument is read component by component first.  Float sums
@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .exact import all_python_ints, compiled, signed_sum
+from .exact import compiled, grouped, int_form
 from .report import VerificationReport
 
 METRIC = (1, 1, 1, 1, -1, -1, -1, -1)
@@ -298,13 +298,10 @@ if any(q % 2 for _, _, q in _Q_SPINOR_TERMS):
 
 
 def _spinor_form(terms):
-    """eta^T Q eta on 16 Python ints, one straight-line function compiled
-    from the (i, j, 2Q_ij) terms: the sum of (Q_ij) e_i e_j; None unless
-    every component is a Python int."""
-    names = [f"e{i}" for i in range(16)]
-    body = signed_sum((q // 2, f"e{i} * e{j}") for i, j, q in terms)
-    return compiled("spinor_form", f"def spinor_form(e):\n    {', '.join(names)} = e\n"
-                                   f"    if {all_python_ints(names)}:\n        return {body}\n")
+    """eta^T Q eta on 16 Python ints, compiled from the (i, j, 2Q_ij) terms:
+    the sum of (Q_ij) e_i e_j; None unless every component is a Python
+    int."""
+    return int_form("spinor_form", "e", 16, [[(q // 2, f"e{i} * e{j}") for i, j, q in terms]])
 
 
 _SPINOR_FORM = _spinor_form(_Q_SPINOR_TERMS)
@@ -571,18 +568,11 @@ _TRILINEAR_TERMS = _trilinear_terms()
 
 
 def _trilinear_form(terms):
-    """F(phi, X, psi) on three lists of 8 Python ints, one straight-line
-    function compiled from the (b, i, j, K_b[i,j]) terms: the sum over the
-    slices of x_b * (sum K_b[i,j] p_i s_j); None unless all 24 components
-    are Python ints."""
-    slices = [[] for _ in range(8)]
-    for b, i, j, k in terms:
-        slices[b].append((k, f"p{i} * s{j}"))
-    body = " + ".join(f"x{b} * ({signed_sum(t)})" for b, t in enumerate(slices))
-    unpack = "".join(f"    {', '.join(f'{v}{n}' for n in range(8))} = {v}\n" for v in "pxs")
-    ints = all_python_ints(f"{v}{n}" for v in "pxs" for n in range(8))
-    return compiled("trilinear", f"def trilinear(p, x, s):\n{unpack}"
-                                 f"    if {ints}:\n        return {body}\n")
+    """F(phi, X, psi) on three lists of 8 Python ints, compiled from the
+    (b, i, j, K_b[i,j]) terms: the sum over the slices of x_b * (sum
+    K_b[i,j] p_i s_j); None unless all 24 components are Python ints."""
+    return int_form("trilinear", "pxs", 8,
+                    [grouped((f"x{b}", k, f"p{i} * s{j}") for b, i, j, k in terms)])
 
 
 _TRILINEAR = _trilinear_form(_TRILINEAR_TERMS)

@@ -1,12 +1,14 @@
-"""Straight-line integer forms compiled from their tables.
+"""Straight-line integer forms compiled from their term tables.
 
-The integer tables of the single-call kernels (the unit product, the
-matrix and octonionic trilinear forms, the spinor invariant) and the
-spinor rotor's turn are written out as straight-line source and compiled
-once by ``compiled``; ``signed_sum`` writes the integer combinations in
-that source, and ``all_python_ints`` the test with which each integer form
-checks its own input.  An integer form is the only form compiled from its
-table: any other input takes a plain loop over the same table.
+Every integer form of the single-call kernels (the unit product, the
+matrix and octonionic trilinear forms, the spinor invariant) is one call
+of ``int_form``, which writes it from its term table as straight-line
+source: it unpacks the arguments, tests that every component is a Python
+int, and returns one signed sum per output (``signed_sum``; ``grouped``
+factors a trilinear form's vector components out of its sums).  The
+spinor rotor's turn is compiled by ``compiled`` too.  An integer form is
+the only form compiled from its table: any other input takes a plain loop
+over the same table.
 """
 from __future__ import annotations
 
@@ -22,11 +24,13 @@ def signed_sum(terms) -> str:
     return " ".join(out).removeprefix("+ ") or "0"
 
 
-def all_python_ints(names) -> str:
-    """Source of the test that every one of ``names`` is a Python int (not a
-    bool, a numpy integer, a float or a Fraction), as one chained comparison
-    type(a) is type(b) is ... is int, which stops at the first other type."""
-    return " is ".join([*(f"type({v})" for v in names), "int"])
+def grouped(terms) -> list:
+    """The (lead, k, expr) terms of sum k * lead * expr as (1, lead * (sum
+    of k * expr)) terms, one per lead in the order the leads first appear."""
+    groups = {}
+    for lead, k, expr in terms:
+        groups.setdefault(lead, []).append((k, expr))
+    return [(1, f"{lead} * ({signed_sum(t)})") for lead, t in groups.items()]
 
 
 def compiled(name: str, source: str, **names):
@@ -35,3 +39,22 @@ def compiled(name: str, source: str, **names):
     namespace = dict(names)
     exec(compile(source, f"<{name}>", "exec"), namespace)
     return namespace[name]
+
+
+def int_form(name: str, args: str, size: int, sums, wrap: str = "", **names):
+    """The integer form ``name`` of the sequences named by the letters of
+    ``args``, ``size`` components each, compiled once (``names`` are its
+    globals).  It unpacks sequence v into v0, v1, ... and, when every
+    component is a Python int (not a bool, a numpy integer, a float or a
+    Fraction), returns the signed sum of each (k, expr) term list in
+    ``sums``: the one sum, or the tuple of them when there are several,
+    passed through ``wrap`` when it is given.  Else it returns None.  The
+    test is one chained comparison type(a0) is type(a1) is ... is int,
+    which stops at the first other type."""
+    unpack = "".join(f"    {', '.join(f'{v}{k}' for k in range(size))} = {v}\n" for v in args)
+    ints = " is ".join([*(f"type({v}{k})" for v in args for k in range(size)), "int"])
+    body = ",\n        ".join(signed_sum(terms) for terms in sums)
+    if len(sums) > 1 or wrap:
+        body = f"{wrap}({body})"
+    return compiled(name, f"def {name}({', '.join(args)}):\n{unpack}"
+                          f"    if {ints}:\n        return {body}\n", **names)

@@ -7,13 +7,15 @@ order of the 8-dimensional vectors and chiral spinors, so coefficient k of
 an octonion corresponds to component x_k.
 
 One builder, _forms, makes every form that reads the unit table, at import:
-the product of Python ints as one straight-line function (_INT_PRODUCT,
-compiled through ``exact.compiled``, which the clifford forms share), the
-octonionic trilinear form -conj(Phi).(X Psi) compiled around it
-(_INT_TRILINEAR), and the table's eight scalar entries (e_a e_b = +-1),
-which inner reads.  Each int form checks its own input and returns None
-unless every coefficient is a Python int.  Everything else takes the plain
-definition over the same table: mul the loop over _TABLE's entries, and
+the table's eight scalar entries (e_a e_b = +-1), which inner reads; the
+term table of the octonionic trilinear form (_TRILINEAR_TERMS, the
+nonzero -conj(e_a).(e_b e_c), read off the table and those scalar
+entries); and, each as one call of ``exact.int_form``, which the clifford
+forms share, the product of Python ints (_INT_PRODUCT) and the trilinear
+form of Python ints compiled from its term table (_INT_TRILINEAR).  Each
+int form checks its own input and returns None unless every coefficient
+is a Python int.  Everything else takes the plain definition over the
+same table: mul the loop over _TABLE's entries, and
 ``triality.trilinear_oct`` -inner(conj(Phi), mul(X, Psi)).  No form turns
 numpy integers itself: a SplitOctonion holds them as Python ints from the
 start, so that their products cannot wrap in int64.
@@ -28,7 +30,7 @@ import math
 from fractions import Fraction
 from numbers import Integral
 
-from .exact import all_python_ints, compiled, signed_sum
+from .exact import grouped, int_form
 
 UNIT_NAMES = ("1", "j1", "j2", "j3", "I", "J1", "J2", "J3")
 SCALAR, J1, J2, J3 = 0, 5, 6, 7
@@ -90,9 +92,25 @@ def _scalar_terms(table):
                  for b, (k, sign) in enumerate(row) if k == SCALAR)
 
 
-def _unpack(name: str) -> str:
-    """Source that unpacks the sequence ``name`` into name0, ..., name7."""
-    return f"    {', '.join(f'{name}{k}' for k in range(8))} = {name}\n"
+def _trilinear_terms(table, scalar_terms):
+    """(a, b, c, k) over the nonzero values k = -conj(e_a) . (e_b e_c) of a
+    unit table, by increasing (b, c, a).  With e_b e_c = s e_m and conj(e_a)
+    = g e_a, 2 inner(conj(e_a), e_b e_c) is g s times the signs of the
+    scalar entries (a, m) and (m, a) in ``scalar_terms``, which inner reads
+    as its two scalar parts.  Each scalar entry of a table is a square, so
+    the sum is even and k an integer."""
+    two = {}
+    for i, j, sign in scalar_terms:
+        two[i, j] = two.get((i, j), 0) + sign
+        two[j, i] = two.get((j, i), 0) + sign
+    terms = []
+    for b, row in enumerate(table):
+        for c, (m, s) in enumerate(row):
+            for a in range(8):
+                k2 = -s * _CONJ_SIGNS[a] * two.get((a, m), 0)
+                if k2:
+                    terms.append((a, b, c, k2 // 2))
+    return tuple(terms)
 
 
 def _product(table):
@@ -105,47 +123,34 @@ def _product(table):
     for i, row in enumerate(table):
         for j, (k, sign) in enumerate(row):
             terms[k].append((sign, f"a{i} * b{j}"))
-    body = ",\n        ".join(signed_sum(t) for t in terms)
-    ints = all_python_ints(f"{v}{k}" for v in "ab" for k in range(8))
-    return compiled("int_product", f"def int_product(a, b):\n{_unpack('a')}{_unpack('b')}"
-                                   f"    if {ints}:\n        return ({body})\n")
+    return int_form("int_product", "ab", 8, terms)
 
 
-def _trilinear(table, product):
-    """-conj(Phi) . (X Psi) on three coefficient sequences of Python ints, as
-    one function compiled from a unit table around ``product``, the table's
-    int product.  It folds the signs of conj and of inner's two scalar parts
-    into one integer sum and halves it as a Fraction, the type inner gives;
-    like the int product, it returns None unless all 24 coefficients are
-    Python ints, and triality.trilinear_oct then takes the definition.
-    """
-    # p + q = sum of sign (c_i m_j + m_i c_j), with c_a = _CONJ_SIGNS[a] p_a
-    coeff = {}
-    for i, j, sign in _scalar_terms(table):
-        coeff[i, j] = coeff.get((i, j), 0) + _CONJ_SIGNS[i] * sign
-        coeff[j, i] = coeff.get((j, i), 0) + _CONJ_SIGNS[j] * sign
-    total = signed_sum((-k, f"p{a} * m{b}") for (a, b), k in sorted(coeff.items()) if k)
-    m = ", ".join(f"m{k}" for k in range(8))
-    return compiled("trilinear", "".join([
-        "def trilinear(p, x, s):\n", _unpack("p"),
-        f"    if {all_python_ints(f'p{k}' for k in range(8))}:\n",
-        "        m = product(x, s)\n",
-        "        if m is not None:\n",
-        f"            {m} = m\n",
-        f"            return Fraction({total}, 2)\n"]), product=product, Fraction=Fraction)
+def _trilinear(terms):
+    """-conj(Phi) . (X Psi) on three coefficient sequences of Python ints,
+    compiled from its (a, b, c, k) terms as the sum over b of x_b * (sum
+    k p_a s_c), as a Fraction, the type inner gives; like the int product,
+    it returns None unless all 24 coefficients are Python ints, and
+    triality.trilinear_oct then takes the definition."""
+    return int_form("trilinear", "pxs", 8,
+                    [grouped((f"x{b}", k, f"p{a} * s{c}") for a, b, c, k in terms)],
+                    wrap="Fraction", Fraction=Fraction)
 
 
 def _forms(table) -> dict:
     """A unit table and every form built from it, by the module name each is
-    kept under: its scalar entries, the int product and the int octonionic
-    trilinear form.  The module installs the forms of _build_table() at
-    import; code that swaps the table installs all of them together."""
-    product = _product(table)
-    return {"_TABLE": table, "_SCALAR_TERMS": _scalar_terms(table),
-            "_INT_PRODUCT": product, "_INT_TRILINEAR": _trilinear(table, product)}
+    kept under: its scalar entries, the octonionic trilinear form's term
+    table, the int product and the int octonionic trilinear form.  The
+    module installs the forms of _build_table() at import; code that swaps
+    the table installs all of them together."""
+    scalar_terms = _scalar_terms(table)
+    trilinear_terms = _trilinear_terms(table, scalar_terms)
+    return {"_TABLE": table, "_SCALAR_TERMS": scalar_terms,
+            "_TRILINEAR_TERMS": trilinear_terms, "_INT_PRODUCT": _product(table),
+            "_INT_TRILINEAR": _trilinear(trilinear_terms)}
 
 
-# _TABLE, _SCALAR_TERMS, _INT_PRODUCT, _INT_TRILINEAR
+# _TABLE, _SCALAR_TERMS, _TRILINEAR_TERMS, _INT_PRODUCT, _INT_TRILINEAR
 globals().update(_forms(_build_table()))
 
 

@@ -22,7 +22,10 @@ and m run over all eight units inside a product; k is the coefficient.
 Basis generation rebuilds the table in an independent Zorn vector-matrix
 model.  The first-order tables of the L_01 and L_04 actions and of the
 role-swap rotor are compared with == against the exact generators of
-``cl.plane_generator``, each table as one mask.  The float suites turn
+``cl.plane_generator``, each table as one mask.  The random dictionary
+check contracts the term tensors of the two trilinear forms, read off
+``cl._TRILINEAR_TERMS`` and ``oc._TRILINEAR_TERMS``, the tables their int
+forms are compiled from.  The float suites turn
 their vector and spinor stacks through ``cl.turn_pair`` and each plane's
 signed permutation (``cl._bivector_action``), as ``sot rotate`` turns one
 vector or spinor.
@@ -734,11 +737,12 @@ def dictionary_random_check(n_samples: int = 1000, seed: int = DEFAULT_SEED) -> 
     the same components must agree exactly.
 
     Runs on float64 stacks, exact by exact_float64, one block of samples at
-    a time, as tr.trilinear_both does per sample: the matrix form through
-    the trilinear slices and -inner(conj(Phi), X Psi) through the octonion
-    structure tensor, compared as 2 F_matrix == 2 F_oct.  A dictionary
-    that fails its exact check on the basis triples is one more failed
-    case, named by the oracle's message, and is left out of meta.
+    a time, as tr.trilinear_both does per sample: each form is the
+    contraction of its term tensor T[a, b, c] = F(e_a, e_b, e_c), read off
+    the term table its int form is compiled from (``cl._TRILINEAR_TERMS``
+    and ``oc._TRILINEAR_TERMS``), with phi_a x_b psi_c.  A dictionary that
+    fails its exact check on the basis triples is one more failed case,
+    named by the oracle's message, and is left out of meta.
     """
     rep = VerificationReport("trilinear-dictionary",
                              meta={"seed": seed, "samples": n_samples})
@@ -746,24 +750,19 @@ def dictionary_random_check(n_samples: int = 1000, seed: int = DEFAULT_SEED) -> 
         rep.meta["dictionary"] = tr.equivalence_map().to_json()
     except tr.OracleError as exc:
         rep.record_case(False, str(exc))
-    # the largest sum is 2 F_oct: 8^4 products phi_a M[a,j] x_b psi_c C[b,c,j],
-    # |M[a,j]| at most 2
-    slices, c, inner2 = exact_float64(
+    # each form sums 8^3 products T[a, b, c] phi_a x_b psi_c, with T at
+    # [a, (b, c)]
+    tensors = exact_float64(
         _trilinear_slices().transpose(1, 0, 2).reshape(8, 64),
-        _c().reshape(8, 64),
-        tr._conj_inner2(), degree=5, terms=2 * 8 ** 4, sampled=True)
+        _dense((8, 8, 8), oc._TRILINEAR_TERMS).reshape(8, 64),
+        degree=4, terms=8 ** 3, sampled=True)
     rng = np.random.default_rng(seed)
     for start, n in _blocks(n_samples):
         v = sample_integers(rng, (n, 3, 8)).astype(np.float64)      # phi, x, psi
         phi, x, psi = v[:, 0], v[:, 1], v[:, 2]
-        # F_matrix = sum_b x_b (phi K_b psi), with K_b[i, j] at [i, (b, j)]
-        mat = ((phi @ slices).reshape(n, 8, 8) @ psi[:, :, None])[:, :, 0]
-        mat = (mat * x).sum(axis=1)
-        # (X Psi)_c = sum_b psi_b (sum_a x_a C[a,b,c])
-        xpsi = (psi[:, None, :] @ (x @ c).reshape(n, 8, 8))[:, 0]
-        oct2 = -((phi @ inner2) * xpsi).sum(axis=1)        # 2 F_oct
-        ok = 2 * mat == oct2
-        rep.record_mask(ok, lambda k, start=start: f"triple {start + k}")
+        mat, octo = (np.einsum("nbc,nb,nc->n", (phi @ t).reshape(n, 8, 8), x, psi)
+                     for t in tensors)
+        rep.record_mask(mat == octo, lambda k, start=start: f"triple {start + k}")
     return rep
 
 

@@ -7,11 +7,13 @@ pinned by a small exact oracle over the four candidates.  The dictionary
 between the two trilinear forms is the identity of the component order
 (octonion coefficient k <-> component k, scale 1) by construction: both
 forms take the same components, and the dictionary is not applied but
-verified, exactly, on all 512 basis triples before first use, on the
-sparse exact data of ``clifford`` and the unit table of ``octonion``.  The
-octonionic form is the function compiled from the unit table
-(``octonion._INT_TRILINEAR``) on Python ints, and its definition
--inner(conj(Phi), mul(X, Psi)) on anything else.
+verified, exactly, on all 512 basis triples before first use: the term
+table of the matrix form (``clifford._TRILINEAR_TERMS``) and that of the
+octonionic form (``octonion._TRILINEAR_TERMS``, read off the unit table)
+must give every basis triple the same value.  Those are the tables the
+int forms are compiled from, so the check is of the functions
+``trilinear_both`` runs on Python ints; on anything else the octonionic
+form is its definition -inner(conj(Phi), mul(X, Psi)).
 
 The sampled and table suites (correspondence_check, dictionary_random_check,
 the generator-table checks, the rotor, trilinear and double-cover checks)
@@ -19,7 +21,6 @@ live in ``sweeps``; each name here is made by ``octonion._sweep``.
 """
 from __future__ import annotations
 
-import itertools
 from collections import namedtuple
 from fractions import Fraction
 
@@ -122,10 +123,6 @@ class CorrespondenceMap(namedtuple("CorrespondenceMap",
 
     __slots__ = ()
 
-    def is_identity(self) -> bool:
-        return (self.phi_map == self.x_map == self.psi_map == _IDENTITY
-                and self.scale == 1)
-
     def to_json(self) -> dict:
         enc = lambda m: [{"index": i, "sign": s} for i, s in m]
         return {"phi": enc(self.phi_map), "x": enc(self.x_map),
@@ -133,56 +130,25 @@ class CorrespondenceMap(namedtuple("CorrespondenceMap",
                 "scale": str(self.scale), "max_residual": self.max_residual}
 
 
-class _Tensor(dict):
-    """A sparse 8x8x8 integer tensor: t[a, b, c] is 0 where nothing is set."""
-
-    def __missing__(self, key):
-        return 0
-
-
-def _matrix_trilinear_entries() -> _Tensor:
-    """F_matrix(e_a, e_b, e_c) = K_b[a, c], read off the trilinear slices."""
-    return _Tensor({(i, b, j): k for b, i, j, k in cl._TRILINEAR_TERMS})
-
-
-def _conj_inner2() -> list:
-    """M[a][j] = 2 inner(conj(e_a), e_j) = (e_a e_j)_0 + (conj(e_j) conj(e_a))_0."""
-    def scalar(a, b):
-        k, sign = oc._TABLE[a][b]
-        return sign if k == 0 else 0
-    signs = oc._CONJ_SIGNS
-    return [[scalar(a, j) + signs[a] * signs[j] * scalar(j, a) for j in range(8)]
-            for a in range(8)]
-
-
-def _oct_trilinear_entries() -> _Tensor:
-    """-conj(e_a) . (e_b e_c): with e_b e_c = sign e_k, -sign M[a][k] / 2."""
-    m = _conj_inner2()
-    t = _Tensor()
-    for b, row in enumerate(oc._TABLE):
-        for c, (k, sign) in enumerate(row):
-            for a in range(8):
-                if m[a][k]:
-                    t[a, b, c] = -sign * m[a][k] // 2
-    return t
-
-
 def trilinear_equivalence_oracle() -> CorrespondenceMap:
     """The dictionary of the pinned component order: octonion coefficient k
     <-> component k in every slot, scale 1.  Verified exactly on all 512
-    basis triples before it is returned; raises OracleError naming the
+    basis triples before it is returned, as the agreement of the two term
+    tables the int forms are compiled from; raises OracleError naming the
     first failing triple otherwise."""
-    _verify_dictionary(_matrix_trilinear_entries(), _oct_trilinear_entries())
+    _verify_dictionary({(i, b, j): k for b, i, j, k in cl._TRILINEAR_TERMS},
+                       {(a, b, c): k for a, b, c, k in oc._TRILINEAR_TERMS})
     return CorrespondenceMap(_IDENTITY, _IDENTITY, _IDENTITY, Fraction(1))
 
 
-def _verify_dictionary(t1, t2):
-    """t1[a,b,c] == t2[a,b,c] on all 512 basis triples, the identity
+def _verify_dictionary(t1: dict, t2: dict):
+    """The maps {(a, b, c): F(e_a, e_b, e_c)} of two trilinear forms, zero
+    where a triple is missing, agree on all 512 basis triples: the identity
     dictionary with scale 1; raises naming the first failing triple in C
     order."""
-    for a, b, c in itertools.product(range(8), repeat=3):
-        if t1[a, b, c] != t2[a, b, c]:
-            raise OracleError(f"dictionary fails at basis triple ({a},{b},{c})")
+    wrong = [abc for abc in t1.keys() | t2.keys() if t1.get(abc, 0) != t2.get(abc, 0)]
+    if wrong:
+        raise OracleError("dictionary fails at basis triple ({},{},{})".format(*min(wrong)))
 
 
 _ORACLE_CACHE = None

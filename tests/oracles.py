@@ -15,8 +15,8 @@ from fractions import Fraction
 import numpy as np
 
 from splitoct import clifford as cl
+from splitoct import octonion as oc
 from splitoct import sweeps
-from splitoct import triality as tr
 
 
 def to_complex(g: cl.GMat):
@@ -150,22 +150,24 @@ def spinor_quadratic_split(phi, psi):
     return f, g
 
 
-def dense(t):
-    """A sparse {(a, b, c): v} 8x8x8 tensor as an int64 array."""
+def dense(entries):
+    """The (a, b, c, value) entries of an 8x8x8 tensor as an int64 array."""
     out = np.zeros((8, 8, 8), dtype=np.int64)
-    for index, v in t.items():
-        out[index] = v
+    for a, b, c, v in entries:
+        out[a, b, c] = v
     return out
 
 
 def matrix_trilinear_tensor():
-    """T1[a,b,c] = F_matrix(e_a, e_b, e_c), exact integers (int64 array)."""
-    return dense(tr._matrix_trilinear_entries())
+    """T1[a,b,c] = F_matrix(e_a, e_b, e_c), read off the matrix form's term
+    table (int64 array)."""
+    return dense((i, b, j, k) for b, i, j, k in cl._TRILINEAR_TERMS)
 
 
 def oct_trilinear_tensor():
-    """T2[a,b,c] = -conj(e_a) . (e_b e_c), exact integers (int64 array)."""
-    return dense(tr._oct_trilinear_entries())
+    """T2[a,b,c] = -conj(e_a) . (e_b e_c), read off the octonion form's term
+    table (int64 array)."""
+    return dense(oc._TRILINEAR_TERMS)
 
 
 # ---------------------------------------------------------------------------

@@ -133,7 +133,8 @@ def test_c14_trilinear_equivalence():
     ok &= rep.passed
     inv = tr.trilinear_invariance_check(200, seed=tr.DEFAULT_SEED, tol=1e-12)
     ok &= inv.passed
-    _report(14, f"signed-permutation dictionary (identity: {d.is_identity()}, "
+    identity = d.phi_map == d.x_map == d.psi_map == tuple((k, 1) for k in range(8))
+    _report(14, f"signed-permutation dictionary (identity: {identity}, "
                 f"scale {d.scale}) exact on 1000 random triples; invariance "
                 f"max residual {inv.max_residual:.2e} <= 1e-12", ok)
 

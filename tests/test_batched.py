@@ -266,10 +266,10 @@ class TestExactFloat64:
             sweeps.exact_float64(sweeps._c(), degree=4, terms=2048, sampled=True)
 
     # correspondence sums 2 x 64 products of three factors: 128 * 2^42 is
-    # below 2^53 and 128 * 2^48 is not; the dictionary's 2 x 8^4 products of
-    # five factors leave float64 at 2^14 already
+    # below 2^53 and 128 * 2^48 is not; the dictionary's 8^3 products of
+    # four factors leave float64 at 2^11 already
     @pytest.mark.parametrize("suite,refused", [(tr.correspondence_check, 2 ** 16),
-                                               (tr.dictionary_random_check, 2 ** 14)],
+                                               (tr.dictionary_random_check, 2 ** 11)],
                              ids=["correspondence_check", "dictionary_random_check"])
     def test_sampled_suites_refuse_a_wider_range(self, monkeypatch, suite, refused):
         monkeypatch.setattr(sweeps, "SAMPLE_RANGE", refused)

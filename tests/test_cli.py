@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
@@ -293,10 +294,13 @@ def test_strong_vector_boost_is_finite(capsys):
     assert err.startswith("error: ")
 
 
-@pytest.mark.parametrize("target,theta,code", [("vector", "20", 2), ("spinor", "40", 2),
-                                               ("vector", "5", 0), ("spinor", "5", 0)])
-def test_rotate_refuses_a_lost_invariant(capsys, target, theta, code):
-    comps = ",".join(["1"] + ["0"] * (7 if target == "vector" else 15))
+# a 1e160 spinor has an invariant of about 1e320, an exact int, and an
+# |input|^2 that overflows float64: the guard still compares the drift with it
+@pytest.mark.parametrize("target,theta,lead,code", [
+    ("vector", "20", "1", 2), ("spinor", "40", "1", 2), ("vector", "5", "1", 0),
+    ("spinor", "5", "1", 0), ("spinor", "60", "1e160", 2), ("spinor", "1", "1e160", 0)])
+def test_rotate_refuses_a_lost_invariant(capsys, target, theta, lead, code):
+    comps = ",".join([lead] + ["0"] * (7 if target == "vector" else 15))
     got, out, err = run(capsys, ["rotate", "--plane", "0,4", "--theta", theta,
                                  "--target", target, "--components", comps])
     assert got == code
@@ -304,7 +308,8 @@ def test_rotate_refuses_a_lost_invariant(capsys, target, theta, code):
         assert out == "" and err.startswith("error: ")
     else:
         payload = json.loads(out)
-        assert abs(payload["invariant_after"] - payload["invariant_before"]) < 1e-8
+        drift = Fraction(payload["invariant_after"]) - Fraction(payload["invariant_before"])
+        assert abs(drift) < Fraction(1e-8) * Fraction(float(lead)) ** 2
 
 
 @pytest.mark.parametrize("representation", ["octonion", "matrix", "both"])

@@ -331,10 +331,18 @@ def test_sampled_suites_need_a_sample(suite, n):
         suite(n)
 
 
-def test_oct_trilinear_tensor_matches_trilinear_oct():
-    t = oct_trilinear_tensor()
+# the octonion term table, from which the int form is compiled, against the
+# two-product oracle on every unit triple, for the standard table and every
+# flipped one
+@pytest.mark.parametrize("entries", dict.fromkeys([()] + FLIPS + [e for e, *_ in MALCEV_FLIPS]),
+                         ids=lambda e: ",".join(f"{a}*{b}" for a, b in e) or "standard")
+def test_oct_trilinear_terms_match_two_product_oracle(monkeypatch, entries):
+    flipped_table(monkeypatch, entries)
+    terms = {(a, b, c): k for a, b, c, k in oc._TRILINEAR_TERMS}
+    assert len(terms) == len(oc._TRILINEAR_TERMS)
     for a, b, c in itertools.product(range(8), repeat=3):
-        assert t[a, b, c] == tr.trilinear_oct(UNITS[a], UNITS[b], UNITS[c])
+        want = -inner_oracle(UNITS[a].conj(), reference_mul(UNITS[b], UNITS[c]))
+        assert terms.get((a, b, c), 0) == want, (a, b, c)
 
 
 def test_malcev_single_triple():
@@ -386,6 +394,12 @@ def reference_verify_dictionary(t1, t2):
     return None
 
 
+def sparse(t):
+    """A dense 8x8x8 tensor as the map {(a, b, c): value} of its nonzero
+    entries, the form the oracle compares."""
+    return {tuple(map(int, abc)): int(v) for abc, v in np.ndenumerate(t) if v}
+
+
 # one or two entries of the matrix (0) or octonion (1) tensor changed
 @pytest.mark.parametrize("side,entries", [(0, [(0, 0, 0)]), (1, [(7, 7, 7)]),
                                           (1, [(3, 5, 6), (0, 2, 1)]),
@@ -397,19 +411,19 @@ def test_verify_dictionary_names_first_corrupted_triple(side, entries):
     want = reference_verify_dictionary(*tensors)
     assert want == "dictionary fails at basis triple ({},{},{})".format(*min(entries))
     with pytest.raises(tr.OracleError) as err:
-        tr._verify_dictionary(*tensors)
+        tr._verify_dictionary(*map(sparse, tensors))
     assert str(err.value) == want
 
 
 def test_verify_dictionary_passes_on_the_sound_tensors():
     t1, t2 = matrix_trilinear_tensor(), oct_trilinear_tensor()
     assert reference_verify_dictionary(t1, t2) is None
-    tr._verify_dictionary(t1, t2)
-    tr._verify_dictionary(tr._matrix_trilinear_entries(), tr._oct_trilinear_entries())
+    tr._verify_dictionary(sparse(t1), sparse(t2))
+    tr.trilinear_equivalence_oracle()
     # a scaled or negated tensor fails at the first nonzero entry
     for wrong in (2 * t1, -t1):
         with pytest.raises(tr.OracleError) as err:
-            tr._verify_dictionary(wrong, t2)
+            tr._verify_dictionary(sparse(wrong), sparse(t2))
         assert str(err.value) == "dictionary fails at basis triple (0,0,0)"
 
 
@@ -1175,11 +1189,12 @@ def test_trilinear_both_sides_are_independent_evaluations(monkeypatch, n):
 
 
 def test_single_call_kernels_form_only_the_products_they_need(monkeypatch):
-    # _forms compiles one int product, which the int trilinear form
-    # calls; any other product is mul's loop over the table.  Counted here,
-    # each product the int form gives is logged as "int" and each pass of
-    # the loop over the table as "loop"
-    tr.equivalence_map()                  # the oracle reads the table too
+    # _forms compiles one int product, which mul calls; the int trilinear
+    # form is compiled from its own term table and forms no product, and
+    # any other product is mul's loop over the table.  Counted here, each
+    # product the int form gives is logged as "int" and each pass of the
+    # loop over the table as "loop"
+    tr.equivalence_map()                  # verified before the count
     calls = []
     build = oc._product
 
@@ -1214,6 +1229,6 @@ def test_single_call_kernels_form_only_the_products_they_need(monkeypatch):
     assert made(oc.mul, a, c) == ["loop"]
     assert made(tr.trilinear_oct, a, b, c) == ["loop"]
     assert made(tr.trilinear_oct, c, b, a) == ["int"]
-    assert made(tr.trilinear_oct, a, b, a) == ["int"]
-    assert made(tr.trilinear_both, list(range(8)), list(range(3, 11)), [1] * 8) == ["int"]
+    assert made(tr.trilinear_oct, a, b, a) == []
+    assert made(tr.trilinear_both, list(range(8)), list(range(3, 11)), [1] * 8) == []
     assert made(tr.trilinear_both, list(range(8)), list(range(3, 11)), c.c) == ["loop"]

@@ -89,7 +89,7 @@ class TestTrilinearOct:
 class TestOracle:
     def test_dictionary_is_identity_scale_one(self):
         d = tr.trilinear_equivalence_oracle()
-        assert d.is_identity()
+        assert d.phi_map == d.x_map == d.psi_map == tuple((k, 1) for k in range(8))
         assert d.scale == Fraction(1)
         assert d.max_residual == 0
 
