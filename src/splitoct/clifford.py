@@ -2,31 +2,32 @@
 
 The eight 8x8 alpha matrices are data (entries in {0, +-1, +-i}); the
 16x16 generators are Gamma_mu = A_mu for mu<4 and i*A_mu for mu>=4, with
-A_mu = [[0, alpha], [alpha^dagger, 0]].  Every exact object is held as
-sparse rows of Gaussian integers in Python ints (``GMat``), and the checks
-run at import (the Clifford relations, the basis change, the spinor form,
-the trilinear slices) are exact sparse compositions.  Rotors act on real
-float components: vectors in closed form, spinors by one turn compiled at
-import over the signed permutation of each bivector, which the turn takes
-as an argument, so one function serves every plane; ``plane_generator``
-gives a plane's exact first-order action on both.  The eight trilinear
-slices are held as one flat table of (b, i, j, K_b[i,j]) terms and the
-spinor invariant as one of (i, j, 2Q_ij) terms; on integers each form is
-one straight-line function compiled from its table at import by
-``exact.int_form``, the generator of the octonion int forms too.
-Each integer form checks its own input and returns None unless every
-component is a Python int, so a list of Python ints goes to it as given
-and any other argument is read component by component first.  Float sums
-of several terms (the invariants, the float trilinear form over the same
-tables) are correctly rounded (``math.fsum``), so they do not depend on
-the machine.  numpy is imported only by the ndarray rotor actions.  The
-module also owns the grade-4 element B = -G1 G3 G5 G7, the spinor
-basis-change matrix and everything built on them (rotors, invariants, the
-trilinear form).
+A_mu = [[0, alpha], [alpha^dagger, 0]].  The module owns the grade-4
+element B = -G1 G3 G5 G7, the spinor basis-change matrix XI_M and
+everything built on them.  Every exact object is held as sparse rows of
+Gaussian integers in Python ints (``GMat``), and the checks run at import
+(the Clifford relations, the basis change, the pin of the spinor
+evaluation convention, the spinor form, the trilinear slices) are exact
+sparse compositions.  The pin selects the form: of the four candidate
+evaluations, each composed once, the one that is the split diagonal form
+is PINNED_CONVENTION, and its matrix is the spinor invariant's.  Rotors
+act on real float components: vectors in closed form, spinors by one turn
+compiled at import over the signed permutation of each bivector, which
+the turn takes as an argument; ``plane_generator`` gives a plane's exact
+first-order action on both.  The trilinear form is one flat table of
+(a, b, c, F(e_a, e_b, e_c)) terms over (phi, x, psi), in the slot order
+of the octonionic form's table, and the spinor invariant one of (i, j,
+2Q_ij) terms; on integers each is one straight-line function compiled
+from its table by ``exact.int_form``.  An int form returns None unless
+every component is a Python int, so a list of Python ints goes to it as
+given, and any other argument is read once (``_trilinear_args`` for the
+trilinear form).  Float sums of several terms are correctly rounded
+(``math.fsum``).  numpy is imported only by the ndarray rotor actions.
 """
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from fractions import Fraction
 
 from .exact import compiled, grouped, int_form
@@ -285,9 +286,50 @@ _XI_DAG = XI_M.conj_t()
 if not (XI_M @ _XI_DAG == GMat.eye(16).scale(2)):
     raise AssertionError("xi basis-change matrix is not sqrt2-unitary")
 
-# quadratic form of the spinor invariant in real components:
-# eta^T B eta evaluated as xi^T B xi = eta^T (M^T B M) eta / 2
-_Q_SPINOR_2 = XI_M.T @ _B @ XI_M     # = 2 * quadratic-form matrix, exact
+
+class XiConvention(namedtuple("XiConvention", "pairing b_form")):
+    """Which evaluation of the spinor invariant diagonalizes it: pairing
+    "transpose" or "dagger", b_form "original" or "conjugated"."""
+
+    __slots__ = ()
+
+    @property
+    def label(self) -> str:
+        return f"xi^{'T' if self.pairing == 'transpose' else 'dagger'} B[{self.b_form}] xi"
+
+
+def _candidate_forms() -> dict:
+    """The four candidate evaluations as exact 16x16 quadratic forms on the
+    real components, by convention, each composed once: 2x the form for B
+    original, 4x for B conjugated by T = M/sqrt2 (T B T^{-1} = M B M^dag / 2)."""
+    mbmd = XI_M @ _B @ _XI_DAG
+    return {XiConvention(pairing, b_form): left @ mid @ XI_M
+            for pairing, left in (("transpose", XI_M.T), ("dagger", _XI_DAG))
+            for b_form, mid in (("original", _B), ("conjugated", mbmd))}
+
+
+def pin_xi_convention(forms: dict) -> XiConvention:
+    """The one convention among ``forms`` (as _candidate_forms gives them)
+    whose quadratic form is exactly the split diagonal form.  Raises if
+    none, or more than one, matches."""
+    split = GMat.from_entries(16, ((k, k, METRIC[k % 8], 0) for k in range(16)))
+    hits = [conv for conv, mat in forms.items()
+            if mat + mat.T == split.scale(4 if conv.b_form == "original" else 8)]
+    if len(hits) != 1:
+        raise RuntimeError(f"expected exactly one diagonalizing convention, got {len(hits)}")
+    return hits[0]
+
+
+_CANDIDATES = _candidate_forms()
+PINNED_CONVENTION = pin_xi_convention(_CANDIDATES)
+# the spinor form's terms and the trilinear slices below read the transpose
+# pairing with B as it is, so no other pin is usable
+if PINNED_CONVENTION != ("transpose", "original"):
+    raise AssertionError(f"pinned spinor convention is {PINNED_CONVENTION.label}")
+
+# quadratic form of the spinor invariant in real components: eta^T B eta
+# evaluated as xi^T B xi = eta^T (M^T B M) eta / 2
+_Q_SPINOR_2 = _CANDIDATES[PINNED_CONVENTION]     # = 2 * quadratic-form matrix, exact
 if not _Q_SPINOR_2.is_real():
     raise AssertionError("spinor quadratic form is not real")
 # (i, j, 2Q_ij) over the nonzero entries, as ints
@@ -550,9 +592,10 @@ def _chiral_8(arg, block: str) -> list:
 
 
 def _trilinear_terms() -> tuple:
-    """(b, i, j, K_b[i,j]) over the nonzero entries of every slice
-    K_b = (M_phi)^T B_11 (Gamma_b)_12 M_psi / 2, by slice, each verified
-    real-even."""
+    """(a, b, c, F(e_a, e_b, e_c)) over (phi, x, psi): the nonzero entries
+    K_b[a,c] of every slice K_b = (M_phi)^T B_11 (Gamma_b)_12 M_psi / 2, by
+    slice, each verified real-even.  The slot order is that of
+    ``octonion._TRILINEAR_TERMS``."""
     left = XI_M.block(0, 8, 0, 8).T @ _B.block(0, 8, 0, 8)
     right = XI_M.block(8, 16, 8, 16)
     out = []
@@ -560,7 +603,7 @@ def _trilinear_terms() -> tuple:
         k = left @ g.block(0, 8, 8, 16) @ right
         if not k.is_real() or any(vr % 2 for _, _, vr, _ in k.entries()):
             raise AssertionError(f"trilinear slice {b} is not real-even")
-        out.extend((b, i, j, vr // 2) for i, j, vr, _ in k.entries())
+        out.extend((a, b, c, vr // 2) for a, c, vr, _ in k.entries())
     return tuple(out)
 
 
@@ -569,10 +612,10 @@ _TRILINEAR_TERMS = _trilinear_terms()
 
 def _trilinear_form(terms):
     """F(phi, X, psi) on three lists of 8 Python ints, compiled from the
-    (b, i, j, K_b[i,j]) terms: the sum over the slices of x_b * (sum
-    K_b[i,j] p_i s_j); None unless all 24 components are Python ints."""
+    (a, b, c, k) terms: the sum over the slices of x_b * (sum k p_a s_c);
+    None unless all 24 components are Python ints."""
     return int_form("trilinear", "pxs", 8,
-                    [grouped((f"x{b}", k, f"p{i} * s{j}") for b, i, j, k in terms)])
+                    [grouped((f"x{b}", k, f"p{a} * s{c}") for a, b, c, k in terms)])
 
 
 _TRILINEAR = _trilinear_form(_TRILINEAR_TERMS)
@@ -583,25 +626,34 @@ def trilinear_matrix(phi, x, psi):
 
     Trilinear, real-valued; exact (a Python int) when every component is
     an integer, whatever its size, else the correctly rounded sum of the
-    terms x_b (K_b[i,j] phi_i psi_j) over the flat slice table, skipping
-    x_b = 0.  phi must be pure left-chirality and psi pure right-chirality
-    (8 components, or 16 with the wrong block zero).  Three lists of 8
-    Python ints go straight to the int form, which checks its own input.
+    terms x_b (k phi_a psi_c) over the flat term table, skipping x_b = 0.
+    phi must be pure left-chirality and psi pure right-chirality (8
+    components, or 16 with the wrong block zero).  Three lists of 8 Python
+    ints go straight to the int form, which checks its own input.
     """
     if (type(phi) is list and type(x) is list and type(psi) is list
             and len(phi) == len(x) == len(psi) == 8):
         value = _TRILINEAR(phi, x, psi)
         if value is not None:
             return value
-    p = _chiral_8(phi, "phi")
-    s = _chiral_8(psi, "psi")
-    return _trilinear(p, _flat(x, (8,), "vector needs 8 components"), s)
+    return _trilinear(*_trilinear_args(phi, x, psi))
+
+
+def _trilinear_args(phi, x, psi) -> tuple:
+    """The arguments of a trilinear form, read once: phi and psi from their
+    chiral blocks, x flattened, as three lists of 8 components, of Python
+    ints when all 24 are integral, else of the values given."""
+    p, s = _chiral_8(phi, "phi"), _chiral_8(psi, "psi")
+    x = _flat(x, (8,), "vector needs 8 components")
+    ints = _as_ints(p), _as_ints(x), _as_ints(s)
+    return (p, x, s) if None in ints else ints
 
 
 def _trilinear(p, x, s):
-    """trilinear_matrix on the lists of 8 components it has read."""
-    pi, si, xi = _as_ints(p), _as_ints(s), _as_ints(x)
-    if None not in (pi, si, xi):
-        return _TRILINEAR(pi, xi, si)
-    p, s, x = ([float(v) for v in vals] for vals in (p, s, x))
-    return _fsum(x[b] * (k * p[i] * s[j]) for b, i, j, k in _TRILINEAR_TERMS if x[b])
+    """trilinear_matrix on the three lists _trilinear_args gives: the int
+    form on Python ints, else the float sum over the term table."""
+    value = _TRILINEAR(p, x, s)
+    if value is None:
+        p, x, s = ([float(v) for v in vals] for vals in (p, x, s))
+        value = _fsum(x[b] * (k * p[a] * s[c]) for a, b, c, k in _TRILINEAR_TERMS if x[b])
+    return value

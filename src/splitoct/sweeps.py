@@ -23,12 +23,14 @@ Basis generation rebuilds the table in an independent Zorn vector-matrix
 model.  The first-order tables of the L_01 and L_04 actions and of the
 role-swap rotor are compared with == against the exact generators of
 ``cl.plane_generator``, each table as one mask.  The random dictionary
-check contracts the term tensors of the two trilinear forms, read off
-``cl._TRILINEAR_TERMS`` and ``oc._TRILINEAR_TERMS``, the tables their int
-forms are compiled from.  The float suites turn
-their vector and spinor stacks through ``cl.turn_pair`` and each plane's
-signed permutation (``cl._bivector_action``), as ``sot rotate`` turns one
-vector or spinor.
+check contracts the term tensors of the two trilinear forms, each read
+off its term table (``cl._TRILINEAR_TERMS``, ``oc._TRILINEAR_TERMS``, the
+tables their int forms are compiled from) in their one slot order (a, b,
+c) over (phi, x, psi); only trilinear-invariance stacks the matrix form's
+slices at [b, a, c] (``_trilinear_slices``).  The float suites turn their
+vector and spinor stacks through ``cl.turn_pair`` and each plane's signed
+permutation (``cl._bivector_action``), as ``sot rotate`` turns one vector
+or spinor.
 
 A float64 holds every integer below 2**53 exactly, and the sum or product
 of two such integers is exact while the result stays below that bound.
@@ -112,8 +114,8 @@ def _c():
 
 
 def _trilinear_slices():
-    """The slices K_b of cl._TRILINEAR_TERMS, stacked at [b, i, j]."""
-    return _dense((8, 8, 8), cl._TRILINEAR_TERMS)
+    """The slices K_b of cl._TRILINEAR_TERMS, stacked at [b, a, c]."""
+    return _dense((8, 8, 8), ((b, a, c, k) for a, b, c, k in cl._TRILINEAR_TERMS))
 
 
 def _q_spinor_2():
@@ -460,7 +462,7 @@ def correspondence_check(n_samples: int = 1000, seed: int = DEFAULT_SEED) -> Ver
     """
     rep = VerificationReport("correspondence",
                              meta={"seed": seed, "samples": n_samples,
-                                   "convention": tr.PINNED_CONVENTION.label})
+                                   "convention": cl.PINNED_CONVENTION.label})
     rng = np.random.default_rng(seed)
     # the largest sum is 2 conj(v)v: 2 x 64 products v_a C[a,b,0] v_b
     c, q2, metric = exact_float64(_c().reshape(8, 64), _q_spinor_2(), cl.METRIC,
@@ -752,10 +754,9 @@ def dictionary_random_check(n_samples: int = 1000, seed: int = DEFAULT_SEED) -> 
         rep.record_case(False, str(exc))
     # each form sums 8^3 products T[a, b, c] phi_a x_b psi_c, with T at
     # [a, (b, c)]
-    tensors = exact_float64(
-        _trilinear_slices().transpose(1, 0, 2).reshape(8, 64),
-        _dense((8, 8, 8), oc._TRILINEAR_TERMS).reshape(8, 64),
-        degree=4, terms=8 ** 3, sampled=True)
+    tensors = exact_float64(*(_dense((8, 8, 8), terms).reshape(8, 64)
+                              for terms in (cl._TRILINEAR_TERMS, oc._TRILINEAR_TERMS)),
+                            degree=4, terms=8 ** 3, sampled=True)
     rng = np.random.default_rng(seed)
     for start, n in _blocks(n_samples):
         v = sample_integers(rng, (n, 3, 8)).astype(np.float64)      # phi, x, psi

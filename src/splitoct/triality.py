@@ -1,19 +1,19 @@
-"""Vector/spinor equivalence machinery: the spinor basis change, the pinned
-evaluation convention, octonionic representations and the two trilinear
-forms.
+"""The bridge between the two trilinear forms: the octonionic form, the
+dictionary oracle and ``trilinear_both``.
 
-Which quadratic-form evaluation diagonalizes the spinor invariant is
-pinned by a small exact oracle over the four candidates.  The dictionary
-between the two trilinear forms is the identity of the component order
-(octonion coefficient k <-> component k, scale 1) by construction: both
-forms take the same components, and the dictionary is not applied but
-verified, exactly, on all 512 basis triples before first use: the term
-table of the matrix form (``clifford._TRILINEAR_TERMS``) and that of the
+The dictionary between the two forms is the identity of the component
+order (octonion coefficient k <-> component k, scale 1) by construction:
+both forms take the same components, and the dictionary is not applied but
+verified, exactly, on all 512 basis triples before first use.  The term
+tables of the matrix form (``clifford._TRILINEAR_TERMS``) and of the
 octonionic form (``octonion._TRILINEAR_TERMS``, read off the unit table)
+hold the same (a, b, c, F(e_a, e_b, e_c)) slots over (phi, x, psi), and
 must give every basis triple the same value.  Those are the tables the
 int forms are compiled from, so the check is of the functions
 ``trilinear_both`` runs on Python ints; on anything else the octonionic
-form is its definition -inner(conj(Phi), mul(X, Psi)).
+form is its definition -inner(conj(Phi), mul(X, Psi)).  The spinor basis
+and its pinned evaluation convention are ``clifford``'s;
+PINNED_CONVENTION is re-exported here.
 
 The sampled and table suites (correspondence_check, dictionary_random_check,
 the generator-table checks, the rotor, trilinear and double-cover checks)
@@ -28,59 +28,8 @@ from . import clifford as cl
 from . import octonion as oc
 
 DEFAULT_SEED = 12345
+PINNED_CONVENTION = cl.PINNED_CONVENTION
 
-
-# ---------------------------------------------------------------------------
-# spinor basis change
-# ---------------------------------------------------------------------------
-
-class XiConvention(namedtuple("XiConvention", "pairing b_form")):
-    """Which evaluation of the spinor invariant diagonalizes it: pairing
-    "transpose" or "dagger", b_form "original" or "conjugated"."""
-
-    __slots__ = ()
-
-    @property
-    def label(self) -> str:
-        return f"xi^{'T' if self.pairing == 'transpose' else 'dagger'} B[{self.b_form}] xi"
-
-
-def _candidate_forms():
-    """The four candidate evaluations as exact 16x16 quadratic forms on the
-    real components (each scaled by 2 to stay integral)."""
-    M = cl.XI_M
-    B = cl.b_matrix()
-    # B conjugated by T = M/sqrt2: T B T^{-1} = M B M^dagger / 2
-    out = {}
-    out[("transpose", "original")] = M.T @ B @ M                      # 2*form
-    out[("dagger", "original")] = M.conj_t() @ B @ M
-    mbmd = M @ B @ M.conj_t()
-    out[("transpose", "conjugated")] = M.T @ mbmd @ M                 # 4*form
-    out[("dagger", "conjugated")] = M.conj_t() @ mbmd @ M
-    return out
-
-
-def pin_xi_convention() -> XiConvention:
-    """Try the four candidate conventions; return the one whose quadratic
-    form is exactly the split diagonal form.  Raises if none (or more than
-    one) matches."""
-    split = cl.GMat.from_entries(16, ((k, k, cl.METRIC[k % 8], 0) for k in range(16)))
-    hits = []
-    for (pairing, b_form), mat in _candidate_forms().items():
-        scale = 2 if b_form == "original" else 4
-        if mat + mat.T == split.scale(2 * scale):
-            hits.append(XiConvention(pairing, b_form))
-    if len(hits) != 1:
-        raise RuntimeError(f"expected exactly one diagonalizing convention, got {len(hits)}")
-    return hits[0]
-
-
-PINNED_CONVENTION = pin_xi_convention()
-
-
-# ---------------------------------------------------------------------------
-# octonionic representations
-# ---------------------------------------------------------------------------
 
 def oct_from_components(c) -> oc.SplitOctonion:
     """Canonical-order coefficient load (1, j1, j2, j3, I, J1, J2, J3)."""
@@ -100,10 +49,6 @@ def trilinear_oct(phi_o: oc.SplitOctonion, x_o: oc.SplitOctonion,
         value = -oc.inner(phi_o.conj(), oc.mul(x_o, psi_o))
     return value
 
-
-# ---------------------------------------------------------------------------
-# trilinear equivalence oracle
-# ---------------------------------------------------------------------------
 
 class OracleError(RuntimeError):
     """The dictionary does not carry one trilinear form onto the other."""
@@ -136,8 +81,8 @@ def trilinear_equivalence_oracle() -> CorrespondenceMap:
     basis triples before it is returned, as the agreement of the two term
     tables the int forms are compiled from; raises OracleError naming the
     first failing triple otherwise."""
-    _verify_dictionary({(i, b, j): k for b, i, j, k in cl._TRILINEAR_TERMS},
-                       {(a, b, c): k for a, b, c, k in oc._TRILINEAR_TERMS})
+    _verify_dictionary(*({(a, b, c): k for a, b, c, k in terms}
+                         for terms in (cl._TRILINEAR_TERMS, oc._TRILINEAR_TERMS)))
     return CorrespondenceMap(_IDENTITY, _IDENTITY, _IDENTITY, Fraction(1))
 
 
@@ -166,13 +111,12 @@ def trilinear_both(phi, x, psi):
     dictionary, which equivalence_map() verifies before first use.
 
     Three lists of 8 Python ints go straight to the int forms, which check
-    their own input.  Otherwise phi and psi are read as trilinear_matrix
-    reads them (8 components, or 16 with the wrong-chirality block zero),
-    once, and both forms get the same eight values of phi, x and psi.  When
-    every component of the three is integral, they are Python ints and both
-    forms run their int versions; else the values go as given to the
-    matrix form's float evaluation and to trilinear_oct, whose octonions
-    hold numpy integers as Python ints.
+    their own input.  Otherwise the arguments are read once, as
+    trilinear_matrix reads them (``cl._trilinear_args``), and both forms
+    get the same eight values of phi, x and psi: Python ints when every
+    component is integral, for the two int forms; else the values as
+    given, for the matrix form's float sum and for trilinear_oct, whose
+    octonions hold numpy integers as Python ints.
     """
     equivalence_map()
     if (type(phi) is list and type(x) is list and type(psi) is list
@@ -180,12 +124,11 @@ def trilinear_both(phi, x, psi):
         mat_val = cl._TRILINEAR(phi, x, psi)
         if mat_val is not None:
             return mat_val, oc._INT_TRILINEAR(phi, x, psi)
-    phi, psi = cl._chiral_8(phi, "phi"), cl._chiral_8(psi, "psi")
-    x = cl._flat(x, (8,), "vector needs 8 components")
-    ints = cl._as_ints(phi), cl._as_ints(x), cl._as_ints(psi)
-    if None not in ints:
-        return cl._TRILINEAR(*ints), oc._INT_TRILINEAR(*ints)
-    return cl._trilinear(phi, x, psi), trilinear_oct(*map(oc.SplitOctonion, (phi, x, psi)))
+    args = cl._trilinear_args(phi, x, psi)
+    mat_val = cl._TRILINEAR(*args)
+    if mat_val is not None:
+        return mat_val, oc._INT_TRILINEAR(*args)
+    return cl._trilinear(*args), trilinear_oct(*map(oc.SplitOctonion, args))
 
 
 correspondence_check = oc._sweep("correspondence_check")

@@ -161,7 +161,7 @@ def dense(entries):
 def matrix_trilinear_tensor():
     """T1[a,b,c] = F_matrix(e_a, e_b, e_c), read off the matrix form's term
     table (int64 array)."""
-    return dense((i, b, j, k) for b, i, j, k in cl._TRILINEAR_TERMS)
+    return dense(cl._TRILINEAR_TERMS)
 
 
 def oct_trilinear_tensor():

@@ -288,8 +288,8 @@ def test_moufang_and_associators_match_reference():
 def negated_matrix_term(monkeypatch, n):
     """Negate term n of the matrix form's table and recompile the form from it."""
     terms = list(cl._TRILINEAR_TERMS)
-    b, i, j, k = terms[n]
-    terms[n] = (b, i, j, -k)
+    a, b, c, k = terms[n]
+    terms[n] = (a, b, c, -k)
     monkeypatch.setattr(cl, "_TRILINEAR_TERMS", tuple(terms))
     monkeypatch.setattr(cl, "_TRILINEAR", cl._trilinear_form(terms))
 
@@ -434,6 +434,12 @@ def test_zorn_halving_needs_even_entries():
         sweeps._Zorn(2, (0, 3, 0), (0, 0, 0), 0).halved()
 
 
+def test_the_two_term_tables_hold_the_same_terms():
+    # the identity dictionary in one line: one slot order (a, b, c, k) over
+    # (phi, x, psi), the same nonzero values
+    assert set(cl._TRILINEAR_TERMS) == set(oc._TRILINEAR_TERMS)
+
+
 def test_oracle_names_first_failing_triple_on_flipped_table(monkeypatch):
     # with e_J1 e_J2 negated the identity dictionary no longer carries the
     # octonion form onto the matrix form: the oracle fails at once, naming
@@ -449,12 +455,12 @@ def test_oracle_names_first_failing_triple_on_flipped_table(monkeypatch):
 
 @pytest.mark.parametrize("n", [0, 45])
 def test_oracle_names_first_failing_triple_on_a_negated_matrix_term(monkeypatch, n):
-    b, i, j, _ = cl._TRILINEAR_TERMS[n]
+    a, b, c, _ = cl._TRILINEAR_TERMS[n]
     negated_matrix_term(monkeypatch, n)
     monkeypatch.setattr(tr, "_ORACLE_CACHE", None)
     with pytest.raises(tr.OracleError) as err:
         tr.equivalence_map()
-    assert str(err.value) == f"dictionary fails at basis triple ({i},{b},{j})"
+    assert str(err.value) == f"dictionary fails at basis triple ({a},{b},{c})"
 
 
 def test_trilinear_both_exits_1_on_flipped_table(monkeypatch, capsys):
@@ -833,8 +839,8 @@ def test_trilinear_matrix_matches_per_slice_oracle(phi, x, psi):
 
 
 def test_flat_trilinear_table_matches_dense_slices():
-    assert [tuple(t[1:]) for t in cl._TRILINEAR_TERMS] == [t for s in SLICES for t in s]
-    assert [t[0] for t in cl._TRILINEAR_TERMS] == [b for b, s in enumerate(SLICES) for _ in s]
+    assert [(a, c, k) for a, _, c, k in cl._TRILINEAR_TERMS] == [t for s in SLICES for t in s]
+    assert [t[1] for t in cl._TRILINEAR_TERMS] == [b for b, s in enumerate(SLICES) for _ in s]
     for b, terms in enumerate(SLICES):
         want = np.zeros((8, 8), dtype=np.int64)
         for i, j, k in terms:
@@ -966,6 +972,26 @@ def test_trilinear_both_matches_reference(phi, x, psi):
         assert type(mat_val) is int and Fraction(mat_val) == oct_val
 
 
+def test_trilinear_both_reads_each_argument_once(monkeypatch):
+    seen = []
+    as_ints = cl._as_ints
+    monkeypatch.setattr(cl, "_as_ints", lambda values: seen.append(values) or as_ints(values))
+    tr.trilinear_both([0.5] + [0] * 7, [1.0] * 8, list(range(8)))
+    assert len(seen) == 3
+
+
+def test_trilinear_both_makes_no_octonion_on_int_tuples(monkeypatch):
+    made = []
+    init = oc.SplitOctonion.__init__
+    monkeypatch.setattr(oc.SplitOctonion, "__init__",
+                        lambda self, coeffs: made.append(coeffs) or init(self, coeffs))
+    args = tuple(range(8)), tuple(range(1, 9)), tuple(range(2, 10))
+    assert tr.trilinear_both(*args) == tr.trilinear_both(*map(list, args))
+    assert made == []
+    tr.trilinear_both([0.5] + [0] * 7, *args[1:])            # the float path makes them
+    assert len(made) == 3
+
+
 def test_trilinear_both_does_not_wrap_numpy_ints_on_the_float_path():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -984,7 +1010,7 @@ def basis(k, n=8):
 
 
 def test_compiled_trilinear_reads_every_table_entry():
-    table = {(b, i, j): k for b, i, j, k in cl._TRILINEAR_TERMS}
+    table = {(b, a, c): k for a, b, c, k in cl._TRILINEAR_TERMS}
     for b, i, j in itertools.product(range(8), repeat=3):
         assert cl._TRILINEAR(basis(i), basis(b), basis(j)) == table.get((b, i, j), 0)
 
@@ -992,15 +1018,15 @@ def test_compiled_trilinear_reads_every_table_entry():
 @pytest.mark.parametrize("n", range(0, 64, 7))
 def test_trilinear_form_is_compiled_from_its_table(n):
     terms = list(cl._TRILINEAR_TERMS)
-    b, i, j, k = terms[n]
-    terms[n] = (b, i, j, -k)
+    a, b, c, k = terms[n]
+    terms[n] = (a, b, c, -k)
     negated = cl._trilinear_form(terms)
-    triple = basis(i), basis(b), basis(j)
+    triple = basis(a), basis(b), basis(c)
     assert cl._TRILINEAR(*triple) == k
     assert negated(*triple) == -k
-    for m, (b2, i2, j2, k2) in enumerate(cl._TRILINEAR_TERMS):
+    for m, (a2, b2, c2, k2) in enumerate(cl._TRILINEAR_TERMS):
         if m != n:
-            assert negated(basis(i2), basis(b2), basis(j2)) == k2
+            assert negated(basis(a2), basis(b2), basis(c2)) == k2
 
 
 @pytest.mark.parametrize("n", [0, 5, 12])
@@ -1161,7 +1187,7 @@ def test_float_forms_match_the_term_loops_bit_for_bit():
                                                                    eta)
 
 
-# terms of the matrix table whose octonion product e_b e_j is not a scalar,
+# terms of the matrix table whose octonion product e_b e_c is not a scalar,
 # so that flipping it leaves inner's scalar entries as they are
 @pytest.mark.parametrize("n", [1, 45])
 def test_trilinear_both_sides_are_independent_evaluations(monkeypatch, n):
@@ -1169,18 +1195,18 @@ def test_trilinear_both_sides_are_independent_evaluations(monkeypatch, n):
     # compiled form on both paths, the octonion side with its int form on
     # the int path and with the unit table on the float path
     tr.equivalence_map()                  # verified on the sound forms
-    b, i, j, k = cl._TRILINEAR_TERMS[n]
-    assert b != j
-    phi, x, psi = basis(i), basis(b), basis(j)
+    a, b, c, k = cl._TRILINEAR_TERMS[n]
+    assert b != c
+    phi, x, psi = basis(a), basis(b), basis(c)
     halves = [v / 2 for v in phi], x, [2.0 * v for v in psi]      # mul(x, psi) runs the loop
     assert tr.trilinear_both(phi, x, psi) == (k, k)
     with monkeypatch.context() as mp:
         negated_matrix_term(mp, n)
         assert tr.trilinear_both(phi, x, psi) == (-k, k)
         assert tr.trilinear_both(*halves) == (-k, k)
-    # e_b e_j negated: -conj(e_i) . (e_b e_j) changes sign, on the int path
+    # e_b e_c negated: -conj(e_a) . (e_b e_c) changes sign, on the int path
     # with the compiled form and on the float path with the table mul reads
-    forms = oc._forms(flipped([(N[b], N[j])]))
+    forms = oc._forms(flipped([(N[b], N[c])]))
     monkeypatch.setattr(oc, "_INT_TRILINEAR", forms["_INT_TRILINEAR"])
     assert tr.trilinear_both(phi, x, psi) == (k, -k)
     assert tr.trilinear_both(*halves) == (k, k)

@@ -40,6 +40,24 @@ def test_pinned_convention_is_transpose_original():
     assert conv.b_form == "original"
 
 
+def test_the_pin_selects_the_spinor_form():
+    # the pin and the form it selects live in clifford; triality re-exports it
+    assert tr.PINNED_CONVENTION is cl.PINNED_CONVENTION
+    assert cl._Q_SPINOR_2 == cl._candidate_forms()[cl.PINNED_CONVENTION]
+
+
+def test_pin_needs_exactly_one_diagonalizing_candidate():
+    forms = cl._candidate_forms()
+    pinned = cl.pin_xi_convention(forms)
+    assert pinned == cl.PINNED_CONVENTION
+    others = {conv: mat for conv, mat in forms.items() if conv != pinned}
+    with pytest.raises(RuntimeError, match="got 0"):
+        cl.pin_xi_convention(others)
+    twice = {**others, cl.XiConvention("dagger", "original"): forms[pinned], pinned: forms[pinned]}
+    with pytest.raises(RuntimeError, match="got 2"):
+        cl.pin_xi_convention(twice)
+
+
 def test_pinned_form_diagonalizes():
     rng = np.random.default_rng(2)
     for _ in range(100):
