@@ -5,11 +5,11 @@ Each subcommand builds one payload, the object that ``--format json``
 emits; ``main`` chooses the format in one place, and the csv and pretty
 renderers of a subcommand read nothing but its payload.  Structured output
 goes to stdout, diagnostics to stderr.  Exit codes: 0 success / all suites
-pass, 1 verification failure, 2 usage error.  Only `verify` imports
-``sweeps`` and with it numpy: RUNS calls each suite through its entry point
-on ``oc`` or ``tr`` (``octonion._sweep``; `verify clifford` needs neither).
-The other subcommands run on the standard library and never compile the
-sweeps.
+pass, 1 verification failure, 2 usage error.  Only `verify` compiles the
+suites: RUNS calls each one through its entry point on ``oc`` or ``tr``
+(``octonion._sweep``).  `verify clifford`, `moufang` and `associators`
+run on the standard library; the others import ``sweeps`` and with it
+numpy.  The other subcommands run on the standard library.
 """
 from __future__ import annotations
 
@@ -259,26 +259,21 @@ def cmd_trilinear(args) -> dict:
     psi = _parse_components(args.psi, 8, exact)
     payload = {"representation": args.representation, "mode": args.mode}
     if args.representation == "both":
-        mat_val, oct_mapped = tr.trilinear_both(phi, x, psi)
-        if not exact:
-            # a form whose every term is skipped is the exact 0
-            oct_mapped = float(oct_mapped)
+        values = dict(zip(("matrix", "octonion"), tr.trilinear_both(phi, x, psi)))
     elif args.representation == "matrix":
-        mat_val = cl.trilinear_matrix(phi, x, psi)
-    if args.representation in ("matrix", "both"):
-        if not exact:
-            # integral floats take the exact path; float mode emits its float
-            mat_val = float(mat_val)
-        payload["matrix"] = _num(mat_val)
-    if args.representation in ("octonion", "both"):
-        v = tr.trilinear_oct(tr.oct_from_components(phi), tr.oct_from_components(x),
-                             tr.oct_from_components(psi))
-        payload["octonion"] = _num(v if exact else float(v))
+        values = {"matrix": cl.trilinear_matrix(phi, x, psi)}
+    else:
+        # read as trilinear_both reads it: integral floats as Python ints
+        values = {"octonion": tr.trilinear_oct(
+            *map(oc.SplitOctonion, cl._trilinear_args(phi, x, psi)))}
+    if not exact:
+        # integral floats take the exact path; float mode emits floats
+        values = {k: float(v) for k, v in values.items()}
     if args.representation == "both":
-        residual = abs(mat_val - oct_mapped)
-        payload["octonion_mapped"] = _num(oct_mapped)
-        payload["residual"] = _num(residual)
+        values["octonion_mapped"] = values["octonion"]
+        values["residual"] = abs(values["matrix"] - values["octonion"])
         payload["dictionary"] = tr.equivalence_map().to_json()
+    payload.update((k, _num(v)) for k, v in values.items())
     _require_finite(OVERFLOW, payload.values())
     return payload
 

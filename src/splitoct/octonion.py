@@ -20,12 +20,12 @@ same table: mul the loop over _TABLE's entries, and
 numpy integers itself: a SplitOctonion holds them as Python ints from the
 start, so that their products cannot wrap in int64.
 
-The identity sweeps (verify_table, verify_moufang, verify_malcev,
-verify_associators and generate_basis_from_J) live in ``sweeps``; each
-name here is made by ``_sweep``.
+The identity suites are entry points made by ``_sweep``: verify_malcev
+runs in ``sweeps``, on numpy, and the others on signed units in ``units``.
 """
 from __future__ import annotations
 
+import importlib
 import math
 from fractions import Fraction
 from numbers import Integral
@@ -489,23 +489,20 @@ def expected_associator(a: int, b: int, c: int) -> SplitOctonion:
     return sign * val
 
 
-def _sweep(name: str):
-    """The suite ``name`` of ``sweeps`` as an entry point named ``name``: a
-    function that imports ``sweeps`` when it is called and runs
-    ``sweeps.<name>`` there, looked up at that call.  So a process that runs
-    no suite compiles neither ``sweeps`` nor numpy, and a monkeypatch set on
-    ``sweeps`` or on the module that holds the entry point is what runs;
-    callers (``cli``) look the suites up on those modules.  ``triality``
-    makes its suites here too."""
+def _sweep(module: str, name: str):
+    """The suite ``name`` of this package's ``module`` (``units`` or
+    ``sweeps``) as an entry point, which imports ``module`` when called and
+    runs the ``name`` it holds then: a process that runs no suite compiles
+    neither module, and a monkeypatch on either module is what runs.
+    ``triality`` makes its suites here too; ``cli`` calls the entry points."""
     def suite(*args, **kwargs):
-        from . import sweeps
-        return getattr(sweeps, name)(*args, **kwargs)
+        return getattr(importlib.import_module(f"{__package__}.{module}"), name)(*args, **kwargs)
     suite.__name__ = suite.__qualname__ = name
     return suite
 
 
-verify_table = _sweep("verify_table")
-verify_moufang = _sweep("verify_moufang")
-verify_malcev = _sweep("verify_malcev")
-verify_associators = _sweep("verify_associators")
-generate_basis_from_J = _sweep("generate_basis_from_J")
+verify_table = _sweep("units", "verify_table")
+verify_moufang = _sweep("units", "verify_moufang")
+verify_malcev = _sweep("sweeps", "verify_malcev")
+verify_associators = _sweep("units", "verify_associators")
+generate_basis_from_J = _sweep("units", "generate_basis_from_J")

@@ -26,14 +26,16 @@ class VerificationReport:
     def passed(self) -> bool:
         return self.failures == 0
 
-    def record_case(self, ok: bool, detail: str = "", residual: float = 0.0) -> None:
+    def record_case(self, ok: bool, detail="", residual: float = 0.0) -> None:
+        """Record one case, named if it fails by ``detail``: a string, or a
+        callable of no argument, called only when a failing case is kept."""
         self.cases += 1
         if residual > self.max_residual:
             self.max_residual = residual
         if not ok:
             self.failures += 1
             if len(self.failure_details) < MAX_DETAILS:
-                self.failure_details.append(detail)
+                self.failure_details.append(detail() if callable(detail) else detail)
 
     def record_mask(self, ok, label, residual=None) -> None:
         """Record one case per entry of the boolean array ``ok``, in C order;

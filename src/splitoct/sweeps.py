@@ -1,33 +1,31 @@
-"""The verification sweeps: the identity suites of the split octonions and
-the table, sampled and double-cover suites of the triality, with the
-helpers and generator tables that only they use.  Each fact has one
-report: X^2 = q(x) Id is ``clifford``'s; the squares and signs of the unit
-table, read as they are, are ``octonion-table``'s.
+"""The verification sweeps on numpy: Malcev and the sampled, table and
+double-cover suites of the triality, with the helpers and generator
+tables that only they use.  ``units`` holds the octonion suites that run
+on signed units.  Each fact has one report: X^2 = q(x) Id is
+``clifford``'s; the squares and signs of the unit table are
+``octonion-table``'s.
 
 Only ``sot verify`` and the tests import this module: ``octonion`` and
-``triality`` hold each of the thirteen suites as an entry point made by
-``octonion._sweep``, so a one-shot process neither compiles this source
-nor imports numpy.  The sweeps reach every object derived from the unit
+``triality`` hold each of its nine suites as an entry point made by
+``octonion._sweep``.  The sweeps reach every object derived from the unit
 table, and every kernel, through its module at call time (``oc._TABLE``,
-``oc.mul``, ``tr.equivalence_map``, ``cl.rotate_vector``): code that
-installs another table with ``oc._forms`` or wraps a kernel is seen here
-too.
+``tr.equivalence_map``, ``cl.rotate_vector``): code that installs another
+table with ``oc._forms`` or wraps a kernel is seen here too.
 
-The octonion suites contract the dense structure tensor C[a,b,k] (e_a e_b =
+The Malcev sweep contracts the dense structure tensor C[a,b,k] (e_a e_b =
 sum_k C[a,b,k] e_k), built from ``oc._TABLE`` at each call of ``_c``.  Each
-side of a Moufang, Malcev or associator identity is one ``np.einsum``
-whose subscripts name the identity's variables: x, y, z, w, u, v are its
-arguments, sliced to the hyper-complex units (``H``) at the operand; n
-and m run over all eight units inside a product; k is the coefficient.
-Basis generation rebuilds the table in an independent Zorn vector-matrix
-model.  The first-order tables of the L_01 and L_04 actions and of the
-role-swap rotor are compared with == against the exact generators of
-``cl.plane_generator``, each table as one mask.  The random dictionary
-check contracts the term tensors of the two trilinear forms, each read
-off its term table (``cl._TRILINEAR_TERMS``, ``oc._TRILINEAR_TERMS``, the
-tables their int forms are compiled from) in their one slot order (a, b,
-c) over (phi, x, psi); only trilinear-invariance stacks the matrix form's
-slices at [b, a, c] (``_trilinear_slices``).  The float suites turn their
+side of a Malcev identity is one ``np.einsum`` whose subscripts name the
+identity's variables: x, y, z, w, u, v are its arguments, sliced to the
+hyper-complex units (``H``) at the operand; n and m run over all eight
+units inside a product; k is the coefficient.  The first-order tables of
+the L_01 and L_04 actions and of the role-swap rotor are compared with ==
+against the exact generators of ``cl.plane_generator``, each table as one
+mask.  The random dictionary check contracts the term tensors of the two
+trilinear forms, each read off its term table (``cl._TRILINEAR_TERMS``,
+``oc._TRILINEAR_TERMS``, the tables their int forms are compiled from) in
+their one slot order (a, b, c) over (phi, x, psi); only
+trilinear-invariance stacks the matrix form's slices at [b, a, c]
+(``_trilinear_slices``).  The float suites turn their
 vector and spinor stacks through ``cl.turn_pair`` and each plane's signed
 permutation (``cl._bivector_action``), as ``sot rotate`` turns one vector
 or spinor.
@@ -41,7 +39,6 @@ it casts.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 
@@ -50,8 +47,7 @@ import numpy as np
 from . import clifford as cl
 from . import octonion as oc
 from . import triality as tr
-from .octonion import (HYPER, IDX_I, UNIT_NAMES, ConstructionError, SplitOctonion,
-                       StructureConstants, epsilon)
+from .octonion import UNIT_NAMES
 from .report import VerificationReport
 from .triality import DEFAULT_SEED
 
@@ -125,30 +121,8 @@ def _q_spinor_2():
 
 
 # ---------------------------------------------------------------------------
-# octonion identity sweeps
+# the Malcev sweep
 # ---------------------------------------------------------------------------
-
-def verify_table() -> VerificationReport:
-    """All 64 unit products against oc._TABLE, plus squares and
-    anticommutativity; a wrong square or sign is a case naming its entry."""
-    rep = VerificationReport("octonion-table")
-    for a in range(8):
-        for b in range(8):
-            idx, sign = oc._TABLE[a][b]
-            got = oc.mul(SplitOctonion.unit(a), SplitOctonion.unit(b))
-            want = sign * SplitOctonion.unit(idx)
-            rep.record_case(got == want, f"{UNIT_NAMES[a]}*{UNIT_NAMES[b]}")
-    for k, sq in ((5, 1), (6, 1), (7, 1), (1, -1), (2, -1), (3, -1), (4, 1)):
-        got = oc.mul(SplitOctonion.unit(k), SplitOctonion.unit(k))
-        rep.record_case(got == SplitOctonion.scalar(sq), f"{UNIT_NAMES[k]}^2")
-    for a in HYPER:
-        for b in HYPER:
-            if a < b:
-                x, y = SplitOctonion.unit(a), SplitOctonion.unit(b)
-                rep.record_case(oc.mul(x, y) == -oc.mul(y, x),
-                                f"anticommute {UNIT_NAMES[a]},{UNIT_NAMES[b]}")
-    return rep
-
 
 # the hyper-complex units e_1..e_7 along an argument axis
 H = slice(1, None)
@@ -157,49 +131,6 @@ H = slice(1, None)
 def _same(lhs, rhs):
     """Per-case equality over the coefficient axis."""
     return (lhs == rhs).all(axis=-1)
-
-
-def _bracketings():
-    """P = (xy)z and Q = x(yz) on all unit triples, at [x, y, z, k]."""
-    c = _c()
-    return np.einsum("xyn,nzk->xyzk", c, c), np.einsum("yzn,xnk->xyzk", c, c)
-
-
-def verify_moufang() -> VerificationReport:
-    """Flexible Moufang identities on all 343 unit triples and the mild
-    associative laws on all 49 pairs, exactly.
-
-    Every side is one contraction of the bracketings P = (xy)z and Q =
-    x(yz) with the structure tensor C, or a diagonal of one of them, with
-    x, y, z over the hyper-complex units, n over all eight and k the
-    coefficient.
-    """
-    rep = VerificationReport("moufang")
-    c = _c()
-    p, q = _bracketings()
-    n = UNIT_NAMES[1:]
-    triples = np.stack([
-        _same(np.einsum("xynk,zxn->xyzk", p[H, H], c[H, H]),      # (xy)(zx)
-              np.einsum("xyzn,nxk->xyzk", q[H, H, H], c[:, H])),  # (x(yz))x
-        _same(np.einsum("zyzn,nxk->xyzk", p[H, H, H], c[:, H]),   # ((zy)z)x
-              np.einsum("yzxn,znk->xyzk", q[H, H, H], c[H])),     # z(y(zx))
-        _same(np.einsum("yzyn,xnk->xyzk", p[H, H, H], c[H]),      # x((yz)y)
-              np.einsum("xyzn,nyk->xyzk", p[H, H, H], c[:, H])),  # ((xy)z)y
-    ], axis=-1)
-    rep.record_mask(triples, lambda x, y, z, i: (
-        ("(xy)(zx)=x(yz)x", "(zyz)x=z(y(zx))", "x(yzy)=((xy)z)y")[i]
-        + f" ({n[x]},{n[y]},{n[z]})"))
-    pairs = np.stack([
-        _same(np.einsum("xyyk->xyk", p[H, H, H]),                 # (xy)y
-              np.einsum("xyyk->xyk", q[H, H, H])),                # x(yy)
-        _same(np.einsum("xxyk->xyk", q[H, H, H]),                 # x(xy)
-              np.einsum("xxyk->xyk", p[H, H, H])),                # (xx)y
-        _same(np.einsum("xyxk->xyk", p[H, H, H]),                 # (xy)x
-              np.einsum("xyxk->xyk", q[H, H, H])),                # x(yx)
-    ], axis=-1)
-    rep.record_mask(pairs, lambda x, y, i: (
-        ("(xy)y=xy^2", "x(xy)=x^2y", "(xy)x=x(yx)")[i] + f" ({n[x]},{n[y]})"))
-    return rep
 
 
 def _malcev_tensors():
@@ -274,166 +205,6 @@ def verify_malcev() -> VerificationReport:
     rep.record_mask(np.stack(derivation), lambda x, y, z, u, v: (
         f"5-elem ({n[x]},{n[y]},{n[z]},{n[u]},{n[v]})"))
     return rep
-
-
-# the first two arguments of the associator families
-_FAMILY_KINDS = (("j", "j"), ("j", "J"), ("J", "J"))
-
-
-def verify_associators() -> VerificationReport:
-    """The six non-vanishing associator families, total antisymmetry, the
-    full 343-triple closure against the family-predicted table, and the
-    associator-commutator bridge.
-
-    The computed side is 2A = P - Q, from the bracketings of the structure
-    tensor; the expected side comes from oc._family_value and
-    oc.expected_associator, which do not read the table.  The bridge
-    compares 6 * 2A with 12 J.
-    """
-    rep = VerificationReport("associators")
-    p, q = _bracketings()
-    a2 = p - q                       # 2 A(x, y, z)
-
-    # families at [n, m, slot, family]: the third argument is I at slot 0
-    # and J_k at slot k
-    got = np.empty((3, 3, 4, 3, 8), dtype=np.int64)
-    want = np.empty_like(got)
-    for n, m, slot, f in itertools.product((1, 2, 3), (1, 2, 3), range(4), range(3)):
-        x, y = _FAMILY_KINDS[f]
-        a = n if x == "j" else 4 + n
-        b = m if y == "j" else 4 + m
-        got[n - 1, m - 1, slot, f] = a2[a, b, IDX_I + slot]
-        val = (oc._family_value((x, y, "J"), (n, m, slot)) if slot
-               else oc._family_value((x, y, "I"), (n, m)))
-        want[n - 1, m - 1, slot, f] = val.c
-    rep.record_mask(_same(got, 2 * want), lambda n, m, slot, f: (
-        f"A({_FAMILY_KINDS[f][0]}{n + 1},{_FAMILY_KINDS[f][1]}{m + 1},"
-        f"{f'J{slot}' if slot else 'I'})"))
-
-    a2 = a2[H, H, H]
-    table = np.array([[[oc.expected_associator(x, y, z).c for z in HYPER] for y in HYPER]
-                      for x in HYPER], dtype=np.int64)
-    triples = np.stack([
-        _same(a2, -np.einsum("yxzk->xyzk", a2)) & _same(a2, -np.einsum("xzyk->xyzk", a2)),
-        _same(a2, 2 * table),
-        _same(6 * a2, _malcev_tensors()[2][H, H, H]),
-    ], axis=-1)
-    n = UNIT_NAMES[1:]
-    rep.record_mask(triples, lambda x, y, z, i: (
-        ("antisymmetry", "table closure", "commutator bridge")[i]
-        + f" ({n[x]},{n[y]},{n[z]})"))
-    return rep
-
-
-# ---------------------------------------------------------------------------
-# basis generation from the three J_n (independent Zorn-matrix model)
-# ---------------------------------------------------------------------------
-
-class _Zorn:
-    """Zorn vector matrix [[a, v], [w, b]]; an independent faithful model of
-    the split octonions used to certify the generated table."""
-
-    __slots__ = ("a", "v", "w", "b")
-
-    def __init__(self, a, v, w, b):
-        self.a, self.v, self.w, self.b = a, tuple(v), tuple(w), b
-
-    def __eq__(self, other):
-        return (self.a, self.v, self.w, self.b) == (other.a, other.v, other.w, other.b)
-
-    def __hash__(self):
-        return hash((self.a, self.v, self.w, self.b))
-
-    def __add__(self, other):
-        return _Zorn(self.a + other.a,
-                     tuple(p + q for p, q in zip(self.v, other.v)),
-                     tuple(p + q for p, q in zip(self.w, other.w)),
-                     self.b + other.b)
-
-    def __neg__(self):
-        return _Zorn(-self.a, tuple(-p for p in self.v), tuple(-p for p in self.w), -self.b)
-
-    def scale(self, c):
-        return _Zorn(c * self.a, tuple(c * p for p in self.v),
-                     tuple(c * p for p in self.w), c * self.b)
-
-    def halved(self):
-        """This element over 2; raises unless every entry is even."""
-        entries = (self.a, *self.v, *self.w, self.b)
-        if any(p % 2 for p in entries):
-            raise ConstructionError("an element expected to be twice a unit is not even")
-        return _Zorn(self.a // 2, tuple(p // 2 for p in self.v),
-                     tuple(p // 2 for p in self.w), self.b // 2)
-
-    def __mul__(self, other):
-        dot = lambda p, q: sum(x * y for x, y in zip(p, q))
-        cross = lambda p, q: (p[1] * q[2] - p[2] * q[1],
-                              p[2] * q[0] - p[0] * q[2],
-                              p[0] * q[1] - p[1] * q[0])
-        a = self.a * other.a + dot(self.v, other.w)
-        v = tuple(self.a * x + other.b * y - z
-                  for x, y, z in zip(other.v, self.v, cross(self.w, other.w)))
-        w = tuple(other.a * x + self.b * y + z
-                  for x, y, z in zip(self.w, other.w, cross(self.v, other.v)))
-        b = self.b * other.b + dot(self.w, other.v)
-        return _Zorn(a, v, w, b)
-
-
-def generate_basis_from_J() -> StructureConstants:
-    """Recover the full table from the three J_n alone.
-
-    The J_n are modelled as independent anticommuting square-one elements;
-    j_n is built as (1/2) eps_nmk J^m J^k, I as J_1 j_1, and each of the 64
-    unit products is looked up as +/- one of the eight units.
-    The model stays integral: 2 j_n is formed and halved only when even,
-    and I is compared with the Jacobiator as -3 I.  The result must match
-    the hard-coded constants byte for byte.
-    """
-    e3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    Jg = {n: _Zorn(0, e3[n - 1], e3[n - 1], 0) for n in (1, 2, 3)}
-
-    one = Jg[1] * Jg[1]
-    for n in (1, 2, 3):
-        if Jg[n] * Jg[n] != one:
-            raise ConstructionError("J_n^2 != 1 in the generator model")
-        for m in (1, 2, 3):
-            if m != n and Jg[m] * Jg[n] != -(Jg[n] * Jg[m]):
-                raise ConstructionError("J_m J_n != -J_n J_m in the generator model")
-
-    jg = {}
-    for n in (1, 2, 3):
-        acc = _Zorn(0, (0, 0, 0), (0, 0, 0), 0)       # 2 j_n
-        for m in (1, 2, 3):
-            for k in (1, 2, 3):
-                e = epsilon(n, m, k)
-                if e:
-                    acc = acc + (Jg[m] * Jg[k]).scale(e)
-        jg[n] = acc.halved()
-    Ig = Jg[1] * jg[1]
-
-    # I must coincide with -J(J1,J2,J3) built from plain products, J = jac / 3
-    jac = (Jg[1] * Jg[2]) * Jg[3] + (Jg[2] * Jg[3]) * Jg[1] + (Jg[3] * Jg[1]) * Jg[2]
-    if Ig.scale(-3) != jac:
-        raise ConstructionError("I != -J(J1,J2,J3) in the generator model")
-    for n in (2, 3):
-        if Jg[n] * jg[n] != Ig:
-            raise ConstructionError(f"J_{n} j_{n} != I in the generator model")
-
-    basis = [one, jg[1], jg[2], jg[3], Ig, Jg[1], Jg[2], Jg[3]]
-    if len(set(basis)) != 8:
-        raise ConstructionError("closure produced fewer than 8 distinct units")
-
-    # +-unit -> (index, sign); the lowest index wins, as a scan of the basis would
-    units = {}
-    for idx, u in enumerate(basis):
-        units.setdefault(u, (idx, 1))
-        units.setdefault(-u, (idx, -1))
-    table = tuple(tuple(units.get(x * y) for y in basis) for x in basis)
-    for a in range(8):
-        for b in range(8):
-            if table[a][b] is None:
-                raise ConstructionError(f"product of units {a},{b} is not +/- a basis unit")
-    return StructureConstants(table)
 
 
 # ---------------------------------------------------------------------------

@@ -131,11 +131,11 @@ def trilinear_both(phi, x, psi):
     return cl._trilinear(*args), trilinear_oct(*map(oc.SplitOctonion, args))
 
 
-correspondence_check = oc._sweep("correspondence_check")
-dictionary_random_check = oc._sweep("dictionary_random_check")
-infinitesimal_table_check = oc._sweep("infinitesimal_table_check")
-boost_table_check = oc._sweep("boost_table_check")
-role_swap_check = oc._sweep("role_swap_check")
-rotor_invariance_check = oc._sweep("rotor_invariance_check")
-trilinear_invariance_check = oc._sweep("trilinear_invariance_check")
-double_cover_check = oc._sweep("double_cover_check")
+correspondence_check = oc._sweep("sweeps", "correspondence_check")
+dictionary_random_check = oc._sweep("sweeps", "dictionary_random_check")
+infinitesimal_table_check = oc._sweep("sweeps", "infinitesimal_table_check")
+boost_table_check = oc._sweep("sweeps", "boost_table_check")
+role_swap_check = oc._sweep("sweeps", "role_swap_check")
+rotor_invariance_check = oc._sweep("sweeps", "rotor_invariance_check")
+trilinear_invariance_check = oc._sweep("sweeps", "trilinear_invariance_check")
+double_cover_check = oc._sweep("sweeps", "double_cover_check")

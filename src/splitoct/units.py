@@ -1,0 +1,234 @@
+"""The octonion suites on signed units, on the standard library alone: the
+table check, the Moufang and associator identities, and basis generation
+from the three J_n in an independent Zorn vector-matrix model.
+
+Each product of two units is +- one unit, e_a e_b = s e_k, read off
+``oc._TABLE`` at each suite call as the signed unit (k, s) by one product
+(``_times``).  So each side of a Moufang identity is one signed unit, and
+the associator 2A(x, y, z) = (xy)z - x(yz) and the bridge's 12 J(x, y, z)
+are sums of signed units in 8 ints (``_sum``).  No numpy is imported.
+"""
+from __future__ import annotations
+
+import itertools
+
+from . import octonion as oc
+from .octonion import (HYPER, IDX_I, UNIT_NAMES, ConstructionError, SplitOctonion,
+                       StructureConstants, epsilon)
+from .report import VerificationReport
+
+
+def verify_table() -> VerificationReport:
+    """All 64 unit products against oc._TABLE, plus squares and
+    anticommutativity; a wrong square or sign is a case naming its entry."""
+    rep = VerificationReport("octonion-table")
+    for a in range(8):
+        for b in range(8):
+            idx, sign = oc._TABLE[a][b]
+            got = oc.mul(SplitOctonion.unit(a), SplitOctonion.unit(b))
+            want = sign * SplitOctonion.unit(idx)
+            rep.record_case(got == want, f"{UNIT_NAMES[a]}*{UNIT_NAMES[b]}")
+    for k, sq in ((5, 1), (6, 1), (7, 1), (1, -1), (2, -1), (3, -1), (4, 1)):
+        got = oc.mul(SplitOctonion.unit(k), SplitOctonion.unit(k))
+        rep.record_case(got == SplitOctonion.scalar(sq), f"{UNIT_NAMES[k]}^2")
+    for a in HYPER:
+        for b in HYPER:
+            if a < b:
+                x, y = SplitOctonion.unit(a), SplitOctonion.unit(b)
+                rep.record_case(oc.mul(x, y) == -oc.mul(y, x),
+                                f"anticommute {UNIT_NAMES[a]},{UNIT_NAMES[b]}")
+    return rep
+
+
+def _times(table):
+    """The product of two signed units (index, sign) under a unit table."""
+    def times(u, v):
+        k, sign = table[u[0]][v[0]]
+        return k, sign * u[1] * v[1]
+    return times
+
+
+def _sum(plus, minus):
+    """The 8 coefficients of the signed units ``plus`` less ``minus``."""
+    c = [0] * 8
+    for k, sign in plus:
+        c[k] += sign
+    for k, sign in minus:
+        c[k] -= sign
+    return c
+
+
+# the seven hyper-complex units, each as a signed unit
+UNITS = tuple((a, 1) for a in HYPER)
+
+# each flexible Moufang identity on units x, y, z and each mild associative
+# law on x, y, by arity, as the agreement of its sides under the product m
+MOUFANG = (
+    (3, (("(xy)(zx)=x(yz)x", lambda m, x, y, z: m(m(x, y), m(z, x)) == m(m(x, m(y, z)), x)),
+         ("(zyz)x=z(y(zx))", lambda m, x, y, z: m(m(m(z, y), z), x) == m(z, m(y, m(z, x)))),
+         ("x(yzy)=((xy)z)y", lambda m, x, y, z: m(x, m(m(y, z), y)) == m(m(m(x, y), z), y)))),
+    (2, (("(xy)y=xy^2", lambda m, x, y: m(m(x, y), y) == m(x, m(y, y))),
+         ("x(xy)=x^2y", lambda m, x, y: m(x, m(x, y)) == m(m(x, x), y)),
+         ("(xy)x=x(yx)", lambda m, x, y: m(m(x, y), x) == m(x, m(y, x))))),
+)
+
+
+def verify_moufang() -> VerificationReport:
+    """Flexible Moufang identities on all 343 unit triples and the mild
+    associative laws on all 49 pairs, each side one signed unit."""
+    rep = VerificationReport("moufang")
+    m = _times(oc._TABLE)
+    for arity, identities in MOUFANG:
+        for args in itertools.product(UNITS, repeat=arity):
+            for name, holds in identities:
+                rep.record_case(holds(m, *args), lambda: (
+                    f"{name} ({','.join(UNIT_NAMES[a] for a, _ in args)})"))
+    return rep
+
+
+def _jacobiator12(m, x, y, z):
+    """12 J(x, y, z) on signed units: the sum over the cyclic (a, b, c) of
+    4[[a, b], c] = (ab)c - (ba)c - c(ab) + c(ba)."""
+    plus, minus = [], []
+    for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
+        ab, ba = m(a, b), m(b, a)
+        plus += m(ab, c), m(c, ba)
+        minus += m(ba, c), m(c, ab)
+    return _sum(plus, minus)
+
+
+def verify_associators() -> VerificationReport:
+    """The six non-vanishing associator families, total antisymmetry, the
+    343-triple closure against the family-predicted table (oc._family_value
+    and oc.expected_associator do not read the table), and the bridge 6 *
+    2A = 12 J, on 2A(x, y, z) = (xy)z - x(yz)."""
+    rep = VerificationReport("associators")
+    times = _times(oc._TABLE)
+    a2 = {(x[0], y[0], z[0]): _sum([times(times(x, y), z)], [times(x, times(y, z))])
+          for x, y, z in itertools.product(UNITS, repeat=3)}
+    # the families A(x_n, y_m, I) and A(x_n, y_m, J_k): the third argument
+    # is I at slot 0 and J_k at slot k
+    for n, m, slot, (p, q) in itertools.product((1, 2, 3), (1, 2, 3), range(4),
+                                                (("j", "j"), ("j", "J"), ("J", "J"))):
+        want = (oc._family_value((p, q, "J"), (n, m, slot)) if slot
+                else oc._family_value((p, q, "I"), (n, m)))
+        got = a2[n if p == "j" else 4 + n, m if q == "j" else 4 + m, IDX_I + slot]
+        rep.record_case(got == [2 * c for c in want.c], lambda: (
+            f"A({p}{n},{q}{m},{f'J{slot}' if slot else 'I'})"))
+    for x, y, z in a2:
+        got = a2[x, y, z]
+        name = lambda: f"({UNIT_NAMES[x]},{UNIT_NAMES[y]},{UNIT_NAMES[z]})"
+        rep.record_case([-c for c in a2[y, x, z]] == got == [-c for c in a2[x, z, y]],
+                        lambda: f"antisymmetry {name()}")
+        rep.record_case(got == [2 * c for c in oc.expected_associator(x, y, z).c],
+                        lambda: f"table closure {name()}")
+        rep.record_case([6 * c for c in got] == _jacobiator12(times, (x, 1), (y, 1), (z, 1)),
+                        lambda: f"commutator bridge {name()}")
+    return rep
+
+
+class _Zorn:
+    """Zorn vector matrix [[a, v], [w, b]]; an independent faithful model of
+    the split octonions used to certify the generated table."""
+
+    __slots__ = ("a", "v", "w", "b")
+
+    def __init__(self, a, v, w, b):
+        self.a, self.v, self.w, self.b = a, tuple(v), tuple(w), b
+
+    def __eq__(self, other):
+        return (self.a, self.v, self.w, self.b) == (other.a, other.v, other.w, other.b)
+
+    def __hash__(self):
+        return hash((self.a, self.v, self.w, self.b))
+
+    def __add__(self, other):
+        return _Zorn(self.a + other.a,
+                     tuple(p + q for p, q in zip(self.v, other.v)),
+                     tuple(p + q for p, q in zip(self.w, other.w)),
+                     self.b + other.b)
+
+    def __neg__(self):
+        return _Zorn(-self.a, tuple(-p for p in self.v), tuple(-p for p in self.w), -self.b)
+
+    def scale(self, c):
+        return _Zorn(c * self.a, tuple(c * p for p in self.v),
+                     tuple(c * p for p in self.w), c * self.b)
+
+    def halved(self):
+        """This element over 2; raises unless every entry is even."""
+        entries = (self.a, *self.v, *self.w, self.b)
+        if any(p % 2 for p in entries):
+            raise ConstructionError("an element expected to be twice a unit is not even")
+        return _Zorn(self.a // 2, tuple(p // 2 for p in self.v),
+                     tuple(p // 2 for p in self.w), self.b // 2)
+
+    def __mul__(self, other):
+        dot = lambda p, q: sum(x * y for x, y in zip(p, q))
+        cross = lambda p, q: (p[1] * q[2] - p[2] * q[1],
+                              p[2] * q[0] - p[0] * q[2],
+                              p[0] * q[1] - p[1] * q[0])
+        a = self.a * other.a + dot(self.v, other.w)
+        v = tuple(self.a * x + other.b * y - z
+                  for x, y, z in zip(other.v, self.v, cross(self.w, other.w)))
+        w = tuple(other.a * x + self.b * y + z
+                  for x, y, z in zip(self.w, other.w, cross(self.v, other.v)))
+        b = self.b * other.b + dot(self.w, other.v)
+        return _Zorn(a, v, w, b)
+
+
+def generate_basis_from_J() -> StructureConstants:
+    """Recover the full table from the three J_n alone.
+
+    The J_n are modelled as independent anticommuting square-one elements;
+    j_n is built as (1/2) eps_nmk J^m J^k, I as J_1 j_1, and each of the 64
+    unit products is looked up as +/- one of the eight units.
+    The model stays integral: 2 j_n is formed and halved only when even,
+    and I is compared with the Jacobiator as -3 I.  The result must match
+    the hard-coded constants byte for byte.
+    """
+    e3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    Jg = {n: _Zorn(0, e3[n - 1], e3[n - 1], 0) for n in (1, 2, 3)}
+
+    one = Jg[1] * Jg[1]
+    for n in (1, 2, 3):
+        if Jg[n] * Jg[n] != one:
+            raise ConstructionError("J_n^2 != 1 in the generator model")
+        for m in (1, 2, 3):
+            if m != n and Jg[m] * Jg[n] != -(Jg[n] * Jg[m]):
+                raise ConstructionError("J_m J_n != -J_n J_m in the generator model")
+
+    jg = {}
+    for n in (1, 2, 3):
+        acc = _Zorn(0, (0, 0, 0), (0, 0, 0), 0)       # 2 j_n
+        for m in (1, 2, 3):
+            for k in (1, 2, 3):
+                e = epsilon(n, m, k)
+                if e:
+                    acc = acc + (Jg[m] * Jg[k]).scale(e)
+        jg[n] = acc.halved()
+    Ig = Jg[1] * jg[1]
+
+    # I must coincide with -J(J1,J2,J3) built from plain products, J = jac / 3
+    jac = (Jg[1] * Jg[2]) * Jg[3] + (Jg[2] * Jg[3]) * Jg[1] + (Jg[3] * Jg[1]) * Jg[2]
+    if Ig.scale(-3) != jac:
+        raise ConstructionError("I != -J(J1,J2,J3) in the generator model")
+    for n in (2, 3):
+        if Jg[n] * jg[n] != Ig:
+            raise ConstructionError(f"J_{n} j_{n} != I in the generator model")
+
+    basis = [one, jg[1], jg[2], jg[3], Ig, Jg[1], Jg[2], Jg[3]]
+    if len(set(basis)) != 8:
+        raise ConstructionError("closure produced fewer than 8 distinct units")
+
+    # +-unit -> (index, sign); the lowest index wins, as a scan of the basis would
+    units = {}
+    for idx, u in enumerate(basis):
+        units.setdefault(u, (idx, 1))
+        units.setdefault(-u, (idx, -1))
+    table = tuple(tuple(units.get(x * y) for y in basis) for x in basis)
+    for a in range(8):
+        for b in range(8):
+            if table[a][b] is None:
+                raise ConstructionError(f"product of units {a},{b} is not +/- a basis unit")
+    return StructureConstants(table)

@@ -215,7 +215,7 @@ def test_stacks_stay_small(suite):
                                    lambda: tr.dictionary_random_check(1000)],
                          ids=["associators", "moufang", "dictionary"])
 def test_contracted_sweeps_stay_small(sweep):
-    # the contractions hold a few (8, 8, 8, 8) tensors at a time, and the
+    # moufang and the associators hold signed units and 8-int sums, and the
     # dictionary check works in blocks: one (1000, 8, 8, 8) int64 stack
     # would hold 4 MB
     assert peak_mb(sweep) < 2.0

@@ -16,8 +16,9 @@ from splitoct import clifford as cl
 from splitoct import octonion as oc
 from splitoct import sweeps
 from splitoct import triality as tr
+from splitoct import units
 from splitoct.report import VerificationReport
-from test_oneshot_golden import run_cli
+from test_oneshot_golden import WIDE, run_cli
 
 SCHEMAS = Path(__file__).resolve().parent.parent / "schemas"
 
@@ -342,6 +343,23 @@ def test_trilinear_past_float_max_overflows_on_every_representation(capsys, repr
     assert (code, out, err) == (2, "", f"error: {cli.OVERFLOW}\n")
 
 
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_trilinear_octonion_is_the_mapped_value(capsys, mode):
+    # every representation reads integral components as Python ints and
+    # rounds once, so the octonion value is the one `both` maps, and equals
+    # the matrix value, also where a float sum would round differently
+    payloads = {}
+    for representation in ("octonion", "matrix", "both"):
+        code, out, _ = run(capsys, ["trilinear", f"--phi={WIDE[0]}", f"--x={WIDE[1]}",
+                                    f"--psi={WIDE[2]}", f"--mode={mode}",
+                                    f"--representation={representation}"])
+        assert code == 0
+        payloads[representation] = json.loads(out)
+    both = payloads["both"]
+    assert (payloads["octonion"]["octonion"] == both["octonion"] == both["octonion_mapped"]
+            == both["matrix"] == payloads["matrix"]["matrix"])
+
+
 # tests/data pins `verify all`: the default seed's stdout in full, and the
 # sha256 of the normalized payload of seeds 0-9.
 #
@@ -393,9 +411,9 @@ def write_verify_golden():
     (GOLDEN / "verify_all_sha256.json").write_text(json.dumps(digests, indent=2) + "\n")
 
 
-# every one-shot command in every format, and what `import splitoct` sets up,
-# on the standard library alone and without compiling the sweeps; a dense
-# sweep imports both
+# every one-shot command and the suites on signed units, in every format,
+# and what `import splitoct` sets up, on the standard library alone and
+# without compiling the sweeps; a dense sweep imports both
 NUMPY_GUARD = """
 import contextlib, io, sys
 import splitoct
@@ -414,14 +432,14 @@ for argv in (
         ["trilinear", "--phi=" + e, "--x=" + e, "--psi=" + e, "--representation=octonion"],
         ["matrices", "--which=alpha"], ["matrices", "--which=gamma", "--index=5"],
         ["matrices", "--which=B", "--mode=float"], ["matrices", "--which=xi"],
-        ["table"], ["verify", "clifford"]):
+        ["table"], ["verify", "clifford"], ["verify", "moufang"], ["verify", "associators"]):
     for fmt in ("json", "csv", "pretty"):
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main([*argv, "--format=" + fmt]) == 0, (argv, fmt)
         assert "numpy" not in sys.modules, (argv, fmt)
         assert "splitoct.sweeps" not in sys.modules, (argv, fmt)
 with contextlib.redirect_stdout(io.StringIO()):
-    assert cli.main(["verify", "moufang"]) == 0
+    assert cli.main(["verify", "malcev"]) == 0
 assert "numpy" in sys.modules
 assert "splitoct.sweeps" in sys.modules
 """
@@ -462,13 +480,16 @@ def test_import_compiles_one_form_per_table():
                                    "<trilinear>"]
 
 
-# the suites that `sweeps` holds, by the module that names them
+# the suites that `units` and `sweeps` hold, by the module that names them
+# and the module they run in
 SWEEP_NAMES = {
-    oc: ("verify_table", "verify_moufang", "verify_malcev", "verify_associators",
-         "generate_basis_from_J"),
-    tr: ("correspondence_check", "dictionary_random_check", "infinitesimal_table_check",
-         "boost_table_check", "role_swap_check", "rotor_invariance_check",
-         "trilinear_invariance_check", "double_cover_check"),
+    (oc, units): ("verify_table", "verify_moufang", "verify_associators",
+                  "generate_basis_from_J"),
+    (oc, sweeps): ("verify_malcev",),
+    (tr, sweeps): ("correspondence_check", "dictionary_random_check",
+                   "infinitesimal_table_check", "boost_table_check", "role_swap_check",
+                   "rotor_invariance_check", "trilinear_invariance_check",
+                   "double_cover_check"),
 }
 
 # splitoct.__all__ as it was while the suites were defined in octonion and
@@ -488,10 +509,10 @@ PACKAGE_ALL = [
 
 
 def test_each_suite_runs_the_sweeps_function(monkeypatch):
-    for module, names in SWEEP_NAMES.items():
+    for (module, home), names in SWEEP_NAMES.items():
         for name in names:
             calls = []
-            monkeypatch.setattr(sweeps, name, lambda *a, **k: calls.append((a, k)) or calls)
+            monkeypatch.setattr(home, name, lambda *a, **k: calls.append((a, k)) or calls)
             assert getattr(splitoct, name) is getattr(module, name), name
             entry = getattr(module, name)
             assert entry.__name__ == entry.__qualname__ == name, (module.__name__, name)

@@ -12,7 +12,9 @@ an exponent, an int neither.
 
     PYTHONPATH=src python tests/test_oneshot_golden.py --write
 
-rewrites the file from the current code.
+rewrites the file from the current code.  The suites that run on the
+standard library (`verify clifford`, `moufang` and `associators`) are
+compared with their reports in ``tests/data/verify_all_12345.json``.
 """
 import contextlib
 import functools
@@ -29,9 +31,16 @@ import pytest
 from splitoct import cli
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "oneshot_golden.json"
+VERIFY_ALL = GOLDEN.parent / "verify_all_12345.json"
 FORMATS = ("json", "csv", "pretty")
 INLINE_LIMIT = 4096          # longer stdout is pinned by its sha256
 REL_TOL = 1e-12
+# phi, x, psi with wide integral components, where a float sum of the
+# octonionic form rounds away from the exact value
+WIDE = ("-3,8,6,5,7,-1,-8,8", "-9,-7,3,-9,6,1,-2,1",
+        "-988366003575599987070,255115757052525741625,506853752001842494855,"
+        "-525645748794662593319,-713701805943924243671,381552158017985226516,"
+        "-709096279091886270377,303156961878633222535")
 
 
 def _corpus():
@@ -106,6 +115,11 @@ def _corpus():
     # every term of the octonion form is skipped: float mode still emits floats
     add("trilinear", "--phi=0.5,0,0,0,0,0,0,0", "--x=1.5,0,0,0,0,0,0,0",
         "--psi=0,1.5,0,0,0,0,0,0", "--representation=both", "--mode=float")
+    # wide integral components: every representation reads them as ints and
+    # rounds once, so octonion and matrix agree to the last digit
+    for rep in ("matrix", "octonion", "both"):
+        add("trilinear", f"--phi={WIDE[0]}", f"--x={WIDE[1]}", f"--psi={WIDE[2]}",
+            f"--representation={rep}", "--mode=float")
 
     add("verify", "clifford")
     return cases
@@ -258,6 +272,14 @@ def test_oneshot_matches_golden(k):
     for g, w in zip(got, want):
         assert abs(float(g) - float(w)) <= REL_TOL * size, (g, w)
         assert is_float_token(g) == is_float_token(w), (g, w)
+
+
+@pytest.mark.parametrize("suite", ["clifford", "moufang", "associators"])
+def test_standard_library_suites_match_verify_all(suite):
+    code, stdout = run_cli(["verify", suite])
+    want = {r["name"]: r for r in json.loads(VERIFY_ALL.read_text())["reports"]}
+    assert code == 0
+    assert json.loads(stdout)["reports"] == [want[suite]]
 
 
 if __name__ == "__main__":

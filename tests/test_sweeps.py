@@ -17,6 +17,7 @@ from splitoct import octonion as oc
 from splitoct import report
 from splitoct import sweeps
 from splitoct import triality as tr
+from splitoct import units
 from splitoct.octonion import SplitOctonion as O
 from splitoct.report import VerificationReport
 
@@ -28,7 +29,7 @@ SCHEMAS = Path(__file__).resolve().parent.parent / "schemas"
 
 
 # Per-case reference sweeps over SplitOctonion products, in the case order
-# and detail strings of the contracted sweeps they check.
+# and detail strings of the sweeps they check.
 
 def reference_moufang():
     rep = VerificationReport("moufang")
@@ -427,11 +428,23 @@ def test_verify_dictionary_passes_on_the_sound_tensors():
         assert str(err.value) == "dictionary fails at basis triple (0,0,0)"
 
 
+def test_record_case_formats_a_callable_detail_only_when_kept(monkeypatch):
+    # the signed-unit suites name their cases lazily: a passing case, and a
+    # failing one past MAX_DETAILS, never format their label
+    monkeypatch.setattr(report, "MAX_DETAILS", 2)
+    formatted = []
+    rep = VerificationReport("labels")
+    for k in range(4):
+        rep.record_case(k == 0, lambda k=k: formatted.append(k) or f"case {k}")
+    assert (rep.cases, rep.failures, rep.failure_details) == (4, 3, ["case 1", "case 2"])
+    assert formatted == [1, 2]
+
+
 def test_zorn_halving_needs_even_entries():
-    z = sweeps._Zorn(2, (0, 4, -2), (6, 0, 0), -8)
-    assert z.halved() == sweeps._Zorn(1, (0, 2, -1), (3, 0, 0), -4)
+    z = units._Zorn(2, (0, 4, -2), (6, 0, 0), -8)
+    assert z.halved() == units._Zorn(1, (0, 2, -1), (3, 0, 0), -4)
     with pytest.raises(oc.ConstructionError):
-        sweeps._Zorn(2, (0, 3, 0), (0, 0, 0), 0).halved()
+        units._Zorn(2, (0, 3, 0), (0, 0, 0), 0).halved()
 
 
 def test_the_two_term_tables_hold_the_same_terms():
@@ -512,18 +525,21 @@ VERIFY_ALL_ORDER = ["basis-generation", "octonion-table", "moufang", "malcev", "
                     "associators", "correspondence", "infinitesimal-L01", "boost-table",
                     "role-swap", "double-cover", "trilinear-dictionary",
                     "trilinear-invariance", "rotor-invariance"]
-# one entry e_a e_b with a <= b alone (the 7 squares and 21 products), and
-# both orders of each of the 21 anticommuting pairs
+# one entry e_a e_b with a <= b alone (the 7 squares and 21 products), both
+# orders of each of the 21 anticommuting pairs, and each of the 15 entries
+# of the identity row and column alone
 TABLE_KILLS = ([((N[a], N[b]),) for a, b in itertools.combinations_with_replacement(oc.HYPER, 2)]
-               + [((N[a], N[b]), (N[b], N[a])) for a, b in itertools.combinations(oc.HYPER, 2)])
+               + [((N[a], N[b]), (N[b], N[a])) for a, b in itertools.combinations(oc.HYPER, 2)]
+               + [((N[0], N[b]),) for b in range(8)] + [((N[b], N[0]),) for b in oc.HYPER])
 
 
 @pytest.mark.parametrize("entries", TABLE_KILLS,
                          ids=lambda e: "+".join(f"{a}{b}" for a, b in e))
 def test_verify_all_fails_as_a_verdict_on_every_table_flip(monkeypatch, capsys, entries):
     # a broken table is a failed verdict with every report, never an error;
-    # basis generation catches every flip, and octonion-table names a
-    # single flipped entry
+    # basis generation and moufang catch every flip, associators every flip
+    # but that of e_1 e_1, and octonion-table names a single flipped
+    # hyper-complex entry
     flipped_table(monkeypatch, entries)
     monkeypatch.setattr(tr, "_ORACLE_CACHE", None)
     assert cli.main(["verify", "all", "--samples", "64"]) == 1
@@ -532,8 +548,10 @@ def test_verify_all_fails_as_a_verdict_on_every_table_flip(monkeypatch, capsys, 
     reports = {r["name"]: r for r in payload["reports"]}
     assert [r["name"] for r in payload["reports"]] == VERIFY_ALL_ORDER
     assert not reports["basis-generation"]["passed"]
-    if len(entries) == 1:
-        (a, b), = entries
+    assert not reports["moufang"]["passed"]
+    assert reports["associators"]["passed"] == (entries == ((N[0], N[0]),))
+    (a, b), *rest = entries
+    if not rest and N[0] not in (a, b):
         name = f"{a}^2" if a == b else f"anticommute {a},{b}"
         assert name in reports["octonion-table"]["failure_details"]
 
