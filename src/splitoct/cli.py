@@ -9,7 +9,9 @@ pass, 1 verification failure, 2 usage error.  Only `verify` compiles the
 suites: RUNS calls each one through its entry point on ``oc`` or ``tr``
 (``octonion._sweep``).  `verify clifford`, `moufang` and `associators`
 run on the standard library; the others import ``sweeps`` and with it
-numpy.  The other subcommands run on the standard library.
+numpy.  The other subcommands run on the standard library; `table` imports
+``units`` for its associator triples, which come from the six families
+(``units.predicted_associators``), not from the unit table.
 """
 from __future__ import annotations
 
@@ -82,16 +84,10 @@ def cmd_table(args) -> dict:
             idx, sign = oc._TABLE[a][b]
             products.append({"left": oc.UNIT_NAMES[a], "right": oc.UNIT_NAMES[b],
                              "result_unit": oc.UNIT_NAMES[idx], "sign": sign})
-    families = []
-    for a in oc.HYPER:
-        for b in oc.HYPER:
-            for c in oc.HYPER:
-                val = oc.expected_associator(a, b, c)
-                if not val.is_zero():
-                    families.append({
-                        "x": oc.UNIT_NAMES[a], "y": oc.UNIT_NAMES[b], "z": oc.UNIT_NAMES[c],
-                        "value": {oc.UNIT_NAMES[k]: _num(v)
-                                  for k, v in enumerate(val.c) if v != 0}})
+    from . import units
+    families = [{"x": oc.UNIT_NAMES[a], "y": oc.UNIT_NAMES[b], "z": oc.UNIT_NAMES[c],
+                 "value": {oc.UNIT_NAMES[k]: v for k, v in enumerate(value) if v}}
+                for (a, b, c), value in units.predicted_associators().items() if any(value)]
     return {"products": products, "nonvanishing_associators": families}
 
 

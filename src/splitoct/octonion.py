@@ -21,7 +21,9 @@ numpy integers itself: a SplitOctonion holds them as Python ints from the
 start, so that their products cannot wrap in int64.
 
 The identity suites are entry points made by ``_sweep``: verify_malcev
-runs in ``sweeps``, on numpy, and the others on signed units in ``units``.
+runs in ``sweeps``, on numpy, and the others on signed units in ``units``,
+which also holds the six associator families the paper names and the
+associator table they predict.
 """
 from __future__ import annotations
 
@@ -33,8 +35,7 @@ from numbers import Integral
 from .exact import grouped, int_form
 
 UNIT_NAMES = ("1", "j1", "j2", "j3", "I", "J1", "J2", "J3")
-SCALAR, J1, J2, J3 = 0, 5, 6, 7
-IDX_I = 4
+SCALAR = 0
 HYPER = tuple(range(1, 8))
 
 _HALF = Fraction(1, 2)
@@ -397,96 +398,6 @@ class StructureConstants:
     def to_json(self) -> list:
         return [[{"unit": UNIT_NAMES[idx], "sign": sign} for idx, sign in row]
                 for row in self.table]
-
-
-# ---------------------------------------------------------------------------
-# expected associator table (the six non-vanishing families)
-# ---------------------------------------------------------------------------
-
-def _family_value(kinds, idx):
-    """Associator of a canonically ordered triple (j's, then J's, then I)."""
-    U = SplitOctonion.unit
-    Z = SplitOctonion.zero()
-    if kinds == ("j", "j", "J"):
-        n, m, k = idx
-        out = Z
-        if epsilon(n, m, k):
-            out = out - epsilon(n, m, k) * U(IDX_I)
-        if n == k:
-            out = out - U(4 + m)
-        if m == k:
-            out = out + U(4 + n)
-        return out
-    if kinds == ("j", "j", "I"):
-        n, m = idx
-        out = Z
-        for k in (1, 2, 3):
-            e = epsilon(n, m, k)
-            if e:
-                out = out + e * U(4 + k)
-        return out
-    if kinds == ("j", "J", "J"):
-        n, m, k = idx
-        out = Z
-        if n == m:
-            out = out + U(k)
-        if n == k:
-            out = out - U(m)
-        return out
-    if kinds == ("j", "J", "I"):
-        n, m = idx
-        out = Z
-        for k in (1, 2, 3):
-            e = epsilon(n, m, k)
-            if e:
-                out = out - e * U(k)
-        return out
-    if kinds == ("J", "J", "J"):
-        n, m, k = idx
-        if epsilon(n, m, k):
-            return -epsilon(n, m, k) * U(IDX_I)
-        return Z
-    if kinds == ("J", "J", "I"):
-        n, m = idx
-        out = Z
-        for k in (1, 2, 3):
-            e = epsilon(n, m, k)
-            if e:
-                out = out + e * U(4 + k)
-        return out
-    return Z
-
-
-_KIND_ORDER = {"j": 0, "J": 1, "I": 2}
-
-
-def _unit_kind(k: int):
-    if 1 <= k <= 3:
-        return "j", k
-    if 5 <= k <= 7:
-        return "J", k - 4
-    return "I", 0
-
-
-def expected_associator(a: int, b: int, c: int) -> SplitOctonion:
-    """Associator of hyper-complex units predicted by the six families,
-    extended to every ordering by total antisymmetry; zero elsewhere."""
-    if a == b or b == c or a == c:
-        # repeated argument: antisymmetry forces zero
-        return SplitOctonion.zero()
-    items = [_unit_kind(k) for k in (a, b, c)]
-    order = sorted(range(3), key=lambda i: _KIND_ORDER[items[i][0]])
-    # permutation sign of the sort
-    sign = 1
-    perm = list(order)
-    for i in range(3):
-        for jj in range(i + 1, 3):
-            if perm[i] > perm[jj]:
-                sign = -sign
-    kinds = tuple(items[i][0] for i in order)
-    idx = tuple(items[i][1] for i in order if items[i][0] != "I")
-    val = _family_value(kinds, idx)
-    return sign * val
 
 
 def _sweep(module: str, name: str):

@@ -7,13 +7,21 @@ Each product of two units is +- one unit, e_a e_b = s e_k, read off
 (``_times``).  So each side of a Moufang identity is one signed unit, and
 the associator 2A(x, y, z) = (xy)z - x(yz) and the bridge's 12 J(x, y, z)
 are sums of signed units in 8 ints (``_sum``).  No numpy is imported.
+
+The six non-vanishing associator families are data (``FAMILIES``), one
+formula each in the indices of their units; ``predicted_associators``
+extends them by total antisymmetry to all 343 triples of hyper-complex
+units, without reading a unit table, once per process.  The associator
+suite checks the product against both, and ``sot table`` prints the
+predicted triples.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 
 from . import octonion as oc
-from .octonion import (HYPER, IDX_I, UNIT_NAMES, ConstructionError, SplitOctonion,
+from .octonion import (HYPER, UNIT_NAMES, ConstructionError, SplitOctonion,
                        StructureConstants, epsilon)
 from .report import VerificationReport
 
@@ -97,10 +105,57 @@ def _jacobiator12(m, x, y, z):
     return _sum(plus, minus)
 
 
+# the six non-vanishing associator families A(x, y, z) of the hyper-complex
+# units, keyed by the kinds of x, y, z in canonical order (the j's, then
+# the J's, then I), each as the terms (coefficient, unit) of A in the
+# indices n, m, k of its units; a family ending in I sums over k
+FAMILIES = {
+    ("j", "j", "J"): lambda n, m, k: ((-epsilon(n, m, k), "I"), (-(n == k), f"J{m}"),
+                                      (+(m == k), f"J{n}")),
+    ("j", "j", "I"): lambda n, m: tuple((epsilon(n, m, k), f"J{k}") for k in (1, 2, 3)),
+    ("j", "J", "J"): lambda n, m, k: ((+(n == m), f"j{k}"), (-(n == k), f"j{m}")),
+    ("j", "J", "I"): lambda n, m: tuple((-epsilon(n, m, k), f"j{k}") for k in (1, 2, 3)),
+    ("J", "J", "J"): lambda n, m, k: ((-epsilon(n, m, k), "I"),),
+    ("J", "J", "I"): lambda n, m: tuple((epsilon(n, m, k), f"J{k}") for k in (1, 2, 3)),
+}
+
+
+def _value(terms):
+    """The 8 coefficients of a family's terms (coefficient, unit)."""
+    c = [0] * 8
+    for coeff, unit in terms:
+        c[UNIT_NAMES.index(unit)] += coeff
+    return c
+
+
+@functools.cache
+def predicted_associators() -> dict:
+    """A(e_a, e_b, e_c) as 8 ints for each of the 343 triples (a, b, c) of
+    hyper-complex units, predicted by the six families alone: a triple of
+    distinct units is sorted stably into canonical order and takes the
+    family's value times the sign of the sort (total antisymmetry), and a
+    repeated unit gives zero.  No unit table is read, so the map is built
+    once per process."""
+    kind, rank = " jjjIJJJ", "jJI"
+    table = {}
+    for triple in itertools.product(HYPER, repeat=3):
+        value = (0,) * 8
+        if len(set(triple)) == 3:
+            order = sorted(range(3), key=lambda i: rank.index(kind[triple[i]]))
+            sign = (-1) ** sum(order[i] > order[j] for i, j in ((0, 1), (0, 2), (1, 2)))
+            units = [triple[i] for i in order]
+            kinds = tuple(kind[u] for u in units)
+            if kinds in FAMILIES:           # three j's associate
+                terms = FAMILIES[kinds](*(u % 4 for u in units if u != 4))
+                value = tuple(sign * c for c in _value(terms))
+        table[triple] = value
+    return table
+
+
 def verify_associators() -> VerificationReport:
     """The six non-vanishing associator families, total antisymmetry, the
-    343-triple closure against the family-predicted table (oc._family_value
-    and oc.expected_associator do not read the table), and the bridge 6 *
+    343-triple closure against the family-predicted table (FAMILIES and
+    predicted_associators do not read the unit table), and the bridge 6 *
     2A = 12 J, on 2A(x, y, z) = (xy)z - x(yz)."""
     rep = VerificationReport("associators")
     times = _times(oc._TABLE)
@@ -110,17 +165,17 @@ def verify_associators() -> VerificationReport:
     # is I at slot 0 and J_k at slot k
     for n, m, slot, (p, q) in itertools.product((1, 2, 3), (1, 2, 3), range(4),
                                                 (("j", "j"), ("j", "J"), ("J", "J"))):
-        want = (oc._family_value((p, q, "J"), (n, m, slot)) if slot
-                else oc._family_value((p, q, "I"), (n, m)))
-        got = a2[n if p == "j" else 4 + n, m if q == "j" else 4 + m, IDX_I + slot]
-        rep.record_case(got == [2 * c for c in want.c], lambda: (
+        want = _value(FAMILIES[p, q, "J"](n, m, slot) if slot else FAMILIES[p, q, "I"](n, m))
+        got = a2[n if p == "j" else 4 + n, m if q == "j" else 4 + m, 4 + slot]
+        rep.record_case(got == [2 * c for c in want], lambda: (
             f"A({p}{n},{q}{m},{f'J{slot}' if slot else 'I'})"))
+    predicted = predicted_associators()
     for x, y, z in a2:
         got = a2[x, y, z]
         name = lambda: f"({UNIT_NAMES[x]},{UNIT_NAMES[y]},{UNIT_NAMES[z]})"
         rep.record_case([-c for c in a2[y, x, z]] == got == [-c for c in a2[x, z, y]],
                         lambda: f"antisymmetry {name()}")
-        rep.record_case(got == [2 * c for c in oc.expected_associator(x, y, z).c],
+        rep.record_case(got == [2 * c for c in predicted[x, y, z]],
                         lambda: f"table closure {name()}")
         rep.record_case([6 * c for c in got] == _jacobiator12(times, (x, 1), (y, 1), (z, 1)),
                         lambda: f"commutator bridge {name()}")

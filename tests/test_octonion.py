@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from splitoct import octonion as oc
+from splitoct import units
 from splitoct.octonion import SplitOctonion as O
 
 U = O.unit
@@ -137,10 +139,12 @@ class TestAssociator:
                 assert oc.associator(x, x, y).is_zero()
 
     def test_expected_table_families(self):
-        # one representative per family, straight from the family formulas
-        assert oc.expected_associator(1, 2, 7) == oc.associator(j1, j2, J3)
-        assert oc.expected_associator(1, 6, 4) == oc.associator(j1, J2, I)
-        assert oc.expected_associator(5, 6, 4) == oc.associator(J1, J2, I)
+        # every triple of hyper-complex units, predicted from the families
+        # alone, against the associator the product gives
+        table = units.predicted_associators()
+        assert list(table) == list(itertools.product(oc.HYPER, repeat=3))
+        for (a, b, c), value in table.items():
+            assert O(value) == oc.associator(U(a), U(b), U(c)), (a, b, c)
 
 
 class TestJacobiator:

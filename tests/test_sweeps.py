@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import math
@@ -52,31 +53,37 @@ def reference_moufang():
     return rep
 
 
+def family(kinds, *idx):
+    """The associator the family ``kinds`` of units.FAMILIES gives at ``idx``."""
+    return sum((c * O.unit(unit) for c, unit in units.FAMILIES[kinds](*idx)), O.zero())
+
+
 def reference_associators():
     rep = VerificationReport("associators")
     A = oc.associator
+    predicted = units.predicted_associators()
     for n, m in itertools.product((1, 2, 3), repeat=2):
         jn, jm, Jn, Jm, I = UNITS[n], UNITS[m], UNITS[4 + n], UNITS[4 + m], UNITS[4]
-        rep.record_case(A(jn, jm, I) == oc._family_value(("j", "j", "I"), (n, m)),
+        rep.record_case(A(jn, jm, I) == family(("j", "j", "I"), n, m),
                         f"A(j{n},j{m},I)")
-        rep.record_case(A(jn, Jm, I) == oc._family_value(("j", "J", "I"), (n, m)),
+        rep.record_case(A(jn, Jm, I) == family(("j", "J", "I"), n, m),
                         f"A(j{n},J{m},I)")
-        rep.record_case(A(Jn, Jm, I) == oc._family_value(("J", "J", "I"), (n, m)),
+        rep.record_case(A(Jn, Jm, I) == family(("J", "J", "I"), n, m),
                         f"A(J{n},J{m},I)")
         for k in (1, 2, 3):
             Jk = UNITS[4 + k]
-            rep.record_case(A(jn, jm, Jk) == oc._family_value(("j", "j", "J"), (n, m, k)),
+            rep.record_case(A(jn, jm, Jk) == family(("j", "j", "J"), n, m, k),
                             f"A(j{n},j{m},J{k})")
-            rep.record_case(A(jn, Jm, Jk) == oc._family_value(("j", "J", "J"), (n, m, k)),
+            rep.record_case(A(jn, Jm, Jk) == family(("j", "J", "J"), n, m, k),
                             f"A(j{n},J{m},J{k})")
-            rep.record_case(A(Jn, Jm, Jk) == oc._family_value(("J", "J", "J"), (n, m, k)),
+            rep.record_case(A(Jn, Jm, Jk) == family(("J", "J", "J"), n, m, k),
                             f"A(J{n},J{m},J{k})")
     for a, b, c in itertools.product(oc.HYPER, repeat=3):
         x, y, z = UNITS[a], UNITS[b], UNITS[c]
         got = A(x, y, z)
         name = f"({N[a]},{N[b]},{N[c]})"
         rep.record_case(got == -A(y, x, z) and got == -A(x, z, y), f"antisymmetry {name}")
-        rep.record_case(got == oc.expected_associator(a, b, c), f"table closure {name}")
+        rep.record_case(got == O(predicted[a, b, c]), f"table closure {name}")
         rep.record_case(got == oc.malcev_jacobiator(x, y, z), f"commutator bridge {name}")
     return rep
 
@@ -284,6 +291,54 @@ def test_moufang_and_associators_match_reference_on_flipped_tables(monkeypatch, 
 def test_moufang_and_associators_match_reference():
     assert outcome(oc.verify_moufang()) == outcome(reference_moufang())
     assert outcome(oc.verify_associators()) == outcome(reference_associators())
+
+
+def family_indices(kinds):
+    """The indices of the family ``kinds``: (n, m) for one ending in I,
+    else (n, m, k)."""
+    return list(itertools.product((1, 2, 3), repeat=2 if kinds[2] == "I" else 3))
+
+
+# each term of each family, by its position in the family's terms
+FAMILY_TERMS = [(kinds, term) for kinds, formula in units.FAMILIES.items()
+                for term in range(len(formula(*family_indices(kinds)[0])))]
+
+
+@pytest.mark.parametrize("kinds,term", FAMILY_TERMS,
+                         ids=[f"{''.join(kinds)}-{term}" for kinds, term in FAMILY_TERMS])
+def test_associators_fail_on_a_negated_family_term(monkeypatch, kinds, term):
+    # the suite must name the family's A(...) cases whose value the term
+    # changes and the table closure of each triple whose prediction changes,
+    # and nothing else; the test gets its own cache of the predicted table,
+    # so the cached standard table cannot hide the patched family
+    standard = units.predicted_associators()
+    formula = units.FAMILIES[kinds]
+    monkeypatch.setitem(units.FAMILIES, kinds, lambda *idx: tuple(
+        (-c if i == term else c, unit) for i, (c, unit) in enumerate(formula(*idx))))
+    monkeypatch.setattr(units, "predicted_associators",
+                        functools.cache(units.predicted_associators.__wrapped__))
+    monkeypatch.setattr(report, "MAX_DETAILS", 2000)
+    changed = [t for t, value in units.predicted_associators().items() if value != standard[t]]
+    assert changed and all(sorted(" jjjIJJJ"[a] for a in t) == sorted(kinds) for t in changed)
+    p, q, _ = kinds
+    want = {f"A({p}{n},{q}{m},{f'J{k[0]}' if k else 'I'})"
+            for n, m, *k in family_indices(kinds) if formula(n, m, *k)[term][0]}
+    want |= {f"table closure ({N[a]},{N[b]},{N[c]})" for a, b, c in changed}
+    rep = oc.verify_associators()
+    assert rep.failures == len(rep.failure_details) == len(want)
+    assert set(rep.failure_details) == want
+
+
+def test_predicted_associators_read_no_unit_table(monkeypatch):
+    # built anew under each of the 64 single-entry sign flips, bypassing the
+    # per-process cache, the predicted table is the standard one
+    standard = units.predicted_associators()
+    build = units.predicted_associators.__wrapped__
+    assert build() == standard
+    for a, b in itertools.product(N, repeat=2):
+        with monkeypatch.context() as m:
+            flipped_table(m, ((a, b),))
+            assert build() == standard, (a, b)
 
 
 def negated_matrix_term(monkeypatch, n):
