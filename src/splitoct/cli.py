@@ -66,10 +66,11 @@ def _num(v):
 
 def _round12(v: float) -> float:
     """v rounded to 12 decimals as numpy.round does it: scale by 1e12, round
-    half to even, scale back; the sign of a zero is kept."""
+    half to even, scale back; the sign of a zero is kept.  v stays as it is
+    where the scaling overflows: it has no decimals to round there."""
     y = v * 1e12
     if not math.isfinite(y):
-        return y / 1e12
+        return v
     return math.copysign(float(round(y)), y) / 1e12
 
 

@@ -18,11 +18,12 @@ first-order action on both.  The trilinear form is one flat table of
 (a, b, c, F(e_a, e_b, e_c)) terms over (phi, x, psi), in the slot order
 of the octonionic form's table, and the spinor invariant one of (i, j,
 2Q_ij) terms; on integers each is one straight-line function compiled
-from its table by ``exact.int_form``.  An int form returns None unless
-every component is a Python int, so a list of Python ints goes to it as
-given, and any other argument is read once (``_trilinear_args`` for the
-trilinear form).  Float sums of several terms are correctly rounded
-(``math.fsum``).  numpy is imported only by the ndarray rotor actions.
+from its table by ``exact.int_form`` (``exact.trilinear_form`` for the
+trilinear form).  An int form returns None unless every component is a
+Python int, so a list of Python ints goes to it as given, and any other
+argument is read once (``_trilinear_args`` for the trilinear form).
+Float sums of several terms are correctly rounded (``math.fsum``).  numpy
+is imported only by the ndarray rotor actions.
 """
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .exact import compiled, grouped, int_form
+from .exact import compiled, int_form, trilinear_form
 from .report import VerificationReport
 
 METRIC = (1, 1, 1, 1, -1, -1, -1, -1)
@@ -156,9 +157,6 @@ class GMat:
     def __eq__(self, other):
         return (isinstance(other, GMat) and self.ncols == other.ncols
                 and self.rows == other.rows)
-
-    def is_zero(self) -> bool:
-        return not any(self.rows)
 
     def is_real(self) -> bool:
         return not any(vi for _, _, _, vi in self.entries())
@@ -610,15 +608,8 @@ def _trilinear_terms() -> tuple:
 _TRILINEAR_TERMS = _trilinear_terms()
 
 
-def _trilinear_form(terms):
-    """F(phi, X, psi) on three lists of 8 Python ints, compiled from the
-    (a, b, c, k) terms: the sum over the slices of x_b * (sum k p_a s_c);
-    None unless all 24 components are Python ints."""
-    return int_form("trilinear", "pxs", 8,
-                    [grouped((f"x{b}", k, f"p{a} * s{c}") for a, b, c, k in terms)])
-
-
-_TRILINEAR = _trilinear_form(_TRILINEAR_TERMS)
+# F(phi, X, psi) on three lists of 8 Python ints, compiled from the terms
+_TRILINEAR = trilinear_form(_TRILINEAR_TERMS)
 
 
 def trilinear_matrix(phi, x, psi):

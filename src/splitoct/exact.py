@@ -5,10 +5,11 @@ matrix and octonionic trilinear forms, the spinor invariant) is one call
 of ``int_form``, which writes it from its term table as straight-line
 source: it unpacks the arguments, tests that every component is a Python
 int, and returns one signed sum per output (``signed_sum``; ``grouped``
-factors a trilinear form's vector components out of its sums).  The
-spinor rotor's turn is compiled by ``compiled`` too.  An integer form is
-the only form compiled from its table: any other input takes a plain loop
-over the same table.
+factors a trilinear form's vector components out of its sums, and
+``trilinear_form`` writes both trilinear forms so).  The spinor rotor's
+turn is compiled by ``compiled`` too.  An integer form is the only form
+compiled from its table: any other input takes a plain loop over the same
+table.
 """
 from __future__ import annotations
 
@@ -58,3 +59,13 @@ def int_form(name: str, args: str, size: int, sums, wrap: str = "", **names):
         body = f"{wrap}({body})"
     return compiled(name, f"def {name}({', '.join(args)}):\n{unpack}"
                           f"    if {ints}:\n        return {body}\n", **names)
+
+
+def trilinear_form(terms, wrap: str = "", **names):
+    """F(p, x, s) on three sequences of 8 Python ints, compiled by int_form
+    from the (a, b, c, k) terms of a trilinear form: the sum over b of x_b *
+    (sum k p_a s_c), passed through ``wrap`` when it is given; None unless
+    all 24 components are Python ints."""
+    return int_form("trilinear", "pxs", 8,
+                    [grouped((f"x{b}", k, f"p{a} * s{c}") for a, b, c, k in terms)],
+                    wrap=wrap, **names)

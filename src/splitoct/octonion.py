@@ -12,7 +12,8 @@ term table of the octonionic trilinear form (_TRILINEAR_TERMS, the
 nonzero -conj(e_a).(e_b e_c), read off the table and those scalar
 entries); and, each as one call of ``exact.int_form``, which the clifford
 forms share, the product of Python ints (_INT_PRODUCT) and the trilinear
-form of Python ints compiled from its term table (_INT_TRILINEAR).  Each
+form of Python ints compiled from its term table (_INT_TRILINEAR, by
+``exact.trilinear_form``, which writes the matrix form too).  Each
 int form checks its own input and returns None unless every coefficient
 is a Python int.  Everything else takes the plain definition over the
 same table: mul the loop over _TABLE's entries, and
@@ -32,7 +33,7 @@ import math
 from fractions import Fraction
 from numbers import Integral
 
-from .exact import grouped, int_form
+from .exact import int_form, trilinear_form
 
 UNIT_NAMES = ("1", "j1", "j2", "j3", "I", "J1", "J2", "J3")
 SCALAR = 0
@@ -127,28 +128,19 @@ def _product(table):
     return int_form("int_product", "ab", 8, terms)
 
 
-def _trilinear(terms):
-    """-conj(Phi) . (X Psi) on three coefficient sequences of Python ints,
-    compiled from its (a, b, c, k) terms as the sum over b of x_b * (sum
-    k p_a s_c), as a Fraction, the type inner gives; like the int product,
-    it returns None unless all 24 coefficients are Python ints, and
-    triality.trilinear_oct then takes the definition."""
-    return int_form("trilinear", "pxs", 8,
-                    [grouped((f"x{b}", k, f"p{a} * s{c}") for a, b, c, k in terms)],
-                    wrap="Fraction", Fraction=Fraction)
-
-
 def _forms(table) -> dict:
     """A unit table and every form built from it, by the module name each is
     kept under: its scalar entries, the octonionic trilinear form's term
-    table, the int product and the int octonionic trilinear form.  The
-    module installs the forms of _build_table() at import; code that swaps
-    the table installs all of them together."""
+    table, the int product and the int octonionic trilinear form (a
+    Fraction, the type inner gives).  The module installs the forms of
+    _build_table() at import; code that swaps the table installs all of
+    them together."""
     scalar_terms = _scalar_terms(table)
     trilinear_terms = _trilinear_terms(table, scalar_terms)
     return {"_TABLE": table, "_SCALAR_TERMS": scalar_terms,
             "_TRILINEAR_TERMS": trilinear_terms, "_INT_PRODUCT": _product(table),
-            "_INT_TRILINEAR": _trilinear(trilinear_terms)}
+            "_INT_TRILINEAR": trilinear_form(trilinear_terms, wrap="Fraction",
+                                             Fraction=Fraction)}
 
 
 # _TABLE, _SCALAR_TERMS, _TRILINEAR_TERMS, _INT_PRODUCT, _INT_TRILINEAR

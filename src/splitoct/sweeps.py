@@ -1,12 +1,12 @@
-"""The verification sweeps on numpy: Malcev and the sampled, table and
-double-cover suites of the triality, with the helpers and generator
-tables that only they use.  ``units`` holds the octonion suites that run
-on signed units.  Each fact has one report: X^2 = q(x) Id is
-``clifford``'s; the squares and signs of the unit table are
-``octonion-table``'s.
+"""The verification sweeps on numpy: Malcev and the sampled and
+double-cover suites of the triality, with the helpers that only they use.
+``units`` holds the suites that run on the standard library: the octonion
+suites on signed units and the generator tables.  Each fact has one
+report: X^2 = q(x) Id is ``clifford``'s; the squares and signs of the unit
+table are ``octonion-table``'s.
 
 Only ``sot verify`` and the tests import this module: ``octonion`` and
-``triality`` hold each of its nine suites as an entry point made by
+``triality`` hold each of its six suites as an entry point made by
 ``octonion._sweep``.  The sweeps reach every object derived from the unit
 table, and every kernel, through its module at call time (``oc._TABLE``,
 ``tr.equivalence_map``, ``cl.rotate_vector``): code that installs another
@@ -17,15 +17,12 @@ sum_k C[a,b,k] e_k), built from ``oc._TABLE`` at each call of ``_c``.  Each
 side of a Malcev identity is one ``np.einsum`` whose subscripts name the
 identity's variables: x, y, z, w, u, v are its arguments, sliced to the
 hyper-complex units (``H``) at the operand; n and m run over all eight
-units inside a product; k is the coefficient.  The first-order tables of
-the L_01 and L_04 actions and of the role-swap rotor are compared with ==
-against the exact generators of ``cl.plane_generator``, each table as one
-mask.  The random dictionary check contracts the term tensors of the two
-trilinear forms, each read off its term table (``cl._TRILINEAR_TERMS``,
-``oc._TRILINEAR_TERMS``, the tables their int forms are compiled from) in
-their one slot order (a, b, c) over (phi, x, psi); only
-trilinear-invariance stacks the matrix form's slices at [b, a, c]
-(``_trilinear_slices``).  The float suites turn their
+units inside a product; k is the coefficient.  The random dictionary
+check contracts the term tensors of the two trilinear forms, each read off
+its term table (``cl._TRILINEAR_TERMS``, ``oc._TRILINEAR_TERMS``, the
+tables their int forms are compiled from) in their one slot order (a, b,
+c) over (phi, x, psi); only trilinear-invariance stacks the matrix form's
+slices at [b, a, c] (``_trilinear_slices``).  The float suites turn their
 vector and spinor stacks through ``cl.turn_pair`` and each plane's signed
 permutation (``cl._bivector_action``), as ``sot rotate`` turns one vector
 or spinor.
@@ -40,7 +37,6 @@ it casts.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -251,108 +247,6 @@ def correspondence_check(n_samples: int = 1000, seed: int = DEFAULT_SEED) -> Ver
                    & (inv2_phi == 2 * prod[:, 1, 0]) & (inv2_psi == 2 * prod[:, 2, 0]))
         rep.record_mask(np.stack([vec_ok, spin_ok], axis=1),
                         lambda k, j, start=start: f"{('vector', 'spinor')[j]} sample {start + k}")
-    return rep
-
-
-# ---------------------------------------------------------------------------
-# generator tables: the first-order coefficients of the L_01 rotation, the
-# L_04 boost and the composite role-swap rotor on (x, phi, psi), as
-# (output, input, coefficient) entries, checked with == against the exact
-# generators of cl.plane_generator
-# ---------------------------------------------------------------------------
-
-def gen_matrix(entries):
-    """The dense 8x8 float64 matrix of a generator table; repeated entries add."""
-    m = np.zeros((8, 8))
-    for out_i, in_j, coeff in entries:
-        m[out_i, in_j] += coeff
-    return m
-
-
-# d/dtheta at 0 of the L_01 action
-L01_X = ((0, 1, -1.0), (1, 0, 1.0))
-L01_PHI = ((0, 1, 0.5), (1, 0, -0.5), (2, 3, -0.5), (3, 2, 0.5),
-           (4, 5, -0.5), (5, 4, 0.5), (6, 7, 0.5), (7, 6, -0.5))
-L01_PSI = ((0, 1, 0.5), (1, 0, -0.5), (2, 3, 0.5), (3, 2, -0.5),
-           (4, 5, 0.5), (5, 4, -0.5), (6, 7, -0.5), (7, 6, 0.5))
-
-# d/dtheta at 0 of the L_04 action
-L04_X = ((0, 4, 1.0), (4, 0, 1.0))
-L04_PHI = tuple((k, (k + 4) % 8, -0.5) for k in range(8))
-L04_PSI = ((0, 4, -0.5), (1, 5, 0.5), (2, 6, 0.5), (3, 7, 0.5),
-           (4, 0, -0.5), (5, 1, 0.5), (6, 2, 0.5), (7, 3, 0.5))
-
-# composite role-swap rotor L10 L23 L54 L67 at half angle
-COMPOSITE_X = ((0, 1, 0.5), (1, 0, -0.5), (2, 3, -0.5), (3, 2, 0.5),
-               (4, 5, -0.5), (5, 4, 0.5), (6, 7, 0.5), (7, 6, -0.5))
-COMPOSITE_PHI = ((0, 1, 0.5), (1, 0, -0.5), (2, 3, 0.5), (3, 2, -0.5),
-                 (4, 5, 0.5), (5, 4, -0.5), (6, 7, -0.5), (7, 6, 0.5))
-COMPOSITE_PSI = ((0, 1, -1.0), (1, 0, 1.0))
-
-ROLE_SWAP_PLANES = ((1, 0), (2, 3), (5, 4), (6, 7))
-BOOST_THETA = 0.5    # the angle of boost_table_check's finite boost
-
-
-def _check_generators(rep, tables, generators) -> None:
-    """The x, phi and psi tables against the exact generators, read as
-    float64 (exact: every entry is a quarter), one case per entry of each
-    dense table, in C order, compared with ==; a failing entry names its
-    position and both values."""
-    gens = np.asarray(generators, dtype=np.float64)
-    for name, entries, gen in zip(("x", "phi", "psi"), tables, gens):
-        table = gen_matrix(entries)
-        rep.record_mask(table == gen, lambda i, j, name=name, table=table, gen=gen: (
-            f"{name}[{i},{j}] table {float(table[i, j])} generator {Fraction(gen[i, j])}"))
-
-
-def infinitesimal_table_check(plane: str = "01") -> VerificationReport:
-    """The L_01 or L_04 tables on (x, phi, psi) against the exact generator
-    of the plane."""
-    if plane == "01":
-        mu, nu = 0, 1
-        tables = (L01_X, L01_PHI, L01_PSI)
-    elif plane == "04":
-        mu, nu = 0, 4
-        tables = (L04_X, L04_PHI, L04_PSI)
-    else:
-        raise ValueError("plane must be '01' or '04'")
-    rep = VerificationReport(f"infinitesimal-L{mu}{nu}")
-    _check_generators(rep, tables, cl.plane_generator(mu, nu))
-    return rep
-
-
-def boost_table_check() -> VerificationReport:
-    """The L_04 hyperbolic table, a finite-angle boost of x by BOOST_THETA,
-    and the isotropic planes the spinor halves move in."""
-    rep = infinitesimal_table_check("04")
-    rep.name = "boost-table"
-    rep.exact = False
-    # finite-angle hyperbolic check on the x side
-    x = np.zeros(8)
-    x[0] = 1.0
-    moved = cl.rotate_vector(x, cl.rotor(0, 4, BOOST_THETA))
-    want = np.zeros(8)
-    want[0] = math.cosh(BOOST_THETA)
-    want[4] = math.sinh(BOOST_THETA)
-    resid = float(np.max(np.abs(moved - want)))
-    rep.record_case(resid <= 1e-12, f"x0 boost at theta={BOOST_THETA}", residual=resid)
-    # planes touched by the phi generator
-    phi = cl.plane_generator(0, 4)[1]
-    planes = sorted({(min(i, j), max(i, j)) for i in range(8) for j in range(8) if phi[i][j]})
-    rep.meta["spinor_isotropic_planes"] = [f"Gamma{p[0]}Gamma{p[1]}" for p in planes]
-    rep.meta["spinor_component_pairs"] = [list(p) for p in planes]
-    return rep
-
-
-def role_swap_check() -> VerificationReport:
-    """The composite rotor's tables on (x, phi, psi) against its exact
-    generator, 1/2 the sum of the generators of its four planes: x and phi
-    move at half angle, psi performs a plain full-angle rotation in the
-    (0,1) plane."""
-    gens = np.array([cl.plane_generator(mu, nu) for mu, nu in ROLE_SWAP_PLANES],
-                    dtype=np.float64)
-    rep = VerificationReport("role-swap")
-    _check_generators(rep, (COMPOSITE_X, COMPOSITE_PHI, COMPOSITE_PSI), gens.sum(axis=0) / 2)
     return rep
 
 

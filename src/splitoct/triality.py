@@ -15,9 +15,10 @@ form is its definition -inner(conj(Phi), mul(X, Psi)).  The spinor basis
 and its pinned evaluation convention are ``clifford``'s;
 PINNED_CONVENTION is re-exported here.
 
-The sampled and table suites (correspondence_check, dictionary_random_check,
-the generator-table checks, the rotor, trilinear and double-cover checks)
-live in ``sweeps``; each name here is made by ``octonion._sweep``.
+The generator-table checks run on the standard library, in ``units``;
+the sampled suites (correspondence_check, dictionary_random_check, the
+rotor, trilinear and double-cover checks) run on numpy, in ``sweeps``.
+Each name here is made by ``octonion._sweep``.
 """
 from __future__ import annotations
 
@@ -133,9 +134,9 @@ def trilinear_both(phi, x, psi):
 
 correspondence_check = oc._sweep("sweeps", "correspondence_check")
 dictionary_random_check = oc._sweep("sweeps", "dictionary_random_check")
-infinitesimal_table_check = oc._sweep("sweeps", "infinitesimal_table_check")
-boost_table_check = oc._sweep("sweeps", "boost_table_check")
-role_swap_check = oc._sweep("sweeps", "role_swap_check")
+infinitesimal_table_check = oc._sweep("units", "infinitesimal_table_check")
+boost_table_check = oc._sweep("units", "boost_table_check")
+role_swap_check = oc._sweep("units", "role_swap_check")
 rotor_invariance_check = oc._sweep("sweeps", "rotor_invariance_check")
 trilinear_invariance_check = oc._sweep("sweeps", "trilinear_invariance_check")
 double_cover_check = oc._sweep("sweeps", "double_cover_check")

@@ -1,6 +1,8 @@
-"""The octonion suites on signed units, on the standard library alone: the
-table check, the Moufang and associator identities, and basis generation
-from the three J_n in an independent Zorn vector-matrix model.
+"""The suites on signed units and plain Python, on the standard library
+alone: the octonion table check, the Moufang and associator identities,
+basis generation from the three J_n in an independent Zorn vector-matrix
+model, and the first-order generator tables of the L_01 rotation, the L_04
+boost and the role-swap rotor.
 
 Each product of two units is +- one unit, e_a e_b = s e_k, read off
 ``oc._TABLE`` at each suite call as the signed unit (k, s) by one product
@@ -14,12 +16,19 @@ extends them by total antisymmetry to all 343 triples of hyper-complex
 units, without reading a unit table, once per process.  The associator
 suite checks the product against both, and ``sot table`` prints the
 predicted triples.
+
+Each generator table is compared entry by entry with the exact generator
+of ``cl.plane_generator``, both read as floats: exact, as every entry of
+the tables and generators is a quarter.
 """
 from __future__ import annotations
 
 import functools
 import itertools
+import math
+from fractions import Fraction
 
+from . import clifford as cl
 from . import octonion as oc
 from .octonion import (HYPER, UNIT_NAMES, ConstructionError, SplitOctonion,
                        StructureConstants, epsilon)
@@ -287,3 +296,97 @@ def generate_basis_from_J() -> StructureConstants:
             if table[a][b] is None:
                 raise ConstructionError(f"product of units {a},{b} is not +/- a basis unit")
     return StructureConstants(table)
+
+
+# ---------------------------------------------------------------------------
+# generator tables: the first-order coefficients of the L_01 rotation, the
+# L_04 boost and the composite role-swap rotor on (x, phi, psi), as
+# (output, input, coefficient) entries, checked against the exact
+# generators of cl.plane_generator
+# ---------------------------------------------------------------------------
+
+# d/dtheta at 0 of the L_01 action
+L01_X = ((0, 1, -1.0), (1, 0, 1.0))
+L01_PHI = ((0, 1, 0.5), (1, 0, -0.5), (2, 3, -0.5), (3, 2, 0.5),
+           (4, 5, -0.5), (5, 4, 0.5), (6, 7, 0.5), (7, 6, -0.5))
+L01_PSI = ((0, 1, 0.5), (1, 0, -0.5), (2, 3, 0.5), (3, 2, -0.5),
+           (4, 5, 0.5), (5, 4, -0.5), (6, 7, -0.5), (7, 6, 0.5))
+
+# d/dtheta at 0 of the L_04 action
+L04_X = ((0, 4, 1.0), (4, 0, 1.0))
+L04_PHI = tuple((k, (k + 4) % 8, -0.5) for k in range(8))
+L04_PSI = ((0, 4, -0.5), (1, 5, 0.5), (2, 6, 0.5), (3, 7, 0.5),
+           (4, 0, -0.5), (5, 1, 0.5), (6, 2, 0.5), (7, 3, 0.5))
+
+# the composite role-swap rotor L10 L23 L54 L67 at half angle moves (x,
+# phi, psi) as L_01 moves (phi, psi, x)
+COMPOSITE_X, COMPOSITE_PHI, COMPOSITE_PSI = L01_PHI, L01_PSI, L01_X
+
+ROLE_SWAP_PLANES = ((1, 0), (2, 3), (5, 4), (6, 7))
+BOOST_THETA = 0.5    # the angle of boost_table_check's finite boost
+
+
+def _floats(generator) -> list:
+    """The x, phi and psi parts of an exact generator as rows of floats,
+    each entry its numerator over its denominator (float() of a Fraction,
+    without the method call)."""
+    return [[[v.numerator / v.denominator for v in row] for row in part] for part in generator]
+
+
+def _check_generators(rep, tables, generators) -> None:
+    """The x, phi and psi tables against the generators' float rows, one
+    case per entry of each 8x8 generator, in C order: a table entry is the
+    float sum of its coefficients, compared with ==; a failing entry names
+    its position and both values."""
+    for name, entries, gen in zip(("x", "phi", "psi"), tables, generators):
+        table = {}
+        for i, j, coeff in entries:
+            table[i, j] = table.get((i, j), 0.0) + coeff
+        for i, row in enumerate(gen):
+            for j, g in enumerate(row):
+                t = table.get((i, j), 0.0)
+                rep.record_case(t == g, lambda: (
+                    f"{name}[{i},{j}] table {float(t)} generator {Fraction(g)}"))
+
+
+def infinitesimal_table_check(plane: str = "01") -> VerificationReport:
+    """The L_01 or L_04 tables on (x, phi, psi) against the exact generator
+    of the plane."""
+    if plane not in ("01", "04"):
+        raise ValueError("plane must be '01' or '04'")
+    tables = (L01_X, L01_PHI, L01_PSI) if plane == "01" else (L04_X, L04_PHI, L04_PSI)
+    rep = VerificationReport(f"infinitesimal-L{plane}")
+    _check_generators(rep, tables, _floats(cl.plane_generator(0, int(plane[1]))))
+    return rep
+
+
+def boost_table_check() -> VerificationReport:
+    """The L_04 hyperbolic table, a finite-angle boost of x by BOOST_THETA,
+    and the isotropic planes the spinor halves move in."""
+    rep = infinitesimal_table_check("04")
+    rep.name = "boost-table"
+    rep.exact = False
+    # finite-angle hyperbolic check on the x side
+    moved = cl.rotate_vector_list([1.0] + [0.0] * 7, cl.rotor(0, 4, BOOST_THETA))
+    want = [math.cosh(BOOST_THETA), 0.0, 0.0, 0.0, math.sinh(BOOST_THETA), 0.0, 0.0, 0.0]
+    resid = max(abs(m - w) for m, w in zip(moved, want))
+    rep.record_case(resid <= 1e-12, f"x0 boost at theta={BOOST_THETA}", residual=resid)
+    # planes touched by the phi generator
+    phi = cl.plane_generator(0, 4)[1]
+    planes = sorted({(min(i, j), max(i, j)) for i in range(8) for j in range(8) if phi[i][j]})
+    rep.meta["spinor_isotropic_planes"] = [f"Gamma{p[0]}Gamma{p[1]}" for p in planes]
+    rep.meta["spinor_component_pairs"] = [list(p) for p in planes]
+    return rep
+
+
+def role_swap_check() -> VerificationReport:
+    """The composite rotor's tables on (x, phi, psi) against its exact
+    generator, 1/2 the sum of the generators of its four planes: x and phi
+    move at half angle, psi performs a plain full-angle rotation in the
+    (0,1) plane."""
+    gens = [_floats(cl.plane_generator(mu, nu)) for mu, nu in ROLE_SWAP_PLANES]
+    half = [[[sum(entries) / 2 for entries in zip(*rows)] for rows in zip(*parts)]
+            for parts in zip(*gens)]
+    rep = VerificationReport("role-swap")
+    _check_generators(rep, (COMPOSITE_X, COMPOSITE_PHI, COMPOSITE_PSI), half)
+    return rep

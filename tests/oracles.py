@@ -16,7 +16,7 @@ import numpy as np
 
 from splitoct import clifford as cl
 from splitoct import octonion as oc
-from splitoct import sweeps
+from splitoct import units
 
 
 def to_complex(g: cl.GMat):
@@ -89,7 +89,7 @@ def matrix_to_vector(X, tol: float = 1e-10):
             raise NotGrade1Error("non-integral trace pairing")
         for mu in range(8):
             recon = recon + cl._GAMMA[mu].scale(int(scaled[mu]))
-        if not (X.scale(16) - recon).is_zero():
+        if any((X.scale(16) - recon).rows):
             raise NotGrade1Error("matrix has components outside grade 1")
         return tuple(coeffs)
     Xc = np.asarray(X, dtype=np.complex128)
@@ -191,8 +191,17 @@ class RotorWord:
         return eta
 
 
+def table_matrix(entries):
+    """The dense 8x8 float64 matrix of a generator table of (output, input,
+    coefficient) entries; repeated entries add."""
+    m = np.zeros((8, 8))
+    for i, j, coeff in entries:
+        m[i, j] += coeff
+    return m
+
+
 def triality_rotor(theta: float) -> RotorWord:
     """L_10(t/2) L_23(t/2) L_54(t/2) L_67(t/2): swaps the roles of the
     vector and the right-chirality spinor."""
     h = theta / 2.0
-    return RotorWord(tuple(cl.rotor(mu, nu, h) for mu, nu in sweeps.ROLE_SWAP_PLANES))
+    return RotorWord(tuple(cl.rotor(mu, nu, h) for mu, nu in units.ROLE_SWAP_PLANES))

@@ -11,7 +11,7 @@ import numpy as np
 from splitoct import cli
 from splitoct import clifford as cl
 from splitoct import octonion as oc
-from splitoct import sweeps
+from splitoct import units
 from splitoct import triality as tr
 
 from oracles import vector_to_matrix_exact
@@ -105,9 +105,13 @@ def test_c10_infinitesimal_tables():
 def test_c11_role_swap():
     rep = tr.role_swap_check()
     ok = rep.passed and rep.exact
-    # x must imitate the L01 phi pattern; psi is a full-angle (0,1) rotation
-    ok &= np.array_equal(sweeps.gen_matrix(sweeps.COMPOSITE_X), sweeps.gen_matrix(sweeps.L01_PHI))
-    ok &= np.array_equal(sweeps.gen_matrix(sweeps.COMPOSITE_PSI)[2:], np.zeros((6, 8)))
+    # x must imitate the L01 phi pattern; psi is a full-angle (0,1) rotation:
+    # read off the exact composite generator, half the sum of its planes'
+    gens = [cl.plane_generator(mu, nu) for mu, nu in units.ROLE_SWAP_PLANES]
+    gx, _, gpsi = ([[sum(col) / 2 for col in zip(*rows)] for rows in zip(*parts)]
+                   for parts in zip(*gens))
+    ok &= gx == cl.plane_generator(0, 1)[1]
+    ok &= gpsi[2:] == [[0] * 8] * 6
     _report(11, "composite rotor tables equal its exact generator, half the sum of its "
                 "four plane generators, and match the role-swap pattern", ok)
 

@@ -412,8 +412,9 @@ def write_verify_golden():
 
 
 # every one-shot command and the suites on signed units, in every format,
-# and what `import splitoct` sets up, on the standard library alone and
-# without compiling the sweeps; a dense sweep imports both
+# the generator-table suites, and what `import splitoct` sets up, on the
+# standard library alone and without compiling the sweeps; a dense sweep
+# imports both
 NUMPY_GUARD = """
 import contextlib, io, sys
 import splitoct
@@ -438,6 +439,12 @@ for argv in (
             assert cli.main([*argv, "--format=" + fmt]) == 0, (argv, fmt)
         assert "numpy" not in sys.modules, (argv, fmt)
         assert "splitoct.sweeps" not in sys.modules, (argv, fmt)
+from splitoct import triality as tr
+for suite in (lambda: tr.infinitesimal_table_check("01"), tr.boost_table_check,
+              tr.role_swap_check):
+    assert suite().passed
+    assert "numpy" not in sys.modules
+    assert "splitoct.sweeps" not in sys.modules
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["verify", "malcev"]) == 0
 assert "numpy" in sys.modules
@@ -486,8 +493,8 @@ SWEEP_NAMES = {
     (oc, units): ("verify_table", "verify_moufang", "verify_associators",
                   "generate_basis_from_J"),
     (oc, sweeps): ("verify_malcev",),
+    (tr, units): ("infinitesimal_table_check", "boost_table_check", "role_swap_check"),
     (tr, sweeps): ("correspondence_check", "dictionary_random_check",
-                   "infinitesimal_table_check", "boost_table_check", "role_swap_check",
                    "rotor_invariance_check", "trilinear_invariance_check",
                    "double_cover_check"),
 }
@@ -519,8 +526,8 @@ def test_each_suite_runs_the_sweeps_function(monkeypatch):
             assert getattr(module, name)(7, seed=8) is calls, (module.__name__, name)
             assert calls == [((7,), {"seed": 8})], (module.__name__, name)
     assert splitoct.__all__ == PACKAGE_ALL
-    # the helpers stay in sweeps; only the suites are named elsewhere
-    for module, name in ((oc, "_c"), (tr, "gen_matrix"), (splitoct, "_Zorn")):
+    # the helpers stay in sweeps and units; only the suites are named elsewhere
+    for module, name in ((oc, "_c"), (tr, "_check_generators"), (splitoct, "_Zorn")):
         with pytest.raises(AttributeError):
             getattr(module, name)
 

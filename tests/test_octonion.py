@@ -70,6 +70,30 @@ class TestConj:
         assert oc.mul(a, b).conj() == oc.mul(b.conj(), a.conj())
 
 
+class TestOperators:
+    def test_star_between_octonions_is_mul(self):
+        assert J1 * J2 == oc.mul(J1, J2) == j3
+        half = O([Fraction(1, 2), 0, 0, 0, 0, 0, 0, 0])
+        assert half * j1 == oc.mul(half, j1) == O([0, Fraction(1, 2), 0, 0, 0, 0, 0, 0])
+
+    def test_repr_names_the_nonzero_terms(self):
+        assert repr(O([2, 0, -3, 0, 0, 0, 0, Fraction(1, 2)])) == "2 + -3*j2 + 1/2*J3"
+        assert repr(O.zero()) == "0"
+
+    def test_hash_follows_equality(self):
+        assert hash(O([1, 0, 0, 0, 0, 0, 0, 0])) == hash(ONE)
+        assert len({j1, U("j1"), -j1, J1}) == 3
+
+    def test_module_conj_is_the_method(self):
+        s = O([2, 3, -1, 5, 7, -4, 0, 1])
+        assert oc.conj(s) == s.conj() == O([2, -3, 1, -5, -7, 4, 0, -1])
+
+    def test_field_views(self):
+        # omega, x^n on j_n, t on I, lambda^n on J_n
+        s = O([1, 2, 3, 4, 5, 6, 7, 8])
+        assert (s.w, s.x, s.t, s.lam) == (1, (2, 3, 4), 5, (6, 7, 8))
+
+
 class TestNorm:
     def test_scalar(self):
         assert ONE.norm_sq() == 1

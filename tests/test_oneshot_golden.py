@@ -13,8 +13,9 @@ an exponent, an int neither.
     PYTHONPATH=src python tests/test_oneshot_golden.py --write
 
 rewrites the file from the current code.  The suites that run on the
-standard library (`verify clifford`, `moufang` and `associators`) are
-compared with their reports in ``tests/data/verify_all_12345.json``.
+standard library (`verify clifford`, `moufang` and `associators`, and the
+generator tables of `verify triality`) are compared with their reports in
+``tests/data/verify_all_12345.json``.
 """
 import contextlib
 import functools
@@ -29,6 +30,7 @@ from pathlib import Path
 import pytest
 
 from splitoct import cli
+from splitoct import triality as tr
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "oneshot_golden.json"
 VERIFY_ALL = GOLDEN.parent / "verify_all_12345.json"
@@ -88,6 +90,9 @@ def _corpus():
                  ["--plane=0,4", "--theta=20", "--target=vector", f"--components={vectors[0]}"],
                  ["--plane=0,4", "--theta=40", "--target=spinor", f"--components={spinors[0]}"]):
         add("rotate", *argv, formats=("json",))
+    # finite components too large to scale by 1e12: pretty prints them unrounded
+    add("rotate", "--plane=0,1", "--theta=0.5", "--target=spinor",
+        "--components=1e300" + ",0" * 15)
 
     ints = [("1,1,1,1,1,1,1,1", "1,1,1,1,1,1,1,1", "1,1,1,1,1,1,1,1"),
             ("1,-2,3,0,5,-6,7,9", "0,0,4,-1,2,8,-3,5", "-7,6,0,2,-1,3,4,-9"),
@@ -274,12 +279,29 @@ def test_oneshot_matches_golden(k):
         assert is_float_token(g) == is_float_token(w), (g, w)
 
 
+@functools.cache
+def _verify_all_reports():
+    return {r["name"]: r for r in json.loads(VERIFY_ALL.read_text())["reports"]}
+
+
 @pytest.mark.parametrize("suite", ["clifford", "moufang", "associators"])
 def test_standard_library_suites_match_verify_all(suite):
     code, stdout = run_cli(["verify", suite])
-    want = {r["name"]: r for r in json.loads(VERIFY_ALL.read_text())["reports"]}
     assert code == 0
-    assert json.loads(stdout)["reports"] == [want[suite]]
+    assert json.loads(stdout)["reports"] == [_verify_all_reports()[suite]]
+
+
+# the generator-table suites of `verify triality`, by report name
+GENERATOR_TABLE_SUITES = {"infinitesimal-L01": lambda: tr.infinitesimal_table_check("01"),
+                          "boost-table": tr.boost_table_check,
+                          "role-swap": tr.role_swap_check}
+
+
+@pytest.mark.parametrize("name", GENERATOR_TABLE_SUITES)
+def test_generator_table_suites_match_verify_all(name):
+    # round-tripped through JSON, as `verify all` emits it
+    report = GENERATOR_TABLE_SUITES[name]().to_json()
+    assert json.loads(json.dumps(report)) == _verify_all_reports()[name]
 
 
 if __name__ == "__main__":

@@ -19,6 +19,7 @@ from splitoct import report
 from splitoct import sweeps
 from splitoct import triality as tr
 from splitoct import units
+from splitoct.exact import trilinear_form
 from splitoct.octonion import SplitOctonion as O
 from splitoct.report import VerificationReport
 
@@ -347,7 +348,7 @@ def negated_matrix_term(monkeypatch, n):
     a, b, c, k = terms[n]
     terms[n] = (a, b, c, -k)
     monkeypatch.setattr(cl, "_TRILINEAR_TERMS", tuple(terms))
-    monkeypatch.setattr(cl, "_TRILINEAR", cl._trilinear_form(terms))
+    monkeypatch.setattr(cl, "_TRILINEAR", trilinear_form(terms))
 
 
 # corruptions that the batched check and trilinear_both both read: a unit
@@ -1093,7 +1094,7 @@ def test_trilinear_form_is_compiled_from_its_table(n):
     terms = list(cl._TRILINEAR_TERMS)
     a, b, c, k = terms[n]
     terms[n] = (a, b, c, -k)
-    negated = cl._trilinear_form(terms)
+    negated = trilinear_form(terms)
     triple = basis(a), basis(b), basis(c)
     assert cl._TRILINEAR(*triple) == k
     assert negated(*triple) == -k

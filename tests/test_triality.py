@@ -8,11 +8,11 @@ from hypothesis import given, strategies as st
 
 from splitoct import clifford as cl
 from splitoct import octonion as oc
-from splitoct import sweeps
+from splitoct import units
 from splitoct import triality as tr
 
 from oracles import (embed_phi, embed_psi, matrix_trilinear_tensor, oct_trilinear_tensor,
-                     spinor_quadratic_split, triality_rotor, xi_basis_change)
+                     spinor_quadratic_split, table_matrix, triality_rotor, xi_basis_change)
 
 
 def test_xi_of_zero():
@@ -162,24 +162,50 @@ class TestGeneratorTables:
         with pytest.raises(ValueError):
             tr.infinitesimal_table_check("23")
 
-    @pytest.mark.parametrize("table", [f"{owner}_{part}" for owner in ("L01", "L04", "COMPOSITE")
-                                       for part in ("X", "PHI", "PSI")])
+    SUITES = {"L01": lambda: tr.infinitesimal_table_check("01"),
+              "L04": tr.boost_table_check, "COMPOSITE": tr.role_swap_check}
+    TABLES = [f"{owner}_{part}" for owner in SUITES for part in ("X", "PHI", "PSI")]
+
+    @pytest.mark.parametrize("table", TABLES)
     def test_any_wrong_entry_fails_and_is_named(self, monkeypatch, table):
         # every entry negated, or nudged by 2e-9, fails the owning report
         owner, part = table.split("_")
-        suite = {"L01": lambda: tr.infinitesimal_table_check("01"),
-                 "L04": tr.boost_table_check, "COMPOSITE": tr.role_swap_check}[owner]
-        good = sweeps.gen_matrix(getattr(sweeps, table))
+        suite = self.SUITES[owner]
+        good = table_matrix(getattr(units, table))
         for i, j in itertools.product(range(8), repeat=2):
             for value in ([-good[i, j]] if good[i, j] else []) + [good[i, j] + 2e-9]:
                 bad = good.copy()
                 bad[i, j] = value
-                monkeypatch.setattr(sweeps, table, tuple((a, b, bad[a, b])
-                                                     for a, b in zip(*np.nonzero(bad))))
+                monkeypatch.setattr(units, table, tuple((a, b, bad[a, b])
+                                                    for a, b in zip(*np.nonzero(bad))))
                 rep = suite()
                 assert rep.failures == 1, (table, i, j, value)
                 assert rep.failure_details[0].startswith(
                     f"{part.lower()}[{i},{j}] table {float(value)} generator "), rep.failure_details
+        # two nudges at once, the later entry listed first: both fail, named
+        # in C order with the exact generator entry, which the good table holds
+        bad = good.copy()
+        bad[5, 2] += 2e-9
+        bad[3, 3] += 1e-3
+        monkeypatch.setattr(units, table, ((5, 2, bad[5, 2]), (3, 3, bad[3, 3]),
+                                           *((a, b, good[a, b]) for a, b in zip(*np.nonzero(good))
+                                             if (a, b) not in ((5, 2), (3, 3)))))
+        rep = suite()
+        assert rep.failure_details == [
+            f"{part.lower()}[{i},{j}] table {float(bad[i, j])} generator {Fraction(good[i, j])}"
+            for i, j in ((3, 3), (5, 2))]
+        assert (rep.cases, rep.failures) == (3 * 64 + (owner == "L04"), 2)
+
+    def test_repeated_entries_add(self, monkeypatch):
+        # a table entry is the sum of its coefficients: halves pass, and an
+        # entry listed twice fails as twice its value
+        table = units.L01_PHI
+        monkeypatch.setattr(units, "L01_PHI", tuple((i, j, c / 2) for i, j, c in table
+                                                    for _ in range(2)))
+        assert tr.infinitesimal_table_check("01").passed
+        monkeypatch.setattr(units, "L01_PHI", table + table[:1])
+        assert tr.infinitesimal_table_check("01").failure_details == [
+            "phi[0,1] table 1.0 generator 1/2"]
 
     def test_boost_planes_reported(self):
         rep = tr.boost_table_check()
@@ -200,8 +226,15 @@ class TestTrialityRotor:
         assert rep.passed, rep.failure_details
 
     def test_x_generator_matches_phi_pattern_of_L01(self):
-        # the composite moves x exactly the way L01 moves phi
-        assert np.array_equal(sweeps.COMPOSITE_X, sweeps.L01_PHI)
+        # the composite moves (x, phi, psi) exactly the way L01 moves (phi,
+        # psi, x): on the exact generators, and so in the tables
+        gens = [cl.plane_generator(mu, nu) for mu, nu in units.ROLE_SWAP_PLANES]
+        composite = [[[sum(col) / 2 for col in zip(*rows)] for rows in zip(*parts)]
+                     for parts in zip(*gens)]
+        gx, gphi, gpsi = cl.plane_generator(0, 1)
+        assert composite == [gphi, gpsi, gx]
+        assert ((units.COMPOSITE_X, units.COMPOSITE_PHI, units.COMPOSITE_PSI)
+                == (units.L01_PHI, units.L01_PSI, units.L01_X))
 
     def test_psi_full_angle_rotation(self):
         theta = 1e-6
