@@ -468,8 +468,7 @@ def turn_pair(xm, xn, gm, gn, c, s):
     with A[mu,nu] = -g_nunu and A[nu,mu] = +g_mumu.  A^2 = -g_mumu g_nunu
     on the pair, so exp(theta A) is C + S A there, with (C, S) = (cos, sin)
     theta on compact planes and (cosh, sinh) theta on boosts, formed here
-    from the half angle.  Elementwise, so stacks of components, planes and
-    coefficients take the same rounding as single calls.
+    from the half angle.
     """
     big_c, big_s = c * c - gm * gn * s * s, 2 * c * s
     return big_c * xm - big_s * gn * xn, big_c * xn + big_s * gm * xm

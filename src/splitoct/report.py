@@ -38,15 +38,15 @@ class VerificationReport:
                 self.failure_details.append(detail() if callable(detail) else detail)
 
     def record_mask(self, ok, label, residual=None) -> None:
-        """Record one case per entry of the boolean array ``ok``, in C order;
-        ``label(*index)`` names a failing entry.  ``residual``, of the same
-        shape, raises max_residual as record_case does (NaN never does)."""
+        """Record one case per entry of the boolean array ``ok``, in C order:
+        the passing entries in bulk, each failing one through record_case,
+        named by ``label(*index)`` only if it is kept.  ``residual``, of the
+        same shape, raises max_residual as record_case does (NaN never does)."""
         import numpy as np
-        bad = np.argwhere(~ok)
-        self.cases += ok.size
-        self.failures += len(bad)
-        room = MAX_DETAILS - len(self.failure_details)
-        self.failure_details.extend(label(*idx) for idx in bad[:room])
+        bad = np.argwhere(~ok).tolist()
+        self.cases += ok.size - len(bad)
+        for index in bad:
+            self.record_case(False, lambda index=index: label(*index))
         if residual is not None and residual.size:
             top = float(np.fmax.reduce(residual, axis=None))
             if top > self.max_residual:

@@ -9,8 +9,8 @@ Only ``sot verify`` and the tests import this module: ``octonion`` and
 ``triality`` hold each of its six suites as an entry point made by
 ``octonion._sweep``.  The sweeps reach every object derived from the unit
 table, and every kernel, through its module at call time (``oc._TABLE``,
-``tr.equivalence_map``, ``cl.rotate_vector``): code that installs another
-table with ``oc._forms`` or wraps a kernel is seen here too.
+``tr.equivalence_map``, ``cl._TURN``): code that installs another table
+with ``oc._forms`` or wraps a kernel is seen here too.
 
 The Malcev sweep contracts the dense structure tensor C[a,b,k] (e_a e_b =
 sum_k C[a,b,k] e_k), built from ``oc._TABLE`` at each call of ``_c``.  Each
@@ -22,10 +22,11 @@ check contracts the term tensors of the two trilinear forms, each read off
 its term table (``cl._TRILINEAR_TERMS``, ``oc._TRILINEAR_TERMS``, the
 tables their int forms are compiled from) in their one slot order (a, b,
 c) over (phi, x, psi); only trilinear-invariance stacks the matrix form's
-slices at [b, a, c] (``_trilinear_slices``).  The float suites turn their
-vector and spinor stacks through ``cl.turn_pair`` and each plane's signed
-permutation (``cl._bivector_action``), as ``sot rotate`` turns one vector
-or spinor.
+slices at [b, a, c] (``_trilinear_slices``).  The float suites turn each
+sample with the kernels ``sot rotate`` runs: its vector through
+``cl.turn_pair`` and its spinor through ``cl._TURN`` (``_turn_word``), or
+through ``cl.rotate_vector_list`` and ``cl.rotate_spinor_list``; only the
+forms are evaluated on numpy stacks.
 
 A float64 holds every integer below 2**53 exactly, and the sum or product
 of two such integers is exact while the result stays below that bound.
@@ -264,36 +265,19 @@ def _draw_rotors(rng, shape, bound: float):
     return mu, nu, rng.uniform(-bound, bound, shape)
 
 
-def _half_angles(mu, nu, theta):
-    """cl.half_angle of each rotor of the flat arrays mu, nu, theta, called
-    on Python floats, as a (rotors, 2) array."""
+def _turn_word(x: list, eta: list, word) -> tuple:
+    """The vector x (8 floats) and the spinor eta (16 floats) turned by the
+    rotors (mu, nu, theta) of ``word``, the last rotor first, as new lists.
+    Each rotor takes one cl.half_angle, turns (x_mu, x_nu) through
+    cl.turn_pair and eta through cl._TURN, the calls rotate_vector_list and
+    rotate_spinor_list make; cl._TURN is looked up at each call."""
     g = cl.METRIC
-    return np.array([cl.half_angle(g[m] * g[n] > 0, t)
-                     for m, n, t in zip(mu.tolist(), nu.tolist(), theta.tolist())])
-
-
-def _actions():
-    """(columns, signs) of cl._bivector_action for every plane, as int64
-    arrays at [mu, nu, i]; the planes mu == nu hold zeros."""
-    zero = ((0, 0),) * 16
-    a = np.array([[cl._bivector_action(mu, nu) if mu != nu else zero for nu in range(8)]
-                  for mu in range(8)])
-    return a[..., 0], a[..., 1]
-
-
-def _turn(x, eta, rows, actions, mu, nu, c, s) -> None:
-    """Row rows[k] of the vector stack x (n, 8) and of the spinor stack eta
-    (n, 16) by the rotor of plane (mu[k], nu[k]) with half-angle pair (c[k],
-    s[k]), in place: x through cl.turn_pair, eta through the plane's signed
-    permutation as cl._TURN does it, component i becoming c e_i -
-    s (g_i e_j_i + 0.0).  Elementwise, so each row rounds as
-    rotate_vector_list and rotate_spinor_list round one list."""
-    g = np.array(cl.METRIC, dtype=np.float64)
-    x[rows, mu], x[rows, nu] = cl.turn_pair(x[rows, mu], x[rows, nu], g[mu], g[nu], c, s)
-    columns, signs = actions[0][mu, nu], actions[1][mu, nu]
-    e = eta[rows]
-    c, s = c[:, None], s[:, None]
-    eta[rows] = c * e - s * (signs * np.take_along_axis(e, columns, axis=1) + 0.0)
+    x = list(x)
+    for mu, nu, theta in reversed(word):
+        c, s = cl.half_angle(g[mu] * g[nu] > 0, theta)
+        x[mu], x[nu] = cl.turn_pair(x[mu], x[nu], g[mu], g[nu], c, s)
+        eta = cl._TURN(eta, c, s, cl._bivector_action(mu, nu))
+    return x, eta
 
 
 def _sumsq(v):
@@ -325,22 +309,23 @@ def rotor_invariance_check(n_rotors: int = 1000, seed: int = DEFAULT_SEED,
 
     The residual of a sample is the change of its invariant over the
     squared Euclidean norm of the data, before or after, at least 1.
-    Samples are drawn and acted on in blocks of BLOCK: each block draws its
-    planes, then its angles, then all its components, one generator call
-    each (_draw_rotors, then an (n, 24) integer draw).
+    Samples are drawn in blocks of BLOCK: each block draws its planes, then
+    its angles, then all its components, one generator call each
+    (_draw_rotors, then an (n, 24) integer draw).  Each sample is turned by
+    its one rotor through _turn_word, and the invariants of the block are
+    evaluated as stacks.
     """
     rep = VerificationReport("rotor-invariance", exact=False,
                              meta={"seed": seed, "samples": n_rotors, "tolerance": tol})
     rng = np.random.default_rng(seed)
-    actions = _actions()
     q = _q_spinor_2() / 2.0
     for start, n in _blocks(n_rotors):
         mu, nu, theta = _draw_rotors(rng, n, 3)
         v = sample_integers(rng, (n, 24)).astype(np.float64)     # x, then eta
-        half = _half_angles(mu, nu, theta)
         x, eta = v[:, :8], v[:, 8:]
-        x1, eta1 = x.copy(), eta.copy()
-        _turn(x1, eta1, np.arange(n), actions, mu, nu, *half.T)
+        rotors = zip(mu.tolist(), nu.tolist(), theta.tolist())
+        x1, eta1 = map(np.array, zip(*(_turn_word(row[:8], row[8:], [rotor])
+                                       for row, rotor in zip(v.tolist(), rotors))))
         resid = np.stack([
             _drift(_vector_forms(x), _vector_forms(x1), _sumsq(x), _sumsq(x1)),
             _drift(_spinor_forms(q, eta), _spinor_forms(q, eta1), _sumsq(eta), _sumsq(eta1)),
@@ -363,32 +348,28 @@ def trilinear_invariance_check(n_samples: int = 200, seed: int = DEFAULT_SEED,
     (phi, x, psi).
 
     The residual of a sample is the change of the form over the product of
-    the three Euclidean norms, before or after, at least 1.  Words act
-    right to left, the last rotor first, on stacks of BLOCK samples.  Each
-    block draws its word lengths, then the planes and angles of all 8 word
-    slots of every sample (_draw_rotors), then all its components, one
-    generator call each; half angles are formed for the used slots only.
+    the three Euclidean norms, before or after, at least 1.  Samples are
+    drawn in blocks of BLOCK: each block draws its word lengths, then the
+    planes and angles of all 8 word slots of every sample (_draw_rotors),
+    then all its components, one generator call each.  Each sample's word,
+    its first ``length`` slots, acts through _turn_word, the last rotor
+    first, so half angles are formed for the used slots only.
     """
     rep = VerificationReport("trilinear-invariance", exact=False,
                              meta={"seed": seed, "samples": n_samples, "tolerance": tol})
     rng = np.random.default_rng(seed)
-    actions = _actions()
     slices = _trilinear_slices().astype(np.float64)
     for start, n in _blocks(n_samples):
         lengths = rng.integers(1, 9, n)
         mu, nu, theta = _draw_rotors(rng, (n, 8), 2)
         v = sample_integers(rng, (n, 3, 8)).astype(np.float64)   # phi, x, psi
-        used = np.arange(8) < lengths[:, None]
-        half = np.zeros((n, 8, 2))
-        half[used] = _half_angles(mu[used], nu[used], theta[used])
         phi, x, psi = v[:, 0], v[:, 1], v[:, 2]
-        # [phi | psi] as one spinor row: no plane mixes the chiral halves
-        x1, eta = x.copy(), np.concatenate([phi, psi], axis=1)
-        for step in range(8):
-            rows = np.flatnonzero(lengths > step)
-            j = lengths[rows] - 1 - step
-            _turn(x1, eta, rows, actions, mu[rows, j], nu[rows, j], *half[rows, j].T)
-        phi1, psi1 = eta[:, 0:8], eta[:, 8:16]
+        words = (list(zip(*slots))[:length] for slots, length in
+                 zip(zip(mu.tolist(), nu.tolist(), theta.tolist()), lengths.tolist()))
+        # [phi | psi] as one spinor: no plane mixes the chiral halves
+        x1, eta1 = map(np.array, zip(*(_turn_word(xk, phik + psik, word)
+                                       for (phik, xk, psik), word in zip(v.tolist(), words))))
+        phi1, psi1 = eta1[:, 0:8], eta1[:, 8:16]
         size = np.sqrt(_sumsq(phi) * _sumsq(x) * _sumsq(psi))
         size1 = np.sqrt(_sumsq(phi1) * _sumsq(x1) * _sumsq(psi1))
         resid = _drift(_trilinear_forms(slices, phi, x, psi),
@@ -433,23 +414,26 @@ def dictionary_random_check(n_samples: int = 1000, seed: int = DEFAULT_SEED) -> 
 
 
 def double_cover_check(tol: float = 1e-12) -> VerificationReport:
-    """Compact rotors at 2pi negate spinors and fix vectors; 4pi fixes both."""
+    """Compact rotors at 2pi negate spinors and fix vectors; 4pi fixes both.
+
+    Each plane turns its drawn components through cl.rotate_vector_list and
+    cl.rotate_spinor_list; the residual is the largest component change
+    from the expected value."""
     rep = VerificationReport("double-cover", exact=False, meta={"tolerance": tol})
     rng = np.random.default_rng(DEFAULT_SEED)
     compact_planes = [(mu, nu) for mu in range(8) for nu in range(8)
                       if mu != nu and cl.METRIC[mu] * cl.METRIC[nu] > 0]
     for mu, nu in compact_planes:
-        x = sample_integers(rng, 8).astype(np.float64)
-        eta = sample_integers(rng, 16).astype(np.float64)
+        x = sample_integers(rng, 8).astype(np.float64).tolist()
+        eta = sample_integers(rng, 16).astype(np.float64).tolist()
         r2 = cl.rotor(mu, nu, 2 * math.pi)
         r4 = cl.rotor(mu, nu, 4 * math.pi)
-        rv = float(np.max(np.abs(cl.rotate_vector(x, r2) - x)))
-        rs = float(np.max(np.abs(cl.rotate_spinor(eta, r2) + eta)))
-        rv4 = float(np.max(np.abs(cl.rotate_vector(x, r4) - x)))
-        rs4 = float(np.max(np.abs(cl.rotate_spinor(eta, r4) - eta)))
-        size_x = max(1.0, float(np.max(np.abs(x))))
-        size_eta = max(1.0, float(np.max(np.abs(eta))))
-        for tag, resid, size in (("vector 2pi", rv, size_x), ("spinor 2pi", rs, size_eta),
-                                 ("vector 4pi", rv4, size_x), ("spinor 4pi", rs4, size_eta)):
+        size_x, size_eta = max(1.0, *map(abs, x)), max(1.0, *map(abs, eta))
+        for tag, turned, want, size in (
+                ("vector 2pi", cl.rotate_vector_list(x, r2), x, size_x),
+                ("spinor 2pi", cl.rotate_spinor_list(eta, r2), [-e for e in eta], size_eta),
+                ("vector 4pi", cl.rotate_vector_list(x, r4), x, size_x),
+                ("spinor 4pi", cl.rotate_spinor_list(eta, r4), eta, size_eta)):
+            resid = max(abs(a - b) for a, b in zip(turned, want))
             rep.record_case(resid <= tol * size, f"plane ({mu},{nu}) {tag}", residual=resid)
     return rep

@@ -1,10 +1,15 @@
-"""The batched float and exact suites against per-sample reference loops.
+"""The sampled suites against per-sample reference loops.
 
 The references draw from the generator in the same order and apply the
-public single-call kernels one sample at a time.
+public single-call kernels one sample at a time.  The float suites turn
+each sample with the kernels ``sot rotate`` runs (``clifford.turn_pair``
+and ``clifford._TURN``) and evaluate the invariants on stacks of 64
+samples in numpy; their references turn through ``rotate_vector`` and
+``rotate_spinor`` (one rotor, or an oracles ``RotorWord``) and evaluate
+through ``quadratic_form``, ``spinor_invariant`` and ``trilinear_matrix``.
+The exact suites contract whole stacks.
 """
 import itertools
-import math
 import tracemalloc
 
 import numpy as np
@@ -137,26 +142,6 @@ def test_drawn_planes_reach_every_plane_and_never_repeat_an_index():
     assert seen == set(itertools.permutations(range(8), 2))
     compact = {(m, n) for m, n in seen if cl.METRIC[m] * cl.METRIC[n] > 0}
     assert len(compact) == 24 and len(seen - compact) == 32
-
-
-# 2pi + 0.3 has a negative half-angle cosine on compact planes
-@pytest.mark.parametrize("theta", [0.7, -2.9, 2 * math.pi + 0.3, 5.0])
-def test_stack_turn_rounds_as_the_list_kernels(theta):
-    # one row per ordered plane, a third of the components +-0.0, turned in
-    # one call: every row bit for bit as the single-call kernels turn it
-    planes = list(itertools.permutations(range(8), 2))
-    mu, nu = (np.array(p) for p in zip(*planes))
-    rng = np.random.default_rng(11)
-    x, eta = (rng.normal(size=(56, k)) * (rng.random((56, k)) < 2 / 3) for k in (8, 16))
-    assert (np.signbit(x) & (x == 0)).any() and (np.signbit(eta) & (eta == 0)).any()
-    x1, eta1 = x.copy(), eta.copy()
-    half = sweeps._half_angles(mu, nu, np.full(56, theta))
-    sweeps._turn(x1, eta1, np.arange(56), sweeps._actions(), mu, nu, *half.T)
-    rotors = [cl.rotor(m, n, theta) for m, n in planes]
-    want_x = np.array([cl.rotate_vector_list(v, r) for v, r in zip(x.tolist(), rotors)])
-    want_eta = np.array([cl.rotate_spinor_list(e, r) for e, r in zip(eta.tolist(), rotors)])
-    assert np.array_equal(x1.view(np.int64), want_x.view(np.int64))
-    assert np.array_equal(eta1.view(np.int64), want_eta.view(np.int64))
 
 
 def test_correspondence_witnesses(monkeypatch):

@@ -485,7 +485,8 @@ def test_verify_dictionary_passes_on_the_sound_tensors():
 
 
 def test_record_case_formats_a_callable_detail_only_when_kept(monkeypatch):
-    # the signed-unit suites name their cases lazily: a passing case, and a
+    # the signed-unit suites name their cases lazily, and record_mask names
+    # each failing entry through record_case: a passing case or entry, and a
     # failing one past MAX_DETAILS, never format their label
     monkeypatch.setattr(report, "MAX_DETAILS", 2)
     formatted = []
@@ -494,6 +495,43 @@ def test_record_case_formats_a_callable_detail_only_when_kept(monkeypatch):
         rep.record_case(k == 0, lambda k=k: formatted.append(k) or f"case {k}")
     assert (rep.cases, rep.failures, rep.failure_details) == (4, 3, ["case 1", "case 2"])
     assert formatted == [1, 2]
+    rep = VerificationReport("mask")
+    ok = np.array([[True, False, True], [False, True, False]])
+    rep.record_mask(ok, lambda i, j: formatted.append((i, j)) or f"entry ({i},{j})")
+    assert (rep.cases, rep.failures) == (6, 3)
+    assert rep.failure_details == ["entry (0,1)", "entry (1,0)"]
+    assert formatted == [1, 2, (0, 1), (1, 0)]
+
+
+def test_record_mask_keeps_failures_in_c_order_up_to_max_details():
+    ok = np.ones((3, 4, 2), dtype=bool)
+    ok[2, 0, 1] = ok[0, 3, 0] = ok[1, 1, 1] = False
+    rep = VerificationReport("mask")
+    rep.record_mask(ok, lambda *index: str(index))
+    assert (rep.cases, rep.failures) == (24, 3)
+    assert rep.failure_details == ["(0, 3, 0)", "(1, 1, 1)", "(2, 0, 1)"]
+    # after a failed case, the details fill up to MAX_DETAILS in C order
+    rep = VerificationReport("mask")
+    rep.record_case(False, "first")
+    rep.record_mask(np.zeros((4, 5), dtype=bool), lambda i, j: f"{i},{j}")
+    assert (rep.cases, rep.failures) == (21, 21)
+    assert rep.failure_details == ["first"] + [f"{k // 5},{k % 5}"
+                                               for k in range(report.MAX_DETAILS - 1)]
+
+
+def test_record_mask_residual_ignores_nan_and_an_empty_residual():
+    rep = VerificationReport("mask", exact=False)
+    resid = np.full(6, np.nan)
+    resid[5], resid[0] = 0.25, 0.125
+    rep.record_mask(resid <= 1.0, str, residual=resid)
+    assert (rep.cases, rep.failures, rep.max_residual) == (6, 4, 0.25)
+    rep.record_mask(np.ones(0, dtype=bool), str, residual=np.zeros(0))
+    rep.record_mask(np.ones(1, dtype=bool), str, residual=np.array([np.nan]))
+    assert (rep.cases, rep.failures, rep.max_residual) == (7, 4, 0.25)
+    rep = VerificationReport("mask", exact=False)
+    rep.record_mask(np.zeros(2, dtype=bool), str, residual=np.array([np.nan, np.nan]))
+    assert (rep.cases, rep.failures, rep.failure_details, rep.max_residual) == (
+        2, 2, ["0", "1"], 0.0)
 
 
 def test_zorn_halving_needs_even_entries():
@@ -610,6 +648,34 @@ def test_verify_all_fails_as_a_verdict_on_every_table_flip(monkeypatch, capsys, 
     if not rest and N[0] not in (a, b):
         name = f"{a}^2" if a == b else f"anticommute {a},{b}"
         assert name in reports["octonion-table"]["failure_details"]
+
+
+# one component of the phi half and one of the psi half
+@pytest.mark.parametrize("row", [5, 12])
+def test_verify_all_fails_as_a_verdict_on_a_broken_spinor_turn(monkeypatch, capsys, row):
+    # the compiled turn with one component's moved term of the wrong sign:
+    # the float triality suites turn each sample through cl._TURN, so
+    # rotor-invariance names spinor rotors and trilinear-invariance fails;
+    # double-cover turns by 2pi and 4pi, where s is a rounding error, and
+    # no other report turns a spinor
+    turn = cl._TURN
+
+    def broken(e, c, s, action):
+        out = turn(e, c, s, action)
+        j, g = action[row]
+        out[row] = c * e[row] + s * (g * e[j] + 0.0)
+        return out
+
+    monkeypatch.setattr(cl, "_TURN", broken)
+    assert cli.main(["verify", "all"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    jsonschema.validate(payload, json.loads((SCHEMAS / "report.schema.json").read_text()))
+    assert [r["name"] for r in payload["reports"]] == VERIFY_ALL_ORDER
+    failed = {r["name"]: r for r in payload["reports"] if not r["passed"]}
+    assert set(failed) == {"rotor-invariance", "trilinear-invariance"}
+    details = failed["rotor-invariance"]["failure_details"]
+    assert len(details) == report.MAX_DETAILS
+    assert all(d.startswith("spinor rotor ") for d in details)
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
