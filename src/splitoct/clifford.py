@@ -11,19 +11,20 @@ evaluation convention, the spinor form, the trilinear slices) are exact
 sparse compositions.  The pin selects the form: of the four candidate
 evaluations, each composed once, the one that is the split diagonal form
 is PINNED_CONVENTION, and its matrix is the spinor invariant's.  Rotors
-act on real float components: vectors in closed form, spinors by one turn
-compiled at import over the signed permutation of each bivector, which
-the turn takes as an argument; ``plane_generator`` gives a plane's exact
-first-order action on both.  The trilinear form is one flat table of
-(a, b, c, F(e_a, e_b, e_c)) terms over (phi, x, psi), in the slot order
-of the octonionic form's table, and the spinor invariant one of (i, j,
-2Q_ij) terms; on integers each is one straight-line function compiled
-from its table by ``exact.int_form`` (``exact.trilinear_form`` for the
-trilinear form).  An int form returns None unless every component is a
-Python int, so a list of Python ints goes to it as given, and any other
-argument is read once (``_trilinear_args`` for the trilinear form).
-Float sums of several terms are correctly rounded (``math.fsum``).  numpy
-is imported only by the ndarray rotor actions.
+carry their half-angle pair and act on real float components: vectors in
+closed form, spinors by one turn compiled at import over the signed
+permutation of each bivector, which the turn takes as an argument;
+``plane_generator`` gives a plane's exact first-order action on both.
+The trilinear form is one flat table of (a, b, c, F(e_a, e_b, e_c))
+terms over (phi, x, psi), in the slot order of the octonionic form's
+table, and the spinor invariant one of (i, j, 2Q_ij) terms; on integers
+each is one straight-line function compiled from its table by
+``exact.int_form`` (``exact.trilinear_form`` for the trilinear form).
+An int form returns None unless every component is a Python int, so a
+list of Python ints goes to it as given, and any other argument is read
+once (``_trilinear_args`` for the trilinear form).  Float sums of several
+terms are correctly rounded (``math.fsum``).  numpy is imported only by
+the ndarray rotor actions.
 """
 from __future__ import annotations
 
@@ -437,17 +438,20 @@ def half_angle(compact: bool, theta: float):
 
 
 class Rotor:
-    """L_mu_nu(theta) = exp(-theta/2 Gamma_mu Gamma_nu) in closed form.
+    """L_mu_nu(theta) = exp(-theta/2 Gamma_mu Gamma_nu) = c - s Gamma_mu Gamma_nu.
 
     (Gamma_mu Gamma_nu)^2 = -g_mumu g_nunu, so compact planes exponentiate
-    through cos/sin and mixed-signature planes through cosh/sinh.
+    through cos/sin and mixed-signature planes through cosh/sinh.  (c, s)
+    is formed once, here, and every action reads it: a boost past |theta|
+    of about 1421 overflows cosh and raises OverflowError here.
     """
 
-    __slots__ = ("mu", "nu", "theta", "compact")
+    __slots__ = ("mu", "nu", "theta", "compact", "c", "s")
 
     def __init__(self, mu: int, nu: int, theta: float):
         self.mu, self.nu, self.theta = mu, nu, theta
         self.compact = METRIC[mu] * METRIC[nu] > 0
+        self.c, self.s = half_angle(self.compact, theta)
 
 
 def rotor(mu: int, nu: int, theta: float) -> Rotor:
@@ -474,16 +478,10 @@ def turn_pair(xm, xn, gm, gn, c, s):
     return big_c * xm - big_s * gn * xn, big_c * xn + big_s * gm * xm
 
 
-def _turned(xm, xn, r: Rotor):
-    """turn_pair of r's plane on the components (x_mu, x_nu)."""
-    return turn_pair(xm, xn, METRIC[r.mu], METRIC[r.nu],
-                     *half_angle(r.compact, r.theta))
-
-
 def rotate_vector_list(x: list, r: Rotor) -> list:
     """rotate_vector on a list of 8 floats, as a new list."""
     x = list(x)
-    x[r.mu], x[r.nu] = _turned(x[r.mu], x[r.nu], r)
+    x[r.mu], x[r.nu] = turn_pair(x[r.mu], x[r.nu], METRIC[r.mu], METRIC[r.nu], r.c, r.s)
     return x
 
 
@@ -510,8 +508,7 @@ def rotate_spinor_list(eta: list, r: Rotor) -> list:
     bivector's signed permutation, in one call of the compiled turn.  The
     moved term takes + 0.0, as a dense product summed from +0.0 does, so a
     zero comes out as +0.0."""
-    c, s = half_angle(r.compact, r.theta)
-    return _TURN(eta, c, s, _bivector_action(r.mu, r.nu))
+    return _TURN(eta, r.c, r.s, _bivector_action(r.mu, r.nu))
 
 
 def rotate_vector(x, r: Rotor):
@@ -525,7 +522,8 @@ def rotate_vector(x, r: Rotor):
     x = np.array(x, dtype=np.float64)
     if x.shape != (8,):
         raise ValueError("vector needs 8 components")
-    x[r.mu], x[r.nu] = _turned(x.item(r.mu), x.item(r.nu), r)
+    x[r.mu], x[r.nu] = turn_pair(x.item(r.mu), x.item(r.nu), METRIC[r.mu], METRIC[r.nu],
+                                 r.c, r.s)
     return x
 
 

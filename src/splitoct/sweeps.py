@@ -9,8 +9,9 @@ Only ``sot verify`` and the tests import this module: ``octonion`` and
 ``triality`` hold each of its six suites as an entry point made by
 ``octonion._sweep``.  The sweeps reach every object derived from the unit
 table, and every kernel, through its module at call time (``oc._TABLE``,
-``tr.equivalence_map``, ``cl._TURN``): code that installs another table
-with ``oc._forms`` or wraps a kernel is seen here too.
+``tr.equivalence_map``, ``cl.rotate_spinor_list``, which reads
+``cl._TURN`` at its call): code that installs another table with
+``oc._forms`` or wraps a kernel is seen here too.
 
 The Malcev sweep contracts the dense structure tensor C[a,b,k] (e_a e_b =
 sum_k C[a,b,k] e_k), built from ``oc._TABLE`` at each call of ``_c``.  Each
@@ -23,10 +24,9 @@ its term table (``cl._TRILINEAR_TERMS``, ``oc._TRILINEAR_TERMS``, the
 tables their int forms are compiled from) in their one slot order (a, b,
 c) over (phi, x, psi); only trilinear-invariance stacks the matrix form's
 slices at [b, a, c] (``_trilinear_slices``).  The float suites turn each
-sample with the kernels ``sot rotate`` runs: its vector through
-``cl.turn_pair`` and its spinor through ``cl._TURN`` (``_turn_word``), or
-through ``cl.rotate_vector_list`` and ``cl.rotate_spinor_list``; only the
-forms are evaluated on numpy stacks.
+sample on ``cl.Rotor`` objects, which carry their half-angle pair, through
+the two kernels ``sot rotate`` runs, ``cl.rotate_vector_list`` and
+``cl.rotate_spinor_list``; only the forms are evaluated on numpy stacks.
 
 A float64 holds every integer below 2**53 exactly, and the sum or product
 of two such integers is exact while the result stays below that bound.
@@ -267,16 +267,9 @@ def _draw_rotors(rng, shape, bound: float):
 
 def _turn_word(x: list, eta: list, word) -> tuple:
     """The vector x (8 floats) and the spinor eta (16 floats) turned by the
-    rotors (mu, nu, theta) of ``word``, the last rotor first, as new lists.
-    Each rotor takes one cl.half_angle, turns (x_mu, x_nu) through
-    cl.turn_pair and eta through cl._TURN, the calls rotate_vector_list and
-    rotate_spinor_list make; cl._TURN is looked up at each call."""
-    g = cl.METRIC
-    x = list(x)
-    for mu, nu, theta in reversed(word):
-        c, s = cl.half_angle(g[mu] * g[nu] > 0, theta)
-        x[mu], x[nu] = cl.turn_pair(x[mu], x[nu], g[mu], g[nu], c, s)
-        eta = cl._TURN(eta, c, s, cl._bivector_action(mu, nu))
+    cl.Rotor list ``word``, the last rotor first, as new lists."""
+    for r in reversed(word):
+        x, eta = cl.rotate_vector_list(x, r), cl.rotate_spinor_list(eta, r)
     return x, eta
 
 
@@ -312,7 +305,7 @@ def rotor_invariance_check(n_rotors: int = 1000, seed: int = DEFAULT_SEED,
     Samples are drawn in blocks of BLOCK: each block draws its planes, then
     its angles, then all its components, one generator call each
     (_draw_rotors, then an (n, 24) integer draw).  Each sample is turned by
-    its one rotor through _turn_word, and the invariants of the block are
+    its one cl.Rotor through _turn_word, and the invariants of the block are
     evaluated as stacks.
     """
     rep = VerificationReport("rotor-invariance", exact=False,
@@ -323,9 +316,9 @@ def rotor_invariance_check(n_rotors: int = 1000, seed: int = DEFAULT_SEED,
         mu, nu, theta = _draw_rotors(rng, n, 3)
         v = sample_integers(rng, (n, 24)).astype(np.float64)     # x, then eta
         x, eta = v[:, :8], v[:, 8:]
-        rotors = zip(mu.tolist(), nu.tolist(), theta.tolist())
-        x1, eta1 = map(np.array, zip(*(_turn_word(row[:8], row[8:], [rotor])
-                                       for row, rotor in zip(v.tolist(), rotors))))
+        rotors = map(cl.Rotor, mu.tolist(), nu.tolist(), theta.tolist())
+        x1, eta1 = map(np.array, zip(*(_turn_word(row[:8], row[8:], [r])
+                                       for row, r in zip(v.tolist(), rotors))))
         resid = np.stack([
             _drift(_vector_forms(x), _vector_forms(x1), _sumsq(x), _sumsq(x1)),
             _drift(_spinor_forms(q, eta), _spinor_forms(q, eta1), _sumsq(eta), _sumsq(eta1)),
@@ -352,8 +345,9 @@ def trilinear_invariance_check(n_samples: int = 200, seed: int = DEFAULT_SEED,
     drawn in blocks of BLOCK: each block draws its word lengths, then the
     planes and angles of all 8 word slots of every sample (_draw_rotors),
     then all its components, one generator call each.  Each sample's word,
-    its first ``length`` slots, acts through _turn_word, the last rotor
-    first, so half angles are formed for the used slots only.
+    one cl.Rotor for each of its first ``length`` slots, acts through
+    _turn_word, the last rotor first, so half angles are formed for the
+    used slots only.
     """
     rep = VerificationReport("trilinear-invariance", exact=False,
                              meta={"seed": seed, "samples": n_samples, "tolerance": tol})
@@ -364,8 +358,9 @@ def trilinear_invariance_check(n_samples: int = 200, seed: int = DEFAULT_SEED,
         mu, nu, theta = _draw_rotors(rng, (n, 8), 2)
         v = sample_integers(rng, (n, 3, 8)).astype(np.float64)   # phi, x, psi
         phi, x, psi = v[:, 0], v[:, 1], v[:, 2]
-        words = (list(zip(*slots))[:length] for slots, length in
-                 zip(zip(mu.tolist(), nu.tolist(), theta.tolist()), lengths.tolist()))
+        words = (list(map(cl.Rotor, mus[:length], nus[:length], thetas[:length]))
+                 for mus, nus, thetas, length
+                 in zip(mu.tolist(), nu.tolist(), theta.tolist(), lengths.tolist()))
         # [phi | psi] as one spinor: no plane mixes the chiral halves
         x1, eta1 = map(np.array, zip(*(_turn_word(xk, phik + psik, word)
                                        for (phik, xk, psik), word in zip(v.tolist(), words))))

@@ -2,8 +2,9 @@
 
 The references draw from the generator in the same order and apply the
 public single-call kernels one sample at a time.  The float suites turn
-each sample with the kernels ``sot rotate`` runs (``clifford.turn_pair``
-and ``clifford._TURN``) and evaluate the invariants on stacks of 64
+each sample on a ``clifford.Rotor``, which carries its half-angle pair,
+with the list kernels ``sot rotate`` runs (``rotate_vector_list`` and
+``rotate_spinor_list``) and evaluate the invariants on stacks of 64
 samples in numpy; their references turn through ``rotate_vector`` and
 ``rotate_spinor`` (one rotor, or an oracles ``RotorWord``) and evaluate
 through ``quadratic_form``, ``spinor_invariant`` and ``trilinear_matrix``.

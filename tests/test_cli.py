@@ -286,6 +286,14 @@ def test_vector_boost_overflow_is_a_usage_error(capsys, theta):
     assert err.startswith("error: ")
 
 
+def test_overflowing_boost_is_refused_before_its_components(capsys):
+    # the rotor's half-angle pair overflows when cl.rotor builds it, so the
+    # overflow is reported ahead of the malformed component list
+    code, out, err = run(capsys, ["rotate", "--plane=0,4", "--theta=1500",
+                                  "--target", "vector", "--components=1,0"])
+    assert (code, out, err) == (2, "", "error: the result overflows float64\n")
+
+
 def test_strong_vector_boost_is_finite(capsys):
     # the output is finite, but cosh 700 == sinh 700 in float64, so the
     # invariant of the moved pair reads 0 instead of 1: refused

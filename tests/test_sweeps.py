@@ -678,6 +678,36 @@ def test_verify_all_fails_as_a_verdict_on_a_broken_spinor_turn(monkeypatch, caps
     assert all(d.startswith("spinor rotor ") for d in details)
 
 
+# the first output, x_mu, and the second, x_nu
+@pytest.mark.parametrize("output", [0, 1])
+def test_verify_all_fails_as_a_verdict_on_a_broken_vector_turn(monkeypatch, capsys, output):
+    # turn_pair with one output's S term of the wrong sign (s negated leaves
+    # C and negates S): the float triality suites turn each sample through
+    # rotate_vector_list, so rotor-invariance names vector rotors and
+    # trilinear-invariance fails; boost-table moves e_0 into its x_4 output;
+    # double-cover turns by 2pi and 4pi, where s is a rounding error
+    turn = cl.turn_pair
+
+    def broken(xm, xn, gm, gn, c, s):
+        out = list(turn(xm, xn, gm, gn, c, s))
+        out[output] = turn(xm, xn, gm, gn, c, -s)[output]
+        return tuple(out)
+
+    monkeypatch.setattr(cl, "turn_pair", broken)
+    assert cli.main(["verify", "all"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    jsonschema.validate(payload, json.loads((SCHEMAS / "report.schema.json").read_text()))
+    assert [r["name"] for r in payload["reports"]] == VERIFY_ALL_ORDER
+    failed = {r["name"]: r for r in payload["reports"] if not r["passed"]}
+    assert set(failed) == {"rotor-invariance", "trilinear-invariance",
+                           *(["boost-table"] if output else [])}
+    assert (failed["rotor-invariance"]["failures"],
+            failed["trilinear-invariance"]["failures"]) == (900, 199)
+    assert all(d.startswith("vector rotor ") for d in failed["rotor-invariance"]["failure_details"])
+    if output:
+        assert "x0 boost at theta=0.5" in failed["boost-table"]["failure_details"]
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
 def test_failing_verify_renders_in_every_format(monkeypatch, capsys, fmt):
     # with e_J1 e_J2 negated the Moufang sweep fails; every format shows the
@@ -1253,6 +1283,18 @@ TURN_SPINORS = (
     np.random.default_rng(3).normal(size=16).tolist(),
 )
 TURN_THETAS = (0.0, -0.0, 0.7, -2.9, 2 * math.pi, 30.0)
+
+
+def test_a_rotor_carries_its_half_angle_pair():
+    # formed once, when the rotor is built; the kernels read it from there
+    for mu, nu in itertools.permutations(range(8), 2):
+        for theta in TURN_THETAS:
+            r = cl.rotor(mu, nu, theta)
+            want = cl.half_angle(cl.METRIC[mu] * cl.METRIC[nu] > 0, theta)
+            assert bits_of([r.c, r.s]) == bits_of(want), (mu, nu, theta)
+    # cosh 750 overflows: the boost is refused when it is built
+    with pytest.raises(OverflowError):
+        cl.rotor(0, 4, 1500.0)
 
 
 @pytest.mark.parametrize("mu,nu", itertools.permutations(range(8), 2))
