@@ -114,27 +114,23 @@ def _table_pretty(payload):
 # verify
 # ---------------------------------------------------------------------------
 
-# what a suite reads beyond its name, where no flag sets it
-SETTINGS = {"seed": tr.DEFAULT_SEED, "samples": 1000, "tolerance": 1e-12}
-
-# suite -> (the settings it reads, its reports from them); `all` runs the
-# basis generation and the table check, then every suite in this order
+# suite -> (whether it reads --seed, its reports for that seed); `all` runs
+# the basis generation and the table check, then every suite in this order.
+# The verdict's sizes and tolerance are the suites' defaults in ``sweeps``.
 RUNS = {
-    "moufang": ((), lambda s: [oc.verify_moufang()]),
-    "malcev": ((), lambda s: [oc.verify_malcev()]),
-    "clifford": ((), lambda s: [cl.verify_clifford()]),
-    "associators": ((), lambda s: [oc.verify_associators()]),
-    "correspondence": (("seed", "samples"), lambda s: [
-        tr.correspondence_check(s["samples"], s["seed"])]),
-    "triality": (("seed", "samples", "tolerance"), lambda s: [
+    "moufang": (False, lambda seed: [oc.verify_moufang()]),
+    "malcev": (False, lambda seed: [oc.verify_malcev()]),
+    "clifford": (False, lambda seed: [cl.verify_clifford()]),
+    "associators": (False, lambda seed: [oc.verify_associators()]),
+    "correspondence": (True, lambda seed: [tr.correspondence_check(seed=seed)]),
+    "triality": (True, lambda seed: [
         tr.infinitesimal_table_check("01"),
         tr.boost_table_check(),
         tr.role_swap_check(),
-        tr.double_cover_check(tol=s["tolerance"]),
-        tr.dictionary_random_check(s["samples"], s["seed"]),
-        tr.trilinear_invariance_check(max(1, s["samples"] // 5), s["seed"],
-                                      tol=s["tolerance"]),
-        tr.rotor_invariance_check(s["samples"], s["seed"], tol=s["tolerance"]),
+        tr.double_cover_check(),
+        tr.dictionary_random_check(seed=seed),
+        tr.trilinear_invariance_check(seed=seed),
+        tr.rotor_invariance_check(seed=seed),
     ]),
 }
 SUITES = (*RUNS, "all")
@@ -155,20 +151,14 @@ def cmd_verify(args) -> dict:
     if args.suite not in SUITES:
         raise UsageError(f"unknown suite '{args.suite}'; choose from {', '.join(SUITES)}")
     names = list(RUNS) if args.suite == "all" else [args.suite]
-    given = {k: getattr(args, k) for k in SETTINGS if getattr(args, k) is not None}
-    unread = sorted(given.keys() - {k for name in names for k in RUNS[name][0]})
-    if unread:
-        raise UsageError(f"suite '{args.suite}' does not read --{', --'.join(unread)}")
-    settings = {**SETTINGS, **given}
-    if not (math.isfinite(settings["tolerance"]) and settings["tolerance"] > 0):
-        raise UsageError("tolerance must be finite and positive")
-    if settings["samples"] < 1:
-        raise UsageError("samples must be at least 1")
-    if settings["seed"] < 0:
+    if args.seed is not None and not any(RUNS[name][0] for name in names):
+        raise UsageError(f"suite '{args.suite}' does not read --seed")
+    seed = tr.DEFAULT_SEED if args.seed is None else args.seed
+    if seed < 0:
         raise UsageError("--seed must be non-negative")
     reports = [_generation_report(), oc.verify_table()] if args.suite == "all" else []
     for name in names:
-        reports += RUNS[name][1](settings)
+        reports += RUNS[name][1](seed)
     return {"suite": args.suite, "passed": all(r.passed for r in reports),
             "reports": [r.to_json() for r in reports]}
 
@@ -350,10 +340,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[fmt], help="run an identity-verification suite")
     p.add_argument("suite", help=f"one of: {', '.join(SUITES)}")
-    for name, default in SETTINGS.items():
-        readers = [suite for suite, (reads, _) in RUNS.items() if name in reads]
-        p.add_argument(f"--{name}", type=type(default),
-                       help=f"read by {', '.join(readers)} and all (default {default})")
+    readers = [suite for suite, (reads_seed, _) in RUNS.items() if reads_seed]
+    p.add_argument("--seed", type=int,
+                   help=f"read by {', '.join(readers)} and all (default {tr.DEFAULT_SEED})")
     p.set_defaults(fn=cmd_verify, render={"csv": _verify_csv, "pretty": _verify_pretty})
 
     p = sub.add_parser("rotate", parents=[fmt], help="apply a rotor to a vector or spinor")

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -61,8 +62,7 @@ def test_verify_unknown_suite(capsys):
 
 @pytest.mark.parametrize("suite", ["moufang", "associators", "correspondence"])
 def test_verify_suites_pass(capsys, suite):
-    samples = ["--samples", "50"] if suite == "correspondence" else []
-    code, out, _ = run(capsys, ["verify", suite, *samples])
+    code, out, _ = run(capsys, ["verify", suite])
     assert code == 0
     payload = json.loads(out)
     jsonschema.validate(payload, load_schema("report.schema.json"))
@@ -70,10 +70,8 @@ def test_verify_suites_pass(capsys, suite):
 
 
 def test_verify_deterministic_bytes(capsys):
-    _, out1, _ = run(capsys, ["verify", "correspondence", "--seed", "99",
-                              "--samples", "20"])
-    _, out2, _ = run(capsys, ["verify", "correspondence", "--seed", "99",
-                              "--samples", "20"])
+    _, out1, _ = run(capsys, ["verify", "correspondence", "--seed", "99"])
+    _, out2, _ = run(capsys, ["verify", "correspondence", "--seed", "99"])
     assert out1 == out2
 
 
@@ -248,11 +246,17 @@ def test_non_finite_is_a_usage_error(capsys, argv):
     ["verify", "moufang", "--samples", "50"],
     ["verify", "malcev", "--seed", "3"],
     ["verify", "associators", "--samples", "50"],
-    ["verify", "correspondence", "--tolerance", "0.5"],
+    # verify has no sample count or tolerance to set, at any value
+    *(["verify", suite, *flag] for suite in ("all", "triality", "correspondence")
+      for flag in (["--samples", "5"], ["--tolerance", "0.5"])),
+    ["verify", "all", "--tolerance", "0"],
+    ["verify", "all", "--tolerance", "nan"],
+    ["verify", "all", "--tolerance", "inf"],
+    ["verify", "all", "--samples", "0"],
 ])
 def test_unread_flags_are_rejected(capsys, argv):
     # argparse refuses a flag the subcommand does not have (SystemExit);
-    # verify refuses a setting its suite does not read (exit code 2)
+    # verify refuses --seed where its suite does not read it (exit code 2)
     try:
         code = cli.main(argv)
     except SystemExit as exc:
@@ -261,18 +265,26 @@ def test_unread_flags_are_rejected(capsys, argv):
     assert capsys.readouterr().out == ""
 
 
-@pytest.mark.parametrize("flags", [["--tolerance", "0"], ["--tolerance", "nan"],
-                                   ["--tolerance", "inf"], ["--samples", "0"],
-                                   ["--seed", "-1"]])
-def test_verify_rejects_bad_settings(monkeypatch, capsys, flags):
-    # all reads all three settings, so each is refused for its value, and
+def test_verify_rejects_bad_settings(monkeypatch, capsys):
+    # all reads --seed, so a negative one is refused for its value, and
     # before any suite runs
     calls = []
     for module, name, _ in SUITE_CALLS:
         monkeypatch.setattr(module, name, lambda *a, name=name, **k: calls.append(name))
-    code, out, err = run(capsys, ["verify", "all", *flags])
+    code, out, err = run(capsys, ["verify", "all", "--seed", "-1"])
     assert (code, out, calls) == (2, "", [])
-    assert err.startswith("error: ") and f"{flags[0][2:]} must be" in err
+    assert err == "error: --seed must be non-negative\n"
+
+
+def test_verify_help_offers_only_format_and_seed(capsys):
+    # the verdict's sizes and tolerance are the suites' defaults: no flag
+    # sets them
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--help"])
+    out = capsys.readouterr().out
+    assert exc.value.code == 0
+    assert set(re.findall(r"(?<![\w-])--?[a-z][\w-]*", out)) == {"-h", "--help",
+                                                               "--format", "--seed"}
 
 
 E0 = "1,0,0,0,0,0,0,0"

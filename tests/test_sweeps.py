@@ -23,6 +23,8 @@ from splitoct.exact import trilinear_form
 from splitoct.octonion import SplitOctonion as O
 from splitoct.report import VerificationReport
 
+import catch_matrix
+from catch_matrix import negated_matrix_term
 from oracles import matrix_trilinear_tensor, oct_trilinear_tensor, to_complex
 
 UNITS = [O.unit(k) for k in range(8)]
@@ -342,15 +344,6 @@ def test_predicted_associators_read_no_unit_table(monkeypatch):
             assert build() == standard, (a, b)
 
 
-def negated_matrix_term(monkeypatch, n):
-    """Negate term n of the matrix form's table and recompile the form from it."""
-    terms = list(cl._TRILINEAR_TERMS)
-    a, b, c, k = terms[n]
-    terms[n] = (a, b, c, -k)
-    monkeypatch.setattr(cl, "_TRILINEAR_TERMS", tuple(terms))
-    monkeypatch.setattr(cl, "_TRILINEAR", trilinear_form(terms))
-
-
 # corruptions that the batched check and trilinear_both both read: a unit
 # table entry (the structure tensor and the compiled octonion forms) or a
 # term of the matrix form (the trilinear slices and the compiled matrix form)
@@ -636,7 +629,7 @@ def test_verify_all_fails_as_a_verdict_on_every_table_flip(monkeypatch, capsys, 
     # hyper-complex entry
     flipped_table(monkeypatch, entries)
     monkeypatch.setattr(tr, "_ORACLE_CACHE", None)
-    assert cli.main(["verify", "all", "--samples", "64"]) == 1
+    assert cli.main(["verify", "all"]) == 1
     payload = json.loads(capsys.readouterr().out)
     jsonschema.validate(payload, json.loads((SCHEMAS / "report.schema.json").read_text()))
     reports = {r["name"]: r for r in payload["reports"]}
@@ -648,6 +641,16 @@ def test_verify_all_fails_as_a_verdict_on_every_table_flip(monkeypatch, capsys, 
     if not rest and N[0] not in (a, b):
         name = f"{a}^2" if a == b else f"anticommute {a},{b}"
         assert name in reports["octonion-table"]["failure_details"]
+
+
+@pytest.mark.catch
+def test_catch_matrix_matches_its_file():
+    # every single fault of the matrix fails `verify all` at its one size,
+    # apart from the known escapes; the full run takes about half a minute,
+    # so it runs under -m catch and not in tier-1
+    matrix = catch_matrix.generate()
+    assert all(row["exit"] == 1 for row in matrix["faults"].values())
+    assert catch_matrix.render(matrix) == catch_matrix.MATRIX.read_text()
 
 
 # one component of the phi half and one of the psi half
