@@ -116,7 +116,7 @@ def _table_pretty(payload):
 
 # suite -> (whether it reads --seed, its reports for that seed); `all` runs
 # the basis generation and the table check, then every suite in this order.
-# The verdict's sizes and tolerance are the suites' defaults in ``sweeps``.
+# The verdict's sizes and tolerance are constants of ``sweeps``, not arguments.
 RUNS = {
     "moufang": (False, lambda seed: [oc.verify_moufang()]),
     "malcev": (False, lambda seed: [oc.verify_malcev()]),

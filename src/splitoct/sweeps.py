@@ -13,6 +13,11 @@ table, and every kernel, through its module at call time (``oc._TABLE``,
 ``cl._TURN`` at its call): code that installs another table with
 ``oc._forms`` or wraps a kernel is seen here too.
 
+The verdict has one size, stated once: SAMPLES samples, WORDS rotor words
+for trilinear-invariance and the float suites' TOLERANCE, which each
+report's ``meta`` records.  No suite takes a size or a tolerance; the
+sampled ones take only a keyword-only ``seed``.
+
 The Malcev sweep contracts the dense structure tensor C[a,b,k] (e_a e_b =
 sum_k C[a,b,k] e_k), built from ``oc._TABLE`` at each call of ``_c``.  Each
 side of a Malcev identity is one ``np.einsum`` whose subscripts name the
@@ -205,21 +210,21 @@ def verify_malcev() -> VerificationReport:
 
 
 # ---------------------------------------------------------------------------
-# the quadratic-invariant correspondence
+# the verdict's one size, and the quadratic-invariant correspondence
 # ---------------------------------------------------------------------------
 
+SAMPLES = 1000      # samples of each sampled suite but trilinear-invariance
+WORDS = 200         # rotor words of trilinear-invariance
+TOLERANCE = 1e-12   # the float suites' tolerance, relative to the data
 BLOCK = 64          # samples per stacked evaluation in the batched suites
 
+
 def _blocks(n: int):
-    """(start, size) of the consecutive blocks of at most BLOCK samples;
-    ValueError unless there is at least one, as every sampled suite takes
-    its samples through here."""
-    if n < 1:
-        raise ValueError("need at least one sample")
+    """(start, size) of the consecutive blocks of at most BLOCK samples."""
     return ((start, min(BLOCK, n - start)) for start in range(0, n, BLOCK))
 
 
-def correspondence_check(n_samples: int = 1000, seed: int = DEFAULT_SEED) -> VerificationReport:
+def correspondence_check(*, seed: int = DEFAULT_SEED) -> VerificationReport:
     """conj(X)X == q(x), conj(Phi)Phi == phi^T B phi, conj(Psi)Psi ==
     psi^T B psi on matched integer components, exactly.
 
@@ -229,13 +234,13 @@ def correspondence_check(n_samples: int = 1000, seed: int = DEFAULT_SEED) -> Ver
     q(x) Id is the Clifford relation, which ``clifford`` checks.
     """
     rep = VerificationReport("correspondence",
-                             meta={"seed": seed, "samples": n_samples,
+                             meta={"seed": seed, "samples": SAMPLES,
                                    "convention": cl.PINNED_CONVENTION.label})
     rng = np.random.default_rng(seed)
     # the largest sum is 2 conj(v)v: 2 x 64 products v_a C[a,b,0] v_b
     c, q2, metric = exact_float64(_c().reshape(8, 64), _q_spinor_2(), cl.METRIC,
                                   degree=3, terms=2 * 64, sampled=True)
-    for start, n in _blocks(n_samples):
+    for start, n in _blocks(SAMPLES):
         v = sample_integers(rng, (n, 3, 8)).astype(np.float64)      # x, phi, psi
         x, phi, psi = v[:, 0], v[:, 1], v[:, 2]
         # (conj(v) v)_c = sum_b v_b (sum_a conj(v)_a C[a,b,c])
@@ -295,8 +300,7 @@ def _spinor_forms(q, eta):
             + np.einsum("ki,ij,kj->k", eta[:, 8:16], q[8:16, 8:16], eta[:, 8:16]))
 
 
-def rotor_invariance_check(n_rotors: int = 1000, seed: int = DEFAULT_SEED,
-                           tol: float = 1e-12) -> VerificationReport:
+def rotor_invariance_check(*, seed: int = DEFAULT_SEED) -> VerificationReport:
     """Vector quadratic form and spinor invariant preserved under random
     rotors with |theta| <= 3 on compact and boost planes.
 
@@ -309,10 +313,10 @@ def rotor_invariance_check(n_rotors: int = 1000, seed: int = DEFAULT_SEED,
     evaluated as stacks.
     """
     rep = VerificationReport("rotor-invariance", exact=False,
-                             meta={"seed": seed, "samples": n_rotors, "tolerance": tol})
+                             meta={"seed": seed, "samples": SAMPLES, "tolerance": TOLERANCE})
     rng = np.random.default_rng(seed)
     q = _q_spinor_2() / 2.0
-    for start, n in _blocks(n_rotors):
+    for start, n in _blocks(SAMPLES):
         mu, nu, theta = _draw_rotors(rng, n, 3)
         v = sample_integers(rng, (n, 24)).astype(np.float64)     # x, then eta
         x, eta = v[:, :8], v[:, 8:]
@@ -323,10 +327,9 @@ def rotor_invariance_check(n_rotors: int = 1000, seed: int = DEFAULT_SEED,
             _drift(_vector_forms(x), _vector_forms(x1), _sumsq(x), _sumsq(x1)),
             _drift(_spinor_forms(q, eta), _spinor_forms(q, eta1), _sumsq(eta), _sumsq(eta1)),
         ], axis=1)
-
-        def label(k, j, start=start, mu=mu, nu=nu):
-            return f"{('vector', 'spinor')[j]} rotor {start + k} plane ({mu[k]},{nu[k]})"
-        rep.record_mask(resid <= tol, label, residual=resid)
+        rep.record_mask(resid <= TOLERANCE, lambda k, j, start=start, mu=mu, nu=nu: (
+            f"{('vector', 'spinor')[j]} rotor {start + k} plane ({mu[k]},{nu[k]})"),
+            residual=resid)
     return rep
 
 
@@ -335,8 +338,7 @@ def _trilinear_forms(slices, phi, x, psi):
     return np.einsum("kb,ki,bij,kj->k", x, phi, slices, psi)
 
 
-def trilinear_invariance_check(n_samples: int = 200, seed: int = DEFAULT_SEED,
-                               tol: float = 1e-12) -> VerificationReport:
+def trilinear_invariance_check(*, seed: int = DEFAULT_SEED) -> VerificationReport:
     """The matrix trilinear form under simultaneous rotor words on
     (phi, x, psi).
 
@@ -350,10 +352,10 @@ def trilinear_invariance_check(n_samples: int = 200, seed: int = DEFAULT_SEED,
     used slots only.
     """
     rep = VerificationReport("trilinear-invariance", exact=False,
-                             meta={"seed": seed, "samples": n_samples, "tolerance": tol})
+                             meta={"seed": seed, "samples": WORDS, "tolerance": TOLERANCE})
     rng = np.random.default_rng(seed)
     slices = _trilinear_slices().astype(np.float64)
-    for start, n in _blocks(n_samples):
+    for start, n in _blocks(WORDS):
         lengths = rng.integers(1, 9, n)
         mu, nu, theta = _draw_rotors(rng, (n, 8), 2)
         v = sample_integers(rng, (n, 3, 8)).astype(np.float64)   # phi, x, psi
@@ -369,13 +371,12 @@ def trilinear_invariance_check(n_samples: int = 200, seed: int = DEFAULT_SEED,
         size1 = np.sqrt(_sumsq(phi1) * _sumsq(x1) * _sumsq(psi1))
         resid = _drift(_trilinear_forms(slices, phi, x, psi),
                        _trilinear_forms(slices, phi1, x1, psi1), size, size1)
-        def label(k, start=start, lengths=lengths):
-            return f"word {start + k} length {lengths[k]}"
-        rep.record_mask(resid <= tol, label, residual=resid)
+        rep.record_mask(resid <= TOLERANCE, lambda k, start=start, lengths=lengths: (
+            f"word {start + k} length {lengths[k]}"), residual=resid)
     return rep
 
 
-def dictionary_random_check(n_samples: int = 1000, seed: int = DEFAULT_SEED) -> VerificationReport:
+def dictionary_random_check(*, seed: int = DEFAULT_SEED) -> VerificationReport:
     """The identity dictionary on random integer triples: the two forms of
     the same components must agree exactly.
 
@@ -387,8 +388,7 @@ def dictionary_random_check(n_samples: int = 1000, seed: int = DEFAULT_SEED) -> 
     fails its exact check on the basis triples is one more failed case,
     named by the oracle's message, and is left out of meta.
     """
-    rep = VerificationReport("trilinear-dictionary",
-                             meta={"seed": seed, "samples": n_samples})
+    rep = VerificationReport("trilinear-dictionary", meta={"seed": seed, "samples": SAMPLES})
     try:
         rep.meta["dictionary"] = tr.equivalence_map().to_json()
     except tr.OracleError as exc:
@@ -399,7 +399,7 @@ def dictionary_random_check(n_samples: int = 1000, seed: int = DEFAULT_SEED) -> 
                               for terms in (cl._TRILINEAR_TERMS, oc._TRILINEAR_TERMS)),
                             degree=4, terms=8 ** 3, sampled=True)
     rng = np.random.default_rng(seed)
-    for start, n in _blocks(n_samples):
+    for start, n in _blocks(SAMPLES):
         v = sample_integers(rng, (n, 3, 8)).astype(np.float64)      # phi, x, psi
         phi, x, psi = v[:, 0], v[:, 1], v[:, 2]
         mat, octo = (np.einsum("nbc,nb,nc->n", (phi @ t).reshape(n, 8, 8), x, psi)
@@ -408,13 +408,13 @@ def dictionary_random_check(n_samples: int = 1000, seed: int = DEFAULT_SEED) -> 
     return rep
 
 
-def double_cover_check(tol: float = 1e-12) -> VerificationReport:
+def double_cover_check() -> VerificationReport:
     """Compact rotors at 2pi negate spinors and fix vectors; 4pi fixes both.
 
     Each plane turns its drawn components through cl.rotate_vector_list and
     cl.rotate_spinor_list; the residual is the largest component change
     from the expected value."""
-    rep = VerificationReport("double-cover", exact=False, meta={"tolerance": tol})
+    rep = VerificationReport("double-cover", exact=False, meta={"tolerance": TOLERANCE})
     rng = np.random.default_rng(DEFAULT_SEED)
     compact_planes = [(mu, nu) for mu in range(8) for nu in range(8)
                       if mu != nu and cl.METRIC[mu] * cl.METRIC[nu] > 0]
@@ -430,5 +430,5 @@ def double_cover_check(tol: float = 1e-12) -> VerificationReport:
                 ("vector 4pi", cl.rotate_vector_list(x, r4), x, size_x),
                 ("spinor 4pi", cl.rotate_spinor_list(eta, r4), eta, size_eta)):
             resid = max(abs(a - b) for a, b in zip(turned, want))
-            rep.record_case(resid <= tol * size, f"plane ({mu},{nu}) {tag}", residual=resid)
+            rep.record_case(resid <= TOLERANCE * size, f"plane ({mu},{nu}) {tag}", residual=resid)
     return rep

@@ -12,7 +12,15 @@ records its exit code and the names of the failing reports.  The faults:
 - every term of the matrix trilinear form, ``cl._TRILINEAR_TERMS``,
   negated, with ``cl._TRILINEAR`` recompiled (64);
 - every term of the spinor invariant, ``cl._Q_SPINOR_TERMS``, negated,
-  with ``cl._SPINOR_FORM`` recompiled (16).
+  with ``cl._SPINOR_FORM`` recompiled (16);
+- every term of the octonionic trilinear form, ``oc._TRILINEAR_TERMS``,
+  negated, with ``oc._INT_TRILINEAR`` recompiled (64);
+- every sign of the metric, ``cl.METRIC`` (8);
+- every sign of the octonion conjugation, ``oc._CONJ_SIGNS``, with every
+  form ``oc._forms`` builds from the unit table rebuilt (8);
+- the sign of the moved term of each component of the compiled spinor
+  turn, ``cl._TURN`` (16), and of the S term of each output of the vector
+  turn, ``cl.turn_pair`` (2).
 
 Each must exit 1.  The known escapes are listed apart, each with the
 CHANGES.md line that records it: a compiled int form that returns its
@@ -31,6 +39,7 @@ import io
 import itertools
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -56,22 +65,70 @@ def flipped_action(monkeypatch, mu, nu, row):
     monkeypatch.setitem(cl._BIV_REP, (nu, mu), tuple((c, -g) for c, g in action))
 
 
-def _negated_term(monkeypatch, table, form, build, n):
-    terms = list(getattr(cl, table))
+def _negated_term(monkeypatch, module, table, form, build, n):
+    terms = list(getattr(module, table))
     *slots, k = terms[n]
     terms[n] = (*slots, -k)
-    monkeypatch.setattr(cl, table, tuple(terms))
-    monkeypatch.setattr(cl, form, build(terms))
+    monkeypatch.setattr(module, table, tuple(terms))
+    monkeypatch.setattr(module, form, build(terms))
 
 
 def negated_matrix_term(monkeypatch, n):
     """Negate term n of the matrix form's table and recompile the form from it."""
-    _negated_term(monkeypatch, "_TRILINEAR_TERMS", "_TRILINEAR", trilinear_form, n)
+    _negated_term(monkeypatch, cl, "_TRILINEAR_TERMS", "_TRILINEAR", trilinear_form, n)
 
 
 def negated_spinor_term(monkeypatch, n):
     """Negate term n of the spinor invariant's table and recompile the form from it."""
-    _negated_term(monkeypatch, "_Q_SPINOR_TERMS", "_SPINOR_FORM", cl._spinor_form, n)
+    _negated_term(monkeypatch, cl, "_Q_SPINOR_TERMS", "_SPINOR_FORM", cl._spinor_form, n)
+
+
+def negated_oct_term(monkeypatch, n):
+    """Negate term n of the octonionic form's table and recompile the form from
+    it, as oc._forms compiles it."""
+    _negated_term(monkeypatch, oc, "_TRILINEAR_TERMS", "_INT_TRILINEAR",
+                  lambda terms: trilinear_form(terms, wrap="Fraction", Fraction=Fraction), n)
+
+
+def _flipped(signs, index):
+    return tuple(-g if i == index else g for i, g in enumerate(signs))
+
+
+def flipped_metric(monkeypatch, mu):
+    """Flip the sign of g_mumu in cl.METRIC."""
+    monkeypatch.setattr(cl, "METRIC", _flipped(cl.METRIC, mu))
+
+
+def flipped_conj(monkeypatch, a):
+    """Flip the sign of conj(e_a) and rebuild every form of the unit table."""
+    monkeypatch.setattr(oc, "_CONJ_SIGNS", _flipped(oc._CONJ_SIGNS, a))
+    for name, value in oc._forms(oc._TABLE).items():
+        monkeypatch.setattr(oc, name, value)
+
+
+def flipped_turn(monkeypatch, row):
+    """The compiled spinor turn with the moved term of component ``row`` of
+    the wrong sign."""
+    turn = cl._TURN
+
+    def broken(e, c, s, action):
+        out = turn(e, c, s, action)
+        j, g = action[row]
+        out[row] = c * e[row] + s * (g * e[j] + 0.0)
+        return out
+    monkeypatch.setattr(cl, "_TURN", broken)
+
+
+def flipped_turn_pair(monkeypatch, output):
+    """turn_pair with the S term of one output, x_mu (0) or x_nu (1), of the
+    wrong sign: s negated leaves C and negates S."""
+    turn = cl.turn_pair
+
+    def broken(xm, xn, gm, gn, c, s):
+        out = list(turn(xm, xn, gm, gn, c, s))
+        out[output] = turn(xm, xn, gm, gn, c, -s)[output]
+        return tuple(out)
+    monkeypatch.setattr(cl, "turn_pair", broken)
 
 
 def plus_one(monkeypatch, module, name):
@@ -92,6 +149,13 @@ FAULTS = {
        for n in range(len(cl._TRILINEAR_TERMS))},
     **{f"cl._Q_SPINOR_TERMS[{n}]": lambda mp, n=n: negated_spinor_term(mp, n)
        for n in range(len(cl._Q_SPINOR_TERMS))},
+    **{f"oc._TRILINEAR_TERMS[{n}]": lambda mp, n=n: negated_oct_term(mp, n)
+       for n in range(len(oc._TRILINEAR_TERMS))},
+    **{f"cl.METRIC[{mu}]": lambda mp, mu=mu: flipped_metric(mp, mu) for mu in range(8)},
+    **{f"oc._CONJ_SIGNS[{a}]": lambda mp, a=a: flipped_conj(mp, a) for a in range(8)},
+    **{f"cl._TURN row {row}": lambda mp, row=row: flipped_turn(mp, row) for row in range(16)},
+    **{f"cl.turn_pair output {output}": lambda mp, output=output: flipped_turn_pair(mp, output)
+       for output in range(2)},
 }
 KNOWN_ESCAPES = {
     "cl._TRILINEAR + 1": lambda mp: plus_one(mp, cl, "_TRILINEAR"),

@@ -89,8 +89,9 @@ def test_c08_b_checks():
 
 
 def test_c09_rotor_invariance():
-    rep = tr.rotor_invariance_check(1000, seed=tr.DEFAULT_SEED, tol=1e-12)
+    rep = tr.rotor_invariance_check(seed=tr.DEFAULT_SEED)
     ok = rep.passed and rep.max_residual <= 1e-12
+    ok &= rep.meta["samples"] == 1000 and rep.meta["tolerance"] == 1e-12
     _report(9, f"1000 random rotors preserve both invariants, "
                f"max residual {rep.max_residual:.2e} <= 1e-12", ok)
 
@@ -117,14 +118,15 @@ def test_c11_role_swap():
 
 
 def test_c12_double_cover():
-    rep = tr.double_cover_check(tol=1e-12)
+    rep = tr.double_cover_check()
+    ok = rep.passed and rep.meta["tolerance"] == 1e-12
     _report(12, "compact rotors: 2pi negates spinors and fixes vectors, "
-                "4pi fixes both, <= 1e-12", rep.passed)
+                "4pi fixes both, <= 1e-12", ok)
 
 
 def test_c13_correspondence():
-    rep = tr.correspondence_check(1000, seed=tr.DEFAULT_SEED)
-    ok = rep.passed and rep.exact
+    rep = tr.correspondence_check(seed=tr.DEFAULT_SEED)
+    ok = rep.passed and rep.exact and rep.meta["samples"] == 1000
     _report(13, f"conj(X)X = X^2, conj(Phi)Phi = phi^T B phi, conj(Psi)Psi = "
                 f"psi^T B psi exact on 1000 integer samples "
                 f"({tr.PINNED_CONVENTION.label})", ok)
@@ -133,10 +135,10 @@ def test_c13_correspondence():
 def test_c14_trilinear_equivalence():
     d = tr.trilinear_equivalence_oracle()
     ok = d.max_residual == 0
-    rep = tr.dictionary_random_check(1000, seed=tr.DEFAULT_SEED)
-    ok &= rep.passed
-    inv = tr.trilinear_invariance_check(200, seed=tr.DEFAULT_SEED, tol=1e-12)
-    ok &= inv.passed
+    rep = tr.dictionary_random_check(seed=tr.DEFAULT_SEED)
+    ok &= rep.passed and rep.meta["samples"] == 1000
+    inv = tr.trilinear_invariance_check(seed=tr.DEFAULT_SEED)
+    ok &= inv.passed and inv.meta["samples"] == 200 and inv.meta["tolerance"] == 1e-12
     identity = d.phi_map == d.x_map == d.psi_map == tuple((k, 1) for k in range(8))
     _report(14, f"signed-permutation dictionary (identity: {identity}, "
                 f"scale {d.scale}) exact on 1000 random triples; invariance "

@@ -8,7 +8,9 @@ with the list kernels ``sot rotate`` runs (``rotate_vector_list`` and
 samples in numpy; their references turn through ``rotate_vector`` and
 ``rotate_spinor`` (one rotor, or an oracles ``RotorWord``) and evaluate
 through ``quadratic_form``, ``spinor_invariant`` and ``trilinear_matrix``.
-The exact suites contract whole stacks.
+The exact suites contract their stacks one block at a time too.  Every suite
+runs at its one size, ``sweeps.SAMPLES`` samples or ``sweeps.WORDS`` words,
+and the references draw in blocks of ``sweeps.BLOCK``, read at each call.
 """
 import itertools
 import tracemalloc
@@ -24,13 +26,10 @@ from splitoct.report import VerificationReport
 
 from oracles import RotorWord, embed_phi, embed_psi
 
-# the float suites draw their samples one block of 64 at a time
-DRAW_BLOCK = 64
-
 
 def _blocks(n):
-    for start in range(0, n, DRAW_BLOCK):
-        yield start, min(DRAW_BLOCK, n - start)
+    for start in range(0, n, sweeps.BLOCK):
+        yield start, min(sweeps.BLOCK, n - start)
 
 
 def _rotors(rng, shape, bound):
@@ -45,10 +44,10 @@ def _sumsq(v):
     return float(np.dot(v, v))
 
 
-def reference_rotor_invariance(n, seed, tol=1e-12):
+def reference_rotor_invariance(seed, tol=1e-12):
     rep = VerificationReport("rotor-invariance", exact=False)
     rng = np.random.default_rng(seed)
-    for start, size in _blocks(n):
+    for start, size in _blocks(sweeps.SAMPLES):
         mus, nus, thetas = _rotors(rng, size, 3)
         v = rng.integers(-9, 10, size=(size, 24)).astype(np.float64)
         for k, (mu, nu, theta) in enumerate(zip(mus, nus, thetas)):
@@ -69,10 +68,10 @@ def reference_rotor_invariance(n, seed, tol=1e-12):
     return rep
 
 
-def reference_trilinear_invariance(n, seed, tol=1e-12):
+def reference_trilinear_invariance(seed, tol=1e-12):
     rep = VerificationReport("trilinear-invariance", exact=False)
     rng = np.random.default_rng(seed)
-    for start, size in _blocks(n):
+    for start, size in _blocks(sweeps.WORDS):
         lengths = rng.integers(1, 9, size).tolist()
         mus, nus, thetas = _rotors(rng, (size, 8), 2)
         v = rng.integers(-9, 10, size=(size, 3, 8)).astype(np.float64)
@@ -107,36 +106,38 @@ def assert_same_outcome(batched, reference):
 def test_corrupted_generator_parity(monkeypatch, plane, factor):
     monkeypatch.setitem(cl._BIV_REP, plane,
                         tuple((j, factor * g) for j, g in cl._bivector_action(*plane)))
-    rot = tr.rotor_invariance_check(1000)
-    assert_same_outcome(rot, reference_rotor_invariance(1000, tr.DEFAULT_SEED))
-    tri = tr.trilinear_invariance_check(200)
-    assert_same_outcome(tri, reference_trilinear_invariance(200, tr.DEFAULT_SEED))
+    rot = tr.rotor_invariance_check()
+    assert_same_outcome(rot, reference_rotor_invariance(tr.DEFAULT_SEED))
+    tri = tr.trilinear_invariance_check()
+    assert_same_outcome(tri, reference_trilinear_invariance(tr.DEFAULT_SEED))
     assert tri.failures > 0
     assert (rot.failures > 0) == (factor != -1)
 
 
 @pytest.mark.parametrize("seed", [0, 3])
 def test_uncorrupted_parity(seed):
-    assert_same_outcome(tr.rotor_invariance_check(300, seed),
-                        reference_rotor_invariance(300, seed))
-    assert_same_outcome(tr.trilinear_invariance_check(100, seed),
-                        reference_trilinear_invariance(100, seed))
+    assert_same_outcome(tr.rotor_invariance_check(seed=seed), reference_rotor_invariance(seed))
+    assert_same_outcome(tr.trilinear_invariance_check(seed=seed),
+                        reference_trilinear_invariance(seed))
 
 
-def test_batches_split_anywhere():
-    # two whole blocks of 64 and a partial one, and fewer samples than a block
-    for n in (131, 5):
-        assert_same_outcome(tr.rotor_invariance_check(n, 7), reference_rotor_invariance(n, 7))
-        assert_same_outcome(tr.trilinear_invariance_check(n, 7),
-                            reference_trilinear_invariance(n, 7))
+# at the shipped BLOCK of 64, 1000 = 15 x 64 + 40 samples and 200 = 3 x 64 +
+# 8 words already end in a partial block (the parity tests above); 7 divides
+# neither, and a block of 1024 is larger than both
+@pytest.mark.parametrize("block", [7, 1024])
+def test_batches_split_anywhere(monkeypatch, block):
+    monkeypatch.setattr(sweeps, "BLOCK", block)
+    assert_same_outcome(tr.rotor_invariance_check(seed=7), reference_rotor_invariance(7))
+    assert_same_outcome(tr.trilinear_invariance_check(seed=7),
+                        reference_trilinear_invariance(7))
 
 
 def test_drawn_planes_reach_every_plane_and_never_repeat_an_index():
     rng = np.random.default_rng(tr.DEFAULT_SEED)
     seen = set()
     for _ in range(3):
-        mu, nu, theta = sweeps._draw_rotors(rng, (DRAW_BLOCK, 8), 2)
-        assert mu.shape == nu.shape == theta.shape == (DRAW_BLOCK, 8)
+        mu, nu, theta = sweeps._draw_rotors(rng, (sweeps.BLOCK, 8), 2)
+        assert mu.shape == nu.shape == theta.shape == (sweeps.BLOCK, 8)
         assert (mu != nu).all()
         assert ((-2 <= theta) & (theta < 2)).all()
         seen.update(zip(mu.ravel().tolist(), nu.ravel().tolist()))
@@ -154,7 +155,7 @@ def test_correspondence_witnesses(monkeypatch):
     table[1][1] = (0, 1)
     for name, value in oc._forms(table).items():
         monkeypatch.setattr(oc, name, value)
-    rep = tr.correspondence_check(200, seed=5)
+    rep = tr.correspondence_check(seed=5)
     rng = np.random.default_rng(5)
     want = []
 
@@ -162,7 +163,7 @@ def test_correspondence_witnesses(monkeypatch):
         o = oc.SplitOctonion(v)
         return oc.mul(o.conj(), o)
 
-    for i in range(200):
+    for i in range(1000):
         x, phi, psi = ([int(c) for c in rng.integers(-9, 10, size=8)] for _ in range(3))
         q = sum(cl.METRIC[m] * x[m] ** 2 for m in range(8))
         if norm(x) != oc.SplitOctonion.scalar(q):
@@ -170,7 +171,7 @@ def test_correspondence_witnesses(monkeypatch):
         if (norm(phi) != oc.SplitOctonion.scalar(cl.spinor_invariant(phi + [0] * 8))
                 or norm(psi) != oc.SplitOctonion.scalar(cl.spinor_invariant([0] * 8 + psi))):
             want.append(f"spinor sample {i}")
-    assert rep.cases == 400
+    assert rep.cases == 2000
     assert rep.failures == len(want) > 0
     assert rep.failure_details == want[:10]
     assert {d.split()[0] for d in want[:10]} == {"vector", "spinor"}
@@ -192,11 +193,11 @@ def test_stacks_stay_small(suite):
     # the stacks are processed in blocks; a whole-sweep stack would peak at
     # about 10 MB (correspondence) and 2.7 MB (rotor invariance)
     bound = {tr.correspondence_check: 3.0, tr.rotor_invariance_check: 1.0}[suite]
-    assert peak_mb(lambda: suite(1000)) < bound
+    assert peak_mb(suite) < bound
 
 
 @pytest.mark.parametrize("sweep", [oc.verify_associators, oc.verify_moufang,
-                                   lambda: tr.dictionary_random_check(1000)],
+                                   tr.dictionary_random_check],
                          ids=["associators", "moufang", "dictionary"])
 def test_contracted_sweeps_stay_small(sweep):
     # moufang and the associators hold signed units and 8-int sums, and the
@@ -258,9 +259,9 @@ class TestExactFloat64:
     def test_sampled_suites_refuse_a_wider_range(self, monkeypatch, suite, refused):
         monkeypatch.setattr(sweeps, "SAMPLE_RANGE", refused)
         with pytest.raises(OverflowError):
-            suite(10)
+            suite()
 
     def test_correspondence_certifies_range_2_to_14(self, monkeypatch):
         monkeypatch.setattr(sweeps, "SAMPLE_RANGE", 2 ** 14)
-        rep = tr.correspondence_check(100)
-        assert (rep.cases, rep.failures) == (200, 0)
+        rep = tr.correspondence_check()
+        assert (rep.cases, rep.failures) == (2000, 0)

@@ -1,4 +1,5 @@
 import functools
+import inspect
 import itertools
 import json
 import math
@@ -24,7 +25,7 @@ from splitoct.octonion import SplitOctonion as O
 from splitoct.report import VerificationReport
 
 import catch_matrix
-from catch_matrix import negated_matrix_term
+from catch_matrix import flipped_turn, flipped_turn_pair, negated_matrix_term
 from oracles import matrix_trilinear_tensor, oct_trilinear_tensor, to_complex
 
 UNITS = [O.unit(k) for k in range(8)]
@@ -360,25 +361,32 @@ def test_dictionary_check_matches_reference_on_corrupted_forms(monkeypatch, corr
     tr.equivalence_map()                  # verified on the sound forms
     corrupt(monkeypatch)
     monkeypatch.setattr(report, "MAX_DETAILS", 2000)      # witnesses past the first block
-    rep = tr.dictionary_random_check(200, seed=5)
-    assert outcome(rep) == outcome(reference_dictionary(200, 5))
+    rep = tr.dictionary_random_check(seed=5)
+    assert outcome(rep) == outcome(reference_dictionary(1000, 5))
     assert 0 < rep.failures < rep.cases
 
 
 def test_dictionary_check_matches_reference():
-    # two whole blocks of 64 and a partial one
-    rep = tr.dictionary_random_check(131, seed=7)
-    assert outcome(rep) == outcome(reference_dictionary(131, 7)) == (131, 0, [])
+    # 15 whole blocks of 64 and a partial one
+    rep = tr.dictionary_random_check(seed=7)
+    assert outcome(rep) == outcome(reference_dictionary(1000, 7)) == (1000, 0, [])
 
 
-@pytest.mark.parametrize("n", [0, -3])
-@pytest.mark.parametrize("suite", [tr.correspondence_check, tr.dictionary_random_check,
-                                   tr.trilinear_invariance_check, tr.rotor_invariance_check],
-                         ids=lambda suite: suite.__name__)
-def test_sampled_suites_need_a_sample(suite, n):
-    # a sampled suite with no sample would pass on 0 cases
-    with pytest.raises(ValueError, match="need at least one sample"):
-        suite(n)
+def test_suites_take_no_size_or_tolerance():
+    # the verdict's size and tolerance are sweeps' constants; the sampled
+    # suites take only a keyword-only seed, so an old positional size is
+    # refused rather than read as a seed
+    sampled = "(*, seed: 'int' = 12345) -> 'VerificationReport'"
+    assert {name: str(inspect.signature(getattr(sweeps, name)))
+            for name in ("correspondence_check", "dictionary_random_check",
+                         "rotor_invariance_check", "trilinear_invariance_check",
+                         "double_cover_check")} == {
+        "correspondence_check": sampled, "dictionary_random_check": sampled,
+        "rotor_invariance_check": sampled, "trilinear_invariance_check": sampled,
+        "double_cover_check": "() -> 'VerificationReport'"}
+    assert (sweeps.SAMPLES, sweeps.WORDS, sweeps.TOLERANCE) == (1000, 200, 1e-12)
+    with pytest.raises(TypeError):
+        tr.rotor_invariance_check(5)
 
 
 # the octonion term table, from which the int form is compiled, against the
@@ -661,15 +669,7 @@ def test_verify_all_fails_as_a_verdict_on_a_broken_spinor_turn(monkeypatch, caps
     # rotor-invariance names spinor rotors and trilinear-invariance fails;
     # double-cover turns by 2pi and 4pi, where s is a rounding error, and
     # no other report turns a spinor
-    turn = cl._TURN
-
-    def broken(e, c, s, action):
-        out = turn(e, c, s, action)
-        j, g = action[row]
-        out[row] = c * e[row] + s * (g * e[j] + 0.0)
-        return out
-
-    monkeypatch.setattr(cl, "_TURN", broken)
+    flipped_turn(monkeypatch, row)
     assert cli.main(["verify", "all"]) == 1
     payload = json.loads(capsys.readouterr().out)
     jsonschema.validate(payload, json.loads((SCHEMAS / "report.schema.json").read_text()))
@@ -689,14 +689,7 @@ def test_verify_all_fails_as_a_verdict_on_a_broken_vector_turn(monkeypatch, caps
     # rotate_vector_list, so rotor-invariance names vector rotors and
     # trilinear-invariance fails; boost-table moves e_0 into its x_4 output;
     # double-cover turns by 2pi and 4pi, where s is a rounding error
-    turn = cl.turn_pair
-
-    def broken(xm, xn, gm, gn, c, s):
-        out = list(turn(xm, xn, gm, gn, c, s))
-        out[output] = turn(xm, xn, gm, gn, c, -s)[output]
-        return tuple(out)
-
-    monkeypatch.setattr(cl, "turn_pair", broken)
+    flipped_turn_pair(monkeypatch, output)
     assert cli.main(["verify", "all"]) == 1
     payload = json.loads(capsys.readouterr().out)
     jsonschema.validate(payload, json.loads((SCHEMAS / "report.schema.json").read_text()))

@@ -81,7 +81,7 @@ def test_oct_norm_matches_quadratic_form():
 
 
 def test_correspondence_check():
-    rep = tr.correspondence_check(200, seed=4)
+    rep = tr.correspondence_check(seed=4)
     assert rep.passed, rep.failure_details
 
 
@@ -123,7 +123,7 @@ class TestOracle:
         assert t1[0, 0, 0] == t2[0, 0, 0] == -1
 
     def test_random_triples_residual_zero(self):
-        rep = tr.dictionary_random_check(300, seed=8)
+        rep = tr.dictionary_random_check(seed=8)
         assert rep.passed
 
 
@@ -262,13 +262,13 @@ def test_double_cover_sweep():
 
 
 def test_rotor_invariance_sample():
-    rep = tr.rotor_invariance_check(100, seed=3)
+    rep = tr.rotor_invariance_check(seed=3)
     assert rep.passed
     assert rep.max_residual <= 1e-12
 
 
 def test_trilinear_invariance_sample():
-    rep = tr.trilinear_invariance_check(50, seed=3)
+    rep = tr.trilinear_invariance_check(seed=3)
     assert rep.passed
     assert rep.max_residual <= 1e-12
 
