@@ -374,8 +374,8 @@ def test_dictionary_check_matches_reference():
 
 def test_suites_take_no_size_or_tolerance():
     # the verdict's size and tolerance are sweeps' constants; the sampled
-    # suites take only a keyword-only seed, so an old positional size is
-    # refused rather than read as a seed
+    # suites take only a keyword-only seed, so an old positional size cannot
+    # be read as a seed
     sampled = "(*, seed: 'int' = 12345) -> 'VerificationReport'"
     assert {name: str(inspect.signature(getattr(sweeps, name)))
             for name in ("correspondence_check", "dictionary_random_check",
@@ -385,8 +385,47 @@ def test_suites_take_no_size_or_tolerance():
         "rotor_invariance_check": sampled, "trilinear_invariance_check": sampled,
         "double_cover_check": "() -> 'VerificationReport'"}
     assert (sweeps.SAMPLES, sweeps.WORDS, sweeps.TOLERANCE) == (1000, 200, 1e-12)
-    with pytest.raises(TypeError):
-        tr.rotor_invariance_check(5)
+
+
+SUITES = ["correspondence_check", "dictionary_random_check", "rotor_invariance_check",
+          "trilinear_invariance_check", "double_cover_check"]
+
+
+@pytest.mark.parametrize("suite", SUITES)
+def test_suites_refuse_an_old_size_or_tolerance(suite):
+    # the old positional size and the old tol keyword are both refused
+    for args, kwargs in (((5,), {}), ((), {"tol": 1e-3})):
+        with pytest.raises(TypeError):
+            getattr(sweeps, suite)(*args, **kwargs)
+
+
+# each sampled suite reads its size from sweeps at the call, records it in
+# meta, and makes that many samples' cases: two forms per correspondence
+# sample and per rotor, one per dictionary triple and per rotor word
+SIZES = {"correspondence_check": ("SAMPLES", 2), "dictionary_random_check": ("SAMPLES", 1),
+         "rotor_invariance_check": ("SAMPLES", 2), "trilinear_invariance_check": ("WORDS", 1)}
+
+
+@pytest.mark.parametrize("suite", SIZES)
+def test_sampled_suites_read_their_size_at_the_call(monkeypatch, suite):
+    size, per_sample = SIZES[suite]
+    monkeypatch.setattr(sweeps, size, 131)
+    rep = getattr(sweeps, suite)(seed=7)
+    assert rep.passed
+    assert (rep.meta["samples"], rep.cases) == (131, 131 * per_sample)
+
+
+# a tolerance below every residual fails every case, so each float suite
+# reads TOLERANCE at the call and compares with it
+@pytest.mark.parametrize("suite", ["rotor_invariance_check", "trilinear_invariance_check",
+                                   "double_cover_check"])
+def test_float_suites_read_their_tolerance_at_the_call(monkeypatch, suite):
+    monkeypatch.setattr(sweeps, "SAMPLES", 64)
+    monkeypatch.setattr(sweeps, "WORDS", 64)
+    monkeypatch.setattr(sweeps, "TOLERANCE", -1.0)
+    rep = getattr(sweeps, suite)()
+    assert rep.meta["tolerance"] == -1.0
+    assert rep.failures == rep.cases > 0
 
 
 # the octonion term table, from which the int form is compiled, against the
