@@ -12,10 +12,18 @@ run on the standard library; the others import ``sweeps`` and with it
 numpy.  The other subcommands run on the standard library; `table` imports
 ``units`` for its associator triples, which come from the six families
 (``units.predicted_associators``), not from the unit table.
+
+``run`` is the process entry, which the ``sot`` console script and
+``python -m splitoct.cli`` call: it runs ``main`` with the cyclic collector
+off and freezes the heap before the interpreter shuts down, so no
+collection walks the heap the command built.  ``main(argv)`` is the
+in-process call: it leaves the collector as it found it, for tests and for
+callers that go on running.
 """
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -395,5 +403,22 @@ def main(argv=None) -> int:
     return 2
 
 
+def run() -> int:
+    """The process entry: ``main`` on the command line, with the cyclic
+    collector off for the command and the heap frozen before shutdown.
+
+    A ``sot`` process ends as soon as its output is written, and the few
+    hundred cycles a command leaves are freed with the process, so a
+    collection, during the command or at interpreter exit, would only walk
+    the modules and the tables the command built.  The collector stays off
+    and the frozen objects are not walked again: call this only as the last
+    thing a process does."""
+    gc.disable()
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -396,11 +396,15 @@ def _sweep(module: str, name: str):
     """The suite ``name`` of this package's ``module`` (``units`` or
     ``sweeps``) as an entry point, which imports ``module`` when called and
     runs the ``name`` it holds then: a process that runs no suite compiles
-    neither module, and a monkeypatch on either module is what runs.
-    ``triality`` makes its suites here too; ``cli`` calls the entry points."""
+    neither module, and a monkeypatch on either module is what runs.  Its
+    ``__doc__`` names that suite, so ``help`` on the entry point shows where
+    the interface is documented without importing it.  ``triality`` makes
+    its suites here too; ``cli`` calls the entry points."""
     def suite(*args, **kwargs):
         return getattr(importlib.import_module(f"{__package__}.{module}"), name)(*args, **kwargs)
     suite.__name__ = suite.__qualname__ = name
+    suite.__doc__ = (f"Runs ``{__package__}.{module}.{name}`` with the arguments given; "
+                     f"``{__package__}.{module}`` is imported at the first call.")
     return suite
 
 

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -472,11 +474,17 @@ assert "splitoct.sweeps" in sys.modules
 """
 
 
-def test_oneshot_commands_leave_numpy_unloaded():
+def python(*args):
+    """A fresh interpreter run with ``src`` importable: its exit code,
+    stdout and stderr."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    proc = subprocess.run([sys.executable, "-c", NUMPY_GUARD], env=env,
-                          capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
+def test_oneshot_commands_leave_numpy_unloaded():
+    proc = python("-c", NUMPY_GUARD)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -498,13 +506,114 @@ def test_import_compiles_one_form_per_table():
     # the int product and the int octonionic trilinear form, then clifford's
     # spinor invariant, spinor turn and matrix trilinear form, in that order;
     # source files compiled by the import system are left out
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    proc = subprocess.run([sys.executable, "-c", COMPILE_SPY], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = python("-c", COMPILE_SPY)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["<int_product>", "<trilinear>", "<spinor_form>", "<turn>",
                                    "<trilinear>"]
+
+
+# ---------------------------------------------------------------------------
+# the process entry
+# ---------------------------------------------------------------------------
+
+def main_in_process(argv):
+    """Exit code, stdout and stderr of cli.main(argv) in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+RUN_STATE = """
+import gc, sys
+from splitoct import cli
+sys.argv = ["sot", "table", "--format=csv"]
+code = cli.run()
+print(code, gc.isenabled(), gc.get_freeze_count() > 0, file=sys.stderr)
+"""
+
+
+def test_run_leaves_the_collector_off_and_the_heap_frozen():
+    proc = python("-c", RUN_STATE)
+    assert proc.stderr.split() == ["0", "False", "True"]
+
+
+MAIN_STATE = """
+import contextlib, gc, io, sys
+from splitoct import cli
+for enabled in (True, False):
+    gc.enable() if enabled else gc.disable()
+    frozen = gc.get_freeze_count()
+    for argv in (["verify", "all"], ["table"], ["verify", "all", "--samples=5"]):
+        with contextlib.redirect_stdout(io.StringIO()), \\
+                contextlib.redirect_stderr(io.StringIO()):
+            try:
+                cli.main(argv)
+            except SystemExit:
+                pass
+        assert gc.isenabled() is enabled, (enabled, argv)
+        assert gc.get_freeze_count() == frozen, (enabled, argv)
+"""
+
+
+def test_main_leaves_the_collector_as_it_found_it():
+    proc = python("-c", MAIN_STATE)
+    assert proc.returncode == 0, proc.stderr
+
+
+# `python -m splitoct.cli` against cli.main in process: the verdict in two
+# formats, each one-shot command and an argparse refusal, which leaves
+# main by SystemExit
+ENTRY_CASES = [
+    ["verify", "all"],
+    ["verify", "all", "--format=csv"],
+    ["table", "--format=pretty"],
+    ["rotate", "--plane=0,4", "--theta=1", "--target=vector",
+     "--components=1,0,0,0,0,0,0,0"],
+    ["trilinear", "--phi=1,1,1,1,1,1,1,1", "--x=1,2,3,4,5,6,7,8",
+     "--psi=1,0,0,0,0,0,0,0", "--mode=exact"],
+    ["matrices", "--which=gamma", "--index=5", "--format=csv"],
+    ["verify", "all", "--samples=5"],
+]
+
+
+@pytest.mark.parametrize("argv", ENTRY_CASES, ids=" ".join)
+def test_process_entry_matches_main(argv):
+    proc = python("-m", "splitoct.cli", *argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == main_in_process(argv)
+
+
+def test_verify_all_leaves_little_for_the_collector():
+    # the premise of cli.run: the collector, left off for a whole `verify
+    # all`, has little to free afterwards
+    proc = python("-c", """
+import contextlib, gc, io
+from splitoct import cli
+gc.collect()
+gc.disable()
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["verify", "all"]) == 0
+print(gc.collect())
+""")
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 2000
+
+
+@pytest.mark.parametrize("argv", [["verify", "all"], ["table"]], ids=" ".join)
+def test_collected_garbage_raises_no_warning(argv):
+    # what the frozen heap of a `sot` process would hide at exit: a file
+    # left open or a warning raised while a cycle is freed
+    proc = python("-X", "dev", "-W", "error", "-c", f"""
+import contextlib, gc, io
+from splitoct import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main({argv!r}) == 0
+gc.collect()
+""")
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 # the suites that `units` and `sweeps` hold, by the module that names them
@@ -550,6 +659,27 @@ def test_each_suite_runs_the_sweeps_function(monkeypatch):
     for module, name in ((oc, "_c"), (tr, "_check_generators"), (splitoct, "_Zorn")):
         with pytest.raises(AttributeError):
             getattr(module, name)
+
+
+SUITE_DOCS = """
+import sys
+import splitoct
+for name in sys.argv[1:]:
+    print(name, getattr(splitoct, name).__doc__)
+assert "splitoct.units" not in sys.modules
+assert "splitoct.sweeps" not in sys.modules
+"""
+
+
+def test_each_suite_entry_names_the_suite_it_imports():
+    names = {name: home for (_, home), group in SWEEP_NAMES.items() for name in group}
+    assert len(names) == 13
+    proc = python("-c", SUITE_DOCS, *names)
+    assert proc.returncode == 0, proc.stderr
+    docs = dict(line.split(" ", 1) for line in proc.stdout.splitlines())
+    for name, home in names.items():
+        assert f"``{home.__name__}.{name}``" in docs[name], name
+        assert f"``{home.__name__}`` is imported at the first call" in docs[name], name
 
 
 # every suite, as the module attribute that `verify` calls at run time, and
