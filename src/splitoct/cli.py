@@ -247,7 +247,8 @@ TRILINEAR_VALUES = ("matrix", "octonion", "octonion_mapped", "residual")
 
 
 def cmd_trilinear(args) -> dict:
-    """Raises tr.OracleError when the dictionary fails its check."""
+    """Raises tr.OracleError when the dictionary fails its check; ``both``
+    emits the values it maps, not the dictionary (``tr.equivalence_map()``)."""
     exact = args.mode == "exact"
     phi = _parse_components(args.phi, 8, exact)
     x = _parse_components(args.x, 8, exact)
@@ -267,7 +268,6 @@ def cmd_trilinear(args) -> dict:
     if args.representation == "both":
         values["octonion_mapped"] = values["octonion"]
         values["residual"] = abs(values["matrix"] - values["octonion"])
-        payload["dictionary"] = tr.equivalence_map().to_json()
     payload.update((k, _num(v)) for k, v in values.items())
     _require_finite(OVERFLOW, payload.values())
     return payload

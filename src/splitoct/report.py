@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 MAX_DETAILS = 10
+TOLERANCE = 1e-12   # every float comparison's tolerance, relative to the data
 
 
 class VerificationReport:

@@ -14,9 +14,10 @@ table, and every kernel, through its module at call time (``oc._TABLE``,
 ``oc._forms`` or wraps a kernel is seen here too.
 
 The verdict has one size, stated once: SAMPLES samples, WORDS rotor words
-for trilinear-invariance and the float suites' TOLERANCE, which each
-report's ``meta`` records.  No suite takes a size or a tolerance; the
-sampled ones take only a keyword-only ``seed``.
+for trilinear-invariance and the float suites' ``report.TOLERANCE`` (which
+boost-table reads too); each suite reads them at the call into ``meta``.
+No suite takes a size or a tolerance; the sampled ones take only a
+keyword-only ``seed``.
 
 The Malcev sweep contracts the dense structure tensor C[a,b,k] (e_a e_b =
 sum_k C[a,b,k] e_k), built from ``oc._TABLE`` at each call of ``_c``.  Each
@@ -48,6 +49,7 @@ import numpy as np
 
 from . import clifford as cl
 from . import octonion as oc
+from . import report
 from . import triality as tr
 from .octonion import UNIT_NAMES
 from .report import VerificationReport
@@ -215,7 +217,6 @@ def verify_malcev() -> VerificationReport:
 
 SAMPLES = 1000      # samples of each sampled suite but trilinear-invariance
 WORDS = 200         # rotor words of trilinear-invariance
-TOLERANCE = 1e-12   # the float suites' tolerance, relative to the data
 BLOCK = 64          # samples per stacked evaluation in the batched suites
 
 
@@ -313,7 +314,7 @@ def rotor_invariance_check(*, seed: int = DEFAULT_SEED) -> VerificationReport:
     evaluated as stacks.
     """
     rep = VerificationReport("rotor-invariance", exact=False,
-                             meta={"seed": seed, "samples": SAMPLES, "tolerance": TOLERANCE})
+                             meta={"seed": seed, "samples": SAMPLES, "tolerance": report.TOLERANCE})
     rng = np.random.default_rng(seed)
     q = _q_spinor_2() / 2.0
     for start, n in _blocks(SAMPLES):
@@ -327,7 +328,7 @@ def rotor_invariance_check(*, seed: int = DEFAULT_SEED) -> VerificationReport:
             _drift(_vector_forms(x), _vector_forms(x1), _sumsq(x), _sumsq(x1)),
             _drift(_spinor_forms(q, eta), _spinor_forms(q, eta1), _sumsq(eta), _sumsq(eta1)),
         ], axis=1)
-        rep.record_mask(resid <= TOLERANCE, lambda k, j, start=start, mu=mu, nu=nu: (
+        rep.record_mask(resid <= report.TOLERANCE, lambda k, j, start=start, mu=mu, nu=nu: (
             f"{('vector', 'spinor')[j]} rotor {start + k} plane ({mu[k]},{nu[k]})"),
             residual=resid)
     return rep
@@ -352,7 +353,7 @@ def trilinear_invariance_check(*, seed: int = DEFAULT_SEED) -> VerificationRepor
     used slots only.
     """
     rep = VerificationReport("trilinear-invariance", exact=False,
-                             meta={"seed": seed, "samples": WORDS, "tolerance": TOLERANCE})
+                             meta={"seed": seed, "samples": WORDS, "tolerance": report.TOLERANCE})
     rng = np.random.default_rng(seed)
     slices = _trilinear_slices().astype(np.float64)
     for start, n in _blocks(WORDS):
@@ -371,7 +372,7 @@ def trilinear_invariance_check(*, seed: int = DEFAULT_SEED) -> VerificationRepor
         size1 = np.sqrt(_sumsq(phi1) * _sumsq(x1) * _sumsq(psi1))
         resid = _drift(_trilinear_forms(slices, phi, x, psi),
                        _trilinear_forms(slices, phi1, x1, psi1), size, size1)
-        rep.record_mask(resid <= TOLERANCE, lambda k, start=start, lengths=lengths: (
+        rep.record_mask(resid <= report.TOLERANCE, lambda k, start=start, lengths=lengths: (
             f"word {start + k} length {lengths[k]}"), residual=resid)
     return rep
 
@@ -386,11 +387,11 @@ def dictionary_random_check(*, seed: int = DEFAULT_SEED) -> VerificationReport:
     the term table its int form is compiled from (``cl._TRILINEAR_TERMS``
     and ``oc._TRILINEAR_TERMS``), with phi_a x_b psi_c.  A dictionary that
     fails its exact check on the basis triples is one more failed case,
-    named by the oracle's message, and is left out of meta.
+    named by the oracle's message; the dictionary itself is not recorded.
     """
     rep = VerificationReport("trilinear-dictionary", meta={"seed": seed, "samples": SAMPLES})
     try:
-        rep.meta["dictionary"] = tr.equivalence_map().to_json()
+        tr.equivalence_map()
     except tr.OracleError as exc:
         rep.record_case(False, str(exc))
     # each form sums 8^3 products T[a, b, c] phi_a x_b psi_c, with T at
@@ -414,7 +415,7 @@ def double_cover_check() -> VerificationReport:
     Each plane turns its drawn components through cl.rotate_vector_list and
     cl.rotate_spinor_list; the residual is the largest component change
     from the expected value."""
-    rep = VerificationReport("double-cover", exact=False, meta={"tolerance": TOLERANCE})
+    rep = VerificationReport("double-cover", exact=False, meta={"tolerance": report.TOLERANCE})
     rng = np.random.default_rng(DEFAULT_SEED)
     compact_planes = [(mu, nu) for mu in range(8) for nu in range(8)
                       if mu != nu and cl.METRIC[mu] * cl.METRIC[nu] > 0]
@@ -430,5 +431,6 @@ def double_cover_check() -> VerificationReport:
                 ("vector 4pi", cl.rotate_vector_list(x, r4), x, size_x),
                 ("spinor 4pi", cl.rotate_spinor_list(eta, r4), eta, size_eta)):
             resid = max(abs(a - b) for a, b in zip(turned, want))
-            rep.record_case(resid <= TOLERANCE * size, f"plane ({mu},{nu}) {tag}", residual=resid)
+            rep.record_case(resid <= report.TOLERANCE * size, f"plane ({mu},{nu}) {tag}",
+                            residual=resid)
     return rep

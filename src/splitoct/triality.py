@@ -22,6 +22,7 @@ Each name here is made by ``octonion._sweep``.
 """
 from __future__ import annotations
 
+import functools
 from collections import namedtuple
 from fractions import Fraction
 
@@ -61,19 +62,13 @@ _IDENTITY = tuple((k, 1) for k in range(8))
 class CorrespondenceMap(namedtuple("CorrespondenceMap",
                                    "phi_map x_map psi_map scale max_residual",
                                    defaults=(0,))):
-    """The record of the component dictionary between the two trilinear
-    forms, as ``--format json`` emits it: per slot, 8 pairs (index, sign)
+    """The component dictionary between the two trilinear forms, as
+    ``equivalence_map()`` returns it: per slot, 8 pairs (index, sign)
     taking component k to octonion coefficient index, and a Fraction scale.
-    The oracle builds it as the identity with scale 1.
+    The oracle builds it as the identity with scale 1; no command emits it.
     """
 
     __slots__ = ()
-
-    def to_json(self) -> dict:
-        enc = lambda m: [{"index": i, "sign": s} for i, s in m]
-        return {"phi": enc(self.phi_map), "x": enc(self.x_map),
-                "psi": enc(self.psi_map),
-                "scale": str(self.scale), "max_residual": self.max_residual}
 
 
 def trilinear_equivalence_oracle() -> CorrespondenceMap:
@@ -97,14 +92,11 @@ def _verify_dictionary(t1: dict, t2: dict):
         raise OracleError("dictionary fails at basis triple ({},{},{})".format(*min(wrong)))
 
 
-_ORACLE_CACHE = None
-
-
+@functools.cache
 def equivalence_map() -> CorrespondenceMap:
-    global _ORACLE_CACHE
-    if _ORACLE_CACHE is None:
-        _ORACLE_CACHE = trilinear_equivalence_oracle()
-    return _ORACLE_CACHE
+    """The oracle's dictionary, verified at the first call and kept until
+    ``equivalence_map.cache_clear()``; an OracleError is not kept."""
+    return trilinear_equivalence_oracle()
 
 
 def trilinear_both(phi, x, psi):

@@ -30,6 +30,7 @@ from fractions import Fraction
 
 from . import clifford as cl
 from . import octonion as oc
+from . import report
 from .octonion import (HYPER, UNIT_NAMES, ConstructionError, SplitOctonion,
                        StructureConstants, epsilon)
 from .report import VerificationReport
@@ -370,7 +371,7 @@ def boost_table_check() -> VerificationReport:
     moved = cl.rotate_vector_list([1.0] + [0.0] * 7, cl.rotor(0, 4, BOOST_THETA))
     want = [math.cosh(BOOST_THETA), 0.0, 0.0, 0.0, math.sinh(BOOST_THETA), 0.0, 0.0, 0.0]
     resid = max(abs(m - w) for m, w in zip(moved, want))
-    rep.record_case(resid <= 1e-12, f"x0 boost at theta={BOOST_THETA}", residual=resid)
+    rep.record_case(resid <= report.TOLERANCE, f"x0 boost at theta={BOOST_THETA}", residual=resid)
     # planes touched by the phi generator
     phi = cl.plane_generator(0, 4)[1]
     planes = sorted({(min(i, j), max(i, j)) for i in range(8) for j in range(8) if phi[i][j]})

@@ -15,9 +15,10 @@ records its exit code and the names of the failing reports.  The faults:
   with ``cl._SPINOR_FORM`` recompiled (16);
 - every term of the octonionic trilinear form, ``oc._TRILINEAR_TERMS``,
   negated, with ``oc._INT_TRILINEAR`` recompiled (64);
+- every sign of the unit table, ``oc._TABLE`` (64), and of the octonion
+  conjugation, ``oc._CONJ_SIGNS`` (8), each with every form ``oc._forms``
+  builds from the unit table rebuilt;
 - every sign of the metric, ``cl.METRIC`` (8);
-- every sign of the octonion conjugation, ``oc._CONJ_SIGNS``, with every
-  form ``oc._forms`` builds from the unit table rebuilt (8);
 - the sign of the moved term of each component of the compiled spinor
   turn, ``cl._TURN`` (16), and of the S term of each output of the vector
   turn, ``cl.turn_pair`` (2).
@@ -99,11 +100,24 @@ def flipped_metric(monkeypatch, mu):
     monkeypatch.setattr(cl, "METRIC", _flipped(cl.METRIC, mu))
 
 
+def installed_table(monkeypatch, table):
+    """Install ``table`` with every form oc._forms builds from it."""
+    for name, value in oc._forms(table).items():
+        monkeypatch.setattr(oc, name, value)
+
+
+def flipped_entry(monkeypatch, a, b):
+    """Flip the sign of e_a e_b in the unit table and rebuild its forms."""
+    table = [list(row) for row in oc._TABLE]
+    k, sign = table[a][b]
+    table[a][b] = (k, -sign)
+    installed_table(monkeypatch, table)
+
+
 def flipped_conj(monkeypatch, a):
     """Flip the sign of conj(e_a) and rebuild every form of the unit table."""
     monkeypatch.setattr(oc, "_CONJ_SIGNS", _flipped(oc._CONJ_SIGNS, a))
-    for name, value in oc._forms(oc._TABLE).items():
-        monkeypatch.setattr(oc, name, value)
+    installed_table(monkeypatch, oc._TABLE)
 
 
 def flipped_turn(monkeypatch, row):
@@ -151,6 +165,8 @@ FAULTS = {
        for n in range(len(cl._Q_SPINOR_TERMS))},
     **{f"oc._TRILINEAR_TERMS[{n}]": lambda mp, n=n: negated_oct_term(mp, n)
        for n in range(len(oc._TRILINEAR_TERMS))},
+    **{f"oc._TABLE[{a}][{b}]": lambda mp, a=a, b=b: flipped_entry(mp, a, b)
+       for a, b in itertools.product(range(8), repeat=2)},
     **{f"cl.METRIC[{mu}]": lambda mp, mu=mu: flipped_metric(mp, mu) for mu in range(8)},
     **{f"oc._CONJ_SIGNS[{a}]": lambda mp, a=a: flipped_conj(mp, a) for a in range(8)},
     **{f"cl._TURN row {row}": lambda mp, row=row: flipped_turn(mp, row) for row in range(16)},
@@ -169,7 +185,7 @@ def verdict(install) -> dict:
     out = io.StringIO()
     with pytest.MonkeyPatch.context() as mp:
         install(mp)
-        mp.setattr(tr, "_ORACLE_CACHE", None)      # verify the dictionary again
+        tr.equivalence_map.cache_clear()            # verify the dictionary again
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             code = cli.main(["verify", "all"])
     reports = json.loads(out.getvalue())["reports"]

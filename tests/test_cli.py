@@ -30,6 +30,25 @@ def load_schema(name):
     return json.loads((SCHEMAS / name).read_text())
 
 
+def _refs(node):
+    """Every "$ref" value in a JSON document."""
+    if isinstance(node, dict):
+        if "$ref" in node:
+            yield node["$ref"]
+        node = list(node.values())
+    if isinstance(node, list):
+        for child in node:
+            yield from _refs(child)
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in SCHEMAS.glob("*.json")))
+def test_schema_is_valid_and_uses_every_definition(name):
+    schema = load_schema(name)
+    jsonschema.Draft202012Validator.check_schema(schema)
+    defined = {f"#/$defs/{key}" for key in schema.get("$defs", {})}
+    assert defined <= set(_refs(schema)), defined - set(_refs(schema))
+
+
 def run(capsys, argv):
     code = cli.main(argv)
     out = capsys.readouterr()
@@ -425,7 +444,7 @@ def write_verify_golden():
     outputs = {}
     for seed in (None, *range(10)):
         argv = ["verify", "all"] + ([] if seed is None else ["--seed", str(seed)])
-        code, outputs[seed] = run_cli(argv)
+        code, outputs[seed], _ = run_cli(argv)
         if code != 0:
             sys.exit(f"verify all --seed {seed} fails; nothing written")
     (GOLDEN / "verify_all_12345.json").write_text(outputs[None])

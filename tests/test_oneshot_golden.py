@@ -1,8 +1,9 @@
 """The one-shot subcommands against a pinned corpus of their emissions.
 
 ``tests/data/oneshot_golden.json`` holds, for every argument list of
-CORPUS, the exit code and the stdout of ``cli.main`` (the stdout itself
-when it is short, its sha256 otherwise).  Every byte must match, apart from
+CORPUS, the exit code, the stderr and the stdout of ``cli.main`` (the
+stdout itself when it is short, its sha256 otherwise).  Every byte of
+stderr must match, and every byte of stdout, apart from
 the float invariants of ``rotate`` and the float-mode ``matrix`` and
 ``residual`` of ``trilinear``: those are correctly rounded sums of their
 terms (``math.fsum``), and may differ in the last digits from a capture
@@ -134,14 +135,14 @@ CORPUS = _corpus()
 
 
 def run_cli(argv):
-    """Exit code and stdout of cli.main(argv); argparse errors exit 2."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    """Exit code, stdout and stderr of cli.main(argv); argparse errors exit 2."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = cli.main(argv)
         except SystemExit as exc:
             code = exc.code
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 def pinned(stdout):
@@ -153,8 +154,8 @@ def pinned(stdout):
 def write_golden():
     cases = []
     for argv in CORPUS:
-        code, stdout = run_cli(argv)
-        cases.append({"argv": argv, "code": code, **pinned(stdout)})
+        code, stdout, stderr = run_cli(argv)
+        cases.append({"argv": argv, "code": code, "stderr": stderr, **pinned(stdout)})
     GOLDEN.write_text(json.dumps({"cases": cases}, indent=1) + "\n")
 
 
@@ -262,8 +263,8 @@ def test_corpus_covers_every_subcommand_format_and_mode():
 def test_oneshot_matches_golden(k):
     case = _cases()[k]
     argv = case["argv"]
-    code, stdout = run_cli(argv)
-    assert code == case["code"]
+    code, stdout, stderr = run_cli(argv)
+    assert (code, stderr) == (case["code"], case["stderr"])
     if "stdout_sha256" in case:
         assert pinned(stdout) == {"stdout_sha256": case["stdout_sha256"]}
         return
@@ -286,8 +287,8 @@ def _verify_all_reports():
 
 @pytest.mark.parametrize("suite", ["clifford", "moufang", "associators"])
 def test_standard_library_suites_match_verify_all(suite):
-    code, stdout = run_cli(["verify", suite])
-    assert code == 0
+    code, stdout, stderr = run_cli(["verify", suite])
+    assert (code, stderr) == (0, "")
     assert json.loads(stdout)["reports"] == [_verify_all_reports()[suite]]
 
 

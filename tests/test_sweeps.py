@@ -25,7 +25,8 @@ from splitoct.octonion import SplitOctonion as O
 from splitoct.report import VerificationReport
 
 import catch_matrix
-from catch_matrix import flipped_turn, flipped_turn_pair, negated_matrix_term
+from catch_matrix import (flipped_turn, flipped_turn_pair, installed_table,
+                          negated_matrix_term)
 from oracles import matrix_trilinear_tensor, oct_trilinear_tensor, to_complex
 
 UNITS = [O.unit(k) for k in range(8)]
@@ -167,8 +168,7 @@ def flipped(entries):
 
 def flipped_table(monkeypatch, entries):
     """Install a flipped table with every form the builder makes from it."""
-    for name, value in oc._forms(flipped(entries)).items():
-        monkeypatch.setattr(oc, name, value)
+    installed_table(monkeypatch, flipped(entries))
 
 
 # failures and first witness of the Malcev sweep, 22295 cases, on every
@@ -384,7 +384,8 @@ def test_suites_take_no_size_or_tolerance():
         "correspondence_check": sampled, "dictionary_random_check": sampled,
         "rotor_invariance_check": sampled, "trilinear_invariance_check": sampled,
         "double_cover_check": "() -> 'VerificationReport'"}
-    assert (sweeps.SAMPLES, sweeps.WORDS, sweeps.TOLERANCE) == (1000, 200, 1e-12)
+    assert (sweeps.SAMPLES, sweeps.WORDS, report.TOLERANCE) == (1000, 200, 1e-12)
+    assert not hasattr(sweeps, "TOLERANCE")
 
 
 SUITES = ["correspondence_check", "dictionary_random_check", "rotor_invariance_check",
@@ -415,15 +416,19 @@ def test_sampled_suites_read_their_size_at_the_call(monkeypatch, suite):
     assert (rep.meta["samples"], rep.cases) == (131, 131 * per_sample)
 
 
-# a tolerance below every residual fails every case, so each float suite
-# reads TOLERANCE at the call and compares with it
+# a tolerance below every residual fails every float case, so each float
+# suite reads report.TOLERANCE at the call and compares with it; in
+# boost-table only the finite boost is a float comparison
 @pytest.mark.parametrize("suite", ["rotor_invariance_check", "trilinear_invariance_check",
-                                   "double_cover_check"])
+                                   "double_cover_check", "boost_table_check"])
 def test_float_suites_read_their_tolerance_at_the_call(monkeypatch, suite):
     monkeypatch.setattr(sweeps, "SAMPLES", 64)
     monkeypatch.setattr(sweeps, "WORDS", 64)
-    monkeypatch.setattr(sweeps, "TOLERANCE", -1.0)
-    rep = getattr(sweeps, suite)()
+    monkeypatch.setattr(report, "TOLERANCE", -1.0)
+    rep = getattr(tr, suite)()
+    if suite == "boost_table_check":
+        assert rep.failure_details == [f"x0 boost at theta={units.BOOST_THETA}"]
+        return
     assert rep.meta["tolerance"] == -1.0
     assert rep.failures == rep.cases > 0
 
@@ -592,7 +597,7 @@ def test_oracle_names_first_failing_triple_on_flipped_table(monkeypatch):
     # octonion form onto the matrix form: the oracle fails at once, naming
     # the first basis triple where the two differ
     flipped_table(monkeypatch, (("J1", "J2"),))
-    monkeypatch.setattr(tr, "_ORACLE_CACHE", None)
+    tr.equivalence_map.cache_clear()
     with pytest.raises(tr.OracleError) as err:
         tr.equivalence_map()
     assert str(err.value) == "dictionary fails at basis triple (3,5,6)"
@@ -604,7 +609,7 @@ def test_oracle_names_first_failing_triple_on_flipped_table(monkeypatch):
 def test_oracle_names_first_failing_triple_on_a_negated_matrix_term(monkeypatch, n):
     a, b, c, _ = cl._TRILINEAR_TERMS[n]
     negated_matrix_term(monkeypatch, n)
-    monkeypatch.setattr(tr, "_ORACLE_CACHE", None)
+    tr.equivalence_map.cache_clear()
     with pytest.raises(tr.OracleError) as err:
         tr.equivalence_map()
     assert str(err.value) == f"dictionary fails at basis triple ({a},{b},{c})"
@@ -612,7 +617,7 @@ def test_oracle_names_first_failing_triple_on_a_negated_matrix_term(monkeypatch,
 
 def test_trilinear_both_exits_1_on_flipped_table(monkeypatch, capsys):
     flipped_table(monkeypatch, (("J1", "J2"),))
-    monkeypatch.setattr(tr, "_ORACLE_CACHE", None)
+    tr.equivalence_map.cache_clear()
     e0 = "1,0,0,0,0,0,0,0"
     code = cli.main(["trilinear", "--phi", e0, "--x", e0, "--psi", e0,
                      "--representation", "both"])
@@ -644,7 +649,7 @@ def test_verify_all_reports_a_failing_dictionary_as_a_verdict(monkeypatch, capsy
     # check: trilinear-dictionary records that as a failed case naming the
     # triple, next to its samples, and every other report is still emitted
     flipped_table(monkeypatch, (("J1", "J2"), ("J2", "J1")))
-    monkeypatch.setattr(tr, "_ORACLE_CACHE", None)
+    tr.equivalence_map.cache_clear()
     assert cli.main(["verify", "all"]) == 1
     payload = json.loads(capsys.readouterr().out)
     jsonschema.validate(payload, json.loads((SCHEMAS / "report.schema.json").read_text()))
@@ -675,7 +680,7 @@ def test_verify_all_fails_as_a_verdict_on_every_table_flip(monkeypatch, capsys, 
     # but that of e_1 e_1, and octonion-table names a single flipped
     # hyper-complex entry
     flipped_table(monkeypatch, entries)
-    monkeypatch.setattr(tr, "_ORACLE_CACHE", None)
+    tr.equivalence_map.cache_clear()
     assert cli.main(["verify", "all"]) == 1
     payload = json.loads(capsys.readouterr().out)
     jsonschema.validate(payload, json.loads((SCHEMAS / "report.schema.json").read_text()))
