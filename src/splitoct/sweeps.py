@@ -1,12 +1,12 @@
-"""The verification sweeps on numpy: Malcev and the sampled and
-double-cover suites of the triality, with the helpers that only they use.
-``units`` holds the suites that run on the standard library: the octonion
-suites on signed units and the generator tables.  Each fact has one
-report: X^2 = q(x) Id is ``clifford``'s; the squares and signs of the unit
-table are ``octonion-table``'s.
+"""The verification sweeps on numpy: Malcev and the sampled suites of the
+triality, with the helpers that only they use.  ``units`` holds the suites
+that run on the standard library: the octonion suites on signed units, the
+generator tables and the double cover.  Each fact has one report: X^2 =
+q(x) Id is ``clifford``'s; the squares and signs of the unit table are
+``octonion-table``'s.
 
 Only ``sot verify`` and the tests import this module: ``octonion`` and
-``triality`` hold each of its six suites as an entry point made by
+``triality`` hold each of its five suites as an entry point made by
 ``octonion._sweep``.  The sweeps reach every object derived from the unit
 table, and every kernel, through its module at call time (``oc._TABLE``,
 ``tr.equivalence_map``, ``cl.rotate_spinor_list``, which reads
@@ -14,8 +14,8 @@ table, and every kernel, through its module at call time (``oc._TABLE``,
 ``oc._forms`` or wraps a kernel is seen here too.
 
 The verdict has one size, stated once: SAMPLES samples, WORDS rotor words
-for trilinear-invariance and the float suites' ``report.TOLERANCE`` (which
-boost-table reads too); each suite reads them at the call into ``meta``.
+for trilinear-invariance and ``report.TOLERANCE`` for every float report;
+each suite reads them at the call into ``meta``.
 No suite takes a size or a tolerance; the sampled ones take only a
 keyword-only ``seed``.
 
@@ -43,8 +43,6 @@ it casts.
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from . import clifford as cl
@@ -66,32 +64,28 @@ FLOAT64_EXACT = 2 ** 53
 
 
 def sample_integers(rng, size):
-    """Integer components from [-SAMPLE_RANGE, SAMPLE_RANGE], the range that
-    exact_float64(..., sampled=True) counts."""
+    """Integer components from [-SAMPLE_RANGE, SAMPLE_RANGE]."""
     return rng.integers(-SAMPLE_RANGE, SAMPLE_RANGE + 1, size=size)
 
 
 def magnitude(a) -> int:
     """The largest |entry| of an integer array, as a Python int (0 if empty)."""
     a = np.asarray(a)
-    if not a.size:
-        return 0
-    return max(int(a.max()), -int(a.min()))
+    return max(int(a.max()), -int(a.min())) if a.size else 0
 
 
-def exact_float64(*factors, degree: int, terms: int, sampled: bool = False):
+def exact_float64(*factors, degree: int, terms: int):
     """The integer arrays ``factors`` as float64, for contractions that sum
     at most ``terms`` products of ``degree`` entries each, every entry taken
     from one of the factors (a sum with integer coefficients counts
-    |coefficient| terms per product).  With ``sampled``, entries may also
-    come from sampled components in [-SAMPLE_RANGE, SAMPLE_RANGE], which the
-    caller draws and casts itself.
+    |coefficient| terms per product).  Drawn samples are one more factor,
+    so the bound reads the samples it covers.
 
     Every such product and partial sum is at most terms * m**degree in
     size, m the largest |entry| (at least 1).  Raises OverflowError unless
     that is below 2**53, where each is exact.
     """
-    m = max(1, SAMPLE_RANGE if sampled else 0, *(magnitude(f) for f in factors))
+    m = max([1, *map(magnitude, factors)])
     if terms * m ** degree >= FLOAT64_EXACT:
         raise OverflowError(f"{terms} products of {degree} integers up to {m} "
                             f"may reach 2**53; float64 would round them")
@@ -225,24 +219,32 @@ def _blocks(n: int):
     return ((start, min(BLOCK, n - start)) for start in range(0, n, BLOCK))
 
 
+def _draw_triples(rng):
+    """SAMPLES triples of 8 integer components, one generator call per block."""
+    drawn = np.empty((SAMPLES, 3, 8), dtype=np.int64)
+    for start, n in _blocks(SAMPLES):
+        drawn[start:start + n] = sample_integers(rng, (n, 3, 8))
+    return drawn
+
+
 def correspondence_check(*, seed: int = DEFAULT_SEED) -> VerificationReport:
     """conj(X)X == q(x), conj(Phi)Phi == phi^T B phi, conj(Psi)Psi ==
     psi^T B psi on matched integer components, exactly.
 
-    Runs as stacked float64 products, exact by exact_float64, one block of
-    samples at a time: conj(v)v through the octonion structure tensor and
-    the spinor forms through the exact 2x quadratic-form matrix.  X^2 =
-    q(x) Id is the Clifford relation, which ``clifford`` checks.
+    Runs as stacked float64 products, exact by exact_float64 on the drawn
+    samples, one block at a time: conj(v)v through the octonion structure
+    tensor and the spinor forms through the exact 2x quadratic-form matrix.
+    X^2 = q(x) Id is the Clifford relation, which ``clifford`` checks.
     """
     rep = VerificationReport("correspondence",
                              meta={"seed": seed, "samples": SAMPLES,
                                    "convention": cl.PINNED_CONVENTION.label})
-    rng = np.random.default_rng(seed)
     # the largest sum is 2 conj(v)v: 2 x 64 products v_a C[a,b,0] v_b
-    c, q2, metric = exact_float64(_c().reshape(8, 64), _q_spinor_2(), cl.METRIC,
-                                  degree=3, terms=2 * 64, sampled=True)
+    c, q2, metric, samples = exact_float64(
+        _c().reshape(8, 64), _q_spinor_2(), cl.METRIC,
+        _draw_triples(np.random.default_rng(seed)), degree=3, terms=2 * 64)
     for start, n in _blocks(SAMPLES):
-        v = sample_integers(rng, (n, 3, 8)).astype(np.float64)      # x, phi, psi
+        v = samples[start:start + n]                                # x, phi, psi
         x, phi, psi = v[:, 0], v[:, 1], v[:, 2]
         # (conj(v) v)_c = sum_b v_b (sum_a conj(v)_a C[a,b,c])
         prod = (v[..., None, :] @ ((v * oc._CONJ_SIGNS) @ c).reshape(n, 3, 8, 8))[..., 0, :]
@@ -381,11 +383,12 @@ def dictionary_random_check(*, seed: int = DEFAULT_SEED) -> VerificationReport:
     """The identity dictionary on random integer triples: the two forms of
     the same components must agree exactly.
 
-    Runs on float64 stacks, exact by exact_float64, one block of samples at
-    a time, as tr.trilinear_both does per sample: each form is the
-    contraction of its term tensor T[a, b, c] = F(e_a, e_b, e_c), read off
-    the term table its int form is compiled from (``cl._TRILINEAR_TERMS``
-    and ``oc._TRILINEAR_TERMS``), with phi_a x_b psi_c.  A dictionary that
+    Runs on float64 stacks, exact by exact_float64 on the drawn samples,
+    one block at a time, as tr.trilinear_both does per sample: each form is
+    the contraction of its term tensor T[a, b, c] = F(e_a, e_b, e_c), read
+    off the term table its int form is compiled from
+    (``cl._TRILINEAR_TERMS`` and ``oc._TRILINEAR_TERMS``), with phi_a x_b
+    psi_c.  A dictionary that
     fails its exact check on the basis triples is one more failed case,
     named by the oracle's message; the dictionary itself is not recorded.
     """
@@ -396,41 +399,15 @@ def dictionary_random_check(*, seed: int = DEFAULT_SEED) -> VerificationReport:
         rep.record_case(False, str(exc))
     # each form sums 8^3 products T[a, b, c] phi_a x_b psi_c, with T at
     # [a, (b, c)]
-    tensors = exact_float64(*(_dense((8, 8, 8), terms).reshape(8, 64)
-                              for terms in (cl._TRILINEAR_TERMS, oc._TRILINEAR_TERMS)),
-                            degree=4, terms=8 ** 3, sampled=True)
-    rng = np.random.default_rng(seed)
+    *tensors, samples = exact_float64(
+        *(_dense((8, 8, 8), terms).reshape(8, 64)
+          for terms in (cl._TRILINEAR_TERMS, oc._TRILINEAR_TERMS)),
+        _draw_triples(np.random.default_rng(seed)), degree=4, terms=8 ** 3)
     for start, n in _blocks(SAMPLES):
-        v = sample_integers(rng, (n, 3, 8)).astype(np.float64)      # phi, x, psi
+        v = samples[start:start + n]                                # phi, x, psi
         phi, x, psi = v[:, 0], v[:, 1], v[:, 2]
         mat, octo = (np.einsum("nbc,nb,nc->n", (phi @ t).reshape(n, 8, 8), x, psi)
                      for t in tensors)
         rep.record_mask(mat == octo, lambda k, start=start: f"triple {start + k}")
     return rep
 
-
-def double_cover_check() -> VerificationReport:
-    """Compact rotors at 2pi negate spinors and fix vectors; 4pi fixes both.
-
-    Each plane turns its drawn components through cl.rotate_vector_list and
-    cl.rotate_spinor_list; the residual is the largest component change
-    from the expected value."""
-    rep = VerificationReport("double-cover", exact=False, meta={"tolerance": report.TOLERANCE})
-    rng = np.random.default_rng(DEFAULT_SEED)
-    compact_planes = [(mu, nu) for mu in range(8) for nu in range(8)
-                      if mu != nu and cl.METRIC[mu] * cl.METRIC[nu] > 0]
-    for mu, nu in compact_planes:
-        x = sample_integers(rng, 8).astype(np.float64).tolist()
-        eta = sample_integers(rng, 16).astype(np.float64).tolist()
-        r2 = cl.rotor(mu, nu, 2 * math.pi)
-        r4 = cl.rotor(mu, nu, 4 * math.pi)
-        size_x, size_eta = max(1.0, *map(abs, x)), max(1.0, *map(abs, eta))
-        for tag, turned, want, size in (
-                ("vector 2pi", cl.rotate_vector_list(x, r2), x, size_x),
-                ("spinor 2pi", cl.rotate_spinor_list(eta, r2), [-e for e in eta], size_eta),
-                ("vector 4pi", cl.rotate_vector_list(x, r4), x, size_x),
-                ("spinor 4pi", cl.rotate_spinor_list(eta, r4), eta, size_eta)):
-            resid = max(abs(a - b) for a, b in zip(turned, want))
-            rep.record_case(resid <= report.TOLERANCE * size, f"plane ({mu},{nu}) {tag}",
-                            residual=resid)
-    return rep

@@ -15,9 +15,8 @@ form is its definition -inner(conj(Phi), mul(X, Psi)).  The spinor basis
 and its pinned evaluation convention are ``clifford``'s;
 PINNED_CONVENTION is re-exported here.
 
-The generator-table checks run on the standard library, in ``units``;
-the sampled suites (correspondence_check, dictionary_random_check, the
-rotor, trilinear and double-cover checks) run on numpy, in ``sweeps``.
+The generator-table and double-cover checks run on the standard library,
+in ``units``; the four sampled suites run on numpy, in ``sweeps``.
 Each name here is made by ``octonion._sweep``.
 """
 from __future__ import annotations
@@ -131,4 +130,4 @@ boost_table_check = oc._sweep("units", "boost_table_check")
 role_swap_check = oc._sweep("units", "role_swap_check")
 rotor_invariance_check = oc._sweep("sweeps", "rotor_invariance_check")
 trilinear_invariance_check = oc._sweep("sweeps", "trilinear_invariance_check")
-double_cover_check = oc._sweep("sweeps", "double_cover_check")
+double_cover_check = oc._sweep("units", "double_cover_check")

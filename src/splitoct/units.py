@@ -1,8 +1,8 @@
 """The suites on signed units and plain Python, on the standard library
 alone: the octonion table check, the Moufang and associator identities,
 basis generation from the three J_n in an independent Zorn vector-matrix
-model, and the first-order generator tables of the L_01 rotation, the L_04
-boost and the role-swap rotor.
+model, the first-order generator tables of the L_01 rotation, the L_04
+boost and the role-swap rotor, and the double cover on basis columns.
 
 Each product of two units is +- one unit, e_a e_b = s e_k, read off
 ``oc._TABLE`` at each suite call as the signed unit (k, s) by one product
@@ -367,6 +367,7 @@ def boost_table_check() -> VerificationReport:
     rep = infinitesimal_table_check("04")
     rep.name = "boost-table"
     rep.exact = False
+    rep.meta["tolerance"] = report.TOLERANCE
     # finite-angle hyperbolic check on the x side
     moved = cl.rotate_vector_list([1.0] + [0.0] * 7, cl.rotor(0, 4, BOOST_THETA))
     want = [math.cosh(BOOST_THETA), 0.0, 0.0, 0.0, math.sinh(BOOST_THETA), 0.0, 0.0, 0.0]
@@ -390,4 +391,26 @@ def role_swap_check() -> VerificationReport:
             for parts in zip(*gens)]
     rep = VerificationReport("role-swap")
     _check_generators(rep, (COMPOSITE_X, COMPOSITE_PHI, COMPOSITE_PSI), half)
+    return rep
+
+
+def double_cover_check() -> VerificationReport:
+    """Compact rotors at 2pi negate spinors and fix vectors; 4pi fixes both.
+
+    The actions are linear, so each ordered compact plane turns the 8 vector
+    and 16 spinor basis columns through cl.rotate_vector_list and
+    cl.rotate_spinor_list, drawing nothing; a case's residual is the largest
+    entry of R - I, of L + I at 2pi or of L - I at 4pi."""
+    rep = VerificationReport("double-cover", exact=False, meta={"tolerance": report.TOLERANCE})
+    compact_planes = [(mu, nu) for mu, nu in itertools.permutations(range(8), 2)
+                      if cl.METRIC[mu] * cl.METRIC[nu] > 0]
+    for mu, nu in compact_planes:
+        for turns, spinor_sign in ((2, -1), (4, 1)):
+            r = cl.rotor(mu, nu, turns * math.pi)
+            for kind, rotate, n, sign in (("vector", cl.rotate_vector_list, 8, 1),
+                                          ("spinor", cl.rotate_spinor_list, 16, spinor_sign)):
+                resid = max(abs(v - sign * (i == j)) for j in range(n)
+                            for i, v in enumerate(rotate([float(i == j) for i in range(n)], r)))
+                rep.record_case(resid <= report.TOLERANCE, f"plane ({mu},{nu}) {kind} {turns}pi",
+                                residual=resid)
     return rep

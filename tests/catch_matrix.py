@@ -21,7 +21,9 @@ records its exit code and the names of the failing reports.  The faults:
 - every sign of the metric, ``cl.METRIC`` (8);
 - the sign of the moved term of each component of the compiled spinor
   turn, ``cl._TURN`` (16), and of the S term of each output of the vector
-  turn, ``cl.turn_pair`` (2).
+  turn, ``cl.turn_pair`` (2);
+- the full angle in place of the half in ``cl.half_angle``, on compact
+  planes and on boost planes (2).
 
 Each must exit 1.  The known escapes are listed apart, each with the
 CHANGES.md line that records it: a compiled int form that returns its
@@ -145,6 +147,16 @@ def flipped_turn_pair(monkeypatch, output):
     monkeypatch.setattr(cl, "turn_pair", broken)
 
 
+def full_angle(monkeypatch, compact):
+    """cl.half_angle with the full angle in place of the half on compact
+    planes (``compact``) or on boost planes."""
+    half = cl.half_angle
+
+    def broken(is_compact, theta):
+        return half(is_compact, 2 * theta if is_compact == compact else theta)
+    monkeypatch.setattr(cl, "half_angle", broken)
+
+
 def plus_one(monkeypatch, module, name):
     """The compiled int form ``module.name``, returning its value + 1."""
     form = getattr(module, name)
@@ -172,6 +184,8 @@ FAULTS = {
     **{f"cl._TURN row {row}": lambda mp, row=row: flipped_turn(mp, row) for row in range(16)},
     **{f"cl.turn_pair output {output}": lambda mp, output=output: flipped_turn_pair(mp, output)
        for output in range(2)},
+    **{f"cl.half_angle full angle on {kind} planes": lambda mp, c=compact: full_angle(mp, c)
+       for kind, compact in (("compact", True), ("boost", False))},
 }
 KNOWN_ESCAPES = {
     "cl._TRILINEAR + 1": lambda mp: plus_one(mp, cl, "_TRILINEAR"),

@@ -240,19 +240,28 @@ class TestExactFloat64:
         with pytest.raises(OverflowError):
             sweeps.exact_float64(np.array([np.iinfo(np.int64).min]), degree=1, terms=1)
 
-    def test_sampled_range_counts(self, monkeypatch):
-        # sampled components enter the bound through SAMPLE_RANGE
-        one = np.array([1])
-        sweeps.exact_float64(one, degree=16, terms=1)
+    def test_drawn_samples_count_as_a_factor(self):
+        # the bound reads the samples it is given, not the range they were
+        # drawn from: a drawn 9 passes at degree 16 and not at 17 (9^17 >
+        # 2^53), and next to the structure tensor a drawn 2^10 passes at
+        # degree 4 with 2048 terms (2^51) where a drawn 2^14 does not
+        nine = np.array([[0, -9], [3, 1]])
+        sweeps.exact_float64(nine, degree=16, terms=1)
         with pytest.raises(OverflowError):
-            sweeps.exact_float64(one, degree=17, terms=1, sampled=True)    # 9^17 > 2^53
-        monkeypatch.setattr(sweeps, "SAMPLE_RANGE", 2 ** 14)
+            sweeps.exact_float64(nine, degree=17, terms=1)
+        sweeps.exact_float64(sweeps._c(), np.array([5, 2 ** 10]), degree=4, terms=2048)
         with pytest.raises(OverflowError):
-            sweeps.exact_float64(sweeps._c(), degree=4, terms=2048, sampled=True)
+            sweeps.exact_float64(sweeps._c(), np.array([5, 2 ** 14]), degree=4, terms=2048)
+
+    def test_sampled_keyword_is_gone(self):
+        with pytest.raises(TypeError):
+            sweeps.exact_float64(np.array([1]), degree=1, terms=1, sampled=True)
 
     # correspondence sums 2 x 64 products of three factors: 128 * 2^42 is
     # below 2^53 and 128 * 2^48 is not; the dictionary's 8^3 products of
-    # four factors leave float64 at 2^11 already
+    # four factors leave float64 at 2^11 already.  The bound reads the drawn
+    # samples: at the default seed the draw from [-2^16, 2^16] reaches
+    # 65534, and the draw from [-2^11, 2^11] reaches 2^11
     @pytest.mark.parametrize("suite,refused", [(tr.correspondence_check, 2 ** 16),
                                                (tr.dictionary_random_check, 2 ** 11)],
                              ids=["correspondence_check", "dictionary_random_check"])

@@ -507,6 +507,23 @@ def test_oneshot_commands_leave_numpy_unloaded():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_double_cover_reads_no_seed_and_no_numpy(capsys):
+    # double-cover turns basis columns: its report is one fixed record at
+    # every --seed, and it passes where numpy cannot be imported
+    reports = set()
+    for seed in (None, 0, 1, 7):
+        argv = ["verify", "triality"] + ([] if seed is None else ["--seed", str(seed)])
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        rep, = (r for r in json.loads(out)["reports"] if r["name"] == "double-cover")
+        reports.add(json.dumps(rep, sort_keys=True))
+    assert len(reports) == 1 and json.loads(reports.pop())["cases"] == 96
+    proc = python("-c", "import sys; sys.modules['numpy'] = None\n"
+                        "import splitoct; assert splitoct.double_cover_check().passed\n"
+                        "assert 'splitoct.sweeps' not in sys.modules")
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
 COMPILE_SPY = """
 import builtins
 labels = []
@@ -641,10 +658,10 @@ SWEEP_NAMES = {
     (oc, units): ("verify_table", "verify_moufang", "verify_associators",
                   "generate_basis_from_J"),
     (oc, sweeps): ("verify_malcev",),
-    (tr, units): ("infinitesimal_table_check", "boost_table_check", "role_swap_check"),
+    (tr, units): ("infinitesimal_table_check", "boost_table_check", "role_swap_check",
+                  "double_cover_check"),
     (tr, sweeps): ("correspondence_check", "dictionary_random_check",
-                   "rotor_invariance_check", "trilinear_invariance_check",
-                   "double_cover_check"),
+                   "rotor_invariance_check", "trilinear_invariance_check"),
 }
 
 # splitoct.__all__ as it was while the suites were defined in octonion and

@@ -375,15 +375,16 @@ def test_dictionary_check_matches_reference():
 def test_suites_take_no_size_or_tolerance():
     # the verdict's size and tolerance are sweeps' constants; the sampled
     # suites take only a keyword-only seed, so an old positional size cannot
-    # be read as a seed
+    # be read as a seed, and double-cover, on the standard library, takes
+    # nothing
     sampled = "(*, seed: 'int' = 12345) -> 'VerificationReport'"
     assert {name: str(inspect.signature(getattr(sweeps, name)))
             for name in ("correspondence_check", "dictionary_random_check",
-                         "rotor_invariance_check", "trilinear_invariance_check",
-                         "double_cover_check")} == {
+                         "rotor_invariance_check", "trilinear_invariance_check")} == {
         "correspondence_check": sampled, "dictionary_random_check": sampled,
-        "rotor_invariance_check": sampled, "trilinear_invariance_check": sampled,
-        "double_cover_check": "() -> 'VerificationReport'"}
+        "rotor_invariance_check": sampled, "trilinear_invariance_check": sampled}
+    assert str(inspect.signature(units.double_cover_check)) == "() -> 'VerificationReport'"
+    assert not hasattr(sweeps, "double_cover_check")
     assert (sweeps.SAMPLES, sweeps.WORDS, report.TOLERANCE) == (1000, 200, 1e-12)
     assert not hasattr(sweeps, "TOLERANCE")
 
@@ -397,7 +398,7 @@ def test_suites_refuse_an_old_size_or_tolerance(suite):
     # the old positional size and the old tol keyword are both refused
     for args, kwargs in (((5,), {}), ((), {"tol": 1e-3})):
         with pytest.raises(TypeError):
-            getattr(sweeps, suite)(*args, **kwargs)
+            getattr(tr, suite)(*args, **kwargs)
 
 
 # each sampled suite reads its size from sweeps at the call, records it in
@@ -426,11 +427,11 @@ def test_float_suites_read_their_tolerance_at_the_call(monkeypatch, suite):
     monkeypatch.setattr(sweeps, "WORDS", 64)
     monkeypatch.setattr(report, "TOLERANCE", -1.0)
     rep = getattr(tr, suite)()
+    assert rep.meta["tolerance"] == -1.0
     if suite == "boost_table_check":
         assert rep.failure_details == [f"x0 boost at theta={units.BOOST_THETA}"]
-        return
-    assert rep.meta["tolerance"] == -1.0
-    assert rep.failures == rep.cases > 0
+    else:
+        assert rep.failures == rep.cases > 0
 
 
 # the octonion term table, from which the int form is compiled, against the
