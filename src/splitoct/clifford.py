@@ -7,14 +7,18 @@ element B = -G1 G3 G5 G7, the spinor basis-change matrix XI_M and
 everything built on them.  Every exact object is held as sparse rows of
 Gaussian integers in Python ints (``GMat``), and the checks run at import
 (the Clifford relations, the basis change, the pin of the spinor
-evaluation convention, the spinor form, the trilinear slices) are exact
-sparse compositions.  The pin selects the form: of the four candidate
-evaluations, each composed once, the one that is the split diagonal form
-is PINNED_CONVENTION, and its matrix is the spinor invariant's.  Rotors
-carry their half-angle pair and act on real float components: vectors in
-closed form, spinors by one turn compiled at import over the signed
-permutation of each bivector, which the turn takes as an argument;
-``plane_generator`` gives a plane's exact first-order action on both.
+evaluation convention, the spinor form, the generators in the spinor
+basis) are exact sparse compositions.  The pin selects the form: of the
+four candidate evaluations, each composed once, the one that is the split
+diagonal form diag(METRIC, METRIC) is PINNED_CONVENTION.  On real spinor
+components each Gamma_mu is a signed permutation, M^dag Gamma_mu M / 2
+(``_GEN``), the one source of the spinor tables: each of the 56 bivector
+actions is a product of two (``_BIV_REP``), and the trilinear terms are
+their phi rows times the pinned form's diagonal.  Rotors carry their
+half-angle pair and act on real float components: vectors in closed form,
+spinors by one turn compiled at import, which takes the bivector's
+permutation as an argument; ``plane_generator`` gives a plane's exact
+first-order action on both.
 The trilinear form is one flat table of (a, b, c, F(e_a, e_b, e_c))
 terms over (phi, x, psi), in the slot order of the octonionic form's
 table, and the spinor invariant one of (i, j, 2Q_ij) terms; on integers
@@ -139,11 +143,6 @@ class GMat:
 
     def conj_t(self):
         return self._transpose(-1)
-
-    def block(self, r0, r1, c0, c1):
-        """The sub-matrix of rows r0..r1-1 and columns c0..c1-1."""
-        return GMat((tuple((c - c0, vr, vi) for c, vr, vi in row if c0 <= c < c1)
-                     for row in self.rows[r0:r1]), c1 - c0)
 
     def first_difference(self, other):
         """(row, column) of the first entry in C order where this matrix and
@@ -321,7 +320,7 @@ def pin_xi_convention(forms: dict) -> XiConvention:
 
 _CANDIDATES = _candidate_forms()
 PINNED_CONVENTION = pin_xi_convention(_CANDIDATES)
-# the spinor form's terms and the trilinear slices below read the transpose
+# the spinor form's terms and the trilinear terms below read the transpose
 # pairing with B as it is, so no other pin is usable
 if PINNED_CONVENTION != ("transpose", "original"):
     raise AssertionError(f"pinned spinor convention is {PINNED_CONVENTION.label}")
@@ -347,30 +346,30 @@ def _spinor_form(terms):
 
 _SPINOR_FORM = _spinor_form(_Q_SPINOR_TERMS)
 
-# plane (mu, nu) -> the action of Gamma_mu Gamma_nu on real spinor
-# components, as (column, sign) per row; filled on first use
-_BIV_REP = {}
 
-
-def _bivector_action(mu: int, nu: int) -> tuple:
-    """Gamma_mu Gamma_nu on real spinor components, M^dag G_mu G_nu M / 2
-    (M M^dag = 2): row i of the result is sign * e_column.  The composition
-    is exact; it must be real, even and one entry per row.
-
-    It is composed once per unordered plane: for mu != nu, G_nu G_mu =
-    -G_mu G_nu (verify_clifford checks it at import), so the negated
-    action is stored under (nu, mu) beside it."""
-    action = _BIV_REP.get((mu, nu))
-    if action is None:
-        k = _XI_DAG @ (_GAMMA[mu] @ _GAMMA[nu]) @ XI_M
+def _generators() -> tuple:
+    """Gamma_mu on real spinor components, M^dag Gamma_mu M / 2 (M M^dag =
+    2), for each mu: row i of the result is sign * e_column, as a (column,
+    sign) pair.  The composition is exact; it must be real, even, one entry
+    per row, and move each chiral half into the other."""
+    out = []
+    for mu, g in enumerate(_GAMMA):
+        k = _XI_DAG @ g @ XI_M
         if not k.is_real() or any(vr % 2 for _, _, vr, _ in k.entries()):
-            raise AssertionError(f"bivector ({mu},{nu}) is not real-integral in the spinor basis")
-        if any(len(row) != 1 for row in k.rows):
-            raise AssertionError(f"bivector ({mu},{nu}) is not a signed permutation")
-        action = _BIV_REP[(mu, nu)] = tuple((c, vr // 2) for (c, vr, _), in k.rows)
-        if mu != nu:
-            _BIV_REP[(nu, mu)] = tuple((c, -g) for c, g in action)
-    return action
+            raise AssertionError(f"generator {mu} is not real-integral in the spinor basis")
+        if any(len(row) != 1 or (row[0][0] < 8) == (i < 8) for i, row in enumerate(k.rows)):
+            raise AssertionError(f"generator {mu} is not a chirality-swapping signed permutation")
+        out.append(tuple((c, vr // 2) for (c, vr, _), in k.rows))
+    return tuple(out)
+
+
+_GEN = _generators()
+
+# plane (mu, nu) -> Gamma_mu Gamma_nu on real spinor components as (column,
+# sign) per row: M^dag G_mu G_nu M / 2 = _GEN[mu] _GEN[nu] (M M^dag = 2), so
+# row i is (k, g h) for row i of _GEN[mu] (j, g) and row j of _GEN[nu] (k, h)
+_BIV_REP = {(mu, nu): tuple((_GEN[nu][j][0], g * _GEN[nu][j][1]) for j, g in _GEN[mu])
+            for mu in range(8) for nu in range(8) if mu != nu}
 
 
 def plane_generator(mu: int, nu: int) -> tuple:
@@ -385,7 +384,7 @@ def plane_generator(mu: int, nu: int) -> tuple:
     x = [[Fraction(0)] * 8 for _ in range(8)]
     x[mu][nu], x[nu][mu] = Fraction(-METRIC[nu]), Fraction(METRIC[mu])
     spin = [[Fraction(0)] * 16 for _ in range(16)]
-    for i, (j, g) in enumerate(_bivector_action(mu, nu)):
+    for i, (j, g) in enumerate(_BIV_REP[mu, nu]):
         spin[i][j] = Fraction(-g, 2)
     return x, [row[:8] for row in spin[:8]], [row[8:] for row in spin[8:]]
 
@@ -443,22 +442,23 @@ class Rotor:
     (Gamma_mu Gamma_nu)^2 = -g_mumu g_nunu, so compact planes exponentiate
     through cos/sin and mixed-signature planes through cosh/sinh.  (c, s)
     is formed once, here, and every action reads it: a boost past |theta|
-    of about 1421 overflows cosh and raises OverflowError here.
+    of about 1421 overflows cosh and raises OverflowError here, and a plane
+    that is not two distinct indices in 0..7 raises ValueError.
     """
 
     __slots__ = ("mu", "nu", "theta", "compact", "c", "s")
 
     def __init__(self, mu: int, nu: int, theta: float):
+        if not (0 <= mu <= 7 and 0 <= nu <= 7):
+            raise ValueError("plane indices must be in 0..7")
+        if mu == nu:
+            raise ValueError("rotor plane needs two distinct indices")
         self.mu, self.nu, self.theta = mu, nu, theta
         self.compact = METRIC[mu] * METRIC[nu] > 0
         self.c, self.s = half_angle(self.compact, theta)
 
 
 def rotor(mu: int, nu: int, theta: float) -> Rotor:
-    if not (0 <= mu <= 7 and 0 <= nu <= 7):
-        raise ValueError("plane indices must be in 0..7")
-    if mu == nu:
-        raise ValueError("rotor plane needs two distinct indices")
     return Rotor(mu, nu, float(theta))
 
 
@@ -488,10 +488,10 @@ def rotate_vector_list(x: list, r: Rotor) -> list:
 def _turn():
     """The spinor action of a rotor with half-angle pair (c, s), as one
     straight-line function of the 16 components e and the plane's signed
-    permutation ``action`` (16 (j, g) pairs, as _bivector_action gives
-    them): component i becomes c e_i - s (g_i e_j_i + 0.0).  One function
-    serves every plane: the action is an argument, read from _BIV_REP, so
-    nothing is compiled per plane."""
+    permutation ``action`` (16 (j, g) pairs): component i becomes c e_i -
+    s (g_i e_j_i + 0.0).  One function serves every plane: the action is an
+    argument, read from _BIV_REP, which holds all 56 planes from import, so
+    nothing is composed or compiled per plane."""
     pairs = ", ".join(f"(j{i}, g{i})" for i in range(16))
     names = ", ".join(f"e{i}" for i in range(16))
     body = ",\n            ".join(f"c * e{i} - s * (g{i} * e[j{i}] + 0.0)" for i in range(16))
@@ -508,7 +508,7 @@ def rotate_spinor_list(eta: list, r: Rotor) -> list:
     bivector's signed permutation, in one call of the compiled turn.  The
     moved term takes + 0.0, as a dense product summed from +0.0 does, so a
     zero comes out as +0.0."""
-    return _TURN(eta, r.c, r.s, _bivector_action(r.mu, r.nu))
+    return _TURN(eta, r.c, r.s, _BIV_REP[r.mu, r.nu])
 
 
 def rotate_vector(x, r: Rotor):
@@ -587,19 +587,16 @@ def _chiral_8(arg, block: str) -> list:
 
 
 def _trilinear_terms() -> tuple:
-    """(a, b, c, F(e_a, e_b, e_c)) over (phi, x, psi): the nonzero entries
-    K_b[a,c] of every slice K_b = (M_phi)^T B_11 (Gamma_b)_12 M_psi / 2, by
-    slice, each verified real-even.  The slot order is that of
+    """(a, b, c, F(e_a, e_b, e_c)) over (phi, x, psi), by slice b and then
+    phi row a.  Slice b is the (phi, psi) block of M^T B Gamma_b M / 2 =
+    (M^T B M)(M^dag Gamma_b M / 2) / 2 (M M^dag = 2): the pinned form, which
+    is diagonal, times _GEN[b], so row a holds one term, 2Q_aa / 2 times
+    the sign of row a of _GEN[b].  The slot order is that of
     ``octonion._TRILINEAR_TERMS``."""
-    left = XI_M.block(0, 8, 0, 8).T @ _B.block(0, 8, 0, 8)
-    right = XI_M.block(8, 16, 8, 16)
-    out = []
-    for b, g in enumerate(_GAMMA):
-        k = left @ g.block(0, 8, 8, 16) @ right
-        if not k.is_real() or any(vr % 2 for _, _, vr, _ in k.entries()):
-            raise AssertionError(f"trilinear slice {b} is not real-even")
-        out.extend((a, b, c, vr // 2) for a, c, vr, _ in k.entries())
-    return tuple(out)
+    if [(i, j) for i, j, _ in _Q_SPINOR_TERMS] != [(i, i) for i in range(16)]:
+        raise AssertionError("pinned spinor form is not diagonal")
+    return tuple((a, b, c - 8, q // 2 * g) for b, gen in enumerate(_GEN)
+                 for (a, _, q), (c, g) in zip(_Q_SPINOR_TERMS[:8], gen))
 
 
 _TRILINEAR_TERMS = _trilinear_terms()

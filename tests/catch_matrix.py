@@ -61,7 +61,7 @@ ESCAPE_FOUND = ("CHANGES.md, the FOUND: line that begins "
 def flipped_action(monkeypatch, mu, nu, row):
     """Flip the sign of one row of the action of Gamma_mu Gamma_nu, and of
     the same row of the action stored under (nu, mu), its negation."""
-    action = list(cl._bivector_action(mu, nu))
+    action = list(cl._BIV_REP[mu, nu])
     j, g = action[row]
     action[row] = (j, -g)
     monkeypatch.setitem(cl._BIV_REP, (mu, nu), tuple(action))

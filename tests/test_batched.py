@@ -105,7 +105,7 @@ def assert_same_outcome(batched, reference):
                                           ((6, 7), 2)])
 def test_corrupted_generator_parity(monkeypatch, plane, factor):
     monkeypatch.setitem(cl._BIV_REP, plane,
-                        tuple((j, factor * g) for j, g in cl._bivector_action(*plane)))
+                        tuple((j, factor * g) for j, g in cl._BIV_REP[plane]))
     rot = tr.rotor_invariance_check()
     assert_same_outcome(rot, reference_rotor_invariance(tr.DEFAULT_SEED))
     tri = tr.trilinear_invariance_check()

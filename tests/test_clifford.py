@@ -236,6 +236,18 @@ class TestRotor:
         with pytest.raises(ValueError):
             cl.rotor(3, 3, 1.0)
 
+    @pytest.mark.parametrize("make", [cl.Rotor, cl.rotor])
+    @pytest.mark.parametrize("mu,nu,message", [
+        (2, 2, "rotor plane needs two distinct indices"),
+        (0, 8, "plane indices must be in 0..7"),
+        (-1, 3, "plane indices must be in 0..7")])
+    def test_refuses_a_degenerate_plane_where_it_is_built(self, make, mu, nu, message):
+        # a Rotor built directly is checked as cl.rotor's is, before its
+        # plane can reach a kernel
+        with pytest.raises(ValueError) as err:
+            make(mu, nu, 0.5)
+        assert str(err.value) == message
+
     def test_inverse_is_swapped_plane(self):
         r = cl.rotor(2, 6, 0.7)
         assert np.allclose(rotor_matrix(r) @ rotor_matrix(rotor_inverse(r)), np.eye(16), atol=1e-14)
@@ -321,7 +333,7 @@ class TestRotateSpinor:
         # each row of every plane's signed permutation reads a column of its
         # own half; the float suites turn [phi | psi] as one row on this
         for mu, nu in itertools.permutations(range(8), 2):
-            columns = [j for j, _ in cl._bivector_action(mu, nu)]
+            columns = [j for j, _ in cl._BIV_REP[mu, nu]]
             assert [j < 8 for j in columns] == [i < 8 for i in range(16)], (mu, nu)
 
     def test_double_cover(self):
@@ -332,18 +344,73 @@ class TestRotateSpinor:
         assert np.allclose(cl.rotate_spinor(eta, r4), eta, atol=1e-12)
 
 
-def test_reversed_plane_actions_are_the_negated_compositions(monkeypatch):
-    # each plane composed independently, M^dag G_mu G_nu M / 2; the module
-    # composes one orientation of a plane and negates it for the other,
-    # whichever orientation is asked for first
-    monkeypatch.setattr(cl, "_BIV_REP", {})
-    for mu, nu in itertools.combinations(range(8), 2):
-        cl._bivector_action(*((nu, mu) if (mu + nu) % 2 else (mu, nu)))
+def test_plane_actions_equal_their_per_plane_compositions():
+    # each plane composed on its own, M^dag G_mu G_nu M / 2, against the
+    # product of two generator permutations that the module stores
     assert len(cl._BIV_REP) == 56
     for mu, nu in itertools.permutations(range(8), 2):
         k = cl._XI_DAG @ (cl.gamma(mu) @ cl.gamma(nu)) @ cl.XI_M
         assert k.is_real() and all(len(row) == 1 for row in k.rows)
         assert cl._BIV_REP[mu, nu] == tuple((c, Fraction(vr, 2)) for (c, vr, _), in k.rows)
+
+
+def test_each_generator_permutation_is_its_composition():
+    assert len(cl._GEN) == 8
+    for mu in range(8):
+        k = cl.XI_M.conj_t() @ cl.gamma(mu) @ cl.XI_M
+        want = ((i, j, 2 * g, 0) for i, (j, g) in enumerate(cl._GEN[mu]))
+        assert k == cl.GMat.from_entries(16, want), mu
+
+
+@pytest.mark.parametrize("broken,message", [
+    (lambda g: g.times_i(), "generator 3 is not real-integral in the spinor basis"),
+    (lambda g: g + cl.gamma(4), "generator 3 is not a chirality-swapping signed permutation"),
+    (lambda g: cl.GMat.eye(16), "generator 3 is not a chirality-swapping signed permutation"),
+])
+def test_generators_refuse_a_broken_gamma(monkeypatch, broken, message):
+    # imaginary, two entries a row, or keeping each chiral half: the
+    # trilinear terms index psi by column - 8, so a phi column is refused
+    gammas = list(cl._GAMMA)
+    gammas[3] = broken(gammas[3])
+    monkeypatch.setattr(cl, "_GAMMA", gammas)
+    with pytest.raises(AssertionError) as err:
+        cl._generators()
+    assert str(err.value) == message
+
+
+def test_generator_permutations_satisfy_the_clifford_relation():
+    # G_mu G_nu + G_nu G_mu = 2 g_munu delta_munu Id on the permutations
+    # themselves, multiplied as dense integer matrices
+    def dense(action):
+        return [[g if c == j else 0 for c in range(16)] for j, g in action]
+
+    def times(a, b):
+        return [[sum(a[i][k] * b[k][j] for k in range(16)) for j in range(16)]
+                for i in range(16)]
+
+    gens = [dense(action) for action in cl._GEN]
+    for mu, nu in itertools.product(range(8), repeat=2):
+        ab, ba = times(gens[mu], gens[nu]), times(gens[nu], gens[mu])
+        want = 2 * cl.METRIC[mu] if mu == nu else 0
+        assert all(ab[i][j] + ba[i][j] == want * (i == j)
+                   for i in range(16) for j in range(16)), (mu, nu)
+
+
+def test_trilinear_terms_are_the_slice_compositions():
+    # the slices K_b = (M_phi)^T B_11 (Gamma_b)_12 M_psi / 2, each block cut
+    # out of the 16x16 matrix by its entries
+    def block(g, r0, c0):
+        return cl.GMat.from_entries(8, ((r - r0, c - c0, vr, vi) for r, c, vr, vi in g.entries()
+                                        if r0 <= r < r0 + 8 and c0 <= c < c0 + 8))
+
+    left = block(cl.XI_M, 0, 0).T @ block(cl.b_matrix(), 0, 0)
+    right = block(cl.XI_M, 8, 8)
+    want = []
+    for b in range(8):
+        k = left @ block(cl.gamma(b), 0, 8) @ right
+        assert k.is_real() and not any(vr % 2 for _, _, vr, _ in k.entries()), b
+        want.extend((a, b, c, vr // 2) for a, c, vr, _ in k.entries())
+    assert cl._TRILINEAR_TERMS == tuple(want)
 
 
 class TestSpinorInvariant:

@@ -1305,7 +1305,7 @@ def test_inner_and_norm_sq_do_not_wrap_numpy_ints(v):
 def reference_rotate_spinor_list(eta, r):
     c, s = cl.half_angle(r.compact, r.theta)
     return [c * e - s * (g * eta[j] + 0.0)
-            for e, (j, g) in zip(eta, cl._bivector_action(r.mu, r.nu))]
+            for e, (j, g) in zip(eta, cl._BIV_REP[r.mu, r.nu])]
 
 
 def bits_of(values):
@@ -1356,7 +1356,7 @@ def test_one_flipped_action_sign_changes_that_row_of_the_turn(monkeypatch, plane
     eta = [float(k + 1) for k in range(16)]
     r = cl.rotor(*plane, 0.9)
     before = cl.rotate_spinor(eta, r)
-    action = list(cl._bivector_action(*plane))
+    action = list(cl._BIV_REP[plane])
     j, g = action[row]
     action[row] = (j, -g)
     monkeypatch.setitem(cl._BIV_REP, plane, tuple(action))
@@ -1366,15 +1366,17 @@ def test_one_flipped_action_sign_changes_that_row_of_the_turn(monkeypatch, plane
 
 
 def test_the_turn_compiles_nothing_per_plane(monkeypatch):
-    # every plane's action is composed into _BIV_REP on first use and read
-    # from there by the one turn compiled at import
+    # every plane's action is in _BIV_REP from import and read from there
+    # by the one turn compiled at import: nothing is composed or compiled
+    assert sorted(cl._BIV_REP) == list(itertools.permutations(range(8), 2))
+
     def refuse(*args, **kwargs):
-        raise AssertionError("compiled a form after import")
+        raise AssertionError("composed or compiled after import")
     monkeypatch.setattr(cl, "compiled", refuse)
-    monkeypatch.setattr(cl, "_BIV_REP", {})
+    monkeypatch.setattr(cl.GMat, "__matmul__", refuse)
     for mu, nu in itertools.permutations(range(8), 2):
         cl.rotate_spinor_list([1.0] * 16, cl.rotor(mu, nu, 0.5))
-    assert len(cl._BIV_REP) == 56
+        cl.plane_generator(mu, nu)
 
 
 def golden_float_inputs():
