@@ -10,7 +10,8 @@ Gaussian integers in Python ints (``GMat``), and the checks run at import
 evaluation convention, the spinor form, the generators in the spinor
 basis) are exact sparse compositions.  The pin selects the form: of the
 four candidate evaluations, each composed once, the one that is the split
-diagonal form diag(METRIC, METRIC) is PINNED_CONVENTION.  On real spinor
+diagonal form diag(METRIC, METRIC) is PINNED_CONVENTION, and one equality
+then pins that candidate's form to twice it (``_SPLIT``).  On real spinor
 components each Gamma_mu is a signed permutation, M^dag Gamma_mu M / 2
 (``_GEN``), the one source of the spinor tables: each of the 56 bivector
 actions is a product of two (``_BIV_REP``), and the trilinear terms are
@@ -230,15 +231,17 @@ def b_matrix() -> GMat:
 def verify_clifford() -> VerificationReport:
     """Gamma_mu Gamma_nu + Gamma_nu Gamma_mu == 2 g_munu Id, all 64 pairs, exact.
 
-    Each of the 64 products is a sparse composition of Gaussian integers;
-    a failing pair names its first wrong entry in C order.
+    Each product of Gaussian integers is compared with g_mumu Id if mu = nu,
+    else with -Gamma_nu Gamma_mu: a failing pair names the first entry in C
+    order where it differs, which is where the sum differs.
     """
     rep = VerificationReport("clifford")
     products = [[a @ b for b in _GAMMA] for a in _GAMMA]
+    eye = {1: GMat.eye(16), -1: -GMat.eye(16)}
     for mu in range(8):
         for nu in range(8):
-            want = GMat.eye(16).scale(2 * METRIC[mu]) if mu == nu else GMat.zeros(16)
-            entry = (products[mu][nu] + products[nu][mu]).first_difference(want)
+            want = eye[METRIC[mu]] if mu == nu else -products[nu][mu]
+            entry = products[mu][nu].first_difference(want)
             rep.record_case(entry is None, f"pair ({mu},{nu}) entry {entry}")
     return rep
 
@@ -283,6 +286,8 @@ _XI_DAG = XI_M.conj_t()
 
 if not (XI_M @ _XI_DAG == GMat.eye(16).scale(2)):
     raise AssertionError("xi basis-change matrix is not sqrt2-unitary")
+# the split diagonal form diag(METRIC, METRIC) on the real spinor components
+_SPLIT = GMat.from_entries(16, ((k, k, METRIC[k % 8], 0) for k in range(16)))
 
 
 class XiConvention(namedtuple("XiConvention", "pairing b_form")):
@@ -310,9 +315,8 @@ def pin_xi_convention(forms: dict) -> XiConvention:
     """The one convention among ``forms`` (as _candidate_forms gives them)
     whose quadratic form is exactly the split diagonal form.  Raises if
     none, or more than one, matches."""
-    split = GMat.from_entries(16, ((k, k, METRIC[k % 8], 0) for k in range(16)))
     hits = [conv for conv, mat in forms.items()
-            if mat + mat.T == split.scale(4 if conv.b_form == "original" else 8)]
+            if mat + mat.T == _SPLIT.scale(4 if conv.b_form == "original" else 8)]
     if len(hits) != 1:
         raise RuntimeError(f"expected exactly one diagonalizing convention, got {len(hits)}")
     return hits[0]
@@ -326,15 +330,13 @@ if PINNED_CONVENTION != ("transpose", "original"):
     raise AssertionError(f"pinned spinor convention is {PINNED_CONVENTION.label}")
 
 # quadratic form of the spinor invariant in real components: eta^T B eta
-# evaluated as xi^T B xi = eta^T (M^T B M) eta / 2
+# evaluated as xi^T B xi = eta^T (M^T B M) eta / 2.  The pin reads its
+# symmetric part; this one equality makes it real, integral and diagonal
 _Q_SPINOR_2 = _CANDIDATES[PINNED_CONVENTION]     # = 2 * quadratic-form matrix, exact
-if not _Q_SPINOR_2.is_real():
-    raise AssertionError("spinor quadratic form is not real")
+if _Q_SPINOR_2 != _SPLIT.scale(2):
+    raise AssertionError("pinned spinor form is not 2 diag(METRIC, METRIC)")
 # (i, j, 2Q_ij) over the nonzero entries, as ints
 _Q_SPINOR_TERMS = tuple((i, j, q) for i, j, q, _ in _Q_SPINOR_2.entries())
-# every 2Q_ij even: then the form is an integer on every integer spinor
-if any(q % 2 for _, _, q in _Q_SPINOR_TERMS):
-    raise AssertionError("spinor quadratic form is not integral")
 
 
 def _spinor_form(terms):
@@ -372,6 +374,14 @@ _BIV_REP = {(mu, nu): tuple((_GEN[nu][j][0], g * _GEN[nu][j][1]) for j, g in _GE
             for mu in range(8) for nu in range(8) if mu != nu}
 
 
+def _check_plane(mu: int, nu: int) -> None:
+    """ValueError unless the plane (mu, nu) is two distinct indices in 0..7."""
+    if not (0 <= mu <= 7 and 0 <= nu <= 7):
+        raise ValueError("plane indices must be in 0..7")
+    if mu == nu:
+        raise ValueError("rotor plane needs two distinct indices")
+
+
 def plane_generator(mu: int, nu: int) -> tuple:
     """d/dtheta at theta = 0 of the rotor of plane (mu, nu), exactly: the
     generators on x, phi and psi as 8x8 row lists of Fractions.
@@ -381,6 +391,7 @@ def plane_generator(mu: int, nu: int) -> tuple:
     (c, s) of the half angle, so the spinor part is -1/2 the bivector's
     signed permutation; its chiral blocks are the phi and psi parts.
     """
+    _check_plane(mu, nu)
     x = [[Fraction(0)] * 8 for _ in range(8)]
     x[mu][nu], x[nu][mu] = Fraction(-METRIC[nu]), Fraction(METRIC[mu])
     spin = [[Fraction(0)] * 16 for _ in range(16)]
@@ -449,10 +460,7 @@ class Rotor:
     __slots__ = ("mu", "nu", "theta", "compact", "c", "s")
 
     def __init__(self, mu: int, nu: int, theta: float):
-        if not (0 <= mu <= 7 and 0 <= nu <= 7):
-            raise ValueError("plane indices must be in 0..7")
-        if mu == nu:
-            raise ValueError("rotor plane needs two distinct indices")
+        _check_plane(mu, nu)
         self.mu, self.nu, self.theta = mu, nu, theta
         self.compact = METRIC[mu] * METRIC[nu] > 0
         self.c, self.s = half_angle(self.compact, theta)
@@ -586,20 +594,14 @@ def _chiral_8(arg, block: str) -> list:
     return arg
 
 
-def _trilinear_terms() -> tuple:
-    """(a, b, c, F(e_a, e_b, e_c)) over (phi, x, psi), by slice b and then
-    phi row a.  Slice b is the (phi, psi) block of M^T B Gamma_b M / 2 =
-    (M^T B M)(M^dag Gamma_b M / 2) / 2 (M M^dag = 2): the pinned form, which
-    is diagonal, times _GEN[b], so row a holds one term, 2Q_aa / 2 times
-    the sign of row a of _GEN[b].  The slot order is that of
-    ``octonion._TRILINEAR_TERMS``."""
-    if [(i, j) for i, j, _ in _Q_SPINOR_TERMS] != [(i, i) for i in range(16)]:
-        raise AssertionError("pinned spinor form is not diagonal")
-    return tuple((a, b, c - 8, q // 2 * g) for b, gen in enumerate(_GEN)
-                 for (a, _, q), (c, g) in zip(_Q_SPINOR_TERMS[:8], gen))
-
-
-_TRILINEAR_TERMS = _trilinear_terms()
+# (a, b, c, F(e_a, e_b, e_c)) over (phi, x, psi), by slice b and then phi
+# row a.  Slice b is the (phi, psi) block of M^T B Gamma_b M / 2 =
+# (M^T B M)(M^dag Gamma_b M / 2) / 2 (M M^dag = 2): the pinned form,
+# diag(METRIC, METRIC), times _GEN[b], so row a holds one term, g_aa times
+# the sign of row a of _GEN[b].  The slot order is that of
+# ``octonion._TRILINEAR_TERMS``.
+_TRILINEAR_TERMS = tuple((a, b, c - 8, METRIC[a] * g) for b, gen in enumerate(_GEN)
+                         for a, (c, g) in enumerate(gen[:8]))
 
 
 # F(phi, X, psi) on three lists of 8 Python ints, compiled from the terms

@@ -33,6 +33,8 @@ slices at [b, a, c] (``_trilinear_slices``).  The float suites turn each
 sample on ``cl.Rotor`` objects, which carry their half-angle pair, through
 the two kernels ``sot rotate`` runs, ``cl.rotate_vector_list`` and
 ``cl.rotate_spinor_list``; only the forms are evaluated on numpy stacks.
+The exact sampled suites contract all their samples in one pass; BLOCK
+sizes only the generator calls and the float suites' turned stacks.
 
 A float64 holds every integer below 2**53 exactly, and the sum or product
 of two such integers is exact while the result stays below that bound.
@@ -211,7 +213,7 @@ def verify_malcev() -> VerificationReport:
 
 SAMPLES = 1000      # samples of each sampled suite but trilinear-invariance
 WORDS = 200         # rotor words of trilinear-invariance
-BLOCK = 64          # samples per stacked evaluation in the batched suites
+BLOCK = 64          # samples per generator call, and per stack of the float suites
 
 
 def _blocks(n: int):
@@ -231,31 +233,29 @@ def correspondence_check(*, seed: int = DEFAULT_SEED) -> VerificationReport:
     """conj(X)X == q(x), conj(Phi)Phi == phi^T B phi, conj(Psi)Psi ==
     psi^T B psi on matched integer components, exactly.
 
-    Runs as stacked float64 products, exact by exact_float64 on the drawn
-    samples, one block at a time: conj(v)v through the octonion structure
-    tensor and the spinor forms through the exact 2x quadratic-form matrix.
+    Runs as float64 products stacked over all SAMPLES samples, exact by
+    exact_float64 on them: conj(v)v through the octonion structure tensor
+    and the spinor forms through the exact 2x quadratic-form matrix.
     X^2 = q(x) Id is the Clifford relation, which ``clifford`` checks.
     """
     rep = VerificationReport("correspondence",
                              meta={"seed": seed, "samples": SAMPLES,
                                    "convention": cl.PINNED_CONVENTION.label})
     # the largest sum is 2 conj(v)v: 2 x 64 products v_a C[a,b,0] v_b
-    c, q2, metric, samples = exact_float64(
+    c, q2, metric, v = exact_float64(
         _c().reshape(8, 64), _q_spinor_2(), cl.METRIC,
         _draw_triples(np.random.default_rng(seed)), degree=3, terms=2 * 64)
-    for start, n in _blocks(SAMPLES):
-        v = samples[start:start + n]                                # x, phi, psi
-        x, phi, psi = v[:, 0], v[:, 1], v[:, 2]
-        # (conj(v) v)_c = sum_b v_b (sum_a conj(v)_a C[a,b,c])
-        prod = (v[..., None, :] @ ((v * oc._CONJ_SIGNS) @ c).reshape(n, 3, 8, 8))[..., 0, :]
-        scalar_only = ~prod[..., 1:].any(axis=2)
-        vec_ok = scalar_only[:, 0] & (prod[:, 0, 0] == (x * x) @ metric)
-        inv2_phi = ((phi @ q2[0:8, 0:8]) * phi).sum(axis=1)
-        inv2_psi = ((psi @ q2[8:16, 8:16]) * psi).sum(axis=1)
-        spin_ok = (scalar_only[:, 1] & scalar_only[:, 2]
-                   & (inv2_phi == 2 * prod[:, 1, 0]) & (inv2_psi == 2 * prod[:, 2, 0]))
-        rep.record_mask(np.stack([vec_ok, spin_ok], axis=1),
-                        lambda k, j, start=start: f"{('vector', 'spinor')[j]} sample {start + k}")
+    x, phi, psi = v[:, 0], v[:, 1], v[:, 2]
+    # (conj(v) v)_c = sum_b v_b (sum_a conj(v)_a C[a,b,c])
+    prod = (v[..., None, :] @ ((v * oc._CONJ_SIGNS) @ c).reshape(SAMPLES, 3, 8, 8))[..., 0, :]
+    scalar_only = ~prod[..., 1:].any(axis=2)
+    vec_ok = scalar_only[:, 0] & (prod[:, 0, 0] == (x * x) @ metric)
+    inv2_phi = ((phi @ q2[0:8, 0:8]) * phi).sum(axis=1)
+    inv2_psi = ((psi @ q2[8:16, 8:16]) * psi).sum(axis=1)
+    spin_ok = (scalar_only[:, 1] & scalar_only[:, 2]
+               & (inv2_phi == 2 * prod[:, 1, 0]) & (inv2_psi == 2 * prod[:, 2, 0]))
+    rep.record_mask(np.stack([vec_ok, spin_ok], axis=1),
+                    lambda k, j: f"{('vector', 'spinor')[j]} sample {k}")
     return rep
 
 
@@ -383,12 +383,11 @@ def dictionary_random_check(*, seed: int = DEFAULT_SEED) -> VerificationReport:
     """The identity dictionary on random integer triples: the two forms of
     the same components must agree exactly.
 
-    Runs on float64 stacks, exact by exact_float64 on the drawn samples,
-    one block at a time, as tr.trilinear_both does per sample: each form is
-    the contraction of its term tensor T[a, b, c] = F(e_a, e_b, e_c), read
-    off the term table its int form is compiled from
-    (``cl._TRILINEAR_TERMS`` and ``oc._TRILINEAR_TERMS``), with phi_a x_b
-    psi_c.  A dictionary that
+    Runs on float64 stacks of all SAMPLES triples, exact by exact_float64
+    on them, as tr.trilinear_both does per sample: each form is the
+    contraction of its term tensor T[a, b, c] = F(e_a, e_b, e_c), read off
+    the term table its int form is compiled from (``cl._TRILINEAR_TERMS``
+    and ``oc._TRILINEAR_TERMS``), with phi_a x_b psi_c.  A dictionary that
     fails its exact check on the basis triples is one more failed case,
     named by the oracle's message; the dictionary itself is not recorded.
     """
@@ -399,15 +398,13 @@ def dictionary_random_check(*, seed: int = DEFAULT_SEED) -> VerificationReport:
         rep.record_case(False, str(exc))
     # each form sums 8^3 products T[a, b, c] phi_a x_b psi_c, with T at
     # [a, (b, c)]
-    *tensors, samples = exact_float64(
+    *tensors, v = exact_float64(
         *(_dense((8, 8, 8), terms).reshape(8, 64)
           for terms in (cl._TRILINEAR_TERMS, oc._TRILINEAR_TERMS)),
         _draw_triples(np.random.default_rng(seed)), degree=4, terms=8 ** 3)
-    for start, n in _blocks(SAMPLES):
-        v = samples[start:start + n]                                # phi, x, psi
-        phi, x, psi = v[:, 0], v[:, 1], v[:, 2]
-        mat, octo = (np.einsum("nbc,nb,nc->n", (phi @ t).reshape(n, 8, 8), x, psi)
-                     for t in tensors)
-        rep.record_mask(mat == octo, lambda k, start=start: f"triple {start + k}")
+    phi, x, psi = v[:, 0], v[:, 1], v[:, 2]
+    mat, octo = (np.einsum("nbc,nb,nc->n", (phi @ t).reshape(SAMPLES, 8, 8), x, psi)
+                 for t in tensors)
+    rep.record_mask(mat == octo, lambda k: f"triple {k}")
     return rep
 

@@ -8,7 +8,7 @@ with the list kernels ``sot rotate`` runs (``rotate_vector_list`` and
 samples in numpy; their references turn through ``rotate_vector`` and
 ``rotate_spinor`` (one rotor, or an oracles ``RotorWord``) and evaluate
 through ``quadratic_form``, ``spinor_invariant`` and ``trilinear_matrix``.
-The exact suites contract their stacks one block at a time too.  Every suite
+The exact suites contract all their samples in one pass.  Every suite
 runs at its one size, ``sweeps.SAMPLES`` samples or ``sweeps.WORDS`` words,
 and the references draw in blocks of ``sweeps.BLOCK``, read at each call.
 """
@@ -190,8 +190,9 @@ def peak_mb(call):
 
 @pytest.mark.parametrize("suite", [tr.correspondence_check, tr.rotor_invariance_check])
 def test_stacks_stay_small(suite):
-    # the stacks are processed in blocks; a whole-sweep stack would peak at
-    # about 10 MB (correspondence) and 2.7 MB (rotor invariance)
+    # correspondence contracts all 1000 samples in one pass and peaks at
+    # about 1.8 MB; rotor invariance turns one block at a time (about
+    # 0.14 MB), and all 1000 samples in one block would peak at about 1.8 MB
     bound = {tr.correspondence_check: 3.0, tr.rotor_invariance_check: 1.0}[suite]
     assert peak_mb(suite) < bound
 
@@ -201,9 +202,25 @@ def test_stacks_stay_small(suite):
                          ids=["associators", "moufang", "dictionary"])
 def test_contracted_sweeps_stay_small(sweep):
     # moufang and the associators hold signed units and 8-int sums, and the
-    # dictionary check works in blocks: one (1000, 8, 8, 8) int64 stack
-    # would hold 4 MB
+    # dictionary check contracts all 1000 triples in one pass, at a peak of
+    # about 0.8 MB
     assert peak_mb(sweep) < 2.0
+
+
+@pytest.mark.parametrize("suite", [tr.correspondence_check, tr.dictionary_random_check])
+def test_exact_sampled_suites_record_one_mask(monkeypatch, suite):
+    # the exact suites contract all their samples at once: one mask of
+    # sweeps.SAMPLES samples, recorded once
+    shapes = []
+    record = VerificationReport.record_mask
+
+    def counted(self, ok, *args, **kwargs):
+        shapes.append(ok.shape)
+        return record(self, ok, *args, **kwargs)
+
+    monkeypatch.setattr(VerificationReport, "record_mask", counted)
+    assert suite().passed
+    assert len(shapes) == 1 and shapes[0][0] == sweeps.SAMPLES
 
 
 def test_malcev_and_clifford_stay_small():

@@ -114,6 +114,16 @@ def test_clifford_witnesses_match_pair_loop(monkeypatch, mu, make):
     assert all("np." not in d for d in rep.failure_details)
 
 
+def test_clifford_compares_products_without_forming_sums(monkeypatch):
+    # each product is compared with g_mumu Id or with -Gamma_nu Gamma_mu
+    def refuse(self, other, sign):
+        raise AssertionError("verify_clifford added two matrices")
+
+    monkeypatch.setattr(cl.GMat, "_plus", refuse)
+    rep = cl.verify_clifford()
+    assert rep.passed and rep.cases == 64
+
+
 def test_clifford_witness_names_plain_ints(monkeypatch):
     monkeypatch.setattr(cl, "_GAMMA", _gamma_with(3, cl._GAMMA[2]))
     assert cl.verify_clifford().failure_details[0] == "pair (2,3) entry (0, 0)"
@@ -246,6 +256,17 @@ class TestRotor:
         # plane can reach a kernel
         with pytest.raises(ValueError) as err:
             make(mu, nu, 0.5)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("mu,nu,message", [
+        (3, 3, "rotor plane needs two distinct indices"),
+        (0, 8, "plane indices must be in 0..7"),
+        (-1, 2, "plane indices must be in 0..7")])
+    def test_plane_generator_refuses_a_degenerate_plane(self, mu, nu, message):
+        # checked as a Rotor's plane is, before an index can wrap or miss
+        # the table of bivector actions
+        with pytest.raises(ValueError) as err:
+            cl.plane_generator(mu, nu)
         assert str(err.value) == message
 
     def test_inverse_is_swapped_plane(self):

@@ -113,6 +113,17 @@ def test_table_sweep_exact():
     assert rep.cases == 64 + 7 + 21
 
 
+def test_table_sweep_forms_each_unit_product_once(monkeypatch):
+    # the squares and the anticommuting pairs read the 64 products that are
+    # compared with the table, instead of multiplying again
+    calls = []
+    mul = oc.mul
+    monkeypatch.setattr(oc, "mul", lambda x, y: calls.append((x, y)) or mul(x, y))
+    rep = oc.verify_table()
+    assert rep.passed and rep.cases == 64 + 7 + 21
+    assert len(calls) == 64
+
+
 def test_moufang_sweep():
     rep = oc.verify_moufang()
     assert rep.passed, rep.failure_details

@@ -46,6 +46,12 @@ def test_the_pin_selects_the_spinor_form():
     assert cl._Q_SPINOR_2 == cl._candidate_forms()[cl.PINNED_CONVENTION]
 
 
+def test_pinned_spinor_form_is_twice_the_split_form():
+    # the one import-time equality: real, even and diagonal, 2 g_kk on the
+    # diagonal of both chiral halves
+    assert cl._Q_SPINOR_TERMS == tuple((k, k, 2 * cl.METRIC[k % 8]) for k in range(16))
+
+
 def test_pin_needs_exactly_one_diagonalizing_candidate():
     forms = cl._candidate_forms()
     pinned = cl.pin_xi_convention(forms)
