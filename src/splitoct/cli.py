@@ -11,7 +11,10 @@ suites: RUNS calls each one through its entry point on ``oc`` or ``tr``
 run on the standard library; the others import ``sweeps`` and with it
 numpy.  The other subcommands run on the standard library; `table` imports
 ``units`` for its associator triples, which come from the six families
-(``units.predicted_associators``), not from the unit table.
+(``units.predicted_associators``), not from the unit table.  `verify`
+(every suite) and `matrices` import ``matrices``, the paper's alpha, Gamma,
+B and xi data, whose import-time checks refuse broken data; `rotate`,
+`trilinear` and `table` read the spinor tables off the unit table alone.
 
 ``run`` is the process entry, which the ``sot`` console script and
 ``python -m splitoct.cli`` call: it runs ``main`` with the cyclic collector
@@ -156,6 +159,10 @@ def _generation_report():
 
 
 def cmd_verify(args) -> dict:
+    # every verdict rests on the paper's matrices: their import-time checks
+    # refuse broken alpha or xi data, or generators that are not the unit
+    # table's, before any suite runs
+    from . import matrices  # noqa: F401
     if args.suite not in SUITES:
         raise UsageError(f"unknown suite '{args.suite}'; choose from {', '.join(SUITES)}")
     names = list(RUNS) if args.suite == "all" else [args.suite]
@@ -290,17 +297,18 @@ def _trilinear_pretty(payload):
 # ---------------------------------------------------------------------------
 
 def cmd_matrices(args) -> dict:
+    from . import matrices as mx
     exact = args.mode == "exact"
     which = args.which
     if which in ("alpha", "gamma"):
         sel = range(8) if args.index is None else [args.index]
-        get = cl.alpha if which == "alpha" else cl.gamma       # ValueError past 0..7
+        get = mx.alpha if which == "alpha" else mx.gamma       # ValueError past 0..7
         return {f"{which}{mu}": get(mu).to_json(exact) for mu in sel}
     if args.index is not None:
         raise UsageError(f"--index selects one alpha or gamma matrix; '{which}' has none")
     if which == "B":
-        return {"B": cl.b_matrix().to_json(exact)}
-    return {"xi": cl.XI_M.to_json(exact), "note": "matrix is scaled by 1/sqrt(2) when applied"}
+        return {"B": mx.b_matrix().to_json(exact)}
+    return {"xi": mx.XI_M.to_json(exact), "note": "matrix is scaled by 1/sqrt(2) when applied"}
 
 
 def _matrices_csv(payload):

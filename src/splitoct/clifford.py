@@ -1,25 +1,25 @@
-"""Complex matrix representation of the (4,4) geometric algebra.
+"""Real spinors of the (4,4) geometric algebra, read off the split-octonion
+unit table, with rotors, the spinor invariant and the trilinear form.
 
-The eight 8x8 alpha matrices are data (entries in {0, +-1, +-i}); the
-16x16 generators are Gamma_mu = A_mu for mu<4 and i*A_mu for mu>=4, with
-A_mu = [[0, alpha], [alpha^dagger, 0]].  The module owns the grade-4
-element B = -G1 G3 G5 G7, the spinor basis-change matrix XI_M and
-everything built on them.  Every exact object is held as sparse rows of
-Gaussian integers in Python ints (``GMat``), and the checks run at import
-(the Clifford relations, the basis change, the pin of the spinor
-evaluation convention, the spinor form, the generators in the spinor
-basis) are exact sparse compositions.  The pin selects the form: of the
-four candidate evaluations, each composed once, the one that is the split
-diagonal form diag(METRIC, METRIC) is PINNED_CONVENTION, and one equality
-then pins that candidate's form to twice it (``_SPLIT``).  On real spinor
-components each Gamma_mu is a signed permutation, M^dag Gamma_mu M / 2
-(``_GEN``), the one source of the spinor tables: each of the 56 bivector
-actions is a product of two (``_BIV_REP``), and the trilinear terms are
-their phi rows times the pinned form's diagonal.  Rotors carry their
-half-angle pair and act on real float components: vectors in closed form,
-spinors by one turn compiled at import, which takes the bivector's
-permutation as an argument; ``plane_generator`` gives a plane's exact
-first-order action on both.
+On real spinor components (phi, psi), 8 each, every generator Gamma_mu is
+a signed permutation, read off ``octonion._TABLE`` at import (``_GEN``):
+Gamma(e_mu) maps (phi, psi) to -(conj(e_mu psi), conj(phi e_mu)).  These
+eight are the one source of the spinor tables.  Their 64 products are
+checked against the Clifford relation at import, so a wrong sign of the
+table is refused there; the 56 with mu != nu are the bivector actions
+(``_BIV_REP``), and the trilinear terms are their phi rows times the
+pinned form's diagonal.  The pinned spinor evaluation
+(PINNED_CONVENTION, the transpose pairing with B as it is) makes the
+spinor invariant the split form diag(METRIC, METRIC) (``_Q_SPINOR_TERMS``).
+The paper's complex matrices, alpha, Gamma, B and the basis change XI_M,
+live in ``matrices``, which composes M^dag Gamma_mu M / 2 from them and
+checks it against ``_GEN`` when imported, by ``sot verify`` and ``sot
+matrices``; ``alpha``, ``gamma``, ``b_matrix`` and ``verify_clifford`` are
+entry points here that import it at the first call.
+Rotors carry their half-angle pair and act on real float components:
+vectors in closed form, spinors by one turn compiled at import, which
+takes the bivector's permutation as an argument; ``plane_generator``
+gives a plane's exact first-order action on both.
 The trilinear form is one flat table of (a, b, c, F(e_a, e_b, e_c))
 terms over (phi, x, psi), in the slot order of the octonionic form's
 table, and the spinor invariant one of (i, j, 2Q_ij) terms; on integers
@@ -37,257 +37,14 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
+from . import octonion as oc
 from .exact import compiled, int_form, trilinear_form
-from .report import VerificationReport
 
 METRIC = (1, 1, 1, 1, -1, -1, -1, -1)
 
 
 class ChiralityError(ValueError):
     """Spinor argument has nonzero components in the wrong chiral block."""
-
-
-class GMat:
-    """Matrix of Gaussian integers, held as sparse rows of Python ints.
-
-    Row r is a tuple of (column, re, im) triples, one per nonzero entry, by
-    increasing column.  Every matrix of the representation has one or two
-    entries per row, and Python ints keep every product exact whatever the
-    size of its entries.
-    """
-
-    __slots__ = ("rows", "ncols")
-
-    def __init__(self, rows, ncols=None):
-        self.rows = tuple(rows)
-        self.ncols = len(self.rows) if ncols is None else ncols
-
-    @classmethod
-    def from_entries(cls, n: int, entries):
-        """The n x n matrix with the given (row, column, re, im) entries."""
-        acc = [{} for _ in range(n)]
-        for r, c, vr, vi in entries:
-            acc[r][c] = (vr, vi)
-        return cls(_row(a) for a in acc)
-
-    @classmethod
-    def eye(cls, n):
-        return cls(((i, 1, 0),) for i in range(n))
-
-    @classmethod
-    def zeros(cls, shape):
-        n, m = (shape, shape) if isinstance(shape, int) else shape
-        return cls(((),) * n, m)
-
-    def entries(self):
-        """(row, column, re, im) of every nonzero entry, in C order."""
-        return ((r, c, vr, vi) for r, row in enumerate(self.rows) for c, vr, vi in row)
-
-    def __matmul__(self, other):
-        rows = []
-        for row in self.rows:
-            if len(row) == 1:
-                # one entry scales one row of other: Gaussian integers have
-                # no zero divisors, so nothing cancels
-                (j, ar, ai), = row
-                rows.append(tuple([(k, ar * br - ai * bi, ar * bi + ai * br)
-                                   for k, br, bi in other.rows[j]]))
-                continue
-            acc = {}
-            for j, ar, ai in row:
-                for k, br, bi in other.rows[j]:
-                    vr, vi = acc.get(k, (0, 0))
-                    acc[k] = (vr + ar * br - ai * bi, vi + ar * bi + ai * br)
-            rows.append(_row(acc))
-        return GMat(rows, other.ncols)
-
-    def _plus(self, other, sign):
-        rows = []
-        for mine, theirs in zip(self.rows, other.rows):
-            if not theirs:
-                rows.append(mine)
-                continue
-            acc = {c: (vr, vi) for c, vr, vi in mine}
-            for c, vr, vi in theirs:
-                ar, ai = acc.get(c, (0, 0))
-                acc[c] = (ar + sign * vr, ai + sign * vi)
-            rows.append(_row(acc))
-        return GMat(rows, self.ncols)
-
-    def __add__(self, other):
-        return self._plus(other, 1)
-
-    def __sub__(self, other):
-        return self._plus(other, -1)
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def scale(self, k: int):
-        if not k:
-            return GMat.zeros((len(self.rows), self.ncols))
-        return GMat((tuple((c, k * vr, k * vi) for c, vr, vi in row) for row in self.rows),
-                    self.ncols)
-
-    def times_i(self):
-        return GMat((tuple((c, -vi, vr) for c, vr, vi in row) for row in self.rows), self.ncols)
-
-    def _transpose(self, im_sign):
-        cols = [[] for _ in range(self.ncols)]
-        for r, c, vr, vi in self.entries():
-            cols[c].append((r, vr, im_sign * vi))
-        return GMat((tuple(col) for col in cols), len(self.rows))
-
-    @property
-    def T(self):
-        return self._transpose(1)
-
-    def conj_t(self):
-        return self._transpose(-1)
-
-    def first_difference(self, other):
-        """(row, column) of the first entry in C order where this matrix and
-        ``other`` differ, or None."""
-        for r, (mine, theirs) in enumerate(zip(self.rows, other.rows)):
-            if mine != theirs:
-                a = {c: (vr, vi) for c, vr, vi in mine}
-                b = {c: (vr, vi) for c, vr, vi in theirs}
-                return r, min(c for c in a.keys() | b.keys() if a.get(c) != b.get(c))
-        return None
-
-    def __eq__(self, other):
-        return (isinstance(other, GMat) and self.ncols == other.ncols
-                and self.rows == other.rows)
-
-    def is_real(self) -> bool:
-        return not any(vi for _, _, _, vi in self.entries())
-
-    def to_json(self, exact: bool = True) -> list:
-        num = str if exact else float
-        out = []
-        for row in self.rows:
-            cells = [{"re": num(0), "im": num(0)} for _ in range(self.ncols)]
-            for c, vr, vi in row:
-                cells[c] = {"re": num(vr), "im": num(vi)}
-            out.append(cells)
-        return out
-
-
-def _row(acc: dict) -> tuple:
-    """A sparse row from {column: (re, im)}: nonzero entries by column."""
-    return tuple([(c, vr, vi) for c, (vr, vi) in sorted(acc.items()) if vr or vi])
-
-
-def _alpha_tables():
-    # (row, col, re, im) entry quadruples; the tables are data, validated below
-    data = [
-        [(k, k, v, 0) for k, v in enumerate((-1, 1, 1, 1, -1, -1, -1, 1))],
-        [(k, k, 0, 1) for k in range(8)],
-        [(0, 1, 1, 0), (1, 0, 1, 0), (2, 4, -1, 0), (3, 5, -1, 0),
-         (4, 2, -1, 0), (5, 3, -1, 0), (6, 7, 1, 0), (7, 6, 1, 0)],
-        [(0, 1, 0, -1), (1, 0, 0, 1), (2, 4, 0, 1), (3, 5, 0, 1),
-         (4, 2, 0, -1), (5, 3, 0, -1), (6, 7, 0, -1), (7, 6, 0, 1)],
-        [(0, 2, 1, 0), (1, 4, 1, 0), (2, 0, 1, 0), (3, 6, -1, 0),
-         (4, 1, 1, 0), (5, 7, -1, 0), (6, 3, -1, 0), (7, 5, -1, 0)],
-        [(0, 2, 0, 1), (1, 4, 0, 1), (2, 0, 0, -1), (3, 6, 0, -1),
-         (4, 1, 0, -1), (5, 7, 0, -1), (6, 3, 0, 1), (7, 5, 0, 1)],
-        [(0, 3, 1, 0), (1, 5, 1, 0), (2, 6, 1, 0), (3, 0, 1, 0),
-         (4, 7, 1, 0), (5, 1, 1, 0), (6, 2, 1, 0), (7, 4, 1, 0)],
-        [(0, 3, 0, -1), (1, 5, 0, -1), (2, 6, 0, -1), (3, 0, 0, 1),
-         (4, 7, 0, -1), (5, 1, 0, 1), (6, 2, 0, 1), (7, 4, 0, 1)],
-    ]
-    return [GMat.from_entries(8, entries) for entries in data]
-
-
-_ALPHA = _alpha_tables()
-
-
-def _big_a(a: GMat) -> GMat:
-    """[[0, a], [a^dagger, 0]] for an 8x8 a."""
-    upper = (tuple((c + 8, vr, vi) for c, vr, vi in row) for row in a.rows)
-    return GMat((*upper, *a.conj_t().rows))
-
-
-_GAMMA = [_big_a(a) if mu < 4 else _big_a(a).times_i() for mu, a in enumerate(_ALPHA)]
-_B = -(_GAMMA[1] @ _GAMMA[3] @ _GAMMA[5] @ _GAMMA[7])
-
-
-def alpha(mu: int) -> GMat:
-    if not 0 <= mu <= 7:
-        raise ValueError(f"alpha index {mu} out of range 0..7")
-    return _ALPHA[mu]
-
-
-def gamma(mu: int) -> GMat:
-    if not 0 <= mu <= 7:
-        raise ValueError(f"gamma index {mu} out of range 0..7")
-    return _GAMMA[mu]
-
-
-def b_matrix() -> GMat:
-    return _B
-
-
-def verify_clifford() -> VerificationReport:
-    """Gamma_mu Gamma_nu + Gamma_nu Gamma_mu == 2 g_munu Id, all 64 pairs, exact.
-
-    Each product of Gaussian integers is compared with g_mumu Id if mu = nu,
-    else with -Gamma_nu Gamma_mu: a failing pair names the first entry in C
-    order where it differs, which is where the sum differs.
-    """
-    rep = VerificationReport("clifford")
-    products = [[a @ b for b in _GAMMA] for a in _GAMMA]
-    eye = {1: GMat.eye(16), -1: -GMat.eye(16)}
-    for mu in range(8):
-        for nu in range(8):
-            want = eye[METRIC[mu]] if mu == nu else -products[nu][mu]
-            entry = products[mu][nu].first_difference(want)
-            rep.record_case(entry is None, f"pair ({mu},{nu}) entry {entry}")
-    return rep
-
-
-# validated at import: the tabulated entries must satisfy the algebra
-_startup = verify_clifford()
-if not _startup.passed:
-    raise AssertionError(f"alpha-table data broken: {_startup.failure_details}")
-
-
-# ---------------------------------------------------------------------------
-# spinor basis change (fixed 16-row definition)
-# ---------------------------------------------------------------------------
-
-def _xi_matrix() -> GMat:
-    rows = [
-        (0, ((2, -1, 0), (3, 0, 1))),
-        (1, ((0, 1, 0), (1, 0, -1))),
-        (2, ((7, -1, 0), (6, 0, -1))),
-        (3, ((5, -1, 0), (4, 0, 1))),
-        (4, ((5, -1, 0), (4, 0, -1))),
-        (5, ((7, 1, 0), (6, 0, -1))),
-        (6, ((0, -1, 0), (1, 0, -1))),
-        (7, ((2, -1, 0), (3, 0, -1))),
-        (8, ((10, 1, 0), (11, 0, -1))),
-        (9, ((8, -1, 0), (9, 0, -1))),
-        (10, ((15, -1, 0), (14, 0, -1))),
-        (11, ((13, -1, 0), (12, 0, 1))),
-        (12, ((13, 1, 0), (12, 0, 1))),
-        (13, ((15, -1, 0), (14, 0, 1))),
-        (14, ((8, -1, 0), (9, 0, 1))),
-        (15, ((10, -1, 0), (11, 0, -1))),
-    ]
-    return GMat.from_entries(16, ((r, c, vr, vi) for r, entries in rows
-                                  for c, vr, vi in entries))
-
-
-# xi = (1/sqrt2) XI_M @ eta; the sqrt2 is tracked symbolically, so every
-# exactness statement below is about XI_M itself.
-XI_M = _xi_matrix()
-_XI_DAG = XI_M.conj_t()
-
-if not (XI_M @ _XI_DAG == GMat.eye(16).scale(2)):
-    raise AssertionError("xi basis-change matrix is not sqrt2-unitary")
-# the split diagonal form diag(METRIC, METRIC) on the real spinor components
-_SPLIT = GMat.from_entries(16, ((k, k, METRIC[k % 8], 0) for k in range(16)))
 
 
 class XiConvention(namedtuple("XiConvention", "pairing b_form")):
@@ -301,42 +58,13 @@ class XiConvention(namedtuple("XiConvention", "pairing b_form")):
         return f"xi^{'T' if self.pairing == 'transpose' else 'dagger'} B[{self.b_form}] xi"
 
 
-def _candidate_forms() -> dict:
-    """The four candidate evaluations as exact 16x16 quadratic forms on the
-    real components, by convention, each composed once: 2x the form for B
-    original, 4x for B conjugated by T = M/sqrt2 (T B T^{-1} = M B M^dag / 2)."""
-    mbmd = XI_M @ _B @ _XI_DAG
-    return {XiConvention(pairing, b_form): left @ mid @ XI_M
-            for pairing, left in (("transpose", XI_M.T), ("dagger", _XI_DAG))
-            for b_form, mid in (("original", _B), ("conjugated", mbmd))}
-
-
-def pin_xi_convention(forms: dict) -> XiConvention:
-    """The one convention among ``forms`` (as _candidate_forms gives them)
-    whose quadratic form is exactly the split diagonal form.  Raises if
-    none, or more than one, matches."""
-    hits = [conv for conv, mat in forms.items()
-            if mat + mat.T == _SPLIT.scale(4 if conv.b_form == "original" else 8)]
-    if len(hits) != 1:
-        raise RuntimeError(f"expected exactly one diagonalizing convention, got {len(hits)}")
-    return hits[0]
-
-
-_CANDIDATES = _candidate_forms()
-PINNED_CONVENTION = pin_xi_convention(_CANDIDATES)
-# the spinor form's terms and the trilinear terms below read the transpose
-# pairing with B as it is, so no other pin is usable
-if PINNED_CONVENTION != ("transpose", "original"):
-    raise AssertionError(f"pinned spinor convention is {PINNED_CONVENTION.label}")
-
-# quadratic form of the spinor invariant in real components: eta^T B eta
-# evaluated as xi^T B xi = eta^T (M^T B M) eta / 2.  The pin reads its
-# symmetric part; this one equality makes it real, integral and diagonal
-_Q_SPINOR_2 = _CANDIDATES[PINNED_CONVENTION]     # = 2 * quadratic-form matrix, exact
-if _Q_SPINOR_2 != _SPLIT.scale(2):
-    raise AssertionError("pinned spinor form is not 2 diag(METRIC, METRIC)")
-# (i, j, 2Q_ij) over the nonzero entries, as ints
-_Q_SPINOR_TERMS = tuple((i, j, q) for i, j, q, _ in _Q_SPINOR_2.entries())
+# eta^T B eta evaluated as xi^T B xi = eta^T (M^T B M) eta / 2: the one
+# convention whose form is the split diagonal form; ``matrices`` pins it
+# among the four candidates when it is imported, and refuses another
+PINNED_CONVENTION = XiConvention("transpose", "original")
+# (i, j, 2Q_ij) over the nonzero entries of 2Q = M^T B M = 2 diag(METRIC,
+# METRIC), as ints; ``matrices`` checks them against the composed form
+_Q_SPINOR_TERMS = tuple((k, k, 2 * METRIC[k % 8]) for k in range(16))
 
 
 def _spinor_form(terms):
@@ -349,29 +77,50 @@ def _spinor_form(terms):
 _SPINOR_FORM = _spinor_form(_Q_SPINOR_TERMS)
 
 
-def _generators() -> tuple:
-    """Gamma_mu on real spinor components, M^dag Gamma_mu M / 2 (M M^dag =
-    2), for each mu: row i of the result is sign * e_column, as a (column,
-    sign) pair.  The composition is exact; it must be real, even, one entry
-    per row, and move each chiral half into the other."""
-    out = []
-    for mu, g in enumerate(_GAMMA):
-        k = _XI_DAG @ g @ XI_M
-        if not k.is_real() or any(vr % 2 for _, _, vr, _ in k.entries()):
-            raise AssertionError(f"generator {mu} is not real-integral in the spinor basis")
-        if any(len(row) != 1 or (row[0][0] < 8) == (i < 8) for i, row in enumerate(k.rows)):
-            raise AssertionError(f"generator {mu} is not a chirality-swapping signed permutation")
-        out.append(tuple((c, vr // 2) for (c, vr, _), in k.rows))
-    return tuple(out)
+def _spinor_tables(table) -> tuple:
+    """The generators and the bivector actions of a unit table: (gens,
+    actions), each a signed permutation as 16 (column, sign) rows, row i
+    being sign * e_column.
+
+    Gamma(e_mu) maps (phi, psi) to -(conj(e_mu psi), conj(phi e_mu)), with
+    conj(e_a) = kappa_a e_a (``octonion._CONJ_SIGNS``): for e_j e_mu = s e_k
+    phi row k reads psi_j, and for e_mu e_j = s e_k psi row k reads phi_j,
+    each with sign -kappa_mu kappa_j s.  actions[mu, nu] = G_mu G_nu for mu
+    != nu: row i is (k, g h) for row i of G_mu (j, g) and row j of G_nu
+    (k, h).  Raises AssertionError naming the first pair (mu, nu) in C
+    order that breaks the Clifford relation: G_mu G_mu = g_mumu Id, G_mu
+    G_nu = -G_nu G_mu.
+    """
+    kappa = oc._CONJ_SIGNS
+    gens = []
+    for mu in range(8):
+        rows = [None] * 16
+        for j in range(8):
+            k, s = table[j][mu]
+            rows[k] = (8 + j, -kappa[mu] * kappa[j] * s)
+            k, s = table[mu][j]
+            rows[8 + k] = (j, -kappa[mu] * kappa[j] * s)
+        gens.append(tuple(rows))
+    products = {(mu, nu): tuple((b[j][0], g * b[j][1]) for j, g in a)
+                for mu, a in enumerate(gens) for nu, b in enumerate(gens)}
+    for (mu, nu), ab in products.items():
+        want = (tuple((i, METRIC[mu]) for i in range(16)) if mu == nu
+                else tuple((k, -g) for k, g in products[nu, mu]))
+        if ab != want:
+            raise AssertionError(f"the unit table's spinor generators break the Clifford "
+                                 f"relation at pair ({mu},{nu})")
+    return tuple(gens), {plane: ab for plane, ab in products.items() if plane[0] != plane[1]}
 
 
-_GEN = _generators()
+# _GEN[mu]: Gamma_mu on real spinor components; _BIV_REP: plane (mu, nu) ->
+# Gamma_mu Gamma_nu, all 56 ordered planes
+_GEN, _BIV_REP = _spinor_tables(oc._TABLE)
 
-# plane (mu, nu) -> Gamma_mu Gamma_nu on real spinor components as (column,
-# sign) per row: M^dag G_mu G_nu M / 2 = _GEN[mu] _GEN[nu] (M M^dag = 2), so
-# row i is (k, g h) for row i of _GEN[mu] (j, g) and row j of _GEN[nu] (k, h)
-_BIV_REP = {(mu, nu): tuple((_GEN[nu][j][0], g * _GEN[nu][j][1]) for j, g in _GEN[mu])
-            for mu in range(8) for nu in range(8) if mu != nu}
+# the paper's matrices and the Clifford report, from ``matrices`` at the first call
+alpha = oc._sweep("matrices", "alpha")
+gamma = oc._sweep("matrices", "gamma")
+b_matrix = oc._sweep("matrices", "b_matrix")
+verify_clifford = oc._sweep("matrices", "verify_clifford")
 
 
 def _check_plane(mu: int, nu: int) -> None:

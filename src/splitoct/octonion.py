@@ -393,13 +393,15 @@ class StructureConstants:
 
 
 def _sweep(module: str, name: str):
-    """The suite ``name`` of this package's ``module`` (``units`` or
-    ``sweeps``) as an entry point, which imports ``module`` when called and
-    runs the ``name`` it holds then: a process that runs no suite compiles
-    neither module, and a monkeypatch on either module is what runs.  Its
-    ``__doc__`` names that suite, so ``help`` on the entry point shows where
-    the interface is documented without importing it.  ``triality`` makes
-    its suites here too; ``cli`` calls the entry points."""
+    """The function ``name`` of this package's ``module`` (``units``,
+    ``sweeps`` or ``matrices``) as an entry point, which imports ``module``
+    when called and runs the ``name`` it holds then: a process that calls
+    none of them compiles none of those modules, and a monkeypatch on one
+    is what runs.  Its ``__doc__`` names that function, so ``help`` on the
+    entry point shows where the interface is documented without importing
+    it.  ``triality`` makes its suites here too, and ``clifford`` the
+    paper's matrices (``alpha``, ``gamma``, ``b_matrix``) and
+    ``verify_clifford``; ``cli`` calls the entry points."""
     def suite(*args, **kwargs):
         return getattr(importlib.import_module(f"{__package__}.{module}"), name)(*args, **kwargs)
     suite.__name__ = suite.__qualname__ = name

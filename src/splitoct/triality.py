@@ -9,11 +9,12 @@ tables of the matrix form (``clifford._TRILINEAR_TERMS``) and of the
 octonionic form (``octonion._TRILINEAR_TERMS``, read off the unit table)
 hold the same (a, b, c, F(e_a, e_b, e_c)) slots over (phi, x, psi), and
 must give every basis triple the same value.  Those are the tables the
-int forms are compiled from, so the check is of the functions
-``trilinear_both`` runs on Python ints; on anything else the octonionic
-form is its definition -inner(conj(Phi), mul(X, Psi)).  The spinor basis
-and its pinned evaluation convention are ``clifford``'s;
-PINNED_CONVENTION is re-exported here.
+int forms are compiled from, and each int form is certified against its
+table by one evaluation (Kronecker substitution, ``_certify_form``), so
+the check is of the functions ``trilinear_both`` runs on Python ints; on
+anything else the octonionic form is its definition -inner(conj(Phi),
+mul(X, Psi)).  The spinor basis and its pinned evaluation convention are
+``clifford``'s; PINNED_CONVENTION is re-exported here.
 
 The generator-table and double-cover checks run on the standard library,
 in ``units``; the four sampled suites run on numpy, in ``sweeps``.
@@ -74,11 +75,38 @@ def trilinear_equivalence_oracle() -> CorrespondenceMap:
     """The dictionary of the pinned component order: octonion coefficient k
     <-> component k in every slot, scale 1.  Verified exactly on all 512
     basis triples before it is returned, as the agreement of the two term
-    tables the int forms are compiled from; raises OracleError naming the
+    tables the int forms are compiled from, and each int form is certified
+    against its table (``_certify_form``); raises OracleError naming the
     first failing triple otherwise."""
     _verify_dictionary(*({(a, b, c): k for a, b, c, k in terms}
                          for terms in (cl._TRILINEAR_TERMS, oc._TRILINEAR_TERMS)))
+    _certify_form("matrix", cl._TRILINEAR, cl._TRILINEAR_TERMS)
+    _certify_form("octonionic", oc._INT_TRILINEAR, oc._TRILINEAR_TERMS)
     return CorrespondenceMap(_IDENTITY, _IDENTITY, _IDENTITY, Fraction(1))
+
+
+# Kronecker substitution, with digits of W = _DIGIT bits: at phi_a =
+# 2^(W 64a), x_b = 2^(W 8b) and psi_c = 2^(W c), the monomial phi_a x_b
+# psi_c is the base-2^W digit 64a + 8b + c, the C-order index of (a, b, c)
+_DIGIT = 16
+_POINT = tuple(tuple(1 << (_DIGIT * step * k) for k in range(8)) for step in (64, 8, 1))
+
+
+def _certify_form(name: str, form, terms) -> None:
+    """A compiled trilinear form holds exactly the (a, b, c, k) terms it is
+    compiled from: one evaluation at _POINT, compared with the terms packed
+    the same way.  Each monomial takes one variable per slot, as every form
+    of ``exact.trilinear_form`` does, so its coefficient is one digit; a
+    coefficient of the difference below 2^W in size cannot carry into the
+    next, so the lowest set bit of a nonzero difference lies in the digit of
+    the first wrong triple in C order, which the OracleError names."""
+    got = form(*_POINT)
+    want = sum(k << (_DIGIT * (64 * a + 8 * b + c)) for a, b, c, k in terms)
+    if got != want:
+        diff = int(got - want)
+        first = ((diff & -diff).bit_length() - 1) // _DIGIT
+        raise OracleError(f"the compiled {name} form fails at basis triple "
+                          f"({first // 64},{first // 8 % 8},{first % 8})")
 
 
 def _verify_dictionary(t1: dict, t2: dict):

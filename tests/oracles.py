@@ -5,7 +5,7 @@ closed-form rotors, the sparse Gaussian-integer rows and the octonion
 kernels.  Here are the 16x16 conjugation X' = L X L^{-1}, dense views of
 the exact data, and rotor words applied one kernel call at a time.  They
 read the package's data as module attributes at call time, so a test that
-monkeypatches ``cl._GAMMA`` or the unit table is seen here too.
+monkeypatches ``mx._GAMMA`` or the unit table is seen here too.
 """
 from __future__ import annotations
 
@@ -15,11 +15,12 @@ from fractions import Fraction
 import numpy as np
 
 from splitoct import clifford as cl
+from splitoct import matrices as mx
 from splitoct import octonion as oc
 from splitoct import units
 
 
-def to_complex(g: cl.GMat):
+def to_complex(g: mx.GMat):
     """A GMat as a dense complex128 array."""
     out = np.zeros((len(g.rows), g.ncols), dtype=np.complex128)
     for r, c, vr, vi in g.entries():
@@ -29,14 +30,14 @@ def to_complex(g: cl.GMat):
 
 def gamma_c() -> list:
     """The Gamma_mu as complex128."""
-    return [to_complex(g) for g in cl._GAMMA]
+    return [to_complex(g) for g in mx._GAMMA]
 
 
 class NotGrade1Error(ValueError):
     """Matrix is not in the span of the grade-1 generators."""
 
 
-def trace(g: cl.GMat):
+def trace(g: mx.GMat):
     """(re, im) of the trace of a GMat."""
     diag = [(vr, vi) for r, c, vr, vi in g.entries() if r == c]
     return sum(vr for vr, _ in diag), sum(vi for _, vi in diag)
@@ -58,15 +59,15 @@ def vector_to_matrix(x):
     return out
 
 
-def vector_to_matrix_exact(x) -> cl.GMat:
+def vector_to_matrix_exact(x) -> mx.GMat:
     """Same linear combination on integer components, exact."""
-    out = cl.GMat.zeros(16)
+    out = mx.GMat.zeros(16)
     for mu in range(8):
         k = int(x[mu])
         if k != x[mu]:
             raise ValueError("exact mode needs integer components")
         if k:
-            out = out + cl._GAMMA[mu].scale(k)
+            out = out + mx._GAMMA[mu].scale(k)
     return out
 
 
@@ -76,19 +77,19 @@ def matrix_to_vector(X, tol: float = 1e-10):
     Raises NotGrade1Error when the residual X - sum x_mu Gamma_mu exceeds
     the tolerance (exactly nonzero, for a GMat).
     """
-    if isinstance(X, cl.GMat):
+    if isinstance(X, mx.GMat):
         coeffs = []
         for mu in range(8):
-            tr_re, tr_im = trace(cl._GAMMA[mu] @ X)
+            tr_re, tr_im = trace(mx._GAMMA[mu] @ X)
             if tr_im:
                 raise NotGrade1Error("trace pairing is not real")
             coeffs.append(Fraction(cl.METRIC[mu] * tr_re, 16))
-        recon = cl.GMat.zeros(16)
+        recon = mx.GMat.zeros(16)
         scaled = [c * 16 for c in coeffs]
         if any(s.denominator != 1 for s in scaled):
             raise NotGrade1Error("non-integral trace pairing")
         for mu in range(8):
-            recon = recon + cl._GAMMA[mu].scale(int(scaled[mu]))
+            recon = recon + mx._GAMMA[mu].scale(int(scaled[mu]))
         if any((X.scale(16) - recon).rows):
             raise NotGrade1Error("matrix has components outside grade 1")
         return tuple(coeffs)
@@ -109,7 +110,7 @@ def rotor_matrix(r: cl.Rotor):
     """L = c - s Gamma_mu Gamma_nu as complex128, (c, s) the half-angle pair."""
     c, s = cl.half_angle(r.compact, r.theta)
     return (c * np.eye(16, dtype=np.complex128)
-            - s * (to_complex(cl._GAMMA[r.mu]) @ to_complex(cl._GAMMA[r.nu])))
+            - s * (to_complex(mx._GAMMA[r.mu]) @ to_complex(mx._GAMMA[r.nu])))
 
 
 def rotor_inverse(r: cl.Rotor) -> cl.Rotor:
@@ -134,11 +135,11 @@ def embed_psi(psi):
 
 
 def xi_basis_change(eta):
-    """(1/sqrt2) M eta as complex128, with M the exact cl.XI_M."""
+    """(1/sqrt2) M eta as complex128, with M the exact mx.XI_M."""
     eta = np.asarray(eta, dtype=np.float64)
     if eta.shape != (16,):
         raise ValueError("spinor needs 16 components")
-    return (to_complex(cl.XI_M) @ eta) / math.sqrt(2.0)
+    return (to_complex(mx.XI_M) @ eta) / math.sqrt(2.0)
 
 
 def spinor_quadratic_split(phi, psi):

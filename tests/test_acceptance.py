@@ -10,6 +10,7 @@ import numpy as np
 
 from splitoct import cli
 from splitoct import clifford as cl
+from splitoct import matrices as mx
 from splitoct import octonion as oc
 from splitoct import units
 from splitoct import triality as tr
@@ -75,7 +76,7 @@ def test_c07_quadratic_form():
         x = rng.integers(-9, 10, size=8)
         X = vector_to_matrix_exact(x)
         q = int(sum(cl.METRIC[m] * int(x[m]) ** 2 for m in range(8)))
-        if not (X @ X == cl.GMat.eye(16).scale(q)):
+        if not (X @ X == mx.GMat.eye(16).scale(q)):
             ok = False
             break
     _report(7, "X^2 = Q(x) Id exact on 1000 random integer vectors", ok)
@@ -83,7 +84,7 @@ def test_c07_quadratic_form():
 
 def test_c08_b_checks():
     B = cl.b_matrix()
-    ok = B @ B == cl.GMat.eye(16)
+    ok = B @ B == mx.GMat.eye(16)
     ok &= all(cl.gamma(mu).T == B @ cl.gamma(mu) @ B for mu in range(8))
     _report(8, "B^2 = Id and Gamma^T = B Gamma B exact for all mu", ok)
 

@@ -524,6 +524,45 @@ def test_double_cover_reads_no_seed_and_no_numpy(capsys):
     assert (proc.returncode, proc.stderr) == (0, "")
 
 
+# `import splitoct` and the one-shot kernels read the unit table alone:
+# the paper's matrices (matrices.py, with its import-time checks) are
+# loaded by every `verify` suite and by `matrices`, each in a fresh process
+MATRICES_UNLOADED = """
+import contextlib, io, sys
+import splitoct
+splitoct.equivalence_map()
+assert "splitoct.matrices" not in sys.modules, "import splitoct"
+from splitoct import cli
+e = ",".join(["1"] + ["0"] * 7)
+for argv in (
+        ["rotate", "--plane=0,4", "--theta=1", "--target=vector", "--components=" + e],
+        ["rotate", "--plane=2,3", "--theta=4", "--target=spinor", "--components=" + e + ",0" * 8],
+        ["trilinear", "--phi=" + e, "--x=1,2,3,4,5,6,7,8", "--psi=" + e, "--mode=exact"],
+        ["trilinear", "--phi=0.5,1,2,3,4,5,6,7", "--x=" + e, "--psi=" + e, "--mode=float"],
+        ["table"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+    assert "splitoct.matrices" not in sys.modules, argv
+"""
+MATRICES_LOADED = """
+import contextlib, io, sys
+from splitoct import cli
+assert "splitoct.matrices" not in sys.modules
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+assert "splitoct.matrices" in sys.modules, sys.argv[1:]
+sys.exit(code)
+"""
+
+
+def test_only_verify_and_matrices_load_the_paper_matrices():
+    proc = python("-c", MATRICES_UNLOADED)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    for argv in [*(["verify", suite] for suite in cli.SUITES), ["matrices", "--which=xi"]]:
+        proc = python("-c", MATRICES_LOADED, *argv)
+        assert (proc.returncode, proc.stderr) == (0, ""), argv
+
+
 COMPILE_SPY = """
 import builtins
 labels = []

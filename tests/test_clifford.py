@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import re
@@ -6,7 +7,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import splitoct
 from splitoct import clifford as cl
+from splitoct import matrices as mx
+from splitoct import octonion as oc
 from splitoct import units
 from splitoct.report import VerificationReport
 
@@ -41,7 +45,7 @@ def test_alpha_eight_nonzeros_each():
 
 
 def test_gamma_squares():
-    ident = cl.GMat.eye(16)
+    ident = mx.GMat.eye(16)
     for mu in range(4):
         assert cl.gamma(mu) @ cl.gamma(mu) == ident
     for nu in range(4, 8):
@@ -56,7 +60,7 @@ def test_gamma_block_structure():
 
 def test_gamma01_anticommute():
     g0, g1 = cl.gamma(0), cl.gamma(1)
-    assert g0 @ g1 + g1 @ g0 == cl.GMat.zeros(16)
+    assert g0 @ g1 + g1 @ g0 == mx.GMat.zeros(16)
 
 
 def test_clifford_sweep():
@@ -68,11 +72,11 @@ def test_clifford_sweep():
 def reference_clifford():
     """The per-pair GMat sweep that the stacked contraction replaced."""
     rep = VerificationReport("clifford")
-    ident = cl.GMat.eye(16)
+    ident = mx.GMat.eye(16)
     for mu in range(8):
         for nu in range(8):
-            anti = cl._GAMMA[mu] @ cl._GAMMA[nu] + cl._GAMMA[nu] @ cl._GAMMA[mu]
-            want = ident.scale(2 * cl.METRIC[mu]) if mu == nu else cl.GMat.zeros((16, 16))
+            anti = mx._GAMMA[mu] @ mx._GAMMA[nu] + mx._GAMMA[nu] @ mx._GAMMA[mu]
+            want = ident.scale(2 * cl.METRIC[mu]) if mu == nu else mx.GMat.zeros((16, 16))
             bad = np.argwhere(to_complex(anti) != to_complex(want))
             if len(bad):
                 rep.record_case(False, f"pair ({mu},{nu}) entry {tuple(int(i) for i in bad[0])}")
@@ -82,7 +86,7 @@ def reference_clifford():
 
 
 def _gamma_with(mu, g):
-    gammas = list(cl._GAMMA)
+    gammas = list(mx._GAMMA)
     gammas[mu] = g
     return gammas
 
@@ -92,20 +96,20 @@ def _entry_negated(g, k=0):
     entries = list(g.entries())
     r, c, vr, vi = entries[k]
     entries[k] = (r, c, -vr, -vi)
-    return cl.GMat.from_entries(len(g.rows), entries)
+    return mx.GMat.from_entries(len(g.rows), entries)
 
 
 # Gamma_3 replaced by Gamma_2; one entry of Gamma_5 negated; Gamma_6 doubled
 CORRUPT_GAMMAS = [
-    (3, lambda: cl._GAMMA[2]),
-    (5, lambda: _entry_negated(cl._GAMMA[5])),
-    (6, lambda: cl._GAMMA[6].scale(2)),
+    (3, lambda: mx._GAMMA[2]),
+    (5, lambda: _entry_negated(mx._GAMMA[5])),
+    (6, lambda: mx._GAMMA[6].scale(2)),
 ]
 
 
 @pytest.mark.parametrize("mu,make", CORRUPT_GAMMAS)
 def test_clifford_witnesses_match_pair_loop(monkeypatch, mu, make):
-    monkeypatch.setattr(cl, "_GAMMA", _gamma_with(mu, make()))
+    monkeypatch.setattr(mx, "_GAMMA", _gamma_with(mu, make()))
     rep = cl.verify_clifford()
     want = reference_clifford()
     assert (rep.cases, rep.failures, rep.failure_details) == (
@@ -119,33 +123,34 @@ def test_clifford_compares_products_without_forming_sums(monkeypatch):
     def refuse(self, other, sign):
         raise AssertionError("verify_clifford added two matrices")
 
-    monkeypatch.setattr(cl.GMat, "_plus", refuse)
+    monkeypatch.setattr(mx.GMat, "_plus", refuse)
     rep = cl.verify_clifford()
     assert rep.passed and rep.cases == 64
 
 
 def test_clifford_witness_names_plain_ints(monkeypatch):
-    monkeypatch.setattr(cl, "_GAMMA", _gamma_with(3, cl._GAMMA[2]))
+    monkeypatch.setattr(mx, "_GAMMA", _gamma_with(3, mx._GAMMA[2]))
     assert cl.verify_clifford().failure_details[0] == "pair (2,3) entry (0, 0)"
 
 
 def _gammas_from(alphas):
-    """Gamma_mu built from the alpha tables as clifford.py builds it."""
-    return [cl._big_a(a) if mu < 4 else cl._big_a(a).times_i() for mu, a in enumerate(alphas)]
+    """Gamma_mu built from the alpha tables as matrices.py builds it."""
+    return [mx._big_a(a) if mu < 4 else mx._big_a(a).times_i() for mu, a in enumerate(alphas)]
 
 
 # Broken Clifford data is refused at import, never a verify verdict:
-# clifford.py raises AssertionError unless verify_clifford passes on the
-# Gamma built from _ALPHA and XI_M XI_M^dag == 2 Id.  Every sign of either
-# table must trip its check.
+# matrices.py, which every `verify` and `matrices` command imports, raises
+# AssertionError unless verify_clifford passes on the Gamma built from
+# _ALPHA and XI_M XI_M^dag == 2 Id.  Every sign of either table must trip
+# its check.
 
 @pytest.mark.parametrize("mu", range(8))
 def test_every_alpha_sign_flip_fails_the_clifford_relation(monkeypatch, mu):
-    assert _gammas_from(cl._ALPHA) == cl._GAMMA
+    assert _gammas_from(mx._ALPHA) == mx._GAMMA
     for k in range(8):
-        alphas = list(cl._ALPHA)
+        alphas = list(mx._ALPHA)
         alphas[mu] = _entry_negated(alphas[mu], k)
-        monkeypatch.setattr(cl, "_GAMMA", _gammas_from(alphas))
+        monkeypatch.setattr(mx, "_GAMMA", _gammas_from(alphas))
         rep = cl.verify_clifford()
         assert not rep.passed, k
         pairs = [re.match(r"pair \((\d),(\d)\) ", d).groups() for d in rep.failure_details]
@@ -153,10 +158,10 @@ def test_every_alpha_sign_flip_fails_the_clifford_relation(monkeypatch, mu):
 
 
 def test_every_xi_sign_flip_fails_sqrt2_unitarity():
-    two = cl.GMat.eye(16).scale(2)
-    assert len(list(cl.XI_M.entries())) == 32 and cl.XI_M @ cl.XI_M.conj_t() == two
+    two = mx.GMat.eye(16).scale(2)
+    assert len(list(mx.XI_M.entries())) == 32 and mx.XI_M @ mx.XI_M.conj_t() == two
     for k in range(32):
-        xi = _entry_negated(cl.XI_M, k)
+        xi = _entry_negated(mx.XI_M, k)
         assert not xi @ xi.conj_t() == two, k
 
 
@@ -172,7 +177,7 @@ class TestGMatCeiling:
         x = [4 * 10 ** 9, -3, 0, 2 ** 70, 5, 0, -(2 ** 66), 1]
         X = vector_to_matrix_exact(x)
         q = sum(g * v * v for g, v in zip(cl.METRIC, x))
-        assert X @ X == cl.GMat.eye(16).scale(q)
+        assert X @ X == mx.GMat.eye(16).scale(q)
 
     @pytest.mark.parametrize("mu", [0, 5])
     def test_boundary(self, mu):
@@ -181,21 +186,21 @@ class TestGMatCeiling:
             e = [0] * 8
             e[mu] = k
             x = vector_to_matrix_exact(e)
-            assert x @ x == cl.GMat.eye(16).scale(cl.METRIC[mu] * k * k)
+            assert x @ x == mx.GMat.eye(16).scale(cl.METRIC[mu] * k * k)
 
     def test_mixed_parts_count_both(self):
         # the real part of a product takes re re' and im im' alike:
         # ((1 + i) k)^2 = 2i k^2
         for k in self.WIDE:
-            a = cl.GMat.eye(16).scale(k)
+            a = mx.GMat.eye(16).scale(k)
             a = a + a.times_i()
-            assert a @ a == cl.GMat.eye(16).scale(2 * k * k).times_i()
+            assert a @ a == mx.GMat.eye(16).scale(2 * k * k).times_i()
 
 
 def test_b_matrix_properties():
     B = cl.b_matrix()
     assert B.is_real()
-    assert B @ B == cl.GMat.eye(16)
+    assert B @ B == mx.GMat.eye(16)
     for mu in range(8):
         assert cl.gamma(mu).T == B @ cl.gamma(mu) @ B
 
@@ -220,7 +225,7 @@ class TestVectorMatrix:
             x = rng.integers(-9, 10, size=8)
             X = vector_to_matrix_exact(x)
             q = int(sum(cl.METRIC[m] * int(x[m]) ** 2 for m in range(8)))
-            assert X @ X == cl.GMat.eye(16).scale(q)
+            assert X @ X == mx.GMat.eye(16).scale(q)
 
     def test_roundtrip(self):
         x = np.array([3.0, -1.0, 0.0, 2.0, 0.5, 0.0, -7.0, 1.25])
@@ -370,7 +375,7 @@ def test_plane_actions_equal_their_per_plane_compositions():
     # product of two generator permutations that the module stores
     assert len(cl._BIV_REP) == 56
     for mu, nu in itertools.permutations(range(8), 2):
-        k = cl._XI_DAG @ (cl.gamma(mu) @ cl.gamma(nu)) @ cl.XI_M
+        k = mx._XI_DAG @ (cl.gamma(mu) @ cl.gamma(nu)) @ mx.XI_M
         assert k.is_real() and all(len(row) == 1 for row in k.rows)
         assert cl._BIV_REP[mu, nu] == tuple((c, Fraction(vr, 2)) for (c, vr, _), in k.rows)
 
@@ -378,25 +383,80 @@ def test_plane_actions_equal_their_per_plane_compositions():
 def test_each_generator_permutation_is_its_composition():
     assert len(cl._GEN) == 8
     for mu in range(8):
-        k = cl.XI_M.conj_t() @ cl.gamma(mu) @ cl.XI_M
+        k = mx.XI_M.conj_t() @ cl.gamma(mu) @ mx.XI_M
         want = ((i, j, 2 * g, 0) for i, (j, g) in enumerate(cl._GEN[mu]))
-        assert k == cl.GMat.from_entries(16, want), mu
+        assert k == mx.GMat.from_entries(16, want), mu
 
 
 @pytest.mark.parametrize("broken,message", [
     (lambda g: g.times_i(), "generator 3 is not real-integral in the spinor basis"),
     (lambda g: g + cl.gamma(4), "generator 3 is not a chirality-swapping signed permutation"),
-    (lambda g: cl.GMat.eye(16), "generator 3 is not a chirality-swapping signed permutation"),
+    (lambda g: mx.GMat.eye(16), "generator 3 is not a chirality-swapping signed permutation"),
 ])
 def test_generators_refuse_a_broken_gamma(monkeypatch, broken, message):
     # imaginary, two entries a row, or keeping each chiral half: the
     # trilinear terms index psi by column - 8, so a phi column is refused
-    gammas = list(cl._GAMMA)
+    gammas = list(mx._GAMMA)
     gammas[3] = broken(gammas[3])
-    monkeypatch.setattr(cl, "_GAMMA", gammas)
+    monkeypatch.setattr(mx, "_GAMMA", gammas)
     with pytest.raises(AssertionError) as err:
-        cl._generators()
+        mx._generators()
     assert str(err.value) == message
+
+
+def test_table_generators_are_the_alpha_xi_composition():
+    # read off the unit table at import, and composed from the paper's
+    # alpha and xi data by the bridge of matrices.py: the same tuples
+    assert mx._generators() == cl._GEN
+    assert cl._spinor_tables(oc._TABLE) == (cl._GEN, cl._BIV_REP)
+
+
+def test_spinor_tables_are_those_of_the_composed_generators():
+    # sha256 of the 56 bivector actions, the trilinear terms and the spinor
+    # form's terms as the alpha/xi compositions gave them before the
+    # generators were read off the unit table: every float sum keeps its bits
+    tables = (sorted(cl._BIV_REP.items()), cl._TRILINEAR_TERMS, cl._Q_SPINOR_TERMS)
+    assert len(cl._BIV_REP) == 56
+    assert hashlib.sha256(repr(tables).encode()).hexdigest() == (
+        "6f411c7dd9849c95460da77316feb18ed346a75b8132f8601dac1f4d240e225f")
+
+
+@pytest.mark.parametrize("a", range(8))
+def test_every_table_sign_flip_fails_the_import_time_clifford_check(a):
+    # the check clifford.py runs on the generators it reads off the unit
+    # table: each single sign of the table breaks the Clifford relation
+    for b in range(8):
+        table = [list(row) for row in oc._TABLE]
+        k, sign = table[a][b]
+        table[a][b] = (k, -sign)
+        with pytest.raises(AssertionError, match=r"Clifford relation at pair \(\d,\d\)"):
+            cl._spinor_tables(table)
+
+
+@pytest.mark.parametrize("mu", range(8))
+def test_the_bridge_names_the_generator_of_a_flipped_gamma(monkeypatch, mu):
+    # -Gamma_mu still composes to a chirality-swapping signed permutation,
+    # the negation of _GEN[mu]: the import-time bridge of matrices.py
+    # refuses it, naming mu
+    mx._check_bridge()
+    gammas = list(mx._GAMMA)
+    gammas[mu] = -gammas[mu]
+    monkeypatch.setattr(mx, "_GAMMA", gammas)
+    with pytest.raises(AssertionError) as err:
+        mx._check_bridge()
+    assert str(err.value) == f"generator {mu} of the alpha and xi data is not the unit table's"
+
+
+def test_the_paper_matrices_are_entry_points_on_clifford(monkeypatch):
+    # alpha, gamma, b_matrix and verify_clifford run what matrices.py holds
+    # at the call, as the suites' entry points do
+    for name in ("alpha", "gamma", "b_matrix", "verify_clifford"):
+        entry = getattr(cl, name)
+        assert getattr(splitoct, name) is entry
+        assert entry.__name__ == entry.__qualname__ == name
+        assert f"``splitoct.matrices.{name}``" in entry.__doc__
+        monkeypatch.setattr(mx, name, lambda *args, name=name: (name, args))
+        assert entry(5) == (name, (5,))
 
 
 def test_generator_permutations_satisfy_the_clifford_relation():
@@ -421,11 +481,11 @@ def test_trilinear_terms_are_the_slice_compositions():
     # the slices K_b = (M_phi)^T B_11 (Gamma_b)_12 M_psi / 2, each block cut
     # out of the 16x16 matrix by its entries
     def block(g, r0, c0):
-        return cl.GMat.from_entries(8, ((r - r0, c - c0, vr, vi) for r, c, vr, vi in g.entries()
+        return mx.GMat.from_entries(8, ((r - r0, c - c0, vr, vi) for r, c, vr, vi in g.entries()
                                         if r0 <= r < r0 + 8 and c0 <= c < c0 + 8))
 
-    left = block(cl.XI_M, 0, 0).T @ block(cl.b_matrix(), 0, 0)
-    right = block(cl.XI_M, 8, 8)
+    left = block(mx.XI_M, 0, 0).T @ block(cl.b_matrix(), 0, 0)
+    right = block(mx.XI_M, 8, 8)
     want = []
     for b in range(8):
         k = left @ block(cl.gamma(b), 0, 8) @ right
@@ -516,7 +576,7 @@ class TestVectorOracle:
 
     def test_commutator_identity_exact(self):
         # [G_mu G_nu, G_sig] = 2 g_nusig G_mu - 2 g_musig G_nu, in Gaussian integers
-        g, zero = cl.gamma, cl.GMat.zeros((16, 16))
+        g, zero = cl.gamma, mx.GMat.zeros((16, 16))
         for mu, nu in PLANES:
             biv = g(mu) @ g(nu)
             for sig in range(8):

@@ -15,6 +15,7 @@ from hypothesis import example, given, strategies as st
 
 from splitoct import cli
 from splitoct import clifford as cl
+from splitoct import matrices as mx
 from splitoct import octonion as oc
 from splitoct import report
 from splitoct import sweeps
@@ -26,7 +27,7 @@ from splitoct.report import VerificationReport
 
 import catch_matrix
 from catch_matrix import (flipped_turn, flipped_turn_pair, installed_table,
-                          negated_matrix_term)
+                          negated_matrix_term, plus_one)
 from oracles import matrix_trilinear_tensor, oct_trilinear_tensor, to_complex
 
 UNITS = [O.unit(k) for k in range(8)]
@@ -639,6 +640,60 @@ def test_trilinear_both_exits_1_on_flipped_table(monkeypatch, capsys):
                        "dictionary fails at basis triple (3,5,6)\n")
 
 
+# each compiled trilinear form, by the module that holds it, its name, and
+# the name the oracle gives it
+COMPILED_FORMS = [(cl, "_TRILINEAR", "matrix"), (oc, "_INT_TRILINEAR", "octonionic")]
+
+
+@pytest.mark.parametrize("module,name,label", COMPILED_FORMS)
+def test_oracle_certifies_each_compiled_form(monkeypatch, module, name, label):
+    # the term tables agree, but the form trilinear_both runs on Python ints
+    # returns its value + 1: the constant lands on the digit of (0,0,0)
+    plus_one(monkeypatch, module, name)
+    tr.equivalence_map.cache_clear()
+    with pytest.raises(tr.OracleError) as err:
+        tr.equivalence_map()
+    assert str(err.value) == f"the compiled {label} form fails at basis triple (0,0,0)"
+
+
+@pytest.mark.parametrize("module,name,label", COMPILED_FORMS)
+@pytest.mark.parametrize("wrong", [(0,), (63,), (17, 40), (50, 9, 33)])
+def test_oracle_names_the_first_wrong_term_compiled_into_a_form(module, name, label, wrong):
+    # a form compiled, as its module compiles it, from its table with some
+    # terms negated, against the table as it is: one evaluation names the
+    # first wrong triple in C order
+    terms = list(module._TRILINEAR_TERMS)
+    for n in wrong:
+        a, b, c, k = terms[n]
+        terms[n] = (a, b, c, -k)
+    wrap = {"wrap": "Fraction", "Fraction": Fraction} if module is oc else {}
+    first = min(module._TRILINEAR_TERMS[n][:3] for n in wrong)
+    with pytest.raises(tr.OracleError) as err:
+        tr._certify_form(label, trilinear_form(terms, **wrap), module._TRILINEAR_TERMS)
+    assert str(err.value) == "the compiled {} form fails at basis triple ({},{},{})".format(
+        label, *first)
+
+
+def test_trilinear_both_and_verify_refuse_a_broken_compiled_form(monkeypatch, capsys):
+    # sot trilinear exits 1 with the oracle's message; trilinear-dictionary
+    # fails with that one named case, its samples contracting the tables
+    plus_one(monkeypatch, cl, "_TRILINEAR")
+    tr.equivalence_map.cache_clear()
+    e0 = "1,0,0,0,0,0,0,0"
+    code = cli.main(["trilinear", "--phi", e0, "--x", e0, "--psi", e0,
+                     "--representation", "both"])
+    out = capsys.readouterr()
+    assert (code, out.out) == (1, "")
+    assert out.err == ("error: trilinear dictionary unavailable: "
+                       "the compiled matrix form fails at basis triple (0,0,0)\n")
+    assert cli.main(["verify", "triality"]) == 1
+    reports = json.loads(capsys.readouterr().out)["reports"]
+    assert [r["name"] for r in reports if not r["passed"]] == ["trilinear-dictionary"]
+    rep, = (r for r in reports if r["name"] == "trilinear-dictionary")
+    assert (rep["cases"], rep["failures"]) == (1001, 1)
+    assert rep["failure_details"] == ["the compiled matrix form fails at basis triple (0,0,0)"]
+
+
 def test_table_prints_a_flipped_table_as_it_stands(monkeypatch, capsys):
     # sot table reads the unit table and does not validate it: with e_J1 e_J2
     # alone negated it prints the flipped sign and exits 0; the flip is
@@ -821,7 +876,7 @@ def dense_slices():
     """Per slice b, (i, j, K_b[i,j]) over the nonzero entries in C order, with
     K_b = (M_phi)^T B_11 (Gamma_b)_12 M_psi / 2 composed as dense complex
     matrices, apart from the sparse slice table."""
-    xi, b_mat = to_complex(cl.XI_M), to_complex(cl.b_matrix())
+    xi, b_mat = to_complex(mx.XI_M), to_complex(cl.b_matrix())
     left, right = xi[:8, :8].T @ b_mat[:8, :8], xi[8:, 8:]
     out = []
     for b in range(8):
@@ -1377,14 +1432,17 @@ def test_one_flipped_action_sign_changes_that_row_of_the_turn(monkeypatch, plane
 
 
 def test_the_turn_compiles_nothing_per_plane(monkeypatch):
-    # every plane's action is in _BIV_REP from import and read from there
-    # by the one turn compiled at import: nothing is composed or compiled
+    # every plane's action is in _BIV_REP from import, read off the unit
+    # table, and read from there by the one turn compiled at import: nothing
+    # is composed or compiled, neither from the table nor from the paper's
+    # matrices
     assert sorted(cl._BIV_REP) == list(itertools.permutations(range(8), 2))
 
     def refuse(*args, **kwargs):
         raise AssertionError("composed or compiled after import")
     monkeypatch.setattr(cl, "compiled", refuse)
-    monkeypatch.setattr(cl.GMat, "__matmul__", refuse)
+    monkeypatch.setattr(cl, "_spinor_tables", refuse)
+    monkeypatch.setattr(mx.GMat, "__matmul__", refuse)
     for mu, nu in itertools.permutations(range(8), 2):
         cl.rotate_spinor_list([1.0] * 16, cl.rotor(mu, nu, 0.5))
         cl.plane_generator(mu, nu)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from splitoct import clifford as cl
+from splitoct import matrices as mx
 from splitoct import octonion as oc
 from splitoct import units
 from splitoct import triality as tr
@@ -29,9 +30,9 @@ def test_xi_phi0_rows():
 
 
 def test_xi_matrix_sqrt2_unitary():
-    m = cl.XI_M
-    assert m @ m.conj_t() == cl.GMat.eye(16).scale(2)
-    assert m.conj_t() @ m == cl.GMat.eye(16).scale(2)
+    m = mx.XI_M
+    assert m @ m.conj_t() == mx.GMat.eye(16).scale(2)
+    assert m.conj_t() @ m == mx.GMat.eye(16).scale(2)
 
 
 def test_pinned_convention_is_transpose_original():
@@ -41,27 +42,32 @@ def test_pinned_convention_is_transpose_original():
 
 
 def test_the_pin_selects_the_spinor_form():
-    # the pin and the form it selects live in clifford; triality re-exports it
+    # clifford states the convention and its form; the pin of matrices.py
+    # selects them among the composed candidates; triality re-exports it
     assert tr.PINNED_CONVENTION is cl.PINNED_CONVENTION
-    assert cl._Q_SPINOR_2 == cl._candidate_forms()[cl.PINNED_CONVENTION]
+    assert mx._PIN == cl.PINNED_CONVENTION
+    assert mx._Q_SPINOR_2 == mx._candidate_forms()[cl.PINNED_CONVENTION]
+    assert mx._Q_SPINOR_2 == mx.GMat.from_entries(16, ((i, j, q, 0)
+                                                      for i, j, q in cl._Q_SPINOR_TERMS))
 
 
 def test_pinned_spinor_form_is_twice_the_split_form():
     # the one import-time equality: real, even and diagonal, 2 g_kk on the
     # diagonal of both chiral halves
     assert cl._Q_SPINOR_TERMS == tuple((k, k, 2 * cl.METRIC[k % 8]) for k in range(16))
+    assert mx._Q_SPINOR_2 == mx._SPLIT.scale(2)
 
 
 def test_pin_needs_exactly_one_diagonalizing_candidate():
-    forms = cl._candidate_forms()
-    pinned = cl.pin_xi_convention(forms)
+    forms = mx._candidate_forms()
+    pinned = mx.pin_xi_convention(forms)
     assert pinned == cl.PINNED_CONVENTION
     others = {conv: mat for conv, mat in forms.items() if conv != pinned}
     with pytest.raises(RuntimeError, match="got 0"):
-        cl.pin_xi_convention(others)
+        mx.pin_xi_convention(others)
     twice = {**others, cl.XiConvention("dagger", "original"): forms[pinned], pinned: forms[pinned]}
     with pytest.raises(RuntimeError, match="got 2"):
-        cl.pin_xi_convention(twice)
+        mx.pin_xi_convention(twice)
 
 
 def test_pinned_form_diagonalizes():
