@@ -160,8 +160,9 @@ def _generation_report():
 
 def cmd_verify(args) -> dict:
     # every verdict rests on the paper's matrices: their import-time checks
-    # refuse broken alpha or xi data, or generators that are not the unit
-    # table's, before any suite runs
+    # (xi unitarity, the bridge to the unit table's generators, the pin)
+    # refuse broken alpha or xi data before any suite runs; they compose no
+    # Gamma product, and the clifford report composes the 64 once
     from . import matrices  # noqa: F401
     if args.suite not in SUITES:
         raise UsageError(f"unknown suite '{args.suite}'; choose from {', '.join(SUITES)}")

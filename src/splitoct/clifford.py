@@ -12,10 +12,10 @@ pinned form's diagonal.  The pinned spinor evaluation
 (PINNED_CONVENTION, the transpose pairing with B as it is) makes the
 spinor invariant the split form diag(METRIC, METRIC) (``_Q_SPINOR_TERMS``).
 The paper's complex matrices, alpha, Gamma, B and the basis change XI_M,
-live in ``matrices``, which composes M^dag Gamma_mu M / 2 from them and
-checks it against ``_GEN`` when imported, by ``sot verify`` and ``sot
-matrices``; ``alpha``, ``gamma``, ``b_matrix`` and ``verify_clifford`` are
-entry points here that import it at the first call.
+live in ``matrices``, which checks M^dag Gamma_mu M = 2 ``_GEN[mu]``
+exactly when imported, by ``sot verify`` and ``sot matrices``; ``alpha``,
+``gamma``, ``b_matrix`` and ``verify_clifford`` are entry points here that
+import it at the first call.
 Rotors carry their half-angle pair and act on real float components:
 vectors in closed form, spinors by one turn compiled at import, which
 takes the bivector's permutation as an argument; ``plane_generator``
@@ -24,7 +24,9 @@ The trilinear form is one flat table of (a, b, c, F(e_a, e_b, e_c))
 terms over (phi, x, psi), in the slot order of the octonionic form's
 table, and the spinor invariant one of (i, j, 2Q_ij) terms; on integers
 each is one straight-line function compiled from its table by
-``exact.int_form`` (``exact.trilinear_form`` for the trilinear form).
+``exact.int_form`` (``exact.trilinear_form`` for the trilinear form); the
+spinor form is certified against its terms where it is compiled, the
+trilinear form by ``triality``'s dictionary oracle.
 An int form returns None unless every component is a Python int, so a
 list of Python ints goes to it as given, and any other argument is read
 once (``_trilinear_args`` for the trilinear form).  Float sums of several
@@ -38,7 +40,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from . import octonion as oc
-from .exact import compiled, int_form, trilinear_form
+from .exact import compiled, first_wrong_digit, int_form, kronecker_point, trilinear_form
 
 METRIC = (1, 1, 1, 1, -1, -1, -1, -1)
 
@@ -67,11 +69,26 @@ PINNED_CONVENTION = XiConvention("transpose", "original")
 _Q_SPINOR_TERMS = tuple((k, k, 2 * METRIC[k % 8]) for k in range(16))
 
 
+# a Sidon set: the sums s_i + s_j, i <= j, are distinct, so at e_i = 2^(W
+# s_i) (``exact.kronecker_point``) each monomial e_i e_j is its own digit
+_SIDON = (0, 1, 3, 7, 12, 20, 30, 44, 65, 80, 96, 122, 147, 181, 203, 251)
+_SPINOR_POINT = kronecker_point(_SIDON)
+
+
 def _spinor_form(terms):
     """eta^T Q eta on 16 Python ints, compiled from the (i, j, 2Q_ij) terms:
     the sum of (Q_ij) e_i e_j; None unless every component is a Python
-    int."""
-    return int_form("spinor_form", "e", 16, [[(q // 2, f"e{i} * e{j}") for i, j, q in terms]])
+    int.  The function is certified against the terms by one evaluation at
+    _SPINOR_POINT: AssertionError naming the first wrong term e_i e_j, by
+    digit s_i + s_j."""
+    form = int_form("spinor_form", "e", 16, [[(q // 2, f"e{i} * e{j}") for i, j, q in terms]])
+    first = first_wrong_digit(form(_SPINOR_POINT),
+                              ((_SIDON[i] + _SIDON[j], q // 2) for i, j, q in terms))
+    if first is not None:
+        i, j = next((i, j) for i in range(16) for j in range(i, 16)
+                    if _SIDON[i] + _SIDON[j] == first)
+        raise AssertionError(f"the compiled spinor form fails at term e{i} * e{j}")
+    return form
 
 
 _SPINOR_FORM = _spinor_form(_Q_SPINOR_TERMS)

@@ -10,8 +10,33 @@ factors a trilinear form's vector components out of its sums, and
 turn is compiled by ``compiled`` too.  An integer form is the only form
 compiled from its table: any other input takes a plain loop over the same
 table.
+
+Each integer form is certified against its table by one evaluation at a
+point where every variable is a distinct power of 2^DIGIT (Kronecker
+substitution): the unit product and the spinor form where they are
+compiled, the two trilinear forms by ``triality._certify_form``.
 """
 from __future__ import annotations
+
+DIGIT = 16
+
+
+def kronecker_point(exponents) -> tuple:
+    """2^(DIGIT e) for each exponent e: a point at which the monomial of
+    variables with exponents e1, e2, ... is the digit e1 + e2 + ...."""
+    return tuple(1 << (DIGIT * e) for e in exponents)
+
+
+def first_wrong_digit(got, terms):
+    """None if ``got`` is the sum of k 2^(DIGIT d) over the (d, k) terms,
+    else the lowest digit d where the two differ.  A digit of the difference
+    below 2^DIGIT in size cannot carry into the next, so the lowest set bit
+    of a nonzero difference lies in the lowest wrong digit."""
+    diff = got - sum(k << (DIGIT * d) for d, k in terms)
+    if not diff:
+        return None
+    diff = int(diff)
+    return ((diff & -diff).bit_length() - 1) // DIGIT
 
 
 def signed_sum(terms) -> str:

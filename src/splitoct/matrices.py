@@ -4,27 +4,29 @@ of the spinor tables that ``clifford`` reads off the unit table.
 The eight 8x8 alpha matrices are data (entries in {0, +-1, +-i}); the
 16x16 generators are Gamma_mu = A_mu for mu<4 and i*A_mu for mu>=4, with
 A_mu = [[0, alpha], [alpha^dagger, 0]].  The module owns the grade-4
-element B = -G1 G3 G5 G7 and the spinor basis-change matrix XI_M.  Every
-exact object is held as sparse rows of Gaussian integers in Python ints
-(``GMat``), and the checks that run at import are exact sparse
-compositions:
+element B = -G1 G3 G5 G7 and the spinor basis-change matrix M = XI_M.
+Every exact object is held as sparse rows of Gaussian integers in Python
+ints (``GMat``), and the checks that run at import (``_checked``, in this
+order) are exact sparse compositions:
 
-- the Clifford relations on the Gamma (``verify_clifford``, which reads
-  ``clifford.METRIC`` when it is called);
-- XI_M XI_M^dag = 2 Id;
+- M M^dag = 2 Id;
+- the bridge: M^dag Gamma_mu M = 2 G_mu for each mu, with G_mu the real
+  signed permutation ``clifford._GEN[mu]``, read off the unit table;
 - the pin of the spinor evaluation convention: of the four candidate
   evaluations, each composed once, exactly one must be the split diagonal
   form diag(METRIC, METRIC), and it must be ``clifford.PINNED_CONVENTION``,
-  with its form twice the split form, ``clifford._Q_SPINOR_TERMS``;
-- the bridge: M^dag Gamma_mu M / 2 on real spinor components is a real,
-  even, chirality-swapping signed permutation, equal, row for row, to
-  ``clifford._GEN[mu]``, which is read off the unit table.
+  with its form twice the split form, ``clifford._Q_SPINOR_TERMS``.
 
-Any of them raises AssertionError.  Only ``sot verify`` (every suite) and
-``sot matrices`` import this module, so every verdict and every emitted
-matrix rests on these checks, and the one-shot kernels load none of it.
-``alpha``, ``gamma``, ``b_matrix`` and ``verify_clifford`` are also entry
-points on ``clifford`` and ``splitoct``, made by ``octonion._sweep``.
+Any of them raises AssertionError (the pin RuntimeError).  The first two
+imply the Clifford relation on the Gamma: Gamma_mu = M G_mu M^dag / 2, so
+Gamma_mu Gamma_nu + Gamma_nu Gamma_mu = M (G_mu G_nu + G_nu G_mu) M^dag / 2
+= 2 g_munu Id by the relation ``clifford._spinor_tables`` checks on the
+G_mu.  So the import composes none of the 64 products; the `clifford`
+report does (``verify_clifford``, which reads ``clifford.METRIC`` at the
+call).  Only ``sot verify`` and ``sot matrices`` import this module, so
+every verdict and emitted matrix rests on these checks.  ``alpha``,
+``gamma``, ``b_matrix`` and ``verify_clifford`` are also entry points on
+``clifford`` and ``splitoct``, made by ``octonion._sweep``.
 """
 from __future__ import annotations
 
@@ -145,9 +147,6 @@ class GMat:
         return (isinstance(other, GMat) and self.ncols == other.ncols
                 and self.rows == other.rows)
 
-    def is_real(self) -> bool:
-        return not any(vi for _, _, _, vi in self.entries())
-
     def to_json(self, exact: bool = True) -> list:
         num = str if exact else float
         out = []
@@ -165,7 +164,7 @@ def _row(acc: dict) -> tuple:
 
 
 def _alpha_tables():
-    # (row, col, re, im) entry quadruples; the tables are data, validated below
+    # (row, col, re, im) entry quadruples; the tables are data, checked at import
     data = [
         [(k, k, v, 0) for k, v in enumerate((-1, 1, 1, 1, -1, -1, -1, 1))],
         [(k, k, 0, 1) for k in range(8)],
@@ -185,17 +184,15 @@ def _alpha_tables():
     return [GMat.from_entries(8, entries) for entries in data]
 
 
-_ALPHA = _alpha_tables()
-
-
 def _big_a(a: GMat) -> GMat:
     """[[0, a], [a^dagger, 0]] for an 8x8 a."""
     upper = (tuple((c + 8, vr, vi) for c, vr, vi in row) for row in a.rows)
     return GMat((*upper, *a.conj_t().rows))
 
 
-_GAMMA = [_big_a(a) if mu < 4 else _big_a(a).times_i() for mu, a in enumerate(_ALPHA)]
-_B = -(_GAMMA[1] @ _GAMMA[3] @ _GAMMA[5] @ _GAMMA[7])
+def _gammas(alphas) -> list:
+    """Gamma_mu of the alpha tables: A_mu for mu < 4, i A_mu for mu >= 4."""
+    return [_big_a(a) if mu < 4 else _big_a(a).times_i() for mu, a in enumerate(alphas)]
 
 
 def alpha(mu: int) -> GMat:
@@ -233,12 +230,6 @@ def verify_clifford() -> VerificationReport:
     return rep
 
 
-# validated at import: the tabulated entries must satisfy the algebra
-_startup = verify_clifford()
-if not _startup.passed:
-    raise AssertionError(f"alpha-table data broken: {_startup.failure_details}")
-
-
 # ---------------------------------------------------------------------------
 # spinor basis change (fixed 16-row definition)
 # ---------------------------------------------------------------------------
@@ -266,25 +257,19 @@ def _xi_matrix() -> GMat:
                                   for c, vr, vi in entries))
 
 
-# xi = (1/sqrt2) XI_M @ eta; the sqrt2 is tracked symbolically, so every
-# exactness statement below is about XI_M itself.
-XI_M = _xi_matrix()
-_XI_DAG = XI_M.conj_t()
-
-if not (XI_M @ _XI_DAG == GMat.eye(16).scale(2)):
-    raise AssertionError("xi basis-change matrix is not sqrt2-unitary")
 # the split diagonal form diag(METRIC, METRIC) on the real spinor components
 _SPLIT = GMat.from_entries(16, ((k, k, cl.METRIC[k % 8], 0) for k in range(16)))
 
 
-def _candidate_forms() -> dict:
-    """The four candidate evaluations as exact 16x16 quadratic forms on the
-    real components, by convention, each composed once: 2x the form for B
-    original, 4x for B conjugated by T = M/sqrt2 (T B T^{-1} = M B M^dag / 2)."""
-    mbmd = XI_M @ _B @ _XI_DAG
-    return {XiConvention(pairing, b_form): left @ mid @ XI_M
-            for pairing, left in (("transpose", XI_M.T), ("dagger", _XI_DAG))
-            for b_form, mid in (("original", _B), ("conjugated", mbmd))}
+def _candidate_forms(xi: GMat, b: GMat) -> dict:
+    """The four candidate evaluations of basis change xi and B as exact
+    16x16 quadratic forms on the real components, by convention: 2x the form
+    for B original, 4x for B conjugated by T = M/sqrt2 (T B T^{-1} = M B M^dag / 2)."""
+    xi_dag = xi.conj_t()
+    mbmd = xi @ b @ xi_dag
+    return {XiConvention(pairing, b_form): left @ mid @ xi
+            for pairing, left in (("transpose", xi.T), ("dagger", xi_dag))
+            for b_form, mid in (("original", b), ("conjugated", mbmd))}
 
 
 def pin_xi_convention(forms: dict) -> XiConvention:
@@ -298,45 +283,43 @@ def pin_xi_convention(forms: dict) -> XiConvention:
     return hits[0]
 
 
-_CANDIDATES = _candidate_forms()
-# the spinor form's terms and the trilinear terms of clifford read the
-# transpose pairing with B as it is, so the pin must select that one
-_PIN = pin_xi_convention(_CANDIDATES)
-if _PIN != cl.PINNED_CONVENTION:
-    raise AssertionError(f"the pin selects {_PIN.label}, not {cl.PINNED_CONVENTION.label}")
-
-# quadratic form of the spinor invariant in real components: eta^T B eta
-# evaluated as xi^T B xi = eta^T (M^T B M) eta / 2.  The pin reads its
-# symmetric part; this one equality makes it real, integral and diagonal,
-# twice the split form, whose terms clifford holds
-_Q_SPINOR_2 = _CANDIDATES[cl.PINNED_CONVENTION]     # = 2 * quadratic-form matrix, exact
-if tuple((i, j, q) for i, j, q, _ in _Q_SPINOR_2.entries()) != cl._Q_SPINOR_TERMS:
-    raise AssertionError("pinned spinor form is not 2 diag(METRIC, METRIC)")
-
-
-def _generators() -> tuple:
-    """Gamma_mu on real spinor components, M^dag Gamma_mu M / 2 (M M^dag =
-    2), for each mu: row i of the result is sign * e_column, as a (column,
-    sign) pair.  The composition is exact; it must be real, even, one entry
-    per row, and move each chiral half into the other."""
-    out = []
-    for mu, g in enumerate(_GAMMA):
-        k = _XI_DAG @ g @ XI_M
-        if not k.is_real() or any(vr % 2 for _, _, vr, _ in k.entries()):
-            raise AssertionError(f"generator {mu} is not real-integral in the spinor basis")
-        if any(len(row) != 1 or (row[0][0] < 8) == (i < 8) for i, row in enumerate(k.rows)):
-            raise AssertionError(f"generator {mu} is not a chirality-swapping signed permutation")
-        out.append(tuple((c, vr // 2) for (c, vr, _), in k.rows))
-    return tuple(out)
-
-
-def _check_bridge() -> None:
+def _check_bridge(gammas, xi: GMat) -> None:
     """The paper's generators in the spinor basis are clifford's, read off
-    the unit table: AssertionError naming the first mu where they differ."""
-    for mu, (mine, read) in enumerate(zip(_generators(), cl._GEN)):
-        if mine != read:
-            raise AssertionError(f"generator {mu} of the alpha and xi data is not "
-                                 "the unit table's")
+    the unit table: M^dag Gamma_mu M == 2 G_mu for each mu, exactly, with
+    G_mu the real matrix of the signed permutation ``clifford._GEN[mu]``;
+    AssertionError naming the first mu where it is not."""
+    xi_dag = xi.conj_t()
+    for mu, (g, gen) in enumerate(zip(gammas, cl._GEN)):
+        if not xi_dag @ g @ xi == GMat(((c, 2 * s, 0),) for c, s in gen):
+            raise AssertionError(f"generator {mu} of the alpha and xi data is not the unit table's")
 
 
-_check_bridge()
+def _checked(alphas, xi: GMat) -> tuple:
+    """(Gamma, B) of the alpha and xi data, after the import checks on them
+    in the order the module docstring lists: the first that fails raises.
+    The import runs it on _ALPHA and XI_M, the catch matrix on each of
+    their single sign flips."""
+    gammas = _gammas(alphas)
+    if not xi @ xi.conj_t() == GMat.eye(16).scale(2):
+        raise AssertionError("xi basis-change matrix is not sqrt2-unitary")
+    _check_bridge(gammas, xi)
+    b = -(gammas[1] @ gammas[3] @ gammas[5] @ gammas[7])
+    forms = _candidate_forms(xi, b)
+    # clifford's spinor form and trilinear terms read the transpose pairing
+    # with B as it is, so the pin must select that one
+    pin = pin_xi_convention(forms)
+    if pin != cl.PINNED_CONVENTION:
+        raise AssertionError(f"the pin selects {pin.label}, not {cl.PINNED_CONVENTION.label}")
+    # eta^T B eta evaluated as xi^T B xi = eta^T (M^T B M) eta / 2: the pin
+    # reads its symmetric part; this one equality makes it real, integral
+    # and diagonal, twice the split form, whose terms clifford holds
+    if tuple((i, j, q) for i, j, q, _ in forms[pin].entries()) != cl._Q_SPINOR_TERMS:
+        raise AssertionError("pinned spinor form is not 2 diag(METRIC, METRIC)")
+    return gammas, b
+
+
+_ALPHA = _alpha_tables()
+# xi = (1/sqrt2) XI_M @ eta; the sqrt2 is tracked symbolically, so every
+# exactness statement here is about XI_M itself.
+XI_M = _xi_matrix()
+_GAMMA, _B = _checked(_ALPHA, XI_M)

@@ -13,10 +13,12 @@ nonzero -conj(e_a).(e_b e_c), read off the table and those scalar
 entries); and, each as one call of ``exact.int_form``, which the clifford
 forms share, the product of Python ints (_INT_PRODUCT) and the trilinear
 form of Python ints compiled from its term table (_INT_TRILINEAR, by
-``exact.trilinear_form``, which writes the matrix form too).  Each
-int form checks its own input and returns None unless every coefficient
-is a Python int.  Everything else takes the plain definition over the
-same table: mul the loop over _TABLE's entries, and
+``exact.trilinear_form``, which writes the matrix form too).  _product
+certifies the int product against the table by one evaluation, and
+``triality`` the trilinear form against its terms.  Each int form checks
+its own input and returns None unless every coefficient is a Python int.
+Everything else takes the plain definition over the same table: mul the
+loop over _TABLE's entries, and
 ``triality.trilinear_oct`` -inner(conj(Phi), mul(X, Psi)).  No form turns
 numpy integers itself: a SplitOctonion holds them as Python ints from the
 start, so that their products cannot wrap in int64.
@@ -33,7 +35,7 @@ import math
 from fractions import Fraction
 from numbers import Integral
 
-from .exact import int_form, trilinear_form
+from .exact import first_wrong_digit, int_form, kronecker_point, trilinear_form
 
 UNIT_NAMES = ("1", "j1", "j2", "j3", "I", "J1", "J2", "J3")
 SCALAR = 0
@@ -115,17 +117,33 @@ def _trilinear_terms(table, scalar_terms):
     return tuple(terms)
 
 
+# Kronecker substitution (``exact.kronecker_point``): at a_i = 2^(W 8i) and
+# b_j = 2^(W j), the term a_i b_j of a coefficient is the digit 8i + j
+_PRODUCT_POINT = kronecker_point(range(0, 64, 8)), kronecker_point(range(8))
+
+
 def _product(table):
     """The product of two coefficient sequences of Python ints under a unit
     table, as one straight-line function compiled from it: coefficient k
     sums +-a_i b_j over the entries e_i e_j = +-e_k.  It returns None
     unless all sixteen coefficients are Python ints; mul then runs the loop
-    over the table that defines the product."""
+    over the table that defines the product.  The function is certified
+    against the table by one evaluation at _PRODUCT_POINT: AssertionError
+    naming the first wrong term a_i b_j in C order of (i, j, k)."""
     terms = [[] for _ in range(8)]
     for i, row in enumerate(table):
         for j, (k, sign) in enumerate(row):
-            terms[k].append((sign, f"a{i} * b{j}"))
-    return int_form("int_product", "ab", 8, terms)
+            terms[k].append((sign, i, j))
+    form = int_form("int_product", "ab", 8,
+                    [[(sign, f"a{i} * b{j}") for sign, i, j in t] for t in terms])
+    wrong = [(first, k) for k, (value, t) in enumerate(zip(form(*_PRODUCT_POINT), terms))
+             if (first := first_wrong_digit(value, ((8 * i + j, s) for s, i, j in t)))
+             is not None]
+    if wrong:
+        first, k = min(wrong)
+        raise AssertionError(f"the compiled product fails at term a{first // 8} * "
+                             f"b{first % 8} of coefficient {k}")
+    return form
 
 
 def _forms(table) -> dict:

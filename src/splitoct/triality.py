@@ -28,6 +28,7 @@ from fractions import Fraction
 
 from . import clifford as cl
 from . import octonion as oc
+from .exact import first_wrong_digit, kronecker_point
 
 DEFAULT_SEED = 12345
 PINNED_CONVENTION = cl.PINNED_CONVENTION
@@ -85,26 +86,22 @@ def trilinear_equivalence_oracle() -> CorrespondenceMap:
     return CorrespondenceMap(_IDENTITY, _IDENTITY, _IDENTITY, Fraction(1))
 
 
-# Kronecker substitution, with digits of W = _DIGIT bits: at phi_a =
-# 2^(W 64a), x_b = 2^(W 8b) and psi_c = 2^(W c), the monomial phi_a x_b
-# psi_c is the base-2^W digit 64a + 8b + c, the C-order index of (a, b, c)
-_DIGIT = 16
-_POINT = tuple(tuple(1 << (_DIGIT * step * k) for k in range(8)) for step in (64, 8, 1))
+# Kronecker substitution (``exact.kronecker_point``): at phi_a = 2^(W 64a),
+# x_b = 2^(W 8b) and psi_c = 2^(W c), the monomial phi_a x_b psi_c is the
+# base-2^W digit 64a + 8b + c, the C-order index of (a, b, c)
+_POINT = tuple(kronecker_point(step * k for k in range(8)) for step in (64, 8, 1))
 
 
 def _certify_form(name: str, form, terms) -> None:
     """A compiled trilinear form holds exactly the (a, b, c, k) terms it is
     compiled from: one evaluation at _POINT, compared with the terms packed
-    the same way.  Each monomial takes one variable per slot, as every form
-    of ``exact.trilinear_form`` does, so its coefficient is one digit; a
-    coefficient of the difference below 2^W in size cannot carry into the
-    next, so the lowest set bit of a nonzero difference lies in the digit of
-    the first wrong triple in C order, which the OracleError names."""
-    got = form(*_POINT)
-    want = sum(k << (_DIGIT * (64 * a + 8 * b + c)) for a, b, c, k in terms)
-    if got != want:
-        diff = int(got - want)
-        first = ((diff & -diff).bit_length() - 1) // _DIGIT
+    the same way (``exact.first_wrong_digit``).  Each monomial takes one
+    variable per slot, as every form of ``exact.trilinear_form`` does, so
+    its coefficient is one digit, and the lowest wrong digit is the first
+    wrong triple in C order, which the OracleError names."""
+    first = first_wrong_digit(form(*_POINT),
+                              ((64 * a + 8 * b + c, k) for a, b, c, k in terms))
+    if first is not None:
         raise OracleError(f"the compiled {name} form fails at basis triple "
                           f"({first // 64},{first // 8 % 8},{first % 8})")
 

@@ -405,8 +405,10 @@ def double_cover_check() -> VerificationReport:
             r = cl.rotor(mu, nu, turns * math.pi)
             for kind, rotate, n, sign in (("vector", cl.rotate_vector_list, 8, 1),
                                           ("spinor", cl.rotate_spinor_list, 16, spinor_sign)):
-                resid = max(abs(v - sign * (i == j)) for j in range(n)
-                            for i, v in enumerate(rotate([float(i == j) for i in range(n)], r)))
+                columns = [rotate([float(i == j) for i in range(n)], r) for j in range(n)]
+                for j, column in enumerate(columns):
+                    column[j] -= sign
+                resid = max(map(abs, itertools.chain.from_iterable(columns)))
                 rep.record_case(resid <= report.TOLERANCE, f"plane ({mu},{nu}) {kind} {turns}pi",
                                 residual=resid)
     return rep

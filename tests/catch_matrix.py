@@ -26,12 +26,22 @@ records its exit code and the names of the failing reports.  The faults:
   planes and on boost planes (2);
 - each compiled trilinear form, ``cl._TRILINEAR`` and
   ``oc._INT_TRILINEAR``, returning its value + 1 (2): the dictionary
-  oracle certifies both against their term tables.
+  oracle certifies both against their term tables;
+- every entry of the paper's matrices, ``mx._ALPHA`` (8 x 8) and
+  ``mx.XI_M`` (32), negated: these are refused at import, before any
+  suite runs, so they come first in the file, and each row records the
+  message of the import checks (``mx._checked``, which the import runs
+  too) on the faulty data.  Every `verify` imports ``matrices``, and the
+  refusal is an uncaught exception, so `sot verify all` exits 1; data
+  that passed the checks would run `verify all` with its matrices
+  installed.
 
 Each must exit 1.  The known escapes are listed apart, each with the
 CHANGES.md line that records it: the compiled spinor form
 ``cl._SPINOR_FORM`` returning its value + 1 passes, because no report
-evaluates that form.  ``tests/data/catch_matrix.json`` holds the matrix,
+evaluates that form; its certification by one evaluation runs where
+``cl._spinor_form`` compiles it, at import, before this fault is
+installed.  ``tests/data/catch_matrix.json`` holds the matrix,
 one fault a line; the test under the ``catch`` marker regenerates it and
 compares (``PYTHONPATH=src python -m pytest -q -m catch``, about half a
 minute on one core), and
@@ -52,7 +62,7 @@ import pytest
 
 from splitoct import cli
 from splitoct import clifford as cl
-from splitoct import matrices  # noqa: F401  imported, and checked, before any fault
+from splitoct import matrices as mx  # imported, and checked, before any fault
 from splitoct import octonion as oc
 from splitoct import triality as tr
 from splitoct.exact import trilinear_form
@@ -193,6 +203,30 @@ FAULTS = {
     "cl._TRILINEAR + 1": lambda mp: plus_one(mp, cl, "_TRILINEAR"),
     "oc._INT_TRILINEAR + 1": lambda mp: plus_one(mp, oc, "_INT_TRILINEAR"),
 }
+
+
+def negated_entry(g, k=0):
+    """The square GMat g with its k-th nonzero entry, in C order, negated."""
+    entries = list(g.entries())
+    r, c, vr, vi = entries[k]
+    entries[k] = (r, c, -vr, -vi)
+    return mx.GMat.from_entries(len(g.rows), entries)
+
+
+def flipped_alpha(mu, k):
+    """The alpha and xi data with entry k of alpha_mu negated."""
+    alphas = list(mx._ALPHA)
+    alphas[mu] = negated_entry(alphas[mu], k)
+    return alphas, mx.XI_M
+
+
+# faults of the paper's matrices, each as the (alphas, xi) data it makes
+IMPORT_FAULTS = {
+    **{f"mx._ALPHA[{mu}] entry {k}": lambda mu=mu, k=k: flipped_alpha(mu, k)
+       for mu in range(8) for k in range(8)},
+    **{f"mx.XI_M entry {k}": lambda k=k: (mx._ALPHA, negated_entry(mx.XI_M, k))
+       for k in range(32)},
+}
 KNOWN_ESCAPES = {
     "cl._SPINOR_FORM + 1": lambda mp: plus_one(mp, cl, "_SPINOR_FORM"),
 }
@@ -210,9 +244,24 @@ def verdict(install) -> dict:
     return {"exit": code, "failing": [r["name"] for r in reports if not r["passed"]]}
 
 
+def import_verdict(alphas, xi) -> dict:
+    """The message the import checks of ``matrices`` refuse the alpha and xi
+    data with, or, if they pass, the verdict of `verify all` on them."""
+    try:
+        gammas, b = mx._checked(alphas, xi)
+    except (AssertionError, RuntimeError) as exc:
+        return {"exit": 1, "refused": str(exc)}
+
+    def install(mp):
+        for name, value in (("_ALPHA", alphas), ("XI_M", xi), ("_GAMMA", gammas), ("_B", b)):
+            mp.setattr(mx, name, value)
+    return verdict(install)
+
+
 def generate() -> dict:
     return {"command": "sot verify all",
-            "faults": {name: verdict(install) for name, install in FAULTS.items()},
+            "faults": {**{name: import_verdict(*make()) for name, make in IMPORT_FAULTS.items()},
+                       **{name: verdict(install) for name, install in FAULTS.items()}},
             "known_escapes": {name: {**verdict(install), "found": ESCAPE_FOUND}
                               for name, install in KNOWN_ESCAPES.items()}}
 

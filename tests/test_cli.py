@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import textwrap
 from fractions import Fraction
 from pathlib import Path
 
@@ -585,6 +586,36 @@ def test_import_compiles_one_form_per_table():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["<int_product>", "<trilinear>", "<spinor_form>", "<turn>",
                                    "<trilinear>"]
+
+
+@pytest.mark.parametrize("argv,calls", [(None, 0), (["verify", "all"], 1),
+                                        (["verify", "clifford"], 1)],
+                         ids=["import", "verify-all", "verify-clifford"])
+def test_only_the_clifford_report_composes_the_gamma_products(argv, calls):
+    # a fresh process: importing matrices runs no verify_clifford, and a
+    # verify process runs it once, for its clifford report
+    script = textwrap.dedent(f"""
+        import contextlib, io, runpy, sys
+        calls = []
+
+        def trace(frame, event, arg):
+            code = frame.f_code
+            if code.co_name == "verify_clifford" and code.co_filename.endswith("matrices.py"):
+                calls.append(1)
+
+        argv = {argv!r}
+        sys.settrace(trace)
+        if argv is None:
+            import splitoct.matrices
+        else:
+            sys.argv = ["sot", *argv]
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):
+                runpy.run_module("splitoct.cli", run_name="__main__")
+        sys.settrace(None)
+        print(len(calls))
+        """)
+    proc = python("-c", script)
+    assert (proc.returncode, proc.stdout) == (0, f"{calls}\n"), proc.stderr
 
 
 # ---------------------------------------------------------------------------

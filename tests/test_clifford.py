@@ -2,7 +2,6 @@ import hashlib
 import itertools
 import math
 import re
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,6 +13,7 @@ from splitoct import octonion as oc
 from splitoct import units
 from splitoct.report import VerificationReport
 
+from catch_matrix import flipped_alpha, negated_entry
 from oracles import (NotGrade1Error, embed_phi, embed_psi, matrix_to_vector, rotor_inverse,
                      rotor_matrix, table_matrix, to_complex, triality_rotor,
                      vector_to_matrix, vector_to_matrix_exact)
@@ -91,18 +91,10 @@ def _gamma_with(mu, g):
     return gammas
 
 
-def _entry_negated(g, k=0):
-    """The square GMat g with its k-th nonzero entry, in C order, negated."""
-    entries = list(g.entries())
-    r, c, vr, vi = entries[k]
-    entries[k] = (r, c, -vr, -vi)
-    return mx.GMat.from_entries(len(g.rows), entries)
-
-
 # Gamma_3 replaced by Gamma_2; one entry of Gamma_5 negated; Gamma_6 doubled
 CORRUPT_GAMMAS = [
     (3, lambda: mx._GAMMA[2]),
-    (5, lambda: _entry_negated(mx._GAMMA[5])),
+    (5, lambda: negated_entry(mx._GAMMA[5])),
     (6, lambda: mx._GAMMA[6].scale(2)),
 ]
 
@@ -133,36 +125,55 @@ def test_clifford_witness_names_plain_ints(monkeypatch):
     assert cl.verify_clifford().failure_details[0] == "pair (2,3) entry (0, 0)"
 
 
-def _gammas_from(alphas):
-    """Gamma_mu built from the alpha tables as matrices.py builds it."""
-    return [mx._big_a(a) if mu < 4 else mx._big_a(a).times_i() for mu, a in enumerate(alphas)]
-
-
 # Broken Clifford data is refused at import, never a verify verdict:
-# matrices.py, which every `verify` and `matrices` command imports, raises
-# AssertionError unless verify_clifford passes on the Gamma built from
-# _ALPHA and XI_M XI_M^dag == 2 Id.  Every sign of either table must trip
-# its check.
+# matrices.py, which every `verify` and `matrices` command imports, runs
+# _checked on _ALPHA and XI_M, which raises AssertionError unless XI_M
+# XI_M^dag == 2 Id and the bridge holds.  Every sign of either table must
+# trip its check.  The import composes no Gamma product: the clifford
+# report, verify_clifford, is the one place the 64 products are composed,
+# and it fails on each alpha flip too.
 
 @pytest.mark.parametrize("mu", range(8))
 def test_every_alpha_sign_flip_fails_the_clifford_relation(monkeypatch, mu):
-    assert _gammas_from(mx._ALPHA) == mx._GAMMA
+    assert mx._gammas(mx._ALPHA) == mx._GAMMA
     for k in range(8):
-        alphas = list(mx._ALPHA)
-        alphas[mu] = _entry_negated(alphas[mu], k)
-        monkeypatch.setattr(mx, "_GAMMA", _gammas_from(alphas))
+        alphas, _ = flipped_alpha(mu, k)
+        monkeypatch.setattr(mx, "_GAMMA", mx._gammas(alphas))
         rep = cl.verify_clifford()
         assert not rep.passed, k
         pairs = [re.match(r"pair \((\d),(\d)\) ", d).groups() for d in rep.failure_details]
         assert all(str(mu) in p for p in pairs), (k, rep.failure_details)
 
 
+@pytest.mark.parametrize("mu", range(8))
+def test_every_alpha_sign_flip_is_refused_by_the_bridge_at_import(mu):
+    # Gamma rebuilt from each single-entry negation of alpha_mu, as
+    # matrices.py builds it: the bridge names mu, and the import checks
+    # refuse the flip with that message
+    message = f"generator {mu} of the alpha and xi data is not the unit table's"
+    for k in range(8):
+        alphas, _ = flipped_alpha(mu, k)
+        with pytest.raises(AssertionError) as err:
+            mx._check_bridge(mx._gammas(alphas), mx.XI_M)
+        assert str(err.value) == message, k
+        with pytest.raises(AssertionError) as err:
+            mx._checked(alphas, mx.XI_M)
+        assert str(err.value) == message, k
+
+
 def test_every_xi_sign_flip_fails_sqrt2_unitarity():
     two = mx.GMat.eye(16).scale(2)
     assert len(list(mx.XI_M.entries())) == 32 and mx.XI_M @ mx.XI_M.conj_t() == two
     for k in range(32):
-        xi = _entry_negated(mx.XI_M, k)
+        xi = negated_entry(mx.XI_M, k)
         assert not xi @ xi.conj_t() == two, k
+        with pytest.raises(AssertionError) as err:
+            mx._checked(mx._ALPHA, xi)
+        assert str(err.value) == "xi basis-change matrix is not sqrt2-unitary", k
+
+
+def test_the_import_checks_pass_on_the_shipped_data():
+    assert mx._checked(mx._ALPHA, mx.XI_M) == (mx._GAMMA, mx._B)
 
 
 class TestGMatCeiling:
@@ -199,7 +210,7 @@ class TestGMatCeiling:
 
 def test_b_matrix_properties():
     B = cl.b_matrix()
-    assert B.is_real()
+    assert not any(vi for _, _, _, vi in B.entries())
     assert B @ B == mx.GMat.eye(16)
     for mu in range(8):
         assert cl.gamma(mu).T == B @ cl.gamma(mu) @ B
@@ -375,9 +386,9 @@ def test_plane_actions_equal_their_per_plane_compositions():
     # product of two generator permutations that the module stores
     assert len(cl._BIV_REP) == 56
     for mu, nu in itertools.permutations(range(8), 2):
-        k = mx._XI_DAG @ (cl.gamma(mu) @ cl.gamma(nu)) @ mx.XI_M
-        assert k.is_real() and all(len(row) == 1 for row in k.rows)
-        assert cl._BIV_REP[mu, nu] == tuple((c, Fraction(vr, 2)) for (c, vr, _), in k.rows)
+        k = mx.XI_M.conj_t() @ (cl.gamma(mu) @ cl.gamma(nu)) @ mx.XI_M
+        want = ((i, j, 2 * g, 0) for i, (j, g) in enumerate(cl._BIV_REP[mu, nu]))
+        assert k == mx.GMat.from_entries(16, want), (mu, nu)
 
 
 def test_each_generator_permutation_is_its_composition():
@@ -388,26 +399,24 @@ def test_each_generator_permutation_is_its_composition():
         assert k == mx.GMat.from_entries(16, want), mu
 
 
-@pytest.mark.parametrize("broken,message", [
-    (lambda g: g.times_i(), "generator 3 is not real-integral in the spinor basis"),
-    (lambda g: g + cl.gamma(4), "generator 3 is not a chirality-swapping signed permutation"),
-    (lambda g: mx.GMat.eye(16), "generator 3 is not a chirality-swapping signed permutation"),
-])
-def test_generators_refuse_a_broken_gamma(monkeypatch, broken, message):
-    # imaginary, two entries a row, or keeping each chiral half: the
-    # trilinear terms index psi by column - 8, so a phi column is refused
+@pytest.mark.parametrize("broken", [
+    lambda g: g.times_i(), lambda g: g + cl.gamma(4), lambda g: mx.GMat.eye(16)],
+    ids=["imaginary", "two-entries-a-row", "keeps-each-chiral-half"])
+def test_the_bridge_refuses_a_broken_gamma(broken):
+    # imaginary, two entries a row, or keeping each chiral half: none is
+    # 2 G_3 in the spinor basis, so the bridge names generator 3
     gammas = list(mx._GAMMA)
     gammas[3] = broken(gammas[3])
-    monkeypatch.setattr(mx, "_GAMMA", gammas)
     with pytest.raises(AssertionError) as err:
-        mx._generators()
-    assert str(err.value) == message
+        mx._check_bridge(gammas, mx.XI_M)
+    assert str(err.value) == "generator 3 of the alpha and xi data is not the unit table's"
 
 
 def test_table_generators_are_the_alpha_xi_composition():
     # read off the unit table at import, and composed from the paper's
-    # alpha and xi data by the bridge of matrices.py: the same tuples
-    assert mx._generators() == cl._GEN
+    # alpha and xi data by the bridge of matrices.py: the bridge holds on
+    # every generator, and the tables are those _spinor_tables reads
+    assert mx._check_bridge(mx._GAMMA, mx.XI_M) is None
     assert cl._spinor_tables(oc._TABLE) == (cl._GEN, cl._BIV_REP)
 
 
@@ -434,16 +443,14 @@ def test_every_table_sign_flip_fails_the_import_time_clifford_check(a):
 
 
 @pytest.mark.parametrize("mu", range(8))
-def test_the_bridge_names_the_generator_of_a_flipped_gamma(monkeypatch, mu):
+def test_the_bridge_names_the_generator_of_a_flipped_gamma(mu):
     # -Gamma_mu still composes to a chirality-swapping signed permutation,
     # the negation of _GEN[mu]: the import-time bridge of matrices.py
     # refuses it, naming mu
-    mx._check_bridge()
     gammas = list(mx._GAMMA)
     gammas[mu] = -gammas[mu]
-    monkeypatch.setattr(mx, "_GAMMA", gammas)
     with pytest.raises(AssertionError) as err:
-        mx._check_bridge()
+        mx._check_bridge(gammas, mx.XI_M)
     assert str(err.value) == f"generator {mu} of the alpha and xi data is not the unit table's"
 
 
@@ -489,7 +496,7 @@ def test_trilinear_terms_are_the_slice_compositions():
     want = []
     for b in range(8):
         k = left @ block(cl.gamma(b), 0, 8) @ right
-        assert k.is_real() and not any(vr % 2 for _, _, vr, _ in k.entries()), b
+        assert not any(vi or vr % 2 for _, _, vr, vi in k.entries()), b
         want.extend((a, b, c, vr // 2) for a, c, vr, _ in k.entries())
     assert cl._TRILINEAR_TERMS == tuple(want)
 

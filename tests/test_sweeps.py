@@ -15,6 +15,7 @@ from hypothesis import example, given, strategies as st
 
 from splitoct import cli
 from splitoct import clifford as cl
+from splitoct import exact
 from splitoct import matrices as mx
 from splitoct import octonion as oc
 from splitoct import report
@@ -672,6 +673,55 @@ def test_oracle_names_the_first_wrong_term_compiled_into_a_form(module, name, la
         tr._certify_form(label, trilinear_form(terms, **wrap), module._TRILINEAR_TERMS)
     assert str(err.value) == "the compiled {} form fails at basis triple ({},{},{})".format(
         label, *first)
+
+
+def faulty_signed_sum(monkeypatch, expr, negate):
+    """exact.signed_sum, which int_form writes every sum with, dropping the
+    term of ``expr`` or, with ``negate``, negating it."""
+    plain = exact.signed_sum
+
+    def broken(terms):
+        return plain([(-k, e) if e == expr else (k, e) for k, e in terms
+                      if e != expr or negate])
+    monkeypatch.setattr(exact, "signed_sum", broken)
+
+
+@pytest.mark.parametrize("negate", [False, True], ids=["dropped", "negated"])
+def test_the_compiled_product_is_certified_where_it_is_built(negate):
+    # a generator that drops or negates one term of the unit product: one
+    # evaluation at the Kronecker point refuses it and names the term
+    for i, j in itertools.product(range(8), repeat=2):
+        with pytest.MonkeyPatch.context() as mp:
+            faulty_signed_sum(mp, f"a{i} * b{j}", negate)
+            with pytest.raises(AssertionError) as err:
+                oc._product(oc._TABLE)
+        assert str(err.value) == (f"the compiled product fails at term a{i} * b{j} "
+                                  f"of coefficient {oc._TABLE[i][j][0]}")
+    a, b = range(1, 9), range(-8, 0)
+    assert oc._product(oc._TABLE)(a, b) == oc._INT_PRODUCT(a, b) == (O(a) * O(b)).c
+
+
+@pytest.mark.parametrize("negate", [False, True], ids=["dropped", "negated"])
+@pytest.mark.parametrize("terms", [cl._Q_SPINOR_TERMS, ((2, 5, 6), (5, 2, 6), (15, 15, -4))],
+                         ids=["shipped", "off-diagonal"])
+def test_the_compiled_spinor_form_is_certified_where_it_is_built(negate, terms):
+    # each term of the spinor invariant, and of a form with off-diagonal
+    # terms, dropped or negated by the generator: refused, by name
+    for i, j, _ in terms:
+        with pytest.MonkeyPatch.context() as mp:
+            faulty_signed_sum(mp, f"e{i} * e{j}", negate)
+            with pytest.raises(AssertionError) as err:
+                cl._spinor_form(terms)
+        assert str(err.value) == ("the compiled spinor form fails at term "
+                                  f"e{min(i, j)} * e{max(i, j)}")
+    assert cl._spinor_form(terms)(list(range(16))) == sum(
+        q // 2 * i * j for i, j, q in terms)
+
+
+def test_the_spinor_point_puts_each_monomial_on_its_own_digit():
+    sums = [cl._SIDON[i] + cl._SIDON[j] for i in range(16) for j in range(i, 16)]
+    assert len(set(sums)) == len(sums) == 136
+    assert cl._SPINOR_POINT == tuple(1 << (exact.DIGIT * s) for s in cl._SIDON)
 
 
 def test_trilinear_both_and_verify_refuse_a_broken_compiled_form(monkeypatch, capsys):

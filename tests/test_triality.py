@@ -45,21 +45,21 @@ def test_the_pin_selects_the_spinor_form():
     # clifford states the convention and its form; the pin of matrices.py
     # selects them among the composed candidates; triality re-exports it
     assert tr.PINNED_CONVENTION is cl.PINNED_CONVENTION
-    assert mx._PIN == cl.PINNED_CONVENTION
-    assert mx._Q_SPINOR_2 == mx._candidate_forms()[cl.PINNED_CONVENTION]
-    assert mx._Q_SPINOR_2 == mx.GMat.from_entries(16, ((i, j, q, 0)
-                                                      for i, j, q in cl._Q_SPINOR_TERMS))
+    forms = mx._candidate_forms(mx.XI_M, mx._B)
+    assert mx.pin_xi_convention(forms) == cl.PINNED_CONVENTION
+    assert forms[cl.PINNED_CONVENTION] == mx.GMat.from_entries(
+        16, ((i, j, q, 0) for i, j, q in cl._Q_SPINOR_TERMS))
 
 
 def test_pinned_spinor_form_is_twice_the_split_form():
     # the one import-time equality: real, even and diagonal, 2 g_kk on the
     # diagonal of both chiral halves
     assert cl._Q_SPINOR_TERMS == tuple((k, k, 2 * cl.METRIC[k % 8]) for k in range(16))
-    assert mx._Q_SPINOR_2 == mx._SPLIT.scale(2)
+    assert mx._candidate_forms(mx.XI_M, mx._B)[cl.PINNED_CONVENTION] == mx._SPLIT.scale(2)
 
 
 def test_pin_needs_exactly_one_diagonalizing_candidate():
-    forms = mx._candidate_forms()
+    forms = mx._candidate_forms(mx.XI_M, mx._B)
     pinned = mx.pin_xi_convention(forms)
     assert pinned == cl.PINNED_CONVENTION
     others = {conv: mat for conv, mat in forms.items() if conv != pinned}
